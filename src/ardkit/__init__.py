@@ -19,7 +19,6 @@ from .model import (
     Indicator,
     NestDomain,
     RecordKey,
-    RegionCode,
     StandardRecord,
     UncertaintyLevel,
     Vocabulary,
@@ -39,7 +38,6 @@ __all__ = [
     "Indicator",
     "NestDomain",
     "RecordKey",
-    "RegionCode",
     "StandardRecord",
     "UncertaintyLevel",
     "Vocabulary",

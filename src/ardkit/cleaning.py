@@ -55,6 +55,10 @@ class CleaningRuleSet:
     missing_policy: MissingPolicy = MissingPolicy.KEEP_AS_MISSING
 
     def __post_init__(self) -> None:
+        if len(self.year_format_coercions) > 1:
+            raise CleaningError(
+                f"at most one year coercion pattern is supported, got {len(self.year_format_coercions)}"
+            )
         for pattern in self.year_format_coercions:
             base = _parse_year_pattern(pattern)
             if base < 100:
@@ -172,7 +176,7 @@ def _value_from_doc(doc: Mapping) -> CellValue:
 def _set_field(record: StandardRecord, field: str, value) -> StandardRecord:
     key = record.key
     if field == "geography.code":
-        return StandardRecord(replace(key, geography=replace(key.geography, code=value)), record.value)
+        return StandardRecord(replace(key, region=value), record.value)
     if field == "calendar_year":
         return StandardRecord(replace(key, calendar_year=int(value)), record.value)
     if field in ("age_group", "sex"):
@@ -191,12 +195,13 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
     """
     entries: list[CleaningEntry] = []
     working: dict[int, StandardRecord] = {}
+    year_base = _parse_year_pattern(rules.year_format_coercions[0]) if rules.year_format_coercions else None
 
     for i, record in enumerate(dataset.records):
         current = record
         if rules.whitespace_normalization:
             for field, token in (
-                ("geography.code", current.key.geography.code),
+                ("geography.code", current.key.region),
                 ("age_group", current.key.age_group),
                 ("sex", current.key.sex),
             ):
@@ -207,7 +212,7 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
                     )
                     current = _set_field(current, field, stripped)
         if rules.code_case_fold:
-            code = current.key.geography.code
+            code = current.key.region
             folded = code.upper()
             if folded != code:
                 entries.append(
@@ -215,15 +220,12 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
                 )
                 current = _set_field(current, "geography.code", folded)
         year = current.key.calendar_year
-        if 0 <= year < 100:
-            for pattern in rules.year_format_coercions:
-                base = _parse_year_pattern(pattern)
-                coerced = base + year
-                entries.append(
-                    CleaningEntry("set", i, RULE_YEAR_FORMAT, field="calendar_year", before=year, after=coerced)
-                )
-                current = _set_field(current, "calendar_year", coerced)
-                break
+        if year_base is not None and 0 <= year < 100:
+            coerced = year_base + year
+            entries.append(
+                CleaningEntry("set", i, RULE_YEAR_FORMAT, field="calendar_year", before=year, after=coerced)
+            )
+            current = _set_field(current, "calendar_year", coerced)
         working[i] = current
 
     if rules.missing_policy is MissingPolicy.DROP_ROW:
@@ -351,7 +353,7 @@ def profile(dataset: Dataset) -> DatasetProfile:
         suppressed_cells=suppressed,
         duplicate_key_groups=duplicate_groups,
         out_of_range_values=out_of_range,
-        distinct_regions=len({r.key.geography.code for r in dataset.records}),
+        distinct_regions=len({r.key.region for r in dataset.records}),
         distinct_years=tuple(sorted({r.key.calendar_year for r in dataset.records})),
         distinct_age_groups=tuple(sorted({r.key.age_group for r in dataset.records})),
         distinct_sexes=tuple(sorted({r.key.sex for r in dataset.records})),

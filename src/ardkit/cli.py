@@ -69,8 +69,6 @@ def _cmd_run(args) -> int:
     updates = {}
     if args.out:
         updates["output_dir"] = Path(args.out)
-    if args.workers:
-        updates["workers"] = args.workers
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.round_counts:
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the configured output directory")
-    p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--strict", action="store_true", help="treat warnings as errors")
     p.add_argument("--round-counts", action="store_true", help="round corresponded counts at emission")

@@ -34,7 +34,6 @@ from .model import (
     GeoLevel,
     Magnitude,
     RecordKey,
-    RegionCode,
     StandardRecord,
     UncertaintyLevel,
     finalize,
@@ -72,15 +71,15 @@ def _as_ratio(value: object) -> Fraction:
 class CorrespondenceEdge:
     """One weighted edge: `ratio` of `source`'s count flows to `target`."""
 
-    source: RegionCode
-    target: RegionCode
+    source: str
+    target: str
     ratio: Fraction
 
     def __post_init__(self) -> None:
         ratio = _as_ratio(self.ratio)
         if not 0 <= ratio <= 1:
             raise CorrespondenceError(
-                f"ratio {float(ratio)} for {self.source.code}->{self.target.code} outside [0, 1]"
+                f"ratio {float(ratio)} for {self.source}->{self.target} outside [0, 1]"
             )
         object.__setattr__(self, "ratio", ratio)
 
@@ -103,33 +102,23 @@ class CorrespondenceTable:
         seen: set[tuple[str, str]] = set()
         sums: dict[str, Fraction] = {}
         for edge in self.edges:
-            pair = (edge.source.code, edge.target.code)
+            pair = (edge.source, edge.target)
             if pair in seen:
                 problems.append(f"duplicate edge {pair[0]}->{pair[1]}")
             seen.add(pair)
-            if edge.source.edition is not self.from_edition or edge.target.edition is not self.to_edition:
-                problems.append(f"edge {pair[0]}->{pair[1]} does not match the table editions")
-            if edge.source.level is not self.level or edge.target.level is not self.level:
-                problems.append(f"edge {pair[0]}->{pair[1]} does not match the table level")
-            sums[edge.source.code] = sums.get(edge.source.code, Fraction(0)) + edge.ratio
+            sums[edge.source] = sums.get(edge.source, Fraction(0)) + edge.ratio
         for code in sorted(sums):
             if abs(sums[code] - 1) > RATIO_SUM_TOLERANCE:
                 problems.append(f"ratios for {code} sum to {float(sums[code])}")
         return problems
 
-    def source_codes(self) -> frozenset[str]:
-        return frozenset(e.source.code for e in self.edges)
-
-    def target_codes(self) -> frozenset[str]:
-        return frozenset(e.target.code for e in self.edges)
-
     def positive_edges_by_source(self) -> dict[str, tuple[CorrespondenceEdge, ...]]:
         grouped: dict[str, list[CorrespondenceEdge]] = {}
         for edge in self.edges:
             if edge.ratio > 0:
-                grouped.setdefault(edge.source.code, []).append(edge)
+                grouped.setdefault(edge.source, []).append(edge)
         return {
-            code: tuple(sorted(edges, key=lambda e: e.target.code))
+            code: tuple(sorted(edges, key=lambda e: e.target))
             for code, edges in grouped.items()
         }
 
@@ -138,7 +127,7 @@ class CorrespondenceTable:
         grouped: dict[str, set[str]] = {}
         for edge in self.edges:
             if edge.ratio > 0:
-                grouped.setdefault(edge.target.code, set()).add(edge.source.code)
+                grouped.setdefault(edge.target, set()).add(edge.source)
         return {code: frozenset(sources) for code, sources in grouped.items()}
 
 
@@ -198,11 +187,7 @@ def load_table(
         details = "; ".join(f"ratios for {code} sum to {float(sums[code])}" for code in bad)
         raise CorrespondenceError(details)
     edges = tuple(
-        CorrespondenceEdge(
-            RegionCode(source, level, from_edition),
-            RegionCode(target, level, to_edition),
-            ratio / sums[source] if sums[source] != 1 else ratio,
-        )
+        CorrespondenceEdge(source, target, ratio / sums[source] if sums[source] != 1 else ratio)
         for source, target, ratio in raw
     )
     return CorrespondenceTable(from_edition, to_edition, level, edges)
@@ -219,7 +204,6 @@ class BoundaryRule(enum.Enum):
 class CorrespondencePolicy:
     discard_threshold: Fraction = Fraction(1, 10)
     boundary_rule: BoundaryRule = BoundaryRule.SUPPRESS_AT_THRESHOLD
-    target_edition: BoundaryEdition | None = None
 
     def __post_init__(self) -> None:
         threshold = _as_ratio(self.discard_threshold)
@@ -264,7 +248,7 @@ class CorrespondenceOutcome:
             "zero_filled": list(self.zero_filled),
             "events": [
                 {
-                    "key": [key.geography.code, key.calendar_year, key.age_group, key.sex],
+                    "key": [key.region, key.calendar_year, key.age_group, key.sex],
                     "events": list(events),
                 }
                 for key, events in sorted(self.events.items(), key=lambda kv: kv[0].sort_key)
@@ -273,18 +257,15 @@ class CorrespondenceOutcome:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CorrespondenceOutcome":
-        level = GeoLevel(doc["level"])
-        to_edition = BoundaryEdition(doc["to_edition"])
         events = {}
         for item in doc["events"]:
             code, year, age, sex = item["key"]
-            key = RecordKey(RegionCode(code, level, to_edition), int(year), age, sex)
-            events[key] = tuple(item["events"])
+            events[RecordKey(code, int(year), age, sex)] = tuple(item["events"])
         return cls(
             op=doc["op"],
-            level=level,
+            level=GeoLevel(doc["level"]),
             from_edition=BoundaryEdition(doc["from_edition"]),
-            to_edition=to_edition,
+            to_edition=BoundaryEdition(doc["to_edition"]),
             input_total=Fraction(doc["input_total_exact"]),
             output_total=Fraction(doc["output_total_exact"]),
             conserving=bool(doc["conserving"]),
@@ -321,7 +302,7 @@ def _data_total(dataset: Dataset) -> Fraction:
 def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, StandardRecord]]:
     grouped: dict[tuple, dict[str, StandardRecord]] = {}
     for record in dataset.records:
-        grouped.setdefault(record.key.stratum, {})[record.key.geography.code] = record
+        grouped.setdefault(record.key.stratum, {})[record.key.region] = record
     return grouped
 
 
@@ -354,7 +335,7 @@ def forward(
 
 def _forward_counts(dataset: Dataset, table: CorrespondenceTable, *, mode: str) -> tuple[Dataset, CorrespondenceOutcome]:
     edges_by_source = table.positive_edges_by_source()
-    unknown = sorted({r.key.geography.code for r in dataset.records} - set(edges_by_source))
+    unknown = sorted({r.key.region for r in dataset.records} - set(edges_by_source))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     out_records: list[StandardRecord] = []
@@ -371,7 +352,7 @@ def _forward_counts(dataset: Dataset, table: CorrespondenceTable, *, mode: str) 
         for code in sorted(present):
             record = present[code]
             for edge in edges_by_source[code]:
-                tcode = edge.target.code
+                tcode = edge.target
                 unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), record.value.uncertainty)
                 if record.value.kind is CellKind.SUPPRESSED:
                     suppress_taint.add(tcode)
@@ -384,7 +365,7 @@ def _forward_counts(dataset: Dataset, table: CorrespondenceTable, *, mode: str) 
                     acc[tcode] = acc.get(tcode, _zero(mode)) + _product(edge.ratio, record.value.magnitude, mode)
         year, age, sex = stratum
         for tcode in sorted(set(acc) | set(unc)):
-            key = RecordKey(RegionCode(tcode, table.level, table.to_edition), year, age, sex)
+            key = RecordKey(tcode, year, age, sex)
             if tcode in suppress_taint:
                 tainted = True
                 out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
@@ -460,7 +441,7 @@ def _backward_counts(
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
-    unknown = sorted({r.key.geography.code for r in dataset.records} - set(feeders))
+    unknown = sorted({r.key.region for r in dataset.records} - set(feeders))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     out_records: list[StandardRecord] = []
@@ -472,10 +453,10 @@ def _backward_counts(
         year, age, sex = stratum
         for source in sorted(edges_by_source):
             source_edges = edges_by_source[source]
-            if not any(e.target.code in present for e in source_edges):
+            if not any(e.target in present for e in source_edges):
                 continue
-            key = RecordKey(RegionCode(source, table.level, table.from_edition), year, age, sex)
-            shared = [e for e in source_edges if len(feeders[e.target.code]) > 1]
+            key = RecordKey(source, year, age, sex)
+            shared = [e for e in source_edges if len(feeders[e.target]) > 1]
             if any(policy.suppresses(e.ratio) for e in shared):
                 out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
                 events[key] = (EVENT_BACKWARD_SUPPRESSED,)
@@ -486,13 +467,13 @@ def _backward_counts(
             total = _zero(mode)
             level = UncertaintyLevel.LOW
             unresolvable = False
-            for edge in (e for e in source_edges if len(feeders[e.target.code]) == 1):
-                record = present.get(edge.target.code)
+            for edge in (e for e in source_edges if len(feeders[e.target]) == 1):
+                record = present.get(edge.target)
                 if record is None:
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: no data for sole target {edge.target.code}, counted as zero"
+                        f"{key.describe()}: no data for sole target {edge.target}, counted as zero"
                     )
                     continue
                 level = max(level, record.value.uncertainty)
@@ -503,7 +484,7 @@ def _backward_counts(
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: missing value for sole target {edge.target.code}, counted as zero"
+                        f"{key.describe()}: missing value for sole target {edge.target}, counted as zero"
                     )
                     continue
                 total = total + _lift(record.value.magnitude, mode)

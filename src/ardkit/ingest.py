@@ -30,7 +30,6 @@ from .model import (
     GeoLevel,
     Indicator,
     RecordKey,
-    RegionCode,
     StandardRecord,
     canonical_sort,
     parse_geography_column,
@@ -411,7 +410,7 @@ def parse_raw(
                 if mapping.value_kind is CellKind.COUNT:
                     magnitude = int(magnitude)
                 value = CellValue(mapping.value_kind, magnitude)
-            key = RecordKey(RegionCode(code, level, edition), year, age, sex)
+            key = RecordKey(code, year, age, sex)
             records.append(StandardRecord(key, value))
             lineage.append(LineageEntry(lineno, value_column, key.describe()))
     dataset = canonical_sort(Dataset(indicator, tuple(records), edition, level))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from importlib import resources
-from typing import Iterable, Type
+from typing import Type
 
 import jsonschema
 
@@ -25,10 +25,6 @@ def canonical_dumps(doc) -> str:
 def compact_dumps(doc) -> str:
     """Single-line canonical rendering used for digests and JSON lines."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def jsonl_dumps(items: Iterable) -> str:
-    return "".join(compact_dumps(item) + "\n" for item in items)
 
 
 def sha256_hex(data: bytes | str) -> str:

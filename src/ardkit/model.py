@@ -1,9 +1,11 @@
 """Shared domain types for standardized spatio-temporal count data.
 
 Everything downstream (ingest, cleaning, correspondence, privacy, QA, docs)
-works on the immutable types defined here.  A dataset serializes to one
-delimited text table whose header names the geography column after its
-statistical level and boundary edition (e.g. ``SA3CODE_16``), followed by
+works on the immutable types defined here.  A record's region is a plain
+code in its dataset's (level, edition) scheme: the level and boundary
+edition belong to the :class:`Dataset`, never to single records.  A dataset
+serializes to one delimited text table whose header names the geography
+column after that level and edition (e.g. ``SA3CODE_16``), followed by
 ``CALENDAR_YEAR, AGE_GROUP, SEX, VALUE, UNCERTAINTY``.
 
 Value-domain rules (non-negative counts, percentage range, token hygiene)
@@ -202,37 +204,24 @@ def format_magnitude(magnitude: Magnitude) -> str:
 
 
 @dataclass(frozen=True)
-class RegionCode:
-    """A region identifier within one (level, edition) code scheme."""
-
-    code: str
-    level: GeoLevel
-    edition: BoundaryEdition
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.code, str):
-            raise ArdkitError(f"region code must be a string, got {self.code!r}")
-        if not isinstance(self.level, GeoLevel) or not isinstance(self.edition, BoundaryEdition):
-            raise ArdkitError("region code needs a GeoLevel and a BoundaryEdition")
-
-
-@dataclass(frozen=True)
 class RecordKey:
     """Identity of one observation: where, when, and which population slice."""
 
-    geography: RegionCode
+    region: str
     calendar_year: int
     age_group: str
     sex: str
     sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.region, str):
+            raise ArdkitError(f"region code must be a string, got {self.region!r}")
         if isinstance(self.calendar_year, bool) or not isinstance(self.calendar_year, int):
             raise ArdkitError(f"calendar year must be an integer, got {self.calendar_year!r}")
         object.__setattr__(
             self,
             "sort_key",
-            (self.geography.code, self.calendar_year, self.age_group, self.sex),
+            (self.region, self.calendar_year, self.age_group, self.sex),
         )
 
     @property
@@ -241,7 +230,7 @@ class RecordKey:
         return (self.calendar_year, self.age_group, self.sex)
 
     def describe(self) -> str:
-        return f"{self.geography.code}/{self.calendar_year}/{self.age_group}/{self.sex}"
+        return f"{self.region}/{self.calendar_year}/{self.age_group}/{self.sex}"
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,6 @@ class Violation:
 V_DUPLICATE_KEY = "duplicate-key"
 V_NEGATIVE = "negative-count"
 V_PERCENTAGE_RANGE = "percentage-range"
-V_GEOGRAPHY = "geography-mismatch"
 V_KIND = "kind-mismatch"
 V_TOKEN = "bad-token"
 V_VOCABULARY = "vocabulary"
@@ -359,17 +347,7 @@ def validate_dataset(
     seen: dict[tuple, list[int]] = {}
     for i, record in enumerate(dataset.records):
         key, value = record.key, record.value
-        geo = key.geography
-        if geo.level is not dataset.level or geo.edition is not dataset.edition:
-            violations.append(
-                Violation(
-                    V_GEOGRAPHY,
-                    i,
-                    f"geography {geo.code!r} is {geo.level.value}/{geo.edition.value}, "
-                    f"dataset is {dataset.level.value}/{dataset.edition.value}",
-                )
-            )
-        for label, token in (("geography code", geo.code), ("age group", key.age_group), ("sex", key.sex)):
+        for label, token in (("geography code", key.region), ("age group", key.age_group), ("sex", key.sex)):
             problem = _token_problem(token)
             if problem is not None:
                 violations.append(Violation(V_TOKEN, i, f"{label} {token!r}: {problem}"))
@@ -462,7 +440,7 @@ def write_csv(dataset: Dataset) -> str:
             rendered = format_magnitude(value.magnitude)
         writer.writerow(
             [
-                record.key.geography.code,
+                record.key.region,
                 record.key.calendar_year,
                 record.key.age_group,
                 record.key.sex,
@@ -497,7 +475,7 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
             value = CellValue.missing(uncertainty)
         else:
             value = CellValue(indicator.value_kind, float(value_text), uncertainty)
-        key = RecordKey(RegionCode(code, level, edition), int(year), age, sex)
+        key = RecordKey(code, int(year), age, sex)
         records.append(StandardRecord(key, value))
     return Dataset(indicator=indicator, records=tuple(records), edition=edition, level=level)
 

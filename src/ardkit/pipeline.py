@@ -6,15 +6,10 @@ then writes every artifact under the output directory with stable names
 and a hash-chained provenance log.  Reruns on identical inputs and seed
 are byte-identical; to that end the provenance timestamp comes from the
 config (or SOURCE_DATE_EPOCH) rather than the wall clock when provided.
-
-Indicators may process in parallel; results are merged and written in
-canonical indicator order by a single writer, and the provenance log has
-exactly one writer.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import json
 import os
@@ -127,7 +122,6 @@ class PipelineConfig:
     stages: StageSettings
     output_dir: Path
     seed: int | None
-    workers: int
     round_counts: bool
     base_dir: Path
 
@@ -265,7 +259,6 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         stages=stages,
         output_dir=base / doc.get("output_dir", "out"),
         seed=seed,
-        workers=doc.get("workers", 1),
         round_counts=doc.get("round_counts", False),
         base_dir=base,
     )
@@ -441,21 +434,25 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
     mapping = SchemaMapping.from_json(
         json.loads(_read_file(spec.mapping_path, "schema mapping").decode("utf-8"))
     )
+    digest = sha256_hex(raw)
+
+    def record_stage(stage: str, decision: str, output: Dataset) -> None:
+        """Log a stage whose input is the previous stage's output."""
+        nonlocal digest
+        before, digest = digest, sha256_hex(write_csv(output))
+        records.append(StageRecord(stage, decision, (before,), (digest,)))
+
     dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
     artifacts[f"reports/{ind_id}.parse.json"] = canonical_dumps(parse_report.to_json())
-    records.append(
-        StageRecord(
-            "ingest",
-            f"parsed {parse_report.rows_in} logical rows into {parse_report.records_out} records, "
-            f"{len(parse_report.rejects)} rejected",
-            (sha256_hex(raw),),
-            (sha256_hex(write_csv(dataset)),),
-        )
+    record_stage(
+        "ingest",
+        f"parsed {parse_report.rows_in} logical rows into {parse_report.records_out} records, "
+        f"{len(parse_report.rejects)} rejected",
+        dataset,
     )
 
     cleaning_log = CleaningLog()
     if config.stages.clean_enabled:
-        before = sha256_hex(write_csv(dataset))
         cycle = clean_qa_cycle(
             dataset,
             config.stages.cleaning_rules,
@@ -463,19 +460,15 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
             cap=config.stages.max_iterations,
         )
         dataset, cleaning_log = cycle.dataset, cycle.log
-        records.append(
-            StageRecord(
-                "clean",
-                f"applied {len(cleaning_log.entries)} change(s) in {cycle.iterations} iteration(s)",
-                (before,),
-                (sha256_hex(write_csv(dataset)),),
-            )
+        record_stage(
+            "clean",
+            f"applied {len(cleaning_log.entries)} change(s) in {cycle.iterations} iteration(s)",
+            dataset,
         )
     artifacts[f"reports/{ind_id}.cleaning.jsonl"] = cleaning_log.to_jsonl()
 
     outcomes: tuple[CorrespondenceOutcome, ...] = ()
     if config.stages.correspond_enabled:
-        before = sha256_hex(write_csv(dataset))
         denominator = None
         if spec.denominator is not None:
             denominator = _prepare_denominator(config, spec)
@@ -488,14 +481,11 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
             denominator=denominator,
         )
         if outcomes:
-            records.append(
-                StageRecord(
-                    "correspond",
-                    f"converted {int(outcomes[0].from_edition)} to {int(outcomes[-1].to_edition)} "
-                    f"in {len(outcomes)} step(s)",
-                    (before,),
-                    (sha256_hex(write_csv(dataset)),),
-                )
+            record_stage(
+                "correspond",
+                f"converted {int(outcomes[0].from_edition)} to {int(outcomes[-1].to_edition)} "
+                f"in {len(outcomes)} step(s)",
+                dataset,
             )
     artifacts[f"reports/{ind_id}.correspondence.json"] = canonical_dumps(
         [outcome.to_json() for outcome in outcomes]
@@ -503,7 +493,6 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
 
     privacy_log: dict | None = None
     if config.stages.privacy_enabled:
-        before = sha256_hex(write_csv(dataset))
         dataset, privacy_log = privacy_stage(
             dataset,
             suppression=config.stages.suppression,
@@ -511,19 +500,15 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
             seed=config.seed,
         )
         artifacts[f"reports/{ind_id}.privacy.json"] = canonical_dumps(privacy_log)
-        records.append(
-            StageRecord(
-                "privacy",
-                f"noise magnitude {privacy_log['noise_magnitude']}, "
-                f"suppressed {privacy_log['suppression']['total_suppressed']} cell(s)",
-                (before,),
-                (sha256_hex(write_csv(dataset)),),
-            )
+        record_stage(
+            "privacy",
+            f"noise magnitude {privacy_log['noise_magnitude']}, "
+            f"suppressed {privacy_log['suppression']['total_suppressed']} cell(s)",
+            dataset,
         )
 
     report = QAReport(ind_id, ())
     if config.stages.qa_enabled:
-        before = sha256_hex(write_csv(dataset))
         dataset, removal_log, report = qa_stage(
             dataset,
             outcomes=outcomes,
@@ -533,14 +518,11 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
             mode=config.stages.mode,
         )
         artifacts[f"reports/{ind_id}.removals.json"] = canonical_dumps(removal_log.to_json())
-        records.append(
-            StageRecord(
-                "qa",
-                f"report {'PASS' if report.passed else 'FAIL'} with {len(report.findings)} finding(s); "
-                f"removed {len(removal_log.removed_keys)} high-uncertainty record(s)",
-                (before,),
-                (sha256_hex(write_csv(dataset)),),
-            )
+        record_stage(
+            "qa",
+            f"report {'PASS' if report.passed else 'FAIL'} with {len(report.findings)} finding(s); "
+            f"removed {len(removal_log.removed_keys)} high-uncertainty record(s)",
+            dataset,
         )
     artifacts[f"reports/{ind_id}.qa.json"] = canonical_dumps(report.to_json())
     artifacts[f"reports/{ind_id}.qa.txt"] = report.to_text()
@@ -608,19 +590,9 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         artifacts["registry.json"] = canonical_dumps(registry.to_json())
         tables = load_tables(config.tables)
 
-        specs = sorted(config.indicators, key=lambda s: s.indicator.id)
-        if config.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = {
-                    pool.submit(_process_indicator, config, spec, tables): spec for spec in specs
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    result = future.result()
-                    results[result.indicator_id] = result
-        else:
-            for spec in specs:
-                result = _process_indicator(config, spec, tables)
-                results[result.indicator_id] = result
+        for spec in sorted(config.indicators, key=lambda s: s.indicator.id):
+            result = _process_indicator(config, spec, tables)
+            results[result.indicator_id] = result
     except ArdkitError as exc:
         failure = str(exc)
 

@@ -229,9 +229,9 @@ def _recoverable_findings(dataset: Dataset, context: QAContext) -> list[Finding]
         for record in dataset.records:
             key = record.key
             if axis == "age_group":
-                group_key = (key.geography.code, key.calendar_year, key.sex)
+                group_key = (key.region, key.calendar_year, key.sex)
             else:
-                group_key = (key.geography.code, key.calendar_year, key.age_group)
+                group_key = (key.region, key.calendar_year, key.age_group)
             groups.setdefault(group_key, []).append(record)
         for group_key in sorted(groups):
             members = groups[group_key]

@@ -16,7 +16,6 @@ from ardkit.model import (
     Indicator,
     NestDomain,
     RecordKey,
-    RegionCode,
     StandardRecord,
     canonical_sort,
 )
@@ -44,9 +43,8 @@ def make_indicator(
     )
 
 
-def make_record(code, value, year=2016, age="0-4", sex="male", level=SA3, edition=E2016):
-    key = RecordKey(RegionCode(code, level, edition), year, age, sex)
-    return StandardRecord(key, value)
+def make_record(code, value, year=2016, age="0-4", sex="male"):
+    return StandardRecord(RecordKey(code, year, age, sex), value)
 
 
 def make_counts(cells, *, edition=E2016, level=SA3, indicator=None, year=2016, age="0-4", sex="male"):
@@ -56,19 +54,12 @@ def make_counts(cells, *, edition=E2016, level=SA3, indicator=None, year=2016, a
     for code, value in cells.items():
         if not isinstance(value, CellValue):
             value = CellValue.count(value)
-        records.append(make_record(code, value, year=year, age=age, sex=sex, level=level, edition=edition))
+        records.append(make_record(code, value, year=year, age=age, sex=sex))
     return canonical_sort(Dataset(indicator, tuple(records), edition, level))
 
 
 def make_table(edges, *, level=SA3, from_edition=E2011, to_edition=E2016):
-    built = tuple(
-        CorrespondenceEdge(
-            RegionCode(source, level, from_edition),
-            RegionCode(target, level, to_edition),
-            Fraction(str(ratio)),
-        )
-        for source, target, ratio in edges
-    )
+    built = tuple(CorrespondenceEdge(source, target, Fraction(str(ratio))) for source, target, ratio in edges)
     return CorrespondenceTable(from_edition, to_edition, level, built)
 
 

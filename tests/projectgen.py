@@ -247,7 +247,6 @@ def build_demo_project(root: Path, *, n_2011=60, n_2016=100, messy=True) -> Path
             "qa": {"enabled": True, "max_iterations": 10},
         },
         "output_dir": "out",
-        "workers": 1,
         "round_counts": False,
     }
     config_path = root / "config.json"

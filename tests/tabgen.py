@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 
 from ardkit.correspondence import CorrespondenceEdge, CorrespondenceTable
-from ardkit.model import RegionCode
-
 from conftest import E2011, E2016, SA3, make_counts
 
 
@@ -36,13 +34,7 @@ def random_table(rng: random.Random, *, max_regions=50, split_only=False):
         weights = [rng.randint(1, 9) for _ in mine]
         total = sum(weights)
         for target, weight in zip(mine, weights):
-            edges.append(
-                CorrespondenceEdge(
-                    RegionCode(source, SA3, E2011),
-                    RegionCode(target, SA3, E2016),
-                    Fraction(weight, total),
-                )
-            )
+            edges.append(CorrespondenceEdge(source, target, Fraction(weight, total)))
     table = CorrespondenceTable(E2011, E2016, SA3, tuple(edges))
     return table, sorted(by_source)
 

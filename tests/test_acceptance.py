@@ -53,7 +53,7 @@ def report(name: str, started: float, budget: float) -> None:
 
 
 def magnitudes(dataset):
-    return {r.key.geography.code: r.value.magnitude for r in dataset.records}
+    return {r.key.region: r.value.magnitude for r in dataset.records}
 
 
 def test_worked_correspondence_cases():
@@ -77,7 +77,7 @@ def test_worked_correspondence_cases():
     targets = ["C", "D", "E"]
     matrix = np.zeros((3, 2))
     for edge in shared.edges:
-        matrix[targets.index(edge.target.code), sources.index(edge.source.code)] = float(edge.ratio)
+        matrix[targets.index(edge.target), sources.index(edge.source)] = float(edge.ratio)
     oracle = matrix @ np.array([10.0, 20.0])
     got = magnitudes(out)
     for code, want in zip(targets, oracle):
@@ -89,7 +89,7 @@ def test_worked_correspondence_cases():
     )
     later = make_counts({"C": 95, "D": 60, "E": 50}, edition=E2016)
     rebuilt, _ = backward(later, low_share, POLICY)
-    by_code = {r.key.geography.code: r.value for r in rebuilt.records}
+    by_code = {r.key.region: r.value for r in rebuilt.records}
     assert by_code["A"].magnitude == 95.0
     assert by_code["A"].uncertainty is UncertaintyLevel.MEDIUM
 
@@ -99,7 +99,7 @@ def test_worked_correspondence_cases():
     )
     later = make_counts({"C": 50, "D": 100, "E": 50}, edition=E2016)
     rebuilt, _ = backward(later, high_share, POLICY)
-    by_code = {r.key.geography.code: r.value for r in rebuilt.records}
+    by_code = {r.key.region: r.value for r in rebuilt.records}
     assert by_code["A"].kind is CellKind.SUPPRESSED
     assert by_code["A"].uncertainty is UncertaintyLevel.HIGH
     report("worked correspondence cases", started, 1.0)
@@ -156,7 +156,7 @@ def test_suppression_safety_and_idempotence():
 def test_uncertainty_semantics():
     started = time.monotonic()
     dataset = make_counts({"A": 10, "B": 11, "C": 12, "D": 13})
-    keys = {r.key.geography.code: r.key for r in dataset.records}
+    keys = {r.key.region: r.key for r in dataset.records}
     provenance = {
         keys["A"]: (),
         keys["B"]: (EVENT_SUBTHRESHOLD_DISCARD,),
@@ -164,11 +164,11 @@ def test_uncertainty_semantics():
         keys["D"]: (EVENT_BACKWARD_SUPPRESSED,),
     }
     assigned = assign_uncertainty(dataset, provenance)
-    levels = {r.key.geography.code: int(r.value.uncertainty) for r in assigned.records}
+    levels = {r.key.region: int(r.value.uncertainty) for r in assigned.records}
     assert levels == {"A": 0, "B": 1, "C": 1, "D": 2}
 
     filtered, removal_log = filter_high_uncertainty(assigned)
-    assert {r.key.geography.code for r in filtered.records} == {"A", "B", "C"}
+    assert {r.key.region for r in filtered.records} == {"A", "B", "C"}
     assert list(removal_log.removed_keys) == [keys["D"].describe()]
     assert filtered.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
     report("uncertainty level semantics and high-level removal", started, 5.0)

@@ -30,7 +30,7 @@ class TestFieldRepairs:
     def test_whitespace_normalization_strips_code(self):
         dataset = make_counts({" 10102 ": 4})
         cleaned, log = clean(dataset, DEFAULT)
-        assert cleaned.records[0].key.geography.code == "10102"
+        assert cleaned.records[0].key.region == "10102"
         entry = log.entries[0]
         assert entry.field == "geography.code"
         assert entry.before == " 10102 " and entry.after == "10102"
@@ -39,7 +39,7 @@ class TestFieldRepairs:
         dataset = make_counts({"a1": 4})
         rules = CleaningRuleSet(code_case_fold=True)
         cleaned, log = clean(dataset, rules)
-        assert cleaned.records[0].key.geography.code == "A1"
+        assert cleaned.records[0].key.region == "A1"
         assert any(e.rule == "code-case-fold" for e in log.entries)
 
     def test_two_digit_year_coercion(self):
@@ -54,6 +54,9 @@ class TestFieldRepairs:
     def test_unsupported_pattern_rejected(self):
         with pytest.raises(CleaningError, match="pattern"):
             CleaningRuleSet(year_format_coercions=("add-some",))
+        # Only one pattern can apply to a year, so a second one is refused, not ignored.
+        with pytest.raises(CleaningError, match="at most one year coercion pattern"):
+            CleaningRuleSet.from_json({"year_format_coercions": ["YY->2000+YY", "YY->1900+YY"]})
 
     def test_low_base_rejected_for_idempotence(self):
         with pytest.raises(CleaningError, match="idempotent"):
@@ -74,7 +77,7 @@ class TestDedupe:
     def test_keep_first(self):
         rules = CleaningRuleSet(dedupe_policy=DedupePolicy.KEEP_FIRST)
         cleaned, log = clean(self.duplicated(), rules)
-        values = {r.key.geography.code: r.value.magnitude for r in cleaned.records}
+        values = {r.key.region: r.value.magnitude for r in cleaned.records}
         assert values == {"A": 3, "B": 7}
         drops = [e for e in log.entries if e.op == "drop"]
         assert len(drops) == 1 and drops[0].reason == "replicated entry removed"
@@ -83,7 +86,7 @@ class TestDedupe:
         rules = CleaningRuleSet(dedupe_policy=DedupePolicy.SUM)
         source = self.duplicated()
         cleaned, _ = clean(source, rules)
-        values = {r.key.geography.code: r.value.magnitude for r in cleaned.records}
+        values = {r.key.region: r.value.magnitude for r in cleaned.records}
         assert values == {"A": 8, "B": 7}
         total_in = sum(r.value.magnitude for r in source.records if r.value.is_data)
         total_out = sum(r.value.magnitude for r in cleaned.records if r.value.is_data)
@@ -113,7 +116,7 @@ class TestMissingPolicy:
         dataset = make_counts({"A": CellValue.missing(), "B": CellValue.count(1)})
         rules = CleaningRuleSet(missing_policy=MissingPolicy.DROP_ROW)
         cleaned, log = clean(dataset, rules)
-        assert [r.key.geography.code for r in cleaned.records] == ["B"]
+        assert [r.key.region for r in cleaned.records] == ["B"]
         assert any(e.rule == "missing-drop" for e in log.entries)
 
     def test_keep_as_missing_default(self):

@@ -38,21 +38,21 @@ POLICY = CorrespondencePolicy()
 def dense_oracle(values: dict[str, float], table) -> dict[str, float]:
     """Independent check: redistribution as a dense matrix-vector product."""
     sources = sorted(values)
-    targets = sorted({e.target.code for e in table.edges})
+    targets = sorted({e.target for e in table.edges})
     matrix = np.zeros((len(targets), len(sources)))
     for edge in table.edges:
-        if edge.source.code in values:
-            matrix[targets.index(edge.target.code), sources.index(edge.source.code)] = float(edge.ratio)
+        if edge.source in values:
+            matrix[targets.index(edge.target), sources.index(edge.source)] = float(edge.ratio)
     out = matrix @ np.array([float(values[s]) for s in sources])
     return dict(zip(targets, out))
 
 
 def magnitudes(dataset) -> dict[str, object]:
-    return {r.key.geography.code: r.value.magnitude for r in dataset.records}
+    return {r.key.region: r.value.magnitude for r in dataset.records}
 
 
 def cells(dataset) -> dict[str, object]:
-    return {r.key.geography.code: r.value for r in dataset.records}
+    return {r.key.region: r.value for r in dataset.records}
 
 
 class TestLoadTable:
@@ -155,7 +155,7 @@ class TestForward:
         assert by_code["C"].magnitude == 0.0
         assert outcome.conserving
         assert outcome.zero_filled
-        key = next(k for k in outcome.events if k.geography.code == "D")
+        key = next(k for k in outcome.events if k.region == "D")
         assert outcome.events[key] == (EVENT_ZERO_FILL,)
 
     def test_region_missing_from_table_is_fatal(self):
@@ -257,7 +257,7 @@ class TestBackward:
         # A keeps only its sole target C; the 5% share into D is discarded.
         assert by_code["A"].magnitude == 95.0
         assert by_code["A"].uncertainty is UncertaintyLevel.MEDIUM
-        key = next(k for k in outcome.events if k.geography.code == "A")
+        key = next(k for k in outcome.events if k.region == "A")
         assert outcome.events[key] == (EVENT_SUBTHRESHOLD_DISCARD,)
         # B sent 50% into the shared target, far above the threshold.
         assert by_code["B"].kind is CellKind.SUPPRESSED
@@ -270,7 +270,7 @@ class TestBackward:
         later = make_counts({"C": 5, "D": 10, "E": 5}, edition=E2016)
         rebuilt, outcome = backward(later, table, POLICY)
         assert cells(rebuilt)["A"].kind is CellKind.SUPPRESSED
-        key = next(k for k in outcome.events if k.geography.code == "A")
+        key = next(k for k in outcome.events if k.region == "A")
         assert outcome.events[key] == (EVENT_BACKWARD_SUPPRESSED,)
 
     def test_threshold_boundary_defaults_to_suppression(self):
@@ -327,12 +327,12 @@ class TestBackward:
             low = CorrespondencePolicy(discard_threshold=Fraction(1, 100))
             high = CorrespondencePolicy(discard_threshold=Fraction(1, 10))
             suppressed_low = {
-                r.key.geography.code
+                r.key.region
                 for r in backward(later, table, low)[0].records
                 if r.value.kind is CellKind.SUPPRESSED
             }
             suppressed_high = {
-                r.key.geography.code
+                r.key.region
                 for r in backward(later, table, high)[0].records
                 if r.value.kind is CellKind.SUPPRESSED
             }

@@ -164,7 +164,7 @@ class TestParseLong:
         first, _ = parse_raw(raw, LONG_MAPPING, count_indicator)
         second, _ = parse_raw(raw, LONG_MAPPING, count_indicator)
         assert write_csv(first) == write_csv(second)
-        codes = [r.key.geography.code for r in first.records]
+        codes = [r.key.region for r in first.records]
         assert codes == sorted(codes)
 
 
@@ -195,7 +195,7 @@ class TestParseWide:
             ("10103", 2017): 8,
         }
         got = {
-            (r.key.geography.code, r.key.calendar_year): r.value.magnitude
+            (r.key.region, r.key.calendar_year): r.value.magnitude
             for r in dataset.records
         }
         assert got == expected

@@ -108,11 +108,6 @@ class TestValidateDataset:
         dataset = make_counts({}).with_records([make_record("A", CellValue.count(-3))])
         assert [v.rule for v in validate_dataset(dataset)] == ["negative-count"]
 
-    def test_geography_mismatch(self):
-        stray = make_record("A", CellValue.count(1), edition=BoundaryEdition.ASGS2006)
-        dataset = make_counts({}).with_records([stray])
-        assert [v.rule for v in validate_dataset(dataset)] == ["geography-mismatch"]
-
     def test_unstripped_token(self):
         dataset = make_counts({" 10102 ": 4})
         assert [v.rule for v in validate_dataset(dataset)] == ["bad-token"]
@@ -138,7 +133,7 @@ class TestCanonicalSort:
         dataset = make_counts({"B": 2, "A": 1, "C": 3})
         reversed_ds = dataset.with_records(tuple(reversed(dataset.records)))
         sorted_once = canonical_sort(reversed_ds)
-        assert [r.key.geography.code for r in sorted_once.records] == ["A", "B", "C"]
+        assert [r.key.region for r in sorted_once.records] == ["A", "B", "C"]
         assert canonical_sort(sorted_once) == sorted_once
 
     def test_shuffled_copies_serialize_identically(self):
@@ -212,11 +207,11 @@ class TestRoundCounts:
     def test_largest_remainders_win(self):
         dataset = make_counts({"A": 1.7, "B": 1.7, "C": 1.6})
         rounded = round_counts(dataset)
-        by_code = {r.key.geography.code: r.value.magnitude for r in rounded.records}
+        by_code = {r.key.region: r.value.magnitude for r in rounded.records}
         assert sum(by_code.values()) == 5
         assert by_code["C"] == 1  # smallest remainder floors
 
     def test_integers_unchanged(self):
         dataset = make_counts({"A": 5, "B": 0})
         rounded = round_counts(dataset)
-        assert {r.key.geography.code: r.value.magnitude for r in rounded.records} == {"A": 5, "B": 0}
+        assert {r.key.region: r.value.magnitude for r in rounded.records} == {"A": 5, "B": 0}

@@ -165,7 +165,7 @@ class TestRandomize:
     def test_markers_untouched(self):
         dataset = make_counts({"A": CellValue.suppressed(), "B": CellValue.missing()})
         out = randomize(dataset, 5, seed=3)
-        kinds = {r.key.geography.code: r.value.kind for r in out.records}
+        kinds = {r.key.region: r.value.kind for r in out.records}
         assert kinds == {"A": CellKind.SUPPRESSED, "B": CellKind.MISSING}
 
     def test_noise_bounded_by_magnitude(self):

@@ -19,7 +19,6 @@ from ardkit.errors import ConvergenceError, ProvenanceError
 from ardkit.model import (
     CellKind,
     CellValue,
-    RegionCode,
     UncertaintyLevel,
     Vocabulary,
 )
@@ -87,8 +86,8 @@ def fault_fixtures():
         E2016,
         SA3,
         (
-            CorrespondenceEdge(RegionCode("A", SA3, E2011), RegionCode("B", SA3, E2016), Fraction(3, 10)),
-            CorrespondenceEdge(RegionCode("A", SA3, E2011), RegionCode("C", SA3, E2016), Fraction(6, 10)),
+            CorrespondenceEdge("A", "B", Fraction(3, 10)),
+            CorrespondenceEdge("A", "C", Fraction(6, 10)),
         ),
     )
     fixtures[RULE_RATIO_ECHO] = (make_counts({"A": 10}, edition=E2016), QAContext(table=bad_table))
@@ -243,7 +242,7 @@ class TestFilterHighUncertainty:
             {"A": CellValue.count(1, UncertaintyLevel.MEDIUM), "B": CellValue.count(2, UncertaintyLevel.HIGH)}
         )
         out, _ = filter_high_uncertainty(dataset)
-        assert [r.key.geography.code for r in out.records] == ["A"]
+        assert [r.key.region for r in out.records] == ["A"]
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
 
     def test_fully_removed_flag(self):
