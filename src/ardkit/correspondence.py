@@ -9,6 +9,11 @@ of the targets only it feeds, provided every ratio it sent into a shared
 target is small enough to discard (below the 10% threshold by default);
 otherwise the region cannot be reconstructed and is emitted suppressed.
 
+`forward` and `backward` convert counts only.  Rates and percentages go
+through `execute_plan` with a denominator count dataset: they are split
+into numerator and denominator counts once, converted as counts along the
+whole route, and divided at the end.
+
 Ratios are stored as exact rationals parsed from the decimal text, so
 per-source sums and redistribution products are exact.  Dataset arithmetic
 runs in double precision by default; ``mode="rational"`` keeps magnitudes
@@ -306,34 +311,35 @@ def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, StandardRecord]
     return grouped
 
 
-def forward(
-    dataset: Dataset,
-    table: CorrespondenceTable,
-    *,
-    mode: str = MODE_DOUBLE,
-    denominator: Dataset | None = None,
-) -> tuple[Dataset, CorrespondenceOutcome]:
-    """Redistribute to the table's later edition: value(T) = sum ratio(S->T) * value(S).
-
-    Suppressed inputs taint every target they feed (emitted suppressed,
-    high uncertainty); missing inputs contribute zero mass and tag their
-    targets medium uncertainty, with the omission logged in the outcome.
-    """
+def _check_inputs(dataset: Dataset, table: CorrespondenceTable, mode: str, edition: BoundaryEdition, role: str) -> None:
+    """Reject a dataset that is not counts at `edition` and the table's level."""
     _check_mode(mode)
-    if dataset.edition is not table.from_edition:
-        raise CorrespondenceError(
-            f"dataset is at edition {int(dataset.edition)}, table starts at {int(table.from_edition)}"
-        )
+    if dataset.edition is not edition:
+        raise CorrespondenceError(f"dataset is at edition {int(dataset.edition)}, table {role} {int(edition)}")
     if dataset.level is not table.level:
         raise CorrespondenceError(
             f"dataset level {dataset.level.value} does not match table level {table.level.value}"
         )
     if dataset.indicator.value_kind is not CellKind.COUNT:
-        return _corresponded_ratio(dataset, table, None, mode=mode, denominator=denominator, op="forward")
-    return _forward_counts(dataset, table, mode=mode)
+        raise CorrespondenceError(
+            "correspondence defined for counts only; supply a denominator dataset to convert "
+            f"{dataset.indicator.value_kind.value} values"
+        )
 
 
-def _forward_counts(dataset: Dataset, table: CorrespondenceTable, *, mode: str) -> tuple[Dataset, CorrespondenceOutcome]:
+def forward(
+    dataset: Dataset,
+    table: CorrespondenceTable,
+    *,
+    mode: str = MODE_DOUBLE,
+) -> tuple[Dataset, CorrespondenceOutcome]:
+    """Redistribute counts to the table's later edition: value(T) = sum ratio(S->T) * value(S).
+
+    Suppressed inputs taint every target they feed (emitted suppressed,
+    high uncertainty); missing inputs contribute zero mass and tag their
+    targets medium uncertainty, with the omission logged in the outcome.
+    """
+    _check_inputs(dataset, table, mode, table.from_edition, "starts at")
     edges_by_source = table.positive_edges_by_source()
     unknown = sorted({r.key.region for r in dataset.records} - set(edges_by_source))
     if unknown:
@@ -408,9 +414,8 @@ def backward(
     policy: CorrespondencePolicy,
     *,
     mode: str = MODE_DOUBLE,
-    denominator: Dataset | None = None,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
-    """Reconstruct the table's earlier edition from later-edition data.
+    """Reconstruct counts at the table's earlier edition from later-edition data.
 
     A source region's value is the sum of the targets only it feeds.  Any
     ratio it sent into a shared target must be discardable (below the
@@ -418,27 +423,7 @@ def backward(
     unreconstructable and it is emitted suppressed with high uncertainty.
     Discarded contributions tag the region medium uncertainty.
     """
-    _check_mode(mode)
-    if dataset.edition is not table.to_edition:
-        raise CorrespondenceError(
-            f"dataset is at edition {int(dataset.edition)}, table targets {int(table.to_edition)}"
-        )
-    if dataset.level is not table.level:
-        raise CorrespondenceError(
-            f"dataset level {dataset.level.value} does not match table level {table.level.value}"
-        )
-    if dataset.indicator.value_kind is not CellKind.COUNT:
-        return _corresponded_ratio(dataset, table, policy, mode=mode, denominator=denominator, op="backward")
-    return _backward_counts(dataset, table, policy, mode=mode)
-
-
-def _backward_counts(
-    dataset: Dataset,
-    table: CorrespondenceTable,
-    policy: CorrespondencePolicy,
-    *,
-    mode: str,
-) -> tuple[Dataset, CorrespondenceOutcome]:
+    _check_inputs(dataset, table, mode, table.to_edition, "targets")
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
     unknown = sorted({r.key.region for r in dataset.records} - set(feeders))
@@ -547,33 +532,15 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
     return numerator_ds, denominator_ds
 
 
-def _corresponded_ratio(
+def _quotient(
     dataset: Dataset,
-    table: CorrespondenceTable,
-    policy: CorrespondencePolicy | None,
+    num_out: Dataset,
+    den_out: Dataset,
+    num_outcome: CorrespondenceOutcome,
     *,
     mode: str,
-    denominator: Dataset | None,
-    op: str,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
-    """Convert a rate/percentage dataset by rebuilding numerator and denominator.
-
-    Direct ratio-weighting of rates is refused: it is wrong whenever target
-    regions combine populations of different sizes.
-    """
-    if denominator is None:
-        raise CorrespondenceError(
-            "correspondence defined for counts only; supply a denominator dataset to convert "
-            f"{dataset.indicator.value_kind.value} values"
-        )
-    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
-    if op == "forward":
-        num_out, num_outcome = _forward_counts(numerator_ds, table, mode=mode)
-        den_out, _ = _forward_counts(denominator_ds, table, mode=mode)
-    else:
-        assert policy is not None
-        num_out, num_outcome = _backward_counts(numerator_ds, table, policy, mode=mode)
-        den_out, _ = _backward_counts(denominator_ds, table, policy, mode=mode)
+    """Divide converted numerator counts by converted denominator counts."""
     den_cells = {r.key: r.value for r in den_out.records}
     records: list[StandardRecord] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
@@ -605,18 +572,7 @@ def _corresponded_ratio(
             level=num_out.level,
         )
     )
-    outcome = CorrespondenceOutcome(
-        op=op,
-        level=table.level,
-        from_edition=dataset.edition,
-        to_edition=num_out.edition,
-        input_total=Fraction(0),
-        output_total=Fraction(0),
-        conserving=False,
-        events=events,
-        zero_filled=tuple(zero_filled),
-    )
-    return result, outcome
+    return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
 
 
 @dataclass(frozen=True)
@@ -683,22 +639,42 @@ def execute_plan(
     *,
     mode: str = MODE_DOUBLE,
     denominator: Dataset | None = None,
-) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...], Dataset | None]:
-    """Apply a route plan step by step, carrying any denominator dataset along."""
-    current = dataset
-    denom = denominator
-    outcomes: list[CorrespondenceOutcome] = []
+) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
+    """Apply a route plan step by step.
+
+    A rate or percentage is never ratio-weighted directly: that is wrong
+    whenever a target region pools populations of different sizes.  It is
+    split once, against `denominator`, into numerator and denominator
+    counts; both go through the whole plan as counts and are divided once
+    at the end.  Its outcomes carry no totals and the numerator's events,
+    the last one the quotient's events and zero-fill log.
+    """
+    steps = []
     for step in plan:
         table = tables.get((step.table_from, step.table_to))
         if table is None:
             raise CorrespondenceError(f"missing correspondence table {step.describe()}")
-        if step.op == "forward":
-            current, outcome = forward(current, table, mode=mode, denominator=denom)
-            if denom is not None:
-                denom, _ = forward(denom, table, mode=mode)
-        else:
-            current, outcome = backward(current, table, policy, mode=mode, denominator=denom)
-            if denom is not None:
-                denom, _ = backward(denom, table, policy, mode=mode)
-        outcomes.append(outcome)
-    return current, tuple(outcomes), denom
+        steps.append((step.op, table))
+
+    def convert(counts: Dataset) -> tuple[Dataset, list[CorrespondenceOutcome]]:
+        outcomes = []
+        for op, table in steps:
+            if op == "forward":
+                counts, outcome = forward(counts, table, mode=mode)
+            else:
+                counts, outcome = backward(counts, table, policy, mode=mode)
+            outcomes.append(outcome)
+        return counts, outcomes
+
+    if not steps or denominator is None or dataset.indicator.value_kind is CellKind.COUNT:
+        result, outcomes = convert(dataset)
+        return result, tuple(outcomes)
+    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
+    num_out, outcomes = convert(numerator_ds)
+    den_out, _ = convert(denominator_ds)
+    outcomes = [
+        replace(o, input_total=Fraction(0), output_total=Fraction(0), conserving=False)
+        for o in outcomes
+    ]
+    result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1], mode=mode)
+    return result, tuple(outcomes)

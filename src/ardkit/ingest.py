@@ -329,6 +329,9 @@ def parse_raw(
     missing_columns = [c for c in mapping.bound_columns() if c not in header]
     if missing_columns:
         raise IngestError(f"bound columns missing from header: {', '.join(sorted(missing_columns))}")
+    repeated = sorted({c for c in mapping.bound_columns() if header.count(c) > 1})
+    if repeated:
+        raise IngestError(f"bound columns appear more than once in header: {', '.join(repeated)}")
     position = {name: header.index(name) for name in header}
 
     def cell(row: Sequence[str], column: str) -> str:

@@ -451,6 +451,14 @@ def write_csv(dataset: Dataset) -> str:
     return out.getvalue()
 
 
+def _csv_field(lineno: int, column: str, text: str, convert):
+    """Convert one canonical CSV cell; a bad cell names its line and column."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ArdkitError(f"line {lineno}: invalid {column} {text!r}") from None
+
+
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -468,14 +476,14 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
         if len(row) != 6:
             raise ArdkitError(f"line {lineno}: expected 6 fields, got {len(row)}")
         code, year, age, sex, value_text, uncertainty_text = row
-        uncertainty = UncertaintyLevel(int(uncertainty_text))
+        uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, lambda t: UncertaintyLevel(int(t)))
         if value_text == SUPPRESSED_TOKEN:
             value = CellValue.suppressed(uncertainty)
         elif value_text == "":
             value = CellValue.missing(uncertainty)
         else:
-            value = CellValue(indicator.value_kind, float(value_text), uncertainty)
-        key = RecordKey(code, int(year), age, sex)
+            value = CellValue(indicator.value_kind, _csv_field(lineno, "VALUE", value_text, float), uncertainty)
+        key = RecordKey(code, _csv_field(lineno, "CALENDAR_YEAR", year, int), age, sex)
         records.append(StandardRecord(key, value))
     return Dataset(indicator=indicator, records=tuple(records), edition=edition, level=level)
 

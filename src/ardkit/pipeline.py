@@ -195,6 +195,11 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
             raise ConfigError(
                 f"indicator {spec.indicator.id!r} names unknown denominator {spec.denominator!r}"
             )
+        if spec.indicator.value_kind is CellKind.COUNT:
+            raise ConfigError(
+                f"count indicator {spec.indicator.id!r} names a denominator; only rates "
+                "and percentages take one"
+            )
         if target.indicator.value_kind is not CellKind.COUNT:
             raise ConfigError(f"denominator {spec.denominator!r} must be a count indicator")
 
@@ -345,7 +350,7 @@ def correspond_stage(
     denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
     plan = plan_route(dataset.edition, target_edition, tables.values())
-    dataset, outcomes, _ = execute_plan(
+    dataset, outcomes = execute_plan(
         dataset, plan, tables, policy, mode=mode, denominator=denominator
     )
     if plan:
@@ -408,24 +413,14 @@ def load_tables(
     return tables
 
 
-def _prepare_denominator(config: PipelineConfig, spec: IndicatorSpec) -> Dataset:
-    target = next(s for s in config.indicators if s.indicator.id == spec.denominator)
-    mapping = SchemaMapping.from_json(
-        json.loads(_read_file(target.mapping_path, "schema mapping").decode("utf-8"))
-    )
-    dataset, _ = parse_raw(_read_file(target.data_path, "raw data"), mapping, target.indicator)
-    if config.stages.clean_enabled:
-        cycle = clean_qa_cycle(
-            dataset,
-            config.stages.cleaning_rules,
-            QAContext(vocabulary=config.vocabulary, coverage=config.coverage),
-            cap=config.stages.max_iterations,
-        )
-        dataset = cycle.dataset
-    return dataset
+def _process_indicator(
+    config: PipelineConfig, spec: IndicatorSpec, tables, denominator: Dataset | None
+) -> tuple[IndicatorResult, Dataset]:
+    """Run every stage for one indicator; also returns its cleaned dataset.
 
-
-def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> IndicatorResult:
+    `denominator` is the cleaned dataset of the indicator `spec` names as
+    its denominator, if any.
+    """
     ind_id = spec.indicator.id
     artifacts: dict[str, str] = {}
     records: list[StageRecord] = []
@@ -466,12 +461,10 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
             dataset,
         )
     artifacts[f"reports/{ind_id}.cleaning.jsonl"] = cleaning_log.to_jsonl()
+    cleaned = dataset
 
     outcomes: tuple[CorrespondenceOutcome, ...] = ()
     if config.stages.correspond_enabled:
-        denominator = None
-        if spec.denominator is not None:
-            denominator = _prepare_denominator(config, spec)
         dataset, outcomes = correspond_stage(
             dataset,
             target_edition=config.target_edition,
@@ -551,7 +544,7 @@ def _process_indicator(config: PipelineConfig, spec: IndicatorSpec, tables) -> I
         stage_records=records,
         report=report,
         final_indicator=dataset.indicator,
-    )
+    ), cleaned
 
 
 def _run_timestamp(config: PipelineConfig) -> str:
@@ -590,9 +583,14 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         artifacts["registry.json"] = canonical_dumps(registry.to_json())
         tables = load_tables(config.tables)
 
-        for spec in sorted(config.indicators, key=lambda s: s.indicator.id):
-            result = _process_indicator(config, spec, tables)
+        # Denominators come first; only their cleaned datasets are kept.
+        needed = {spec.denominator for spec in config.indicators}
+        cleaned: dict[str, Dataset] = {}
+        for spec in sorted(config.indicators, key=lambda s: (s.denominator is not None, s.indicator.id)):
+            result, dataset = _process_indicator(config, spec, tables, cleaned.get(spec.denominator))
             results[result.indicator_id] = result
+            if result.indicator_id in needed:
+                cleaned[result.indicator_id] = dataset
     except ArdkitError as exc:
         failure = str(exc)
 
@@ -671,6 +669,7 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         }
         artifacts["run.json"] = canonical_dumps(summary)
         _write_artifacts(out_dir, artifacts)
+        (out_dir / "FAILED").unlink(missing_ok=True)
         message = f"{len(results)} indicator(s); {errors} failing, {warnings} warning(s)"
         return RunResult(exit_code, out_dir, False, warnings, errors, message)
 

@@ -123,7 +123,8 @@ def _derive_pseudonym(seed: str, token: str, attempt: int) -> str:
         key=hashlib.sha256(seed.encode("utf-8")).digest()[:32],
         digest_size=8,
     ).hexdigest()
-    return f"ps-{digest}"
+    # A token inside the usual prefix would leak into every candidate.
+    return f"{'id_' if token in 'ps-' else 'ps-'}{digest}"
 
 
 def pseudonymize(column: Sequence[str], pmap: PseudonymMap) -> tuple[tuple[str, ...], PseudonymMap]:

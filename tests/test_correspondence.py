@@ -187,7 +187,10 @@ class TestForward:
         )
         denom = make_counts({"A": 100, "B": 300}, edition=E2011)
         table = make_table([("A", "C", "1"), ("B", "C", "1")])
-        out, _ = forward(rates, table, denominator=denom)
+        out, _ = execute_plan(
+            rates, (PlanStep("forward", E2011, E2016),), {(E2011, E2016): table}, POLICY,
+            denominator=denom,
+        )
         assert magnitudes(out) == {"C": 17.5}
         assert cells(out)["C"].kind is CellKind.RATE
 
@@ -393,12 +396,98 @@ class TestPlanRoute:
         t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
         data = make_counts({"A": 42}, edition=E2006)
         plan = plan_route(E2006, E2016, [t1, t2])
-        out, outcomes, _ = execute_plan(
+        out, outcomes = execute_plan(
             data, plan, {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY
         )
         assert magnitudes(out) == {"C": 42.0}
         assert out.edition is E2016
         assert len(outcomes) == 2
+
+    def test_two_hop_rate_equals_composed_one_hop(self):
+        # E exists only in the denominator.  Its population must not be given
+        # B's rate on the way through 2011: (10*100 + 20*300) / 400 = 17.5.
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts(
+            {"A": CellValue.rate(10.0), "B": CellValue.rate(20.0)},
+            edition=E2006, indicator=indicator,
+        )
+        denom = make_counts({"A": 100, "B": 300, "E": 1000}, edition=E2006)
+        t1 = make_table([("A", "A", "1"), ("B", "B", "1"), ("E", "B", "1")], from_edition=E2006, to_edition=E2011)
+        t2 = make_table([("A", "C", "1"), ("B", "C", "1")], from_edition=E2011, to_edition=E2016)
+        composed = make_table([("A", "C", "1"), ("B", "C", "1"), ("E", "C", "1")], from_edition=E2006, to_edition=E2016)
+        two_hop = execute_plan(
+            rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
+            denominator=denom,
+        )[0]
+        one_hop = execute_plan(
+            rates, plan_route(E2006, E2016, [composed]), {(E2006, E2016): composed}, POLICY,
+            denominator=denom,
+        )[0]
+        assert magnitudes(one_hop) == {"C": 17.5}
+        assert two_hop == one_hop
+
+    def test_rate_outcomes_keep_one_entry_per_step(self):
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts({"A": CellValue.rate(5.0)}, edition=E2006, indicator=indicator)
+        denom = make_counts({"A": 0}, edition=E2006)
+        t1 = make_table([("A", "B", "1")], from_edition=E2006, to_edition=E2011)
+        t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
+        out, outcomes = execute_plan(
+            rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
+            denominator=denom,
+        )
+        assert [(o.op, int(o.from_edition), int(o.to_edition)) for o in outcomes] == [
+            ("forward", 2006, 2011), ("forward", 2011, 2016),
+        ]
+        assert all(o.input_total == o.output_total == 0 and not o.conserving for o in outcomes)
+        # Only the final quotient sees the zero denominator.
+        assert outcomes[0].zero_filled == ()
+        assert len(outcomes[1].zero_filled) == 1
+        assert cells(out)["C"].kind is CellKind.MISSING
+
+
+def random_hop(rng, sources, prefix, from_edition, to_edition):
+    """A random many-to-many table from `sources` onto fresh `prefix` codes."""
+    targets = [f"{prefix}{i:03d}" for i in range(rng.randint(1, 8))]
+    edges = []
+    for source in sources:
+        mine = sorted(rng.sample(targets, rng.randint(1, min(3, len(targets)))))
+        weights = [rng.randint(1, 9) for _ in mine]
+        edges += [(source, target, Fraction(w, sum(weights))) for target, w in zip(mine, weights)]
+    return make_table(edges, from_edition=from_edition, to_edition=to_edition), targets
+
+
+class TestMultiHopRates:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_two_hop_rate_equals_composed_one_hop(self, seed):
+        rng = random.Random(seed)
+        sources = [f"S{i:03d}" for i in range(rng.randint(1, 8))]
+        t1, middle = random_hop(rng, sources, "M", E2006, E2011)
+        t2, _ = random_hop(rng, middle, "T", E2011, E2016)
+        composed: dict[tuple[str, str], Fraction] = {}
+        for e1 in t1.edges:
+            for e2 in t2.edges:
+                if e2.source == e1.target:
+                    pair = (e1.source, e2.target)
+                    composed[pair] = composed.get(pair, Fraction(0)) + e1.ratio * e2.ratio
+        one = make_table([(s, t, r) for (s, t), r in composed.items()], from_edition=E2006, to_edition=E2016)
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rated = rng.sample(sources, rng.randint(1, len(sources)))
+        rates = make_counts(
+            {code: CellValue.rate(rng.randint(0, 400) / 4) for code in rated},
+            edition=E2006, indicator=indicator,
+        )
+        denom = make_counts({code: rng.randint(1, 1000) for code in sources}, edition=E2006)
+        two_hop = execute_plan(
+            rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
+            mode=MODE_RATIONAL, denominator=denom,
+        )[0]
+        one_hop = execute_plan(
+            rates, plan_route(E2006, E2016, [one]), {(E2006, E2016): one}, POLICY,
+            mode=MODE_RATIONAL, denominator=denom,
+        )[0]
+        assert two_hop == one_hop
 
 
 class TestOutcomeSerialization:

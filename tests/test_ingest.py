@@ -130,6 +130,17 @@ class TestParseLong:
         with pytest.raises(IngestError, match="CALENDAR_YEAR"):
             parse_raw(raw, LONG_MAPPING, count_indicator)
 
+    def test_repeated_bound_column_is_fatal(self, count_indicator):
+        raw = "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,VALUE\n10102,2016,0-4,male,10,99\n"
+        with pytest.raises(IngestError, match="more than once in header: VALUE"):
+            parse_raw(raw, LONG_MAPPING, count_indicator)
+
+    def test_repeated_unbound_column_is_allowed(self, count_indicator):
+        raw = "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,NOTE,NOTE\n10102,2016,0-4,male,10,a,b\n"
+        dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
+        assert [r.value.magnitude for r in dataset.records] == [10]
+        assert report.rejects == ()
+
     def test_undecodable_bytes_fatal_with_offset(self, count_indicator):
         raw = b"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n101\xff02,2016,0-4,male,1\n"
         with pytest.raises(IngestError, match="byte offset 48"):

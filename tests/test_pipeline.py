@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
 from ardkit.errors import ConfigError
 from ardkit.jsonio import sha256_hex
@@ -184,6 +186,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="denominator"):
             load_config(bad)
 
+    def test_count_indicator_with_denominator_rejected(self, demo_project, tmp_path):
+        doc = json.loads(Path(demo_project).read_text())
+        doc["indicators"][0]["denominator"] = doc["indicators"][1]["id"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="count indicator .* names a denominator"):
+            load_config(bad)
+
 
 class TestFailureHandling:
     def test_fatal_stage_leaves_failed_marker(self, demo_project, tmp_path):
@@ -207,6 +217,17 @@ class TestFailureHandling:
         assert "2021" in marker.read_text()
         # Artifacts completed before the failure are retained.
         assert (tmp_path / "out" / "registry.json").is_file()
+
+    def test_successful_rerun_clears_stale_failed_marker(self, demo_project, tmp_path):
+        import dataclasses
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "FAILED").write_text("an earlier run failed\n")
+        config = dataclasses.replace(load_config(demo_project), output_dir=out)
+        result = run(config)
+        assert result.exit_code == 0, result.message
+        assert not (out / "FAILED").exists()
 
     def test_strict_elevates_warnings(self, demo_project, tmp_path):
         import dataclasses
@@ -451,6 +472,23 @@ class TestRateIndicators:
         assert privacy["suppression"]["total_suppressed"] == 0
         assert "skipped" in privacy
 
+    def test_each_raw_file_parsed_once(self, tmp_path, monkeypatch):
+        import collections
+        import dataclasses
+
+        parsed = collections.Counter()
+        real_parse_raw = ardkit.pipeline.parse_raw
+
+        def counting_parse_raw(data, mapping, indicator):
+            parsed[indicator.id] += 1
+            return real_parse_raw(data, mapping, indicator)
+
+        monkeypatch.setattr(ardkit.pipeline, "parse_raw", counting_parse_raw)
+        config_path = self.build_rate_project(tmp_path / "proj")
+        config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
+        assert run(config).exit_code == 0
+        assert parsed == {"demo.population": 1, "demo.rate": 1}
+
 
 class TestOutputContainment:
     def test_artifact_paths_cannot_escape(self, tmp_path):
@@ -463,8 +501,12 @@ class TestOutputContainment:
 
 class TestCliBasics:
     def cli(self, *argv, capture=False):
+        # The child imports ardkit from this source tree, installed or not.
+        src = str(Path(ardkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
         cmd = [sys.executable, "-m", "ardkit.cli", *[str(a) for a in argv]]
-        return subprocess.run(cmd, capture_output=True, text=True)
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
     def test_validate_table_bad_ratio_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -540,3 +582,33 @@ class TestCliBasics:
             "--report", tmp_path / "r2.json",
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,2016,0-4,male,9,x", "line 3: invalid UNCERTAINTY 'x'"),
+            ("A,2016,0-4,male,9,7", "line 3: invalid UNCERTAINTY '7'"),
+            ("A,2016,0-4,male,abc,0", "line 3: invalid VALUE 'abc'"),
+            ("A,20x6,0-4,male,9,0", "line 3: invalid CALENDAR_YEAR '20x6'"),
+        ],
+    )
+    def test_qa_malformed_csv_exit_2(self, tmp_path, row, message):
+        indicator = {
+            "id": "demo.x",
+            "name": "X",
+            "nest_domain": "healthy",
+            "value_kind": "count",
+            "source_id": "src",
+        }
+        (tmp_path / "ind.json").write_text(json.dumps(indicator))
+        (tmp_path / "bad.csv").write_text(
+            "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,UNCERTAINTY\n"
+            f"A,2016,5-9,male,9,0\n{row}\n"
+        )
+        proc = self.cli(
+            "qa", "--data", tmp_path / "bad.csv", "--indicator", tmp_path / "ind.json",
+            "--report", tmp_path / "r.json",
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -138,6 +138,13 @@ class TestPseudonymize:
         for token, pseudonym in mapping.items():
             assert token not in pseudonym
 
+    def test_tokens_inside_the_prefix_get_pseudonyms(self):
+        column = ["-", "p", "s", "ps", "s-", "ps-"]
+        out, _ = pseudonymize(column, PseudonymMap(seed="prop"))
+        assert len(set(out)) == len(column)
+        for token, pseudonym in zip(column, out):
+            assert token not in pseudonym
+
     def test_map_round_trips_through_json(self):
         _, pmap = pseudonymize(["x", "y"], PseudonymMap(seed="k1"))
         assert PseudonymMap.from_json(pmap.to_json()) == pmap
