@@ -55,7 +55,10 @@ def _read_json(path: str):
 
 def _read_dataset(data_path: str, indicator_path: str):
     indicator = Indicator.from_json(_read_json(indicator_path))
-    return read_csv(Path(data_path).read_text(encoding="utf-8"), indicator)
+    try:
+        return read_csv(Path(data_path).read_text(encoding="utf-8"), indicator)
+    except ArdkitError as exc:
+        raise ArdkitError(f"{data_path}: {exc}") from None
 
 
 def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:

@@ -17,7 +17,8 @@ whole route, and divided at the end.
 Ratios are stored as exact rationals parsed from the decimal text, so
 per-source sums and redistribution products are exact.  Dataset arithmetic
 runs in double precision by default; ``mode="rational"`` keeps magnitudes
-as exact rationals for use as a reference oracle.
+as exact rationals for use as a reference oracle.  Both modes form each
+product or quotient as one integer fraction; double mode rounds it once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     RecordKey,
     StandardRecord,
     UncertaintyLevel,
+    exact_total,
     finalize,
 )
 
@@ -227,7 +229,11 @@ class CorrespondencePolicy:
 
 @dataclass(frozen=True)
 class CorrespondenceOutcome:
-    """What one conversion did: totals, provenance events, gap log."""
+    """What one conversion did: totals, provenance events, gap log.
+
+    `events` holds only output keys that had at least one event; a key
+    that is absent had none.
+    """
 
     op: str
     level: GeoLevel
@@ -288,9 +294,14 @@ def _zero(mode: str) -> Magnitude:
     return Fraction(0) if mode == MODE_RATIONAL else 0.0
 
 
-def _product(ratio: Fraction, magnitude: Magnitude, mode: str) -> Magnitude:
-    exact = ratio * Fraction(magnitude)
-    return exact if mode == MODE_RATIONAL else float(exact)
+def _divide(numerator: int, denominator: int, mode: str) -> Magnitude:
+    """The exact quotient in rational mode, else the nearest double.
+
+    CPython rounds int / int true division correctly, as `Fraction.__float__`
+    does, so double mode gets the bits of ``float(Fraction(p, q))`` without
+    building the Fraction.
+    """
+    return Fraction(numerator, denominator) if mode == MODE_RATIONAL else numerator / denominator
 
 
 def _lift(magnitude: Magnitude, mode: str) -> Magnitude:
@@ -298,10 +309,7 @@ def _lift(magnitude: Magnitude, mode: str) -> Magnitude:
 
 
 def _data_total(dataset: Dataset) -> Fraction:
-    return sum(
-        (Fraction(r.value.magnitude) for r in dataset.records if r.value.is_data),
-        Fraction(0),
-    )
+    return exact_total(r.value.magnitude for r in dataset.records if r.value.is_data)
 
 
 def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, StandardRecord]]:
@@ -340,7 +348,10 @@ def forward(
     targets medium uncertainty, with the omission logged in the outcome.
     """
     _check_inputs(dataset, table, mode, table.from_edition, "starts at")
-    edges_by_source = table.positive_edges_by_source()
+    edges_by_source = {
+        code: tuple((e.target, e.ratio.numerator, e.ratio.denominator) for e in edges)
+        for code, edges in table.positive_edges_by_source().items()
+    }
     unknown = sorted({r.key.region for r in dataset.records} - set(edges_by_source))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
@@ -357,18 +368,20 @@ def forward(
         fill_taint: set[str] = set()
         for code in sorted(present):
             record = present[code]
-            for edge in edges_by_source[code]:
-                tcode = edge.target
-                unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), record.value.uncertainty)
-                if record.value.kind is CellKind.SUPPRESSED:
+            value = record.value
+            if value.is_data:
+                n, d = value.magnitude.as_integer_ratio()
+            for tcode, ratio_n, ratio_d in edges_by_source[code]:
+                unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), value.uncertainty)
+                if value.kind is CellKind.SUPPRESSED:
                     suppress_taint.add(tcode)
-                elif record.value.kind is CellKind.MISSING:
+                elif value.kind is CellKind.MISSING:
                     fill_taint.add(tcode)
                     zero_filled.append(
                         f"{record.key.describe()}: missing input contributed zero mass to {tcode}"
                     )
                 else:
-                    acc[tcode] = acc.get(tcode, _zero(mode)) + _product(edge.ratio, record.value.magnitude, mode)
+                    acc[tcode] = acc.get(tcode, _zero(mode)) + _divide(ratio_n * n, ratio_d * d, mode)
         year, age, sex = stratum
         for tcode in sorted(set(acc) | set(unc)):
             key = RecordKey(tcode, year, age, sex)
@@ -378,14 +391,12 @@ def forward(
                 events[key] = (EVENT_UNRESOLVABLE,)
                 continue
             level = unc[tcode]
-            evs: tuple[str, ...] = ()
             if tcode in fill_taint:
                 level = max(level, UncertaintyLevel.MEDIUM)
-                evs = (EVENT_ZERO_FILL,)
+                events[key] = (EVENT_ZERO_FILL,)
             out_records.append(
                 StandardRecord(key, CellValue.count(acc.get(tcode, _zero(mode)), level))
             )
-            events[key] = evs
     result = finalize(
         Dataset(
             indicator=dataset.indicator,
@@ -429,6 +440,20 @@ def backward(
     unknown = sorted({r.key.region for r in dataset.records} - set(feeders))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
+    # Per source, everything that depends only on the table and the policy:
+    # its targets, the targets only it feeds, whether it shares any target,
+    # and whether a shared ratio is too large to discard.
+    sources = []
+    for source in sorted(edges_by_source):
+        source_edges = edges_by_source[source]
+        shared = [e for e in source_edges if len(feeders[e.target]) > 1]
+        sources.append((
+            source,
+            tuple(e.target for e in source_edges),
+            tuple(e.target for e in source_edges if len(feeders[e.target]) == 1),
+            bool(shared),
+            any(policy.suppresses(e.ratio) for e in shared),
+        ))
     out_records: list[StandardRecord] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
@@ -436,29 +461,27 @@ def backward(
     for stratum in sorted(grouped):
         present = grouped[stratum]
         year, age, sex = stratum
-        for source in sorted(edges_by_source):
-            source_edges = edges_by_source[source]
-            if not any(e.target in present for e in source_edges):
+        for source, targets, sole_targets, shares, suppressed in sources:
+            if not any(t in present for t in targets):
                 continue
             key = RecordKey(source, year, age, sex)
-            shared = [e for e in source_edges if len(feeders[e.target]) > 1]
-            if any(policy.suppresses(e.ratio) for e in shared):
+            if suppressed:
                 out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
                 events[key] = (EVENT_BACKWARD_SUPPRESSED,)
                 continue
             evs: list[str] = []
-            if shared:
+            if shares:
                 evs.append(EVENT_SUBTHRESHOLD_DISCARD)
             total = _zero(mode)
             level = UncertaintyLevel.LOW
             unresolvable = False
-            for edge in (e for e in source_edges if len(feeders[e.target]) == 1):
-                record = present.get(edge.target)
+            for target in sole_targets:
+                record = present.get(target)
                 if record is None:
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: no data for sole target {edge.target}, counted as zero"
+                        f"{key.describe()}: no data for sole target {target}, counted as zero"
                     )
                     continue
                 level = max(level, record.value.uncertainty)
@@ -469,7 +492,7 @@ def backward(
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: missing value for sole target {edge.target}, counted as zero"
+                        f"{key.describe()}: missing value for sole target {target}, counted as zero"
                     )
                     continue
                 total = total + _lift(record.value.magnitude, mode)
@@ -479,8 +502,8 @@ def backward(
                 continue
             if evs:
                 level = max(level, UncertaintyLevel.MEDIUM)
+                events[key] = tuple(evs)
             out_records.append(StandardRecord(key, CellValue.count(total, level)))
-            events[key] = tuple(evs)
     result = finalize(
         Dataset(
             indicator=dataset.indicator,
@@ -503,7 +526,7 @@ def backward(
     return result, outcome
 
 
-def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset, Dataset]:
+def _derive_count_pair(dataset: Dataset, denominator: Dataset, mode: str) -> tuple[Dataset, Dataset]:
     """Split a rate/percentage dataset into numerator and denominator counts."""
     if denominator.indicator.value_kind is not CellKind.COUNT:
         raise CorrespondenceError("denominator dataset must hold counts")
@@ -522,8 +545,11 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
         elif value.kind is CellKind.MISSING or denom.kind is CellKind.MISSING:
             cell = CellValue.missing(max(value.uncertainty, denom.uncertainty))
         else:
-            product = Fraction(value.magnitude) * Fraction(denom.magnitude)
-            cell = CellValue.count(float(product), max(value.uncertainty, denom.uncertainty))
+            n, d = value.magnitude.as_integer_ratio()
+            denom_n, denom_d = denom.magnitude.as_integer_ratio()
+            cell = CellValue.count(
+                _divide(n * denom_n, d * denom_d, mode), max(value.uncertainty, denom.uncertainty)
+            )
         numerators.append(StandardRecord(record.key, cell))
         denominators.append(StandardRecord(record.key, denom))
     num_indicator = replace(dataset.indicator, id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
@@ -559,11 +585,12 @@ def _quotient(
             evs = tuple(dict.fromkeys([*evs, EVENT_ZERO_FILL]))
             zero_filled.append(f"{record.key.describe()}: corresponded denominator is zero")
         else:
-            quotient = Fraction(record.value.magnitude) / Fraction(denom.magnitude)
-            magnitude = quotient if mode == MODE_RATIONAL else float(quotient)
-            cell = CellValue(dataset.indicator.value_kind, magnitude, level)
+            n, d = record.value.magnitude.as_integer_ratio()
+            denom_n, denom_d = denom.magnitude.as_integer_ratio()
+            cell = CellValue(dataset.indicator.value_kind, _divide(n * denom_d, d * denom_n, mode), level)
         records.append(StandardRecord(record.key, cell))
-        events[record.key] = evs
+        if evs:
+            events[record.key] = evs
     result = finalize(
         Dataset(
             indicator=dataset.indicator,
@@ -669,7 +696,7 @@ def execute_plan(
     if not steps or denominator is None or dataset.indicator.value_kind is CellKind.COUNT:
         result, outcomes = convert(dataset)
         return result, tuple(outcomes)
-    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
+    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator, mode)
     num_out, outcomes = convert(numerator_ds)
     den_out, _ = convert(denominator_ds)
     outcomes = [

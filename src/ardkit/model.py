@@ -136,13 +136,13 @@ class NestDomain(enum.Enum):
 
 
 def _is_magnitude(value: object) -> bool:
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, Fraction)):
-        return True
+    # Floats first: `Fraction` is an abstract base class, so an isinstance
+    # check against it is slow for everything that is not a Fraction.
     if isinstance(value, float):
         return math.isfinite(value)
-    return False
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,28 @@ class CellValue:
 
     def with_uncertainty(self, level: UncertaintyLevel) -> "CellValue":
         return replace(self, uncertainty=level)
+
+
+def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
+    """Exact sum of magnitudes, equal to ``sum(map(Fraction, magnitudes))``.
+
+    Ints and floats are dyadic rationals, so their numerators are summed as
+    one integer over the largest power-of-two denominator seen; only real
+    Fractions are added as Fractions.
+    """
+    numerator, shift = 0, 0  # the dyadic part is numerator / 2**shift
+    rest = Fraction(0)
+    for magnitude in magnitudes:
+        if not isinstance(magnitude, (int, float)):
+            rest += magnitude
+            continue
+        n, d = magnitude.as_integer_ratio()
+        k = d.bit_length() - 1
+        if k > shift:
+            numerator <<= k - shift
+            shift = k
+        numerator += n << (shift - k)
+    return Fraction(numerator, 1 << shift) + rest
 
 
 def format_magnitude(magnitude: Magnitude) -> str:
@@ -459,6 +481,13 @@ def _csv_field(lineno: int, column: str, text: str, convert):
         raise ArdkitError(f"line {lineno}: invalid {column} {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -482,7 +511,8 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
         elif value_text == "":
             value = CellValue.missing(uncertainty)
         else:
-            value = CellValue(indicator.value_kind, _csv_field(lineno, "VALUE", value_text, float), uncertainty)
+            magnitude = _csv_field(lineno, "VALUE", value_text, _finite_float)
+            value = CellValue(indicator.value_kind, magnitude, uncertainty)
         key = RecordKey(code, _csv_field(lineno, "CALENDAR_YEAR", year, int), age, sex)
         records.append(StandardRecord(key, value))
     return Dataset(indicator=indicator, records=tuple(records), edition=edition, level=level)

@@ -430,11 +430,14 @@ def _process_indicator(
         json.loads(_read_file(spec.mapping_path, "schema mapping").decode("utf-8"))
     )
     digest = sha256_hex(raw)
+    rendered: tuple[Dataset, str, str]  # the last logged output, its CSV text and digest
 
     def record_stage(stage: str, decision: str, output: Dataset) -> None:
         """Log a stage whose input is the previous stage's output."""
-        nonlocal digest
-        before, digest = digest, sha256_hex(write_csv(output))
+        nonlocal digest, rendered
+        text = write_csv(output)
+        before, digest = digest, sha256_hex(text)
+        rendered = (output, text, digest)
         records.append(StageRecord(stage, decision, (before,), (digest,)))
 
     dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
@@ -522,7 +525,10 @@ def _process_indicator(
 
     if config.round_counts:
         dataset = round_counts(dataset)
-    csv_text = write_csv(dataset)
+    if rendered[0] is not dataset:
+        text = write_csv(dataset)
+        rendered = (dataset, text, sha256_hex(text))
+    _, csv_text, csv_digest = rendered
     artifacts[f"datasets/{ind_id}.csv"] = csv_text
     artifacts[f"datasets/{ind_id}.indicator.json"] = canonical_dumps(dataset.indicator.to_json())
 
@@ -533,7 +539,7 @@ def _process_indicator(
         StageRecord(
             "docs",
             f"emitted dataset, metadata{' (draft)' if metadata.draft else ''}, and reports",
-            (sha256_hex(csv_text),),
+            (csv_digest,),
             (sha256_hex(artifacts[f"metadata/{ind_id}.metadata.json"]),),
         )
     )

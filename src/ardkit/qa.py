@@ -33,6 +33,7 @@ from .model import (
     V_DUPLICATE_KEY,
     V_NEGATIVE,
     V_PERCENTAGE_RANGE,
+    exact_total,
     finalize,
     format_magnitude,
     validate_dataset,
@@ -260,10 +261,7 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
     record = context.conservation
     if record is None:
         return []
-    total = sum(
-        (Fraction(r.value.magnitude) for r in dataset.records if r.value.kind is CellKind.COUNT),
-        Fraction(0),
-    )
+    total = exact_total(r.value.magnitude for r in dataset.records if r.value.kind is CellKind.COUNT)
     expected = record.expected_total
     if record.exact:
         ok = total == expected

@@ -28,7 +28,7 @@ from ardkit.correspondence import (
 from ardkit.errors import CorrespondenceError, RouteError
 from ardkit.model import BoundaryEdition, CellKind, CellValue, UncertaintyLevel
 
-from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_table
+from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
 from tabgen import random_counts, random_table
 
 E2006 = BoundaryEdition.ASGS2006
@@ -248,7 +248,7 @@ class TestBackward:
         assert magnitudes(later) == {"B": 30.0, "C": 70.0}
         rebuilt, outcome = backward(later, table, POLICY)
         assert rebuilt == original
-        assert outcome.events[original.records[0].key] == ()
+        assert outcome.events.get(original.records[0].key, ()) == ()
 
     def test_subthreshold_shared_ratio_discards_with_medium(self):
         table = make_table(
@@ -312,7 +312,7 @@ class TestBackward:
             later, _ = forward(data, table)
             rebuilt, outcome = backward(later, table, POLICY)
             for record in rebuilt.records:
-                events = outcome.events[record.key]
+                events = outcome.events.get(record.key, ())
                 if record.value.kind is CellKind.SUPPRESSED:
                     assert events == (EVENT_BACKWARD_SUPPRESSED,)
                 elif events:
@@ -500,3 +500,144 @@ class TestOutcomeSerialization:
         assert back.input_total == outcome.input_total
         assert back.conserving == outcome.conserving
         assert back.events == dict(outcome.events)
+
+    def test_only_keys_with_events_are_kept(self):
+        data = make_counts({"A": CellValue.missing(), "B": 10, "E": 4}, edition=E2011)
+        table = make_table([("A", "C", "0.5"), ("A", "D", "0.5"), ("B", "D", "1"), ("E", "F", "1")])
+        out, outcome = forward(data, table)
+        assert [r.key.region for r in out.records] == ["C", "D", "F"]
+        assert {k.region: evs for k, evs in outcome.events.items()} == {
+            "C": (EVENT_ZERO_FILL,), "D": (EVENT_ZERO_FILL,),
+        }
+        doc = outcome.to_json()
+        assert [item["key"][0] for item in doc["events"]] == ["C", "D"]
+        assert CorrespondenceOutcome.from_json(doc).events == dict(outcome.events)
+
+
+class TestRationalRates:
+    def test_identity_rate_conversion_is_exact(self):
+        # The numerator count 0.1 x 3 stays exact, so dividing by 3 gives 0.1 back.
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts({"A": CellValue.rate(0.1)}, edition=E2011, indicator=indicator)
+        denom = make_counts({"A": 3}, edition=E2011)
+        table = make_table([("A", "A", "1")])
+        out, _ = execute_plan(
+            rates, plan_route(E2011, E2016, [table]), {(E2011, E2016): table}, POLICY,
+            mode=MODE_RATIONAL, denominator=denom,
+        )
+        (magnitude,) = magnitudes(out).values()
+        assert type(magnitude) is Fraction
+        assert magnitude == Fraction(0.1)
+
+
+def old_double_product(ratio: Fraction, magnitude) -> float:
+    """The double-mode product before it stopped building Fractions."""
+    return float(ratio * Fraction(magnitude))
+
+
+def old_double_quotient(numerator, denominator) -> float:
+    """The double-mode quotient before it stopped building Fractions."""
+    return float(Fraction(numerator) / Fraction(denominator))
+
+
+class TestDoubleArithmeticBits:
+    """Double mode rounds the exact product or quotient once, like float(Fraction)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda r: 0 < r < 1),
+        st.floats(min_value=0, max_value=1e12, allow_nan=False) | st.integers(0, 10**15),
+    )
+    def test_forward_product_matches_fraction_formula(self, ratio, magnitude):
+        table = make_table([("A", "B", ratio), ("A", "C", 1 - ratio)])
+        out, _ = forward(make_counts({"A": magnitude}, edition=E2011), table)
+        got = magnitudes(out)
+        assert got["B"].hex() == old_double_product(ratio, magnitude).hex()
+        assert got["C"].hex() == old_double_product(1 - ratio, magnitude).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+        st.floats(min_value=0, max_value=1e6, allow_nan=False),
+        st.floats(min_value=1e-3, max_value=1e9, allow_nan=False) | st.integers(1, 10**9),
+    )
+    def test_rate_route_matches_fraction_formulas(self, ratio, rate, population):
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts({"A": CellValue.rate(rate)}, edition=E2011, indicator=indicator)
+        denom = make_counts({"A": population}, edition=E2011)
+        table = make_table([("A", "B", ratio), ("A", "C", 1 - ratio)])
+        out, _ = execute_plan(
+            rates, plan_route(E2011, E2016, [table]), {(E2011, E2016): table}, POLICY, denominator=denom,
+        )
+        numerator = old_double_product(Fraction(rate), population)
+        for code, share in (("B", ratio), ("C", 1 - ratio)):
+            expected = old_double_quotient(
+                old_double_product(share, numerator), old_double_product(share, population)
+            )
+            assert magnitudes(out)[code].hex() == expected.hex()
+
+
+def assert_modes_agree(double, rational, double_outcome, rational_outcome):
+    assert [r.key for r in double.records] == [r.key for r in rational.records]
+    for d, r in zip(double.records, rational.records):
+        assert d.value.kind is r.value.kind
+        assert d.value.uncertainty is r.value.uncertainty
+        if r.value.is_data:
+            assert type(d.value.magnitude) is float
+            assert d.value.magnitude == pytest.approx(float(r.value.magnitude), rel=1e-9, abs=1e-9)
+    assert double_outcome.events == rational_outcome.events
+    assert double_outcome.zero_filled == rational_outcome.zero_filled
+
+
+class TestModesAgreeAtScale:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_double_matches_rational_oracle(self, seed):
+        rng = random.Random(seed)
+        table, sources = random_table(rng, max_regions=2000)
+        cells = {code: rng.choice([rng.randint(0, 10_000), rng.random() * 1e4]) for code in sources}
+        for code in rng.sample(sources, len(sources) // 20):
+            cells[code] = rng.choice([CellValue.missing(), CellValue.suppressed()])
+        data = make_counts(cells, edition=E2011)
+        fwd_double, fwd_double_outcome = forward(data, table)
+        fwd_rational, fwd_rational_outcome = forward(data, table, mode=MODE_RATIONAL)
+        assert_modes_agree(fwd_double, fwd_rational, fwd_double_outcome, fwd_rational_outcome)
+        back_double, back_double_outcome = backward(fwd_double, table, POLICY)
+        back_rational, back_rational_outcome = backward(fwd_rational, table, POLICY, mode=MODE_RATIONAL)
+        assert_modes_agree(back_double, back_rational, back_double_outcome, back_rational_outcome)
+
+
+class CountingFraction(Fraction):
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+class TestDoublePathBuildsNoFractionPerRecord:
+    def test_fraction_constructions_scale_with_edges_not_records(self, monkeypatch):
+        codes = [f"R{i:03d}" for i in range(200)]
+        edges = []
+        for i, code in enumerate(codes):
+            if i % 3 == 0:
+                edges += [(code, f"{code}a", "0.3"), (code, f"{code}b", "0.7")]
+            else:
+                edges.append((code, code, "1"))
+        table = make_table(edges)
+        rng = random.Random(3)
+        strata = [(year, age, sex) for year in (2014, 2015, 2016) for age in ("0-4", "5-9") for sex in ("f", "m")]
+        records = [
+            make_record(code, CellValue.count(rng.randint(0, 500)), year=year, age=age, sex=sex)
+            for code in codes for year, age, sex in strata
+        ]
+        data = make_counts({}, edition=E2011).with_records(records)
+        monkeypatch.setattr("ardkit.correspondence.Fraction", CountingFraction)
+        later, _ = forward(data, table)
+        after_forward = CountingFraction.made
+        rebuilt, _ = backward(later, table, POLICY)
+        after_backward = CountingFraction.made - after_forward
+        assert len(data.records) == 2400 and len(table.edges) == 267
+        assert after_forward <= len(table.edges)
+        assert after_backward <= len(table.edges)
+        assert magnitudes(rebuilt) == magnitudes(data)

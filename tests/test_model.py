@@ -18,6 +18,7 @@ from ardkit.model import (
     UncertaintyLevel,
     Vocabulary,
     canonical_sort,
+    exact_total,
     format_magnitude,
     geography_column,
     parse_geography_column,
@@ -194,6 +195,24 @@ class TestCsvRoundTrip:
             assert got.value.uncertainty is want.value.uncertainty
             if want.value.is_data:
                 assert float(got.value.magnitude) == float(want.value.magnitude)
+
+
+class TestExactTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(10**30), max_value=10**30),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.fractions(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_the_sum_of_fractions(self, magnitudes):
+        total = exact_total(magnitudes)
+        assert type(total) is Fraction
+        assert total == sum(map(Fraction, magnitudes), Fraction(0))
 
 
 class TestRoundCounts:

@@ -612,3 +612,66 @@ class TestCliBasics:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def qa_on_bad_row(self, tmp_path, row):
+        indicator = {
+            "id": "demo.x",
+            "name": "X",
+            "nest_domain": "healthy",
+            "value_kind": "count",
+            "source_id": "src",
+        }
+        (tmp_path / "ind.json").write_text(json.dumps(indicator))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,UNCERTAINTY\n"
+            f"A,2016,5-9,male,9,0\n{row}\n"
+        )
+        proc = self.cli("qa", "--data", bad, "--indicator", tmp_path / "ind.json", "--report", tmp_path / "r.json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        return bad, proc.stderr
+
+    def test_canonical_csv_error_names_the_file(self, tmp_path):
+        bad, stderr = self.qa_on_bad_row(tmp_path, "A,2016,0-4,male,9,x")
+        assert f"error: {bad}: line 3: invalid UNCERTAINTY 'x'" in stderr
+
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, text):
+        bad, stderr = self.qa_on_bad_row(tmp_path, f"A,2016,0-4,male,{text},0")
+        assert f"error: {bad}: line 3: invalid VALUE '{text}'" in stderr
+
+
+class TestFinalRender:
+    """The published CSV reuses the last stage's rendering when nothing changed it."""
+
+    def run_counting_renders(self, demo_project, out, monkeypatch, **changes):
+        import dataclasses
+
+        rendered = []
+        real_write_csv = ardkit.pipeline.write_csv
+
+        def counting_write_csv(dataset):
+            rendered.append(dataset.indicator.id)
+            return real_write_csv(dataset)
+
+        monkeypatch.setattr(ardkit.pipeline, "write_csv", counting_write_csv)
+        config = dataclasses.replace(load_config(demo_project), output_dir=out, **changes)
+        assert run(config).exit_code == 0
+        log = ProvenanceLog.from_jsonl((out / "provenance.jsonl").read_text())
+        for ind in ("demo.hospital_visits", "demo.school_enrolments"):
+            (docs,) = [e for e in log.entries if e.stage == f"docs:{ind}"]
+            published = (out / "datasets" / f"{ind}.csv").read_bytes()
+            assert docs.input_digests == (sha256_hex(published),)
+        logged = [e for e in log.entries if ":" in e.stage and not e.stage.startswith("docs:")]
+        return len(rendered), len(logged)
+
+    def test_one_render_per_logged_stage(self, demo_project, tmp_path, monkeypatch):
+        renders, logged = self.run_counting_renders(demo_project, tmp_path / "out", monkeypatch)
+        assert renders == logged
+
+    def test_rounded_counts_are_rendered_again(self, demo_project, tmp_path, monkeypatch):
+        renders, logged = self.run_counting_renders(
+            demo_project, tmp_path / "out", monkeypatch, round_counts=True
+        )
+        assert renders > logged
