@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .correspondence import (
-    MODE_DOUBLE,
     BoundaryRule,
     CorrespondenceOutcome,
     CorrespondencePolicy,
@@ -158,7 +157,6 @@ def _cmd_correspond(args) -> int:
         target_edition=BoundaryEdition(args.to_edition),
         tables=tables,
         policy=policy,
-        mode=args.mode,
         denominator=denominator,
     )
     _write_dataset(dataset, args.out_data, args.out_indicator)
@@ -209,7 +207,6 @@ def _cmd_qa(args) -> int:
         privacy_log=privacy_log,
         vocabulary=vocabulary,
         coverage=coverage,
-        mode=args.mode,
     )
     if args.filter_high:
         if not args.out_data:
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="append", required=True, help="FROM:TO:PATH, repeatable")
     p.add_argument("--discard-threshold")
     p.add_argument("--boundary-rule", choices=[r.value for r in BoundaryRule])
-    p.add_argument("--mode", default=MODE_DOUBLE, choices=["double", "rational"])
     p.add_argument("--denominator-data")
     p.add_argument("--denominator-indicator")
     p.add_argument("--out-data", required=True)
@@ -337,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--privacy-log")
     p.add_argument("--vocabulary")
     p.add_argument("--coverage", help="declared coverage as START:END")
-    p.add_argument("--mode", default=MODE_DOUBLE, choices=["double", "rational"])
     p.add_argument("--filter-high", action="store_true")
     p.add_argument("--round-counts", action="store_true")
     p.add_argument("--out-data")

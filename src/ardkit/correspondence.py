@@ -610,10 +610,6 @@ class PlanStep:
     table_from: BoundaryEdition
     table_to: BoundaryEdition
 
-    @property
-    def result_edition(self) -> BoundaryEdition:
-        return self.table_to if self.op == "forward" else self.table_from
-
     def describe(self) -> str:
         arrow = f"{int(self.table_from)}->{int(self.table_to)}"
         return f"{self.op} using table {arrow}"

@@ -31,10 +31,6 @@ class PrivacyError(ArdkitError):
     """Disclosure-control transform applied to unsuitable data."""
 
 
-class ProvenanceError(ArdkitError):
-    """Record-level provenance is incomplete or a log chain is broken."""
-
-
 class ConvergenceError(ArdkitError):
     """Clean/QA loop still changing after the configured iteration cap."""
 

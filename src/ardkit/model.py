@@ -154,7 +154,7 @@ class CellValue:
     uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
 
     def __post_init__(self) -> None:
-        if self.kind in DATA_KINDS:
+        if self.is_data:
             if not _is_magnitude(self.magnitude):
                 raise ArdkitError(
                     f"{self.kind.value} cell needs a finite numeric magnitude, "
@@ -187,7 +187,10 @@ class CellValue:
 
     @property
     def is_data(self) -> bool:
-        return self.kind in DATA_KINDS
+        # Identity tests: `in DATA_KINDS` would hash the member through the
+        # pure-Python `Enum.__hash__` on every cell.
+        kind = self.kind
+        return kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE
 
     def with_uncertainty(self, level: UncertaintyLevel) -> "CellValue":
         return replace(self, uncertainty=level)

@@ -20,8 +20,6 @@ from typing import Mapping
 from . import __version__
 from .cleaning import CleaningLog, CleaningRuleSet
 from .correspondence import (
-    MODE_DOUBLE,
-    MODE_RATIONAL,
     BoundaryRule,
     CorrespondenceOutcome,
     CorrespondencePolicy,
@@ -96,7 +94,6 @@ class StageSettings:
     cleaning_rules: CleaningRuleSet = CleaningRuleSet()
     correspond_enabled: bool = True
     policy: CorrespondencePolicy = CorrespondencePolicy()
-    mode: str = MODE_DOUBLE
     privacy_enabled: bool = True
     suppression: SuppressionPolicy = SuppressionPolicy()
     noise_magnitude: int = 0
@@ -228,7 +225,6 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         cleaning_rules=CleaningRuleSet.from_json(clean_doc),
         correspond_enabled=correspond_doc.get("enabled", True),
         policy=CorrespondencePolicy(**policy_kwargs),
-        mode=correspond_doc.get("mode", MODE_DOUBLE),
         privacy_enabled=privacy_doc.get("enabled", True),
         suppression=SuppressionPolicy.from_json(privacy_doc),
         noise_magnitude=privacy_doc.get("noise_magnitude", 0),
@@ -297,7 +293,6 @@ def conservation_from(
     outcomes: tuple[CorrespondenceOutcome, ...],
     privacy_log: Mapping | None,
     removal_log: RemovalLog,
-    mode: str,
 ) -> ConservationRecord | None:
     """Attach a mass-conservation expectation only when it can still hold."""
     if not outcomes or not all(o.conserving for o in outcomes):
@@ -309,10 +304,7 @@ def conservation_from(
             return None
     if removal_log.removed_keys:
         return None
-    return ConservationRecord(
-        expected_total=outcomes[0].input_total,
-        exact=(mode == MODE_RATIONAL),
-    )
+    return ConservationRecord(expected_total=outcomes[0].input_total)
 
 
 def qa_stage(
@@ -322,19 +314,14 @@ def qa_stage(
     privacy_log: Mapping | None = None,
     vocabulary: Vocabulary | None = None,
     coverage: tuple[int, int] | None = None,
-    table: CorrespondenceTable | None = None,
-    mode: str = MODE_DOUBLE,
 ) -> tuple[Dataset, RemovalLog, QAReport]:
     """Assign uncertainty from provenance, drop high records, run the rules."""
-    events = dict(outcomes[-1].events) if outcomes else {}
-    provenance = {r.key: tuple(events.get(r.key, ())) for r in dataset.records}
-    dataset = assign_uncertainty(dataset, provenance)
+    dataset = assign_uncertainty(dataset, outcomes[-1].events if outcomes else {})
     dataset, removal_log = filter_high_uncertainty(dataset)
     context = QAContext(
         vocabulary=vocabulary,
         coverage=coverage,
-        table=table,
-        conservation=conservation_from(outcomes, privacy_log, removal_log, mode),
+        conservation=conservation_from(outcomes, privacy_log, removal_log),
         removed_high=len(removal_log.removed_keys),
     )
     return dataset, removal_log, run_rules(dataset, context)
@@ -346,13 +333,10 @@ def correspond_stage(
     target_edition: BoundaryEdition,
     tables: Mapping[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable],
     policy: CorrespondencePolicy,
-    mode: str = MODE_DOUBLE,
     denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
     plan = plan_route(dataset.edition, target_edition, tables.values())
-    dataset, outcomes = execute_plan(
-        dataset, plan, tables, policy, mode=mode, denominator=denominator
-    )
+    dataset, outcomes = execute_plan(dataset, plan, tables, policy, denominator=denominator)
     if plan:
         dataset = replace(
             dataset, indicator=replace(dataset.indicator, correspondence_applied=True)
@@ -473,7 +457,6 @@ def _process_indicator(
             target_edition=config.target_edition,
             tables=tables,
             policy=config.stages.policy,
-            mode=config.stages.mode,
             denominator=denominator,
         )
         if outcomes:
@@ -511,7 +494,6 @@ def _process_indicator(
             privacy_log=privacy_log,
             vocabulary=config.vocabulary,
             coverage=config.coverage,
-            mode=config.stages.mode,
         )
         artifacts[f"reports/{ind_id}.removals.json"] = canonical_dumps(removal_log.to_json())
         record_stage(

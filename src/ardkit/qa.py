@@ -22,7 +22,7 @@ from .correspondence import (
     HIGH_EVENTS,
     MEDIUM_EVENTS,
 )
-from .errors import ConvergenceError, ProvenanceError
+from .errors import ConvergenceError
 from .model import (
     CellKind,
     Dataset,
@@ -85,13 +85,16 @@ _VIOLATION_RULE_MAP = {
 }
 
 
+# How far the published count total may drift from the expected one,
+# relative to the expected total (or to 1, when that is smaller).
+CONSERVATION_TOLERANCE = Fraction(1, 10**9)
+
+
 @dataclass(frozen=True)
 class ConservationRecord:
     """Expected post-conversion count total, carried by correspondence provenance."""
 
     expected_total: Fraction
-    relative_tolerance: float = 1e-9
-    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,10 @@ def _recoverable_findings(dataset: Dataset, context: QAContext) -> list[Finding]
     marginals = (context.vocabulary or Vocabulary()).marginal_tokens
     findings = []
     for axis in ("age_group", "sex"):
+        # Without a marginal token on this axis no group has a marginal to subtract from.
+        tokens = {getattr(r.key, axis) for r in dataset.records}
+        if not any(token.lower() in marginals for token in tokens):
+            continue
         groups: dict[tuple, list[StandardRecord]] = {}
         for record in dataset.records:
             key = record.key
@@ -263,12 +270,7 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
         return []
     total = exact_total(r.value.magnitude for r in dataset.records if r.value.kind is CellKind.COUNT)
     expected = record.expected_total
-    if record.exact:
-        ok = total == expected
-    else:
-        bound = Fraction(str(record.relative_tolerance)) * max(abs(expected), Fraction(1))
-        ok = abs(total - expected) <= bound
-    if ok:
+    if abs(total - expected) <= CONSERVATION_TOLERANCE * max(abs(expected), Fraction(1)):
         return []
     return [
         _finding(
@@ -300,18 +302,12 @@ def assign_uncertainty(
 
     High for unreconstructable values, medium for discarded sub-threshold
     contributions or gap-filled missing inputs, low otherwise.  A level a
-    record already carries is never lowered.  Every record must have a
-    provenance entry, even an empty one.
+    record already carries is never lowered.  A record whose key is absent
+    from `provenance` had no events.
     """
-    missing = [r.key.describe() for r in dataset.records if r.key not in provenance]
-    if missing:
-        shown = ", ".join(missing[:5])
-        raise ProvenanceError(
-            f"provenance incomplete: {len(missing)} record(s) without an entry (first: {shown})"
-        )
     records = []
     for record in dataset.records:
-        events = set(provenance[record.key])
+        events = set(provenance.get(record.key, ()))
         if events & HIGH_EVENTS:
             level = UncertaintyLevel.HIGH
         elif events & MEDIUM_EVENTS:

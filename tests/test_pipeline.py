@@ -13,7 +13,7 @@ import pytest
 import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
 from ardkit.errors import ConfigError
-from ardkit.jsonio import sha256_hex
+from ardkit.jsonio import load_schema, sha256_hex
 from ardkit.pipeline import load_config, run
 
 from projectgen import build_demo_project
@@ -193,6 +193,45 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="count indicator .* names a denominator"):
             load_config(bad)
+
+    # One non-default value for every `stages.*` key of the config schema.
+    STAGE_VALUES = {
+        "clean.enabled": False,
+        "clean.dedupe_policy": "keep_first",
+        "clean.whitespace_normalization": False,
+        "clean.code_case_fold": True,
+        "clean.year_format_coercions": ["YY->2000+YY"],
+        "clean.missing_policy": "drop_row",
+        "correspond.enabled": False,
+        "correspond.discard_threshold": 0.2,
+        "correspond.boundary_rule": "keep_at_threshold",
+        "privacy.enabled": False,
+        "privacy.threshold": 7,
+        "privacy.suppress_zero": True,
+        "privacy.noise_magnitude": 2,
+        "qa.enabled": False,
+        "qa.max_iterations": 3,
+    }
+
+    def test_every_stage_key_changes_the_config(self, demo_project, tmp_path):
+        # A schema key that the loader ignores is a knob only half removed (or
+        # half added); a key without an entry above fails here too.
+        stages = load_schema("config.schema.json")["properties"]["stages"]["properties"]
+        keys = {f"{stage}.{key}" for stage, doc in stages.items() for key in doc["properties"]}
+        assert keys == set(self.STAGE_VALUES)
+
+        doc = json.loads(Path(demo_project).read_text())
+        doc["stages"] = {}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        default = load_config(path)
+        for key in sorted(keys):
+            stage, name = key.split(".")
+            variant = {**doc, "stages": {stage: {name: self.STAGE_VALUES[key]}}}
+            if key == "privacy.noise_magnitude":
+                variant["seed"] = 1  # noise needs a seed; the seed lives outside `stages`
+            path.write_text(json.dumps(variant))
+            assert load_config(path).stages != default.stages, key
 
 
 class TestFailureHandling:
@@ -535,6 +574,30 @@ class TestCliBasics:
         doc = json.loads(proc.stdout)
         assert doc["unconfirmed"] is True
         assert doc["level_guess"] == "SA3"
+
+    def test_config_mode_key_exit_2(self, tmp_path):
+        config_path = build_demo_project(tmp_path / "proj")
+        doc = json.loads(config_path.read_text())
+        doc["stages"]["correspond"]["mode"] = "rational"
+        config_path.write_text(json.dumps(doc))
+        proc = self.cli("run", "--config", config_path, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "'mode' was unexpected" in proc.stderr
+        assert "stages/correspond" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("correspond", ["--to-edition", "2016", "--table", "2011:2016:t.csv", "--out-data", "o.csv"]),
+            ("qa", ["--report", "r.json"]),
+        ],
+        ids=["correspond", "qa"],
+    )
+    def test_mode_flag_exit_2(self, command, argv):
+        # The flag is refused while the arguments are parsed, before any file is read.
+        proc = self.cli(command, "--data", "d.csv", "--indicator", "i.json", *argv, "--mode", "rational")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --mode rational" in proc.stderr
 
     def test_scaffold_dmp(self, tmp_path):
         config_path = build_demo_project(tmp_path / "proj")
