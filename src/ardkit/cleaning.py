@@ -76,15 +76,6 @@ class CleaningRuleSet:
             missing_policy=MissingPolicy(doc.get("missing_policy", "keep_as_missing")),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "dedupe_policy": self.dedupe_policy.value,
-            "whitespace_normalization": self.whitespace_normalization,
-            "code_case_fold": self.code_case_fold,
-            "year_format_coercions": list(self.year_format_coercions),
-            "missing_policy": self.missing_policy.value,
-        }
-
 
 def _parse_year_pattern(pattern: str) -> int:
     m = _YEAR_PATTERN_RE.match(pattern.replace("→", "->"))
@@ -303,58 +294,3 @@ def replay(dataset: Dataset, log: CleaningLog) -> Dataset:
             working[entry.row] = _set_field(working[entry.row], entry.field, entry.after)
     return finalize(dataset.with_records([working[i] for i in sorted(working)]))
 
-
-@dataclass(frozen=True)
-class DatasetProfile:
-    """Read-only pre-clean diagnostics."""
-
-    records: int
-    missing_cells: int
-    suppressed_cells: int
-    duplicate_key_groups: int
-    out_of_range_values: int
-    distinct_regions: int
-    distinct_years: tuple[int, ...]
-    distinct_age_groups: tuple[str, ...]
-    distinct_sexes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "records": self.records,
-            "missing_cells": self.missing_cells,
-            "suppressed_cells": self.suppressed_cells,
-            "duplicate_key_groups": self.duplicate_key_groups,
-            "out_of_range_values": self.out_of_range_values,
-            "distinct_regions": self.distinct_regions,
-            "distinct_years": list(self.distinct_years),
-            "distinct_age_groups": list(self.distinct_age_groups),
-            "distinct_sexes": list(self.distinct_sexes),
-        }
-
-
-def profile(dataset: Dataset) -> DatasetProfile:
-    """Counts of the problems cleaning deals with, plus filter-value summaries."""
-    missing = sum(1 for r in dataset.records if r.value.kind is CellKind.MISSING)
-    suppressed = sum(1 for r in dataset.records if r.value.kind is CellKind.SUPPRESSED)
-    groups: dict[tuple, int] = {}
-    for record in dataset.records:
-        groups[record.key.sort_key] = groups.get(record.key.sort_key, 0) + 1
-    duplicate_groups = sum(1 for n in groups.values() if n > 1)
-    out_of_range = 0
-    for record in dataset.records:
-        value = record.value
-        if value.is_data and value.magnitude < 0:
-            out_of_range += 1
-        elif value.kind is CellKind.PERCENTAGE and value.magnitude > 100:
-            out_of_range += 1
-    return DatasetProfile(
-        records=len(dataset.records),
-        missing_cells=missing,
-        suppressed_cells=suppressed,
-        duplicate_key_groups=duplicate_groups,
-        out_of_range_values=out_of_range,
-        distinct_regions=len({r.key.region for r in dataset.records}),
-        distinct_years=tuple(sorted({r.key.calendar_year for r in dataset.records})),
-        distinct_age_groups=tuple(sorted({r.key.age_group for r in dataset.records})),
-        distinct_sexes=tuple(sorted({r.key.sex for r in dataset.records})),
-    )

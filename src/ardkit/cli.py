@@ -13,20 +13,14 @@ Exit codes: 0 success, 1 completed with warnings, 2 failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .correspondence import (
-    BoundaryRule,
-    CorrespondenceOutcome,
-    CorrespondencePolicy,
-    load_table,
-)
+from .correspondence import CorrespondenceOutcome, CorrespondencePolicy, load_table
 from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
-from .jsonio import canonical_dumps
+from .jsonio import canonical_dumps, decode_utf8, parse_json
 from .model import (
     BoundaryEdition,
     GeoLevel,
@@ -48,14 +42,20 @@ def _write(path: str, text: str) -> None:
     target.write_text(text, encoding="utf-8", newline="")
 
 
+def _read_text(path: str) -> str:
+    """A user file as UTF-8 text; invalid bytes raise an error naming the file."""
+    return decode_utf8(Path(path).read_bytes(), ArdkitError, path)
+
+
 def _read_json(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return parse_json(_read_text(path), ArdkitError, path)
 
 
 def _read_dataset(data_path: str, indicator_path: str):
     indicator = Indicator.from_json(_read_json(indicator_path))
+    text = _read_text(data_path)
     try:
-        return read_csv(Path(data_path).read_text(encoding="utf-8"), indicator)
+        return read_csv(text, indicator)
     except ArdkitError as exc:
         raise ArdkitError(f"{data_path}: {exc}") from None
 
@@ -136,17 +136,12 @@ def _cmd_correspond(args) -> int:
     for spec in args.table:
         from_edition, to_edition, path = _parse_table_spec(spec)
         tables[(from_edition, to_edition)] = load_table(
-            Path(path).read_bytes(),
+            _read_text(path),
             level=dataset.level,
             from_edition=from_edition,
             to_edition=to_edition,
         )
-    policy_kwargs = {}
-    if args.discard_threshold is not None:
-        policy_kwargs["discard_threshold"] = args.discard_threshold
-    if args.boundary_rule:
-        policy_kwargs["boundary_rule"] = BoundaryRule(args.boundary_rule)
-    policy = CorrespondencePolicy(**policy_kwargs)
+    policy = CorrespondencePolicy() if args.discard_threshold is None else CorrespondencePolicy(args.discard_threshold)
     denominator = None
     if args.denominator_data:
         if not args.denominator_indicator:
@@ -254,7 +249,7 @@ def _cmd_scaffold_dmp(args) -> int:
 
 def _cmd_validate_table(args) -> int:
     load_table(
-        Path(args.table).read_bytes(),
+        _read_text(args.table),
         level=GeoLevel(args.level),
         from_edition=BoundaryEdition(args.from_edition),
         to_edition=BoundaryEdition(args.to_edition),
@@ -306,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-edition", type=int, required=True)
     p.add_argument("--table", action="append", required=True, help="FROM:TO:PATH, repeatable")
     p.add_argument("--discard-threshold")
-    p.add_argument("--boundary-rule", choices=[r.value for r in BoundaryRule])
     p.add_argument("--denominator-data")
     p.add_argument("--denominator-indicator")
     p.add_argument("--out-data", required=True)

@@ -24,7 +24,6 @@ product or quotient as one integer fraction; double mode rounds it once.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from collections import deque
 from dataclasses import dataclass, replace
@@ -32,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CorrespondenceError, RouteError
+from .jsonio import decode_utf8
 from .model import (
     BoundaryEdition,
     CellKind,
@@ -155,7 +155,7 @@ def load_table(
     """
     if from_edition is to_edition:
         raise CorrespondenceError("a correspondence table needs two distinct editions")
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = decode_utf8(data, CorrespondenceError, "correspondence table")
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
@@ -200,31 +200,23 @@ def load_table(
     return CorrespondenceTable(from_edition, to_edition, level, edges)
 
 
-class BoundaryRule(enum.Enum):
-    """What happens when a shared ratio equals the discard threshold exactly."""
-
-    SUPPRESS_AT_THRESHOLD = "suppress_at_threshold"
-    KEEP_AT_THRESHOLD = "keep_at_threshold"
-
-
 @dataclass(frozen=True)
 class CorrespondencePolicy:
     discard_threshold: Fraction = Fraction(1, 10)
-    boundary_rule: BoundaryRule = BoundaryRule.SUPPRESS_AT_THRESHOLD
 
     def __post_init__(self) -> None:
         threshold = _as_ratio(self.discard_threshold)
         if not 0 < threshold < 1:
             raise CorrespondenceError(f"discard threshold {float(threshold)} outside (0, 1)")
         object.__setattr__(self, "discard_threshold", threshold)
-        if not isinstance(self.boundary_rule, BoundaryRule):
-            object.__setattr__(self, "boundary_rule", BoundaryRule(self.boundary_rule))
 
     def suppresses(self, ratio: Fraction) -> bool:
-        """True when a shared-target ratio is too large to discard."""
-        if self.boundary_rule is BoundaryRule.SUPPRESS_AT_THRESHOLD:
-            return ratio >= self.discard_threshold
-        return ratio > self.discard_threshold
+        """True when a shared-target ratio is too large to discard.
+
+        Only a sub-threshold ratio is discarded, so a ratio equal to the
+        threshold suppresses its region.
+        """
+        return ratio >= self.discard_threshold
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import IngestError
-from .jsonio import digest_doc, validate_against_schema
+from .jsonio import decode_utf8, digest_doc, validate_against_schema
 from .model import (
     BoundaryEdition,
     CellKind,
@@ -194,38 +194,6 @@ class SchemaMapping:
             delimiter=doc.get("delimiter", ","),
         )
 
-    def to_json(self) -> dict:
-        columns = {
-            "geography_code": self.geography_code_column,
-            "age_group": self.age_group_column,
-            "sex": self.sex_column,
-        }
-        if self.calendar_year_column:
-            columns["calendar_year"] = self.calendar_year_column
-        if self.value_column:
-            columns["value"] = self.value_column
-        if self.level_column:
-            columns["geography_level"] = self.level_column
-        if self.edition_column:
-            columns["boundary_edition"] = self.edition_column
-        doc: dict = {
-            "layout": self.layout.value,
-            "columns": columns,
-            "value_kind": self.value_kind.value,
-            "missing_tokens": sorted(self.missing_tokens),
-            "delimiter": self.delimiter,
-        }
-        geography = {}
-        if self.level is not None:
-            geography["level"] = self.level.value
-        if self.edition is not None:
-            geography["edition"] = int(self.edition)
-        if geography:
-            doc["geography"] = geography
-        if self.year_columns:
-            doc["year_columns"] = list(self.year_columns)
-        return doc
-
 
 def _plain(doc) -> dict:
     """Deep-copy a mapping into plain dicts/lists for jsonschema."""
@@ -273,15 +241,6 @@ class ParseReport:
         }
 
 
-def _decode(data: bytes | str) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8 at byte offset {exc.start}") from None
-
-
 def _parse_year(token: str) -> int:
     token = token.strip()
     if not re.fullmatch(r"-?\d+", token):
@@ -320,7 +279,7 @@ def parse_raw(
             f"mapping declares {mapping.value_kind.value} values but indicator "
             f"{indicator.id} expects {indicator.value_kind.value}"
         )
-    text = _decode(data)
+    text = decode_utf8(data, IngestError, "raw table")
     reader = csv.reader(io.StringIO(text), delimiter=mapping.delimiter)
     rows = list(reader)
     if not rows or not rows[0]:
@@ -474,7 +433,7 @@ _ROLE_NAMES = {
 
 def detect_characteristics(data: bytes | str) -> MappingDraft:
     """Guess column roles from the header; every guess is marked unconfirmed."""
-    text = _decode(data)
+    text = decode_utf8(data, IngestError, "raw table")
     reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip() for h in next(reader)]

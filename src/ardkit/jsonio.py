@@ -1,8 +1,9 @@
-"""Canonical JSON rendering, digests, and schema validation helpers.
+"""Canonical JSON rendering, digests, schema validation, and guarded decoding.
 
 All machine-readable artifacts are serialized through these helpers so
 reruns produce byte-identical files: keys sorted, two-space indent, LF
-line endings, UTF-8.
+line endings, UTF-8.  User files are decoded through `decode_utf8` and
+`parse_json`, which turn bad bytes or bad JSON into an `ArdkitError`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,24 @@ def sha256_hex(data: bytes | str) -> str:
 
 def digest_doc(doc) -> str:
     return sha256_hex(compact_dumps(doc))
+
+
+def decode_utf8(data: bytes | str, error_cls: Type[ArdkitError], where: str) -> str:
+    """Decode UTF-8 input; invalid bytes raise error_cls naming `where` and the offset."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"{where}: not valid UTF-8 at byte offset {exc.start}") from None
+
+
+def parse_json(data: bytes | str, error_cls: Type[ArdkitError], where: str):
+    """Parse UTF-8 JSON; a syntax error raises error_cls naming `where` and the line."""
+    try:
+        return json.loads(decode_utf8(data, error_cls, where))
+    except json.JSONDecodeError as exc:
+        raise error_cls(f"{where}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
 
 
 def load_schema(name: str) -> dict:

@@ -64,27 +64,6 @@ class GeoLevel(enum.Enum):
     AUS = "AUS"
     LGA = "LGA"
 
-    @property
-    def containment_rank(self) -> int | None:
-        """Position in the mesh-block-to-country nesting; None for non-ABS LGA."""
-        order = {
-            GeoLevel.MESH_BLOCK: 0,
-            GeoLevel.SA1: 1,
-            GeoLevel.SA2: 2,
-            GeoLevel.SA3: 3,
-            GeoLevel.SA4: 4,
-            GeoLevel.STE: 5,
-            GeoLevel.AUS: 6,
-        }
-        return order.get(self)
-
-    def is_within(self, other: "GeoLevel") -> bool:
-        """True when this level nests inside `other` in the ABS hierarchy."""
-        a, b = self.containment_rank, other.containment_rank
-        if a is None or b is None:
-            return False
-        return a < b
-
 
 _GEO_COLUMN_RE = re.compile(r"^(MB|SA[1-4]|STE|AUS|LGA)CODE_(\d{2})$")
 

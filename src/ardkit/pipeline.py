@@ -11,7 +11,6 @@ config (or SOURCE_DATE_EPOCH) rather than the wall clock when provided.
 from __future__ import annotations
 
 import datetime
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +19,6 @@ from typing import Mapping
 from . import __version__
 from .cleaning import CleaningLog, CleaningRuleSet
 from .correspondence import (
-    BoundaryRule,
     CorrespondenceOutcome,
     CorrespondencePolicy,
     CorrespondenceTable,
@@ -37,7 +35,7 @@ from .docs import (
     make_entry,
     scaffold_dmp,
 )
-from .errors import ArdkitError, ConfigError
+from .errors import ArdkitError, ConfigError, CorrespondenceError
 from .ingest import (
     SchemaMapping,
     SourceDescriptor,
@@ -45,7 +43,7 @@ from .ingest import (
     parse_raw,
     register_source,
 )
-from .jsonio import canonical_dumps, sha256_hex
+from .jsonio import canonical_dumps, parse_json, sha256_hex, validate_against_schema
 from .model import (
     BoundaryEdition,
     CellKind,
@@ -120,7 +118,6 @@ class PipelineConfig:
     output_dir: Path
     seed: int | None
     round_counts: bool
-    base_dir: Path
 
     def docs_config(self) -> dict:
         return {
@@ -134,14 +131,7 @@ class PipelineConfig:
 def load_config(path: str | os.PathLike) -> PipelineConfig:
     """Parse and validate a pipeline configuration file."""
     config_path = Path(path)
-    try:
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {config_path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    from .jsonio import validate_against_schema
-
+    doc = parse_json(_read_file(config_path, "config"), ConfigError, str(config_path))
     validate_against_schema(doc, "config.schema.json", ConfigError)
     base = config_path.parent
     project = doc["project"]
@@ -149,10 +139,7 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
     vocabulary_doc = project.get("vocabulary", {})
     if isinstance(vocabulary_doc, str):
         vocab_path = base / vocabulary_doc
-        try:
-            vocabulary_doc = json.loads(vocab_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"vocabulary file not found: {vocab_path}") from None
+        vocabulary_doc = parse_json(_read_file(vocab_path, "vocabulary"), ConfigError, str(vocab_path))
     vocabulary = Vocabulary.from_json(vocabulary_doc)
 
     sources = tuple(SourceDescriptor.from_json(item) for item in doc.get("sources", ()))
@@ -218,8 +205,6 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
     policy_kwargs = {}
     if "discard_threshold" in correspond_doc:
         policy_kwargs["discard_threshold"] = correspond_doc["discard_threshold"]
-    if "boundary_rule" in correspond_doc:
-        policy_kwargs["boundary_rule"] = BoundaryRule(correspond_doc["boundary_rule"])
     stages = StageSettings(
         clean_enabled=clean_doc.get("enabled", True),
         cleaning_rules=CleaningRuleSet.from_json(clean_doc),
@@ -261,7 +246,6 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         output_dir=base / doc.get("output_dir", "out"),
         seed=seed,
         round_counts=doc.get("round_counts", False),
-        base_dir=base,
     )
 
 
@@ -387,12 +371,15 @@ def load_tables(
 ) -> dict[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable]:
     tables = {}
     for spec in specs:
-        table = load_table(
-            _read_file(spec.path, "correspondence table"),
-            level=spec.level,
-            from_edition=spec.from_edition,
-            to_edition=spec.to_edition,
-        )
+        try:
+            table = load_table(
+                _read_file(spec.path, "correspondence table"),
+                level=spec.level,
+                from_edition=spec.from_edition,
+                to_edition=spec.to_edition,
+            )
+        except CorrespondenceError as exc:
+            raise CorrespondenceError(f"{spec.path}: {exc}") from None
         tables[(spec.from_edition, spec.to_edition)] = table
     return tables
 
@@ -411,7 +398,7 @@ def _process_indicator(
 
     raw = _read_file(spec.data_path, "raw data")
     mapping = SchemaMapping.from_json(
-        json.loads(_read_file(spec.mapping_path, "schema mapping").decode("utf-8"))
+        parse_json(_read_file(spec.mapping_path, "schema mapping"), ConfigError, str(spec.mapping_path))
     )
     digest = sha256_hex(raw)
     rendered: tuple[Dataset, str, str]  # the last logged output, its CSV text and digest
@@ -425,6 +412,11 @@ def _process_indicator(
         records.append(StageRecord(stage, decision, (before,), (digest,)))
 
     dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
+    if dataset.level is not config.target_level:
+        raise ConfigError(
+            f"indicator {ind_id!r} is at level {dataset.level.value}, "
+            f"but the project's target level is {config.target_level.value}"
+        )
     artifacts[f"reports/{ind_id}.parse.json"] = canonical_dumps(parse_report.to_json())
     record_stage(
         "ingest",

@@ -44,9 +44,6 @@ class SuppressionPolicy:
     def from_json(cls, doc: Mapping) -> "SuppressionPolicy":
         return cls(threshold=doc.get("threshold", 5), suppress_zero=bool(doc.get("suppress_zero", False)))
 
-    def to_json(self) -> dict:
-        return {"threshold": self.threshold, "suppress_zero": self.suppress_zero}
-
 
 @dataclass(frozen=True)
 class SuppressionLog:

@@ -15,7 +15,6 @@ from ardkit.correspondence import (
     EVENT_SUBTHRESHOLD_DISCARD,
     EVENT_ZERO_FILL,
     MODE_RATIONAL,
-    BoundaryRule,
     CorrespondenceOutcome,
     CorrespondencePolicy,
     PlanStep,
@@ -283,10 +282,6 @@ class TestBackward:
         later = make_counts({"C": 90, "D": 100, "E": 10}, edition=E2016)
         rebuilt, _ = backward(later, table, POLICY)
         assert cells(rebuilt)["A"].kind is CellKind.SUPPRESSED
-        keep = CorrespondencePolicy(boundary_rule=BoundaryRule.KEEP_AT_THRESHOLD)
-        rebuilt_keep, _ = backward(later, table, keep)
-        assert cells(rebuilt_keep)["A"].magnitude == 90.0
-        assert cells(rebuilt_keep)["A"].uncertainty is UncertaintyLevel.MEDIUM
 
     def test_missing_sole_target_record_zero_fills(self):
         table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])

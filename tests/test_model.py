@@ -40,17 +40,6 @@ class TestEnums:
     def test_editions_are_ordered_by_year(self):
         assert BoundaryEdition.ASGS2006 < BoundaryEdition.ASGS2021
 
-    def test_level_containment_chain(self):
-        chain = [
-            GeoLevel.MESH_BLOCK, GeoLevel.SA1, GeoLevel.SA2, GeoLevel.SA3,
-            GeoLevel.SA4, GeoLevel.STE, GeoLevel.AUS,
-        ]
-        for inner, outer in zip(chain, chain[1:]):
-            assert inner.is_within(outer)
-        assert GeoLevel.LGA.containment_rank is None
-        assert not GeoLevel.LGA.is_within(GeoLevel.AUS)
-        assert not GeoLevel.SA2.is_within(GeoLevel.LGA)
-
     def test_uncertainty_ordering(self):
         assert UncertaintyLevel.LOW < UncertaintyLevel.MEDIUM < UncertaintyLevel.HIGH
         assert [int(u) for u in UncertaintyLevel] == [0, 1, 2]

@@ -194,6 +194,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="count indicator .* names a denominator"):
             load_config(bad)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"{\xff}", "not valid UTF-8 at byte offset 1"), (b"{\n,", "line 2: not valid JSON")],
+        ids=["not-utf8", "not-json"],
+    )
+    def test_unreadable_config_names_the_file(self, tmp_path, data, message):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(data)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(bad)
+        assert str(excinfo.value).startswith(f"{bad}: {message}")
+
     # One non-default value for every `stages.*` key of the config schema.
     STAGE_VALUES = {
         "clean.enabled": False,
@@ -204,7 +216,6 @@ class TestConfigValidation:
         "clean.missing_policy": "drop_row",
         "correspond.enabled": False,
         "correspond.discard_threshold": 0.2,
-        "correspond.boundary_rule": "keep_at_threshold",
         "privacy.enabled": False,
         "privacy.threshold": 7,
         "privacy.suppress_zero": True,
@@ -293,6 +304,19 @@ class TestFailureHandling:
         config_strict = dataclasses.replace(config, output_dir=tmp_path / "out2")
         assert run(config_strict, strict=True).exit_code == 2
 
+    def test_dataset_off_the_target_level_fails(self, tmp_path):
+        import dataclasses
+
+        config_path = build_demo_project(tmp_path / "proj")
+        doc = json.loads(config_path.read_text())
+        doc["project"]["target_level"] = "SA2"
+        config_path.write_text(json.dumps(doc))
+        result = run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out"))
+        assert result.exit_code == 2 and result.failed
+        assert "indicator 'demo.hospital_visits' is at level SA3" in result.message
+        assert "target level is SA2" in (tmp_path / "out" / "FAILED").read_text()
+        assert not (tmp_path / "out" / "datasets").exists()
+
 
 class TestFileComposedStages:
     """Stage subcommands over intermediate files equal one in-process run."""
@@ -303,9 +327,9 @@ class TestFileComposedStages:
         code = main([str(a) for a in argv])
         return code
 
-    def test_composed_equals_run(self, demo_run, tmp_path):
-        config, result = demo_run
-        root = config.base_dir
+    def test_composed_equals_run(self, demo_project, demo_run, tmp_path):
+        _, result = demo_run
+        root = Path(demo_project).parent
         out = result.out_dir
         work = tmp_path / "stages"
         ind = "demo.hospital_visits"
@@ -382,7 +406,7 @@ class TestFileComposedStages:
         ) == 0
         assert self.cli(
             "emit-docs",
-            "--config", config.base_dir / "config.json",
+            "--config", demo_project,
             "--data", work / "50.csv",
             "--indicator", work / "50.indicator.json",
             "--out", work / "docs",
@@ -566,6 +590,62 @@ class TestCliBasics:
         )
         assert proc.returncode == 0
 
+    def test_validate_table_not_utf8_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"FROM_CODE,TO_CODE,RATIO\nA,B,1\n\xff\xfe\n")
+        proc = self.cli(
+            "validate-table", "--table", bad, "--level", "SA3",
+            "--from-edition", "2011", "--to-edition", "2016",
+        )
+        assert proc.returncode == 2
+        assert f"error: {bad}: not valid UTF-8 at byte offset 30" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("table_2011_2016.csv", b"\xff\xfeFROM_CODE", "table_2011_2016.csv: correspondence table: not valid UTF-8 at byte offset 0"),
+            ("mapping_long_2011.json", b'{"layout":\n', "mapping_long_2011.json: line 2: not valid JSON"),
+        ],
+        ids=["table-not-utf8", "mapping-not-json"],
+    )
+    def test_run_with_unreadable_input_leaves_failed_tree(self, tmp_path, name, data, message):
+        config_path = build_demo_project(tmp_path / "proj")
+        (tmp_path / "proj" / name).write_bytes(data)
+        proc = self.cli("run", "--config", config_path, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in (tmp_path / "out" / "FAILED").read_text()
+
+    @pytest.mark.parametrize(
+        "command, name, data, message",
+        [
+            ("clean", "rules.json", b'{"dedupe_policy": "sum",\n}', "rules.json: line 2: not valid JSON"),
+            ("qa", "data.csv", b"SA3CODE_16,CALENDAR_YEAR\n\xff", "data.csv: not valid UTF-8 at byte offset 25"),
+        ],
+        ids=["clean-rules-not-json", "qa-data-not-utf8"],
+    )
+    def test_unreadable_user_file_exit_2(self, tmp_path, command, name, data, message):
+        indicator = {
+            "id": "demo.x",
+            "name": "X",
+            "nest_domain": "healthy",
+            "value_kind": "count",
+            "source_id": "src",
+        }
+        (tmp_path / "ind.json").write_text(json.dumps(indicator))
+        (tmp_path / "data.csv").write_text("SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,UNCERTAINTY\nA,2016,0-4,male,9,0\n")
+        (tmp_path / "rules.json").write_text("{}")
+        (tmp_path / name).write_bytes(data)
+        extra = {
+            "clean": ["--rules", tmp_path / "rules.json", "--out-data", tmp_path / "o.csv", "--log", tmp_path / "log.jsonl"],
+            "qa": ["--report", tmp_path / "r.json"],
+        }[command]
+        proc = self.cli(command, "--data", tmp_path / "data.csv", "--indicator", tmp_path / "ind.json", *extra)
+        assert proc.returncode == 2
+        assert f"error: {tmp_path / message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_detect_prints_draft(self, tmp_path):
         raw = tmp_path / "raw.csv"
         raw.write_text("SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n")
@@ -576,28 +656,34 @@ class TestCliBasics:
         assert doc["level_guess"] == "SA3"
 
     def test_config_mode_key_exit_2(self, tmp_path):
+        # Removed `stages.correspond` keys fail schema validation.
         config_path = build_demo_project(tmp_path / "proj")
-        doc = json.loads(config_path.read_text())
-        doc["stages"]["correspond"]["mode"] = "rational"
-        config_path.write_text(json.dumps(doc))
-        proc = self.cli("run", "--config", config_path, "--out", tmp_path / "out")
-        assert proc.returncode == 2
-        assert "'mode' was unexpected" in proc.stderr
-        assert "stages/correspond" in proc.stderr
+        for key, value in (("mode", "rational"), ("boundary_rule", "keep_at_threshold")):
+            doc = json.loads(config_path.read_text())
+            doc["stages"]["correspond"][key] = value
+            path = config_path.parent / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            proc = self.cli("run", "--config", path, "--out", tmp_path / "out")
+            assert proc.returncode == 2
+            assert f"'{key}' was unexpected" in proc.stderr
+            assert "stages/correspond" in proc.stderr
+
+    CORRESPOND_ARGV = ["--to-edition", "2016", "--table", "2011:2016:t.csv", "--out-data", "o.csv"]
 
     @pytest.mark.parametrize(
-        "command, argv",
+        "command, argv, flag",
         [
-            ("correspond", ["--to-edition", "2016", "--table", "2011:2016:t.csv", "--out-data", "o.csv"]),
-            ("qa", ["--report", "r.json"]),
+            ("correspond", CORRESPOND_ARGV, ["--mode", "rational"]),
+            ("qa", ["--report", "r.json"], ["--mode", "rational"]),
+            ("correspond", CORRESPOND_ARGV, ["--boundary-rule", "keep_at_threshold"]),
         ],
-        ids=["correspond", "qa"],
+        ids=["correspond", "qa", "correspond-boundary-rule"],
     )
-    def test_mode_flag_exit_2(self, command, argv):
-        # The flag is refused while the arguments are parsed, before any file is read.
-        proc = self.cli(command, "--data", "d.csv", "--indicator", "i.json", *argv, "--mode", "rational")
+    def test_mode_flag_exit_2(self, command, argv, flag):
+        # A removed flag is refused while the arguments are parsed, before any file is read.
+        proc = self.cli(command, "--data", "d.csv", "--indicator", "i.json", *argv, *flag)
         assert proc.returncode == 2
-        assert "unrecognized arguments: --mode rational" in proc.stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
 
     def test_scaffold_dmp(self, tmp_path):
         config_path = build_demo_project(tmp_path / "proj")
