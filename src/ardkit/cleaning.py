@@ -17,16 +17,18 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CleaningError
 from .model import (
     CellKind,
-    CellValue,
+    Columns,
     Dataset,
-    StandardRecord,
     UncertaintyLevel,
+    check_cell,
+    check_key,
+    describe_key,
     finalize,
     validate_dataset,
 )
@@ -148,33 +150,42 @@ class CleaningLog:
         return cls(entries)
 
 
-def _value_doc(value: CellValue) -> dict:
+def _value_doc(kind: CellKind, magnitude, uncertainty: UncertaintyLevel) -> dict:
     return {
-        "kind": value.kind.value,
-        "magnitude": None if value.magnitude is None else float(value.magnitude),
-        "uncertainty": int(value.uncertainty),
+        "kind": kind.value,
+        "magnitude": None if magnitude is None else float(magnitude),
+        "uncertainty": int(uncertainty),
     }
 
 
-def _value_from_doc(doc: Mapping) -> CellValue:
-    return CellValue(
-        CellKind(doc["kind"]),
-        doc["magnitude"],
-        UncertaintyLevel(doc["uncertainty"]),
-    )
+# Position of each logged field in a (region, year, age, sex, kind, magnitude, uncertainty) row.
+_KEY_FIELDS = {"geography.code": 0, "calendar_year": 1, "age_group": 2, "sex": 3}
 
 
-def _set_field(record: StandardRecord, field: str, value) -> StandardRecord:
-    key = record.key
-    if field == "geography.code":
-        return StandardRecord(replace(key, region=value), record.value)
-    if field == "calendar_year":
-        return StandardRecord(replace(key, calendar_year=int(value)), record.value)
-    if field in ("age_group", "sex"):
-        return StandardRecord(replace(key, **{field: value}), record.value)
+def _set_field(row: tuple, field: str, value) -> tuple:
+    """The row with one logged field replaced; a bad replacement raises ArdkitError."""
     if field == "value":
-        return StandardRecord(key, _value_from_doc(value))
-    raise CleaningError(f"unknown field {field!r} in cleaning log")
+        cell = (CellKind(value["kind"]), value["magnitude"], UncertaintyLevel(value["uncertainty"]))
+        check_cell(*cell)
+        return (*row[:4], *cell)
+    position = _KEY_FIELDS.get(field)
+    if position is None:
+        raise CleaningError(f"unknown field {field!r} in cleaning log")
+    if field == "calendar_year":
+        value = int(value)
+    updated = (*row[:position], value, *row[position + 1:])
+    check_key(updated[0], updated[1])
+    return updated
+
+
+def _repairs(column: tuple, repair) -> dict:
+    """{token: repaired token} for each distinct token that `repair` changes."""
+    changes = {}
+    for token in set(column):
+        repaired = repair(token)
+        if repaired != token:
+            changes[token] = repaired
+    return changes
 
 
 def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLog]:
@@ -184,83 +195,94 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
     mass of data cells is conserved (missing cells carry no mass; a
     suppressed duplicate taints its merged cell suppressed).
     """
+    c = dataset.columns
     entries: list[CleaningEntry] = []
-    working: dict[int, StandardRecord] = {}
     year_base = _parse_year_pattern(rules.year_format_coercions[0]) if rules.year_format_coercions else None
 
-    for i, record in enumerate(dataset.records):
-        current = record
-        if rules.whitespace_normalization:
-            for field, token in (
-                ("geography.code", current.key.region),
-                ("age_group", current.key.age_group),
-                ("sex", current.key.sex),
-            ):
-                stripped = " ".join(token.split())
-                if stripped != token:
-                    entries.append(
-                        CleaningEntry("set", i, RULE_WHITESPACE, field=field, before=token, after=stripped)
-                    )
-                    current = _set_field(current, field, stripped)
+    # Each repair is a function of one token, so it is worked out once per
+    # distinct token; only the rows holding a changed token are visited.
+    region, year, age, sex = list(c.region), list(c.year), list(c.age), list(c.sex)
+    collapse = (lambda token: " ".join(token.split())) if rules.whitespace_normalization else (lambda token: token)
+    spaced = [
+        (field, column, _repairs(column, collapse))
+        for field, column in (("geography.code", region), ("age_group", age), ("sex", sex))
+    ]
+    folded = _repairs(region, lambda code: collapse(code).upper()) if rules.code_case_fold else {}
+    coerced = {}
+    if year_base is not None:
+        coerced = {y: year_base + y for y in set(year) if 0 <= y < 100}
+    repairs = [(column, changes) for _, column, changes in spaced] + [(region, folded), (year, coerced)]
+    touched = {
+        i for column, changes in repairs if changes for i, token in enumerate(column) if token in changes
+    }
+
+    for i in sorted(touched):
+        for field, column, changes in spaced:
+            token = column[i]
+            if token in changes:
+                entries.append(
+                    CleaningEntry("set", i, RULE_WHITESPACE, field=field, before=token, after=changes[token])
+                )
+                column[i] = changes[token]
         if rules.code_case_fold:
-            code = current.key.region
-            folded = code.upper()
-            if folded != code:
+            code = region[i]
+            if code.upper() != code:
                 entries.append(
-                    CleaningEntry("set", i, RULE_CASE_FOLD, field="geography.code", before=code, after=folded)
+                    CleaningEntry("set", i, RULE_CASE_FOLD, field="geography.code", before=code, after=code.upper())
                 )
-                current = _set_field(current, "geography.code", folded)
-        year = current.key.calendar_year
-        if year_base is not None and 0 <= year < 100:
-            coerced = year_base + year
+                region[i] = code.upper()
+        if year[i] in coerced:
             entries.append(
-                CleaningEntry("set", i, RULE_YEAR_FORMAT, field="calendar_year", before=year, after=coerced)
+                CleaningEntry("set", i, RULE_YEAR_FORMAT, field="calendar_year", before=year[i], after=coerced[year[i]])
             )
-            current = _set_field(current, "calendar_year", coerced)
-        working[i] = current
+            year[i] = coerced[year[i]]
 
+    kinds, magnitudes, levels = list(c.kind), list(c.magnitude), list(c.uncertainty)
+    working = list(range(len(region)))  # surviving rows, in row order
     if rules.missing_policy is MissingPolicy.DROP_ROW:
-        for i in sorted(working):
-            if working[i].value.kind is CellKind.MISSING:
-                entries.append(
-                    CleaningEntry("drop", i, RULE_MISSING_DROP, reason="missing value row dropped")
-                )
-                del working[i]
+        dropped = [i for i in working if kinds[i] is CellKind.MISSING]
+        entries.extend(CleaningEntry("drop", i, RULE_MISSING_DROP, reason="missing value row dropped") for i in dropped)
+        working = [i for i in working if kinds[i] is not CellKind.MISSING]
 
-    groups: dict[tuple, list[int]] = {}
-    for i in sorted(working):
-        groups.setdefault(working[i].key.sort_key, []).append(i)
-    duplicates = {key: rows for key, rows in groups.items() if len(rows) > 1}
-    if duplicates:
+    keys = list(map(list(zip(region, year, age, sex)).__getitem__, working))
+    if len(set(keys)) < len(keys):
+        groups: dict[tuple, list[int]] = {}
+        for key, i in zip(keys, working):
+            groups.setdefault(key, []).append(i)
+        duplicates = {key: rows for key, rows in groups.items() if len(rows) > 1}
         if rules.dedupe_policy is DedupePolicy.ERROR:
-            listed = ", ".join(working[rows[0]].key.describe() for rows in duplicates.values())
+            listed = ", ".join(describe_key(*key) for key in duplicates)
             raise CleaningError(f"replicated entries present (policy is error): {listed}")
+        removed = set()
         if rules.dedupe_policy is DedupePolicy.KEEP_FIRST:
             for rows in duplicates.values():
                 for i in rows[1:]:
                     entries.append(
                         CleaningEntry("drop", i, RULE_DEDUPE_KEEP_FIRST, reason="replicated entry removed")
                     )
-                    del working[i]
+                    removed.add(i)
         else:  # SUM
             for rows in sorted(duplicates.values()):
                 keep = rows[0]
-                merged = _merge_duplicates([working[i].value for i in rows])
-                if merged != working[keep].value:
+                before = (kinds[keep], magnitudes[keep], levels[keep])
+                merged = _merge_duplicates([(kinds[i], magnitudes[i], levels[i]) for i in rows])
+                if merged != before:
                     entries.append(
                         CleaningEntry(
                             "set", keep, RULE_DEDUPE_SUM, field="value",
-                            before=_value_doc(working[keep].value), after=_value_doc(merged),
+                            before=_value_doc(*before), after=_value_doc(*merged),
                         )
                     )
-                    working[keep] = StandardRecord(working[keep].key, merged)
+                    kinds[keep], magnitudes[keep], levels[keep] = merged
                 for i in rows[1:]:
                     entries.append(
                         CleaningEntry("drop", i, RULE_DEDUPE_SUM, reason="replicated entry merged by summation")
                     )
-                    del working[i]
+                    removed.add(i)
+        working = [i for i in working if i not in removed]
 
-    cleaned = finalize(dataset.with_records([working[i] for i in sorted(working)]))
+    columns = Columns(region, year, age, sex, kinds, magnitudes, levels).take(working)
+    cleaned = finalize(dataset.with_columns(columns))
     violations = validate_dataset(cleaned)
     if violations:
         details = "; ".join(f"{v.locator()}: {v.message}" for v in violations[:10])
@@ -270,27 +292,31 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
     return cleaned, CleaningLog(tuple(entries))
 
 
-def _merge_duplicates(values: list[CellValue]) -> CellValue:
-    level = max(v.uncertainty for v in values)
-    if any(v.kind is CellKind.SUPPRESSED for v in values):
-        return CellValue.suppressed(level)
-    data = [v for v in values if v.is_data]
+def _merge_duplicates(cells: list[tuple]) -> tuple:
+    """One (kind, magnitude, uncertainty) cell from replicated ones."""
+    level = max(uncertainty for _, _, uncertainty in cells)
+    if any(kind is CellKind.SUPPRESSED for kind, _, _ in cells):
+        return (CellKind.SUPPRESSED, None, level)
+    data = [(kind, magnitude) for kind, magnitude, _ in cells if magnitude is not None]
     if not data:
-        return CellValue.missing(level)
-    for value in data:
-        if value.kind is not CellKind.COUNT:
-            raise CleaningError("dedupe_policy=sum only applies to count cells")
-    total = sum(v.magnitude for v in data)
-    return CellValue.count(total, level)
+        return (CellKind.MISSING, None, level)
+    if any(kind is not CellKind.COUNT for kind, _ in data):
+        raise CleaningError("dedupe_policy=sum only applies to count cells")
+    total = sum(magnitude for _, magnitude in data)
+    check_cell(CellKind.COUNT, total, level)
+    return (CellKind.COUNT, total, level)
 
 
 def replay(dataset: Dataset, log: CleaningLog) -> Dataset:
-    """Re-apply a cleaning log to the raw dataset it was produced from."""
-    working: dict[int, StandardRecord] = dict(enumerate(dataset.records))
+    """Re-apply a cleaning log to the raw dataset it was produced from.
+
+    Every row a logged change touches is checked as it is rebuilt, so a
+    log with a bad value raises ArdkitError instead of building a bad row.
+    """
+    working: dict[int, tuple] = dict(enumerate(zip(*dataset.columns)))
     for entry in log.entries:
         if entry.op == "drop":
             working.pop(entry.row, None)
         else:
             working[entry.row] = _set_field(working[entry.row], entry.field, entry.after)
-    return finalize(dataset.with_records([working[i] for i in sorted(working)]))
-
+    return finalize(dataset.with_columns(Columns.from_rows([working[i] for i in sorted(working)])))

@@ -51,8 +51,16 @@ def _read_json(path: str):
     return parse_json(_read_text(path), ArdkitError, path)
 
 
+def _read_indicator(path: str) -> Indicator:
+    doc = _read_json(path)
+    try:
+        return Indicator.from_json(doc)
+    except ArdkitError as exc:
+        raise ArdkitError(f"{path}: {exc}") from None
+
+
 def _read_dataset(data_path: str, indicator_path: str):
-    indicator = Indicator.from_json(_read_json(indicator_path))
+    indicator = _read_indicator(indicator_path)
     text = _read_text(data_path)
     try:
         return read_csv(text, indicator)
@@ -95,7 +103,7 @@ def _cmd_ingest(args) -> int:
     if not (args.mapping and args.indicator and args.out_data and args.report):
         raise ConfigError("ingest needs --mapping, --indicator, --out-data, and --report (or --detect)")
     mapping = SchemaMapping.from_json(_read_json(args.mapping))
-    indicator = Indicator.from_json(_read_json(args.indicator))
+    indicator = _read_indicator(args.indicator)
     dataset, report = parse_raw(raw, mapping, indicator)
     _write_dataset(dataset, args.out_data, args.out_indicator)
     _write(args.report, canonical_dumps(report.to_json()))
@@ -258,6 +266,9 @@ def _cmd_validate_table(args) -> int:
     return 0
 
 
+EDITIONS = [int(edition) for edition in BoundaryEdition]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ardkit",
@@ -298,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correspond", help="convert a dataset to another boundary edition")
     p.add_argument("--data", required=True)
     p.add_argument("--indicator", required=True)
-    p.add_argument("--to-edition", type=int, required=True)
+    p.add_argument("--to-edition", type=int, required=True, choices=EDITIONS)
     p.add_argument("--table", action="append", required=True, help="FROM:TO:PATH, repeatable")
     p.add_argument("--discard-threshold")
     p.add_argument("--denominator-data")
@@ -352,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-table", help="validate a correspondence file")
     p.add_argument("--table", required=True)
     p.add_argument("--level", required=True, choices=[l.value for l in GeoLevel])
-    p.add_argument("--from-edition", type=int, required=True)
-    p.add_argument("--to-edition", type=int, required=True)
+    p.add_argument("--from-edition", type=int, required=True, choices=EDITIONS)
+    p.add_argument("--to-edition", type=int, required=True, choices=EDITIONS)
     p.set_defaults(fn=_cmd_validate_table)
 
     return parser

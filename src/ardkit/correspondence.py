@@ -35,13 +35,13 @@ from .jsonio import decode_utf8
 from .model import (
     BoundaryEdition,
     CellKind,
-    CellValue,
+    Columns,
     Dataset,
     GeoLevel,
     Magnitude,
     RecordKey,
-    StandardRecord,
     UncertaintyLevel,
+    describe_key,
     exact_total,
     finalize,
 )
@@ -70,7 +70,10 @@ def _as_ratio(value: object) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise CorrespondenceError(f"cannot interpret ratio {value!r}")
 
 
@@ -301,13 +304,15 @@ def _lift(magnitude: Magnitude, mode: str) -> Magnitude:
 
 
 def _data_total(dataset: Dataset) -> Fraction:
-    return exact_total(r.value.magnitude for r in dataset.records if r.value.is_data)
+    return exact_total(m for m in dataset.columns.magnitude if m is not None)
 
 
-def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, StandardRecord]]:
-    grouped: dict[tuple, dict[str, StandardRecord]] = {}
-    for record in dataset.records:
-        grouped.setdefault(record.key.stratum, {})[record.key.region] = record
+def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, int]]:
+    """{(year, age group, sex): {region: row}}; a repeated key keeps its last row."""
+    c = dataset.columns
+    grouped: dict[tuple, dict[str, int]] = {}
+    for i, (region, stratum) in enumerate(zip(c.region, zip(c.year, c.age, c.sex))):
+        grouped.setdefault(stratum, {})[region] = i
     return grouped
 
 
@@ -327,6 +332,10 @@ def _check_inputs(dataset: Dataset, table: CorrespondenceTable, mode: str, editi
         )
 
 
+def _converted(dataset: Dataset, rows: list[tuple], table: CorrespondenceTable, edition: BoundaryEdition) -> Dataset:
+    return finalize(Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level))
+
+
 def forward(
     dataset: Dataset,
     table: CorrespondenceTable,
@@ -344,59 +353,53 @@ def forward(
         code: tuple((e.target, e.ratio.numerator, e.ratio.denominator) for e in edges)
         for code, edges in table.positive_edges_by_source().items()
     }
-    unknown = sorted({r.key.region for r in dataset.records} - set(edges_by_source))
+    unknown = sorted(set(dataset.columns.region) - set(edges_by_source))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
-    out_records: list[StandardRecord] = []
+    kinds, magnitudes, levels = dataset.columns[4:]
+    zero = _zero(mode)
+    rows: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
     tainted = False
     grouped = _group_by_stratum(dataset)
     for stratum in sorted(grouped):
         present = grouped[stratum]
+        year, age, sex = stratum
         acc: dict[str, Magnitude] = {}
         unc: dict[str, UncertaintyLevel] = {}
         suppress_taint: set[str] = set()
         fill_taint: set[str] = set()
         for code in sorted(present):
-            record = present[code]
-            value = record.value
-            if value.is_data:
-                n, d = value.magnitude.as_integer_ratio()
-            for tcode, ratio_n, ratio_d in edges_by_source[code]:
-                unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), value.uncertainty)
-                if value.kind is CellKind.SUPPRESSED:
-                    suppress_taint.add(tcode)
-                elif value.kind is CellKind.MISSING:
+            i = present[code]
+            kind, magnitude, level = kinds[i], magnitudes[i], levels[i]
+            edges = edges_by_source[code]
+            for tcode, _, _ in edges:
+                unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), level)
+            if kind is CellKind.SUPPRESSED:
+                suppress_taint.update(tcode for tcode, _, _ in edges)
+            elif kind is CellKind.MISSING:
+                for tcode, _, _ in edges:
                     fill_taint.add(tcode)
                     zero_filled.append(
-                        f"{record.key.describe()}: missing input contributed zero mass to {tcode}"
+                        f"{describe_key(code, *stratum)}: missing input contributed zero mass to {tcode}"
                     )
-                else:
-                    acc[tcode] = acc.get(tcode, _zero(mode)) + _divide(ratio_n * n, ratio_d * d, mode)
-        year, age, sex = stratum
-        for tcode in sorted(set(acc) | set(unc)):
-            key = RecordKey(tcode, year, age, sex)
+            else:
+                n, d = magnitude.as_integer_ratio()
+                for tcode, ratio_n, ratio_d in edges:
+                    acc[tcode] = acc.get(tcode, zero) + _divide(ratio_n * n, ratio_d * d, mode)
+        for tcode in sorted(unc):
             if tcode in suppress_taint:
                 tainted = True
-                out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
-                events[key] = (EVENT_UNRESOLVABLE,)
+                rows.append((tcode, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
+                events[RecordKey(tcode, year, age, sex)] = (EVENT_UNRESOLVABLE,)
                 continue
             level = unc[tcode]
             if tcode in fill_taint:
                 level = max(level, UncertaintyLevel.MEDIUM)
-                events[key] = (EVENT_ZERO_FILL,)
-            out_records.append(
-                StandardRecord(key, CellValue.count(acc.get(tcode, _zero(mode)), level))
-            )
-    result = finalize(
-        Dataset(
-            indicator=dataset.indicator,
-            records=tuple(out_records),
-            edition=table.to_edition,
-            level=table.level,
-        )
-    )
+                events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
+            rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, zero), level))
+    result = _converted(dataset, rows, table, table.to_edition)
     outcome = CorrespondenceOutcome(
         op="forward",
         level=table.level,
@@ -429,7 +432,7 @@ def backward(
     _check_inputs(dataset, table, mode, table.to_edition, "targets")
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
-    unknown = sorted({r.key.region for r in dataset.records} - set(feeders))
+    unknown = sorted(set(dataset.columns.region) - set(feeders))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     # Per source, everything that depends only on the table and the policy:
@@ -446,7 +449,8 @@ def backward(
             bool(shared),
             any(policy.suppresses(e.ratio) for e in shared),
         ))
-    out_records: list[StandardRecord] = []
+    kinds, magnitudes, levels = dataset.columns[4:]
+    rows: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
     grouped = _group_by_stratum(dataset)
@@ -456,10 +460,9 @@ def backward(
         for source, targets, sole_targets, shares, suppressed in sources:
             if not any(t in present for t in targets):
                 continue
-            key = RecordKey(source, year, age, sex)
             if suppressed:
-                out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
-                events[key] = (EVENT_BACKWARD_SUPPRESSED,)
+                rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
+                events[RecordKey(source, year, age, sex)] = (EVENT_BACKWARD_SUPPRESSED,)
                 continue
             evs: list[str] = []
             if shares:
@@ -468,42 +471,35 @@ def backward(
             level = UncertaintyLevel.LOW
             unresolvable = False
             for target in sole_targets:
-                record = present.get(target)
-                if record is None:
+                i = present.get(target)
+                if i is None:
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: no data for sole target {target}, counted as zero"
+                        f"{describe_key(source, *stratum)}: no data for sole target {target}, counted as zero"
                     )
                     continue
-                level = max(level, record.value.uncertainty)
-                if record.value.kind is CellKind.SUPPRESSED:
+                level = max(level, levels[i])
+                if kinds[i] is CellKind.SUPPRESSED:
                     unresolvable = True
                     break
-                if record.value.kind is CellKind.MISSING:
+                if kinds[i] is CellKind.MISSING:
                     if EVENT_ZERO_FILL not in evs:
                         evs.append(EVENT_ZERO_FILL)
                     zero_filled.append(
-                        f"{key.describe()}: missing value for sole target {target}, counted as zero"
+                        f"{describe_key(source, *stratum)}: missing value for sole target {target}, counted as zero"
                     )
                     continue
-                total = total + _lift(record.value.magnitude, mode)
+                total = total + _lift(magnitudes[i], mode)
             if unresolvable:
-                out_records.append(StandardRecord(key, CellValue.suppressed(UncertaintyLevel.HIGH)))
-                events[key] = (EVENT_UNRESOLVABLE,)
+                rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
+                events[RecordKey(source, year, age, sex)] = (EVENT_UNRESOLVABLE,)
                 continue
             if evs:
                 level = max(level, UncertaintyLevel.MEDIUM)
-                events[key] = tuple(evs)
-            out_records.append(StandardRecord(key, CellValue.count(total, level)))
-    result = finalize(
-        Dataset(
-            indicator=dataset.indicator,
-            records=tuple(out_records),
-            edition=table.from_edition,
-            level=table.level,
-        )
-    )
+                events[RecordKey(source, year, age, sex)] = tuple(evs)
+            rows.append((source, year, age, sex, CellKind.COUNT, total, level))
+    result = _converted(dataset, rows, table, table.from_edition)
     outcome = CorrespondenceOutcome(
         op="backward",
         level=table.level,
@@ -519,35 +515,47 @@ def backward(
 
 
 def _derive_count_pair(dataset: Dataset, denominator: Dataset, mode: str) -> tuple[Dataset, Dataset]:
-    """Split a rate/percentage dataset into numerator and denominator counts."""
+    """Split a rate/percentage dataset into numerator and denominator counts.
+
+    Both keep the dataset's key columns; the denominator's cells are those
+    of its rows with the same keys.
+    """
     if denominator.indicator.value_kind is not CellKind.COUNT:
         raise CorrespondenceError("denominator dataset must hold counts")
     if denominator.edition is not dataset.edition or denominator.level is not dataset.level:
         raise CorrespondenceError("denominator dataset must share the dataset's edition and level")
-    denom_cells = {r.key: r.value for r in denominator.records}
-    numerators: list[StandardRecord] = []
-    denominators: list[StandardRecord] = []
-    for record in dataset.records:
-        denom = denom_cells.get(record.key)
-        if denom is None:
-            raise CorrespondenceError(f"denominator dataset lacks a record for {record.key.describe()}")
-        value = record.value
-        if value.kind is CellKind.SUPPRESSED or denom.kind is CellKind.SUPPRESSED:
-            cell = CellValue.suppressed(max(value.uncertainty, denom.uncertainty))
-        elif value.kind is CellKind.MISSING or denom.kind is CellKind.MISSING:
-            cell = CellValue.missing(max(value.uncertainty, denom.uncertainty))
+    c, d = dataset.columns, denominator.columns
+    denom_rows = {key: i for i, key in enumerate(d.record_keys())}
+    numerator_cells: list[tuple] = []
+    denominator_cells: list[tuple] = []
+    for key, kind, magnitude, level in zip(c.record_keys(), c.kind, c.magnitude, c.uncertainty):
+        j = denom_rows.get(key)
+        if j is None:
+            raise CorrespondenceError(f"denominator dataset lacks a record for {describe_key(*key)}")
+        denom_kind, denom_magnitude, denom_level = d.kind[j], d.magnitude[j], d.uncertainty[j]
+        worst = max(level, denom_level)
+        if kind is CellKind.SUPPRESSED or denom_kind is CellKind.SUPPRESSED:
+            numerator_cells.append((CellKind.SUPPRESSED, None, worst))
+        elif kind is CellKind.MISSING or denom_kind is CellKind.MISSING:
+            numerator_cells.append((CellKind.MISSING, None, worst))
         else:
-            n, d = value.magnitude.as_integer_ratio()
-            denom_n, denom_d = denom.magnitude.as_integer_ratio()
-            cell = CellValue.count(
-                _divide(n * denom_n, d * denom_d, mode), max(value.uncertainty, denom.uncertainty)
-            )
-        numerators.append(StandardRecord(record.key, cell))
-        denominators.append(StandardRecord(record.key, denom))
+            n, q = magnitude.as_integer_ratio()
+            denom_n, denom_q = denom_magnitude.as_integer_ratio()
+            numerator_cells.append((CellKind.COUNT, _divide(n * denom_n, q * denom_q, mode), worst))
+        denominator_cells.append((denom_kind, denom_magnitude, denom_level))
+    keys = c[:4]
     num_indicator = replace(dataset.indicator, id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
-    numerator_ds = Dataset(num_indicator, tuple(numerators), dataset.edition, dataset.level)
-    denominator_ds = Dataset(denominator.indicator, tuple(denominators), dataset.edition, dataset.level)
+    numerator_ds = Dataset(
+        num_indicator, Columns(*keys, *_transpose(numerator_cells, 3)), dataset.edition, dataset.level
+    )
+    denominator_ds = Dataset(
+        denominator.indicator, Columns(*keys, *_transpose(denominator_cells, 3)), dataset.edition, dataset.level
+    )
     return numerator_ds, denominator_ds
+
+
+def _transpose(cells: list[tuple], width: int) -> tuple[tuple, ...]:
+    return tuple(zip(*cells)) if cells else ((),) * width
 
 
 def _quotient(
@@ -559,38 +567,36 @@ def _quotient(
     mode: str,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Divide converted numerator counts by converted denominator counts."""
-    den_cells = {r.key: r.value for r in den_out.records}
-    records: list[StandardRecord] = []
+    c, d = num_out.columns, den_out.columns
+    den_rows = {key: i for i, key in enumerate(d.record_keys())}
+    num_events = {key.sort_key: (key, evs) for key, evs in num_outcome.events.items()}
+    value_kind = dataset.indicator.value_kind
+    cells: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled = list(num_outcome.zero_filled)
-    for record in num_out.records:
-        denom = den_cells[record.key]
-        level = max(record.value.uncertainty, denom.uncertainty)
-        evs = tuple(num_outcome.events.get(record.key, ()))
-        if record.value.kind is CellKind.SUPPRESSED or denom.kind is CellKind.SUPPRESSED:
-            cell = CellValue.suppressed(UncertaintyLevel.HIGH)
+    for key, kind, magnitude, level in zip(c.record_keys(), c.kind, c.magnitude, c.uncertainty):
+        j = den_rows[key]
+        denom_kind, denom_magnitude = d.kind[j], d.magnitude[j]
+        level = max(level, d.uncertainty[j])
+        record_key, evs = num_events.get(key, (None, ()))
+        evs = tuple(evs)
+        if kind is CellKind.SUPPRESSED or denom_kind is CellKind.SUPPRESSED:
+            cells.append((CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
             evs = evs or (EVENT_UNRESOLVABLE,)
-        elif record.value.kind is CellKind.MISSING or denom.kind is CellKind.MISSING:
-            cell = CellValue.missing(max(level, UncertaintyLevel.MEDIUM))
-        elif denom.magnitude == 0:
-            cell = CellValue.missing(max(level, UncertaintyLevel.MEDIUM))
+        elif kind is CellKind.MISSING or denom_kind is CellKind.MISSING:
+            cells.append((CellKind.MISSING, None, max(level, UncertaintyLevel.MEDIUM)))
+        elif denom_magnitude == 0:
+            cells.append((CellKind.MISSING, None, max(level, UncertaintyLevel.MEDIUM)))
             evs = tuple(dict.fromkeys([*evs, EVENT_ZERO_FILL]))
-            zero_filled.append(f"{record.key.describe()}: corresponded denominator is zero")
+            zero_filled.append(f"{describe_key(*key)}: corresponded denominator is zero")
         else:
-            n, d = record.value.magnitude.as_integer_ratio()
-            denom_n, denom_d = denom.magnitude.as_integer_ratio()
-            cell = CellValue(dataset.indicator.value_kind, _divide(n * denom_d, d * denom_n, mode), level)
-        records.append(StandardRecord(record.key, cell))
+            n, q = magnitude.as_integer_ratio()
+            denom_n, denom_q = denom_magnitude.as_integer_ratio()
+            cells.append((value_kind, _divide(n * denom_q, q * denom_n, mode), level))
         if evs:
-            events[record.key] = evs
-    result = finalize(
-        Dataset(
-            indicator=dataset.indicator,
-            records=tuple(records),
-            edition=num_out.edition,
-            level=num_out.level,
-        )
-    )
+            events[record_key or RecordKey(*key)] = evs
+    columns = Columns(*c[:4], *_transpose(cells, 3))
+    result = finalize(Dataset(dataset.indicator, columns, num_out.edition, num_out.level))
     return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
 
 

@@ -17,21 +17,21 @@ import enum
 import io
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import IngestError
 from .jsonio import decode_utf8, digest_doc, validate_against_schema
 from .model import (
     BoundaryEdition,
     CellKind,
-    CellValue,
+    Columns,
     DATA_KINDS,
     Dataset,
     GeoLevel,
     Indicator,
-    RecordKey,
-    StandardRecord,
+    UncertaintyLevel,
     canonical_sort,
+    describe_key,
     parse_geography_column,
 )
 
@@ -211,7 +211,7 @@ class Reject:
         return {"row": self.row, "reason": self.reason}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineageEntry:
     row: int
     column: str
@@ -280,11 +280,12 @@ def parse_raw(
             f"{indicator.id} expects {indicator.value_kind.value}"
         )
     text = decode_utf8(data, IngestError, "raw table")
+    # The rows are read as a stream, so the raw table is never held as lists
+    # of strings beside the records parsed from it.
     reader = csv.reader(io.StringIO(text), delimiter=mapping.delimiter)
-    rows = list(reader)
-    if not rows or not rows[0]:
+    header = [h.strip() for h in next(reader, [])]
+    if not header:
         raise IngestError("raw table has no header row")
-    header = [h.strip() for h in rows[0]]
     missing_columns = [c for c in mapping.bound_columns() if c not in header]
     if missing_columns:
         raise IngestError(f"bound columns missing from header: {', '.join(sorted(missing_columns))}")
@@ -293,52 +294,69 @@ def parse_raw(
         raise IngestError(f"bound columns appear more than once in header: {', '.join(repeated)}")
     position = {name: header.index(name) for name in header}
 
-    def cell(row: Sequence[str], column: str) -> str:
-        index = position[column]
-        return row[index] if index < len(row) else ""
-
-    # Resolve the level/edition for the whole file; mixed files are rejected.
+    # The level and edition are resolved for the whole file; mixed files are rejected.
     levels: dict[GeoLevel, int] = {}
     editions: dict[BoundaryEdition, int] = {}
-    data_rows = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
     if mapping.level is not None:
         levels[mapping.level] = 0
     if mapping.edition is not None:
         editions[mapping.edition] = 0
-    for lineno, row in data_rows:
+
+    year_multiplier = len(mapping.year_columns) if mapping.layout is Layout.WIDE_BY_YEAR else 1
+    data_rows = 0
+    rejects: list[Reject] = []
+    rows: list[tuple] = []
+    lineage: list[LineageEntry] = []
+    value_kind = mapping.value_kind
+    width = len(header)
+    key_at = [position[c] for c in (mapping.geography_code_column, mapping.age_group_column, mapping.sex_column)]
+    if mapping.layout is Layout.LONG:
+        logical = [(mapping.value_column, position[mapping.value_column], position[mapping.calendar_year_column], None)]
+    else:
+        logical = [(yc, position[yc], None, yc) for yc in mapping.year_columns]
+
+    # Year and value tokens repeat across rows, so each distinct token is
+    # parsed once: to a year or a (kind, magnitude) cell, or to the reason
+    # its logical row is rejected.
+    years: dict[str, int | str] = {}
+    cells: dict[str, tuple | str] = {}
+    tokens: dict[str, str] = {}
+
+    def parse_year_token(token: str) -> int | str:
+        try:
+            return _parse_year(token)
+        except ValueError:
+            return f"calendar year not an integer: {token.strip()!r}"
+
+    def parse_value_token(token: str) -> tuple | str:
+        if token.strip() in mapping.missing_tokens or token in mapping.missing_tokens:
+            return (CellKind.MISSING, None)
+        try:
+            magnitude = _parse_magnitude(token, value_kind)
+        except ValueError as exc:
+            return str(exc)
+        return (value_kind, int(magnitude) if value_kind is CellKind.COUNT else magnitude)
+
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        data_rows += 1
+        if len(row) < width:
+            row = row + [""] * (width - len(row))
         if mapping.level_column:
-            token = cell(row, mapping.level_column).strip()
+            token = row[position[mapping.level_column]].strip()
             try:
                 levels[GeoLevel(token)] = lineno
             except ValueError:
                 raise IngestError(f"line {lineno}: unknown geography level {token!r}") from None
         if mapping.edition_column:
-            token = cell(row, mapping.edition_column).strip()
+            token = row[position[mapping.edition_column]].strip()
             try:
                 editions[BoundaryEdition(int(token))] = lineno
             except ValueError:
                 raise IngestError(f"line {lineno}: unknown boundary edition {token!r}") from None
-    if len(levels) != 1:
-        raise IngestError(
-            "mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels))
-        )
-    if len(editions) != 1:
-        raise IngestError(
-            "mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions))
-        )
-    level = next(iter(levels))
-    edition = next(iter(editions))
-
-    year_multiplier = len(mapping.year_columns) if mapping.layout is Layout.WIDE_BY_YEAR else 1
-    rows_in = len(data_rows) * year_multiplier
-    rejects: list[Reject] = []
-    records: list[StandardRecord] = []
-    lineage: list[LineageEntry] = []
-
-    for lineno, row in data_rows:
-        code = cell(row, mapping.geography_code_column)
-        age = cell(row, mapping.age_group_column)
-        sex = cell(row, mapping.sex_column)
+        # One str object per distinct token, shared by every row that holds it.
+        code, age, sex = (tokens.setdefault(row[i], row[i]) for i in key_at)
         row_problem: str | None = None
         if not code.strip():
             row_problem = "empty geography code"
@@ -349,37 +367,41 @@ def parse_raw(
         if row_problem is not None:
             rejects.extend(Reject(lineno, row_problem) for _ in range(year_multiplier))
             continue
-        if mapping.layout is Layout.LONG:
-            logical = [(mapping.value_column, cell(row, mapping.calendar_year_column))]
-        else:
-            logical = [(yc, yc) for yc in mapping.year_columns]
-        for value_column, year_token in logical:
-            try:
-                year = _parse_year(year_token)
-            except ValueError:
-                rejects.append(Reject(lineno, f"calendar year not an integer: {year_token.strip()!r}"))
+        for value_column, value_at, year_at, year_token in logical:
+            if year_at is not None:
+                year_token = row[year_at]
+            year = years.get(year_token)
+            if year is None:
+                year = years[year_token] = parse_year_token(year_token)
+            if isinstance(year, str):
+                rejects.append(Reject(lineno, year))
                 continue
-            token = cell(row, value_column)
-            stripped = token.strip()
-            if stripped in mapping.missing_tokens or token in mapping.missing_tokens:
-                value = CellValue.missing()
-            else:
-                try:
-                    magnitude = _parse_magnitude(token, mapping.value_kind)
-                except ValueError as exc:
-                    rejects.append(Reject(lineno, str(exc)))
-                    continue
-                if mapping.value_kind is CellKind.COUNT:
-                    magnitude = int(magnitude)
-                value = CellValue(mapping.value_kind, magnitude)
-            key = RecordKey(code, year, age, sex)
-            records.append(StandardRecord(key, value))
-            lineage.append(LineageEntry(lineno, value_column, key.describe()))
-    dataset = canonical_sort(Dataset(indicator, tuple(records), edition, level))
+            token = row[value_at]
+            cell_value = cells.get(token)
+            if cell_value is None:
+                cell_value = cells[token] = parse_value_token(token)
+            if isinstance(cell_value, str):
+                rejects.append(Reject(lineno, cell_value))
+                continue
+            # Every field is checked above: the code is a str, the year an
+            # int and the magnitude finite, so the row needs no other check.
+            rows.append((code, year, age, sex, *cell_value, UncertaintyLevel.LOW))
+            lineage.append(LineageEntry(lineno, value_column, describe_key(code, year, age, sex)))
+    if len(levels) != 1:
+        raise IngestError(
+            "mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels))
+        )
+    if len(editions) != 1:
+        raise IngestError(
+            "mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions))
+        )
+    level = next(iter(levels))
+    edition = next(iter(editions))
+    dataset = canonical_sort(Dataset(indicator, Columns.from_rows(rows), edition, level))
     lineage_sorted = tuple(sorted(lineage, key=lambda e: (e.row, e.column, e.key)))
     report = ParseReport(
-        rows_in=rows_in,
-        records_out=len(records),
+        rows_in=data_rows * year_multiplier,
+        records_out=len(rows),
         rejects=tuple(sorted(rejects, key=lambda r: (r.row, r.reason))),
         lineage=lineage_sorted,
         lineage_digest=digest_doc([entry.to_json() for entry in lineage_sorted]),

@@ -1,18 +1,22 @@
 """Shared domain types for standardized spatio-temporal count data.
 
 Everything downstream (ingest, cleaning, correspondence, privacy, QA, docs)
-works on the immutable types defined here.  A record's region is a plain
-code in its dataset's (level, edition) scheme: the level and boundary
-edition belong to the :class:`Dataset`, never to single records.  A dataset
-serializes to one delimited text table whose header names the geography
-column after that level and edition (e.g. ``SA3CODE_16``), followed by
+works on the immutable types defined here.  A :class:`Dataset` holds its
+records as parallel columns (region, year, age group, sex, kind, magnitude,
+uncertainty), so every stage runs over plain tuples rather than one object
+per record.  A record's region is a plain code in its dataset's
+(level, edition) scheme: the level and boundary edition belong to the
+:class:`Dataset`, never to single records.  A dataset serializes to one
+delimited text table whose header names the geography column after that
+level and edition (e.g. ``SA3CODE_16``), followed by
 ``CALENDAR_YEAR, AGE_GROUP, SEX, VALUE, UNCERTAINTY``.
 
 Value-domain rules (non-negative counts, percentage range, token hygiene)
 are deliberately *not* enforced by the constructors: dirty datasets must be
 representable so that :func:`validate_dataset` can report their problems as
-data and the cleaning stage can repair them.  Constructors enforce only
-structural rules that serialization depends on.
+data and the cleaning stage can repair them.  Only the structural rules
+that serialization depends on are checked, once where rows enter a dataset
+from outside (parsing, reading, replaying a log, building from records).
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
 
@@ -124,6 +130,31 @@ def _is_magnitude(value: object) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _is_data_kind(kind: CellKind) -> bool:
+    # Identity tests: `in DATA_KINDS` would hash the member through the
+    # pure-Python `Enum.__hash__` on every cell.
+    return kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE
+
+
+def check_key(region: object, calendar_year: object) -> None:
+    """Raise unless a record key's region is a str and its year an int."""
+    if not isinstance(region, str):
+        raise ArdkitError(f"region code must be a string, got {region!r}")
+    if isinstance(calendar_year, bool) or not isinstance(calendar_year, int):
+        raise ArdkitError(f"calendar year must be an integer, got {calendar_year!r}")
+
+
+def check_cell(kind: CellKind, magnitude: object, uncertainty: object) -> None:
+    """Raise unless a data kind carries a finite magnitude and a marker kind none."""
+    if _is_data_kind(kind):
+        if not _is_magnitude(magnitude):
+            raise ArdkitError(f"{kind.value} cell needs a finite numeric magnitude, got {magnitude!r}")
+    elif magnitude is not None:
+        raise ArdkitError(f"{kind.value} cell must not carry a magnitude")
+    if not isinstance(uncertainty, UncertaintyLevel):
+        raise ArdkitError(f"bad uncertainty level {uncertainty!r}")
+
+
 @dataclass(frozen=True)
 class CellValue:
     """A single observed value: a magnitude-bearing kind or a marker kind."""
@@ -133,16 +164,7 @@ class CellValue:
     uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
 
     def __post_init__(self) -> None:
-        if self.is_data:
-            if not _is_magnitude(self.magnitude):
-                raise ArdkitError(
-                    f"{self.kind.value} cell needs a finite numeric magnitude, "
-                    f"got {self.magnitude!r}"
-                )
-        elif self.magnitude is not None:
-            raise ArdkitError(f"{self.kind.value} cell must not carry a magnitude")
-        if not isinstance(self.uncertainty, UncertaintyLevel):
-            raise ArdkitError(f"bad uncertainty level {self.uncertainty!r}")
+        check_cell(self.kind, self.magnitude, self.uncertainty)
 
     @classmethod
     def count(cls, magnitude: Magnitude, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
@@ -166,13 +188,7 @@ class CellValue:
 
     @property
     def is_data(self) -> bool:
-        # Identity tests: `in DATA_KINDS` would hash the member through the
-        # pure-Python `Enum.__hash__` on every cell.
-        kind = self.kind
-        return kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE
-
-    def with_uncertainty(self, level: UncertaintyLevel) -> "CellValue":
-        return replace(self, uncertainty=level)
+        return _is_data_kind(self.kind)
 
 
 def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
@@ -199,12 +215,20 @@ def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
 
 def format_magnitude(magnitude: Magnitude) -> str:
     """Shortest decimal text that round-trips through float()."""
-    value = float(magnitude) if isinstance(magnitude, Fraction) else magnitude
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(magnitude, float):
+        value = magnitude
+    elif isinstance(magnitude, int):
+        return str(magnitude)
+    else:
+        value = float(magnitude)
     if value.is_integer() and abs(value) < 2**53:
         return str(int(value))
     return repr(value)
+
+
+def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> str:
+    """'region/year/age/sex', the text that names a record in logs and reports."""
+    return f"{region}/{calendar_year}/{age_group}/{sex}"
 
 
 @dataclass(frozen=True)
@@ -218,23 +242,15 @@ class RecordKey:
     sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.region, str):
-            raise ArdkitError(f"region code must be a string, got {self.region!r}")
-        if isinstance(self.calendar_year, bool) or not isinstance(self.calendar_year, int):
-            raise ArdkitError(f"calendar year must be an integer, got {self.calendar_year!r}")
+        check_key(self.region, self.calendar_year)
         object.__setattr__(
             self,
             "sort_key",
             (self.region, self.calendar_year, self.age_group, self.sex),
         )
 
-    @property
-    def stratum(self) -> tuple[int, str, str]:
-        """The (year, age group, sex) slice this key belongs to."""
-        return (self.calendar_year, self.age_group, self.sex)
-
     def describe(self) -> str:
-        return f"{self.region}/{self.calendar_year}/{self.age_group}/{self.sex}"
+        return describe_key(*self.sort_key)
 
 
 @dataclass(frozen=True)
@@ -278,34 +294,103 @@ class Indicator:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Indicator":
+        """Build from a sidecar document; a missing key or bad value raises ArdkitError."""
+        if not isinstance(doc, Mapping):
+            raise ArdkitError("indicator document is not a JSON object")
+        missing = [key for key in ("id", "name", "nest_domain", "value_kind", "source_id") if key not in doc]
+        if missing:
+            raise ArdkitError(f"indicator document lacks {', '.join(map(repr, missing))}")
+        enums = {}
+        enum_keys = (("nest_domain", NestDomain), ("value_kind", CellKind), ("max_uncertainty", UncertaintyLevel))
+        for key, enum_cls in enum_keys:
+            value = doc.get(key, 0)  # only max_uncertainty may be absent, and it defaults to 0
+            try:
+                enums[key] = enum_cls(value)
+            except (TypeError, ValueError):
+                raise ArdkitError(f"indicator document has an invalid {key} {value!r}") from None
         return cls(
             id=doc["id"],
             name=doc["name"],
-            nest_domain=NestDomain(doc["nest_domain"]),
-            value_kind=CellKind(doc["value_kind"]),
             source_id=doc["source_id"],
             correspondence_applied=bool(doc.get("correspondence_applied", False)),
-            max_uncertainty=UncertaintyLevel(doc.get("max_uncertainty", 0)),
+            **enums,
         )
+
+
+class Columns(NamedTuple):
+    """A dataset's records as parallel tuples; row i is the i-th item of each.
+
+    Markers (suppressed, missing) carry a magnitude of None and every data
+    kind a number, so ``magnitude[i] is None`` tells the two apart.
+    """
+
+    region: tuple[str, ...]
+    year: tuple[int, ...]
+    age: tuple[str, ...]
+    sex: tuple[str, ...]
+    kind: tuple[CellKind, ...]
+    magnitude: tuple[Magnitude | None, ...]
+    uncertainty: tuple[UncertaintyLevel, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "Columns":
+        """Transpose (region, year, age, sex, kind, magnitude, uncertainty) rows."""
+        return cls(*zip(*rows)) if rows else EMPTY_COLUMNS
+
+    def take(self, rows: Sequence[int]) -> "Columns":
+        """The given rows, in the given order."""
+        return Columns(*(tuple(map(column.__getitem__, rows)) for column in self))
+
+    def record_keys(self) -> Iterator[tuple[str, int, str, str]]:
+        """Each row's (region, year, age group, sex), the RecordKey.sort_key order."""
+        return zip(self.region, self.year, self.age, self.sex)
+
+
+EMPTY_COLUMNS = Columns((), (), (), (), (), (), ())
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An indicator's records at one (edition, level)."""
+    """An indicator's records at one (edition, level), held as columns.
+
+    ``Dataset(indicator, records, edition, level)`` with StandardRecords in
+    the second place is the compatibility form: the records (each checked
+    when it was built) are transposed into columns.  Two datasets are equal
+    when their indicator, columns, edition and level are.
+    """
 
     indicator: Indicator
-    records: tuple[StandardRecord, ...]
+    columns: Columns
     edition: BoundaryEdition
     level: GeoLevel
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+        if not isinstance(self.columns, Columns):
+            records = tuple(self.columns)
+            rows = [(*r.key.sort_key, r.value.kind, r.value.magnitude, r.value.uncertainty) for r in records]
+            object.__setattr__(self, "columns", Columns.from_rows(rows))
+            self.__dict__["records"] = records  # the given records serve as the view
+
+    @cached_property
+    def records(self) -> tuple[StandardRecord, ...]:
+        """The rows as StandardRecord objects, built on first use.
+
+        A convenience view for callers outside the stages: it costs three
+        objects per row, so the stages read `columns` instead.
+        """
+        return tuple(
+            StandardRecord(RecordKey(region, year, age, sex), CellValue(kind, magnitude, uncertainty))
+            for region, year, age, sex, kind, magnitude, uncertainty in zip(*self.columns)
+        )
 
     def with_records(self, records: Iterable[StandardRecord]) -> "Dataset":
-        return replace(self, records=tuple(records))
+        return replace(self, columns=tuple(records))
+
+    def with_columns(self, columns: Columns) -> "Dataset":
+        return replace(self, columns=columns)
 
     def years(self) -> tuple[int, ...]:
-        return tuple(sorted({r.key.calendar_year for r in self.records}))
+        return tuple(sorted(set(self.columns.year)))
 
 
 @dataclass(frozen=True)
@@ -342,48 +427,60 @@ def _token_problem(token: str) -> str | None:
     return None
 
 
+def _per_value(column: tuple, fn) -> Iterator:
+    """fn(value) for each row's value, calling fn once per distinct value."""
+    results = {value: fn(value) for value in set(column)}
+    return map(results.__getitem__, column)
+
+
 def validate_dataset(
     dataset: Dataset,
     vocabulary: "Vocabulary | None" = None,
 ) -> list[Violation]:
     """Report every invariant violation with a row locator; empty list = ok."""
+    c = dataset.columns
     violations: list[Violation] = []
-    seen: dict[tuple, list[int]] = {}
-    for i, record in enumerate(dataset.records):
-        key, value = record.key, record.value
-        for label, token in (("geography code", key.region), ("age group", key.age_group), ("sex", key.sex)):
-            problem = _token_problem(token)
-            if problem is not None:
-                violations.append(Violation(V_TOKEN, i, f"{label} {token!r}: {problem}"))
-        if value.is_data and value.kind is not dataset.indicator.value_kind:
+    for label, column in (("geography code", c.region), ("age group", c.age), ("sex", c.sex)):
+        problems = {token: _token_problem(token) for token in set(column)}
+        if any(problems.values()):
+            for i, token in enumerate(column):
+                if problems[token] is not None:
+                    violations.append(Violation(V_TOKEN, i, f"{label} {token!r}: {problems[token]}"))
+    value_kind = dataset.indicator.value_kind
+    for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
+        if magnitude is None:
+            continue
+        if kind is not value_kind:
             violations.append(
                 Violation(
                     V_KIND,
                     i,
-                    f"cell kind {value.kind.value} does not match indicator "
-                    f"kind {dataset.indicator.value_kind.value}",
+                    f"cell kind {kind.value} does not match indicator kind {value_kind.value}",
                 )
             )
-        if value.is_data and value.magnitude < 0:
-            violations.append(Violation(V_NEGATIVE, i, f"negative magnitude {format_magnitude(value.magnitude)}"))
-        if value.kind is CellKind.PERCENTAGE and value.magnitude is not None:
-            if not (0 <= value.magnitude <= 100):
-                violations.append(
-                    Violation(V_PERCENTAGE_RANGE, i, f"percentage out of range: {format_magnitude(value.magnitude)}")
+        if magnitude < 0:
+            violations.append(Violation(V_NEGATIVE, i, f"negative magnitude {format_magnitude(magnitude)}"))
+        if kind is CellKind.PERCENTAGE and not (0 <= magnitude <= 100):
+            violations.append(
+                Violation(V_PERCENTAGE_RANGE, i, f"percentage out of range: {format_magnitude(magnitude)}")
+            )
+    if vocabulary is not None:
+        for label, column, allowed in (("age group", c.age, vocabulary.age_groups), ("sex", c.sex, vocabulary.sexes)):
+            if allowed and not allowed.issuperset(column):
+                for i, token in enumerate(column):
+                    if token not in allowed:
+                        violations.append(Violation(V_VOCABULARY, i, f"{label} {token!r} not in vocabulary"))
+    keys = list(c.record_keys())
+    if len(set(keys)) < len(keys):
+        seen: dict[tuple, list[int]] = {}
+        for i, key in enumerate(keys):
+            seen.setdefault(key, []).append(i)
+        for key, rows in seen.items():
+            if len(rows) > 1:
+                violations.extend(
+                    Violation(V_DUPLICATE_KEY, i, f"duplicate key {describe_key(*key)}") for i in rows
                 )
-        if vocabulary is not None:
-            if vocabulary.age_groups and key.age_group not in vocabulary.age_groups:
-                violations.append(Violation(V_VOCABULARY, i, f"age group {key.age_group!r} not in vocabulary"))
-            if vocabulary.sexes and key.sex not in vocabulary.sexes:
-                violations.append(Violation(V_VOCABULARY, i, f"sex {key.sex!r} not in vocabulary"))
-        seen.setdefault(key.sort_key, []).append(i)
-    for sort_key, rows in sorted(seen.items()):
-        if len(rows) > 1:
-            for i in rows:
-                violations.append(
-                    Violation(V_DUPLICATE_KEY, i, f"duplicate key {'/'.join(map(str, sort_key))}")
-                )
-    violations.sort(key=lambda v: (v.row if v.row is not None else -1, v.rule, v.message))
+    violations.sort(key=lambda v: (v.row, v.rule, v.message))
     return violations
 
 
@@ -405,16 +502,17 @@ class Vocabulary:
 
 
 def canonical_sort(dataset: Dataset) -> Dataset:
-    """Order records by (geography code, year, age group, sex); idempotent."""
-    return dataset.with_records(sorted(dataset.records, key=lambda r: r.key.sort_key))
+    """Order records by (geography code, year, age group, sex); stable and idempotent."""
+    keys = list(dataset.columns.record_keys())
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if order == list(range(len(keys))):
+        return dataset
+    return dataset.with_columns(dataset.columns.take(order))
 
 
 def refresh_indicator(dataset: Dataset) -> Dataset:
     """Re-derive the indicator's max uncertainty from the surviving records."""
-    worst = max(
-        (r.value.uncertainty for r in dataset.records),
-        default=UncertaintyLevel.LOW,
-    )
+    worst = max(dataset.columns.uncertainty, default=UncertaintyLevel.LOW)
     if worst == dataset.indicator.max_uncertainty:
         return dataset
     return replace(dataset, indicator=replace(dataset.indicator, max_uncertainty=worst))
@@ -427,32 +525,52 @@ def finalize(dataset: Dataset) -> Dataset:
 
 CSV_COLUMNS = ("CALENDAR_YEAR", "AGE_GROUP", "SEX", "VALUE", "UNCERTAINTY")
 SUPPRESSED_TOKEN = "S"
+_LEVEL_TEXT = tuple(str(int(level)) for level in UncertaintyLevel)
+
+
+def _csv_token(token: str) -> str:
+    """A token as `csv.writer` renders it inside a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((token, ""))
+    return out.getvalue()[:-2]  # drop the empty second field and the line end
+
+
+_EXACT_INTEGERS = 2**53
+
+
+def _value_texts(kinds: tuple[CellKind, ...], magnitudes: tuple[Magnitude | None, ...]) -> list[str]:
+    """The VALUE column's text, each distinct magnitude formatted once.
+
+    Equal magnitudes of different types (5, 5.0, Fraction(5)) share one
+    text; they format alike below 2**53, the only range the memo covers.
+    """
+    texts = {
+        m: format_magnitude(m)
+        for m in set(magnitudes)
+        if m is not None and -_EXACT_INTEGERS < m < _EXACT_INTEGERS
+    }
+    return [texts.get(m) or _value_text(kind, m) for kind, m in zip(kinds, magnitudes)]
+
+
+def _value_text(kind: CellKind, magnitude: Magnitude | None) -> str:
+    if magnitude is None:
+        return SUPPRESSED_TOKEN if kind is CellKind.SUPPRESSED else ""
+    return format_magnitude(magnitude)
 
 
 def write_csv(dataset: Dataset) -> str:
-    """Canonical delimited-text rendering (UTF-8, comma, LF)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([geography_column(dataset.level, dataset.edition), *CSV_COLUMNS])
-    for record in dataset.records:
-        value = record.value
-        if value.kind is CellKind.SUPPRESSED:
-            rendered = SUPPRESSED_TOKEN
-        elif value.kind is CellKind.MISSING:
-            rendered = ""
-        else:
-            rendered = format_magnitude(value.magnitude)
-        writer.writerow(
-            [
-                record.key.region,
-                record.key.calendar_year,
-                record.key.age_group,
-                record.key.sex,
-                rendered,
-                int(value.uncertainty),
-            ]
-        )
-    return out.getvalue()
+    """Canonical delimited-text rendering (UTF-8, comma, LF), quoted as `csv.writer` quotes."""
+    c = dataset.columns
+    header = ",".join((geography_column(dataset.level, dataset.edition), *CSV_COLUMNS))
+    fields = zip(
+        _per_value(c.region, _csv_token),
+        _per_value(c.year, str),
+        _per_value(c.age, _csv_token),
+        _per_value(c.sex, _csv_token),
+        _value_texts(c.kind, c.magnitude),
+        map(_LEVEL_TEXT.__getitem__, c.uncertainty),
+    )
+    return "\n".join(chain((header,), map(",".join, fields))) + "\n"
 
 
 def _csv_field(lineno: int, column: str, text: str, convert):
@@ -470,6 +588,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLevel)}
+
+
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -482,22 +603,26 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
     if parsed is None:
         raise ArdkitError(f"unrecognized geography column {header[0]!r}")
     level, edition = parsed
-    records = []
+    # Years and values repeat down the file, so each distinct text is
+    # converted once; the first line holding a bad one is the one named.
+    years: dict[str, int] = {}
+    cells = {SUPPRESSED_TOKEN: (CellKind.SUPPRESSED, None), "": (CellKind.MISSING, None)}
+    out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 6:
             raise ArdkitError(f"line {lineno}: expected 6 fields, got {len(row)}")
-        code, year, age, sex, value_text, uncertainty_text = row
-        uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, lambda t: UncertaintyLevel(int(t)))
-        if value_text == SUPPRESSED_TOKEN:
-            value = CellValue.suppressed(uncertainty)
-        elif value_text == "":
-            value = CellValue.missing(uncertainty)
-        else:
-            magnitude = _csv_field(lineno, "VALUE", value_text, _finite_float)
-            value = CellValue(indicator.value_kind, magnitude, uncertainty)
-        key = RecordKey(code, _csv_field(lineno, "CALENDAR_YEAR", year, int), age, sex)
-        records.append(StandardRecord(key, value))
-    return Dataset(indicator=indicator, records=tuple(records), edition=edition, level=level)
+        code, year_text, age, sex, value_text, uncertainty_text = row
+        uncertainty = _LEVELS_BY_TEXT.get(uncertainty_text)
+        if uncertainty is None:
+            uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, lambda t: UncertaintyLevel(int(t)))
+        cell = cells.get(value_text)
+        if cell is None:
+            cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _finite_float))
+        year = years.get(year_text)
+        if year is None:
+            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, int)
+        out.append((code, year, age, sex, *cell, uncertainty))
+    return Dataset(indicator, Columns.from_rows(out), edition, level)
 
 
 def round_counts(dataset: Dataset) -> Dataset:
@@ -510,14 +635,15 @@ def round_counts(dataset: Dataset) -> Dataset:
     if dataset.indicator.value_kind is not CellKind.COUNT:
         return dataset
     ordered = canonical_sort(dataset)
+    c = ordered.columns
     by_stratum: dict[tuple, list[int]] = {}
-    for i, record in enumerate(ordered.records):
-        if record.value.kind is CellKind.COUNT:
-            by_stratum.setdefault(record.key.stratum, []).append(i)
-    new_values: dict[int, int] = {}
+    for i, (kind, stratum) in enumerate(zip(c.kind, zip(c.year, c.age, c.sex))):
+        if kind is CellKind.COUNT:
+            by_stratum.setdefault(stratum, []).append(i)
+    new_magnitudes = list(c.magnitude)
     for stratum in sorted(by_stratum):
         indices = by_stratum[stratum]
-        magnitudes = [Fraction(ordered.records[i].value.magnitude) for i in indices]
+        magnitudes = [Fraction(c.magnitude[i]) for i in indices]
         floors = [int(m) for m in magnitudes]
         total = sum(magnitudes)
         target = int(total) + (1 if total - int(total) >= Fraction(1, 2) else 0)
@@ -528,13 +654,5 @@ def round_counts(dataset: Dataset) -> Dataset:
         )
         bumped = set(remainders[:leftover])
         for j, i in enumerate(indices):
-            new_values[i] = floors[j] + (1 if j in bumped else 0)
-    records = []
-    for i, record in enumerate(ordered.records):
-        if i in new_values:
-            records.append(
-                StandardRecord(record.key, replace(record.value, magnitude=new_values[i]))
-            )
-        else:
-            records.append(record)
-    return ordered.with_records(records)
+            new_magnitudes[i] = floors[j] + (1 if j in bumped else 0)
+    return ordered.with_columns(c._replace(magnitude=tuple(new_magnitudes)))

@@ -202,14 +202,17 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
     correspond_doc = stages_doc.get("correspond", {})
     privacy_doc = stages_doc.get("privacy", {})
     qa_doc = stages_doc.get("qa", {})
-    policy_kwargs = {}
+    policy = CorrespondencePolicy()
     if "discard_threshold" in correspond_doc:
-        policy_kwargs["discard_threshold"] = correspond_doc["discard_threshold"]
+        try:
+            policy = CorrespondencePolicy(correspond_doc["discard_threshold"])
+        except CorrespondenceError as exc:
+            raise ConfigError(f"stages.correspond.discard_threshold: {exc}") from None
     stages = StageSettings(
         clean_enabled=clean_doc.get("enabled", True),
         cleaning_rules=CleaningRuleSet.from_json(clean_doc),
         correspond_enabled=correspond_doc.get("enabled", True),
-        policy=CorrespondencePolicy(**policy_kwargs),
+        policy=policy,
         privacy_enabled=privacy_doc.get("enabled", True),
         suppression=SuppressionPolicy.from_json(privacy_doc),
         noise_magnitude=privacy_doc.get("noise_magnitude", 0),

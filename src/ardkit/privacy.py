@@ -23,9 +23,7 @@ from typing import Mapping, Sequence
 from .errors import PrivacyError
 from .model import (
     CellKind,
-    CellValue,
     Dataset,
-    StandardRecord,
     canonical_sort,
     finalize,
 )
@@ -74,26 +72,19 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
             "suppression applies to count datasets only; suppress rates and "
             "percentages upstream through their numerator counts"
         )
-    records: list[StandardRecord] = []
+    c = dataset.columns
+    kinds, magnitudes = list(c.kind), list(c.magnitude)
     per_stratum: dict[tuple[int, str, str], int] = {}
-    for record in dataset.records:
-        value = record.value
-        hide = False
-        if value.kind is CellKind.COUNT:
-            if 0 < value.magnitude < policy.threshold:
-                hide = True
-            elif policy.suppress_zero and value.magnitude == 0:
-                hide = True
-        if hide:
-            per_stratum[record.key.stratum] = per_stratum.get(record.key.stratum, 0) + 1
-            records.append(StandardRecord(record.key, CellValue.suppressed(value.uncertainty)))
-        else:
-            records.append(record)
+    for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
+        if kind is CellKind.COUNT and (0 < magnitude < policy.threshold or (policy.suppress_zero and magnitude == 0)):
+            stratum = (c.year[i], c.age[i], c.sex[i])
+            per_stratum[stratum] = per_stratum.get(stratum, 0) + 1
+            kinds[i], magnitudes[i] = CellKind.SUPPRESSED, None
     log = SuppressionLog(
         strata=tuple(sorted(per_stratum.items())),
         total=sum(per_stratum.values()),
     )
-    return finalize(dataset.with_records(records)), log
+    return finalize(dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))), log
 
 
 @dataclass(frozen=True)
@@ -164,13 +155,10 @@ def randomize(dataset: Dataset, noise_magnitude: int, seed) -> Dataset:
         return dataset
     rng = random.Random(f"{seed}:{dataset.indicator.id}")
     ordered = canonical_sort(dataset)
-    records: list[StandardRecord] = []
-    for record in ordered.records:
-        value = record.value
-        if value.kind is CellKind.COUNT:
+    c = ordered.columns
+    magnitudes = list(c.magnitude)
+    for i, kind in enumerate(c.kind):
+        if kind is CellKind.COUNT:
             noise = rng.randint(-noise_magnitude, noise_magnitude)
-            perturbed = max(0, value.magnitude + noise)
-            records.append(StandardRecord(record.key, CellValue.count(perturbed, value.uncertainty)))
-        else:
-            records.append(record)
-    return finalize(ordered.with_records(records))
+            magnitudes[i] = max(0, magnitudes[i] + noise)
+    return finalize(ordered.with_columns(c._replace(magnitude=tuple(magnitudes))))

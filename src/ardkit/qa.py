@@ -27,12 +27,12 @@ from .model import (
     CellKind,
     Dataset,
     RecordKey,
-    StandardRecord,
     UncertaintyLevel,
     Vocabulary,
     V_DUPLICATE_KEY,
     V_NEGATIVE,
     V_PERCENTAGE_RANGE,
+    describe_key,
     exact_total,
     finalize,
     format_magnitude,
@@ -202,7 +202,7 @@ def _coverage_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
     if context.coverage is None:
         return []
     start, end = context.coverage
-    present = {r.key.calendar_year for r in dataset.records}
+    present = set(dataset.columns.year)
     findings = []
     if present:
         for year in range(max(start, min(present)), min(end, max(present)) + 1):
@@ -227,36 +227,33 @@ def _ratio_echo_findings(context: QAContext) -> list[Finding]:
 
 def _recoverable_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
     marginals = (context.vocabulary or Vocabulary()).marginal_tokens
+    c = dataset.columns
     findings = []
-    for axis in ("age_group", "sex"):
+    for axis, column, group_keys in (
+        ("age_group", c.age, zip(c.region, c.year, c.sex)),
+        ("sex", c.sex, zip(c.region, c.year, c.age)),
+    ):
         # Without a marginal token on this axis no group has a marginal to subtract from.
-        tokens = {getattr(r.key, axis) for r in dataset.records}
-        if not any(token.lower() in marginals for token in tokens):
+        is_marginal = {token: token.lower() in marginals for token in set(column)}
+        if not any(is_marginal.values()):
             continue
-        groups: dict[tuple, list[StandardRecord]] = {}
-        for record in dataset.records:
-            key = record.key
-            if axis == "age_group":
-                group_key = (key.region, key.calendar_year, key.sex)
-            else:
-                group_key = (key.region, key.calendar_year, key.age_group)
-            groups.setdefault(group_key, []).append(record)
+        groups: dict[tuple, list[int]] = {}
+        for i, group_key in enumerate(group_keys):
+            groups.setdefault(group_key, []).append(i)
         for group_key in sorted(groups):
             members = groups[group_key]
-            marginal = [
-                r for r in members if getattr(r.key, axis).lower() in marginals
-            ]
-            others = [r for r in members if getattr(r.key, axis).lower() not in marginals]
-            if not any(m.value.is_data for m in marginal):
+            marginal = [i for i in members if is_marginal[column[i]]]
+            others = [i for i in members if not is_marginal[column[i]]]
+            if not any(c.magnitude[i] is not None for i in marginal):
                 continue
-            suppressed = [r for r in others if r.value.kind is CellKind.SUPPRESSED]
-            unsuppressed = [r for r in others if r.value.is_data]
+            suppressed = [i for i in others if c.kind[i] is CellKind.SUPPRESSED]
+            unsuppressed = [i for i in others if c.magnitude[i] is not None]
             if len(suppressed) == 1 and len(unsuppressed) == len(others) - 1:
-                record = suppressed[0]
+                i = suppressed[0]
                 findings.append(
                     _finding(
                         RULE_RECOVERABLE,
-                        record.key.describe(),
+                        describe_key(c.region[i], c.year[i], c.age[i], c.sex[i]),
                         f"suppressed cell recoverable by subtracting its {axis} siblings "
                         f"from the published marginal",
                     )
@@ -268,7 +265,8 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
     record = context.conservation
     if record is None:
         return []
-    total = exact_total(r.value.magnitude for r in dataset.records if r.value.kind is CellKind.COUNT)
+    c = dataset.columns
+    total = exact_total(m for kind, m in zip(c.kind, c.magnitude) if kind is CellKind.COUNT)
     expected = record.expected_total
     if abs(total - expected) <= CONSERVATION_TOLERANCE * max(abs(expected), Fraction(1)):
         return []
@@ -283,7 +281,7 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
 
 
 def _emptied_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
-    if context.removed_high > 0 and not dataset.records:
+    if context.removed_high > 0 and not dataset.columns.region:
         return [
             _finding(
                 RULE_EMPTIED,
@@ -305,21 +303,21 @@ def assign_uncertainty(
     record already carries is never lowered.  A record whose key is absent
     from `provenance` had no events.
     """
-    records = []
-    for record in dataset.records:
-        events = set(provenance.get(record.key, ()))
+    by_key = {key.sort_key: set(events) for key, events in provenance.items() if events}
+    c = dataset.columns
+    levels = list(c.uncertainty)
+    for i, key in enumerate(c.record_keys() if by_key else ()):
+        events = by_key.get(key)
+        if events is None:
+            continue
         if events & HIGH_EVENTS:
             level = UncertaintyLevel.HIGH
         elif events & MEDIUM_EVENTS:
             level = UncertaintyLevel.MEDIUM
         else:
-            level = UncertaintyLevel.LOW
-        level = max(level, record.value.uncertainty)
-        if level is record.value.uncertainty:
-            records.append(record)
-        else:
-            records.append(StandardRecord(record.key, record.value.with_uncertainty(level)))
-    return finalize(dataset.with_records(records))
+            continue
+        levels[i] = max(level, levels[i])
+    return finalize(dataset.with_columns(c._replace(uncertainty=tuple(levels))))
 
 
 @dataclass(frozen=True)
@@ -333,9 +331,11 @@ class RemovalLog:
 
 def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     """Drop every high-uncertainty record; low and medium stay in."""
-    kept = [r for r in dataset.records if r.value.uncertainty is not UncertaintyLevel.HIGH]
-    removed = [r.key.describe() for r in dataset.records if r.value.uncertainty is UncertaintyLevel.HIGH]
-    result = finalize(dataset.with_records(kept))
+    c = dataset.columns
+    high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
+    removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
+    kept = [i for i, is_high in enumerate(high) if not is_high]
+    result = finalize(dataset.with_columns(c.take(kept)))
     return result, RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
 
 

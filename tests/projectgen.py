@@ -73,8 +73,12 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
-def build_demo_project(root: Path, *, n_2011=60, n_2016=100, messy=True) -> Path:
-    """Write the demo project under `root`; returns the config path."""
+def build_demo_project(root: Path, *, n_2011=60, n_2016=100, messy=True, rate=False) -> Path:
+    """Write the demo project under `root`; returns the config path.
+
+    With rate=True a third indicator, an enrolment rate at the 2021 edition
+    whose denominator is the enrolment count, goes backward with it.
+    """
     root.mkdir(parents=True, exist_ok=True)
     rng = random.Random(20240601)
 
@@ -249,6 +253,30 @@ def build_demo_project(root: Path, *, n_2011=60, n_2016=100, messy=True) -> Path
         "output_dir": "out",
         "round_counts": False,
     }
+    if rate:
+        rows = []
+        for code in u_targets:
+            for age in AGES:
+                for sex in SEXES:
+                    values = [f"{rng.uniform(0, 100):.1f}" for _ in wide_years]
+                    if messy and rng.random() < 0.004:
+                        values[rng.randrange(len(values))] = "n.p."
+                    rows.append((code, age, sex, *values))
+        _write_csv(root / "enrolment_rate_2021.csv", ("SA3CODE_21", "AGE_GROUP", "SEX", *wide_years), rows)
+        mapping = json.loads((root / "mapping_wide_2021.json").read_text(encoding="utf-8"))
+        (root / "mapping_rate_2021.json").write_text(json.dumps({**mapping, "value_kind": "rate"}), encoding="utf-8")
+        config["indicators"].append(
+            {
+                "id": "demo.enrolment_rate",
+                "name": "School enrolment rate",
+                "nest_domain": "learning",
+                "value_kind": "rate",
+                "source_id": "src.education",
+                "data": "enrolment_rate_2021.csv",
+                "mapping": "mapping_rate_2021.json",
+                "denominator": "demo.school_enrolments",
+            }
+        )
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return config_path

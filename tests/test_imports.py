@@ -39,3 +39,30 @@ def test_unused_import_is_reported():
         "line 1: os",
         "line 3: dumps",
     ]
+
+
+def records_reads(source: str) -> list[str]:
+    """Lines that read an attribute named `records`."""
+    tree = ast.parse(source)
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "records" and isinstance(node.ctx, ast.Load)
+    )
+    return [f"line {line}: .records" for line in lines]
+
+
+NOT_MODEL = sorted(p for p in Path(ardkit.__file__).parent.rglob("*.py") if p.name != "model.py")
+
+
+@pytest.mark.parametrize("path", NOT_MODEL, ids=[p.stem for p in NOT_MODEL])
+def test_stages_do_not_read_the_records_view(path):
+    # `Dataset.records` builds one object triple per row; the stages read `columns`.
+    assert records_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_records_read_is_reported():
+    assert records_reads("a = d.records\nd.columns\nb = [r for r in x.records]\n") == [
+        "line 1: .records",
+        "line 3: .records",
+    ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from ardkit.errors import ArdkitError
 from ardkit.model import (
+    CSV_COLUMNS,
     BoundaryEdition,
     CellKind,
     CellValue,
@@ -19,6 +22,7 @@ from ardkit.model import (
     Vocabulary,
     canonical_sort,
     exact_total,
+    _token_problem,
     format_magnitude,
     geography_column,
     parse_geography_column,
@@ -184,6 +188,74 @@ class TestCsvRoundTrip:
             assert got.value.uncertainty is want.value.uncertainty
             if want.value.is_data:
                 assert float(got.value.magnitude) == float(want.value.magnitude)
+
+
+def csv_writer_rendering(dataset):
+    """The reference rendering: one `csv.writer` row per record."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([geography_column(dataset.level, dataset.edition), *CSV_COLUMNS])
+    for record in dataset.records:
+        value = record.value
+        if value.kind is CellKind.SUPPRESSED:
+            rendered = "S"
+        elif value.kind is CellKind.MISSING:
+            rendered = ""
+        else:
+            rendered = format_magnitude(value.magnitude)
+        key = record.key
+        writer.writerow([key.region, key.calendar_year, key.age_group, key.sex, rendered, int(value.uncertainty)])
+    return out.getvalue()
+
+
+ANY_TOKEN = st.one_of(st.text(max_size=5), st.text(alphabet=',"\r\n a', max_size=5))
+VALID_TOKEN = st.one_of(st.text(min_size=1, max_size=5), st.text(alphabet='"a b\'', min_size=1, max_size=5)).filter(
+    lambda token: _token_problem(token) is None
+)
+LEVELS = st.sampled_from(list(UncertaintyLevel))
+
+
+def cells(magnitudes):
+    return st.one_of(
+        st.tuples(magnitudes, LEVELS).map(lambda t: CellValue.count(*t)),
+        LEVELS.map(CellValue.suppressed),
+        LEVELS.map(CellValue.missing),
+    )
+
+
+def datasets(tokens, magnitudes):
+    record = st.builds(make_record, tokens, cells(magnitudes), year=st.integers(-3000, 3000), age=tokens, sex=tokens)
+    return st.lists(record, max_size=25).map(lambda records: make_counts({}).with_records(records))
+
+
+class TestWriteCsvQuoting:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        datasets(
+            ANY_TOKEN,
+            st.one_of(
+                st.integers(min_value=-(10**20), max_value=10**20),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.fractions(),
+            ),
+        )
+    )
+    def test_equals_csv_writer(self, dataset):
+        assert write_csv(dataset) == csv_writer_rendering(dataset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        datasets(
+            VALID_TOKEN,
+            st.one_of(
+                st.integers(min_value=-(2**53), max_value=2**53),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+            ),
+        )
+    )
+    def test_read_back(self, dataset):
+        assert read_csv(write_csv(dataset), dataset.indicator) == dataset
 
 
 class TestExactTotal:

@@ -824,3 +824,139 @@ class TestFinalRender:
             demo_project, tmp_path / "out", monkeypatch, round_counts=True
         )
         assert renders > logged
+
+
+class TestRunBuildsNoRecordObjects:
+    """`run` works on columns: no per-record objects are built on its path.
+
+    Counting subclasses replace the three record classes wherever an ardkit
+    module binds them.  A RecordKey may be built only for a key that has a
+    correspondence event; every other row stays a column entry.
+    """
+
+    def run_counting(self, config_path, out, monkeypatch):
+        import dataclasses
+
+        import ardkit.correspondence
+        from ardkit.model import CellValue, RecordKey, StandardRecord
+
+        made = {"StandardRecord": 0, "CellValue": 0}
+        keys = []
+
+        class CountingStandardRecord(StandardRecord):
+            def __init__(self, *args, **kwargs):
+                made["StandardRecord"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingCellValue(CellValue):
+            def __init__(self, *args, **kwargs):
+                made["CellValue"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingRecordKey(RecordKey):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                keys.append(self.sort_key)
+
+        counting = {StandardRecord: CountingStandardRecord, CellValue: CountingCellValue, RecordKey: CountingRecordKey}
+        for name, module in list(sys.modules.items()):
+            if name == "ardkit" or name.startswith("ardkit."):
+                for attr, value in list(vars(module).items()):
+                    if isinstance(value, type) and value in counting:
+                        monkeypatch.setattr(module, attr, counting[value])
+
+        conversions = []
+        for op in ("forward", "backward"):
+            real = getattr(ardkit.correspondence, op)
+
+            def recording(*args, real=real, **kwargs):
+                result = real(*args, **kwargs)
+                conversions.append(result[1])
+                return result
+
+            monkeypatch.setattr(ardkit.correspondence, op, recording)
+        config = dataclasses.replace(load_config(config_path), output_dir=out)
+        assert run(config).exit_code in (0, 1)
+        reported = [
+            tuple(item["key"])
+            for path in sorted((out / "reports").glob("*.correspondence.json"))
+            for outcome in json.loads(path.read_text())
+            for item in outcome["events"]
+        ]
+        with_events = [key.sort_key for outcome in conversions for key in outcome.events] + reported
+        return made, keys, with_events
+
+    @pytest.mark.parametrize("rate", [False, True], ids=["demo", "rate-and-backward"])
+    def test_no_record_objects(self, tmp_path, monkeypatch, rate):
+        config_path = build_demo_project(tmp_path / "proj", rate=rate)
+        made, keys, with_events = self.run_counting(config_path, tmp_path / "out", monkeypatch)
+        assert made == {"StandardRecord": 0, "CellValue": 0}
+        assert keys and set(keys) <= set(with_events)
+        assert len(keys) <= len(with_events)
+
+
+class TestBadCliInputs:
+    """Bad sidecars, editions and thresholds end with exit 2 and a message, never a traceback."""
+
+    INDICATOR = {"id": "demo.x", "name": "X", "nest_domain": "healthy", "value_kind": "count", "source_id": "src"}
+    DATA = "SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,UNCERTAINTY\nA,2016,0-4,male,9,0\n"
+
+    def files(self, tmp_path, **indicator_changes):
+        doc = {**self.INDICATOR, **indicator_changes}
+        (tmp_path / "ind.json").write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        (tmp_path / "data.csv").write_text(self.DATA)
+        (tmp_path / "table.csv").write_text("FROM_CODE,TO_CODE,RATIO\nA,X,1\n")
+        return tmp_path / "data.csv", tmp_path / "ind.json"
+
+    def main(self, *argv):
+        from ardkit.cli import main
+
+        return main([str(a) for a in argv])
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"name": None}, "indicator document lacks 'name'"),
+            ({"nest_domain": "nope"}, "indicator document has an invalid nest_domain 'nope'"),
+            ({"value_kind": "suppressed"}, "indicator value kind must be count/rate/percentage"),
+            ({"value_kind": "volume"}, "indicator document has an invalid value_kind 'volume'"),
+            ({"max_uncertainty": 7}, "indicator document has an invalid max_uncertainty 7"),
+        ],
+        ids=["missing-name", "bad-nest-domain", "marker-value-kind", "bad-value-kind", "bad-max-uncertainty"],
+    )
+    def test_bad_indicator_sidecar_exit_2(self, tmp_path, capsys, changes, message):
+        data, indicator = self.files(tmp_path, **changes)
+        assert self.main("qa", "--data", data, "--indicator", indicator, "--report", tmp_path / "r.json") == 2
+        assert f"error: {indicator}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate-table", "--level", "SA3", "--from-edition", "2013", "--to-edition", "2016"],
+            ["correspond", "--data", "d.csv", "--indicator", "i.json", "--to-edition", "2013", "--out-data", "o.csv"],
+        ],
+        ids=["validate-table", "correspond"],
+    )
+    def test_unknown_edition_refused_by_argparse(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.main(*argv, "--table", tmp_path / "t.csv")
+        assert exc.value.code == 2
+        assert "invalid choice: 2013" in capsys.readouterr().err
+
+    def test_non_numeric_threshold_in_config_exit_2(self, tmp_path, capsys):
+        config_path = build_demo_project(tmp_path / "proj")
+        doc = json.loads(config_path.read_text())
+        doc["stages"]["correspond"]["discard_threshold"] = "abc"
+        config_path.write_text(json.dumps(doc))
+        assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
+        assert "error: stages.correspond.discard_threshold: cannot interpret ratio 'abc'" in capsys.readouterr().err
+
+    def test_non_numeric_threshold_flag_exit_2(self, tmp_path, capsys):
+        data, indicator = self.files(tmp_path)
+        code = self.main(
+            "correspond", "--data", data, "--indicator", indicator, "--to-edition", "2016",
+            "--table", f"2011:2016:{tmp_path / 'table.csv'}", "--discard-threshold", "abc",
+            "--out-data", tmp_path / "o.csv",
+        )
+        assert code == 2
+        assert "error: cannot interpret ratio 'abc'" in capsys.readouterr().err
