@@ -30,6 +30,7 @@ from .model import (
     check_key,
     describe_key,
     finalize,
+    string_list,
     validate_dataset,
 )
 
@@ -70,12 +71,24 @@ class CleaningRuleSet:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CleaningRuleSet":
+        """Build from a rules document; a wrongly shaped one raises CleaningError."""
+        if not isinstance(doc, Mapping):
+            raise CleaningError("cleaning rules document is not a JSON object")
+        policies = {}
+        for key, policy_cls, default in (
+            ("dedupe_policy", DedupePolicy, "error"),
+            ("missing_policy", MissingPolicy, "keep_as_missing"),
+        ):
+            value = doc.get(key, default)
+            try:
+                policies[key] = policy_cls(value)
+            except ValueError:
+                raise CleaningError(f"invalid {key} {value!r}") from None
         return cls(
-            dedupe_policy=DedupePolicy(doc.get("dedupe_policy", "error")),
             whitespace_normalization=bool(doc.get("whitespace_normalization", True)),
             code_case_fold=bool(doc.get("code_case_fold", False)),
-            year_format_coercions=tuple(doc.get("year_format_coercions", ())),
-            missing_policy=MissingPolicy(doc.get("missing_policy", "keep_as_missing")),
+            year_format_coercions=string_list(doc, "year_format_coercions", (), CleaningError),
+            **policies,
         )
 
 

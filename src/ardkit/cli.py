@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .correspondence import CorrespondenceOutcome, CorrespondencePolicy, load_table
+from .correspondence import CorrespondencePolicy, load_table, outcomes_from_json
 from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
@@ -51,21 +52,27 @@ def _read_json(path: str):
     return parse_json(_read_text(path), ArdkitError, path)
 
 
-def _read_indicator(path: str) -> Indicator:
-    doc = _read_json(path)
+@contextmanager
+def _about(path: str):
+    """Prefix an ArdkitError raised in the block with the user file it is about."""
     try:
-        return Indicator.from_json(doc)
+        yield
     except ArdkitError as exc:
         raise ArdkitError(f"{path}: {exc}") from None
 
 
+def _read_doc(path: str, build):
+    """A user JSON file passed through `build`; a wrongly shaped one raises an error naming the file."""
+    doc = _read_json(path)
+    with _about(path):
+        return build(doc)
+
+
 def _read_dataset(data_path: str, indicator_path: str):
-    indicator = _read_indicator(indicator_path)
+    indicator = _read_doc(indicator_path, Indicator.from_json)
     text = _read_text(data_path)
-    try:
+    with _about(data_path):
         return read_csv(text, indicator)
-    except ArdkitError as exc:
-        raise ArdkitError(f"{data_path}: {exc}") from None
 
 
 def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:
@@ -97,14 +104,16 @@ def _cmd_run(args) -> int:
 def _cmd_ingest(args) -> int:
     raw = Path(args.raw).read_bytes()
     if args.detect:
-        draft = detect_characteristics(raw)
+        with _about(args.raw):
+            draft = detect_characteristics(raw)
         print(canonical_dumps(draft.to_json()), end="")
         return 0
     if not (args.mapping and args.indicator and args.out_data and args.report):
         raise ConfigError("ingest needs --mapping, --indicator, --out-data, and --report (or --detect)")
     mapping = SchemaMapping.from_json(_read_json(args.mapping))
-    indicator = _read_indicator(args.indicator)
-    dataset, report = parse_raw(raw, mapping, indicator)
+    indicator = _read_doc(args.indicator, Indicator.from_json)
+    with _about(args.raw):
+        dataset, report = parse_raw(raw, mapping, indicator)
     _write_dataset(dataset, args.out_data, args.out_indicator)
     _write(args.report, canonical_dumps(report.to_json()))
     print(f"parsed {report.rows_in} logical rows: {report.records_out} records, {len(report.rejects)} rejected")
@@ -113,8 +122,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_clean(args) -> int:
     dataset = _read_dataset(args.data, args.indicator)
-    rules = CleaningRuleSet.from_json(_read_json(args.rules)) if args.rules else CleaningRuleSet()
-    vocabulary = Vocabulary.from_json(_read_json(args.vocabulary)) if args.vocabulary else None
+    rules = _read_doc(args.rules, CleaningRuleSet.from_json) if args.rules else CleaningRuleSet()
+    vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
     cycle = clean_qa_cycle(
         dataset,
@@ -143,12 +152,11 @@ def _cmd_correspond(args) -> int:
     tables = {}
     for spec in args.table:
         from_edition, to_edition, path = _parse_table_spec(spec)
-        tables[(from_edition, to_edition)] = load_table(
-            _read_text(path),
-            level=dataset.level,
-            from_edition=from_edition,
-            to_edition=to_edition,
-        )
+        text = _read_text(path)
+        with _about(path):
+            tables[(from_edition, to_edition)] = load_table(
+                text, level=dataset.level, from_edition=from_edition, to_edition=to_edition
+            )
     policy = CorrespondencePolicy() if args.discard_threshold is None else CorrespondencePolicy(args.discard_threshold)
     denominator = None
     if args.denominator_data:
@@ -198,11 +206,9 @@ def _parse_coverage(text: str) -> tuple[int, int]:
 
 def _cmd_qa(args) -> int:
     dataset = _read_dataset(args.data, args.indicator)
-    outcomes = ()
-    if args.outcomes:
-        outcomes = tuple(CorrespondenceOutcome.from_json(doc) for doc in _read_json(args.outcomes))
+    outcomes = _read_doc(args.outcomes, outcomes_from_json) if args.outcomes else ()
     privacy_log = _read_json(args.privacy_log) if args.privacy_log else None
-    vocabulary = Vocabulary.from_json(_read_json(args.vocabulary)) if args.vocabulary else None
+    vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
     filtered, removal_log, report = qa_stage(
         dataset,
@@ -256,12 +262,14 @@ def _cmd_scaffold_dmp(args) -> int:
 
 
 def _cmd_validate_table(args) -> int:
-    load_table(
-        _read_text(args.table),
-        level=GeoLevel(args.level),
-        from_edition=BoundaryEdition(args.from_edition),
-        to_edition=BoundaryEdition(args.to_edition),
-    )
+    text = _read_text(args.table)
+    with _about(args.table):
+        load_table(
+            text,
+            level=GeoLevel(args.level),
+            from_edition=BoundaryEdition(args.from_edition),
+            to_edition=BoundaryEdition(args.to_edition),
+        )
     print("correspondence table is valid")
     return 0
 

@@ -23,8 +23,6 @@ product or quotient as one integer fraction; double mode rounds it once.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -41,6 +39,7 @@ from .model import (
     Magnitude,
     RecordKey,
     UncertaintyLevel,
+    csv_rows,
     describe_key,
     exact_total,
     finalize,
@@ -159,8 +158,7 @@ def load_table(
     if from_edition is to_edition:
         raise CorrespondenceError("a correspondence table needs two distinct editions")
     text = decode_utf8(data, CorrespondenceError, "correspondence table")
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [row for row in csv_rows(text, CorrespondenceError) if row]
     if not rows:
         raise CorrespondenceError("correspondence file is empty")
     header = tuple(h.strip() for h in rows[0])
@@ -263,21 +261,36 @@ class CorrespondenceOutcome:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CorrespondenceOutcome":
-        events = {}
-        for item in doc["events"]:
-            code, year, age, sex = item["key"]
-            events[RecordKey(code, int(year), age, sex)] = tuple(item["events"])
-        return cls(
-            op=doc["op"],
-            level=GeoLevel(doc["level"]),
-            from_edition=BoundaryEdition(doc["from_edition"]),
-            to_edition=BoundaryEdition(doc["to_edition"]),
-            input_total=Fraction(doc["input_total_exact"]),
-            output_total=Fraction(doc["output_total_exact"]),
-            conserving=bool(doc["conserving"]),
-            events=events,
-            zero_filled=tuple(doc.get("zero_filled", ())),
-        )
+        """Build from one entry of a correspondence report; a wrongly shaped one raises CorrespondenceError."""
+        if not isinstance(doc, Mapping):
+            raise CorrespondenceError(f"correspondence outcome {doc!r} is not a JSON object")
+        try:
+            events = {}
+            for item in doc["events"]:
+                code, year, age, sex = item["key"]
+                events[RecordKey(code, int(year), age, sex)] = tuple(item["events"])
+            return cls(
+                op=doc["op"],
+                level=GeoLevel(doc["level"]),
+                from_edition=BoundaryEdition(doc["from_edition"]),
+                to_edition=BoundaryEdition(doc["to_edition"]),
+                input_total=Fraction(doc["input_total_exact"]),
+                output_total=Fraction(doc["output_total_exact"]),
+                conserving=bool(doc["conserving"]),
+                events=events,
+                zero_filled=tuple(doc.get("zero_filled", ())),
+            )
+        except KeyError as exc:
+            raise CorrespondenceError(f"correspondence outcome lacks {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CorrespondenceError(f"malformed correspondence outcome: {exc}") from None
+
+
+def outcomes_from_json(doc) -> tuple[CorrespondenceOutcome, ...]:
+    """The outcomes of a correspondence report (a JSON list, one entry per step)."""
+    if not isinstance(doc, list):
+        raise CorrespondenceError("correspondence report is not a JSON list of outcomes")
+    return tuple(CorrespondenceOutcome.from_json(item) for item in doc)
 
 
 def _check_mode(mode: str) -> None:

@@ -11,10 +11,8 @@ its input cell through the report's lineage section.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import enum
-import io
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -31,6 +29,7 @@ from .model import (
     Indicator,
     UncertaintyLevel,
     canonical_sort,
+    csv_rows,
     describe_key,
     parse_geography_column,
 )
@@ -76,7 +75,7 @@ class SourceDescriptor:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SourceDescriptor":
-        validate_against_schema(dict(doc), "source.schema.json", IngestError)
+        validate_against_schema(doc, "source.schema.json", IngestError)
         return cls(
             source_id=doc["source_id"],
             name=doc["name"],
@@ -174,7 +173,7 @@ class SchemaMapping:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SchemaMapping":
-        validate_against_schema(_plain(doc), "mapping.schema.json", IngestError)
+        validate_against_schema(doc, "mapping.schema.json", IngestError)
         columns = doc["columns"]
         geography = doc.get("geography", {})
         return cls(
@@ -193,13 +192,6 @@ class SchemaMapping:
             missing_tokens=frozenset(doc.get("missing_tokens", [""])),
             delimiter=doc.get("delimiter", ","),
         )
-
-
-def _plain(doc) -> dict:
-    """Deep-copy a mapping into plain dicts/lists for jsonschema."""
-    import json
-
-    return json.loads(json.dumps(doc))
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ def parse_raw(
     text = decode_utf8(data, IngestError, "raw table")
     # The rows are read as a stream, so the raw table is never held as lists
     # of strings beside the records parsed from it.
-    reader = csv.reader(io.StringIO(text), delimiter=mapping.delimiter)
+    reader = csv_rows(text, IngestError, mapping.delimiter)
     header = [h.strip() for h in next(reader, [])]
     if not header:
         raise IngestError("raw table has no header row")
@@ -456,7 +448,7 @@ _ROLE_NAMES = {
 def detect_characteristics(data: bytes | str) -> MappingDraft:
     """Guess column roles from the header; every guess is marked unconfirmed."""
     text = decode_utf8(data, IngestError, "raw table")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(text, IngestError)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:

@@ -494,11 +494,22 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Vocabulary":
+        """Build from a vocabulary document; a wrongly shaped one raises ArdkitError."""
+        if not isinstance(doc, Mapping):
+            raise ArdkitError("vocabulary document is not a JSON object")
         return cls(
-            age_groups=frozenset(doc.get("age_groups", ())),
-            sexes=frozenset(doc.get("sexes", ())),
-            marginal_tokens=frozenset(t.lower() for t in doc.get("marginal_tokens", ("total", "all", "persons"))),
+            age_groups=frozenset(string_list(doc, "age_groups")),
+            sexes=frozenset(string_list(doc, "sexes")),
+            marginal_tokens=frozenset(t.lower() for t in string_list(doc, "marginal_tokens", ("total", "all", "persons"))),
         )
+
+
+def string_list(doc: Mapping, key: str, default=(), error_cls: type[ArdkitError] = ArdkitError) -> tuple[str, ...]:
+    """`doc[key]` as a tuple of strings; any other value, a lone string too, raises error_cls."""
+    value = doc.get(key, default)
+    if isinstance(value, str) or not isinstance(value, Sequence) or not all(isinstance(v, str) for v in value):
+        raise error_cls(f"{key} must be a list of strings, not {value!r}")
+    return tuple(value)
 
 
 def canonical_sort(dataset: Dataset) -> Dataset:
@@ -591,9 +602,22 @@ def _finite_float(text: str) -> float:
 _LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLevel)}
 
 
+def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
+    """The rows of delimited text; a line `csv` cannot read raises error_cls naming it.
+
+    A field longer than `csv.field_size_limit()` is such a line: the limit
+    is kept, so one oversized cell cannot make a reader hold it.
+    """
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error_cls(f"line {reader.line_num}: {exc}") from None
+
+
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset."""
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv_rows(text))
     if not rows:
         raise ArdkitError("dataset file is empty")
     header = rows[0]

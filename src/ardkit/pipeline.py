@@ -35,7 +35,7 @@ from .docs import (
     make_entry,
     scaffold_dmp,
 )
-from .errors import ArdkitError, ConfigError, CorrespondenceError
+from .errors import ArdkitError, ConfigError, CorrespondenceError, IngestError
 from .ingest import (
     SchemaMapping,
     SourceDescriptor,
@@ -137,10 +137,14 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
     project = doc["project"]
 
     vocabulary_doc = project.get("vocabulary", {})
+    where = "project.vocabulary"
     if isinstance(vocabulary_doc, str):
-        vocab_path = base / vocabulary_doc
-        vocabulary_doc = parse_json(_read_file(vocab_path, "vocabulary"), ConfigError, str(vocab_path))
-    vocabulary = Vocabulary.from_json(vocabulary_doc)
+        where = base / vocabulary_doc
+        vocabulary_doc = parse_json(_read_file(where, "vocabulary"), ConfigError, str(where))
+    try:
+        vocabulary = Vocabulary.from_json(vocabulary_doc)
+    except ArdkitError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
     sources = tuple(SourceDescriptor.from_json(item) for item in doc.get("sources", ()))
     source_ids = {s.source_id for s in sources}
@@ -414,7 +418,10 @@ def _process_indicator(
         rendered = (output, text, digest)
         records.append(StageRecord(stage, decision, (before,), (digest,)))
 
-    dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
+    try:
+        dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
+    except IngestError as exc:
+        raise IngestError(f"{spec.data_path}: {exc}") from None
     if dataset.level is not config.target_level:
         raise ConfigError(
             f"indicator {ind_id!r} is at level {dataset.level.value}, "

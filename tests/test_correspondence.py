@@ -95,6 +95,13 @@ class TestLoadTable:
         with pytest.raises(CorrespondenceError, match="RATIO"):
             load_table("FROM_CODE,TO_CODE\nA,B\n", level=SA3, from_edition=E2011, to_edition=E2016)
 
+    def test_oversized_field_is_fatal_naming_its_line(self):
+        with pytest.raises(CorrespondenceError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            load_table(
+                f"FROM_CODE,TO_CODE,RATIO\nA,{'B' * 200_000},1\n",
+                level=SA3, from_edition=E2011, to_edition=E2016,
+            )
+
     def test_small_deviation_renormalized(self):
         table = load_table(
             "FROM_CODE,TO_CODE,RATIO\nA,B,0.3333333\nA,C,0.6666666\n",

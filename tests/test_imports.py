@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,33 @@ def test_records_read_is_reported():
         "line 1: .records",
         "line 3: .records",
     ]
+
+
+def test_no_module_imports_jsonschema():
+    # jsonschema is the test oracle of `jsonio`'s validator, not a runtime dependency.
+    importers = [
+        path.name
+        for path in Path(ardkit.__file__).parent.rglob("*.py")
+        if any(
+            (isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "jsonschema" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "jsonschema")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert importers == []
+
+
+def test_start_up_does_not_load_jsonschema(tmp_path):
+    from projectgen import build_demo_project
+
+    config_path = build_demo_project(tmp_path / "proj")
+    src = str(Path(ardkit.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import ardkit.cli, ardkit.pipeline\n"
+        f"ardkit.pipeline.load_config({str(config_path)!r})\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -146,6 +146,11 @@ class TestParseLong:
         with pytest.raises(IngestError, match="byte offset 48"):
             parse_raw(raw, LONG_MAPPING, count_indicator)
 
+    def test_oversized_field_is_fatal_naming_its_line(self, count_indicator):
+        raw = f"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,2016,0-4,{'m' * 200_000},1\n"
+        with pytest.raises(IngestError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            parse_raw(raw, LONG_MAPPING, count_indicator)
+
     def test_mixed_levels_rejected(self, count_indicator):
         mapping = SchemaMapping(
             layout=Layout.LONG,

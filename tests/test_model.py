@@ -190,6 +190,14 @@ class TestCsvRoundTrip:
                 assert float(got.value.magnitude) == float(want.value.magnitude)
 
 
+    def test_oversized_field_is_an_error_naming_its_line(self):
+        # csv's field size limit is kept; a longer field is a bad user file, not a crash.
+        header = ",".join((geography_column(SA3, E2016), *CSV_COLUMNS))
+        text = f"{header}\nA,2016,0-4,male,9,0\nA,2016,0-4,{'m' * 200_000},9,0\n"
+        with pytest.raises(ArdkitError, match=r"^line 3: field larger than field limit \(131072\)$"):
+            read_csv(text, make_indicator())
+
+
 def csv_writer_rendering(dataset):
     """The reference rendering: one `csv.writer` row per record."""
     out = io.StringIO()

@@ -960,3 +960,63 @@ class TestBadCliInputs:
         )
         assert code == 2
         assert "error: cannot interpret ratio 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, text, message",
+        [
+            ("--rules", '{"dedupe_policy": 5}', "invalid dedupe_policy 5"),
+            ("--rules", "[1]", "cleaning rules document is not a JSON object"),
+            ("--rules", '{"year_format_coercions": "YY->2000+YY"}', "year_format_coercions must be a list of strings"),
+            ("--vocabulary", '{"age_groups": 5}', "age_groups must be a list of strings, not 5"),
+            ("--vocabulary", "[1]", "vocabulary document is not a JSON object"),
+            ("--outcomes", '{"a": 1}', "correspondence report is not a JSON list of outcomes"),
+            ("--outcomes", "[1]", "correspondence outcome 1 is not a JSON object"),
+            ("--outcomes", '[{"op": "forward"}]', "correspondence outcome lacks 'events'"),
+        ],
+        ids=[
+            "rules-policy-number", "rules-list", "rules-coercions-string", "vocabulary-number",
+            "vocabulary-list", "outcomes-object", "outcomes-number", "outcomes-missing-keys",
+        ],
+    )
+    def test_wrongly_shaped_document_exit_2(self, tmp_path, capsys, option, text, message):
+        # Valid JSON of the wrong shape names the file instead of raising a traceback.
+        data, indicator = self.files(tmp_path)
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        if option == "--outcomes":
+            argv = ["qa", "--report", tmp_path / "r.json"]
+        else:
+            argv = ["clean", "--out-data", tmp_path / "o.csv", "--log", tmp_path / "log.jsonl"]
+        assert self.main(*argv, "--data", data, "--indicator", indicator, option, doc) == 2
+        assert f"error: {doc}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["qa", "ingest", "validate-table"])
+    def test_oversized_csv_field_exit_2_naming_the_file(self, tmp_path, capsys, command):
+        data, indicator = self.files(tmp_path)
+        big = tmp_path / "big.csv"
+        huge = "m" * 200_000
+        if command == "qa":
+            big.write_text(self.DATA + f"A,2016,0-4,{huge},9,0\n")
+            argv = ["qa", "--data", big, "--indicator", indicator, "--report", tmp_path / "r.json"]
+        elif command == "ingest":
+            mapping = {
+                "layout": "long",
+                "columns": {
+                    "geography_code": "SA3CODE_11", "calendar_year": "CALENDAR_YEAR",
+                    "age_group": "AGE_GROUP", "sex": "SEX", "value": "VALUE",
+                },
+                "value_kind": "count",
+                "geography": {"level": "SA3", "edition": 2011},
+            }
+            (tmp_path / "mapping.json").write_text(json.dumps(mapping))
+            big.write_text(f"SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\nA,2016,0-4,{huge},9\n")
+            argv = [
+                "ingest", "--raw", big, "--mapping", tmp_path / "mapping.json", "--indicator", indicator,
+                "--out-data", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+            ]
+        else:
+            big.write_text(f"FROM_CODE,TO_CODE,RATIO\nA,{huge},1\n")
+            argv = ["validate-table", "--table", big, "--level", "SA3", "--from-edition", "2011", "--to-edition", "2016"]
+        line = 3 if command == "qa" else 2
+        assert self.main(*argv) == 2
+        assert f"error: {big}: line {line}: field larger than field limit (131072)" in capsys.readouterr().err
