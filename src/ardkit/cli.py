@@ -31,7 +31,7 @@ from .model import (
     round_counts,
     write_csv,
 )
-from .pipeline import load_config, privacy_stage, qa_stage, run
+from .pipeline import check_privacy_log, load_config, privacy_stage, qa_stage, run
 from .privacy import SuppressionPolicy
 from .qa import clean_qa_cycle, QAContext
 from .cleaning import CleaningRuleSet
@@ -48,10 +48,6 @@ def _read_text(path: str) -> str:
     return decode_utf8(Path(path).read_bytes(), ArdkitError, path)
 
 
-def _read_json(path: str):
-    return parse_json(_read_text(path), ArdkitError, path)
-
-
 @contextmanager
 def _about(path: str):
     """Prefix an ArdkitError raised in the block with the user file it is about."""
@@ -63,7 +59,7 @@ def _about(path: str):
 
 def _read_doc(path: str, build):
     """A user JSON file passed through `build`; a wrongly shaped one raises an error naming the file."""
-    doc = _read_json(path)
+    doc = parse_json(_read_text(path), ArdkitError, path)
     with _about(path):
         return build(doc)
 
@@ -110,12 +106,14 @@ def _cmd_ingest(args) -> int:
         return 0
     if not (args.mapping and args.indicator and args.out_data and args.report):
         raise ConfigError("ingest needs --mapping, --indicator, --out-data, and --report (or --detect)")
-    mapping = SchemaMapping.from_json(_read_json(args.mapping))
+    mapping = _read_doc(args.mapping, SchemaMapping.from_json)
     indicator = _read_doc(args.indicator, Indicator.from_json)
     with _about(args.raw):
         dataset, report = parse_raw(raw, mapping, indicator)
     _write_dataset(dataset, args.out_data, args.out_indicator)
     _write(args.report, canonical_dumps(report.to_json()))
+    if args.lineage:
+        _write(args.lineage, report.lineage_csv)
     print(f"parsed {report.rows_in} logical rows: {report.records_out} records, {len(report.rejects)} rejected")
     return 0
 
@@ -207,7 +205,7 @@ def _parse_coverage(text: str) -> tuple[int, int]:
 def _cmd_qa(args) -> int:
     dataset = _read_dataset(args.data, args.indicator)
     outcomes = _read_doc(args.outcomes, outcomes_from_json) if args.outcomes else ()
-    privacy_log = _read_json(args.privacy_log) if args.privacy_log else None
+    privacy_log = _read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
     vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
     filtered, removal_log, report = qa_stage(
@@ -299,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-data")
     p.add_argument("--out-indicator")
     p.add_argument("--report")
+    p.add_argument("--lineage", help="write the per-record lineage CSV here")
     p.add_argument("--detect", action="store_true", help="print an unconfirmed mapping draft and exit")
     p.set_defaults(fn=_cmd_ingest)
 
@@ -386,8 +385,10 @@ def main(argv=None) -> int:
     except ArdkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # A file that exists but cannot be read (a directory, no permission) is a user error too.
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

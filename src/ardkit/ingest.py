@@ -6,19 +6,22 @@ value kind, the missing-value tokens the custodian uses, and the layout:
 ``long`` (one value column) or ``wide_by_year`` (one column per year).
 Parsing never drops a row silently: every unmappable logical row lands in
 the parse report with a reason, and every emitted record is traceable to
-its input cell through the report's lineage section.
+its input cell through the lineage file, one ``KEY,RAW_ROW,RAW_COLUMN``
+line per record, whose SHA-256 the report carries.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime
 import enum
+import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import IngestError
-from .jsonio import decode_utf8, digest_doc, validate_against_schema
+from .jsonio import decode_utf8, sha256_hex, validate_against_schema
 from .model import (
     BoundaryEdition,
     CellKind,
@@ -203,24 +206,33 @@ class Reject:
         return {"row": self.row, "reason": self.reason}
 
 
-@dataclass(frozen=True, slots=True)
-class LineageEntry:
-    row: int
-    column: str
-    key: str
+LINEAGE_COLUMNS = ("KEY", "RAW_ROW", "RAW_COLUMN")
 
-    def to_json(self) -> dict:
-        return {"row": self.row, "column": self.column, "key": self.key}
+
+def _render_lineage(entries: list[tuple[str, int, str]]) -> str:
+    """The lineage file: one (key, raw row, raw column) line per record, sorted.
+
+    The dialect is `write_csv`'s: UTF-8, comma, LF, quoted as `csv.writer` quotes.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LINEAGE_COLUMNS)
+    writer.writerows(sorted(entries))
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
 class ParseReport:
-    """Row accounting for one parse: records_out + rejects == logical rows in."""
+    """Row accounting for one parse: records_out + rejects == logical rows in.
+
+    `lineage_csv` is the rendered lineage file; `lineage_digest` is the
+    SHA-256 of its UTF-8 bytes, the only trace of it in the report itself.
+    """
 
     rows_in: int
     records_out: int
     rejects: tuple[Reject, ...]
-    lineage: tuple[LineageEntry, ...]
+    lineage_csv: str = field(repr=False)
     lineage_digest: str
 
     def to_json(self) -> dict:
@@ -228,7 +240,6 @@ class ParseReport:
             "rows_in": self.rows_in,
             "records_out": self.records_out,
             "rejects": [r.to_json() for r in self.rejects],
-            "lineage": [entry.to_json() for entry in self.lineage],
             "lineage_digest": self.lineage_digest,
         }
 
@@ -298,7 +309,7 @@ def parse_raw(
     data_rows = 0
     rejects: list[Reject] = []
     rows: list[tuple] = []
-    lineage: list[LineageEntry] = []
+    lineage: list[tuple[str, int, str]] = []
     value_kind = mapping.value_kind
     width = len(header)
     key_at = [position[c] for c in (mapping.geography_code_column, mapping.age_group_column, mapping.sex_column)]
@@ -378,7 +389,7 @@ def parse_raw(
             # Every field is checked above: the code is a str, the year an
             # int and the magnitude finite, so the row needs no other check.
             rows.append((code, year, age, sex, *cell_value, UncertaintyLevel.LOW))
-            lineage.append(LineageEntry(lineno, value_column, describe_key(code, year, age, sex)))
+            lineage.append((describe_key(code, year, age, sex), lineno, value_column))
     if len(levels) != 1:
         raise IngestError(
             "mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels))
@@ -390,13 +401,13 @@ def parse_raw(
     level = next(iter(levels))
     edition = next(iter(editions))
     dataset = canonical_sort(Dataset(indicator, Columns.from_rows(rows), edition, level))
-    lineage_sorted = tuple(sorted(lineage, key=lambda e: (e.row, e.column, e.key)))
+    lineage_csv = _render_lineage(lineage)
     report = ParseReport(
         rows_in=data_rows * year_multiplier,
         records_out=len(rows),
         rejects=tuple(sorted(rejects, key=lambda r: (r.row, r.reason))),
-        lineage=lineage_sorted,
-        lineage_digest=digest_doc([entry.to_json() for entry in lineage_sorted]),
+        lineage_csv=lineage_csv,
+        lineage_digest=sha256_hex(lineage_csv),
     )
     return dataset, report
 

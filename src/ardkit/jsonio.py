@@ -42,10 +42,6 @@ def sha256_hex(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_doc(doc) -> str:
-    return sha256_hex(compact_dumps(doc))
-
-
 def decode_utf8(data: bytes | str, error_cls: Type[ArdkitError], where: str) -> str:
     """Decode UTF-8 input; invalid bytes raise error_cls naming `where` and the offset."""
     if isinstance(data, str):

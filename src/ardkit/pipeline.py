@@ -280,6 +280,19 @@ def privacy_stage(
     return dataset, {"noise_magnitude": noise_magnitude, "suppression": log.to_json()}
 
 
+def check_privacy_log(doc) -> Mapping:
+    """A privacy log read back from a file; the two counts QA relies on must be there."""
+    if not isinstance(doc, Mapping):
+        raise ArdkitError("privacy log is not a JSON object")
+    for path in (("noise_magnitude",), ("suppression", "total_suppressed")):
+        value = doc
+        for key in path:
+            value = value.get(key) if isinstance(value, Mapping) else None
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ArdkitError(f"privacy log {'.'.join(path)} must be a non-negative integer, not {value!r}")
+    return doc
+
+
 def conservation_from(
     outcomes: tuple[CorrespondenceOutcome, ...],
     privacy_log: Mapping | None,
@@ -404,9 +417,11 @@ def _process_indicator(
     records: list[StageRecord] = []
 
     raw = _read_file(spec.data_path, "raw data")
-    mapping = SchemaMapping.from_json(
-        parse_json(_read_file(spec.mapping_path, "schema mapping"), ConfigError, str(spec.mapping_path))
-    )
+    mapping_doc = parse_json(_read_file(spec.mapping_path, "schema mapping"), ConfigError, str(spec.mapping_path))
+    try:
+        mapping = SchemaMapping.from_json(mapping_doc)
+    except IngestError as exc:
+        raise IngestError(f"{spec.mapping_path}: {exc}") from None
     digest = sha256_hex(raw)
     rendered: tuple[Dataset, str, str]  # the last logged output, its CSV text and digest
 
@@ -428,6 +443,7 @@ def _process_indicator(
             f"but the project's target level is {config.target_level.value}"
         )
     artifacts[f"reports/{ind_id}.parse.json"] = canonical_dumps(parse_report.to_json())
+    artifacts[f"reports/{ind_id}.lineage.csv"] = parse_report.lineage_csv
     record_stage(
         "ingest",
         f"parsed {parse_report.rows_in} logical rows into {parse_report.records_out} records, "

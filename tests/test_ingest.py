@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import datetime
+import hashlib
+import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ from ardkit.ingest import (
     parse_raw,
     register_source,
 )
-from ardkit.model import CellKind, write_csv
+from ardkit.model import CellKind, describe_key, write_csv
 
 from conftest import E2016, SA3, make_indicator
 
@@ -50,6 +54,13 @@ LONG_MAPPING = SchemaMapping(
     edition=E2016,
     missing_tokens=frozenset({"", "n.p."}),
 )
+
+
+def lineage_rows(report) -> list[tuple[str, int, str]]:
+    """The lineage file's data lines as (key, raw row, raw column), header checked."""
+    header, *rows = csv.reader(io.StringIO(report.lineage_csv))
+    assert header == ["KEY", "RAW_ROW", "RAW_COLUMN"]
+    return [(key, int(row), column) for key, row, column in rows]
 
 
 class TestRegistry:
@@ -94,7 +105,7 @@ class TestParseLong:
         assert report.rows_in == 3
         assert report.records_out == 3
         assert report.rejects == ()
-        assert len(report.lineage) == 3
+        assert len(lineage_rows(report)) == 3
         assert dataset.edition is E2016 and dataset.level is SA3
 
     def test_declared_missing_token(self, count_indicator):
@@ -246,7 +257,7 @@ def test_row_conservation_property(seed):
     dataset, report = parse_raw("\n".join(lines) + "\n", LONG_MAPPING, make_indicator())
     assert report.rows_in == rows
     assert report.records_out + len(report.rejects) == report.rows_in
-    assert report.records_out == len(dataset.records) == len(report.lineage)
+    assert report.records_out == len(dataset.records) == len(lineage_rows(report))
 
 
 class TestDetect:
@@ -307,3 +318,91 @@ class TestMappingJson:
         doc = {**LONG_MAPPING_DOC, "columns": columns}
         with pytest.raises(IngestError, match="value"):
             SchemaMapping.from_json(doc)
+
+
+WIDE_MAPPING = SchemaMapping(
+    layout=Layout.WIDE_BY_YEAR,
+    geography_code_column="SA3CODE_16",
+    age_group_column="AGE_GROUP",
+    sex_column="SEX",
+    value_kind=CellKind.COUNT,
+    year_columns=("2016", "2017", "2018"),
+    level=SA3,
+    edition=E2016,
+    missing_tokens=frozenset({"", "n.p."}),
+)
+
+
+def random_raw_table(rng: random.Random, wide: bool) -> tuple[str, int]:
+    """A raw table of random rows, some of them bad; returns it and its data row count."""
+    codes = ["10102", "10103", "", " 10104 "]
+    lines = ["SA3CODE_16,AGE_GROUP,SEX,2016,2017,2018" if wide else "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE"]
+    rows = rng.randint(0, 30)
+    for _ in range(rows):
+        code, age, sex = rng.choice(codes), rng.choice(["0-4", "5-9", ""]), rng.choice(["male", "female"])
+        values = [rng.choice(["5", "0", "n.p.", "oops", "-1", "2.5"]) for _ in range(3 if wide else 1)]
+        if wide:
+            lines.append(",".join([code, age, sex, *values]))
+        else:
+            lines.append(",".join([code, rng.choice(["2016", "2017", "20x"]), age, sex, *values]))
+    return "\n".join(lines) + "\n", rows
+
+
+class TestLineage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_every_logical_row_accounted_for_once(self, seed, wide):
+        raw, rows = random_raw_table(random.Random(seed), wide)
+        mapping = WIDE_MAPPING if wide else LONG_MAPPING
+        dataset, report = parse_raw(raw, mapping, make_indicator())
+        lineage = lineage_rows(report)
+        columns = mapping.year_columns if wide else ("VALUE",)
+        # Each raw line holds one logical row per value column; each of them is
+        # either a lineage line (naming its column) or a reject, never both.
+        parsed = Counter((row, column) for _, row, column in lineage)
+        assert all(count == 1 for count in parsed.values())
+        rejected = Counter(r.row for r in report.rejects)
+        for lineno in range(2, rows + 2):
+            in_lineage = [column for (row, column) in parsed if row == lineno]
+            assert set(in_lineage) <= set(columns)
+            assert len(in_lineage) + rejected[lineno] == len(columns)
+        assert set(rejected) <= set(range(2, rows + 2))
+        # The lineage names exactly the dataset's records.
+        keys = [describe_key(*key) for key in dataset.columns.record_keys()]
+        assert Counter(key for key, _, _ in lineage) == Counter(keys)
+        if wide:
+            # RAW_COLUMN is the year column the record's value came from.
+            assert all(key.split("/")[1] == column for key, _, column in lineage)
+
+    def test_sorted_and_digest_is_file_sha256(self, count_indicator):
+        raw = (
+            "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
+            "10103,2016,0-4,male,7\n"
+            "10102,2017,0-4,male,12\n"
+            "10102,2016,5-9,female,1\n"
+            "10102,2016,5-9,female,2\n"
+            "9,2016,0-4,male,3\n"
+        )
+        _, report = parse_raw(raw, LONG_MAPPING, count_indicator)
+        lineage = lineage_rows(report)
+        assert lineage == sorted(lineage)
+        assert [key for key, _, _ in lineage] == [
+            "10102/2016/5-9/female", "10102/2016/5-9/female", "10102/2017/0-4/male",
+            "10103/2016/0-4/male", "9/2016/0-4/male",
+        ]
+        assert report.lineage_digest == hashlib.sha256(report.lineage_csv.encode("utf-8")).hexdigest()
+        assert "lineage" not in report.to_json()
+        assert report.lineage_csv.endswith("\n") and "\r" not in report.lineage_csv
+
+    def test_raw_row_sorts_numerically(self, count_indicator):
+        # One key on lines 2..11: as text, "10" and "11" would sort before "2".
+        lines = ["SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE"] + ["10102,2016,0-4,male,1"] * 10
+        _, report = parse_raw("\n".join(lines) + "\n", LONG_MAPPING, count_indicator)
+        assert [row for _, row, _ in lineage_rows(report)] == list(range(2, 12))
+
+    def test_key_with_comma_and_quote_round_trips(self, count_indicator):
+        raw = 'SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"10,1""02",2016,"0,4",male,3\n'
+        dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
+        assert dataset.columns.region == ('10,1"02',)
+        assert lineage_rows(report) == [('10,1"02/2016/0,4/male', 2, "VALUE")]
+        assert report.lineage_csv.splitlines()[1] == '"10,1""02/2016/0,4/male",2,VALUE'

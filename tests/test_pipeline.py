@@ -56,6 +56,8 @@ class TestRunArtifacts:
             "metadata/demo.hospital_visits.metadata.json",
             "metadata/demo.school_enrolments.metadata.json",
             "reports/demo.hospital_visits.parse.json",
+            "reports/demo.hospital_visits.lineage.csv",
+            "reports/demo.school_enrolments.lineage.csv",
             "reports/demo.hospital_visits.cleaning.jsonl",
             "reports/demo.hospital_visits.qa.json",
             "reports/demo.school_enrolments.qa.json",
@@ -136,6 +138,19 @@ class TestRunArtifacts:
         summary = json.loads((result.out_dir / "run.json").read_text(encoding="utf-8"))
         assert summary["exit_code"] == 0
         assert "datasets/demo.hospital_visits.csv" in summary["artifacts"]
+        assert "reports/demo.hospital_visits.lineage.csv" in summary["artifacts"]
+        assert sorted(summary["artifacts"]) == sorted(
+            str(p.relative_to(result.out_dir)) for p in result.out_dir.rglob("*") if p.is_file()
+        )
+
+    def test_parse_report_digests_the_lineage_file(self, demo_run):
+        _, result = demo_run
+        for name in ("demo.hospital_visits", "demo.school_enrolments"):
+            report = json.loads((result.out_dir / f"reports/{name}.parse.json").read_text(encoding="utf-8"))
+            lineage = (result.out_dir / f"reports/{name}.lineage.csv").read_bytes()
+            assert set(report) == {"rows_in", "records_out", "rejects", "lineage_digest"}
+            assert report["lineage_digest"] == sha256_hex(lineage)
+            assert lineage.count(b"\n") == report["records_out"] + 1
 
 
 class TestDeterminism:
@@ -268,6 +283,20 @@ class TestFailureHandling:
         # Artifacts completed before the failure are retained.
         assert (tmp_path / "out" / "registry.json").is_file()
 
+    def test_wrongly_shaped_mapping_named_in_failed_marker(self, demo_project, tmp_path):
+        import dataclasses
+
+        config_path = build_demo_project(tmp_path / "proj")
+        mapping = tmp_path / "proj" / "mapping_long_2011.json"
+        doc = json.loads(mapping.read_text())
+        del doc["layout"]
+        mapping.write_text(json.dumps(doc))
+        result = run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out"))
+        assert result.exit_code == 2 and result.failed
+        expected = f"{mapping}: mapping.schema.json: 'layout' is a required property (at document root)"
+        assert result.message == expected
+        assert (tmp_path / "out" / "FAILED").read_text() == expected + "\n"
+
     def test_successful_rerun_clears_stale_failed_marker(self, demo_project, tmp_path):
         import dataclasses
 
@@ -357,6 +386,7 @@ class TestFileComposedStages:
             "--out-data", work / "10.csv",
             "--out-indicator", work / "10.indicator.json",
             "--report", work / "parse.json",
+            "--lineage", work / "lineage.csv",
         ) == 0
         assert self.cli(
             "clean",
@@ -414,6 +444,7 @@ class TestFileComposedStages:
 
         pairs = [
             (work / "parse.json", out / f"reports/{ind}.parse.json"),
+            (work / "lineage.csv", out / f"reports/{ind}.lineage.csv"),
             (work / "cleaning.jsonl", out / f"reports/{ind}.cleaning.jsonl"),
             (work / "outcomes.json", out / f"reports/{ind}.correspondence.json"),
             (work / "privacy.json", out / f"reports/{ind}.privacy.json"),
@@ -428,6 +459,24 @@ class TestFileComposedStages:
         ]
         for composed, reference in pairs:
             assert composed.read_bytes() == reference.read_bytes(), f"differs: {reference.name}"
+
+
+    def test_ingest_report_alone_equals_run(self, demo_project, demo_run, tmp_path):
+        # --lineage is optional; without it the parse report still carries the digest.
+        _, result = demo_run
+        root = Path(demo_project).parent
+        ind = "demo.school_enrolments"
+        config = json.loads(Path(demo_project).read_text())
+        spec = next(item for item in config["indicators"] if item["id"] == ind)
+        indicator_doc = {k: spec[k] for k in ("id", "name", "nest_domain", "value_kind", "source_id")}
+        (tmp_path / "indicator.json").write_text(json.dumps(indicator_doc))
+        assert self.cli(
+            "ingest", "--raw", root / spec["data"], "--mapping", root / spec["mapping"],
+            "--indicator", tmp_path / "indicator.json", "--out-data", tmp_path / "10.csv",
+            "--report", tmp_path / "parse.json",
+        ) == 0
+        assert (tmp_path / "parse.json").read_bytes() == (result.out_dir / f"reports/{ind}.parse.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["10.csv", "indicator.json", "parse.json"]
 
 
 class TestRateIndicators:
@@ -972,10 +1021,23 @@ class TestBadCliInputs:
             ("--outcomes", '{"a": 1}', "correspondence report is not a JSON list of outcomes"),
             ("--outcomes", "[1]", "correspondence outcome 1 is not a JSON object"),
             ("--outcomes", '[{"op": "forward"}]', "correspondence outcome lacks 'events'"),
+            ("--privacy-log", "[1]", "privacy log is not a JSON object"),
+            ("--privacy-log", '{"a": 1}', "privacy log noise_magnitude must be a non-negative integer, not None"),
+            (
+                "--privacy-log",
+                '{"noise_magnitude": 0, "suppression": {"total_suppressed": "3"}}',
+                "privacy log suppression.total_suppressed must be a non-negative integer, not '3'",
+            ),
+            (
+                "--privacy-log",
+                '{"noise_magnitude": true, "suppression": {"total_suppressed": 0}}',
+                "privacy log noise_magnitude must be a non-negative integer, not True",
+            ),
         ],
         ids=[
             "rules-policy-number", "rules-list", "rules-coercions-string", "vocabulary-number",
             "vocabulary-list", "outcomes-object", "outcomes-number", "outcomes-missing-keys",
+            "privacy-log-list", "privacy-log-no-counts", "privacy-log-string-total", "privacy-log-bool-noise",
         ],
     )
     def test_wrongly_shaped_document_exit_2(self, tmp_path, capsys, option, text, message):
@@ -983,12 +1045,66 @@ class TestBadCliInputs:
         data, indicator = self.files(tmp_path)
         doc = tmp_path / "doc.json"
         doc.write_text(text)
-        if option == "--outcomes":
+        if option in ("--outcomes", "--privacy-log"):
             argv = ["qa", "--report", tmp_path / "r.json"]
         else:
             argv = ["clean", "--out-data", tmp_path / "o.csv", "--log", tmp_path / "log.jsonl"]
         assert self.main(*argv, "--data", data, "--indicator", indicator, option, doc) == 2
         assert f"error: {doc}: {message}" in capsys.readouterr().err
+
+    MAPPING = {
+        "layout": "long",
+        "columns": {
+            "geography_code": "SA3CODE_11", "calendar_year": "CALENDAR_YEAR",
+            "age_group": "AGE_GROUP", "sex": "SEX", "value": "VALUE",
+        },
+        "value_kind": "count",
+        "geography": {"level": "SA3", "edition": 2011},
+    }
+
+    def ingest_argv(self, tmp_path, raw, mapping):
+        _, indicator = self.files(tmp_path)
+        return [
+            "ingest", "--raw", raw, "--mapping", mapping, "--indicator", indicator,
+            "--out-data", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+        ]
+
+    def test_wrongly_shaped_mapping_names_the_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\nA,2016,0-4,male,9\n")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({k: v for k, v in self.MAPPING.items() if k != "layout"}))
+        assert self.main(*self.ingest_argv(tmp_path, raw, mapping)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {mapping}: mapping.schema.json: 'layout' is a required property (at document root)" in err
+
+    def test_directory_for_a_file_exit_2(self, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(self.MAPPING))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert self.main(*self.ingest_argv(tmp_path, folder, mapping)) == 2
+        assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any file")
+    def test_unreadable_file_exit_2(self, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(self.MAPPING))
+        raw = tmp_path / "raw.csv"
+        raw.write_text("SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n")
+        raw.chmod(0)
+        try:
+            assert self.main(*self.ingest_argv(tmp_path, raw, mapping)) == 2
+        finally:
+            raw.chmod(0o600)
+        assert capsys.readouterr().err == f"error: {raw}: Permission denied\n"
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(self.MAPPING))
+        raw = tmp_path / "absent.csv"
+        assert self.main(*self.ingest_argv(tmp_path, raw, mapping)) == 2
+        assert capsys.readouterr().err == f"error: {raw}: No such file or directory\n"
 
     @pytest.mark.parametrize("command", ["qa", "ingest", "validate-table"])
     def test_oversized_csv_field_exit_2_naming_the_file(self, tmp_path, capsys, command):
