@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 completed with warnings, 2 failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,11 +28,12 @@ from .model import (
     GeoLevel,
     Indicator,
     Vocabulary,
+    canonical_sort,
     read_csv,
     round_counts,
     write_csv,
 )
-from .pipeline import check_privacy_log, load_config, privacy_stage, qa_stage, run
+from .pipeline import check_privacy_log, collector_paused, load_config, privacy_stage, qa_stage, run
 from .privacy import SuppressionPolicy
 from .qa import clean_qa_cycle, QAContext
 from .cleaning import CleaningRuleSet
@@ -65,10 +67,11 @@ def _read_doc(path: str, build):
 
 
 def _read_dataset(data_path: str, indicator_path: str):
+    """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs."""
     indicator = _read_doc(indicator_path, Indicator.from_json)
     text = _read_text(data_path)
     with _about(data_path):
-        return read_csv(text, indicator)
+        return canonical_sort(read_csv(text, indicator))
 
 
 def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:
@@ -377,9 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses, built on its first call in a process."""
+    return build_parser()
+
+
+@collector_paused()
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ArdkitError as exc:
@@ -389,6 +398,13 @@ def main(argv=None) -> int:
         # A file that exists but cannot be read (a directory, no permission) is a user error too.
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A defect, not bad input; exit 1 would read as "completed with warnings".
+        import traceback  # imported here so that start-up does not pay for it
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

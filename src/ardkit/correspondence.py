@@ -42,7 +42,7 @@ from .model import (
     csv_rows,
     describe_key,
     exact_total,
-    finalize,
+    refresh_indicator,
 )
 
 # Record-level provenance events consumed by the QA uncertainty rule.
@@ -345,8 +345,16 @@ def _check_inputs(dataset: Dataset, table: CorrespondenceTable, mode: str, editi
         )
 
 
-def _converted(dataset: Dataset, rows: list[tuple], table: CorrespondenceTable, edition: BoundaryEdition) -> Dataset:
-    return finalize(Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level))
+def _converted(
+    dataset: Dataset, by_region: dict[str, list[tuple]], table: CorrespondenceTable, edition: BoundaryEdition
+) -> Dataset:
+    """The output rows, each region's already in stratum order, joined in region order.
+
+    Stratum order within a region and region order across regions make
+    canonical order, so the result needs no sort.
+    """
+    rows = [row for region in sorted(by_region) for row in by_region[region]]
+    return refresh_indicator(Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level))
 
 
 def forward(
@@ -371,7 +379,7 @@ def forward(
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     kinds, magnitudes, levels = dataset.columns[4:]
     zero = _zero(mode)
-    rows: list[tuple] = []
+    by_region: dict[str, list[tuple]] = {}
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
     tainted = False
@@ -401,18 +409,18 @@ def forward(
                 n, d = magnitude.as_integer_ratio()
                 for tcode, ratio_n, ratio_d in edges:
                     acc[tcode] = acc.get(tcode, zero) + _divide(ratio_n * n, ratio_d * d, mode)
-        for tcode in sorted(unc):
+        for tcode, level in unc.items():
+            rows = by_region.setdefault(tcode, [])
             if tcode in suppress_taint:
                 tainted = True
                 rows.append((tcode, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_UNRESOLVABLE,)
                 continue
-            level = unc[tcode]
             if tcode in fill_taint:
                 level = max(level, UncertaintyLevel.MEDIUM)
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
             rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, zero), level))
-    result = _converted(dataset, rows, table, table.to_edition)
+    result = _converted(dataset, by_region, table, table.to_edition)
     outcome = CorrespondenceOutcome(
         op="forward",
         level=table.level,
@@ -463,7 +471,7 @@ def backward(
             any(policy.suppresses(e.ratio) for e in shared),
         ))
     kinds, magnitudes, levels = dataset.columns[4:]
-    rows: list[tuple] = []
+    by_region: dict[str, list[tuple]] = {source: [] for source, *_ in sources}
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
     grouped = _group_by_stratum(dataset)
@@ -473,6 +481,7 @@ def backward(
         for source, targets, sole_targets, shares, suppressed in sources:
             if not any(t in present for t in targets):
                 continue
+            rows = by_region[source]
             if suppressed:
                 rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
                 events[RecordKey(source, year, age, sex)] = (EVENT_BACKWARD_SUPPRESSED,)
@@ -512,7 +521,7 @@ def backward(
                 level = max(level, UncertaintyLevel.MEDIUM)
                 events[RecordKey(source, year, age, sex)] = tuple(evs)
             rows.append((source, year, age, sex, CellKind.COUNT, total, level))
-    result = _converted(dataset, rows, table, table.from_edition)
+    result = _converted(dataset, by_region, table, table.from_edition)
     outcome = CorrespondenceOutcome(
         op="backward",
         level=table.level,
@@ -579,7 +588,7 @@ def _quotient(
     *,
     mode: str,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
-    """Divide converted numerator counts by converted denominator counts."""
+    """Divide converted numerator counts by converted denominator counts; rows keep their order."""
     c, d = num_out.columns, den_out.columns
     den_rows = {key: i for i, key in enumerate(d.record_keys())}
     num_events = {key.sort_key: (key, evs) for key, evs in num_outcome.events.items()}
@@ -609,7 +618,7 @@ def _quotient(
         if evs:
             events[record_key or RecordKey(*key)] = evs
     columns = Columns(*c[:4], *_transpose(cells, 3))
-    result = finalize(Dataset(dataset.indicator, columns, num_out.edition, num_out.level))
+    result = refresh_indicator(Dataset(dataset.indicator, columns, num_out.edition, num_out.level))
     return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
 
 

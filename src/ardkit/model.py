@@ -28,8 +28,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
+from operator import is_not
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
@@ -433,6 +434,19 @@ def _per_value(column: tuple, fn) -> Iterator:
     return map(results.__getitem__, column)
 
 
+def _cell_violations(c: Columns, value_kind: CellKind) -> Iterator[Violation]:
+    """Kind, sign and percentage-range violations, row by row."""
+    for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
+        if magnitude is None:
+            continue
+        if kind is not value_kind:
+            yield Violation(V_KIND, i, f"cell kind {kind.value} does not match indicator kind {value_kind.value}")
+        if magnitude < 0:
+            yield Violation(V_NEGATIVE, i, f"negative magnitude {format_magnitude(magnitude)}")
+        if kind is CellKind.PERCENTAGE and not (0 <= magnitude <= 100):
+            yield Violation(V_PERCENTAGE_RANGE, i, f"percentage out of range: {format_magnitude(magnitude)}")
+
+
 def validate_dataset(
     dataset: Dataset,
     vocabulary: "Vocabulary | None" = None,
@@ -446,24 +460,18 @@ def validate_dataset(
             for i, token in enumerate(column):
                 if problems[token] is not None:
                     violations.append(Violation(V_TOKEN, i, f"{label} {token!r}: {problems[token]}"))
+    # Kind, sign and range are decided per column; the rows are walked only
+    # when a column check fails.  Every data row has a magnitude and every
+    # marker none, so when the indicator's kind counts as many rows as there
+    # are magnitudes, every data row is of that kind.
     value_kind = dataset.indicator.value_kind
-    for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
-        if magnitude is None:
-            continue
-        if kind is not value_kind:
-            violations.append(
-                Violation(
-                    V_KIND,
-                    i,
-                    f"cell kind {kind.value} does not match indicator kind {value_kind.value}",
-                )
-            )
-        if magnitude < 0:
-            violations.append(Violation(V_NEGATIVE, i, f"negative magnitude {format_magnitude(magnitude)}"))
-        if kind is CellKind.PERCENTAGE and not (0 <= magnitude <= 100):
-            violations.append(
-                Violation(V_PERCENTAGE_RANGE, i, f"percentage out of range: {format_magnitude(magnitude)}")
-            )
+    magnitudes = list(filter(partial(is_not, None), c.magnitude))
+    if magnitudes and (
+        c.kind.count(value_kind) != len(magnitudes)
+        or min(magnitudes) < 0
+        or (value_kind is CellKind.PERCENTAGE and max(magnitudes) > 100)
+    ):
+        violations.extend(_cell_violations(c, value_kind))
     if vocabulary is not None:
         for label, column, allowed in (("age group", c.age, vocabulary.age_groups), ("sex", c.sex, vocabulary.sexes)):
             if allowed and not allowed.issuperset(column):
@@ -513,7 +521,15 @@ def string_list(doc: Mapping, key: str, default=(), error_cls: type[ArdkitError]
 
 
 def canonical_sort(dataset: Dataset) -> Dataset:
-    """Order records by (geography code, year, age group, sex); stable and idempotent."""
+    """Order records by (geography code, year, age group, sex); stable and idempotent.
+
+    Rows are sorted where their order can change: where they enter from a
+    file (parsing, the CLI's dataset reader) and where keys are rewritten
+    (cleaning, replaying a log).  `forward` and `backward` emit canonical
+    order by construction, and operations that rewrite only cells or drop
+    rows keep their input's order, so a sorted input stays sorted.  An
+    already sorted dataset is returned as is.
+    """
     keys = list(dataset.columns.record_keys())
     order = sorted(range(len(keys)), key=keys.__getitem__)
     if order == list(range(len(keys))):
@@ -530,7 +546,11 @@ def refresh_indicator(dataset: Dataset) -> Dataset:
 
 
 def finalize(dataset: Dataset) -> Dataset:
-    """Canonical form every operation returns: sorted, indicator refreshed."""
+    """Canonical form after keys were rewritten: sorted, indicator refreshed.
+
+    Only stages that rewrite keys need it; one that rewrites cells or
+    drops rows keeps its input's order and calls `refresh_indicator`.
+    """
     return refresh_indicator(canonical_sort(dataset))
 
 
@@ -616,7 +636,7 @@ def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: s
 
 
 def read_csv(text: str, indicator: Indicator) -> Dataset:
-    """Parse a canonical dataset file back into a Dataset."""
+    """Parse a canonical dataset file back into a Dataset; rows keep the file's order."""
     rows = list(csv_rows(text))
     if not rows:
         raise ArdkitError("dataset file is empty")
@@ -654,12 +674,12 @@ def round_counts(dataset: Dataset) -> Dataset:
 
     Uses largest-remainder reconciliation: floors every count in a
     (year, age group, sex) stratum, then hands out the remaining units to
-    the cells with the largest fractional parts (ties to canonical order).
+    the cells with the largest fractional parts (ties to row order, which
+    is canonical order for a sorted dataset).  Rows keep their order.
     """
     if dataset.indicator.value_kind is not CellKind.COUNT:
         return dataset
-    ordered = canonical_sort(dataset)
-    c = ordered.columns
+    c = dataset.columns
     by_stratum: dict[tuple, list[int]] = {}
     for i, (kind, stratum) in enumerate(zip(c.kind, zip(c.year, c.age, c.sex))):
         if kind is CellKind.COUNT:
@@ -679,4 +699,4 @@ def round_counts(dataset: Dataset) -> Dataset:
         bumped = set(remainders[:leftover])
         for j, i in enumerate(indices):
             new_magnitudes[i] = floors[j] + (1 if j in bumped else 0)
-    return ordered.with_columns(c._replace(magnitude=tuple(new_magnitudes)))
+    return dataset.with_columns(c._replace(magnitude=tuple(new_magnitudes)))

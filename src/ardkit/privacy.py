@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import PrivacyError
-from .model import (
-    CellKind,
-    Dataset,
-    canonical_sort,
-    finalize,
-)
+from .model import CellKind, Dataset, refresh_indicator
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,10 @@ class SuppressionLog:
 
 
 def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, SuppressionLog]:
-    """Hide small counts: 0 < magnitude < threshold (and zero when configured)."""
+    """Hide small counts: 0 < magnitude < threshold (and zero when configured).
+
+    Rows keep their order.
+    """
     if dataset.indicator.value_kind is not CellKind.COUNT:
         raise PrivacyError(
             "suppression applies to count datasets only; suppress rates and "
@@ -84,7 +82,7 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
         strata=tuple(sorted(per_stratum.items())),
         total=sum(per_stratum.values()),
     )
-    return finalize(dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))), log
+    return refresh_indicator(dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))), log
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,9 @@ def pseudonymize(column: Sequence[str], pmap: PseudonymMap) -> tuple[tuple[str, 
 def randomize(dataset: Dataset, noise_magnitude: int, seed) -> Dataset:
     """Perturb counts by uniform integer noise in [-k, +k], clamped at zero.
 
-    Seeded and reproducible; draws follow canonical record order.  Zero
-    magnitude is the identity.
+    Seeded and reproducible; draws follow the input's row order, which is
+    canonical order for every dataset a stage or reader returns.  Rows keep
+    their order.  Zero magnitude is the identity.
     """
     if not isinstance(noise_magnitude, int) or isinstance(noise_magnitude, bool) or noise_magnitude < 0:
         raise PrivacyError(f"noise magnitude must be a non-negative integer, got {noise_magnitude!r}")
@@ -154,11 +153,10 @@ def randomize(dataset: Dataset, noise_magnitude: int, seed) -> Dataset:
     if noise_magnitude == 0:
         return dataset
     rng = random.Random(f"{seed}:{dataset.indicator.id}")
-    ordered = canonical_sort(dataset)
-    c = ordered.columns
+    c = dataset.columns
     magnitudes = list(c.magnitude)
     for i, kind in enumerate(c.kind):
         if kind is CellKind.COUNT:
             noise = rng.randint(-noise_magnitude, noise_magnitude)
             magnitudes[i] = max(0, magnitudes[i] + noise)
-    return finalize(ordered.with_columns(c._replace(magnitude=tuple(magnitudes))))
+    return refresh_indicator(dataset.with_columns(c._replace(magnitude=tuple(magnitudes))))

@@ -34,8 +34,8 @@ from .model import (
     V_PERCENTAGE_RANGE,
     describe_key,
     exact_total,
-    finalize,
     format_magnitude,
+    refresh_indicator,
     validate_dataset,
 )
 
@@ -301,7 +301,7 @@ def assign_uncertainty(
     High for unreconstructable values, medium for discarded sub-threshold
     contributions or gap-filled missing inputs, low otherwise.  A level a
     record already carries is never lowered.  A record whose key is absent
-    from `provenance` had no events.
+    from `provenance` had no events.  Rows keep their order.
     """
     by_key = {key.sort_key: set(events) for key, events in provenance.items() if events}
     c = dataset.columns
@@ -317,7 +317,7 @@ def assign_uncertainty(
         else:
             continue
         levels[i] = max(level, levels[i])
-    return finalize(dataset.with_columns(c._replace(uncertainty=tuple(levels))))
+    return refresh_indicator(dataset.with_columns(c._replace(uncertainty=tuple(levels))))
 
 
 @dataclass(frozen=True)
@@ -330,12 +330,12 @@ class RemovalLog:
 
 
 def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
-    """Drop every high-uncertainty record; low and medium stay in."""
+    """Drop every high-uncertainty record; low and medium stay in, in their order."""
     c = dataset.columns
     high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
     removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
     kept = [i for i, is_high in enumerate(high) if not is_high]
-    result = finalize(dataset.with_columns(c.take(kept)))
+    result = refresh_indicator(dataset.with_columns(c.take(kept)))
     return result, RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
 
 

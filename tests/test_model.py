@@ -17,8 +17,14 @@ from ardkit.model import (
     BoundaryEdition,
     CellKind,
     CellValue,
+    Columns,
+    Dataset,
     GeoLevel,
     UncertaintyLevel,
+    V_KIND,
+    V_NEGATIVE,
+    V_PERCENTAGE_RANGE,
+    Violation,
     Vocabulary,
     canonical_sort,
     exact_total,
@@ -120,6 +126,56 @@ class TestValidateDataset:
         before = {(v.rule, v.message) for v in validate_dataset(dataset)}
         after = {(v.rule, v.message) for v in validate_dataset(canonical_sort(dataset))}
         assert before == after
+
+
+def row_loop_cell_violations(dataset) -> list[Violation]:
+    """Kind, sign and percentage-range violations found row by row: the oracle."""
+    value_kind = dataset.indicator.value_kind
+    found = []
+    for i, (kind, magnitude) in enumerate(zip(dataset.columns.kind, dataset.columns.magnitude)):
+        if magnitude is None:
+            continue
+        if kind is not value_kind:
+            found.append(Violation(V_KIND, i, f"cell kind {kind.value} does not match indicator kind {value_kind.value}"))
+        if magnitude < 0:
+            found.append(Violation(V_NEGATIVE, i, f"negative magnitude {format_magnitude(magnitude)}"))
+        if kind is CellKind.PERCENTAGE and not (0 <= magnitude <= 100):
+            found.append(Violation(V_PERCENTAGE_RANGE, i, f"percentage out of range: {format_magnitude(magnitude)}"))
+    return sorted(found, key=lambda v: (v.row, v.rule, v.message))
+
+
+DATA_KIND_LIST = [CellKind.COUNT, CellKind.RATE, CellKind.PERCENTAGE]
+
+
+@st.composite
+def cell_columns_datasets(draw):
+    """Datasets with unique keys whose cells mix kinds, signs and ranges; often of one kind."""
+    value_kind = draw(st.sampled_from(DATA_KIND_LIST))
+    one_kind = draw(st.booleans())
+    data_kind = st.just(value_kind) if one_kind else st.sampled_from(DATA_KIND_LIST)
+    magnitude = st.one_of(
+        st.integers(min_value=-3, max_value=150),
+        st.floats(min_value=-3, max_value=150, allow_nan=False),
+        st.fractions(min_value=-3, max_value=150),
+    )
+    data = st.tuples(data_kind, magnitude)
+    marker = st.tuples(st.sampled_from([CellKind.SUPPRESSED, CellKind.MISSING]), st.none())
+    cells = draw(st.lists(st.one_of(data, marker), max_size=30))
+    n = len(cells)
+    kinds, magnitudes = zip(*cells) if cells else ((), ())
+    columns = Columns(
+        tuple(f"R{i:02d}" for i in range(n)), (2016,) * n, ("0-4",) * n, ("male",) * n,
+        kinds, magnitudes, (UncertaintyLevel.LOW,) * n,
+    )
+    indicator = make_indicator(id="demo.mixed", value_kind=value_kind)
+    return Dataset(indicator, columns, E2016, SA3)
+
+
+class TestValidateCellsPerColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(cell_columns_datasets())
+    def test_equals_the_row_loop(self, dataset):
+        assert validate_dataset(dataset) == row_loop_cell_violations(dataset)
 
 
 class TestCanonicalSort:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -1136,3 +1138,125 @@ class TestBadCliInputs:
         line = 3 if command == "qa" else 2
         assert self.main(*argv) == 2
         assert f"error: {big}: line {line}: field larger than field limit (131072)" in capsys.readouterr().err
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic collector on or off, restoring the caller's state."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """`run` and `main` pause the cyclic collector and leave its state as they found it."""
+
+    @pytest.fixture(scope="class")
+    def small_project(self, tmp_path_factory):
+        return build_demo_project(tmp_path_factory.mktemp("small"), n_2011=10, n_2016=10)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_run_restores_state(self, small_project, tmp_path, enabled):
+        import dataclasses
+
+        config = dataclasses.replace(load_config(small_project), output_dir=tmp_path / "ok")
+        broken = dataclasses.replace(
+            config,
+            output_dir=tmp_path / "failed",
+            indicators=tuple(dataclasses.replace(s, data_path=tmp_path / "absent.csv") for s in config.indicators),
+        )
+        with collector(enabled):
+            seen = []
+            for cfg in (config, broken):
+                result = run(cfg)
+                seen.append((result.failed, gc.isenabled()))
+        assert seen == [(False, enabled), (True, enabled)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_state(self, small_project, tmp_path, capsys, enabled):
+        from ardkit.cli import main
+
+        table = tmp_path / "t.csv"
+        table.write_text("FROM_CODE,TO_CODE,RATIO\nA,B,1\n")
+        argv = ["validate-table", "--table", str(table), "--level", "SA3", "--from-edition", "2011"]
+        with collector(enabled):
+            seen = []
+            for to_edition in ("2016", "2011"):  # valid, then identical editions: exit 2
+                seen.append((main([*argv, "--to-edition", to_edition]), gc.isenabled()))
+            seen.append((main(["run", "--config", str(small_project), "--out", str(tmp_path / "out")]), gc.isenabled()))
+        assert seen == [(0, enabled), (2, enabled), (0, enabled)]
+        assert f"error: {table}: a correspondence table needs two distinct editions" in capsys.readouterr().err
+
+    def test_cyclic_garbage_does_not_grow_with_the_data(self, tmp_path):
+        import dataclasses
+
+        def garbage_after_run(n: int, name: str) -> int:
+            config_path = build_demo_project(tmp_path / name, n_2011=n, n_2016=n)
+            config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / name / "out")
+            gc.collect()
+            with collector(False):
+                assert run(config).exit_code == 0
+                return gc.collect()
+
+        garbage_after_run(10, "warm-up")  # first-use caches are not garbage of a run
+        small, large = garbage_after_run(10, "small"), garbage_after_run(60, "large")
+        assert large <= small
+
+
+class TestCliProcess:
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        import ardkit.cli as cli
+
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        table = tmp_path / "t.csv"
+        table.write_text("FROM_CODE,TO_CODE,RATIO\nA,B,1\n")
+        argv = [
+            "validate-table", "--table", str(table), "--level", "SA3", "--from-edition", "2011", "--to-edition", "2016",
+        ]
+        assert [cli.main(argv), cli.main(argv)] == [0, 0]
+        assert built == [1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["qa", "--help"]], ids=["top", "qa"])
+    def test_help_unchanged(self, capsys, argv):
+        from ardkit.cli import build_parser, main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        got = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert got == capsys.readouterr().out
+        assert got.startswith("usage: ardkit")
+
+    def test_internal_error_exits_2_with_traceback(self, tmp_path, capsys, monkeypatch):
+        import ardkit.cli as cli
+
+        def broken_stage(*args, **kwargs):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(cli, "privacy_stage", broken_stage)
+        (tmp_path / "ind.json").write_text(json.dumps(TestBadCliInputs.INDICATOR))
+        (tmp_path / "data.csv").write_text(TestBadCliInputs.DATA)
+        argv = [
+            "suppress", "--data", tmp_path / "data.csv", "--indicator", tmp_path / "ind.json",
+            "--out-data", tmp_path / "o.csv",
+        ]
+        with collector(True):
+            assert cli.main([str(a) for a in argv]) == 2
+            assert gc.isenabled()
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: stage broke\ninternal error: RuntimeError: stage broke\n")
+        assert not (tmp_path / "o.csv").exists()
