@@ -200,9 +200,12 @@ def _cmd_suppress(args) -> int:
 def _parse_coverage(text: str) -> tuple[int, int]:
     try:
         start, end = text.split(":")
-        return int(start), int(end)
+        coverage = int(start), int(end)
     except ValueError:
         raise ConfigError(f"bad coverage {text!r}; expected START:END") from None
+    if coverage[0] > coverage[1]:
+        raise ConfigError("temporal coverage start is after its end")
+    return coverage
 
 
 def _cmd_qa(args) -> int:

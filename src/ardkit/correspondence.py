@@ -15,10 +15,11 @@ into numerator and denominator counts once, converted as counts along the
 whole route, and divided at the end.
 
 Ratios are stored as exact rationals parsed from the decimal text, so
-per-source sums and redistribution products are exact.  Dataset arithmetic
-runs in double precision by default; ``mode="rational"`` keeps magnitudes
-as exact rationals for use as a reference oracle.  Both modes form each
-product or quotient as one integer fraction; double mode rounds it once.
+per-source sums are exact.  Dataset magnitudes are doubles.  A ratio and a
+magnitude are both integer fractions, so each redistribution product and
+each rate quotient is formed as one ``int / int``, which CPython rounds
+correctly: the result is the double nearest the exact value, rounded once,
+with no intermediate rounding of the ratio to a double.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .model import (
     Columns,
     Dataset,
     GeoLevel,
-    Magnitude,
     RecordKey,
     UncertaintyLevel,
     csv_rows,
@@ -56,9 +56,6 @@ HIGH_EVENTS = frozenset({EVENT_BACKWARD_SUPPRESSED, EVENT_UNRESOLVABLE})
 
 RATIO_SUM_TOLERANCE = Fraction(1, 10**9)
 LOAD_SUM_TOLERANCE = Fraction(1, 10**6)
-
-MODE_DOUBLE = "double"
-MODE_RATIONAL = "rational"
 
 
 def _as_ratio(value: object) -> Fraction:
@@ -293,29 +290,6 @@ def outcomes_from_json(doc) -> tuple[CorrespondenceOutcome, ...]:
     return tuple(CorrespondenceOutcome.from_json(item) for item in doc)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (MODE_DOUBLE, MODE_RATIONAL):
-        raise CorrespondenceError(f"unknown arithmetic mode {mode!r}")
-
-
-def _zero(mode: str) -> Magnitude:
-    return Fraction(0) if mode == MODE_RATIONAL else 0.0
-
-
-def _divide(numerator: int, denominator: int, mode: str) -> Magnitude:
-    """The exact quotient in rational mode, else the nearest double.
-
-    CPython rounds int / int true division correctly, as `Fraction.__float__`
-    does, so double mode gets the bits of ``float(Fraction(p, q))`` without
-    building the Fraction.
-    """
-    return Fraction(numerator, denominator) if mode == MODE_RATIONAL else numerator / denominator
-
-
-def _lift(magnitude: Magnitude, mode: str) -> Magnitude:
-    return Fraction(magnitude) if mode == MODE_RATIONAL else float(magnitude)
-
-
 def _data_total(dataset: Dataset) -> Fraction:
     return exact_total(m for m in dataset.columns.magnitude if m is not None)
 
@@ -329,9 +303,8 @@ def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, int]]:
     return grouped
 
 
-def _check_inputs(dataset: Dataset, table: CorrespondenceTable, mode: str, edition: BoundaryEdition, role: str) -> None:
+def _check_inputs(dataset: Dataset, table: CorrespondenceTable, edition: BoundaryEdition, role: str) -> None:
     """Reject a dataset that is not counts at `edition` and the table's level."""
-    _check_mode(mode)
     if dataset.edition is not edition:
         raise CorrespondenceError(f"dataset is at edition {int(dataset.edition)}, table {role} {int(edition)}")
     if dataset.level is not table.level:
@@ -360,8 +333,6 @@ def _converted(
 def forward(
     dataset: Dataset,
     table: CorrespondenceTable,
-    *,
-    mode: str = MODE_DOUBLE,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Redistribute counts to the table's later edition: value(T) = sum ratio(S->T) * value(S).
 
@@ -369,7 +340,7 @@ def forward(
     high uncertainty); missing inputs contribute zero mass and tag their
     targets medium uncertainty, with the omission logged in the outcome.
     """
-    _check_inputs(dataset, table, mode, table.from_edition, "starts at")
+    _check_inputs(dataset, table, table.from_edition, "starts at")
     edges_by_source = {
         code: tuple((e.target, e.ratio.numerator, e.ratio.denominator) for e in edges)
         for code, edges in table.positive_edges_by_source().items()
@@ -378,7 +349,6 @@ def forward(
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     kinds, magnitudes, levels = dataset.columns[4:]
-    zero = _zero(mode)
     by_region: dict[str, list[tuple]] = {}
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
@@ -387,7 +357,7 @@ def forward(
     for stratum in sorted(grouped):
         present = grouped[stratum]
         year, age, sex = stratum
-        acc: dict[str, Magnitude] = {}
+        acc: dict[str, float] = {}
         unc: dict[str, UncertaintyLevel] = {}
         suppress_taint: set[str] = set()
         fill_taint: set[str] = set()
@@ -406,9 +376,10 @@ def forward(
                         f"{describe_key(code, *stratum)}: missing input contributed zero mass to {tcode}"
                     )
             else:
+                # CPython rounds int / int correctly: the double nearest ratio * magnitude.
                 n, d = magnitude.as_integer_ratio()
                 for tcode, ratio_n, ratio_d in edges:
-                    acc[tcode] = acc.get(tcode, zero) + _divide(ratio_n * n, ratio_d * d, mode)
+                    acc[tcode] = acc.get(tcode, 0.0) + ratio_n * n / (ratio_d * d)
         for tcode, level in unc.items():
             rows = by_region.setdefault(tcode, [])
             if tcode in suppress_taint:
@@ -419,7 +390,7 @@ def forward(
             if tcode in fill_taint:
                 level = max(level, UncertaintyLevel.MEDIUM)
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
-            rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, zero), level))
+            rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, 0.0), level))
     result = _converted(dataset, by_region, table, table.to_edition)
     outcome = CorrespondenceOutcome(
         op="forward",
@@ -439,8 +410,6 @@ def backward(
     dataset: Dataset,
     table: CorrespondenceTable,
     policy: CorrespondencePolicy,
-    *,
-    mode: str = MODE_DOUBLE,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Reconstruct counts at the table's earlier edition from later-edition data.
 
@@ -450,7 +419,7 @@ def backward(
     unreconstructable and it is emitted suppressed with high uncertainty.
     Discarded contributions tag the region medium uncertainty.
     """
-    _check_inputs(dataset, table, mode, table.to_edition, "targets")
+    _check_inputs(dataset, table, table.to_edition, "targets")
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
     unknown = sorted(set(dataset.columns.region) - set(feeders))
@@ -486,41 +455,31 @@ def backward(
                 rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
                 events[RecordKey(source, year, age, sex)] = (EVENT_BACKWARD_SUPPRESSED,)
                 continue
-            evs: list[str] = []
-            if shares:
-                evs.append(EVENT_SUBTHRESHOLD_DISCARD)
-            total = _zero(mode)
+            total = 0.0
             level = UncertaintyLevel.LOW
-            unresolvable = False
+            fills: list[str] = []
             for target in sole_targets:
                 i = present.get(target)
                 if i is None:
-                    if EVENT_ZERO_FILL not in evs:
-                        evs.append(EVENT_ZERO_FILL)
-                    zero_filled.append(
-                        f"{describe_key(source, *stratum)}: no data for sole target {target}, counted as zero"
-                    )
+                    fills.append(f"no data for sole target {target}")
                     continue
                 level = max(level, levels[i])
                 if kinds[i] is CellKind.SUPPRESSED:
-                    unresolvable = True
+                    rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
+                    events[RecordKey(source, year, age, sex)] = (EVENT_UNRESOLVABLE,)
                     break
                 if kinds[i] is CellKind.MISSING:
-                    if EVENT_ZERO_FILL not in evs:
-                        evs.append(EVENT_ZERO_FILL)
-                    zero_filled.append(
-                        f"{describe_key(source, *stratum)}: missing value for sole target {target}, counted as zero"
-                    )
+                    fills.append(f"missing value for sole target {target}")
                     continue
-                total = total + _lift(magnitudes[i], mode)
-            if unresolvable:
-                rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
-                events[RecordKey(source, year, age, sex)] = (EVENT_UNRESOLVABLE,)
-                continue
-            if evs:
-                level = max(level, UncertaintyLevel.MEDIUM)
-                events[RecordKey(source, year, age, sex)] = tuple(evs)
-            rows.append((source, year, age, sex, CellKind.COUNT, total, level))
+                total += magnitudes[i]
+            else:
+                # Only a region that is emitted as a count logs what it counted as zero.
+                zero_filled.extend(f"{describe_key(source, *stratum)}: {fill}, counted as zero" for fill in fills)
+                evs = ((EVENT_SUBTHRESHOLD_DISCARD,) if shares else ()) + ((EVENT_ZERO_FILL,) if fills else ())
+                if evs:
+                    level = max(level, UncertaintyLevel.MEDIUM)
+                    events[RecordKey(source, year, age, sex)] = evs
+                rows.append((source, year, age, sex, CellKind.COUNT, total, level))
     result = _converted(dataset, by_region, table, table.from_edition)
     outcome = CorrespondenceOutcome(
         op="backward",
@@ -536,7 +495,7 @@ def backward(
     return result, outcome
 
 
-def _derive_count_pair(dataset: Dataset, denominator: Dataset, mode: str) -> tuple[Dataset, Dataset]:
+def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset, Dataset]:
     """Split a rate/percentage dataset into numerator and denominator counts.
 
     Both keep the dataset's key columns; the denominator's cells are those
@@ -563,7 +522,7 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset, mode: str) -> tup
         else:
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
-            numerator_cells.append((CellKind.COUNT, _divide(n * denom_n, q * denom_q, mode), worst))
+            numerator_cells.append((CellKind.COUNT, n * denom_n / (q * denom_q), worst))
         denominator_cells.append((denom_kind, denom_magnitude, denom_level))
     keys = c[:4]
     num_indicator = replace(dataset.indicator, id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
@@ -585,8 +544,6 @@ def _quotient(
     num_out: Dataset,
     den_out: Dataset,
     num_outcome: CorrespondenceOutcome,
-    *,
-    mode: str,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Divide converted numerator counts by converted denominator counts; rows keep their order."""
     c, d = num_out.columns, den_out.columns
@@ -614,7 +571,7 @@ def _quotient(
         else:
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
-            cells.append((value_kind, _divide(n * denom_q, q * denom_n, mode), level))
+            cells.append((value_kind, n * denom_q / (q * denom_n), level))
         if evs:
             events[record_key or RecordKey(*key)] = evs
     columns = Columns(*c[:4], *_transpose(cells, 3))
@@ -680,7 +637,6 @@ def execute_plan(
     tables: Mapping[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable],
     policy: CorrespondencePolicy,
     *,
-    mode: str = MODE_DOUBLE,
     denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
     """Apply a route plan step by step.
@@ -703,21 +659,21 @@ def execute_plan(
         outcomes = []
         for op, table in steps:
             if op == "forward":
-                counts, outcome = forward(counts, table, mode=mode)
+                counts, outcome = forward(counts, table)
             else:
-                counts, outcome = backward(counts, table, policy, mode=mode)
+                counts, outcome = backward(counts, table, policy)
             outcomes.append(outcome)
         return counts, outcomes
 
     if not steps or denominator is None or dataset.indicator.value_kind is CellKind.COUNT:
         result, outcomes = convert(dataset)
         return result, tuple(outcomes)
-    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator, mode)
+    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
     num_out, outcomes = convert(numerator_ds)
     den_out, _ = convert(denominator_ds)
     outcomes = [
         replace(o, input_total=Fraction(0), output_total=Fraction(0), conserving=False)
         for o in outcomes
     ]
-    result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1], mode=mode)
+    result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1])
     return result, tuple(outcomes)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
 
-Magnitude = int | float | Fraction
+Magnitude = int | float
 
 
 class BoundaryEdition(enum.IntEnum):
@@ -122,13 +122,9 @@ class NestDomain(enum.Enum):
 
 
 def _is_magnitude(value: object) -> bool:
-    # Floats first: `Fraction` is an abstract base class, so an isinstance
-    # check against it is slow for everything that is not a Fraction.
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, Fraction))
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_data_kind(kind: CellKind) -> bool:
@@ -196,35 +192,26 @@ def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
     """Exact sum of magnitudes, equal to ``sum(map(Fraction, magnitudes))``.
 
     Ints and floats are dyadic rationals, so their numerators are summed as
-    one integer over the largest power-of-two denominator seen; only real
-    Fractions are added as Fractions.
+    one integer over the largest power-of-two denominator seen.
     """
-    numerator, shift = 0, 0  # the dyadic part is numerator / 2**shift
-    rest = Fraction(0)
+    numerator, shift = 0, 0  # the sum is numerator / 2**shift
     for magnitude in magnitudes:
-        if not isinstance(magnitude, (int, float)):
-            rest += magnitude
-            continue
         n, d = magnitude.as_integer_ratio()
         k = d.bit_length() - 1
         if k > shift:
             numerator <<= k - shift
             shift = k
         numerator += n << (shift - k)
-    return Fraction(numerator, 1 << shift) + rest
+    return Fraction(numerator, 1 << shift)
 
 
 def format_magnitude(magnitude: Magnitude) -> str:
     """Shortest decimal text that round-trips through float()."""
-    if isinstance(magnitude, float):
-        value = magnitude
-    elif isinstance(magnitude, int):
+    if isinstance(magnitude, int):
         return str(magnitude)
-    else:
-        value = float(magnitude)
-    if value.is_integer() and abs(value) < 2**53:
-        return str(int(value))
-    return repr(value)
+    if magnitude.is_integer() and abs(magnitude) < 2**53:
+        return str(int(magnitude))
+    return repr(magnitude)
 
 
 def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> str:
@@ -572,8 +559,8 @@ _EXACT_INTEGERS = 2**53
 def _value_texts(kinds: tuple[CellKind, ...], magnitudes: tuple[Magnitude | None, ...]) -> list[str]:
     """The VALUE column's text, each distinct magnitude formatted once.
 
-    Equal magnitudes of different types (5, 5.0, Fraction(5)) share one
-    text; they format alike below 2**53, the only range the memo covers.
+    Equal magnitudes of different types (5 and 5.0) share one text; they
+    format alike below 2**53, the only range the memo covers.
     """
     texts = {
         m: format_magnitude(m)

@@ -605,6 +605,7 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
     registry = SourceRegistry()
     results: dict[str, IndicatorResult] = {}
     failure: str | None = None
+    defect: Exception | None = None
     try:
         for source in config.sources:
             registry = register_source(registry, source)
@@ -617,15 +618,10 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         for spec in sorted(config.indicators, key=lambda s: (s.denominator is not None, s.indicator.id)):
             result, dataset = _process_indicator(config, spec, tables, cleaned.get(spec.denominator))
             results[result.indicator_id] = result
+            artifacts.update(result.artifacts)
             if result.indicator_id in needed:
                 cleaned[result.indicator_id] = dataset
-    except ArdkitError as exc:
-        failure = str(exc)
 
-    for result in results.values():
-        artifacts.update(result.artifacts)
-
-    if failure is None:
         final_indicators = [results[i].final_indicator for i in sorted(results)]
         docs_config = config.docs_config()
         artifacts["dictionary.published.md"] = emit_dictionary(
@@ -696,6 +692,14 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
             "artifacts": sorted([*artifacts, "run.json"]),
         }
         artifacts["run.json"] = canonical_dumps(summary)
+    except ArdkitError as exc:
+        failure = str(exc)
+    except Exception as exc:
+        # A defect, not bad input: leave the partial tree, then let it propagate.
+        failure = f"internal error: {type(exc).__name__}: {exc}"
+        defect = exc
+
+    if failure is None:
         _write_artifacts(out_dir, artifacts)
         (out_dir / "FAILED").unlink(missing_ok=True)
         message = f"{len(results)} indicator(s); {errors} failing, {warnings} warning(s)"
@@ -703,4 +707,6 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
 
     artifacts["FAILED"] = failure + "\n"
     _write_artifacts(out_dir, artifacts)
+    if defect is not None:
+        raise defect
     return RunResult(2, out_dir, True, 0, 1, failure)

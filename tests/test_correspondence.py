@@ -1,4 +1,4 @@
-"""Correspondence engine tests, checked against an independent dense oracle."""
+"""Correspondence engine tests, checked against a dense matrix product and the per-row oracle."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from ardkit.correspondence import (
     EVENT_BACKWARD_SUPPRESSED,
     EVENT_SUBTHRESHOLD_DISCARD,
     EVENT_ZERO_FILL,
-    MODE_RATIONAL,
     CorrespondenceOutcome,
     CorrespondencePolicy,
     PlanStep,
@@ -25,8 +24,9 @@ from ardkit.correspondence import (
     plan_route,
 )
 from ardkit.errors import CorrespondenceError, RouteError
-from ardkit.model import BoundaryEdition, CellKind, CellValue, UncertaintyLevel
+from ardkit.model import BoundaryEdition, CellKind, CellValue, UncertaintyLevel, canonical_sort
 
+import oracle
 from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
 from tabgen import random_counts, random_table
 
@@ -52,6 +52,22 @@ def magnitudes(dataset) -> dict[str, object]:
 
 def cells(dataset) -> dict[str, object]:
     return {r.key.region: r.value for r in dataset.records}
+
+
+def assert_matches_oracle(dataset, outcome, want: oracle.Converted):
+    """Same keys, kinds, uncertainty, events and zero-fill log; magnitudes within 1e-9."""
+    got = oracle.cells(dataset)
+    assert got.keys() == want.cells.keys()
+    for key, (kind, magnitude, level) in want.cells.items():
+        got_kind, got_magnitude, got_level = got[key]
+        assert (got_kind, got_level) == (kind, level), key
+        if magnitude is None:
+            assert got_magnitude is None, key
+        else:
+            assert float(got_magnitude) == pytest.approx(float(magnitude), rel=1e-9, abs=1e-9), key
+    assert all(type(m) is float for m in dataset.columns.magnitude if m is not None)
+    assert {(k.region, k.calendar_year, k.age_group, k.sex): evs for k, evs in outcome.events.items()} == want.events
+    assert sorted(outcome.zero_filled) == sorted(want.zero_filled)
 
 
 class TestLoadTable:
@@ -238,12 +254,10 @@ class TestForwardProperties:
         total_in = sum(magnitudes(data).values())
         total_out = sum(magnitudes(out).values())
         assert total_out == pytest.approx(total_in, rel=1e-9)
-        # Exact in rational mode.
-        exact_out, exact_outcome = forward(data, table, mode=MODE_RATIONAL)
-        assert sum(Fraction(m) for m in magnitudes(exact_out).values()) == sum(
-            Fraction(m) for m in magnitudes(data).values()
-        )
-        assert exact_outcome.input_total == exact_outcome.output_total
+        assert outcome.input_total == sum(Fraction(m) for m in magnitudes(data).values())
+        # Exact in the oracle.
+        exact = oracle.forward(oracle.cells(data), table)
+        assert sum(value for _, value, _ in exact.cells.values()) == outcome.input_total
 
 
 class TestBackward:
@@ -347,11 +361,11 @@ class TestBackward:
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(table_and_counts(split_only=True, max_regions=20))
-    def test_rational_mode_round_trip_is_identity(self, case):
+    def test_oracle_round_trip_is_identity(self, case):
         table, data = case
-        later, _ = forward(data, table, mode=MODE_RATIONAL)
-        rebuilt, _ = backward(later, table, POLICY, mode=MODE_RATIONAL)
-        assert rebuilt == data
+        original = oracle.cells(data)
+        rebuilt = oracle.backward(oracle.forward(original, table).cells, table)
+        assert rebuilt == (original, {}, [])
 
     @settings(max_examples=40, deadline=None)
     @given(table_and_counts(split_only=True, max_regions=20))
@@ -481,15 +495,42 @@ class TestMultiHopRates:
             edition=E2006, indicator=indicator,
         )
         denom = make_counts({code: rng.randint(1, 1000) for code in sources}, edition=E2006)
-        two_hop = execute_plan(
-            rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
-            mode=MODE_RATIONAL, denominator=denom,
-        )[0]
-        one_hop = execute_plan(
-            rates, plan_route(E2006, E2016, [one]), {(E2006, E2016): one}, POLICY,
-            mode=MODE_RATIONAL, denominator=denom,
-        )[0]
+        rates_cells, denom_cells = oracle.cells(rates), oracle.cells(denom)
+        two_hop = oracle.rate_route(
+            rates_cells, denom_cells, [("forward", t1), ("forward", t2)], value_kind=CellKind.RATE
+        )
+        one_hop = oracle.rate_route(rates_cells, denom_cells, [("forward", one)], value_kind=CellKind.RATE)
         assert two_hop == one_hop
+        out, outcomes = execute_plan(
+            rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
+            denominator=denom,
+        )
+        assert_matches_oracle(out, outcomes[-1], two_hop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_backward_rate_route_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        table, _ = random_table(rng, max_regions=30)
+        targets = sorted({e.target for e in table.edges})
+
+        def cell(value):
+            roll = rng.random()
+            return CellValue.missing() if roll < 0.05 else CellValue.suppressed() if roll < 0.1 else value
+
+        indicator = make_indicator(id="demo.percentage", value_kind=CellKind.PERCENTAGE)
+        shares = make_counts(
+            {code: cell(CellValue.percentage(rng.randint(0, 400) / 4)) for code in targets},
+            edition=E2016, indicator=indicator,
+        )
+        denom = make_counts({code: cell(CellValue.count(rng.choice([0, rng.randint(1, 1000)]))) for code in targets})
+        out, (outcome,) = execute_plan(
+            shares, plan_route(E2016, E2011, [table]), {(E2011, E2016): table}, POLICY, denominator=denom,
+        )
+        want = oracle.rate_route(
+            oracle.cells(shares), oracle.cells(denom), [("backward", table)], value_kind=CellKind.PERCENTAGE
+        )
+        assert_matches_oracle(out, outcome, want)
 
 
 class TestOutcomeSerialization:
@@ -518,18 +559,22 @@ class TestOutcomeSerialization:
 
 class TestRationalRates:
     def test_identity_rate_conversion_is_exact(self):
-        # The numerator count 0.1 x 3 stays exact, so dividing by 3 gives 0.1 back.
+        # The oracle's numerator count 0.1 x 3 stays exact, so dividing by 3 gives 0.1 back.
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
         rates = make_counts({"A": CellValue.rate(0.1)}, edition=E2011, indicator=indicator)
         denom = make_counts({"A": 3}, edition=E2011)
         table = make_table([("A", "A", "1")])
-        out, _ = execute_plan(
-            rates, plan_route(E2011, E2016, [table]), {(E2011, E2016): table}, POLICY,
-            mode=MODE_RATIONAL, denominator=denom,
+        exact = oracle.rate_route(
+            oracle.cells(rates), oracle.cells(denom), [("forward", table)], value_kind=CellKind.RATE
         )
-        (magnitude,) = magnitudes(out).values()
+        ((kind, magnitude, _),) = exact.cells.values()
+        assert kind is CellKind.RATE
         assert type(magnitude) is Fraction
         assert magnitude == Fraction(0.1)
+        out, (outcome,) = execute_plan(
+            rates, plan_route(E2011, E2016, [table]), {(E2011, E2016): table}, POLICY, denominator=denom,
+        )
+        assert_matches_oracle(out, outcome, exact)
 
 
 def old_double_product(ratio: Fraction, magnitude) -> float:
@@ -579,34 +624,41 @@ class TestDoubleArithmeticBits:
             assert magnitudes(out)[code].hex() == expected.hex()
 
 
-def assert_modes_agree(double, rational, double_outcome, rational_outcome):
-    assert [r.key for r in double.records] == [r.key for r in rational.records]
-    for d, r in zip(double.records, rational.records):
-        assert d.value.kind is r.value.kind
-        assert d.value.uncertainty is r.value.uncertainty
-        if r.value.is_data:
-            assert type(d.value.magnitude) is float
-            assert d.value.magnitude == pytest.approx(float(r.value.magnitude), rel=1e-9, abs=1e-9)
-    assert double_outcome.events == rational_outcome.events
-    assert double_outcome.zero_filled == rational_outcome.zero_filled
+LEVELS = (UncertaintyLevel.LOW, UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM, UncertaintyLevel.HIGH)
+STRATA = ((2016, "0-4", "female"), (2016, "0-4", "male"), (2017, "5-9", "male"))
 
 
-class TestModesAgreeAtScale:
+def scattered(rng, dataset, holes=0.05):
+    """`dataset` with about `holes` of its rows dropped, missing or suppressed, and mixed uncertainty."""
+    records = []
+    for region, year, age, sex, kind, magnitude, _ in zip(*dataset.columns):
+        if kind is CellKind.COUNT and rng.random() < holes:
+            kind, magnitude = rng.choice([None, CellKind.MISSING, CellKind.SUPPRESSED]), None
+            if kind is None:
+                continue
+        value = CellValue(kind, magnitude, rng.choice(LEVELS))
+        records.append(make_record(region, value, year=year, age=age, sex=sex))
+    return canonical_sort(dataset.with_records(records))
+
+
+class TestOracleAgreesAtScale:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_double_matches_rational_oracle(self, seed):
+    def test_double_matches_oracle(self, seed):
         rng = random.Random(seed)
         table, sources = random_table(rng, max_regions=2000)
-        cells = {code: rng.choice([rng.randint(0, 10_000), rng.random() * 1e4]) for code in sources}
-        for code in rng.sample(sources, len(sources) // 20):
-            cells[code] = rng.choice([CellValue.missing(), CellValue.suppressed()])
-        data = make_counts(cells, edition=E2011)
-        fwd_double, fwd_double_outcome = forward(data, table)
-        fwd_rational, fwd_rational_outcome = forward(data, table, mode=MODE_RATIONAL)
-        assert_modes_agree(fwd_double, fwd_rational, fwd_double_outcome, fwd_rational_outcome)
-        back_double, back_double_outcome = backward(fwd_double, table, POLICY)
-        back_rational, back_rational_outcome = backward(fwd_rational, table, POLICY, mode=MODE_RATIONAL)
-        assert_modes_agree(back_double, back_rational, back_double_outcome, back_rational_outcome)
+        records = [
+            make_record(code, CellValue.count(rng.choice([rng.randint(0, 10_000), rng.random() * 1e4])),
+                        year=year, age=age, sex=sex)
+            for code in sources for year, age, sex in rng.sample(STRATA, rng.randint(2, len(STRATA)))
+        ]
+        data = scattered(rng, make_counts({}, edition=E2011).with_records(records))
+        later, outcome = forward(data, table)
+        assert_matches_oracle(later, outcome, oracle.forward(oracle.cells(data), table))
+        assert outcome.conserving is not any(kind is CellKind.SUPPRESSED for kind in later.columns.kind)
+        later = scattered(rng, later)
+        rebuilt, outcome = backward(later, table, POLICY)
+        assert_matches_oracle(rebuilt, outcome, oracle.backward(oracle.cells(later), table))
 
 
 class CountingFraction(Fraction):

@@ -99,3 +99,60 @@ def test_start_up_does_not_load_jsonschema(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+ORACLE = Path(__file__).with_name("oracle.py")
+ORACLE_MAY_IMPORT = {
+    # Reading a table is not under test; everything the engine decides is.
+    "ardkit.correspondence": {"load_table", "CorrespondenceTable"},
+    "ardkit.model": {"CellKind", "UncertaintyLevel", "Dataset", "BoundaryEdition", "GeoLevel"},
+}
+TEST_HELPERS = {p.stem for p in Path(__file__).parent.glob("*.py")}
+EVENT_NAMES = {"subthreshold-discard", "missing-zero-fill", "backward-suppressed", "unresolvable-redistribution"}
+
+
+def oracle_dependencies(source: str) -> list[str]:
+    """Imports that would let the oracle share the engine's logic.
+
+    Only the names in ORACLE_MAY_IMPORT may come from ardkit, and no test
+    helper may be imported, since the helpers import ardkit freely.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [("." * node.level + (node.module or ""), alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in modules:
+            top = module.partition(".")[0]
+            engine = top in ("", "ardkit") and name not in ORACLE_MAY_IMPORT.get(module, ())
+            if engine or top in TEST_HELPERS:
+                found.append(f"line {node.lineno}: {module.rstrip('.')}" + (f".{name}" if name else ""))
+    return found
+
+
+def test_oracle_is_independent_of_the_engine():
+    source = ORACLE.read_text(encoding="utf-8")
+    assert oracle_dependencies(source) == []
+    literals = {node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)}
+    assert EVENT_NAMES <= literals
+
+
+def test_oracle_dependency_is_reported():
+    source = (
+        "from fractions import Fraction\n"
+        "from ardkit.model import CellKind, exact_total\n"
+        "from ardkit.correspondence import EVENT_ZERO_FILL, load_table\n"
+        "import ardkit.qa\n"
+        "from . import sibling\n"
+        "from tabgen import random_table\n"
+    )
+    assert oracle_dependencies(source) == [
+        "line 2: ardkit.model.exact_total",
+        "line 3: ardkit.correspondence.EVENT_ZERO_FILL",
+        "line 4: ardkit.qa",
+        "line 5: .sibling",
+        "line 6: tabgen.random_table",
+    ]

@@ -299,6 +299,28 @@ class TestFailureHandling:
         assert result.message == expected
         assert (tmp_path / "out" / "FAILED").read_text() == expected + "\n"
 
+    @pytest.mark.parametrize("stage", ["_process_indicator", "emit_dictionary"])
+    def test_unexpected_exception_leaves_failed_tree_and_exits_2(
+        self, demo_project, tmp_path, capsys, monkeypatch, stage
+    ):
+        import ardkit.pipeline as pipeline
+        from ardkit.cli import main
+
+        def broken_stage(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, stage, broken_stage)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(demo_project), "--out", str(out)]) == 2
+        assert (out / "FAILED").read_text() == "internal error: RuntimeError: boom\n"
+        # The same partial tree as a fatal input error: what was done before the failure.
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert "registry.json" in written and "run.json" not in written
+        assert ("datasets/demo.hospital_visits.csv" in written) is (stage == "emit_dictionary")
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("internal error: RuntimeError: boom\n")
+
     def test_successful_rerun_clears_stale_failed_marker(self, demo_project, tmp_path):
         import dataclasses
 
@@ -993,6 +1015,19 @@ class TestBadCliInputs:
             self.main(*argv, "--table", tmp_path / "t.csv")
         assert exc.value.code == 2
         assert "invalid choice: 2013" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [("clean", {"--out-data": "o.csv", "--log": "log.jsonl"}), ("qa", {"--report": "r.json"})],
+        ids=["clean", "qa"],
+    )
+    def test_reversed_coverage_exit_2(self, tmp_path, capsys, command, outputs):
+        data, indicator = self.files(tmp_path)
+        flags = [item for flag, name in outputs.items() for item in (flag, tmp_path / name)]
+        code = self.main(command, "--data", data, "--indicator", indicator, "--coverage", "2020:2010", *flags)
+        assert code == 2
+        assert "error: temporal coverage start is after its end" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in outputs.values())
 
     def test_non_numeric_threshold_in_config_exit_2(self, tmp_path, capsys):
         config_path = build_demo_project(tmp_path / "proj")
