@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CleaningError
+from .jsonio import parse_json
 from .model import (
     CellKind,
     Columns,
@@ -131,16 +132,19 @@ class CleaningEntry:
         return doc
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "CleaningEntry":
-        return cls(
-            op=doc["op"],
-            row=doc["row"],
-            rule=doc["rule"],
-            field=doc.get("field"),
-            before=doc.get("before"),
-            after=doc.get("after"),
-            reason=doc.get("reason"),
-        )
+    def from_json(cls, doc, where: str = "cleaning log entry") -> "CleaningEntry":
+        """Build from one entry's document; a wrongly shaped one raises CleaningError naming `where`."""
+        if not isinstance(doc, Mapping):
+            raise CleaningError(f"{where}: entry is not a JSON object")
+        op, row = doc.get("op"), doc.get("row")
+        if op not in ("set", "drop"):
+            raise CleaningError(f"{where}: op must be 'set' or 'drop', not {op!r}")
+        if isinstance(row, bool) or not isinstance(row, int) or row < 0:
+            raise CleaningError(f"{where}: row must be a non-negative integer, not {row!r}")
+        for key, required in (("rule", True), ("field", op == "set"), ("reason", False)):
+            if not isinstance(doc.get(key), str) and (required or doc.get(key) is not None):
+                raise CleaningError(f"{where}: {key} must be a string, not {doc.get(key)!r}")
+        return cls(op, row, doc["rule"], doc.get("field"), doc.get("before"), doc.get("after"), doc.get("reason"))
 
 
 @dataclass(frozen=True)
@@ -155,12 +159,10 @@ class CleaningLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CleaningLog":
-        entries = tuple(
-            CleaningEntry.from_json(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        )
-        return cls(entries)
+        """Parse a log; a line that is not one entry's JSON object raises CleaningError naming it."""
+        lines = [(f"cleaning log line {n}", line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+        entries = (CleaningEntry.from_json(parse_json(line, CleaningError, where), where) for where, line in lines)
+        return cls(tuple(entries))
 
 
 def _value_doc(kind: CellKind, magnitude, uncertainty: UncertaintyLevel) -> dict:
@@ -206,7 +208,9 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
 
     Deterministic and idempotent; with ``dedupe_policy=sum`` the total count
     mass of data cells is conserved (missing cells carry no mass; a
-    suppressed duplicate taints its merged cell suppressed).
+    suppressed duplicate taints its merged cell suppressed).  When it logs
+    no change, the result holds the input's own `columns` object, unless
+    the rows had to be sorted.
     """
     c = dataset.columns
     entries: list[CleaningEntry] = []
@@ -294,8 +298,9 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
                     removed.add(i)
         working = [i for i in working if i not in removed]
 
-    columns = Columns(region, year, age, sex, kinds, magnitudes, levels).take(working)
-    cleaned = finalize(dataset.with_columns(columns))
+    if entries:  # every repair and every drop logs an entry
+        dataset = dataset.with_columns(Columns(region, year, age, sex, kinds, magnitudes, levels).take(working))
+    cleaned = finalize(dataset)
     violations = validate_dataset(cleaned)
     if violations:
         details = "; ".join(f"{v.locator()}: {v.message}" for v in violations[:10])

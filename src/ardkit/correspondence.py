@@ -348,7 +348,9 @@ def forward(
     unknown = sorted(set(dataset.columns.region) - set(edges_by_source))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
+    targets_by_source = {code: tuple(tcode for tcode, _, _ in edges) for code, edges in edges_by_source.items()}
     kinds, magnitudes, levels = dataset.columns[4:]
+    low = UncertaintyLevel.LOW
     by_region: dict[str, list[tuple]] = {}
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled: list[str] = []
@@ -364,13 +366,18 @@ def forward(
         for code in sorted(present):
             i = present[code]
             kind, magnitude, level = kinds[i], magnitudes[i], levels[i]
-            edges = edges_by_source[code]
-            for tcode, _, _ in edges:
-                unc[tcode] = max(unc.get(tcode, UncertaintyLevel.LOW), level)
+            edges, targets = edges_by_source[code], targets_by_source[code]
+            # A low level raises no target's level; it only enters targets not yet seen.
+            if level is low:
+                for tcode in targets:
+                    unc.setdefault(tcode, low)
+            else:
+                for tcode in targets:
+                    unc[tcode] = max(unc.get(tcode, low), level)
             if kind is CellKind.SUPPRESSED:
-                suppress_taint.update(tcode for tcode, _, _ in edges)
+                suppress_taint.update(targets)
             elif kind is CellKind.MISSING:
-                for tcode, _, _ in edges:
+                for tcode in targets:
                     fill_taint.add(tcode)
                     zero_filled.append(
                         f"{describe_key(code, *stratum)}: missing input contributed zero mass to {tcode}"
@@ -382,12 +389,12 @@ def forward(
                     acc[tcode] = acc.get(tcode, 0.0) + ratio_n * n / (ratio_d * d)
         for tcode, level in unc.items():
             rows = by_region.setdefault(tcode, [])
-            if tcode in suppress_taint:
+            if suppress_taint and tcode in suppress_taint:
                 tainted = True
                 rows.append((tcode, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_UNRESOLVABLE,)
                 continue
-            if tcode in fill_taint:
+            if fill_taint and tcode in fill_taint:
                 level = max(level, UncertaintyLevel.MEDIUM)
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
             rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, 0.0), level))

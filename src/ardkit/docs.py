@@ -13,12 +13,11 @@ detectable.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DocsError
-from .jsonio import compact_dumps, sha256_hex
+from .jsonio import compact_dumps, parse_json, sha256_hex
 from .model import Dataset, Indicator, UncertaintyLevel
 
 EN_DASH = "–"
@@ -375,18 +374,24 @@ class ProvenanceEntry:
         return doc
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "ProvenanceEntry":
+    def from_json(cls, doc, where: str = "provenance entry") -> "ProvenanceEntry":
+        """Build from one entry's document; a wrongly shaped one raises DocsError naming `where`."""
+        if not isinstance(doc, Mapping):
+            raise DocsError(f"{where}: entry is not a JSON object")
+        for key in _ENTRY_TEXT_KEYS:
+            if not isinstance(doc.get(key), str):
+                raise DocsError(f"{where}: {key} must be a string, not {doc.get(key)!r}")
+        for key in ("input_digests", "output_digests"):
+            if not isinstance(doc.get(key), list) or not all(isinstance(d, str) for d in doc[key]):
+                raise DocsError(f"{where}: {key} must be a list of strings, not {doc.get(key)!r}")
         return cls(
-            timestamp=doc["timestamp"],
-            actor=doc["actor"],
-            stage=doc["stage"],
-            decision_text=doc["decision_text"],
+            **{key: doc[key] for key in _ENTRY_TEXT_KEYS},
             input_digests=tuple(doc["input_digests"]),
             output_digests=tuple(doc["output_digests"]),
-            tool_version=doc["tool_version"],
-            prev_digest=doc["prev_digest"],
-            digest=doc["digest"],
         )
+
+
+_ENTRY_TEXT_KEYS = ("timestamp", "actor", "stage", "decision_text", "tool_version", "prev_digest", "digest")
 
 
 @dataclass(frozen=True)
@@ -404,14 +409,16 @@ class ProvenanceLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ProvenanceLog":
-        lines = [line for line in text.splitlines() if line.strip()]
+        """Parse a log; a line that is not the header or one entry raises DocsError naming it."""
+        lines = [(f"provenance log line {n}", line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
         if not lines:
             raise DocsError("provenance log is empty; expected a header line")
-        header = json.loads(lines[0])
-        if header.get("format") != PROVENANCE_HEADER["format"]:
-            raise DocsError(f"unknown provenance log format {header.get('format')!r}")
-        entries = tuple(ProvenanceEntry.from_json(json.loads(line)) for line in lines[1:])
-        return cls(entries)
+        where, line = lines[0]
+        header = parse_json(line, DocsError, where)
+        if not isinstance(header, Mapping) or header.get("format") != PROVENANCE_HEADER["format"]:
+            raise DocsError(f"{where}: not a {PROVENANCE_HEADER['format']} header")
+        entries = (ProvenanceEntry.from_json(parse_json(line, DocsError, where), where) for where, line in lines[1:])
+        return cls(tuple(entries))
 
 
 def make_entry(

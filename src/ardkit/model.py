@@ -26,6 +26,7 @@ import enum
 import io
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -192,16 +193,18 @@ def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
     """Exact sum of magnitudes, equal to ``sum(map(Fraction, magnitudes))``.
 
     Ints and floats are dyadic rationals, so their numerators are summed as
-    one integer over the largest power-of-two denominator seen.
+    one integer over the largest power-of-two denominator seen.  Magnitudes
+    repeat, so each distinct value is converted once and added times its
+    count; equal values (5 and 5.0, 0 and -0.0) share one entry.
     """
     numerator, shift = 0, 0  # the sum is numerator / 2**shift
-    for magnitude in magnitudes:
+    for magnitude, count in Counter(magnitudes).items():
         n, d = magnitude.as_integer_ratio()
         k = d.bit_length() - 1
         if k > shift:
             numerator <<= k - shift
             shift = k
-        numerator += n << (shift - k)
+        numerator += (n * count) << (shift - k)
     return Fraction(numerator, 1 << shift)
 
 

@@ -15,6 +15,7 @@ import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import is_not
 from pathlib import Path
 from typing import Mapping
 
@@ -425,14 +426,25 @@ def _process_indicator(
     except IngestError as exc:
         raise IngestError(f"{spec.mapping_path}: {exc}") from None
     digest = sha256_hex(raw)
-    rendered: tuple[Dataset, str, str]  # the last logged output, its CSV text and digest
+    rendered: tuple = ((None, None, None), "", "")  # the last (columns, level, edition), CSV text, digest
+
+    def render(output: Dataset) -> tuple[str, str]:
+        """CSV text and digest, reused while `write_csv`'s inputs are the objects last rendered."""
+        nonlocal rendered
+        key = (output.columns, output.level, output.edition)
+        if any(map(is_not, key, rendered[0])):
+            text = write_csv(output)
+            rendered = (key, text, sha256_hex(text))
+        return rendered[1:]
 
     def record_stage(stage: str, decision: str, output: Dataset) -> None:
-        """Log a stage whose input is the previous stage's output."""
-        nonlocal digest, rendered
-        text = write_csv(output)
-        before, digest = digest, sha256_hex(text)
-        rendered = (output, text, digest)
+        """Log a stage whose input is the previous stage's output.
+
+        A stage that changed nothing hands back its input's columns and so
+        reuses their rendering: its output digest equals its input digest.
+        """
+        nonlocal digest
+        before, digest = digest, render(output)[1]
         records.append(StageRecord(stage, decision, (before,), (digest,)))
 
     try:
@@ -527,10 +539,7 @@ def _process_indicator(
 
     if config.round_counts:
         dataset = round_counts(dataset)
-    if rendered[0] is not dataset:
-        text = write_csv(dataset)
-        rendered = (dataset, text, sha256_hex(text))
-    _, csv_text, csv_digest = rendered
+    csv_text, csv_digest = render(dataset)
     artifacts[f"datasets/{ind_id}.csv"] = csv_text
     artifacts[f"datasets/{ind_id}.indicator.json"] = canonical_dumps(dataset.indicator.to_json())
 

@@ -63,7 +63,8 @@ class SuppressionLog:
 def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, SuppressionLog]:
     """Hide small counts: 0 < magnitude < threshold (and zero when configured).
 
-    Rows keep their order.
+    Rows keep their order.  When no cell is hidden, the result holds the
+    input's own `columns` object.
     """
     if dataset.indicator.value_kind is not CellKind.COUNT:
         raise PrivacyError(
@@ -82,7 +83,9 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
         strata=tuple(sorted(per_stratum.items())),
         total=sum(per_stratum.values()),
     )
-    return refresh_indicator(dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))), log
+    if per_stratum:
+        dataset = dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))
+    return refresh_indicator(dataset), log
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,8 @@ def assign_uncertainty(
     High for unreconstructable values, medium for discarded sub-threshold
     contributions or gap-filled missing inputs, low otherwise.  A level a
     record already carries is never lowered.  A record whose key is absent
-    from `provenance` had no events.  Rows keep their order.
+    from `provenance` had no events.  Rows keep their order.  When no level
+    rises, the result holds the input's own `columns` object.
     """
     by_key = {key.sort_key: set(events) for key, events in provenance.items() if events}
     c = dataset.columns
@@ -317,7 +318,9 @@ def assign_uncertainty(
         else:
             continue
         levels[i] = max(level, levels[i])
-    return refresh_indicator(dataset.with_columns(c._replace(uncertainty=tuple(levels))))
+    if levels != list(c.uncertainty):
+        dataset = dataset.with_columns(c._replace(uncertainty=tuple(levels)))
+    return refresh_indicator(dataset)
 
 
 @dataclass(frozen=True)
@@ -330,13 +333,17 @@ class RemovalLog:
 
 
 def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
-    """Drop every high-uncertainty record; low and medium stay in, in their order."""
+    """Drop every high-uncertainty record; low and medium stay in, in their order.
+
+    When no record is high, the result holds the input's own `columns` object.
+    """
     c = dataset.columns
     high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
     removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
     kept = [i for i, is_high in enumerate(high) if not is_high]
-    result = refresh_indicator(dataset.with_columns(c.take(kept)))
-    return result, RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
+    if removed:
+        dataset = dataset.with_columns(c.take(kept))
+    return refresh_indicator(dataset), RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,19 @@ class TestContracts:
         assert twice == once
         assert second_log.entries == ()
 
+    def test_no_change_keeps_the_input_columns(self):
+        once, _ = clean(self.messy(), self.RULES)
+        twice, log = clean(once, self.RULES)
+        assert log.entries == ()
+        assert twice.columns is once.columns
+
+    def test_unchanged_rows_are_still_sorted(self):
+        ordered = make_counts({"A": 1, "B": 2})
+        shuffled = ordered.with_columns(ordered.columns.take([1, 0]))
+        out, log = clean(shuffled, self.RULES)
+        assert log.entries == ()
+        assert out.columns == ordered.columns
+
     def test_log_replay_reproduces_cleaned_dataset(self):
         source = self.messy()
         cleaned, log = clean(source, self.RULES)
@@ -183,6 +196,24 @@ class TestContracts:
         parsed = CleaningLog.from_jsonl(log.to_jsonl())
         assert parsed == log
         assert replay(source, parsed) == cleaned
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0", "entry is not a JSON object"),
+            ("x", "not valid JSON"),
+            ('{"a":1}', "op must be 'set' or 'drop'"),
+            ('{"op":"set","row":"a","rule":"r"}', "row must be a non-negative integer"),
+            ('{"op":"drop","row":0}', "rule must be a string"),
+            ('{"op":"set","row":0,"rule":"r","before":1,"after":2}', "field must be a string"),
+        ],
+    )
+    def test_bad_log_line_is_named(self, line, message):
+        _, log = clean(self.messy(), self.RULES)
+        text = log.to_jsonl()
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(CleaningError, match=f"cleaning log line {lineno}: .*{message}"):
+            CleaningLog.from_jsonl(text + line + "\n")
 
     def test_output_always_validates(self):
         cleaned, _ = clean(self.messy(), self.RULES)

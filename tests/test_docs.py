@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -230,3 +231,31 @@ class TestProvenance:
         first_line = text.splitlines()[0]
         assert "digest_algorithm" in first_line and "sha256" in first_line
         assert ProvenanceLog.from_jsonl(text) == log
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0", "entry is not a JSON object"),
+            ("x", "not valid JSON"),
+            ('{"a":1}', "timestamp must be a string"),
+            ('{"op":"set","row":"a","rule":"r"}', "timestamp must be a string"),
+        ],
+    )
+    def test_bad_entry_line_is_named(self, line, message):
+        log = ProvenanceLog()
+        text = append_provenance(log, self.entry(log)).to_jsonl() + line + "\n"
+        with pytest.raises(DocsError, match=f"provenance log line 3: .*{message}"):
+            ProvenanceLog.from_jsonl(text)
+
+    @pytest.mark.parametrize("line", ["0", "x", '{"a":1}', '["ardkit-provenance/1"]'])
+    def test_bad_header_line_is_named(self, line):
+        with pytest.raises(DocsError, match="provenance log line 1: "):
+            ProvenanceLog.from_jsonl(line + "\n")
+
+    def test_digest_list_of_the_wrong_shape_is_named(self):
+        log = ProvenanceLog()
+        header, line = append_provenance(log, self.entry(log)).to_jsonl().splitlines()
+        doc = json.loads(line)
+        doc["input_digests"] = "a" * 64
+        with pytest.raises(DocsError, match="provenance log line 2: input_digests must be a list of strings"):
+            ProvenanceLog.from_jsonl(f"{header}\n{json.dumps(doc)}\n")

@@ -341,6 +341,18 @@ class TestExactTotal:
         assert type(total) is Fraction
         assert total == sum(map(Fraction, magnitudes), Fraction(0))
 
+    # A small pool, so that values repeat: equal values of different types
+    # (5 and 5.0, 0 and -0.0) share a count, and repeats of a tiny or huge
+    # magnitude must keep their exact weight.
+    POOL = (2**53 + 1, 2**60 + 3, -(2**70) - 1, -7, 5, 5.0, 0, -0.0, 5e-324, -5e-324, *(0.3 * k for k in range(1, 8)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(POOL), max_size=80))
+    def test_repeated_values_equal_the_sum_of_fractions(self, magnitudes):
+        total = exact_total(magnitudes)
+        assert type(total) is Fraction
+        assert total == sum(map(Fraction, magnitudes), Fraction(0))
+
 
 class TestRoundCounts:
     def test_totals_preserved_per_stratum(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ardkit.errors import PrivacyError
-from ardkit.model import CellKind, CellValue, write_csv
+from ardkit.model import CellKind, CellValue, UncertaintyLevel, write_csv
 from ardkit.privacy import (
     PseudonymMap,
     SuppressionPolicy,
@@ -43,6 +43,20 @@ class TestSuppress:
         dataset = make_counts({"A": 0})
         out, _ = suppress(dataset, SuppressionPolicy(suppress_zero=True))
         assert out.records[0].value.kind is CellKind.SUPPRESSED
+
+    def test_nothing_hidden_keeps_the_input_columns(self):
+        # A stale indicator level is still refreshed.
+        dataset = make_counts({"A": 0, "B": 5, "C": CellValue.count(9, UncertaintyLevel.MEDIUM)})
+        out, log = suppress(dataset, POLICY)
+        assert log.total == 0
+        assert out.columns is dataset.columns
+        assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
+
+    def test_hiding_builds_new_columns(self):
+        dataset = make_counts({"A": 3, "B": 5})
+        out, _ = suppress(dataset, POLICY)
+        assert out.columns is not dataset.columns
+        assert dataset.columns.kind == (CellKind.COUNT, CellKind.COUNT)
 
     def test_log_counts_per_stratum_without_values(self):
         dataset = make_counts({"A": 1, "B": 2, "C": 9})

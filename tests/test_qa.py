@@ -215,6 +215,20 @@ class TestAssignUncertainty:
         out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_SUBTHRESHOLD_DISCARD,)})
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
 
+    def test_no_level_raised_keeps_the_input_columns(self):
+        # Events that raise nothing: none, an unknown one, or a level the record already has.
+        dataset = make_counts({"A": 5, "B": CellValue.count(6, UncertaintyLevel.MEDIUM), "C": 7})
+        a, b, c = (r.key for r in dataset.records)
+        out = assign_uncertainty(dataset, {a: (), b: (EVENT_ZERO_FILL,), c: ("other-event",)})
+        assert out.columns is dataset.columns
+        assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM  # refreshed all the same
+
+    def test_raised_level_builds_new_columns(self):
+        dataset = make_counts({"A": 5, "B": 6})
+        out = assign_uncertainty(dataset, {dataset.records[1].key: (EVENT_UNRESOLVABLE,)})
+        assert out.columns is not dataset.columns
+        assert dataset.columns.uncertainty == (UncertaintyLevel.LOW, UncertaintyLevel.LOW)
+
 
 class TestFilterHighUncertainty:
     def test_all_low_unchanged_with_empty_log(self):
@@ -223,6 +237,18 @@ class TestFilterHighUncertainty:
         assert out == dataset
         assert log.removed_keys == ()
         assert not log.fully_removed
+
+    def test_nothing_removed_keeps_the_input_columns(self):
+        dataset = make_counts({"A": 1, "B": CellValue.count(2, UncertaintyLevel.MEDIUM)})
+        out, _ = filter_high_uncertainty(dataset)
+        assert out.columns is dataset.columns
+        assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM  # refreshed all the same
+
+    def test_removal_builds_new_columns(self):
+        dataset = make_counts({"A": 1, "B": CellValue.count(2, UncertaintyLevel.HIGH)})
+        out, _ = filter_high_uncertainty(dataset)
+        assert out.columns is not dataset.columns
+        assert len(dataset.columns.region) == 2
 
     def test_removes_exactly_the_high_records(self):
         cells = {f"R{i}": CellValue.count(i, UncertaintyLevel.HIGH if i < 2 else UncertaintyLevel.LOW) for i in range(10)}
