@@ -18,19 +18,21 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Mapping
 
-from .errors import CleaningError
+from .errors import ArdkitError, CleaningError
 from .jsonio import parse_json
 from .model import (
     CellKind,
     Columns,
     Dataset,
     UncertaintyLevel,
+    canonical_sort,
     check_cell,
-    check_key,
     describe_key,
-    finalize,
+    refresh_indicator,
     string_list,
     validate_dataset,
 )
@@ -177,20 +179,30 @@ def _value_doc(kind: CellKind, magnitude, uncertainty: UncertaintyLevel) -> dict
 _KEY_FIELDS = {"geography.code": 0, "calendar_year": 1, "age_group": 2, "sex": 3}
 
 
-def _set_field(row: tuple, field: str, value) -> tuple:
-    """The row with one logged field replaced; a bad replacement raises ArdkitError."""
+_VALUE_FIELDS = {"kind", "magnitude", "uncertainty"}
+
+
+def _set_field(row: tuple, field: str, value, where: str) -> tuple:
+    """The row with one logged field replaced; a bad replacement raises CleaningError naming `where`."""
     if field == "value":
-        cell = (CellKind(value["kind"]), value["magnitude"], UncertaintyLevel(value["uncertainty"]))
-        check_cell(*cell)
+        try:
+            if not isinstance(value, Mapping) or value.keys() != _VALUE_FIELDS or isinstance(value["uncertainty"], bool):
+                raise ValueError
+            cell = (CellKind(value["kind"]), value["magnitude"], UncertaintyLevel(value["uncertainty"]))
+            check_cell(*cell)
+        except (ArdkitError, TypeError, ValueError):
+            message = f"value must be a valid {{kind, magnitude, uncertainty}} object, not {value!r}"
+            raise CleaningError(f"{where}: {message}") from None
         return (*row[:4], *cell)
     position = _KEY_FIELDS.get(field)
     if position is None:
-        raise CleaningError(f"unknown field {field!r} in cleaning log")
+        raise CleaningError(f"{where}: unknown field {field!r}")
     if field == "calendar_year":
-        value = int(value)
-    updated = (*row[:position], value, *row[position + 1:])
-    check_key(updated[0], updated[1])
-    return updated
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CleaningError(f"{where}: calendar_year must be an integer, not {value!r}")
+    elif not isinstance(value, str) or not value:
+        raise CleaningError(f"{where}: {field} must be a non-empty string, not {value!r}")
+    return (*row[:position], value, *row[position + 1:])
 
 
 def _repairs(column: tuple, repair) -> dict:
@@ -210,14 +222,15 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
     mass of data cells is conserved (missing cells carry no mass; a
     suppressed duplicate taints its merged cell suppressed).  When it logs
     no change, the result holds the input's own `columns` object, unless
-    the rows had to be sorted.
+    the rows had to be sorted.  Each repair is decided once per distinct
+    token, only rows holding a changed token or a duplicated key are
+    visited, and one stable sort of the surviving rows by their repaired
+    key gives the output order, taken once.
     """
     c = dataset.columns
     entries: list[CleaningEntry] = []
     year_base = _parse_year_pattern(rules.year_format_coercions[0]) if rules.year_format_coercions else None
 
-    # Each repair is a function of one token, so it is worked out once per
-    # distinct token; only the rows holding a changed token are visited.
     region, year, age, sex = list(c.region), list(c.year), list(c.age), list(c.sex)
     collapse = (lambda token: " ".join(token.split())) if rules.whitespace_normalization else (lambda token: token)
     spaced = [
@@ -229,9 +242,9 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
     if year_base is not None:
         coerced = {y: year_base + y for y in set(year) if 0 <= y < 100}
     repairs = [(column, changes) for _, column, changes in spaced] + [(region, folded), (year, coerced)]
-    touched = {
-        i for column, changes in repairs if changes for i, token in enumerate(column) if token in changes
-    }
+    touched = set()
+    for column, changes in repairs:
+        touched.update(compress(range(len(column)), map(changes.__contains__, column)) if changes else ())
 
     for i in sorted(touched):
         for field, column, changes in spaced:
@@ -255,18 +268,21 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
             year[i] = coerced[year[i]]
 
     kinds, magnitudes, levels = list(c.kind), list(c.magnitude), list(c.uncertainty)
-    working = list(range(len(region)))  # surviving rows, in row order
+    working = range(len(region))  # surviving rows, in row order
     if rules.missing_policy is MissingPolicy.DROP_ROW:
         dropped = [i for i in working if kinds[i] is CellKind.MISSING]
         entries.extend(CleaningEntry("drop", i, RULE_MISSING_DROP, reason="missing value row dropped") for i in dropped)
         working = [i for i in working if kinds[i] is not CellKind.MISSING]
 
-    keys = list(map(list(zip(region, year, age, sex)).__getitem__, working))
-    if len(set(keys)) < len(keys):
-        groups: dict[tuple, list[int]] = {}
-        for key, i in zip(keys, working):
-            groups.setdefault(key, []).append(i)
-        duplicates = {key: rows for key, rows in groups.items() if len(rows) > 1}
+    # One stable sort by the repaired key orders the survivors and puts duplicates side by side, in row order.
+    keys = list(zip(region, year, age, sex))
+    order = sorted(working, key=keys.__getitem__)
+    tied = compress(range(1, len(order)), map(eq, map(keys.__getitem__, order[1:]), map(keys.__getitem__, order)))
+    groups: dict[tuple, list[int]] = {}
+    for p in tied:
+        groups.setdefault(keys[order[p]], [order[p - 1]]).append(order[p])
+    if groups:
+        duplicates = dict(sorted(groups.items(), key=lambda item: item[1][0]))  # by first occurrence
         if rules.dedupe_policy is DedupePolicy.ERROR:
             listed = ", ".join(describe_key(*key) for key in duplicates)
             raise CleaningError(f"replicated entries present (policy is error): {listed}")
@@ -296,11 +312,11 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
                         CleaningEntry("drop", i, RULE_DEDUPE_SUM, reason="replicated entry merged by summation")
                     )
                     removed.add(i)
-        working = [i for i in working if i not in removed]
+        order = [i for i in order if i not in removed]
 
-    if entries:  # every repair and every drop logs an entry
-        dataset = dataset.with_columns(Columns(region, year, age, sex, kinds, magnitudes, levels).take(working))
-    cleaned = finalize(dataset)
+    if entries or order != list(range(len(keys))):  # every repair and every drop logs an entry
+        dataset = dataset.with_columns(Columns(region, year, age, sex, kinds, magnitudes, levels).take(order))
+    cleaned = refresh_indicator(dataset)
     violations = validate_dataset(cleaned)
     if violations:
         details = "; ".join(f"{v.locator()}: {v.message}" for v in violations[:10])
@@ -328,13 +344,18 @@ def _merge_duplicates(cells: list[tuple]) -> tuple:
 def replay(dataset: Dataset, log: CleaningLog) -> Dataset:
     """Re-apply a cleaning log to the raw dataset it was produced from.
 
-    Every row a logged change touches is checked as it is rebuilt, so a
-    log with a bad value raises ArdkitError instead of building a bad row.
+    Each `set` entry is checked before it builds a row: its row must be in
+    the dataset and its value of the field's type, so a bad log raises
+    CleaningError naming the entry instead of building a bad row.
     """
     working: dict[int, tuple] = dict(enumerate(zip(*dataset.columns)))
-    for entry in log.entries:
+    for number, entry in enumerate(log.entries, 1):
         if entry.op == "drop":
             working.pop(entry.row, None)
-        else:
-            working[entry.row] = _set_field(working[entry.row], entry.field, entry.after)
-    return finalize(dataset.with_columns(Columns.from_rows([working[i] for i in sorted(working)])))
+            continue
+        where = f"cleaning log entry {number}"
+        if entry.row not in working:
+            raise CleaningError(f"{where}: row {entry.row} is not in the dataset")
+        working[entry.row] = _set_field(working[entry.row], entry.field, entry.after, where)
+    replayed = dataset.with_columns(Columns.from_rows([working[i] for i in sorted(working)]))
+    return refresh_indicator(canonical_sort(replayed))

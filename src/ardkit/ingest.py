@@ -12,13 +12,13 @@ line per record, whose SHA-256 the report carries.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import enum
-import io
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import chain, compress, islice, repeat
+from operator import floordiv, itemgetter, mod
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IngestError
 from .jsonio import decode_utf8, sha256_hex, validate_against_schema
@@ -31,9 +31,8 @@ from .model import (
     GeoLevel,
     Indicator,
     UncertaintyLevel,
-    canonical_sort,
+    _csv_token,
     csv_rows,
-    describe_key,
     parse_geography_column,
 )
 
@@ -209,18 +208,6 @@ class Reject:
 LINEAGE_COLUMNS = ("KEY", "RAW_ROW", "RAW_COLUMN")
 
 
-def _render_lineage(entries: list[tuple[str, int, str]]) -> str:
-    """The lineage file: one (key, raw row, raw column) line per record, sorted.
-
-    The dialect is `write_csv`'s: UTF-8, comma, LF, quoted as `csv.writer` quotes.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LINEAGE_COLUMNS)
-    writer.writerows(sorted(entries))
-    return out.getvalue()
-
-
 @dataclass(frozen=True)
 class ParseReport:
     """Row accounting for one parse: records_out + rejects == logical rows in.
@@ -266,6 +253,49 @@ def _parse_magnitude(token: str, kind: CellKind) -> float:
     return value
 
 
+# Rows are read and decided this many at a time, so a parse holds at most
+# one chunk of raw fields beside the columns of the records parsed so far.
+CHUNK_ROWS = 1024
+
+
+def _render_lineage(
+    key_columns: tuple, at: Sequence[int], value_columns: tuple[str, ...], tokens: Iterable[str]
+) -> str:
+    """The lineage file: one KEY,RAW_ROW,RAW_COLUMN line per record, sorted by those three.
+
+    The records' (region, year, age, sex) `key_columns` are in row-major
+    raw order; ``at[i]`` is record i's raw line times ``len(value_columns)``
+    plus the index of its value column.  Quoting is `csv.writer`'s: a key is
+    quoted when one of its tokens is, which `_csv_token` decides once per
+    distinct token.
+    """
+    region, year, age, sex = key_columns
+    m, n = len(value_columns), len(at)
+    year_texts = {y: str(y) for y in set(year)}
+    keys = list(map("/".join, zip(region, map(year_texts.__getitem__, year), age, sex)))
+    if list(value_columns) == sorted(value_columns):  # raw order is then (raw row, raw column) order
+        order = sorted(range(n), key=keys.__getitem__)
+    else:
+        order = sorted(range(n), key=lambda i: (keys[i], at[i] // m, value_columns[at[i] % m]))
+    quoted = {token for token in tokens if _csv_token(token) != token}
+    flagged: set[int] = set()
+    for column in (region, age, sex) if quoted else ():
+        flagged.update(compress(range(n), map(quoted.__contains__, column)))
+    for i in flagged:
+        keys[i] = _csv_token(keys[i])
+    column_texts = list(map(_csv_token, value_columns))
+    parts = [",".join(LINEAGE_COLUMNS)]
+    for start in range(0, n, CHUNK_ROWS):  # one chunk's lines at a time beside the text
+        placed = list(map(at.__getitem__, order[start:start + CHUNK_ROWS]))
+        lines = zip(
+            map(keys.__getitem__, order[start:start + CHUNK_ROWS]),
+            map(str, map(floordiv, placed, repeat(m))),
+            map(column_texts.__getitem__, map(mod, placed, repeat(m))),
+        )
+        parts.append("\n".join(map(",".join, lines)))
+    return "\n".join(parts) + "\n"
+
+
 def parse_raw(
     data: bytes | str,
     mapping: SchemaMapping,
@@ -275,7 +305,15 @@ def parse_raw(
 
     Row numbers in the report are raw file line numbers (the header is
     line 1).  In the wide layout each (row, year column) pair is one
-    logical row.
+    logical row, in row-major order.
+
+    The rows are read `CHUNK_ROWS` at a time and decided a column at a
+    time: each distinct key, year, value, level and edition token is
+    decided once, and only the rows a decision flags (short rows, blank
+    lines, rejects, an unknown level or edition) are visited one by one.
+    So a parse holds one chunk of raw fields beside the records' columns,
+    never the raw table as lists of strings.  One sort permutation puts
+    the records in canonical order.
     """
     if mapping.value_kind is not indicator.value_kind:
         raise IngestError(
@@ -283,8 +321,8 @@ def parse_raw(
             f"{indicator.id} expects {indicator.value_kind.value}"
         )
     text = decode_utf8(data, IngestError, "raw table")
-    # The rows are read as a stream, so the raw table is never held as lists
-    # of strings beside the records parsed from it.
+    # The rows are read a chunk at a time (see `decide` below), so the raw
+    # table is never held as lists of strings beside the records.
     reader = csv_rows(text, IngestError, mapping.delimiter)
     header = [h.strip() for h in next(reader, [])]
     if not header:
@@ -298,32 +336,26 @@ def parse_raw(
     position = {name: header.index(name) for name in header}
 
     # The level and edition are resolved for the whole file; mixed files are rejected.
-    levels: dict[GeoLevel, int] = {}
-    editions: dict[BoundaryEdition, int] = {}
-    if mapping.level is not None:
-        levels[mapping.level] = 0
-    if mapping.edition is not None:
-        editions[mapping.edition] = 0
+    levels = {mapping.level} - {None}
+    editions = {mapping.edition} - {None}
+    enum_columns = [(name, label, parse, found, {}) for name, label, parse, found in (
+        (mapping.level_column, "geography level", GeoLevel, levels),
+        (mapping.edition_column, "boundary edition", lambda token: BoundaryEdition(int(token)), editions),
+    ) if name]  # each bound level or edition column, with the memo of its tokens
+    wide = mapping.layout is Layout.WIDE_BY_YEAR
+    value_columns = mapping.year_columns if wide else (mapping.value_column,)
+    m, width, value_kind = len(value_columns), len(header), mapping.value_kind
+    bound = [mapping.geography_code_column, mapping.age_group_column, mapping.sex_column, *value_columns]
+    bound += [mapping.calendar_year_column] * (not wide) + [name for name, *_ in enum_columns]
+    getter = itemgetter(*map(position.__getitem__, bound))
 
-    year_multiplier = len(mapping.year_columns) if mapping.layout is Layout.WIDE_BY_YEAR else 1
-    data_rows = 0
-    rejects: list[Reject] = []
-    rows: list[tuple] = []
-    lineage: list[tuple[str, int, str]] = []
-    value_kind = mapping.value_kind
-    width = len(header)
-    key_at = [position[c] for c in (mapping.geography_code_column, mapping.age_group_column, mapping.sex_column)]
-    if mapping.layout is Layout.LONG:
-        logical = [(mapping.value_column, position[mapping.value_column], position[mapping.calendar_year_column], None)]
-    else:
-        logical = [(yc, position[yc], None, yc) for yc in mapping.year_columns]
-
-    # Year and value tokens repeat across rows, so each distinct token is
-    # parsed once: to a year or a (kind, magnitude) cell, or to the reason
-    # its logical row is rejected.
+    # Tokens repeat across rows, so each distinct one is decided once: a key
+    # token to the one str object kept for it, a year or value token to a
+    # year or a (kind, magnitude) cell, or to the reason its row is rejected.
+    tokens: dict[str, str] = {}
+    blank: set[str] = set()
     years: dict[str, int | str] = {}
     cells: dict[str, tuple | str] = {}
-    tokens: dict[str, str] = {}
 
     def parse_year_token(token: str) -> int | str:
         try:
@@ -340,56 +372,95 @@ def parse_raw(
             return str(exc)
         return (value_kind, int(magnitude) if value_kind is CellKind.COUNT else magnitude)
 
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        data_rows += 1
-        if len(row) < width:
-            row = row + [""] * (width - len(row))
-        if mapping.level_column:
-            token = row[position[mapping.level_column]].strip()
-            try:
-                levels[GeoLevel(token)] = lineno
-            except ValueError:
-                raise IngestError(f"line {lineno}: unknown geography level {token!r}") from None
-        if mapping.edition_column:
-            token = row[position[mapping.edition_column]].strip()
-            try:
-                editions[BoundaryEdition(int(token))] = lineno
-            except ValueError:
-                raise IngestError(f"line {lineno}: unknown boundary edition {token!r}") from None
-        # One str object per distinct token, shared by every row that holds it.
-        code, age, sex = (tokens.setdefault(row[i], row[i]) for i in key_at)
-        row_problem: str | None = None
-        if not code.strip():
-            row_problem = "empty geography code"
-        elif not age.strip():
-            row_problem = "empty age group"
-        elif not sex.strip():
-            row_problem = "empty sex"
-        if row_problem is not None:
-            rejects.extend(Reject(lineno, row_problem) for _ in range(year_multiplier))
-            continue
-        for value_column, value_at, year_at, year_token in logical:
-            if year_at is not None:
-                year_token = row[year_at]
-            year = years.get(year_token)
-            if year is None:
-                year = years[year_token] = parse_year_token(year_token)
-            if isinstance(year, str):
-                rejects.append(Reject(lineno, year))
-                continue
-            token = row[value_at]
-            cell_value = cells.get(token)
-            if cell_value is None:
-                cell_value = cells[token] = parse_value_token(token)
-            if isinstance(cell_value, str):
-                rejects.append(Reject(lineno, cell_value))
-                continue
-            # Every field is checked above: the code is a str, the year an
-            # int and the magnitude finite, so the row needs no other check.
-            rows.append((code, year, age, sex, *cell_value, UncertaintyLevel.LOW))
-            lineage.append((describe_key(code, year, age, sex), lineno, value_column))
+    # The records so far, in row-major order; `at` holds each one's line * m + value column index.
+    region, year, age, sex, cell, at = [], [], [], [], [], []
+    rejects: list[Reject] = []
+
+    def decide(chunk: list[list[str]], lines: Sequence[int]) -> None:
+        """Append one chunk's records and rejects; an unknown level or edition raises."""
+        if min(map(len, chunk)) < width:
+            chunk = [row + [""] * (width - len(row)) for row in chunk]
+        codes, ages, sexes, *rest = getter(list(zip(*chunk)))  # every row holds at least `width` fields
+        named = rest[m + (not wide):]
+        for (_, _, parse, found, memo), column in zip(enum_columns, named):
+            for token in set(column).difference(memo):
+                try:
+                    memo[token] = parse(token.strip())
+                except ValueError:
+                    memo[token] = None
+            found.update(map(memo.__getitem__, set(column)))
+        if None in levels or None in editions:
+            for lineno, *row in zip(lines, *named):
+                for (_, label, _, _, memo), token in zip(enum_columns, row):
+                    if memo[token] is None:
+                        raise IngestError(f"line {lineno}: unknown {label} {token.strip()!r}")
+        distinct = set(codes).union(ages, sexes)
+        for token in distinct.difference(tokens):
+            tokens[token] = token
+            if not token.strip():
+                blank.add(token)
+        blank_here = blank & distinct
+        if wide:  # each year column of a row is one logical row, row-major
+            codes, ages, sexes = (tuple(chain.from_iterable(map(repeat, c, repeat(m)))) for c in (codes, ages, sexes))
+            year_tokens, values = value_columns * len(chunk), tuple(chain.from_iterable(zip(*rest[:m])))
+        else:
+            values, year_tokens = rest[0], rest[1]
+        ats = range(lines.start * m, lines.stop * m) if isinstance(lines, range) else [
+            line * m + j for line in lines for j in range(m)
+        ]
+        for token in set(year_tokens).difference(years):
+            years[token] = parse_year_token(token)
+        for token in set(values).difference(cells):
+            cells[token] = parse_value_token(token)
+        bad_years = {token for token in set(year_tokens) if isinstance(years[token], str)}
+        bad_cells = {token for token in set(values) if isinstance(cells[token], str)}
+        logical = [codes, ages, sexes, year_tokens, values, ats]
+        if blank_here or bad_years or bad_cells:
+            # A blank key token rejects every logical row of its line, before
+            # a bad year, before a bad value; only the flagged rows are visited.
+            flagged = set()
+            for bad, column in zip((blank_here, blank_here, blank_here, bad_years, bad_cells), logical):
+                flagged.update(compress(range(len(values)), map(bad.__contains__, column)) if bad else ())
+            keep = bytearray(b"\x01") * len(values)
+            for k in flagged:
+                keep[k] = 0
+                if codes[k] in blank:
+                    reason = "empty geography code"
+                elif ages[k] in blank:
+                    reason = "empty age group"
+                elif sexes[k] in blank:
+                    reason = "empty sex"
+                else:
+                    reason = years[year_tokens[k]] if year_tokens[k] in bad_years else cells[values[k]]
+                rejects.append(Reject(ats[k] // m, reason))
+            logical = [tuple(compress(column, keep)) for column in logical]
+        # Every field is decided above: the code is a str, the year an int
+        # and the magnitude finite, so the records need no other check.
+        for column, memo, out in zip(logical, (tokens, tokens, tokens, years, cells), (region, age, sex, year, cell)):
+            out.extend(map(memo.__getitem__, column))
+        at.extend(logical[5])
+
+    data_rows, first_line = 0, 2
+    while True:
+        chunk: list[list[str]] = []
+        failure: IngestError | None = None
+        try:
+            chunk.extend(islice(reader, CHUNK_ROWS))
+        except IngestError as exc:
+            failure = exc  # raised once the rows before the bad line are decided
+        read = len(chunk)
+        lines: Sequence[int] = range(first_line, first_line + read)
+        first_line += read
+        if not all(chunk):  # a blank line is no row, but keeps its line number
+            lines, chunk = list(compress(lines, chunk)), list(filter(None, chunk))
+        if chunk:
+            data_rows += len(chunk)
+            decide(chunk, lines)
+        if failure is not None:
+            raise failure
+        if read < CHUNK_ROWS:
+            break
+    del chunk, lines  # the last chunk's raw fields are not kept beside the records
     if len(levels) != 1:
         raise IngestError(
             "mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels))
@@ -398,18 +469,24 @@ def parse_raw(
         raise IngestError(
             "mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions))
         )
-    level = next(iter(levels))
-    edition = next(iter(editions))
-    dataset = canonical_sort(Dataset(indicator, Columns.from_rows(rows), edition, level))
-    lineage_csv = _render_lineage(lineage)
+    lineage_csv = _render_lineage((region, year, age, sex), at, value_columns, tokens)
+    # One stable sort by key puts the records in canonical order; equal keys keep row-major order.
+    keys = list(zip(region, year, age, sex))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    columns = Columns(
+        *(tuple(map(column.__getitem__, order)) for column in (region, year, age, sex)),
+        *(tuple(map(itemgetter(i), map(cell.__getitem__, order))) for i in (0, 1)),
+        (UncertaintyLevel.LOW,) * len(order),
+    )
     report = ParseReport(
-        rows_in=data_rows * year_multiplier,
-        records_out=len(rows),
+        rows_in=data_rows * m,
+        records_out=len(order),
         rejects=tuple(sorted(rejects, key=lambda r: (r.row, r.reason))),
         lineage_csv=lineage_csv,
         lineage_digest=sha256_hex(lineage_csv),
     )
-    return dataset, report
+    return Dataset(indicator, columns, next(iter(editions)), next(iter(levels))), report
 
 
 @dataclass(frozen=True)

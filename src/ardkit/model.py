@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, islice
 from operator import is_not
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -514,11 +514,12 @@ def canonical_sort(dataset: Dataset) -> Dataset:
     """Order records by (geography code, year, age group, sex); stable and idempotent.
 
     Rows are sorted where their order can change: where they enter from a
-    file (parsing, the CLI's dataset reader) and where keys are rewritten
-    (cleaning, replaying a log).  `forward` and `backward` emit canonical
-    order by construction, and operations that rewrite only cells or drop
-    rows keep their input's order, so a sorted input stays sorted.  An
-    already sorted dataset is returned as is.
+    file (the CLI's dataset reader) and where a log's key rewrites are
+    replayed.  `parse_raw` and `clean` sort by the same key in their own
+    single permutation, `forward` and `backward` emit canonical order by
+    construction, and operations that rewrite only cells or drop rows keep
+    their input's order, so a sorted input stays sorted.  An already sorted
+    dataset is returned as is.
     """
     keys = list(dataset.columns.record_keys())
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -533,15 +534,6 @@ def refresh_indicator(dataset: Dataset) -> Dataset:
     if worst == dataset.indicator.max_uncertainty:
         return dataset
     return replace(dataset, indicator=replace(dataset.indicator, max_uncertainty=worst))
-
-
-def finalize(dataset: Dataset) -> Dataset:
-    """Canonical form after keys were rewritten: sorted, indicator refreshed.
-
-    Only stages that rewrite keys need it; one that rewrites cells or
-    drops rows keeps its input's order and calls `refresh_indicator`.
-    """
-    return refresh_indicator(canonical_sort(dataset))
 
 
 CSV_COLUMNS = ("CALENDAR_YEAR", "AGE_GROUP", "SEX", "VALUE", "UNCERTAINTY")
@@ -615,14 +607,24 @@ _LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLe
 def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
     """The rows of delimited text; a line `csv` cannot read raises error_cls naming it.
 
-    A field longer than `csv.field_size_limit()` is such a line: the limit
-    is kept, so one oversized cell cannot make a reader hold it.
+    The rows before that line come first.  A field longer than
+    `csv.field_size_limit()` is such a line: the limit is kept, so one
+    oversized cell cannot make a reader hold it.  Rows are read in chunks,
+    so that iterating them runs no Python code per row.
     """
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise error_cls(f"line {reader.line_num}: {exc}") from None
+    return chain.from_iterable(_csv_chunks(csv.reader(io.StringIO(text), delimiter=delimiter), error_cls))
+
+
+def _csv_chunks(reader, error_cls: type[ArdkitError]) -> Iterator[list[list[str]]]:
+    chunk = [[]]
+    while chunk:
+        chunk = []
+        try:
+            chunk.extend(islice(reader, 256))
+        except csv.Error as exc:
+            yield chunk
+            raise error_cls(f"line {reader.line_num}: {exc}") from None
+        yield chunk
 
 
 def read_csv(text: str, indicator: Indicator) -> Dataset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .cleaning import CleaningLog, CleaningRuleSet, clean
@@ -307,10 +308,8 @@ def assign_uncertainty(
     by_key = {key.sort_key: set(events) for key, events in provenance.items() if events}
     c = dataset.columns
     levels = list(c.uncertainty)
-    for i, key in enumerate(c.record_keys() if by_key else ()):
-        events = by_key.get(key)
-        if events is None:
-            continue
+    for i in compress(range(len(levels)), map(by_key.__contains__, c.record_keys() if by_key else ())):
+        events = by_key[c.region[i], c.year[i], c.age[i], c.sex[i]]
         if events & HIGH_EVENTS:
             level = UncertaintyLevel.HIGH
         elif events & MEDIUM_EVENTS:
@@ -338,6 +337,8 @@ def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     When no record is high, the result holds the input's own `columns` object.
     """
     c = dataset.columns
+    if UncertaintyLevel.HIGH not in c.uncertainty:
+        return refresh_indicator(dataset), RemovalLog((), fully_removed=False)
     high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
     removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
     kept = [i for i, is_high in enumerate(high) if not is_high]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ardkit.cleaning import (
+    CleaningEntry,
     CleaningLog,
     CleaningRuleSet,
     DedupePolicy,
@@ -215,6 +216,48 @@ class TestContracts:
         with pytest.raises(CleaningError, match=f"cleaning log line {lineno}: .*{message}"):
             CleaningLog.from_jsonl(text + line + "\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"op":"set","row":0,"rule":"r","field":"calendar_year","before":1,"after":null}',
+             "calendar_year must be an integer, not None"),
+            ('{"op":"set","row":0,"rule":"r","field":"calendar_year","before":1,"after":true}',
+             "calendar_year must be an integer, not True"),
+            ('{"op":"set","row":0,"rule":"r","field":"calendar_year","before":1,"after":"2011.5"}',
+             "calendar_year must be an integer, not '2011.5'"),
+            ('{"op":"set","row":0,"rule":"r","field":"value","before":1,"after":"x"}',
+             "value must be a valid {kind, magnitude, uncertainty} object, not 'x'"),
+            ('{"op":"set","row":0,"rule":"r","field":"age_group","before":1,"after":null}',
+             "age_group must be a non-empty string, not None"),
+            ('{"op":"set","row":9,"rule":"r","field":"sex","before":1,"after":"f"}',
+             "row 9 is not in the dataset"),
+        ],
+        ids=["year-null", "year-true", "year-fraction-text", "value-text", "age-null", "row-absent"],
+    )
+    def test_bad_set_entry_is_named_on_replay(self, line, message):
+        dataset = make_counts({"A": 1, "B": 2})
+        log = CleaningLog.from_jsonl('{"op":"drop","row":1,"rule":"r"}\n' + line + "\n")
+        with pytest.raises(CleaningError) as failure:
+            replay(dataset, log)
+        assert str(failure.value) == f"cleaning log entry 2: {message}"
+
+    @pytest.mark.parametrize(
+        "after",
+        [
+            {"kind": "count", "magnitude": 1.0},
+            {"kind": "count", "magnitude": 1.0, "uncertainty": 0, "extra": 1},
+            {"kind": "tally", "magnitude": 1.0, "uncertainty": 0},
+            {"kind": "count", "magnitude": "1", "uncertainty": 0},
+            {"kind": "count", "magnitude": 1.0, "uncertainty": True},
+            {"kind": "count", "magnitude": 1.0, "uncertainty": 7},
+            {"kind": "missing", "magnitude": 1.0, "uncertainty": 0},
+        ],
+    )
+    def test_bad_value_object_is_named_on_replay(self, after):
+        log = CleaningLog((CleaningEntry("set", 0, "r", field="value", before=None, after=after),))
+        with pytest.raises(CleaningError, match=r"^cleaning log entry 1: value must be a valid"):
+            replay(make_counts({"A": 1, "B": 2}), log)
+
     def test_output_always_validates(self):
         cleaned, _ = clean(self.messy(), self.RULES)
         from ardkit.model import validate_dataset
@@ -248,6 +291,18 @@ class TestContracts:
         assert first == second and log_a == log_b
         again, empty_log = clean(first, rules)
         assert again == first and empty_log.entries == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(DIRTY_RECORDS, RULE_SETS)
+    def test_replaying_the_log_reproduces_the_cleaned_dataset(self, records, rules):
+        # The paper's "fully replayable" change log, on random dirty data and rule sets.
+        raw = make_counts({}).with_records(records)
+        try:
+            cleaned, log = clean(raw, rules)
+        except CleaningError:
+            assume(False)
+        assert replay(raw, log) == cleaned
+        assert replay(raw, CleaningLog.from_jsonl(log.to_jsonl())) == cleaned
 
     @settings(max_examples=200, deadline=None)
     @given(DIRTY_RECORDS, RULE_SETS)

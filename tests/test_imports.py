@@ -111,10 +111,10 @@ TEST_HELPERS = {p.stem for p in Path(__file__).parent.glob("*.py")}
 EVENT_NAMES = {"subthreshold-discard", "missing-zero-fill", "backward-suppressed", "unresolvable-redistribution"}
 
 
-def oracle_dependencies(source: str) -> list[str]:
-    """Imports that would let the oracle share the engine's logic.
+def oracle_dependencies(source: str, may_import: dict[str, set[str]] = ORACLE_MAY_IMPORT) -> list[str]:
+    """Imports that would let an oracle share the engine's logic.
 
-    Only the names in ORACLE_MAY_IMPORT may come from ardkit, and no test
+    Only the names in `may_import` may come from ardkit, and no test
     helper may be imported, since the helpers import ardkit freely.
     """
     found = []
@@ -127,7 +127,7 @@ def oracle_dependencies(source: str) -> list[str]:
             continue
         for module, name in modules:
             top = module.partition(".")[0]
-            engine = top in ("", "ardkit") and name not in ORACLE_MAY_IMPORT.get(module, ())
+            engine = top in ("", "ardkit") and name not in may_import.get(module, ())
             if engine or top in TEST_HELPERS:
                 found.append(f"line {node.lineno}: {module.rstrip('.')}" + (f".{name}" if name else ""))
     return found
@@ -155,4 +155,56 @@ def test_oracle_dependency_is_reported():
         "line 4: ardkit.qa",
         "line 5: .sibling",
         "line 6: tabgen.random_table",
+    ]
+
+
+INGEST_ORACLE = Path(__file__).with_name("ingest_oracle.py")
+INGEST_ORACLE_MAY_IMPORT = {
+    # The per-token helpers and the result types; the parse itself is under test.
+    "ardkit.errors": {"IngestError"},
+    "ardkit.ingest": {"Layout", "ParseReport", "Reject", "_parse_magnitude", "_parse_year"},
+    "ardkit.jsonio": {"decode_utf8"},
+    "ardkit.model": {"BoundaryEdition", "CellKind", "Columns", "Dataset", "GeoLevel", "UncertaintyLevel", "csv_rows"},
+}
+ENGINE_PARSE_NAMES = {"parse_raw", "_render_lineage", "canonical_sort", "take"}
+
+
+def engine_parse_references(source: str) -> list[str]:
+    """Names or attributes by which the ingest oracle would reach the engine's parse, sort or lineage."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in ENGINE_PARSE_NAMES:
+            found.append(f"line {getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+def test_ingest_oracle_is_independent_of_the_engine():
+    source = INGEST_ORACLE.read_text(encoding="utf-8")
+    assert oracle_dependencies(source, INGEST_ORACLE_MAY_IMPORT) == []
+    assert engine_parse_references(source) == []
+    # It renders the lineage through csv.writer itself.
+    assert "writer" in {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def test_ingest_oracle_reference_is_reported():
+    source = (
+        "from ardkit.ingest import parse_raw, _parse_year\n"
+        "from ardkit.model import canonical_sort\n"
+        "import ardkit.ingest as ingest\n"
+        "rows = columns.take(order)\n"
+        "text = ingest._render_lineage(c, at, names, tokens)\n"
+    )
+    assert oracle_dependencies(source, INGEST_ORACLE_MAY_IMPORT) == [
+        "line 1: ardkit.ingest.parse_raw",
+        "line 2: ardkit.model.canonical_sort",
+        "line 3: ardkit.ingest",
+    ]
+    assert sorted(engine_parse_references(source)) == [
+        "line 1: parse_raw",
+        "line 2: canonical_sort",
+        "line 4: take",
+        "line 5: _render_lineage",
     ]

@@ -8,11 +8,13 @@ import hashlib
 import io
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ardkit import ingest
 from ardkit.errors import IngestError
 from ardkit.ingest import (
     AccessMode,
@@ -24,8 +26,9 @@ from ardkit.ingest import (
     parse_raw,
     register_source,
 )
-from ardkit.model import CellKind, describe_key, write_csv
+from ardkit.model import BoundaryEdition, CellKind, GeoLevel, describe_key, write_csv
 
+import ingest_oracle
 from conftest import E2016, SA3, make_indicator
 
 
@@ -400,9 +403,143 @@ class TestLineage:
         _, report = parse_raw("\n".join(lines) + "\n", LONG_MAPPING, count_indicator)
         assert [row for _, row, _ in lineage_rows(report)] == list(range(2, 12))
 
+    def test_keys_sharing_a_text_sort_by_raw_row(self, count_indicator):
+        # ("A/2016", 2017, "0-4") and ("A", 2016, "2017/0-4") both read A/2016/2017/0-4/male: canonical
+        # order puts the second first, but the lineage sorts equal keys by raw row.
+        raw = (
+            "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
+            "A/2016,2017,0-4,male,1\n"
+            "A,2016,2017/0-4,male,2\n"
+            "A/2016,2017,0-4,male,3\n"
+        )
+        dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
+        assert dataset.columns.magnitude == (2, 1, 3)
+        assert [row for _, row, _ in lineage_rows(report)] == [2, 3, 4]
+
     def test_key_with_comma_and_quote_round_trips(self, count_indicator):
         raw = 'SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"10,1""02",2016,"0,4",male,3\n'
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
         assert dataset.columns.region == ('10,1"02',)
         assert lineage_rows(report) == [('10,1"02/2016/0,4/male', 2, "VALUE")]
         assert report.lineage_csv.splitlines()[1] == '"10,1""02/2016/0,4/male",2,VALUE'
+
+
+def parse_outcome(parse, raw, mapping, indicator):
+    """Everything a parse returns, exactly (types included), or its IngestError text."""
+    try:
+        dataset, report = parse(raw, mapping, indicator)
+    except IngestError as exc:
+        return ("IngestError", str(exc))
+    return (repr(dataset.columns), dataset.indicator, dataset.edition, dataset.level, report)
+
+
+# Common tokens are repeated so that keys repeat, within a chunk and across chunk boundaries.
+KEY_TOKENS = {
+    "code": ["10102"] * 6 + ["10103"] * 3 + [" 10104 ", "", "  ", "a,b", 'q"x', "r\r\nn", "A", "A/2016"],
+    "age": ["0-4"] * 5 + ["5-9", "", " ", "0,4", "2017/0-4"],
+    "sex": ["male"] * 4 + ["female", "", 'f"m'],
+}
+YEAR_TOKENS = ["2016"] * 6 + ["2017", " 2016", "16", "-5", "20x", ""]
+VALUE_TOKENS = ["5"] * 6 + ["0", " 7 ", "3.0", "2.5", "1e3", "n.p.", " n.p. ", "", "oops", "-1", "nan", "inf", "-inf"]
+YEAR_COLUMNS = ["2016", "2017", "2018", "\uff12\uff10\uff11\uff16"]  # the last is 2016 in full-width digits
+
+
+@st.composite
+def raw_tables(draw):
+    """(raw text, mapping, indicator, chunk size): a random table, its mapping, and a chunk size to parse it with."""
+    wide = draw(st.booleans())
+    kind = draw(st.sampled_from([CellKind.COUNT, CellKind.RATE]))
+    level_column = draw(st.booleans())
+    edition_column = draw(st.booleans())
+    delimiter = draw(st.sampled_from([",", ";"]))
+    year_columns = tuple(draw(st.lists(st.sampled_from(YEAR_COLUMNS), min_size=1, max_size=3))) if wide else ()
+    header = ["CODE", "AGE", "SEX", "NOTE"]
+    header += sorted(set(year_columns)) if wide else ["YEAR", "VALUE"]
+    header += ["LEVEL"] * level_column + ["EDITION"] * edition_column
+    header = draw(st.permutations(header))
+    mapping = SchemaMapping(
+        layout=Layout.WIDE_BY_YEAR if wide else Layout.LONG,
+        geography_code_column="CODE",
+        age_group_column="AGE",
+        sex_column="SEX",
+        value_kind=kind,
+        calendar_year_column=None if wide else "YEAR",
+        value_column=None if wide else "VALUE",
+        year_columns=year_columns,
+        level=None if level_column else SA3,
+        edition=None if edition_column else E2016,
+        level_column="LEVEL" if level_column else None,
+        edition_column="EDITION" if edition_column else None,
+        missing_tokens=frozenset({"", "n.p."}),
+        delimiter=delimiter,
+    )
+    # Most tables hold only known levels and editions and no unreadable line, so that most parses succeed.
+    faulty = draw(st.sampled_from([()] * 8 + [("level",), ("edition",), ("unreadable",), ("level", "unreadable")]))
+    pools = {
+        **KEY_TOKENS, "NOTE": ["x", ""], "YEAR": YEAR_TOKENS, "VALUE": VALUE_TOKENS,
+        "LEVEL": ["SA3", " SA3 "] + ["SA2", "XX"] * ("level" in faulty),
+        "EDITION": ["2016", " 2016"] + ["2011", "16", "x"] * ("edition" in faulty),
+    }
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 30))):
+        shape = draw(st.sampled_from(["full"] * 10 + ["blank", "short"] + ["unreadable"] * ("unreadable" in faulty)))
+        if shape == "unreadable":  # a bare carriage return: the reader fails on this line
+            out.write("x\ry\n")
+            continue
+        names = {"CODE": "code", "AGE": "age", "SEX": "sex"}
+        row = [draw(st.sampled_from(pools.get(names.get(name, name), VALUE_TOKENS))) for name in header]
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    return out.getvalue(), mapping, make_indicator(value_kind=kind), draw(st.sampled_from([1, 2, 3, 5, ingest.CHUNK_ROWS]))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(raw_tables())
+    def test_parse_raw_matches_the_row_by_row_oracle(self, table):
+        raw, mapping, indicator, chunk_rows = table
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            got = parse_outcome(parse_raw, raw, mapping, indicator)
+        assert got == parse_outcome(ingest_oracle.parse, raw, mapping, indicator)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["long", "wide"])
+    def test_tables_longer_than_one_chunk(self, wide):
+        # Rejects and duplicate keys fall on both sides of each chunk boundary.
+        rng = random.Random(13)
+        mapping = WIDE_MAPPING if wide else LONG_MAPPING
+        lines = ["SA3CODE_16,AGE_GROUP,SEX,2016,2017,2018" if wide else "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE"]
+        for _ in range(2 * ingest.CHUNK_ROWS + 500):
+            key = [rng.choice(["10102", "10103", "10105"] * 10 + [""]), rng.choice(["0-4", "5-9"]), "male"]
+            values = [rng.choice(["5", "7", "n.p."] * 10 + ["-1"]) for _ in range(3 if wide else 1)]
+            year = rng.choice(["2016", "2017"] * 10 + ["x"])
+            lines.append(",".join(key + values) if wide else ",".join([key[0], year, *key[1:], *values]))
+        raw = "\n".join(lines) + "\n"
+        got = parse_outcome(parse_raw, raw, mapping, make_indicator())
+        assert got == parse_outcome(ingest_oracle.parse, raw, mapping, make_indicator())
+        assert got[-1].rejects and len(got[-1].lineage_csv.splitlines()) > ingest.CHUNK_ROWS
+
+    def test_first_unknown_level_is_named_before_a_later_unreadable_line(self, count_indicator):
+        mapping = SchemaMapping(
+            layout=Layout.LONG,
+            geography_code_column="CODE",
+            age_group_column="AGE_GROUP",
+            sex_column="SEX",
+            calendar_year_column="CALENDAR_YEAR",
+            value_column="VALUE",
+            value_kind=CellKind.COUNT,
+            level_column="LEVEL",
+            edition_column="EDITION",
+        )
+        raw = "CODE,LEVEL,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
+        raw += "1,SA3,2016,2016,0-4,male,1\n1,SA3,16,2016,0-4,male,1\n1,XX,16,2016,0-4,male,1\nx\ry\n"
+        for parse in (parse_raw, ingest_oracle.parse):
+            with pytest.raises(IngestError, match=r"^line 3: unknown boundary edition '16'$"):
+                parse(raw, mapping, count_indicator)
+        good = "CODE,LEVEL,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n1, SA3 , 2016,2016,0-4,male,1\n"
+        dataset, _ = parse_raw(good, mapping, count_indicator)
+        assert (dataset.level, dataset.edition) == (GeoLevel.SA3, BoundaryEdition.ASGS2016)

@@ -27,6 +27,7 @@ from ardkit.model import (
     Violation,
     Vocabulary,
     canonical_sort,
+    csv_rows,
     exact_total,
     _token_problem,
     format_magnitude,
@@ -257,6 +258,23 @@ class TestCsvRoundTrip:
         text = f"{header}\nA,2016,0-4,male,9,0\nA,2016,0-4,{'m' * 200_000},9,0\n"
         with pytest.raises(ArdkitError, match=r"^line 3: field larger than field limit \(131072\)$"):
             read_csv(text, make_indicator())
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("bad_line", [2, 255, 256, 257, 600])
+    def test_rows_before_an_unreadable_line_come_first(self, bad_line):
+        # Rows are read in chunks; a chunk cut short by a bad line still hands out the rows before it.
+        lines = [f"r{n},x" for n in range(1, 700)]
+        lines[bad_line - 1] = "a\rb,x"  # a bare carriage return in an unquoted field
+        rows = csv_rows("\n".join(lines) + "\n")
+        got = []
+        with pytest.raises(ArdkitError, match=rf"^line {bad_line}: new-line character seen in unquoted field"):
+            got.extend(rows)
+        assert got == [[f"r{n}", "x"] for n in range(1, bad_line)]
+
+    def test_rows_are_csv_reader_rows(self):
+        text = 'a,"b\nc"\n\n"q""x",\r\nlast'
+        assert list(csv_rows(text)) == list(csv.reader(io.StringIO(text))) == [["a", "b\nc"], [], ['q"x', ""], ["last"]]
 
 
 def csv_writer_rendering(dataset):
