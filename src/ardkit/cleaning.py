@@ -32,7 +32,6 @@ from .model import (
     canonical_sort,
     check_cell,
     describe_key,
-    refresh_indicator,
     string_list,
     validate_dataset,
 )
@@ -316,14 +315,13 @@ def clean(dataset: Dataset, rules: CleaningRuleSet) -> tuple[Dataset, CleaningLo
 
     if entries or order != list(range(len(keys))):  # every repair and every drop logs an entry
         dataset = dataset.with_columns(Columns(region, year, age, sex, kinds, magnitudes, levels).take(order))
-    cleaned = refresh_indicator(dataset)
-    violations = validate_dataset(cleaned)
+    violations = validate_dataset(dataset)
     if violations:
         details = "; ".join(f"{v.locator()}: {v.message}" for v in violations[:10])
         raise CleaningError(
             f"cleaning left {len(violations)} validation violation(s); first: {details}"
         )
-    return cleaned, CleaningLog(tuple(entries))
+    return dataset, CleaningLog(tuple(entries))
 
 
 def _merge_duplicates(cells: list[tuple]) -> tuple:
@@ -358,4 +356,4 @@ def replay(dataset: Dataset, log: CleaningLog) -> Dataset:
             raise CleaningError(f"{where}: row {entry.row} is not in the dataset")
         working[entry.row] = _set_field(working[entry.row], entry.field, entry.after, where)
     replayed = dataset.with_columns(Columns.from_rows([working[i] for i in sorted(working)]))
-    return refresh_indicator(canonical_sort(replayed))
+    return canonical_sort(replayed)

@@ -34,7 +34,7 @@ from .model import (
     write_csv,
 )
 from .pipeline import check_privacy_log, collector_paused, load_config, privacy_stage, qa_stage, run
-from .privacy import SuppressionPolicy
+from .privacy import SuppressionPolicy, check_seed
 from .qa import clean_qa_cycle, QAContext
 from .cleaning import CleaningRuleSet
 
@@ -180,10 +180,7 @@ def _cmd_correspond(args) -> int:
 
 def _cmd_suppress(args) -> int:
     dataset = _read_dataset(args.data, args.indicator)
-    if args.noise_magnitude and args.seed is None:
-        raise ConfigError("--noise-magnitude needs --seed")
-    if args.seed is not None and not args.noise_magnitude:
-        raise ConfigError("--seed given but --noise-magnitude is zero; remove it")
+    check_seed(args.noise_magnitude, args.seed)
     dataset, log = privacy_stage(
         dataset,
         suppression=SuppressionPolicy(threshold=args.threshold, suppress_zero=args.suppress_zero),
@@ -209,6 +206,10 @@ def _parse_coverage(text: str) -> tuple[int, int]:
 
 
 def _cmd_qa(args) -> int:
+    if args.round_counts and not args.filter_high:
+        raise ConfigError("--round-counts needs --filter-high")
+    if args.filter_high and not args.out_data:
+        raise ConfigError("--filter-high needs --out-data")
     dataset = _read_dataset(args.data, args.indicator)
     outcomes = _read_doc(args.outcomes, outcomes_from_json) if args.outcomes else ()
     privacy_log = _read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
@@ -222,8 +223,6 @@ def _cmd_qa(args) -> int:
         coverage=coverage,
     )
     if args.filter_high:
-        if not args.out_data:
-            raise ConfigError("--filter-high needs --out-data")
         emitted = round_counts(filtered) if args.round_counts else filtered
         _write_dataset(emitted, args.out_data, args.out_indicator)
         if args.removals:

@@ -42,7 +42,6 @@ from .model import (
     csv_rows,
     describe_key,
     exact_total,
-    refresh_indicator,
 )
 
 # Record-level provenance events consumed by the QA uncertainty rule.
@@ -249,10 +248,10 @@ class CorrespondenceOutcome:
             "zero_filled": list(self.zero_filled),
             "events": [
                 {
-                    "key": [key.region, key.calendar_year, key.age_group, key.sex],
-                    "events": list(events),
+                    "key": list(key),
+                    "events": list(self.events[key]),
                 }
-                for key, events in sorted(self.events.items(), key=lambda kv: kv[0].sort_key)
+                for key in sorted(self.events)
             ],
         }
 
@@ -262,10 +261,9 @@ class CorrespondenceOutcome:
         if not isinstance(doc, Mapping):
             raise CorrespondenceError(f"correspondence outcome {doc!r} is not a JSON object")
         try:
-            events = {}
-            for item in doc["events"]:
-                code, year, age, sex = item["key"]
-                events[RecordKey(code, int(year), age, sex)] = tuple(item["events"])
+            events = dict(
+                _event_entry(item, f"correspondence outcome event {n}") for n, item in enumerate(doc["events"], 1)
+            )
             return cls(
                 op=doc["op"],
                 level=GeoLevel(doc["level"]),
@@ -281,6 +279,23 @@ class CorrespondenceOutcome:
             raise CorrespondenceError(f"correspondence outcome lacks {exc}") from None
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise CorrespondenceError(f"malformed correspondence outcome: {exc}") from None
+
+
+def _event_entry(item, where: str) -> tuple[RecordKey, tuple[str, ...]]:
+    """One entry of a report's `events` list; a wrongly shaped one raises CorrespondenceError naming `where`."""
+    if not isinstance(item, Mapping):
+        raise CorrespondenceError(f"{where} is not a JSON object")
+    key, events = item.get("key"), item.get("events")
+    if not isinstance(key, list) or len(key) != 4:
+        raise CorrespondenceError(f"{where}: key must be a [region, year, age group, sex] list, not {key!r}")
+    region, year, age, sex = key
+    if not all(isinstance(token, str) and token for token in (region, age, sex)):
+        raise CorrespondenceError(f"{where}: region, age group and sex must be non-empty strings, not {key!r}")
+    if isinstance(year, bool) or not isinstance(year, int):
+        raise CorrespondenceError(f"{where}: year must be an integer, not {year!r}")
+    if not isinstance(events, list) or not all(isinstance(event, str) for event in events):
+        raise CorrespondenceError(f"{where}: events must be a list of strings, not {events!r}")
+    return RecordKey(region, year, age, sex), tuple(events)
 
 
 def outcomes_from_json(doc) -> tuple[CorrespondenceOutcome, ...]:
@@ -327,7 +342,7 @@ def _converted(
     canonical order, so the result needs no sort.
     """
     rows = [row for region in sorted(by_region) for row in by_region[region]]
-    return refresh_indicator(Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level))
+    return Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level)
 
 
 def forward(
@@ -555,7 +570,6 @@ def _quotient(
     """Divide converted numerator counts by converted denominator counts; rows keep their order."""
     c, d = num_out.columns, den_out.columns
     den_rows = {key: i for i, key in enumerate(d.record_keys())}
-    num_events = {key.sort_key: (key, evs) for key, evs in num_outcome.events.items()}
     value_kind = dataset.indicator.value_kind
     cells: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
@@ -564,8 +578,7 @@ def _quotient(
         j = den_rows[key]
         denom_kind, denom_magnitude = d.kind[j], d.magnitude[j]
         level = max(level, d.uncertainty[j])
-        record_key, evs = num_events.get(key, (None, ()))
-        evs = tuple(evs)
+        evs = num_outcome.events.get(key, ())
         if kind is CellKind.SUPPRESSED or denom_kind is CellKind.SUPPRESSED:
             cells.append((CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
             evs = evs or (EVENT_UNRESOLVABLE,)
@@ -580,9 +593,9 @@ def _quotient(
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
             cells.append((value_kind, n * denom_q / (q * denom_n), level))
         if evs:
-            events[record_key or RecordKey(*key)] = evs
+            events[RecordKey(*key)] = evs
     columns = Columns(*c[:4], *_transpose(cells, 3))
-    result = refresh_indicator(Dataset(dataset.indicator, columns, num_out.edition, num_out.level))
+    result = Dataset(dataset.indicator, columns, num_out.edition, num_out.level)
     return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
 
 

@@ -1,13 +1,14 @@
 """Documentation artifacts: metadata, data dictionary, DMP scaffold, provenance.
 
 Metadata documents group their elements under the four FAIR headings
-(findable, accessible, interoperable, reusable); coverage fields are
-computed from the dataset, the rest comes from project configuration, and
-a document missing manual fields is a draft.  The dictionary is rendered
-for two audiences: the published view never contains the researcher-only
-links block.  The provenance log is an append-only JSON-lines file whose
-entries chain a digest of their predecessor, so any mutation of history is
-detectable.
+(findable, accessible, interoperable, reusable), laid out once in
+`FAIR_LAYOUT`; coverage fields are computed from the dataset, the rest
+comes from project configuration, and a document with an empty field is a
+draft.  The dictionary is rendered straight from the indicators and the
+project's dictionary configuration, for two audiences: the published view
+never contains the researcher-only links block.  The provenance log is an
+append-only JSON-lines file whose entries chain a digest of their
+predecessor, so any mutation of history is detectable.
 """
 
 from __future__ import annotations
@@ -18,100 +19,62 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DocsError
 from .jsonio import compact_dumps, parse_json, sha256_hex
-from .model import Dataset, Indicator, UncertaintyLevel
+from .model import Dataset, Indicator
 
 EN_DASH = "–"
 
-_MANUAL_FIELDS = (
-    "title",
-    "identifier",
-    "metadata_reference",
-    "access_rights",
-    "licence",
-    "fields_of_research",
-    "socio_economic_objectives",
-    "legal_ethical_requirements",
-    "standard_vocabulary_note",
+# The FAIR layout, stated once: (JSON group, Markdown heading,
+# ((field, Markdown label), ...)).  The JSON document, the Markdown
+# rendering and the missing-field check all walk this table.
+FAIR_LAYOUT: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
+    ("findable", "Findable", (
+        ("title", "Title"),
+        ("identifier", "Identifier"),
+        ("metadata_reference", "Metadata reference"),
+    )),
+    ("accessible", "Accessible", (
+        ("legal_ethical_requirements", "Legal and ethical requirements"),
+        ("access_rights", "Access rights"),
+    )),
+    ("interoperable", "Interoperable", (
+        ("standard_vocabulary_note", "Standard vocabulary"),
+    )),
+    ("reusable", "Reusable", (
+        ("licence", "Licence"),
+        ("geographical_coverage", "Geographical coverage"),
+        ("temporal_coverage", "Temporal coverage"),
+        ("fields_of_research", "Fields of research"),
+        ("socio_economic_objectives", "Socio-economic objectives"),
+    )),
 )
-_AUTO_FIELDS = ("geographical_coverage", "temporal_coverage")
 
 
 @dataclass(frozen=True)
 class MetadataDoc:
-    """FAIR metadata for one published dataset."""
+    """FAIR metadata for one published dataset; `fields` holds every FAIR_LAYOUT field."""
 
     indicator_id: str
-    title: str
-    identifier: str
-    metadata_reference: str
-    access_rights: str
-    licence: str
-    geographical_coverage: str
-    temporal_coverage: str
-    fields_of_research: str
-    socio_economic_objectives: str
-    legal_ethical_requirements: str
-    standard_vocabulary_note: str
     variable_type: str
     draft: bool
+    fields: Mapping[str, str]
 
     def missing_fields(self) -> tuple[str, ...]:
-        return tuple(
-            name for name in (*_MANUAL_FIELDS, *_AUTO_FIELDS) if not getattr(self, name)
-        )
+        return tuple(name for _, _, group in FAIR_LAYOUT for name, _ in group if not self.fields[name])
 
     def to_json(self) -> dict:
-        return {
-            "indicator_id": self.indicator_id,
-            "draft": self.draft,
-            "variable_type": self.variable_type,
-            "findable": {
-                "title": self.title,
-                "identifier": self.identifier,
-                "metadata_reference": self.metadata_reference,
-            },
-            "accessible": {
-                "legal_ethical_requirements": self.legal_ethical_requirements,
-                "access_rights": self.access_rights,
-            },
-            "interoperable": {
-                "standard_vocabulary_note": self.standard_vocabulary_note,
-            },
-            "reusable": {
-                "licence": self.licence,
-                "geographical_coverage": self.geographical_coverage,
-                "temporal_coverage": self.temporal_coverage,
-                "fields_of_research": self.fields_of_research,
-                "socio_economic_objectives": self.socio_economic_objectives,
-            },
-        }
+        doc = {"indicator_id": self.indicator_id, "draft": self.draft, "variable_type": self.variable_type}
+        for key, _, group in FAIR_LAYOUT:
+            doc[key] = {name: self.fields[name] for name, _ in group}
+        return doc
 
     def to_markdown(self) -> str:
         status = " (draft)" if self.draft else ""
-        lines = [
-            f"# Metadata: {self.title or self.indicator_id}{status}",
-            "",
-            "## Findable",
-            f"- Title: {self.title}",
-            f"- Identifier: {self.identifier}",
-            f"- Metadata reference: {self.metadata_reference}",
-            "",
-            "## Accessible",
-            f"- Legal and ethical requirements: {self.legal_ethical_requirements}",
-            f"- Access rights: {self.access_rights}",
-            "",
-            "## Interoperable",
-            f"- Standard vocabulary: {self.standard_vocabulary_note}",
-            "",
-            "## Reusable",
-            f"- Licence: {self.licence}",
-            f"- Geographical coverage: {self.geographical_coverage}",
-            f"- Temporal coverage: {self.temporal_coverage}",
-            f"- Fields of research: {self.fields_of_research}",
-            f"- Socio-economic objectives: {self.socio_economic_objectives}",
-            "",
-            f"Variable type: {self.variable_type}",
-        ]
+        lines = [f"# Metadata: {self.fields['title'] or self.indicator_id}{status}", ""]
+        for _, heading, group in FAIR_LAYOUT:
+            lines.append(f"## {heading}")
+            lines.extend(f"- {label}: {self.fields[name]}" for name, label in group)
+            lines.append("")
+        lines.append(f"Variable type: {self.variable_type}")
         return "\n".join(lines) + "\n"
 
 
@@ -134,27 +97,15 @@ def emit_metadata(
     publishable: bool = False,
 ) -> MetadataDoc:
     """Build the metadata document; publishable mode refuses missing fields."""
-    config = dict(project_config.get("metadata", {}))
-    geographical, temporal = coverage_summary(dataset)
-    doc = MetadataDoc(
-        indicator_id=indicator.id,
-        title=config.get("title", indicator.name),
-        identifier=config.get("identifier", f"ard:{indicator.id}"),
-        metadata_reference=config.get("metadata_reference", ""),
-        access_rights=config.get("access_rights", ""),
-        licence=config.get("licence", ""),
-        geographical_coverage=geographical,
-        temporal_coverage=temporal,
-        fields_of_research=config.get("fields_of_research", ""),
-        socio_economic_objectives=config.get("socio_economic_objectives", ""),
-        legal_ethical_requirements=config.get("legal_ethical_requirements", ""),
-        standard_vocabulary_note=config.get(
-            "standard_vocabulary_note",
-            "Compiled in the project's standardized record format with controlled filter vocabulary.",
-        ),
-        variable_type=indicator.value_kind.value,
-        draft=False,
-    )
+    config = project_config.get("metadata", {})
+    defaults = {
+        "title": indicator.name,
+        "identifier": f"ard:{indicator.id}",
+        "standard_vocabulary_note": "Compiled in the project's standardized record format with controlled filter vocabulary.",
+    }
+    fields = {name: config.get(name, defaults.get(name, "")) for _, _, group in FAIR_LAYOUT for name, _ in group}
+    fields["geographical_coverage"], fields["temporal_coverage"] = coverage_summary(dataset)
+    doc = MetadataDoc(indicator.id, indicator.value_kind.value, False, fields)
     missing = doc.missing_fields()
     if missing:
         if publishable:
@@ -168,26 +119,6 @@ class Audience(enum.Enum):
     RESEARCHER = "researcher"
 
 
-@dataclass(frozen=True)
-class ResearcherLinks:
-    cleaning_code_link: str = ""
-    data_file_links: tuple[str, ...] = ()
-    project_doc_links: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DictionaryEntry:
-    """Per-indicator dictionary record; the links block is researcher-only."""
-
-    variable_name: str
-    definition: str
-    variable_type: str
-    data_source: str
-    temporal_correspondence_applied: bool
-    uncertainty_present: UncertaintyLevel
-    researcher_only: ResearcherLinks = ResearcherLinks()
-
-
 UNCERTAINTY_LEGEND = (
     "Uncertainty levels: 0 = no approximation touched the value; "
     "1 = boundary conversion discarded only contributions below the discard "
@@ -195,23 +126,6 @@ UNCERTAINTY_LEGEND = (
     "2 = the value could not be reconstructed and was suppressed. "
     "Level-2 records are removed before release; levels 0 and 1 are retained."
 )
-
-
-def dictionary_entry(indicator: Indicator, docs_config: Mapping) -> DictionaryEntry:
-    links = docs_config.get("researcher_links", {})
-    return DictionaryEntry(
-        variable_name=indicator.name,
-        definition=docs_config.get("definition", ""),
-        variable_type=indicator.value_kind.value,
-        data_source=docs_config.get("data_source", indicator.source_id),
-        temporal_correspondence_applied=indicator.correspondence_applied,
-        uncertainty_present=indicator.max_uncertainty,
-        researcher_only=ResearcherLinks(
-            cleaning_code_link=links.get("cleaning_code", ""),
-            data_file_links=tuple(links.get("data_files", ())),
-            project_doc_links=tuple(links.get("project_docs", ())),
-        ),
-    )
 
 
 def emit_dictionary(
@@ -228,27 +142,28 @@ def emit_dictionary(
         "",
     ]
     for indicator in sorted(indicators, key=lambda i: i.id):
-        entry = dictionary_entry(indicator, per_indicator.get(indicator.id, {}))
+        entry = per_indicator.get(indicator.id, {})
+        level = indicator.max_uncertainty
         lines.extend(
             [
-                f"## {entry.variable_name}",
+                f"## {indicator.name}",
                 "",
-                f"- Variable name: {entry.variable_name}",
-                f"- Definition: {entry.definition}",
-                f"- Variable type: {entry.variable_type}",
-                f"- Data source: {entry.data_source}",
-                f"- Temporal correspondence applied: {'yes' if entry.temporal_correspondence_applied else 'no'}",
-                f"- Uncertainty present: {int(entry.uncertainty_present)} ({entry.uncertainty_present.name.lower()})",
+                f"- Variable name: {indicator.name}",
+                f"- Definition: {entry.get('definition', '')}",
+                f"- Variable type: {indicator.value_kind.value}",
+                f"- Data source: {entry.get('data_source', indicator.source_id)}",
+                f"- Temporal correspondence applied: {'yes' if indicator.correspondence_applied else 'no'}",
+                f"- Uncertainty present: {int(level)} ({level.name.lower()})",
             ]
         )
         if audience is Audience.RESEARCHER:
-            links = entry.researcher_only
+            links = entry.get("researcher_links", {})
             lines.extend(
                 [
                     "- Researcher-only links:",
-                    f"  - Cleaning code: {links.cleaning_code_link}",
-                    f"  - Data files: {', '.join(links.data_file_links)}",
-                    f"  - Project documentation: {', '.join(links.project_doc_links)}",
+                    f"  - Cleaning code: {links.get('cleaning_code', '')}",
+                    f"  - Data files: {', '.join(links.get('data_files', ()))}",
+                    f"  - Project documentation: {', '.join(links.get('project_docs', ()))}",
                 ]
             )
         lines.append("")

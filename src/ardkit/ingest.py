@@ -1,4 +1,7 @@
-"""Raw-table parsing, declarative schema mappings, and the source registry.
+"""Raw-table parsing, declarative schema mappings, and source descriptors.
+
+A source descriptor records where a dataset came from; the pipeline
+writes the configured descriptors, sorted by id, to ``registry.json``.
 
 A schema mapping binds raw column names to the standardized roles
 (geography code, calendar year, age group, sex, value) and declares the
@@ -87,37 +90,6 @@ class SourceDescriptor:
             collection_end=datetime.date.fromisoformat(doc["collection_end"]),
             url_or_locator=doc["url_or_locator"],
         )
-
-
-@dataclass(frozen=True)
-class SourceRegistry:
-    """Registry of every discovered source, unique by source_id."""
-
-    sources: tuple[SourceDescriptor, ...] = ()
-
-    def get(self, source_id: str) -> SourceDescriptor | None:
-        for source in self.sources:
-            if source.source_id == source_id:
-                return source
-        return None
-
-    def to_json(self) -> dict:
-        return {"sources": [s.to_json() for s in self.sources]}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "SourceRegistry":
-        registry = cls()
-        for item in doc.get("sources", ()):
-            registry = register_source(registry, SourceDescriptor.from_json(item))
-        return registry
-
-
-def register_source(registry: SourceRegistry, source: SourceDescriptor) -> SourceRegistry:
-    """Add a source; duplicate ids are rejected naming the collision."""
-    if registry.get(source.source_id) is not None:
-        raise IngestError(f"duplicate source {source.source_id!r} already registered")
-    sources = tuple(sorted([*registry.sources, source], key=lambda s: s.source_id))
-    return SourceRegistry(sources)
 
 
 class Layout(enum.Enum):

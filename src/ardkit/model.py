@@ -16,7 +16,8 @@ are deliberately *not* enforced by the constructors: dirty datasets must be
 representable so that :func:`validate_dataset` can report their problems as
 data and the cleaning stage can repair them.  Only the structural rules
 that serialization depends on are checked, once where rows enter a dataset
-from outside (parsing, reading, replaying a log, building from records).
+from outside (parsing, reading, replaying a log); a CellValue checks its
+own cell.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, islice
@@ -134,14 +135,6 @@ def _is_data_kind(kind: CellKind) -> bool:
     return kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE
 
 
-def check_key(region: object, calendar_year: object) -> None:
-    """Raise unless a record key's region is a str and its year an int."""
-    if not isinstance(region, str):
-        raise ArdkitError(f"region code must be a string, got {region!r}")
-    if isinstance(calendar_year, bool) or not isinstance(calendar_year, int):
-        raise ArdkitError(f"calendar year must be an integer, got {calendar_year!r}")
-
-
 def check_cell(kind: CellKind, magnitude: object, uncertainty: object) -> None:
     """Raise unless a data kind carries a finite magnitude and a marker kind none."""
     if _is_data_kind(kind):
@@ -222,26 +215,20 @@ def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> s
     return f"{region}/{calendar_year}/{age_group}/{sex}"
 
 
-@dataclass(frozen=True)
-class RecordKey:
-    """Identity of one observation: where, when, and which population slice."""
+class RecordKey(NamedTuple):
+    """Identity of one observation: where, when, and which population slice.
+
+    It is the (region, year, age group, sex) tuple of `Columns.record_keys`
+    with names, so it equals, and hashes as, that plain tuple.
+    """
 
     region: str
     calendar_year: int
     age_group: str
     sex: str
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_key(self.region, self.calendar_year)
-        object.__setattr__(
-            self,
-            "sort_key",
-            (self.region, self.calendar_year, self.age_group, self.sex),
-        )
 
     def describe(self) -> str:
-        return describe_key(*self.sort_key)
+        return describe_key(*self)
 
 
 @dataclass(frozen=True)
@@ -333,7 +320,7 @@ class Columns(NamedTuple):
         return Columns(*(tuple(map(column.__getitem__, rows)) for column in self))
 
     def record_keys(self) -> Iterator[tuple[str, int, str, str]]:
-        """Each row's (region, year, age group, sex), the RecordKey.sort_key order."""
+        """Each row's (region, year, age group, sex): its RecordKey as a plain tuple."""
         return zip(self.region, self.year, self.age, self.sex)
 
 
@@ -345,9 +332,11 @@ class Dataset:
     """An indicator's records at one (edition, level), held as columns.
 
     ``Dataset(indicator, records, edition, level)`` with StandardRecords in
-    the second place is the compatibility form: the records (each checked
-    when it was built) are transposed into columns.  Two datasets are equal
-    when their indicator, columns, edition and level are.
+    the second place is the compatibility form: the records (each cell
+    checked when it was built) are transposed into columns.  The indicator's
+    ``max_uncertainty`` is set here to the worst level among the rows, so
+    every dataset states it correctly.  Two datasets are equal when their
+    indicator, columns, edition and level are.
     """
 
     indicator: Indicator
@@ -358,9 +347,12 @@ class Dataset:
     def __post_init__(self) -> None:
         if not isinstance(self.columns, Columns):
             records = tuple(self.columns)
-            rows = [(*r.key.sort_key, r.value.kind, r.value.magnitude, r.value.uncertainty) for r in records]
+            rows = [(*r.key, r.value.kind, r.value.magnitude, r.value.uncertainty) for r in records]
             object.__setattr__(self, "columns", Columns.from_rows(rows))
             self.__dict__["records"] = records  # the given records serve as the view
+        worst = max(self.columns.uncertainty, default=UncertaintyLevel.LOW)
+        if worst != self.indicator.max_uncertainty:
+            object.__setattr__(self, "indicator", replace(self.indicator, max_uncertainty=worst))
 
     @cached_property
     def records(self) -> tuple[StandardRecord, ...]:
@@ -526,14 +518,6 @@ def canonical_sort(dataset: Dataset) -> Dataset:
     if order == list(range(len(keys))):
         return dataset
     return dataset.with_columns(dataset.columns.take(order))
-
-
-def refresh_indicator(dataset: Dataset) -> Dataset:
-    """Re-derive the indicator's max uncertainty from the surviving records."""
-    worst = max(dataset.columns.uncertainty, default=UncertaintyLevel.LOW)
-    if worst == dataset.indicator.max_uncertainty:
-        return dataset
-    return replace(dataset, indicator=replace(dataset.indicator, max_uncertainty=worst))
 
 
 CSV_COLUMNS = ("CALENDAR_YEAR", "AGE_GROUP", "SEX", "VALUE", "UNCERTAINTY")

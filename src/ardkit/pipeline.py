@@ -39,13 +39,7 @@ from .docs import (
     scaffold_dmp,
 )
 from .errors import ArdkitError, ConfigError, CorrespondenceError, IngestError
-from .ingest import (
-    SchemaMapping,
-    SourceDescriptor,
-    SourceRegistry,
-    parse_raw,
-    register_source,
-)
+from .ingest import SchemaMapping, SourceDescriptor, parse_raw
 from .jsonio import canonical_dumps, parse_json, sha256_hex, validate_against_schema
 from .model import (
     BoundaryEdition,
@@ -58,7 +52,7 @@ from .model import (
     round_counts,
     write_csv,
 )
-from .privacy import SuppressionPolicy, randomize, suppress
+from .privacy import SuppressionPolicy, check_seed, randomize, suppress
 from .qa import (
     ConservationRecord,
     QAContext,
@@ -227,12 +221,6 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         max_iterations=qa_doc.get("max_iterations", 10),
     )
 
-    seed = doc.get("seed")
-    if stages.privacy_enabled and stages.noise_magnitude > 0 and seed is None:
-        raise ConfigError("randomisation is enabled (noise_magnitude > 0) but no seed is configured")
-    if seed is not None and (not stages.privacy_enabled or stages.noise_magnitude == 0):
-        raise ConfigError("seed configured but randomisation is disabled; remove the seed")
-
     coverage_doc = project["temporal_coverage"]
     coverage = (coverage_doc["start"], coverage_doc["end"])
     if coverage[0] > coverage[1]:
@@ -254,7 +242,7 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         tables=tables,
         stages=stages,
         output_dir=base / doc.get("output_dir", "out"),
-        seed=seed,
+        seed=doc.get("seed"),
         round_counts=doc.get("round_counts", False),
     )
 
@@ -606,19 +594,22 @@ def collector_paused():
 
 @collector_paused()
 def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
-    """Execute the pipeline; artifacts land under config.output_dir."""
+    """Execute the pipeline; artifacts land under config.output_dir.
+
+    A seed that does not match the noise setting raises ConfigError before
+    anything is written.
+    """
+    check_seed(config.stages.noise_magnitude if config.stages.privacy_enabled else 0, config.seed)
     out_dir = config.output_dir
     timestamp = _run_timestamp(config)
     artifacts: dict[str, str] = {}
 
-    registry = SourceRegistry()
     results: dict[str, IndicatorResult] = {}
     failure: str | None = None
     defect: Exception | None = None
     try:
-        for source in config.sources:
-            registry = register_source(registry, source)
-        artifacts["registry.json"] = canonical_dumps(registry.to_json())
+        sources = sorted(config.sources, key=lambda s: s.source_id)
+        artifacts["registry.json"] = canonical_dumps({"sources": [s.to_json() for s in sources]})
         tables = load_tables(config.tables)
 
         # Denominators come first; only their cleaned datasets are kept.
@@ -661,7 +652,7 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
 
         add(
             "registry",
-            f"registered {len(registry.sources)} source(s)",
+            f"registered {len(sources)} source(s)",
             outputs=(sha256_hex(artifacts["registry.json"]),),
         )
         for ind_id in sorted(results):

@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import PrivacyError
-from .model import CellKind, Dataset, refresh_indicator
+from .errors import ConfigError, PrivacyError
+from .model import CellKind, Dataset
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
     )
     if per_stratum:
         dataset = dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))
-    return refresh_indicator(dataset), log
+    return dataset, log
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,19 @@ def pseudonymize(column: Sequence[str], pmap: PseudonymMap) -> tuple[tuple[str, 
     return tuple(out), updated
 
 
+def check_seed(noise_magnitude: int, seed) -> None:
+    """Require a seed exactly when noise is on; raises ConfigError otherwise.
+
+    Noise without a seed would not be reproducible, and a seed without
+    noise is dead entropy.  `run` and `suppress` both check the values
+    they will use, before they write anything.
+    """
+    if noise_magnitude and seed is None:
+        raise ConfigError(f"randomisation is enabled (noise magnitude {noise_magnitude}) but no seed is given")
+    if seed is not None and not noise_magnitude:
+        raise ConfigError("a seed is given but randomisation is disabled (noise magnitude 0); remove the seed")
+
+
 def randomize(dataset: Dataset, noise_magnitude: int, seed) -> Dataset:
     """Perturb counts by uniform integer noise in [-k, +k], clamped at zero.
 
@@ -162,4 +175,4 @@ def randomize(dataset: Dataset, noise_magnitude: int, seed) -> Dataset:
         if kind is CellKind.COUNT:
             noise = rng.randint(-noise_magnitude, noise_magnitude)
             magnitudes[i] = max(0, magnitudes[i] + noise)
-    return refresh_indicator(dataset.with_columns(c._replace(magnitude=tuple(magnitudes))))
+    return dataset.with_columns(c._replace(magnitude=tuple(magnitudes)))

@@ -36,7 +36,6 @@ from .model import (
     describe_key,
     exact_total,
     format_magnitude,
-    refresh_indicator,
     validate_dataset,
 )
 
@@ -301,11 +300,12 @@ def assign_uncertainty(
 
     High for unreconstructable values, medium for discarded sub-threshold
     contributions or gap-filled missing inputs, low otherwise.  A level a
-    record already carries is never lowered.  A record whose key is absent
-    from `provenance` had no events.  Rows keep their order.  When no level
+    record already carries is never lowered.  `provenance` is keyed by
+    RecordKey or the plain key tuple, which are equal; a record whose key is
+    absent had no events.  Rows keep their order.  When no level
     rises, the result holds the input's own `columns` object.
     """
-    by_key = {key.sort_key: set(events) for key, events in provenance.items() if events}
+    by_key = {key: set(events) for key, events in provenance.items() if events}
     c = dataset.columns
     levels = list(c.uncertainty)
     for i in compress(range(len(levels)), map(by_key.__contains__, c.record_keys() if by_key else ())):
@@ -318,8 +318,8 @@ def assign_uncertainty(
             continue
         levels[i] = max(level, levels[i])
     if levels != list(c.uncertainty):
-        dataset = dataset.with_columns(c._replace(uncertainty=tuple(levels)))
-    return refresh_indicator(dataset)
+        return dataset.with_columns(c._replace(uncertainty=tuple(levels)))
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -338,13 +338,13 @@ def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     """
     c = dataset.columns
     if UncertaintyLevel.HIGH not in c.uncertainty:
-        return refresh_indicator(dataset), RemovalLog((), fully_removed=False)
+        return dataset, RemovalLog((), fully_removed=False)
     high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
     removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
     kept = [i for i, is_high in enumerate(high) if not is_high]
     if removed:
         dataset = dataset.with_columns(c.take(kept))
-    return refresh_indicator(dataset), RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
+    return dataset, RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
 
 
 @dataclass(frozen=True)

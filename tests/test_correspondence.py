@@ -557,6 +557,28 @@ class TestOutcomeSerialization:
         assert CorrespondenceOutcome.from_json(doc).events == dict(outcome.events)
 
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"key": ["A", 2016, 5, None], "events": []}, "region, age group and sex must be non-empty strings"),
+            ({"key": ["", 2016, "0-4", "male"], "events": []}, "region, age group and sex must be non-empty strings"),
+            ({"key": ["A", 2016.7, "0-4", "male"], "events": []}, "year must be an integer, not 2016.7"),
+            ({"key": ["A", True, "0-4", "male"], "events": []}, "year must be an integer, not True"),
+            ({"key": ["A", 2016, "0-4"], "events": []}, "key must be a [region, year, age group, sex] list"),
+            ({"key": ["A", 2016, "0-4", "male"], "events": "x"}, "events must be a list of strings, not 'x'"),
+            ({"key": ["A", 2016, "0-4", "male"], "events": [1]}, "events must be a list of strings, not [1]"),
+        ],
+        ids=["non-string-token", "empty-region", "fractional-year", "boolean-year", "short-key", "events-string", "events-numbers"],
+    )
+    def test_malformed_event_entry_named(self, entry, message):
+        table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])
+        doc = forward(make_counts({"A": 100}, edition=E2011), table)[1].to_json()
+        doc["events"] = [{"key": ["B", 2016, "0-4", "male"], "events": []}, entry]
+        with pytest.raises(CorrespondenceError) as excinfo:
+            CorrespondenceOutcome.from_json(doc)
+        assert str(excinfo.value).startswith(f"correspondence outcome event 2: {message}")
+
+
 class TestRationalRates:
     def test_identity_rate_conversion_is_exact(self):
         # The oracle's numerator count 0.1 x 3 stays exact, so dividing by 3 gives 0.1 back.

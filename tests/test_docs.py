@@ -10,11 +10,11 @@ import pytest
 from ardkit.docs import (
     Audience,
     DMP_TOPICS,
+    FAIR_LAYOUT,
     GENESIS_DIGEST,
     ProvenanceLog,
     append_provenance,
     coverage_summary,
-    dictionary_entry,
     emit_dictionary,
     emit_metadata,
     make_entry,
@@ -22,7 +22,7 @@ from ardkit.docs import (
     verify_chain,
 )
 from ardkit.errors import DocsError
-from ardkit.jsonio import canonical_dumps
+from ardkit.jsonio import canonical_dumps, load_schema
 from ardkit.model import CellValue, UncertaintyLevel
 
 from conftest import make_counts, make_indicator, make_record
@@ -59,8 +59,8 @@ class TestMetadata:
 
     def test_auto_coverage_fields(self):
         doc = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG)
-        assert doc.temporal_coverage == "2006–2022"
-        assert doc.geographical_coverage == "SA3 (ASGS2016), Australia"
+        assert doc.fields["temporal_coverage"] == "2006–2022"
+        assert doc.fields["geographical_coverage"] == "SA3 (ASGS2016), Australia"
         assert not doc.draft
 
     def test_auto_fields_match_independent_recomputation(self):
@@ -74,7 +74,7 @@ class TestMetadata:
         del config["metadata"]["licence"]
         doc = emit_metadata(make_indicator(), self.dataset(), config)
         assert doc.draft
-        assert doc.licence == ""
+        assert doc.fields["licence"] == ""
 
     def test_publishable_with_missing_fields_fatal(self):
         config = {"metadata": dict(FULL_CONFIG["metadata"])}
@@ -103,7 +103,15 @@ class TestMetadata:
     def test_single_year_coverage(self):
         dataset = make_counts({"A": 1})
         doc = emit_metadata(make_indicator(), dataset, FULL_CONFIG)
-        assert doc.temporal_coverage == "2016"
+        assert doc.fields["temporal_coverage"] == "2016"
+
+    def test_schema_states_the_layout_table(self):
+        # The schema is the one other statement of the layout: same groups, same fields, same order.
+        schema = load_schema("metadata.schema.json")
+        groups = [(key, list(group["properties"])) for key, group in schema["properties"].items() if "properties" in group]
+        assert groups == [(key, [name for name, _ in fields]) for key, _, fields in FAIR_LAYOUT]
+        for key, fields in groups:
+            assert schema["properties"][key]["required"] == fields
 
 
 class TestDictionary:
@@ -148,12 +156,6 @@ class TestDictionary:
     def test_legend_explains_levels(self):
         text = emit_dictionary(self.indicators(), FULL_CONFIG, Audience.PUBLISHED)
         assert "Uncertainty levels:" in text
-
-    def test_entry_builder(self):
-        entry = dictionary_entry(self.indicators()[0], FULL_CONFIG["dictionary"]["demo.count"])
-        assert entry.variable_type == "count"
-        assert entry.temporal_correspondence_applied
-        assert entry.researcher_only.cleaning_code_link == "repo/cleaning/demo.py"
 
 
 class TestDmp:

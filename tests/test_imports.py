@@ -71,6 +71,26 @@ def test_records_read_is_reported():
     ]
 
 
+def max_uncertainty_arguments(source: str) -> list[str]:
+    """Lines that pass a `max_uncertainty=` keyword argument."""
+    tree = ast.parse(source)
+    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg == "max_uncertainty")
+    return [f"line {line}: max_uncertainty=" for line in lines]
+
+
+@pytest.mark.parametrize("path", NOT_MODEL, ids=[p.stem for p in NOT_MODEL])
+def test_only_the_dataset_sets_max_uncertainty(path):
+    # `Dataset` states its rows' worst level when it is built; a second writer can only disagree with it.
+    assert max_uncertainty_arguments(path.read_text(encoding="utf-8")) == []
+
+
+def test_max_uncertainty_argument_is_reported():
+    assert max_uncertainty_arguments("replace(i, max_uncertainty=2)\nf(x)\nIndicator(a, max_uncertainty=m)\n") == [
+        "line 1: max_uncertainty=",
+        "line 3: max_uncertainty=",
+    ]
+
+
 def test_no_module_imports_jsonschema():
     # jsonschema is the test oracle of `jsonio`'s validator, not a runtime dependency.
     importers = [

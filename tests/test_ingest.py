@@ -1,4 +1,4 @@
-"""Raw parsing, schema mappings, detection, and the source registry."""
+"""Raw parsing, schema mappings, detection, and source descriptors."""
 
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ from ardkit.ingest import (
     Layout,
     SchemaMapping,
     SourceDescriptor,
-    SourceRegistry,
     detect_characteristics,
     parse_raw,
-    register_source,
 )
 from ardkit.model import BoundaryEdition, CellKind, GeoLevel, describe_key, write_csv
 
@@ -67,15 +65,6 @@ def lineage_rows(report) -> list[tuple[str, int, str]]:
 
 
 class TestRegistry:
-    def test_insertion(self):
-        registry = register_source(SourceRegistry(), make_source())
-        assert len(registry.sources) == 1
-
-    def test_duplicate_id_rejected(self):
-        registry = register_source(SourceRegistry(), make_source())
-        with pytest.raises(IngestError, match="duplicate source"):
-            register_source(registry, make_source())
-
     def test_inverted_collection_window(self):
         with pytest.raises(IngestError, match="inverted collection window"):
             make_source(
@@ -83,10 +72,9 @@ class TestRegistry:
                 collection_end=datetime.date(2006, 1, 1),
             )
 
-    def test_json_round_trip(self):
-        registry = register_source(SourceRegistry(), make_source())
-        registry = register_source(registry, make_source(source_id="src.other"))
-        assert SourceRegistry.from_json(registry.to_json()) == registry
+    def test_descriptor_json_round_trip(self):
+        source = make_source()
+        assert SourceDescriptor.from_json(source.to_json()) == source
 
     def test_schema_rejects_unknown_access_mode(self):
         doc = make_source().to_json()

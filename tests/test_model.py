@@ -19,7 +19,9 @@ from ardkit.model import (
     CellValue,
     Columns,
     Dataset,
+    EMPTY_COLUMNS,
     GeoLevel,
+    RecordKey,
     UncertaintyLevel,
     V_KIND,
     V_NEGATIVE,
@@ -61,6 +63,27 @@ class TestEnums:
         assert parse_geography_column("SA3CODE_16") == (SA3, E2016)
         assert parse_geography_column("WEIRD") is None
         assert parse_geography_column("SA3CODE_99") is None
+
+
+class TestRecordKey:
+    def test_equals_and_hashes_as_the_plain_tuple(self):
+        key, plain = RecordKey("A", 2016, "0-4", "male"), ("A", 2016, "0-4", "male")
+        assert key == plain and hash(key) == hash(plain)
+        assert {plain: "found"}[key] == {key: "found"}[plain] == "found"
+        assert (key.region, key.calendar_year, key.age_group, key.sex) == plain
+        assert key.describe() == "A/2016/0-4/male"
+
+
+class TestDatasetIndicator:
+    def test_stale_indicator_states_the_rows_worst_level(self):
+        stale = make_indicator(max_uncertainty=UncertaintyLevel.HIGH)
+        levels = (UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM)
+        columns = Columns(("A", "B"), (2016, 2016), ("0-4",) * 2, ("male",) * 2, (CellKind.COUNT,) * 2, (1, 2), levels)
+        dataset = Dataset(stale, columns, E2016, SA3)
+        assert dataset.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
+        assert dataset.indicator == make_indicator(max_uncertainty=UncertaintyLevel.MEDIUM)
+        assert dataset.with_columns(EMPTY_COLUMNS).indicator.max_uncertainty is UncertaintyLevel.LOW
+        assert read_csv(write_csv(dataset), stale).indicator.max_uncertainty is UncertaintyLevel.MEDIUM
 
 
 class TestCellValue:

@@ -145,6 +145,13 @@ class TestRunArtifacts:
             str(p.relative_to(result.out_dir)) for p in result.out_dir.rglob("*") if p.is_file()
         )
 
+    def test_registry_lists_sources_sorted_by_id(self, demo_run):
+        config, result = demo_run
+        configured = [source.source_id for source in config.sources]
+        assert configured != sorted(configured)  # the demo config lists them out of order
+        registry = json.loads((result.out_dir / "registry.json").read_text(encoding="utf-8"))
+        assert [source["source_id"] for source in registry["sources"]] == sorted(configured)
+
     def test_parse_report_digests_the_lineage_file(self, demo_run):
         _, result = demo_run
         for name in ("demo.hospital_visits", "demo.school_enrolments"):
@@ -179,20 +186,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="frobnicate"):
             load_config(bad)
 
+    def run_doc(self, doc, tmp_path):
+        import dataclasses
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return run(dataclasses.replace(load_config(path), output_dir=tmp_path / "out"))
+
+    # `run` checks the seed it will use, so these load and are refused before anything is written.
     def test_seed_without_noise_rejected(self, demo_project, tmp_path):
         doc = json.loads(Path(demo_project).read_text())
         doc["seed"] = 7
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="seed"):
-            load_config(bad)
+            self.run_doc(doc, tmp_path)
+        assert not (tmp_path / "out").exists()
 
     def test_noise_without_seed_rejected(self, demo_project, tmp_path):
         doc = json.loads(Path(demo_project).read_text())
         doc["stages"]["privacy"]["noise_magnitude"] = 2
+        with pytest.raises(ConfigError, match="no seed"):
+            self.run_doc(doc, tmp_path)
+        assert not (tmp_path / "out").exists()
+
+    def cli(self, *argv):
+        from ardkit.cli import main
+
+        return main([str(a) for a in argv])
+
+    def test_cli_seed_without_noise_exit_2(self, demo_project, tmp_path, capsys):
+        assert self.cli("run", "--config", demo_project, "--out", tmp_path / "out", "--seed", "7") == 2
+        assert "a seed is given but randomisation is disabled" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_seed_supplies_the_noise_seed(self, tmp_path):
+        config_path = build_demo_project(tmp_path / "proj")
+        doc = json.loads(config_path.read_text())
+        doc["stages"]["privacy"]["noise_magnitude"] = 2
+        config_path.write_text(json.dumps(doc))
+        seeded = config_path.with_name("seeded.json")  # beside it, so relative paths resolve alike
+        seeded.write_text(json.dumps({**doc, "seed": 7}))
+        assert self.cli("run", "--config", config_path, "--out", tmp_path / "a", "--seed", "7") in (0, 1)
+        assert self.cli("run", "--config", seeded, "--out", tmp_path / "b") in (0, 1)
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+    def test_duplicate_source_id_rejected(self, demo_project, tmp_path):
+        doc = json.loads(Path(demo_project).read_text())
+        doc["sources"].append(dict(doc["sources"][0], name="Another name"))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="no seed"):
+        with pytest.raises(ConfigError, match="duplicate source_id"):
             load_config(bad)
 
     def test_unknown_denominator_rejected(self, demo_project, tmp_path):
@@ -931,9 +973,10 @@ class TestRunBuildsNoRecordObjects:
                 super().__init__(*args, **kwargs)
 
         class CountingRecordKey(RecordKey):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                keys.append(self.sort_key)
+            def __new__(cls, *args, **kwargs):
+                key = super().__new__(cls, *args, **kwargs)
+                keys.append(tuple(key))
+                return key
 
         counting = {StandardRecord: CountingStandardRecord, CellValue: CountingCellValue, RecordKey: CountingRecordKey}
         for name, module in list(sys.modules.items()):
@@ -960,7 +1003,7 @@ class TestRunBuildsNoRecordObjects:
             for outcome in json.loads(path.read_text())
             for item in outcome["events"]
         ]
-        with_events = [key.sort_key for outcome in conversions for key in outcome.events] + reported
+        with_events = [tuple(key) for outcome in conversions for key in outcome.events] + reported
         return made, keys, with_events
 
     @pytest.mark.parametrize("rate", [False, True], ids=["demo", "rate-and-backward"])
@@ -1032,6 +1075,30 @@ class TestBadCliInputs:
         assert code == 2
         assert "error: temporal coverage start is after its end" in capsys.readouterr().err
         assert not any((tmp_path / name).exists() for name in outputs.values())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["qa", "--round-counts", "--report", "r.json"], "--round-counts needs --filter-high"),
+            (["suppress", "--seed", "7", "--out-data", "o.csv"], "a seed is given but randomisation is disabled"),
+            (["suppress", "--noise-magnitude", "2", "--out-data", "o.csv"], "randomisation is enabled (noise magnitude 2) but no seed is given"),
+        ],
+        ids=["qa-round-counts-alone", "suppress-seed-without-noise", "suppress-noise-without-seed"],
+    )
+    def test_flag_without_its_partner_exit_2(self, tmp_path, capsys, argv, message):
+        data, indicator = self.files(tmp_path)
+        argv = [tmp_path / arg if arg.endswith((".csv", ".json")) else arg for arg in argv]
+        assert self.main(*argv, "--data", data, "--indicator", indicator) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "ind.json", "table.csv"]
+
+    def test_emit_docs_states_the_data_level_over_a_stale_sidecar(self, demo_project, tmp_path):
+        data, indicator = self.files(tmp_path, max_uncertainty=0)
+        data.write_text(self.DATA.replace(",9,0\n", ",9,1\n"))
+        out = tmp_path / "docs"
+        assert self.main("emit-docs", "--config", demo_project, "--data", data, "--indicator", indicator, "--out", out) == 0
+        for view in ("published", "researcher"):
+            assert "Uncertainty present: 1 (medium)" in (out / f"dictionary.{view}.md").read_text(encoding="utf-8")
 
     def test_non_numeric_threshold_in_config_exit_2(self, tmp_path, capsys):
         config_path = build_demo_project(tmp_path / "proj")

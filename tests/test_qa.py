@@ -223,6 +223,14 @@ class TestAssignUncertainty:
         assert out.columns is dataset.columns
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM  # refreshed all the same
 
+    def test_plain_tuple_keys_work_like_record_keys(self):
+        dataset = make_counts({"A": 5, "B": 6})
+        key = dataset.records[1].key
+        by_record_key = assign_uncertainty(dataset, {key: (EVENT_UNRESOLVABLE,)})
+        by_tuple = assign_uncertainty(dataset, {tuple(key): (EVENT_UNRESOLVABLE,)})
+        assert by_tuple == by_record_key
+        assert by_tuple.columns.uncertainty == (UncertaintyLevel.LOW, UncertaintyLevel.HIGH)
+
     def test_raised_level_builds_new_columns(self):
         dataset = make_counts({"A": 5, "B": 6})
         out = assign_uncertainty(dataset, {dataset.records[1].key: (EVENT_UNRESOLVABLE,)})
