@@ -56,6 +56,8 @@ HIGH_EVENTS = frozenset({EVENT_BACKWARD_SUPPRESSED, EVENT_UNRESOLVABLE})
 RATIO_SUM_TOLERANCE = Fraction(1, 10**9)
 LOAD_SUM_TOLERANCE = Fraction(1, 10**6)
 
+_SUPPRESSED_CELL = (CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH)
+
 
 def _as_ratio(value: object) -> Fraction:
     if isinstance(value, Fraction):
@@ -264,6 +266,15 @@ class CorrespondenceOutcome:
             events = dict(
                 _event_entry(item, f"correspondence outcome event {n}") for n, item in enumerate(doc["events"], 1)
             )
+            conserving, zero_filled = doc["conserving"], doc.get("zero_filled", [])
+            if not isinstance(conserving, bool):
+                raise CorrespondenceError(
+                    f"correspondence outcome conserving must be true or false, not {conserving!r}"
+                )
+            if not isinstance(zero_filled, list) or not all(isinstance(line, str) for line in zero_filled):
+                raise CorrespondenceError(
+                    f"correspondence outcome zero_filled must be a list of strings, not {zero_filled!r}"
+                )
             return cls(
                 op=doc["op"],
                 level=GeoLevel(doc["level"]),
@@ -271,9 +282,9 @@ class CorrespondenceOutcome:
                 to_edition=BoundaryEdition(doc["to_edition"]),
                 input_total=Fraction(doc["input_total_exact"]),
                 output_total=Fraction(doc["output_total_exact"]),
-                conserving=bool(doc["conserving"]),
+                conserving=conserving,
                 events=events,
-                zero_filled=tuple(doc.get("zero_filled", ())),
+                zero_filled=tuple(zero_filled),
             )
         except KeyError as exc:
             raise CorrespondenceError(f"correspondence outcome lacks {exc}") from None
@@ -331,18 +342,6 @@ def _check_inputs(dataset: Dataset, table: CorrespondenceTable, edition: Boundar
             "correspondence defined for counts only; supply a denominator dataset to convert "
             f"{dataset.indicator.value_kind.value} values"
         )
-
-
-def _converted(
-    dataset: Dataset, by_region: dict[str, list[tuple]], table: CorrespondenceTable, edition: BoundaryEdition
-) -> Dataset:
-    """The output rows, each region's already in stratum order, joined in region order.
-
-    Stratum order within a region and region order across regions make
-    canonical order, so the result needs no sort.
-    """
-    rows = [row for region in sorted(by_region) for row in by_region[region]]
-    return Dataset(dataset.indicator, Columns.from_rows(rows), edition, table.level)
 
 
 def forward(
@@ -413,7 +412,9 @@ def forward(
                 level = max(level, UncertaintyLevel.MEDIUM)
                 events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
             rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, 0.0), level))
-    result = _converted(dataset, by_region, table, table.to_edition)
+    # Each region's rows are in stratum order; joining the regions in order makes canonical order.
+    rows = [row for region in sorted(by_region) for row in by_region[region]]
+    result = Dataset(dataset.indicator, Columns.from_rows(rows), table.to_edition, table.level)
     outcome = CorrespondenceOutcome(
         op="forward",
         level=table.level,
@@ -440,69 +441,73 @@ def backward(
     policy threshold); one ratio at or above it makes the region
     unreconstructable and it is emitted suppressed with high uncertainty.
     Discarded contributions tag the region medium uncertainty.
+
+    A source is emitted once per stratum in which any of its targets has a
+    row.  Walking the sources in order and each one's strata in order
+    emits canonical order; the zero-fill log is kept in stratum order, then
+    source, then sole target.
     """
     _check_inputs(dataset, table, table.to_edition, "targets")
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
-    unknown = sorted(set(dataset.columns.region) - set(feeders))
+    regions, years, ages, sexes, kinds, magnitudes, levels = dataset.columns
+    # Enum members read as locals: a class attribute read costs far more on each row.
+    count, suppressed, missing, low = CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING, UncertaintyLevel.LOW
+    # {region: {(year, age group, sex): row}}; a repeated key keeps its last row.
+    rows_of: dict[str, dict[tuple, int]] = {}
+    for i, (region, stratum) in enumerate(zip(regions, zip(years, ages, sexes))):
+        rows_of.setdefault(region, {})[stratum] = i
+    unknown = sorted(set(rows_of) - set(feeders))
     if unknown:
         raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
-    # Per source, everything that depends only on the table and the policy:
-    # its targets, the targets only it feeds, whether it shares any target,
-    # and whether a shared ratio is too large to discard.
-    sources = []
+    out_regions: list[str] = []
+    out_strata: list[tuple] = []
+    cells: list[tuple] = []
+    events: dict[RecordKey, tuple[str, ...]] = {}
+    fills_by_stratum: dict[tuple, list[str]] = {}
     for source in sorted(edges_by_source):
         source_edges = edges_by_source[source]
-        shared = [e for e in source_edges if len(feeders[e.target]) > 1]
-        sources.append((
-            source,
-            tuple(e.target for e in source_edges),
-            tuple(e.target for e in source_edges if len(feeders[e.target]) == 1),
-            bool(shared),
-            any(policy.suppresses(e.ratio) for e in shared),
-        ))
-    kinds, magnitudes, levels = dataset.columns[4:]
-    by_region: dict[str, list[tuple]] = {source: [] for source, *_ in sources}
-    events: dict[RecordKey, tuple[str, ...]] = {}
-    zero_filled: list[str] = []
-    grouped = _group_by_stratum(dataset)
-    for stratum in sorted(grouped):
-        present = grouped[stratum]
-        year, age, sex = stratum
-        for source, targets, sole_targets, shares, suppressed in sources:
-            if not any(t in present for t in targets):
-                continue
-            rows = by_region[source]
-            if suppressed:
-                rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
-                events[RecordKey(source, year, age, sex)] = (EVENT_BACKWARD_SUPPRESSED,)
-                continue
+        strata = sorted(set().union(*(rows_of.get(e.target, ()) for e in source_edges)))
+        out_regions += [source] * len(strata)
+        out_strata += strata
+        shared = [e.ratio for e in source_edges if len(feeders[e.target]) > 1]
+        if any(map(policy.suppresses, shared)):
+            cells += [_SUPPRESSED_CELL] * len(strata)
+            events.update((RecordKey(source, *stratum), (EVENT_BACKWARD_SUPPRESSED,)) for stratum in strata)
+            continue
+        sole = [(e.target, rows_of.get(e.target, {})) for e in source_edges if len(feeders[e.target]) == 1]
+        discarded = (EVENT_SUBTHRESHOLD_DISCARD,) if shared else ()
+        for stratum in strata:
             total = 0.0
-            level = UncertaintyLevel.LOW
+            level = low
             fills: list[str] = []
-            for target in sole_targets:
-                i = present.get(target)
+            for target, target_rows in sole:
+                i = target_rows.get(stratum)
                 if i is None:
                     fills.append(f"no data for sole target {target}")
                     continue
-                level = max(level, levels[i])
-                if kinds[i] is CellKind.SUPPRESSED:
-                    rows.append((source, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
-                    events[RecordKey(source, year, age, sex)] = (EVENT_UNRESOLVABLE,)
+                if levels[i] > level:
+                    level = levels[i]
+                if kinds[i] is suppressed:
+                    cells.append(_SUPPRESSED_CELL)
+                    events[RecordKey(source, *stratum)] = (EVENT_UNRESOLVABLE,)
                     break
-                if kinds[i] is CellKind.MISSING:
+                if kinds[i] is missing:
                     fills.append(f"missing value for sole target {target}")
                     continue
                 total += magnitudes[i]
             else:
                 # Only a region that is emitted as a count logs what it counted as zero.
-                zero_filled.extend(f"{describe_key(source, *stratum)}: {fill}, counted as zero" for fill in fills)
-                evs = ((EVENT_SUBTHRESHOLD_DISCARD,) if shares else ()) + ((EVENT_ZERO_FILL,) if fills else ())
-                if evs:
+                if fills:
+                    fills_by_stratum.setdefault(stratum, []).extend(
+                        f"{describe_key(source, *stratum)}: {fill}, counted as zero" for fill in fills
+                    )
+                if fills or discarded:
                     level = max(level, UncertaintyLevel.MEDIUM)
-                    events[RecordKey(source, year, age, sex)] = evs
-                rows.append((source, year, age, sex, CellKind.COUNT, total, level))
-    result = _converted(dataset, by_region, table, table.from_edition)
+                    events[RecordKey(source, *stratum)] = discarded + ((EVENT_ZERO_FILL,) if fills else ())
+                cells.append((count, total, level))
+    columns = Columns(tuple(out_regions), *_transpose(out_strata, 3), *_transpose(cells, 3))
+    result = Dataset(dataset.indicator, columns, table.from_edition, table.level)
     outcome = CorrespondenceOutcome(
         op="backward",
         level=table.level,
@@ -512,7 +517,7 @@ def backward(
         output_total=_data_total(result),
         conserving=False,
         events=events,
-        zero_filled=tuple(zero_filled),
+        zero_filled=tuple(line for stratum in sorted(fills_by_stratum) for line in fills_by_stratum[stratum]),
     )
     return result, outcome
 
@@ -521,40 +526,39 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
     """Split a rate/percentage dataset into numerator and denominator counts.
 
     Both keep the dataset's key columns; the denominator's cells are those
-    of its rows with the same keys.
+    of its rows with the same keys.  When the two datasets have the same
+    keys in the same order, the denominator counts are `denominator` itself.
     """
     if denominator.indicator.value_kind is not CellKind.COUNT:
         raise CorrespondenceError("denominator dataset must hold counts")
     if denominator.edition is not dataset.edition or denominator.level is not dataset.level:
         raise CorrespondenceError("denominator dataset must share the dataset's edition and level")
-    c, d = dataset.columns, denominator.columns
-    denom_rows = {key: i for i, key in enumerate(d.record_keys())}
+    c = dataset.columns
+    if c[:4] != denominator.columns[:4]:
+        d = denominator.columns
+        row_of = dict(zip(d.record_keys(), range(len(d.region))))
+        try:
+            rows = list(map(row_of.__getitem__, c.record_keys()))
+        except KeyError as exc:
+            raise CorrespondenceError(f"denominator dataset lacks a record for {describe_key(*exc.args[0])}") from None
+        denominator = denominator.with_columns(d.take(rows))
+    count, suppressed, missing = CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING
     numerator_cells: list[tuple] = []
-    denominator_cells: list[tuple] = []
-    for key, kind, magnitude, level in zip(c.record_keys(), c.kind, c.magnitude, c.uncertainty):
-        j = denom_rows.get(key)
-        if j is None:
-            raise CorrespondenceError(f"denominator dataset lacks a record for {describe_key(*key)}")
-        denom_kind, denom_magnitude, denom_level = d.kind[j], d.magnitude[j], d.uncertainty[j]
-        worst = max(level, denom_level)
-        if kind is CellKind.SUPPRESSED or denom_kind is CellKind.SUPPRESSED:
-            numerator_cells.append((CellKind.SUPPRESSED, None, worst))
-        elif kind is CellKind.MISSING or denom_kind is CellKind.MISSING:
-            numerator_cells.append((CellKind.MISSING, None, worst))
+    for kind, magnitude, level, denom_kind, denom_magnitude, denom_level in zip(*c[4:], *denominator.columns[4:]):
+        worst = denom_level if denom_level > level else level
+        if kind is suppressed or denom_kind is suppressed:
+            numerator_cells.append((suppressed, None, worst))
+        elif kind is missing or denom_kind is missing:
+            numerator_cells.append((missing, None, worst))
         else:
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
-            numerator_cells.append((CellKind.COUNT, n * denom_n / (q * denom_q), worst))
-        denominator_cells.append((denom_kind, denom_magnitude, denom_level))
-    keys = c[:4]
+            numerator_cells.append((count, n * denom_n / (q * denom_q), worst))
     num_indicator = replace(dataset.indicator, id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
     numerator_ds = Dataset(
-        num_indicator, Columns(*keys, *_transpose(numerator_cells, 3)), dataset.edition, dataset.level
+        num_indicator, Columns(*c[:4], *_transpose(numerator_cells, 3)), dataset.edition, dataset.level
     )
-    denominator_ds = Dataset(
-        denominator.indicator, Columns(*keys, *_transpose(denominator_cells, 3)), dataset.edition, dataset.level
-    )
-    return numerator_ds, denominator_ds
+    return numerator_ds, denominator
 
 
 def _transpose(cells: list[tuple], width: int) -> tuple[tuple, ...]:
@@ -567,25 +571,30 @@ def _quotient(
     den_out: Dataset,
     num_outcome: CorrespondenceOutcome,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
-    """Divide converted numerator counts by converted denominator counts; rows keep their order."""
+    """Divide converted numerator counts by converted denominator counts; rows keep their order.
+
+    Both sides went through the same steps from the same keys, so their
+    rows pair up one to one.
+    """
     c, d = num_out.columns, den_out.columns
-    den_rows = {key: i for i, key in enumerate(d.record_keys())}
+    if c[:4] != d[:4]:
+        raise CorrespondenceError("converted numerator and denominator counts have different records")
     value_kind = dataset.indicator.value_kind
+    suppressed, missing = CellKind.SUPPRESSED, CellKind.MISSING
     cells: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled = list(num_outcome.zero_filled)
-    for key, kind, magnitude, level in zip(c.record_keys(), c.kind, c.magnitude, c.uncertainty):
-        j = den_rows[key]
-        denom_kind, denom_magnitude = d.kind[j], d.magnitude[j]
-        level = max(level, d.uncertainty[j])
+    for key, kind, magnitude, level, denom_kind, denom_magnitude, denom_level in zip(c.record_keys(), *c[4:], *d[4:]):
+        if denom_level > level:
+            level = denom_level
         evs = num_outcome.events.get(key, ())
-        if kind is CellKind.SUPPRESSED or denom_kind is CellKind.SUPPRESSED:
-            cells.append((CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
+        if kind is suppressed or denom_kind is suppressed:
+            cells.append(_SUPPRESSED_CELL)
             evs = evs or (EVENT_UNRESOLVABLE,)
-        elif kind is CellKind.MISSING or denom_kind is CellKind.MISSING:
-            cells.append((CellKind.MISSING, None, max(level, UncertaintyLevel.MEDIUM)))
+        elif kind is missing or denom_kind is missing:
+            cells.append((missing, None, max(level, UncertaintyLevel.MEDIUM)))
         elif denom_magnitude == 0:
-            cells.append((CellKind.MISSING, None, max(level, UncertaintyLevel.MEDIUM)))
+            cells.append((missing, None, max(level, UncertaintyLevel.MEDIUM)))
             evs = tuple(dict.fromkeys([*evs, EVENT_ZERO_FILL]))
             zero_filled.append(f"{describe_key(*key)}: corresponded denominator is zero")
         else:
@@ -658,6 +667,7 @@ def execute_plan(
     policy: CorrespondencePolicy,
     *,
     denominator: Dataset | None = None,
+    converted_denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
     """Apply a route plan step by step.
 
@@ -667,6 +677,10 @@ def execute_plan(
     counts; both go through the whole plan as counts and are divided once
     at the end.  Its outcomes carry no totals and the numerator's events,
     the last one the quotient's events and zero-fill log.
+
+    `converted_denominator`, if given, is `denominator` already converted
+    along `plan`.  It stands in for converting the denominator counts again
+    when the dataset's keys are the denominator's, in the same order.
     """
     steps = []
     for step in plan:
@@ -690,7 +704,10 @@ def execute_plan(
         return result, tuple(outcomes)
     numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
     num_out, outcomes = convert(numerator_ds)
-    den_out, _ = convert(denominator_ds)
+    if converted_denominator is not None and denominator_ds is denominator:
+        den_out = converted_denominator
+    else:
+        den_out, _ = convert(denominator_ds)
     outcomes = [
         replace(o, input_total=Fraction(0), output_total=Fraction(0), conserving=False)
         for o in outcomes

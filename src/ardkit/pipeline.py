@@ -329,9 +329,12 @@ def correspond_stage(
     tables: Mapping[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable],
     policy: CorrespondencePolicy,
     denominator: Dataset | None = None,
+    converted_denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
     plan = plan_route(dataset.edition, target_edition, tables.values())
-    dataset, outcomes = execute_plan(dataset, plan, tables, policy, denominator=denominator)
+    dataset, outcomes = execute_plan(
+        dataset, plan, tables, policy, denominator=denominator, converted_denominator=converted_denominator
+    )
     if plan:
         dataset = replace(
             dataset, indicator=replace(dataset.indicator, correspondence_applied=True)
@@ -396,12 +399,14 @@ def load_tables(
 
 
 def _process_indicator(
-    config: PipelineConfig, spec: IndicatorSpec, tables, denominator: Dataset | None
-) -> tuple[IndicatorResult, Dataset]:
-    """Run every stage for one indicator; also returns its cleaned dataset.
+    config: PipelineConfig, spec: IndicatorSpec, tables, denominator: tuple[Dataset, Dataset | None] | None
+) -> tuple[IndicatorResult, tuple[Dataset, Dataset | None]]:
+    """Run every stage for one indicator; also returns its cleaned and its converted dataset.
 
-    `denominator` is the cleaned dataset of the indicator `spec` names as
-    its denominator, if any.
+    The converted dataset is the correspond stage's output, or None when
+    that stage is off.  `denominator` is that pair for the indicator `spec`
+    names as its denominator, if any: a rate is split against the cleaned
+    counts, and a rate with the same keys reuses their conversion.
     """
     ind_id = spec.indicator.id
     artifacts: dict[str, str] = {}
@@ -471,14 +476,18 @@ def _process_indicator(
     cleaned = dataset
 
     outcomes: tuple[CorrespondenceOutcome, ...] = ()
+    converted = None
     if config.stages.correspond_enabled:
+        denominator_cleaned, denominator_converted = denominator or (None, None)
         dataset, outcomes = correspond_stage(
             dataset,
             target_edition=config.target_edition,
             tables=tables,
             policy=config.stages.policy,
-            denominator=denominator,
+            denominator=denominator_cleaned,
+            converted_denominator=denominator_converted,
         )
+        converted = dataset
         if outcomes:
             record_stage(
                 "correspond",
@@ -549,7 +558,7 @@ def _process_indicator(
         stage_records=records,
         report=report,
         final_indicator=dataset.indicator,
-    ), cleaned
+    ), (cleaned, converted)
 
 
 def _run_timestamp(config: PipelineConfig) -> str:
@@ -612,15 +621,15 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         artifacts["registry.json"] = canonical_dumps({"sources": [s.to_json() for s in sources]})
         tables = load_tables(config.tables)
 
-        # Denominators come first; only their cleaned datasets are kept.
+        # Denominators come first; only their cleaned and converted datasets are kept.
         needed = {spec.denominator for spec in config.indicators}
-        cleaned: dict[str, Dataset] = {}
+        denominators: dict[str, tuple[Dataset, Dataset | None]] = {}
         for spec in sorted(config.indicators, key=lambda s: (s.denominator is not None, s.indicator.id)):
-            result, dataset = _process_indicator(config, spec, tables, cleaned.get(spec.denominator))
+            result, datasets = _process_indicator(config, spec, tables, denominators.get(spec.denominator))
             results[result.indicator_id] = result
             artifacts.update(result.artifacts)
             if result.indicator_id in needed:
-                cleaned[result.indicator_id] = dataset
+                denominators[result.indicator_id] = datasets
 
         final_indicators = [results[i].final_indicator for i in sorted(results)]
         docs_config = config.docs_config()

@@ -24,7 +24,7 @@ from ardkit.correspondence import (
     plan_route,
 )
 from ardkit.errors import CorrespondenceError, RouteError
-from ardkit.model import BoundaryEdition, CellKind, CellValue, UncertaintyLevel, canonical_sort
+from ardkit.model import BoundaryEdition, CellKind, CellValue, Dataset, UncertaintyLevel, canonical_sort
 
 import oracle
 from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
@@ -52,6 +52,16 @@ def magnitudes(dataset) -> dict[str, object]:
 
 def cells(dataset) -> dict[str, object]:
     return {r.key.region: r.value for r in dataset.records}
+
+
+def make_strata(cells_by_year, *, edition=E2016, indicator=None):
+    """A dataset over several strata from {year: {code: magnitude-or-CellValue}}."""
+    records = [
+        record
+        for year, cells in cells_by_year.items()
+        for record in make_counts(cells, edition=edition, indicator=indicator, year=year).records
+    ]
+    return canonical_sort(Dataset(indicator or make_indicator(), tuple(records), edition, SA3))
 
 
 def assert_matches_oracle(dataset, outcome, want: oracle.Converted):
@@ -216,6 +226,16 @@ class TestForward:
         assert magnitudes(out) == {"C": 17.5}
         assert cells(out)["C"].kind is CellKind.RATE
 
+    def test_denominator_lacking_a_record_names_the_first(self):
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts({code: CellValue.rate(1.0) for code in "ABC"}, edition=E2011, indicator=indicator)
+        denom = make_counts({"A": 100}, edition=E2011)
+        table = make_table([("A", "X", "1"), ("B", "X", "1"), ("C", "X", "1")])
+        with pytest.raises(CorrespondenceError, match=r"^denominator dataset lacks a record for B/2016/0-4/male$"):
+            execute_plan(
+                rates, (PlanStep("forward", E2011, E2016),), {(E2011, E2016): table}, POLICY, denominator=denom,
+            )
+
     def test_uncertainty_propagates_as_maximum(self):
         data = make_counts(
             {"A": CellValue.count(4, UncertaintyLevel.MEDIUM), "B": CellValue.count(6)},
@@ -319,6 +339,26 @@ class TestBackward:
         rebuilt, _ = backward(later, table, POLICY)
         assert cells(rebuilt)["A"].kind is CellKind.SUPPRESSED
         assert cells(rebuilt)["A"].uncertainty is UncertaintyLevel.HIGH
+
+    def test_zero_fill_log_is_stratum_then_source_then_sole_target_order(self):
+        table = make_table([("P", "P1", "0.5"), ("P", "P2", "0.5"), ("Q", "Q1", "0.5"), ("Q", "Q2", "0.5")])
+        later = make_strata({
+            2016: {"P1": 1, "P2": 2, "Q1": CellValue.missing()},
+            2017: {"P2": CellValue.missing(), "Q1": CellValue.missing(), "Q2": 5},
+        })
+        rebuilt, outcome = backward(later, table, POLICY)
+        # Q's 2016 lines come before P's 2017 lines, although the sources are walked P first.
+        assert outcome.zero_filled == (
+            "Q/2016/0-4/male: missing value for sole target Q1, counted as zero",
+            "Q/2016/0-4/male: no data for sole target Q2, counted as zero",
+            "P/2017/0-4/male: no data for sole target P1, counted as zero",
+            "P/2017/0-4/male: missing value for sole target P2, counted as zero",
+            "Q/2017/0-4/male: missing value for sole target Q1, counted as zero",
+        )
+        assert [(r.key.region, r.key.calendar_year) for r in rebuilt.records] == [
+            ("P", 2016), ("P", 2017), ("Q", 2016), ("Q", 2017),
+        ]
+        assert_matches_oracle(rebuilt, outcome, oracle.backward(oracle.cells(later), table))
 
     def test_threshold_dichotomy(self):
         rng = random.Random(7)
@@ -462,6 +502,44 @@ class TestPlanRoute:
         assert cells(out)["C"].kind is CellKind.MISSING
 
 
+class TestRateReusesConvertedDenominator:
+    TABLE = make_table([("P", "P1", "1"), ("Q", "Q1", "0.5"), ("Q", "Q2", "0.5")])
+    STEPS = (PlanStep("backward", E2011, E2016),)
+
+    def rates_and_denominator(self):
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        rates = make_counts({"P1": CellValue.rate(2.0), "Q1": CellValue.rate(3.0)}, indicator=indicator)
+        return rates, make_counts({"P1": 0, "Q1": 50})
+
+    def test_zero_denominator_lines_follow_the_numerators(self):
+        rates, denom = self.rates_and_denominator()
+        tables = {(E2011, E2016): self.TABLE}
+        out, (outcome,) = execute_plan(rates, self.STEPS, tables, POLICY, denominator=denom)
+        # Q's numerator zero-fill comes first although P sorts before Q.
+        want = [
+            "Q/2016/0-4/male: no data for sole target Q2, counted as zero",
+            "P/2016/0-4/male: corresponded denominator is zero",
+        ]
+        assert list(outcome.zero_filled) == want
+        expected = oracle.rate_route(
+            oracle.cells(rates), oracle.cells(denom), [("backward", self.TABLE)], value_kind=CellKind.RATE
+        )
+        assert expected.zero_filled == want
+        assert_matches_oracle(out, outcome, expected)
+        # The same denominator already converted gives the same result without converting it again.
+        converted, _ = backward(denom, self.TABLE, POLICY)
+        reused = execute_plan(rates, self.STEPS, tables, POLICY, denominator=denom, converted_denominator=converted)
+        assert reused == (out, (outcome,))
+
+    def test_converted_denominator_on_other_records_is_refused(self):
+        rates, denom = self.rates_and_denominator()
+        other, _ = backward(make_counts({"P1": 7}), self.TABLE, POLICY)
+        with pytest.raises(CorrespondenceError, match="numerator and denominator counts have different records"):
+            execute_plan(
+                rates, self.STEPS, {(E2011, E2016): self.TABLE}, POLICY, denominator=denom, converted_denominator=other
+            )
+
+
 def random_hop(rng, sources, prefix, from_edition, to_edition):
     """A random many-to-many table from `sources` onto fresh `prefix` codes."""
     targets = [f"{prefix}{i:03d}" for i in range(rng.randint(1, 8))]
@@ -556,6 +634,24 @@ class TestOutcomeSerialization:
         assert [item["key"][0] for item in doc["events"]] == ["C", "D"]
         assert CorrespondenceOutcome.from_json(doc).events == dict(outcome.events)
 
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("conserving", "false", "correspondence outcome conserving must be true or false, not 'false'"),
+            ("conserving", 1, "correspondence outcome conserving must be true or false, not 1"),
+            ("zero_filled", "abc", "correspondence outcome zero_filled must be a list of strings, not 'abc'"),
+            ("zero_filled", ["ok", 2], "correspondence outcome zero_filled must be a list of strings, not ['ok', 2]"),
+        ],
+        ids=["conserving-string", "conserving-number", "zero-filled-string", "zero-filled-number"],
+    )
+    def test_wrongly_typed_field_named(self, field, value, message):
+        table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])
+        doc = forward(make_counts({"A": 100}, edition=E2011), table)[1].to_json()
+        doc[field] = value
+        with pytest.raises(CorrespondenceError) as excinfo:
+            CorrespondenceOutcome.from_json(doc)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "entry, message",

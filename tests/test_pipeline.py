@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -16,7 +17,8 @@ import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
 from ardkit.errors import ConfigError
 from ardkit.jsonio import load_schema, sha256_hex
-from ardkit.pipeline import load_config, run
+from ardkit.model import BoundaryEdition, CellKind
+from ardkit.pipeline import load_config, load_tables, run
 
 from projectgen import build_demo_project
 
@@ -252,6 +254,32 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="count indicator .* names a denominator"):
             load_config(bad)
+
+    @pytest.mark.parametrize(
+        "path, value, where, kind",
+        [
+            (("researcher_links", "data_files"), "raw/a.csv", "researcher_links/data_files", "array"),
+            (("researcher_links", "project_docs"), ["a.md", 3], "researcher_links/project_docs/1", "string"),
+            (("researcher_links", "cleaning_code"), ["a.py"], "researcher_links/cleaning_code", "string"),
+            (("definition",), 5, "definition", "string"),
+            (("data_source",), None, "data_source", "string"),
+        ],
+        ids=["data-files-string", "project-docs-number", "cleaning-code-list", "definition-number", "data-source-null"],
+    )
+    def test_wrongly_typed_dictionary_entry_exit_2(self, demo_project, tmp_path, capsys, path, value, where, kind):
+        doc = json.loads(Path(demo_project).read_text())
+        entry = doc["project"]["dictionary"]["demo.hospital_visits"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        message = f"is not of type '{kind}' (at project/dictionary/demo.hospital_visits/{where})"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(bad)
+        assert self.cli("run", "--config", bad, "--out", tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "data, message",
@@ -546,21 +574,21 @@ class TestFileComposedStages:
 
 
 class TestRateIndicators:
-    def build_rate_project(self, root: Path) -> Path:
+    def build_rate_project(self, root: Path, *, backward: bool = False, rate_rows: int = 2) -> Path:
+        """A population and a rate over it, converted forward 2011 -> 2016 or backward 2016 -> 2011.
+
+        The rate has the population's two keys, or only its first `rate_rows`.
+        """
         root.mkdir(parents=True, exist_ok=True)
-        (root / "table.csv").write_text(
-            "FROM_CODE,TO_CODE,RATIO\nA,X,1\nB,X,1\n", encoding="utf-8"
-        )
-        (root / "population.csv").write_text(
-            "SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
-            "A,2016,0-4,male,100\nB,2016,0-4,male,300\n",
-            encoding="utf-8",
-        )
-        (root / "attendance_rate.csv").write_text(
-            "SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
-            "A,2016,0-4,male,10\nB,2016,0-4,male,20\n",
-            encoding="utf-8",
-        )
+        # Backward, B is rebuilt from Y alone: its other sole target Z has no data.
+        edges = "A,X,1\nB,Y,0.5\nB,Z,0.5\n" if backward else "A,X,1\nB,X,1\n"
+        (root / "table.csv").write_text(f"FROM_CODE,TO_CODE,RATIO\n{edges}", encoding="utf-8")
+        first, second = ("X", "Y") if backward else ("A", "B")
+        header = "SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
+        rows = [f"{first},2016,0-4,male,100\n", f"{second},2016,0-4,male,300\n"]
+        (root / "population.csv").write_text(header + "".join(rows), encoding="utf-8")
+        rows = [f"{first},2016,0-4,male,10\n", f"{second},2016,0-4,male,20\n"][:rate_rows]
+        (root / "attendance_rate.csv").write_text(header + "".join(rows), encoding="utf-8")
         for name, kind in (("map_count.json", "count"), ("map_rate.json", "rate")):
             (root / name).write_text(
                 json.dumps(
@@ -573,7 +601,7 @@ class TestRateIndicators:
                             "sex": "SEX",
                             "value": "VALUE",
                         },
-                        "geography": {"level": "SA3", "edition": 2011},
+                        "geography": {"level": "SA3", "edition": 2016 if backward else 2011},
                         "value_kind": kind,
                     }
                 )
@@ -583,7 +611,7 @@ class TestRateIndicators:
                 "name": "rate-demo",
                 "run_timestamp": "2024-06-01T00:00:00Z",
                 "temporal_coverage": {"start": 2016, "end": 2016},
-                "target_edition": 2016,
+                "target_edition": 2011 if backward else 2016,
                 "target_level": "SA3",
                 "vocabulary": {"age_groups": ["0-4"], "sexes": ["male"]},
                 "metadata": {
@@ -666,6 +694,109 @@ class TestRateIndicators:
         config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
         assert run(config).exit_code == 0
         assert parsed == {"demo.population": 1, "demo.rate": 1}
+
+    def convert_counts(self, monkeypatch):
+        """Count each `forward` and `backward` call by (op, the indicator id of its input)."""
+        import collections
+
+        import ardkit.correspondence as correspondence
+
+        converted = collections.Counter()
+        for op in ("forward", "backward"):
+            def counting(dataset, *args, _op=op, _real=getattr(correspondence, op)):
+                converted[_op, dataset.indicator.id] += 1
+                return _real(dataset, *args)
+
+            monkeypatch.setattr(correspondence, op, counting)
+        return converted
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_each_count_dataset_converted_once(self, tmp_path, monkeypatch, backward):
+        import dataclasses
+
+        converted = self.convert_counts(monkeypatch)
+        config_path = self.build_rate_project(tmp_path / "proj", backward=backward)
+        config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
+        assert not run(config).failed
+        op = "backward" if backward else "forward"
+        # The rate reuses the population's own conversion instead of converting it again.
+        assert converted == {(op, "demo.population"): 1, (op, "demo.rate.numerator"): 1}
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_rate_on_fewer_keys_converts_its_denominator_share(self, tmp_path, monkeypatch, backward):
+        import dataclasses
+
+        import ardkit.pipeline as pipeline
+        import oracle
+        from test_correspondence import assert_matches_oracle
+
+        calls = []
+
+        def recording_correspond_stage(dataset, **kwargs):
+            result = real_correspond_stage(dataset, **kwargs)
+            calls.append((dataset, kwargs, result))
+            return result
+
+        real_correspond_stage = pipeline.correspond_stage
+        monkeypatch.setattr(pipeline, "correspond_stage", recording_correspond_stage)
+        converted = self.convert_counts(monkeypatch)
+        config_path = self.build_rate_project(tmp_path / "proj", backward=backward, rate_rows=1)
+        config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
+        assert not run(config).failed
+        op = "backward" if backward else "forward"
+        assert converted == {(op, "demo.population"): 2, (op, "demo.rate.numerator"): 1}
+        rates, kwargs, (out, outcomes) = next(call for call in calls if call[0].indicator.id == "demo.rate")
+        table = load_tables(config.tables)[BoundaryEdition.ASGS2011, BoundaryEdition.ASGS2016]
+        want = oracle.rate_route(
+            oracle.cells(rates), oracle.cells(kwargs["denominator"]), [(op, table)], value_kind=CellKind.RATE
+        )
+        assert_matches_oracle(out, outcomes[-1], want)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_run_rate_equals_composed_correspond_with_denominator(self, tmp_path, backward):
+        import dataclasses
+
+        from ardkit.cli import main
+
+        config_path = self.build_rate_project(tmp_path / "proj", backward=backward)
+        config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
+        assert not run(config).failed
+        root, work, out = tmp_path / "proj", tmp_path / "work", tmp_path / "out"
+        work.mkdir()
+        doc = json.loads(config_path.read_text())
+        (work / "vocab.json").write_text(json.dumps(doc["project"]["vocabulary"]))
+        common = ["--vocabulary", work / "vocab.json", "--coverage", "2016:2016"]
+        argvs = []
+        for item in doc["indicators"]:
+            d = work / item["id"]
+            indicator = {k: item[k] for k in ("id", "name", "nest_domain", "value_kind", "source_id")}
+            Path(f"{d}.json").write_text(json.dumps(indicator))
+            argvs += [
+                ["ingest", "--raw", root / item["data"], "--mapping", root / item["mapping"],
+                 "--indicator", f"{d}.json", "--out-data", f"{d}.10.csv", "--out-indicator", f"{d}.10.json",
+                 "--report", f"{d}.parse.json"],
+                ["clean", "--data", f"{d}.10.csv", "--indicator", f"{d}.10.json", *common,
+                 "--out-data", f"{d}.20.csv", "--out-indicator", f"{d}.20.json", "--log", f"{d}.cleaning.jsonl"],
+            ]
+        rate, population = work / "demo.rate", work / "demo.population"
+        argvs += [
+            ["correspond", "--data", f"{rate}.20.csv", "--indicator", f"{rate}.20.json",
+             "--to-edition", doc["project"]["target_edition"], "--table", f"2011:2016:{root / 'table.csv'}",
+             "--denominator-data", f"{population}.20.csv", "--denominator-indicator", f"{population}.20.json",
+             "--out-data", f"{rate}.30.csv", "--out-indicator", f"{rate}.30.json",
+             "--outcomes", f"{rate}.outcomes.json"],
+            ["suppress", "--data", f"{rate}.30.csv", "--indicator", f"{rate}.30.json",
+             "--out-data", f"{rate}.40.csv", "--out-indicator", f"{rate}.40.json", "--log", f"{rate}.privacy.json"],
+            ["qa", "--data", f"{rate}.40.csv", "--indicator", f"{rate}.40.json", "--outcomes", f"{rate}.outcomes.json",
+             "--privacy-log", f"{rate}.privacy.json", *common, "--filter-high",
+             "--out-data", f"{rate}.50.csv", "--out-indicator", f"{rate}.50.json", "--report", f"{rate}.qa.json"],
+        ]
+        for argv in argvs:
+            assert main([str(a) for a in argv]) in (0, 1), argv
+        assert Path(f"{rate}.50.csv").read_bytes() == (out / "datasets" / "demo.rate.csv").read_bytes()
+        assert Path(f"{rate}.outcomes.json").read_bytes() == (
+            out / "reports" / "demo.rate.correspondence.json"
+        ).read_bytes()
 
 
 class TestOutputContainment:
@@ -1129,6 +1260,16 @@ class TestBadCliInputs:
             ("--outcomes", '{"a": 1}', "correspondence report is not a JSON list of outcomes"),
             ("--outcomes", "[1]", "correspondence outcome 1 is not a JSON object"),
             ("--outcomes", '[{"op": "forward"}]', "correspondence outcome lacks 'events'"),
+            (
+                "--outcomes",
+                '[{"events": [], "conserving": "false"}]',
+                "correspondence outcome conserving must be true or false, not 'false'",
+            ),
+            (
+                "--outcomes",
+                '[{"events": [], "conserving": true, "zero_filled": "abc"}]',
+                "correspondence outcome zero_filled must be a list of strings, not 'abc'",
+            ),
             ("--privacy-log", "[1]", "privacy log is not a JSON object"),
             ("--privacy-log", '{"a": 1}', "privacy log noise_magnitude must be a non-negative integer, not None"),
             (
@@ -1145,6 +1286,7 @@ class TestBadCliInputs:
         ids=[
             "rules-policy-number", "rules-list", "rules-coercions-string", "vocabulary-number",
             "vocabulary-list", "outcomes-object", "outcomes-number", "outcomes-missing-keys",
+            "outcomes-conserving-string", "outcomes-zero-filled-string",
             "privacy-log-list", "privacy-log-no-counts", "privacy-log-string-total", "privacy-log-bool-noise",
         ],
     )
