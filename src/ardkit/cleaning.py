@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from operator import eq
 from typing import Mapping
 
@@ -153,10 +154,24 @@ class CleaningLog:
     entries: tuple[CleaningEntry, ...] = ()
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self.entries
-        )
+        """One line per entry: its `to_json` object, keys sorted, as compact `json.dumps` writes it.
+
+        Each distinct string is quoted once and an int written by `str`; only other values go through `json.dumps`.
+        """
+        quoted: dict[str, str] = {}
+
+        def text(value) -> str:
+            if type(value) is str:
+                return quoted.get(value) or quoted.setdefault(value, encode_basestring_ascii(value))
+            return str(value) if type(value) is int else json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+        lines = []
+        for e in self.entries:
+            values = f'"after":{text(e.after)},"before":{text(e.before)},' if e.op == "set" else ""
+            field = "" if e.field is None else f'"field":{text(e.field)},'
+            reason = "" if e.reason is None else f'"reason":{text(e.reason)},'
+            lines.append(f'{{{values}{field}"op":{text(e.op)},{reason}"row":{text(e.row)},"rule":{text(e.rule)}}}\n')
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CleaningLog":

@@ -15,18 +15,21 @@ into numerator and denominator counts once, converted as counts along the
 whole route, and divided at the end.
 
 Ratios are stored as exact rationals parsed from the decimal text, so
-per-source sums are exact.  Dataset magnitudes are doubles.  A ratio and a
-magnitude are both integer fractions, so each redistribution product and
-each rate quotient is formed as one ``int / int``, which CPython rounds
-correctly: the result is the double nearest the exact value, rounded once,
-with no intermediate rounding of the ratio to a double.
+per-source sums are exact.  A ratio and a magnitude are both integer
+fractions, so each redistribution product is formed as one ``int / int``,
+which CPython rounds correctly: the double nearest the exact value, with no
+intermediate rounding of the ratio to a double.  The rate route multiplies
+and divides two magnitudes with IEEE ``*`` and ``/`` when each is a double
+or an int a double holds, and as one ``int / int`` otherwise: either way
+the exact result is rounded once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isinf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CorrespondenceError, RouteError
@@ -223,7 +226,8 @@ class CorrespondenceOutcome:
     """What one conversion did: totals, provenance events, gap log.
 
     `events` holds only output keys that had at least one event; a key
-    that is absent had none.
+    that is absent had none.  `output_magnitudes`, when set, is the
+    output's magnitude column, which `output_total` totals.
     """
 
     op: str
@@ -235,6 +239,7 @@ class CorrespondenceOutcome:
     conserving: bool
     events: Mapping[RecordKey, tuple[str, ...]]
     zero_filled: tuple[str, ...] = ()
+    output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -320,13 +325,21 @@ def _data_total(dataset: Dataset) -> Fraction:
     return exact_total(m for m in dataset.columns.magnitude if m is not None)
 
 
-def _group_by_stratum(dataset: Dataset) -> dict[tuple, dict[str, int]]:
-    """{(year, age group, sex): {region: row}}; a repeated key keeps its last row."""
+def _rows_by_region(dataset: Dataset, codes: Iterable[str]) -> tuple[dict[str, dict[int, int]], list[tuple]]:
+    """({region: {stratum rank: row}}, the sorted (year, age group, sex) strata the ranks index).
+
+    A rank sorts as its stratum does and hashes faster.  A repeated key keeps its last row; a region not in `codes` raises.
+    """
     c = dataset.columns
-    grouped: dict[tuple, dict[str, int]] = {}
-    for i, (region, stratum) in enumerate(zip(c.region, zip(c.year, c.age, c.sex))):
-        grouped.setdefault(stratum, {})[region] = i
-    return grouped
+    strata = sorted(set(zip(c.year, c.age, c.sex)))
+    rank = {stratum: k for k, stratum in enumerate(strata)}
+    rows_of: dict[str, dict[int, int]] = {}
+    for i, (region, k) in enumerate(zip(c.region, map(rank.__getitem__, zip(c.year, c.age, c.sex)))):
+        rows_of.setdefault(region, {})[k] = i
+    unknown = sorted(set(rows_of).difference(codes))
+    if unknown:
+        raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
+    return rows_of, strata
 
 
 def _check_inputs(dataset: Dataset, table: CorrespondenceTable, edition: BoundaryEdition, role: str) -> None:
@@ -347,84 +360,82 @@ def _check_inputs(dataset: Dataset, table: CorrespondenceTable, edition: Boundar
 def forward(
     dataset: Dataset,
     table: CorrespondenceTable,
+    _totals: bool = True,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Redistribute counts to the table's later edition: value(T) = sum ratio(S->T) * value(S).
 
     Suppressed inputs taint every target they feed (emitted suppressed,
     high uncertainty); missing inputs contribute zero mass and tag their
     targets medium uncertainty, with the omission logged in the outcome.
+
+    A target is emitted once per stratum in which any of its feeders (the
+    sources with a positive edge into it) has a row, and summed from 0.0
+    over them in code order.  Walking the targets in order and each one's
+    strata in order emits canonical order.  With `_totals` false the
+    outcome's totals are 0, for a caller that discards them.
     """
     _check_inputs(dataset, table, table.from_edition, "starts at")
-    edges_by_source = {
-        code: tuple((e.target, e.ratio.numerator, e.ratio.denominator) for e in edges)
-        for code, edges in table.positive_edges_by_source().items()
-    }
-    unknown = sorted(set(dataset.columns.region) - set(edges_by_source))
-    if unknown:
-        raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
-    targets_by_source = {code: tuple(tcode for tcode, _, _ in edges) for code, edges in edges_by_source.items()}
+    edges_by_source = table.positive_edges_by_source()
+    rows_of, strata_of = _rows_by_region(dataset, edges_by_source)
     kinds, magnitudes, levels = dataset.columns[4:]
-    low = UncertaintyLevel.LOW
-    by_region: dict[str, list[tuple]] = {}
+    # Enum members read as locals: a class attribute read costs far more on each row.
+    count, suppressed, missing, low = CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING, UncertaintyLevel.LOW
+    # {target: [(source, its rows, ratio numerator, ratio denominator)]}, sources in code order.
+    feeders: dict[str, list[tuple]] = {}
+    for source in sorted(rows_of):
+        for e in edges_by_source[source]:
+            feeders.setdefault(e.target, []).append((source, rows_of[source], e.ratio.numerator, e.ratio.denominator))
+    out_regions, out_ranks, out_kinds, out_magnitudes, out_levels = [], [], [], [], []
     events: dict[RecordKey, tuple[str, ...]] = {}
-    zero_filled: list[str] = []
-    tainted = False
-    grouped = _group_by_stratum(dataset)
-    for stratum in sorted(grouped):
-        present = grouped[stratum]
-        year, age, sex = stratum
-        acc: dict[str, float] = {}
-        unc: dict[str, UncertaintyLevel] = {}
-        suppress_taint: set[str] = set()
-        fill_taint: set[str] = set()
-        for code in sorted(present):
-            i = present[code]
-            kind, magnitude, level = kinds[i], magnitudes[i], levels[i]
-            edges, targets = edges_by_source[code], targets_by_source[code]
-            # A low level raises no target's level; it only enters targets not yet seen.
-            if level is low:
-                for tcode in targets:
-                    unc.setdefault(tcode, low)
-            else:
-                for tcode in targets:
-                    unc[tcode] = max(unc.get(tcode, low), level)
-            if kind is CellKind.SUPPRESSED:
-                suppress_taint.update(targets)
-            elif kind is CellKind.MISSING:
-                for tcode in targets:
-                    fill_taint.add(tcode)
-                    zero_filled.append(
-                        f"{describe_key(code, *stratum)}: missing input contributed zero mass to {tcode}"
-                    )
-            else:
-                # CPython rounds int / int correctly: the double nearest ratio * magnitude.
-                n, d = magnitude.as_integer_ratio()
-                for tcode, ratio_n, ratio_d in edges:
-                    acc[tcode] = acc.get(tcode, 0.0) + ratio_n * n / (ratio_d * d)
-        for tcode, level in unc.items():
-            rows = by_region.setdefault(tcode, [])
-            if suppress_taint and tcode in suppress_taint:
-                tainted = True
-                rows.append((tcode, year, age, sex, CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH))
-                events[RecordKey(tcode, year, age, sex)] = (EVENT_UNRESOLVABLE,)
-                continue
-            if fill_taint and tcode in fill_taint:
+    fills: list[tuple] = []
+    for target in sorted(feeders):
+        sources = feeders[target]
+        ranks = sorted(set().union(*(rows for _, rows, _, _ in sources)))
+        out_regions += [target] * len(ranks)
+        out_ranks += ranks
+        for k in ranks:
+            total, level, kind, filled = 0.0, low, count, False
+            for source, rows, ratio_n, ratio_d in sources:
+                i = rows.get(k)
+                if i is None:
+                    continue
+                if levels[i] > level:
+                    level = levels[i]
+                if kinds[i] is suppressed:
+                    kind = suppressed
+                elif kinds[i] is missing:
+                    fills.append((k, source, target))
+                    filled = True
+                else:
+                    # CPython rounds int / int correctly: the double nearest ratio * magnitude.
+                    n, d = magnitudes[i].as_integer_ratio()
+                    total += ratio_n * n / (ratio_d * d)
+            if kind is suppressed:
+                total, level = None, UncertaintyLevel.HIGH
+                events[RecordKey(target, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
+            elif filled:
                 level = max(level, UncertaintyLevel.MEDIUM)
-                events[RecordKey(tcode, year, age, sex)] = (EVENT_ZERO_FILL,)
-            rows.append((tcode, year, age, sex, CellKind.COUNT, acc.get(tcode, 0.0), level))
-    # Each region's rows are in stratum order; joining the regions in order makes canonical order.
-    rows = [row for region in sorted(by_region) for row in by_region[region]]
-    result = Dataset(dataset.indicator, Columns.from_rows(rows), table.to_edition, table.level)
+                events[RecordKey(target, *strata_of[k])] = (EVENT_ZERO_FILL,)
+            out_kinds.append(kind)
+            out_magnitudes.append(total)
+            out_levels.append(level)
+    out_strata = _transpose(list(map(strata_of.__getitem__, out_ranks)), 3)
+    columns = Columns(tuple(out_regions), *out_strata, tuple(out_kinds), tuple(out_magnitudes), tuple(out_levels))
+    result = Dataset(dataset.indicator, columns, table.to_edition, table.level)
     outcome = CorrespondenceOutcome(
         op="forward",
         level=table.level,
         from_edition=table.from_edition,
         to_edition=table.to_edition,
-        input_total=_data_total(dataset),
-        output_total=_data_total(result),
-        conserving=not tainted,
+        input_total=_data_total(dataset) if _totals else Fraction(0),
+        output_total=_data_total(result) if _totals else Fraction(0),
+        conserving=suppressed not in out_kinds,
         events=events,
-        zero_filled=tuple(zero_filled),
+        zero_filled=tuple(
+            f"{describe_key(source, *strata_of[k])}: missing input contributed zero mass to {target}"
+            for k, source, target in sorted(fills)
+        ),
+        output_magnitudes=columns.magnitude if _totals else None,
     )
     return result, outcome
 
@@ -433,6 +444,7 @@ def backward(
     dataset: Dataset,
     table: CorrespondenceTable,
     policy: CorrespondencePolicy,
+    _totals: bool = True,
 ) -> tuple[Dataset, CorrespondenceOutcome]:
     """Reconstruct counts at the table's earlier edition from later-edition data.
 
@@ -445,44 +457,38 @@ def backward(
     A source is emitted once per stratum in which any of its targets has a
     row.  Walking the sources in order and each one's strata in order
     emits canonical order; the zero-fill log is kept in stratum order, then
-    source, then sole target.
+    source, then sole target.  `_totals` is as in `forward`.
     """
     _check_inputs(dataset, table, table.to_edition, "targets")
     edges_by_source = table.positive_edges_by_source()
     feeders = table.feeders()
-    regions, years, ages, sexes, kinds, magnitudes, levels = dataset.columns
+    rows_of, strata_of = _rows_by_region(dataset, feeders)
+    kinds, magnitudes, levels = dataset.columns[4:]
     # Enum members read as locals: a class attribute read costs far more on each row.
     count, suppressed, missing, low = CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING, UncertaintyLevel.LOW
-    # {region: {(year, age group, sex): row}}; a repeated key keeps its last row.
-    rows_of: dict[str, dict[tuple, int]] = {}
-    for i, (region, stratum) in enumerate(zip(regions, zip(years, ages, sexes))):
-        rows_of.setdefault(region, {})[stratum] = i
-    unknown = sorted(set(rows_of) - set(feeders))
-    if unknown:
-        raise CorrespondenceError(f"dataset regions absent from correspondence table: {', '.join(unknown)}")
     out_regions: list[str] = []
-    out_strata: list[tuple] = []
+    out_ranks: list[int] = []
     cells: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
-    fills_by_stratum: dict[tuple, list[str]] = {}
+    fills_by_rank: dict[int, list[str]] = {}
     for source in sorted(edges_by_source):
         source_edges = edges_by_source[source]
-        strata = sorted(set().union(*(rows_of.get(e.target, ()) for e in source_edges)))
-        out_regions += [source] * len(strata)
-        out_strata += strata
+        ranks = sorted(set().union(*(rows_of.get(e.target, ()) for e in source_edges)))
+        out_regions += [source] * len(ranks)
+        out_ranks += ranks
         shared = [e.ratio for e in source_edges if len(feeders[e.target]) > 1]
         if any(map(policy.suppresses, shared)):
-            cells += [_SUPPRESSED_CELL] * len(strata)
-            events.update((RecordKey(source, *stratum), (EVENT_BACKWARD_SUPPRESSED,)) for stratum in strata)
+            cells += [_SUPPRESSED_CELL] * len(ranks)
+            events.update((RecordKey(source, *strata_of[k]), (EVENT_BACKWARD_SUPPRESSED,)) for k in ranks)
             continue
         sole = [(e.target, rows_of.get(e.target, {})) for e in source_edges if len(feeders[e.target]) == 1]
         discarded = (EVENT_SUBTHRESHOLD_DISCARD,) if shared else ()
-        for stratum in strata:
+        for k in ranks:
             total = 0.0
             level = low
             fills: list[str] = []
             for target, target_rows in sole:
-                i = target_rows.get(stratum)
+                i = target_rows.get(k)
                 if i is None:
                     fills.append(f"no data for sole target {target}")
                     continue
@@ -490,7 +496,7 @@ def backward(
                     level = levels[i]
                 if kinds[i] is suppressed:
                     cells.append(_SUPPRESSED_CELL)
-                    events[RecordKey(source, *stratum)] = (EVENT_UNRESOLVABLE,)
+                    events[RecordKey(source, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
                     break
                 if kinds[i] is missing:
                     fills.append(f"missing value for sole target {target}")
@@ -499,25 +505,26 @@ def backward(
             else:
                 # Only a region that is emitted as a count logs what it counted as zero.
                 if fills:
-                    fills_by_stratum.setdefault(stratum, []).extend(
-                        f"{describe_key(source, *stratum)}: {fill}, counted as zero" for fill in fills
+                    fills_by_rank.setdefault(k, []).extend(
+                        f"{describe_key(source, *strata_of[k])}: {fill}, counted as zero" for fill in fills
                     )
                 if fills or discarded:
                     level = max(level, UncertaintyLevel.MEDIUM)
-                    events[RecordKey(source, *stratum)] = discarded + ((EVENT_ZERO_FILL,) if fills else ())
+                    events[RecordKey(source, *strata_of[k])] = discarded + ((EVENT_ZERO_FILL,) if fills else ())
                 cells.append((count, total, level))
-    columns = Columns(tuple(out_regions), *_transpose(out_strata, 3), *_transpose(cells, 3))
+    out_strata = _transpose(list(map(strata_of.__getitem__, out_ranks)), 3)
+    columns = Columns(tuple(out_regions), *out_strata, *_transpose(cells, 3))
     result = Dataset(dataset.indicator, columns, table.from_edition, table.level)
     outcome = CorrespondenceOutcome(
         op="backward",
         level=table.level,
         from_edition=table.to_edition,
         to_edition=table.from_edition,
-        input_total=_data_total(dataset),
-        output_total=_data_total(result),
+        input_total=_data_total(dataset) if _totals else Fraction(0),
+        output_total=_data_total(result) if _totals else Fraction(0),
         conserving=False,
         events=events,
-        zero_filled=tuple(line for stratum in sorted(fills_by_stratum) for line in fills_by_stratum[stratum]),
+        zero_filled=tuple(line for k in sorted(fills_by_rank) for line in fills_by_rank[k]),
     )
     return result, outcome
 
@@ -543,6 +550,7 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
             raise CorrespondenceError(f"denominator dataset lacks a record for {describe_key(*exc.args[0])}") from None
         denominator = denominator.with_columns(d.take(rows))
     count, suppressed, missing = CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING
+    doubles = _doubles(c.magnitude, denominator.columns.magnitude)
     numerator_cells: list[tuple] = []
     for kind, magnitude, level, denom_kind, denom_magnitude, denom_level in zip(*c[4:], *denominator.columns[4:]):
         worst = denom_level if denom_level > level else level
@@ -550,6 +558,12 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
             numerator_cells.append((suppressed, None, worst))
         elif kind is missing or denom_kind is missing:
             numerator_cells.append((missing, None, worst))
+        elif doubles:
+            # An exact zero is +0.0, as the exact product's is.
+            product = float(magnitude * denom_magnitude) if magnitude and denom_magnitude else 0.0
+            if isinf(product):
+                raise OverflowError("rate numerator count too large for a double")
+            numerator_cells.append((count, product, worst))
         else:
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
@@ -559,6 +573,11 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
         num_indicator, Columns(*c[:4], *_transpose(numerator_cells, 3)), dataset.edition, dataset.level
     )
     return numerator_ds, denominator
+
+
+def _doubles(*columns: tuple) -> bool:
+    """True when every magnitude is a double or an int a double holds, so IEEE `*` and `/` round the exact result."""
+    return all(type(m) is float or -2**53 <= m <= 2**53 for column in columns for m in set(column) if m is not None)
 
 
 def _transpose(cells: list[tuple], width: int) -> tuple[tuple, ...]:
@@ -581,6 +600,7 @@ def _quotient(
         raise CorrespondenceError("converted numerator and denominator counts have different records")
     value_kind = dataset.indicator.value_kind
     suppressed, missing = CellKind.SUPPRESSED, CellKind.MISSING
+    doubles = _doubles(c.magnitude, d.magnitude)
     cells: list[tuple] = []
     events: dict[RecordKey, tuple[str, ...]] = {}
     zero_filled = list(num_outcome.zero_filled)
@@ -597,6 +617,12 @@ def _quotient(
             cells.append((missing, None, max(level, UncertaintyLevel.MEDIUM)))
             evs = tuple(dict.fromkeys([*evs, EVENT_ZERO_FILL]))
             zero_filled.append(f"{describe_key(*key)}: corresponded denominator is zero")
+        elif doubles:
+            # A zero numerator made +0.0 gives a zero of the denominator's sign, as the exact quotient's is.
+            quotient = (magnitude + 0.0) / denom_magnitude
+            if isinf(quotient):
+                raise OverflowError(f"{describe_key(*key)}: rate quotient too large for a double")
+            cells.append((value_kind, quotient, level))
         else:
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
@@ -689,13 +715,13 @@ def execute_plan(
             raise CorrespondenceError(f"missing correspondence table {step.describe()}")
         steps.append((step.op, table))
 
-    def convert(counts: Dataset) -> tuple[Dataset, list[CorrespondenceOutcome]]:
+    def convert(counts: Dataset, totals: bool = True) -> tuple[Dataset, list[CorrespondenceOutcome]]:
         outcomes = []
         for op, table in steps:
             if op == "forward":
-                counts, outcome = forward(counts, table)
+                counts, outcome = forward(counts, table, totals)
             else:
-                counts, outcome = backward(counts, table, policy)
+                counts, outcome = backward(counts, table, policy, totals)
             outcomes.append(outcome)
         return counts, outcomes
 
@@ -703,14 +729,11 @@ def execute_plan(
         result, outcomes = convert(dataset)
         return result, tuple(outcomes)
     numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
-    num_out, outcomes = convert(numerator_ds)
+    num_out, outcomes = convert(numerator_ds, totals=False)
     if converted_denominator is not None and denominator_ds is denominator:
         den_out = converted_denominator
     else:
-        den_out, _ = convert(denominator_ds)
-    outcomes = [
-        replace(o, input_total=Fraction(0), output_total=Fraction(0), conserving=False)
-        for o in outcomes
-    ]
+        den_out, _ = convert(denominator_ds, totals=False)
+    outcomes = [replace(o, conserving=False) for o in outcomes]
     result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1])
     return result, tuple(outcomes)

@@ -454,12 +454,7 @@ def validate_dataset(
         or (value_kind is CellKind.PERCENTAGE and max(magnitudes) > 100)
     ):
         violations.extend(_cell_violations(c, value_kind))
-    if vocabulary is not None:
-        for label, column, allowed in (("age group", c.age, vocabulary.age_groups), ("sex", c.sex, vocabulary.sexes)):
-            if allowed and not allowed.issuperset(column):
-                for i, token in enumerate(column):
-                    if token not in allowed:
-                        violations.append(Violation(V_VOCABULARY, i, f"{label} {token!r} not in vocabulary"))
+    violations.extend(vocabulary_violations(c, vocabulary))
     keys = list(c.record_keys())
     if len(set(keys)) < len(keys):
         seen: dict[tuple, list[int]] = {}
@@ -472,6 +467,17 @@ def validate_dataset(
                 )
     violations.sort(key=lambda v: (v.row, v.rule, v.message))
     return violations
+
+
+def vocabulary_violations(c: Columns, vocabulary: "Vocabulary | None") -> Iterator[Violation]:
+    """An age group or sex outside the vocabulary's declared tokens, row by row."""
+    if vocabulary is None:
+        return
+    for label, column, allowed in (("age group", c.age, vocabulary.age_groups), ("sex", c.sex, vocabulary.sexes)):
+        if allowed and not allowed.issuperset(column):
+            for i, token in enumerate(column):
+                if token not in allowed:
+                    yield Violation(V_VOCABULARY, i, f"{label} {token!r} not in vocabulary")
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,7 @@ def conservation_from(
             return None
     if removal_log.removed_keys:
         return None
-    return ConservationRecord(expected_total=outcomes[0].input_total)
+    return ConservationRecord(outcomes[0].input_total, outcomes[-1].output_total, outcomes[-1].output_magnitudes)
 
 
 def qa_stage(

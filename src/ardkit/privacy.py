@@ -63,8 +63,8 @@ class SuppressionLog:
 def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, SuppressionLog]:
     """Hide small counts: 0 < magnitude < threshold (and zero when configured).
 
-    Rows keep their order.  When no cell is hidden, the result holds the
-    input's own `columns` object.
+    Rows keep their order.  Hiding is decided once per distinct magnitude;
+    when no cell is hidden, the result is the input itself.
     """
     if dataset.indicator.value_kind is not CellKind.COUNT:
         raise PrivacyError(
@@ -72,10 +72,13 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
             "percentages upstream through their numerator counts"
         )
     c = dataset.columns
+    hidden = {m for m in set(c.magnitude) - {None} if 0 < m < policy.threshold or (policy.suppress_zero and m == 0)}
+    if not hidden:
+        return dataset, SuppressionLog(strata=(), total=0)
     kinds, magnitudes = list(c.kind), list(c.magnitude)
     per_stratum: dict[tuple[int, str, str], int] = {}
     for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
-        if kind is CellKind.COUNT and (0 < magnitude < policy.threshold or (policy.suppress_zero and magnitude == 0)):
+        if kind is CellKind.COUNT and magnitude in hidden:
             stratum = (c.year[i], c.age[i], c.sex[i])
             per_stratum[stratum] = per_stratum.get(stratum, 0) + 1
             kinds[i], magnitudes[i] = CellKind.SUPPRESSED, None

@@ -12,7 +12,7 @@ datasets; levels 0 and 1 stay.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Mapping, Sequence
@@ -37,6 +37,7 @@ from .model import (
     exact_total,
     format_magnitude,
     validate_dataset,
+    vocabulary_violations,
 )
 
 
@@ -95,6 +96,9 @@ class ConservationRecord:
     """Expected post-conversion count total, carried by correspondence provenance."""
 
     expected_total: Fraction
+    # The exact total of `output_magnitudes`, the magnitude column the last conversion emitted.
+    output_total: Fraction | None = None
+    output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,10 @@ def run_rules(dataset: Dataset, context: QAContext = QAContext()) -> QAReport:
     findings.extend(_recoverable_findings(dataset, context))
     findings.extend(_conservation_findings(dataset, context))
     findings.extend(_emptied_findings(dataset, context))
+    return _report(dataset, findings)
+
+
+def _report(dataset: Dataset, findings: list[Finding]) -> QAReport:
     findings.sort(key=lambda f: (f.rule_id, f.locator, f.message))
     return QAReport(dataset.indicator.id, tuple(findings))
 
@@ -266,7 +274,11 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
     if record is None:
         return []
     c = dataset.columns
-    total = exact_total(m for kind, m in zip(c.kind, c.magnitude) if kind is CellKind.COUNT)
+    if c.magnitude is record.output_magnitudes:
+        # The conversion's own output, whose magnitudes are present exactly on its count rows.
+        total = record.output_total
+    else:
+        total = exact_total(m for kind, m in zip(c.kind, c.magnitude) if kind is CellKind.COUNT)
     expected = record.expected_total
     if abs(total - expected) <= CONSERVATION_TOLERANCE * max(abs(expected), Fraction(1)):
         return []
@@ -361,7 +373,12 @@ def clean_qa_cycle(
     context: QAContext = QAContext(),
     cap: int = 10,
 ) -> CycleResult:
-    """Clean, check, repeat until the report passes or a fixed point is reached.
+    """Clean, check the vocabulary, repeat until it passes or a fixed point is reached.
+
+    `clean` raises unless its output validates and coverage findings are
+    warnings, so a token outside `context.vocabulary` is the only error a
+    pass can still draw: each pass checks that alone, and the report holds
+    those findings.  `qa_stage` runs every rule once, on the finished data.
 
     The loop terminates by construction for idempotent rule sets; the cap
     guards non-idempotent configurations, reporting non-convergence as an
@@ -375,7 +392,8 @@ def clean_qa_cycle(
         cleaned, log = clean(current, rules)
         if first_log is None:
             first_log = log
-        report = run_rules(cleaned, context)
+        violations = vocabulary_violations(cleaned.columns, context.vocabulary)
+        report = _report(cleaned, [_finding(RULE_SCHEMA, v.locator(), v.message) for v in violations])
         if report.passed or cleaned == current:
             return CycleResult(cleaned, first_log, report, iteration)
         current = cleaned

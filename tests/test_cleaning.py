@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -316,3 +317,51 @@ class TestContracts:
         assert twice == once
         assert second_log.entries == ()
 
+
+
+def old_to_jsonl(log):
+    """The log rendered one `json.dumps` per entry, as before the fields were written one by one."""
+    return "".join(json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for e in log.entries)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+TOKENS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "字", " ", "\ud800", "\U0001f600", ""])
+
+
+class TestJsonlEqualsOneDumpPerEntry:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                CleaningEntry,
+                op=st.sampled_from(["set", "drop"]) | TOKENS,
+                row=st.integers(0, 2**70) | JSON_VALUES,
+                rule=TOKENS,
+                field=st.none() | TOKENS,
+                before=JSON_VALUES,
+                after=JSON_VALUES,
+                reason=st.none() | TOKENS,
+            ),
+            max_size=6,
+        )
+    )
+    def test_arbitrary_entries(self, entries):
+        log = CleaningLog(tuple(entries))
+        assert log.to_jsonl() == old_to_jsonl(log)
+
+    def test_value_objects_bools_and_floats(self):
+        entries = (
+            CleaningEntry("set", 3, "dedupe-sum", "value", {"kind": "count", "magnitude": 2.0, "uncertainty": 0},
+                          {"kind": "count", "magnitude": 1e-07, "uncertainty": 1}),
+            CleaningEntry("set", 4, "r", "calendar_year", 16, 2016),
+            CleaningEntry("set", 5, "r", "x", True, None, reason='quote " and \\ back'),
+            CleaningEntry("drop", 6, "dédupe", reason="line\nbreak\tand \x01"),
+        )
+        log = CleaningLog(entries)
+        assert log.to_jsonl() == old_to_jsonl(log)
+        assert CleaningLog.from_jsonl(log.to_jsonl()).entries[:2] == entries[:2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from ardkit.correspondence import (
     EVENT_BACKWARD_SUPPRESSED,
     EVENT_SUBTHRESHOLD_DISCARD,
     EVENT_ZERO_FILL,
+    CorrespondenceEdge,
     CorrespondenceOutcome,
     CorrespondencePolicy,
     PlanStep,
@@ -24,7 +26,7 @@ from ardkit.correspondence import (
     plan_route,
 )
 from ardkit.errors import CorrespondenceError, RouteError
-from ardkit.model import BoundaryEdition, CellKind, CellValue, Dataset, UncertaintyLevel, canonical_sort
+from ardkit.model import BoundaryEdition, CellKind, CellValue, Columns, Dataset, UncertaintyLevel, canonical_sort
 
 import oracle
 from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
@@ -813,3 +815,196 @@ class TestDoublePathBuildsNoFractionPerRecord:
         assert after_forward <= len(table.edges)
         assert after_backward <= len(table.edges)
         assert magnitudes(rebuilt) == magnitudes(data)
+
+
+SPREAD_STRATA = ((2016, "0-4", "female"), (2016, "0-4", "male"), (2016, "5-9", "male"), (2017, "0-4", "male"))
+
+
+def spread_input(rng, sources):
+    """Unsorted rows over several strata, with repeats, mixed kinds, levels and magnitude types.
+
+    Returns the Columns and {(region, stratum): the row a repeated key keeps, its last}.
+    """
+    rows = []
+    for code in rng.sample(sources, rng.randint(1, len(sources))):
+        for stratum in rng.sample(SPREAD_STRATA, rng.randint(1, len(SPREAD_STRATA))):
+            kind = rng.choice([CellKind.COUNT] * 6 + [CellKind.MISSING, CellKind.SUPPRESSED])
+            magnitude = None
+            if kind is CellKind.COUNT:
+                magnitude = rng.choice([rng.randint(0, 10_000), rng.random() * 1e4, 0.1, 0.0, 2**60 + 1])
+            rows.append((code, *stratum, kind, magnitude, rng.choice(LEVELS)))
+    repeats = rng.sample(rows, len(rows) // 5)
+    rows += [(*row[:4], CellKind.COUNT, rng.randint(0, 99), UncertaintyLevel.LOW) for row in repeats]
+    rng.shuffle(rows)
+    return Columns.from_rows(rows), {(row[0], tuple(row[1:4])): row for row in rows}
+
+
+def expected_forward(kept, table):
+    """Per target and stratum, 0.0 plus float(ratio * magnitude) over its feeders in code order."""
+    feeders: dict[str, list] = {}
+    for edge in sorted(table.edges, key=lambda e: (e.source, e.target)):
+        if edge.ratio > 0:
+            feeders.setdefault(edge.target, []).append((edge.source, edge.ratio))
+    cells, events, zero_filled = {}, {}, []
+    strata = sorted({stratum for _, stratum in kept})
+    for target in sorted(feeders):
+        for stratum in strata:
+            present = [(kept[source, stratum], ratio) for source, ratio in feeders[target] if (source, stratum) in kept]
+            if not present:
+                continue
+            total, level = 0.0, max(row[6] for row, _ in present)
+            kinds = {row[4] for row, _ in present}
+            for row, ratio in present:
+                if row[4] is CellKind.COUNT:
+                    total += float(ratio * Fraction(row[5]))
+            key = (target, *stratum)
+            if CellKind.SUPPRESSED in kinds:
+                cells[key] = (CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH)
+                events[key] = (oracle.UNRESOLVABLE,)
+            elif CellKind.MISSING in kinds:
+                cells[key] = (CellKind.COUNT, total, max(level, UncertaintyLevel.MEDIUM))
+                events[key] = (EVENT_ZERO_FILL,)
+            else:
+                cells[key] = (CellKind.COUNT, total, level)
+    for stratum in strata:
+        for source in sorted({source for source, _ in kept}):
+            row = kept.get((source, stratum))
+            if row is not None and row[4] is CellKind.MISSING:
+                for edge in sorted(table.edges, key=lambda e: e.target):
+                    if edge.source == source and edge.ratio > 0:
+                        name = "/".join(map(str, (source, *stratum)))
+                        zero_filled.append(f"{name}: missing input contributed zero mass to {edge.target}")
+    return cells, events, zero_filled
+
+
+class TestForwardTargetMajor:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_each_cell_is_the_left_to_right_sum_over_feeders_in_code_order(self, seed):
+        rng = random.Random(seed)
+        table, sources = random_table(rng, max_regions=12)
+        targets = sorted({e.target for e in table.edges})
+        linked = {(e.source, e.target) for e in table.edges}
+        # Zero-ratio edges link nothing, and an unknown target fed only at ratio 0 gets no row.
+        zero = [(s, t) for s in sources for t in [*targets, "T999"] if (s, t) not in linked and rng.random() < 0.2]
+        table = replace(table, edges=(*table.edges, *(CorrespondenceEdge(s, t, Fraction(0)) for s, t in zero)))
+        columns, kept = spread_input(rng, sources)
+        data = Dataset(make_indicator(), columns, E2011, SA3)
+        out, outcome = forward(data, table)
+        cells, events, zero_filled = expected_forward(kept, table)
+        got = list(zip(out.columns.record_keys(), zip(*out.columns[4:])))
+        assert [key for key, _ in got] == sorted(cells)
+        for key, (kind, magnitude, level) in got:
+            want_kind, want_magnitude, want_level = cells[key]
+            assert (kind, level) == (want_kind, want_level), key
+            if want_magnitude is None:
+                assert magnitude is None, key
+            else:
+                assert type(magnitude) is float and magnitude.hex() == want_magnitude.hex(), key
+        assert dict(outcome.events) == events
+        assert list(outcome.zero_filled) == zero_filled
+        assert outcome.conserving is (CellKind.SUPPRESSED not in out.columns.kind)
+        assert outcome.input_total == sum(Fraction(row[5]) for row in zip(*columns) if row[5] is not None)
+        assert outcome.output_total == sum(Fraction(m) for m in out.columns.magnitude if m is not None)
+        assert outcome.output_magnitudes is out.columns.magnitude
+
+    def test_totals_left_out_on_request(self):
+        data = make_counts({"A": 100}, edition=E2011)
+        table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])
+        out, outcome = forward(data, table, False)
+        assert outcome.input_total == outcome.output_total == 0
+        assert outcome.output_magnitudes is None
+        assert out == forward(data, table)[0]
+
+
+def old_numerator(magnitude, denom_magnitude) -> float:
+    """The rate route's numerator count before it used IEEE `*`: one int / int division."""
+    n, q = magnitude.as_integer_ratio()
+    denom_n, denom_q = denom_magnitude.as_integer_ratio()
+    return n * denom_n / (q * denom_q)
+
+
+def old_quotient(magnitude, denom_magnitude) -> float:
+    """The rate route's quotient before it used IEEE `/`: one int / int division."""
+    n, q = magnitude.as_integer_ratio()
+    denom_n, denom_q = denom_magnitude.as_integer_ratio()
+    return n * denom_q / (q * denom_n)
+
+
+EDGE_MAGNITUDES = (
+    0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 2**53, 2**53 + 1, -(2**60) - 3, 3**40,
+    1e308, 1.7976931348623157e308, 0.1, 7,
+)
+MAGNITUDES = (
+    st.sampled_from(EDGE_MAGNITUDES)
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def outcomes_of(fn, pairs):
+    """fn on each pair, or OverflowError when fn overflows on any of them."""
+    try:
+        return [fn(a, b) for a, b in pairs]
+    except OverflowError:
+        return OverflowError
+
+
+def rows_dataset(cells, kind):
+    indicator = make_indicator(id=f"demo.{kind.value}", value_kind=kind)
+    regions = tuple(f"R{i:02d}" for i in range(len(cells)))
+    n = len(cells)
+    columns = Columns(
+        regions, (2016,) * n, ("0-4",) * n, ("male",) * n, (kind,) * n, tuple(cells), (UncertaintyLevel.LOW,) * n
+    )
+    return Dataset(indicator, columns, E2016, SA3)
+
+
+class TestRateArithmeticMatchesExactDivision:
+    """IEEE `*` and `/` give the bits of the old int / int divisions: signed zeros, subnormals, big ints, overflow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MAGNITUDES, MAGNITUDES), min_size=1, max_size=5))
+    def test_numerator_counts(self, pairs):
+        from ardkit.correspondence import _derive_count_pair
+
+        want = outcomes_of(old_numerator, pairs)
+        rates = rows_dataset([a for a, _ in pairs], CellKind.RATE)
+        denominators = rows_dataset([b for _, b in pairs], CellKind.COUNT)
+        if want is OverflowError:
+            with pytest.raises(OverflowError):
+                _derive_count_pair(rates, denominators)
+            return
+        numerator, denominator = _derive_count_pair(rates, denominators)
+        assert denominator is denominators
+        assert [m.hex() for m in numerator.columns.magnitude] == [m.hex() for m in want]
+        assert all(type(m) is float for m in numerator.columns.magnitude)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MAGNITUDES, MAGNITUDES.filter(bool)), min_size=1, max_size=5))
+    def test_quotients(self, pairs):
+        from ardkit.correspondence import _quotient
+
+        want = outcomes_of(old_quotient, pairs)
+        rates = rows_dataset([0.0] * len(pairs), CellKind.RATE)
+        numerators = rows_dataset([a for a, _ in pairs], CellKind.COUNT)
+        denominators = rows_dataset([b for _, b in pairs], CellKind.COUNT)
+        outcome = CorrespondenceOutcome("forward", SA3, E2011, E2016, Fraction(0), Fraction(0), False, {})
+        if want is OverflowError:
+            with pytest.raises(OverflowError):
+                _quotient(rates, numerators, denominators, outcome)
+            return
+        result, _ = _quotient(rates, numerators, denominators, outcome)
+        assert [m.hex() for m in result.columns.magnitude] == [m.hex() for m in want]
+        assert set(result.columns.kind) == {CellKind.RATE}
+
+    def test_a_zero_keeps_the_sign_the_exact_division_gives(self):
+        from ardkit.correspondence import _derive_count_pair, _quotient
+
+        rates = rows_dataset([-0.0, 0.0, -1e-200], CellKind.RATE)
+        numerator, _ = _derive_count_pair(rates, rows_dataset([5.0, -5.0, 1e-200], CellKind.COUNT))
+        assert [m.hex() for m in numerator.columns.magnitude] == ["0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+        outcome = CorrespondenceOutcome("forward", SA3, E2011, E2016, Fraction(0), Fraction(0), False, {})
+        numerators = rows_dataset([-0.0, 0.0, 0.0], CellKind.COUNT)
+        quotient, _ = _quotient(rates, numerators, rows_dataset([-5.0, 5.0, -5.0], CellKind.COUNT), outcome)
+        assert [m.hex() for m in quotient.columns.magnitude] == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]

@@ -1146,6 +1146,66 @@ class TestRunBuildsNoRecordObjects:
         assert len(keys) <= len(with_events)
 
 
+class TestOnePassPerFact:
+    """`run` validates each indicator at most twice and totals a forward count at most twice."""
+
+    def count_calls(self, monkeypatch):
+        import collections
+
+        import ardkit.cleaning
+        import ardkit.correspondence
+        import ardkit.pipeline
+        import ardkit.qa
+
+        validated, totalled, current = collections.Counter(), collections.Counter(), [None]
+
+        def counting_parse_raw(data, mapping, indicator, _real=ardkit.pipeline.parse_raw):
+            current[0] = indicator.id
+            return _real(data, mapping, indicator)
+
+        monkeypatch.setattr(ardkit.pipeline, "parse_raw", counting_parse_raw)
+        for module in (ardkit.cleaning, ardkit.qa):
+            def counting_validate(dataset, *args, _real=module.validate_dataset):
+                validated[dataset.indicator.id] += 1
+                return _real(dataset, *args)
+
+            monkeypatch.setattr(module, "validate_dataset", counting_validate)
+        for module in (ardkit.correspondence, ardkit.qa):
+            def counting_total(values, _real=module.exact_total):
+                totalled[current[0]] += 1
+                return _real(values)
+
+            monkeypatch.setattr(module, "exact_total", counting_total)
+        return validated, totalled
+
+    @pytest.mark.parametrize("project", ["repo-demo", "messy", "messy-unsuppressed", "messy-rate"])
+    def test_validations_and_exact_totals_per_indicator(self, tmp_path, monkeypatch, project):
+        import dataclasses
+
+        if project == "repo-demo":
+            config_path = Path(__file__).resolve().parents[1] / "demo" / "config.json"
+        else:
+            config_path = build_demo_project(tmp_path / "proj", rate=project == "messy-rate")
+        validated, totalled = self.count_calls(monkeypatch)
+        config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
+        if project == "messy-unsuppressed":
+            # Without suppression the forward indicator keeps its conservation check, as on fwd-messy.
+            config = dataclasses.replace(config, stages=dataclasses.replace(config.stages, privacy_enabled=False))
+        result = run(config)
+        assert not result.failed
+        qa = json.loads((tmp_path / "out" / "reports" / "demo.hospital_visits.qa.json").read_text())
+        assert qa["pass"] and (project != "messy-unsuppressed" or result.exit_code == 0)
+        ids = {spec.indicator.id for spec in config.indicators}
+        assert set(validated) == ids
+        assert all(calls <= 2 for calls in validated.values()), validated
+        forward_counts = {
+            "demo.hospital_visits": 2,  # forward input and output; the QA rule reuses the output's
+            "demo.school_enrolments": 2,  # backward input and output; backward is never conserving
+            "demo.enrolment_rate": 0,  # the rate's numerator steps keep no totals
+        }
+        assert totalled == {i: n for i, n in forward_counts.items() if i in ids and n}
+
+
 class TestBadCliInputs:
     """Bad sidecars, editions and thresholds end with exit 2 and a message, never a traceback."""
 

@@ -16,7 +16,7 @@ from ardkit.privacy import (
     suppress,
 )
 
-from conftest import make_counts, make_indicator
+from conftest import make_counts, make_indicator, make_record
 
 POLICY = SuppressionPolicy()
 
@@ -106,6 +106,47 @@ class TestSuppress:
             value = line.split(",")[4]
             if value not in ("S", ""):
                 assert not (0 < float(value) < 5)
+
+
+def old_suppress(dataset, policy):
+    """Suppression as it decided each row on its own: (kinds, magnitudes, strata log, total)."""
+    c = dataset.columns
+    kinds, magnitudes = list(c.kind), list(c.magnitude)
+    per_stratum = {}
+    for i, (kind, magnitude) in enumerate(zip(c.kind, c.magnitude)):
+        if kind is CellKind.COUNT and (0 < magnitude < policy.threshold or (policy.suppress_zero and magnitude == 0)):
+            stratum = (c.year[i], c.age[i], c.sex[i])
+            per_stratum[stratum] = per_stratum.get(stratum, 0) + 1
+            kinds[i], magnitudes[i] = CellKind.SUPPRESSED, None
+    return tuple(kinds), tuple(magnitudes), tuple(sorted(per_stratum.items())), sum(per_stratum.values())
+
+
+SUPPRESSION_CELLS = st.sampled_from(
+    [CellValue.count(m) for m in (0, 0.0, -0.0, 1, 1.0, 4, 4.999, 5, 5.0, 5.5, 7, 2.5)]
+    + [CellValue.rate(3.0), CellValue.missing(), CellValue.suppressed()]
+)
+
+
+class TestSuppressDecidesOncePerMagnitude:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["2016", "2017"]), SUPPRESSION_CELLS), max_size=12),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+    )
+    def test_equals_the_row_by_row_decision(self, cells, threshold, suppress_zero):
+        records = [
+            make_record(f"R{i:02d}", value, year=int(year)) for i, (year, value) in enumerate(cells)
+        ]
+        dataset = make_counts({}).with_records(records)
+        policy = SuppressionPolicy(threshold=threshold, suppress_zero=suppress_zero)
+        out, log = suppress(dataset, policy)
+        kinds, magnitudes, strata, total = old_suppress(dataset, policy)
+        assert (out.columns.kind, out.columns.magnitude) == (kinds, magnitudes)
+        assert [type(m) for m in out.columns.magnitude] == [type(m) for m in magnitudes]
+        assert (log.strata, log.total) == (strata, total)
+        if not total:
+            assert out is dataset
 
 
 class TestPseudonymize:

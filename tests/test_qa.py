@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ardkit.cleaning import CleaningRuleSet, DedupePolicy
+from ardkit.cleaning import CleaningRuleSet, DedupePolicy, clean
 from ardkit.correspondence import (
     EVENT_BACKWARD_SUPPRESSED,
     EVENT_SUBTHRESHOLD_DISCARD,
@@ -306,3 +306,79 @@ class TestCleanQaCycle:
     def test_zero_cap_rejected(self):
         with pytest.raises(ConvergenceError):
             clean_qa_cycle(make_counts({}), CleaningRuleSet(), cap=0)
+
+
+def old_clean_qa_cycle(dataset, rules, context):
+    """The loop as it ran every rule on each pass: (dataset, iterations, passed)."""
+    current = dataset
+    for iteration in range(1, 11):
+        cleaned, _ = clean(current, rules)
+        report = run_rules(cleaned, context)
+        if report.passed or cleaned == current:
+            return cleaned, iteration, report.passed
+        current = cleaned
+    raise AssertionError("did not converge")
+
+
+class TestCleanQaCycleChecksTheVocabulary:
+    VOCABULARY = Vocabulary(age_groups=frozenset({"0-4"}), sexes=frozenset({"male"}))
+
+    @pytest.mark.parametrize("messy", [False, True], ids=["tidy", "messy"])
+    @pytest.mark.parametrize("age", ["0-4", "bad-age"])
+    def test_iterations_and_outcome_as_when_every_rule_ran(self, messy, age):
+        records = [
+            make_record(" A" if messy else "A", CellValue.count(2), age=age),
+            make_record("B", CellValue.count(3), year=2019, age=age),
+        ]
+        dataset = make_counts({}).with_records(records)
+        context = QAContext(vocabulary=self.VOCABULARY, coverage=(2016, 2019))
+        result = clean_qa_cycle(dataset, CleaningRuleSet(), context)
+        cleaned, iterations, passed = old_clean_qa_cycle(dataset, CleaningRuleSet(), context)
+        assert (result.dataset, result.iterations, result.report.passed) == (cleaned, iterations, passed)
+        assert result.iterations == (2 if messy and age == "bad-age" else 1)
+        # The report holds the vocabulary findings alone; coverage gaps are left to qa_stage.
+        assert {f.rule_id for f in result.report.findings} <= {RULE_SCHEMA}
+        assert len(result.report.findings) == (0 if age == "0-4" else 2)
+
+    def test_runs_no_rule_but_the_vocabulary_check(self, monkeypatch):
+        import ardkit.qa as qa
+
+        called = []
+        monkeypatch.setattr(qa, "run_rules", lambda *args: called.append("run_rules"))
+        monkeypatch.setattr(qa, "validate_dataset", lambda *args: called.append("validate_dataset"))
+        clean_qa_cycle(make_counts({"A": 1}, age="bad-age"), CleaningRuleSet(), QAContext(vocabulary=self.VOCABULARY))
+        assert called == []
+
+
+class TestConservationReusesTheConversionTotal:
+    def converted(self):
+        from ardkit.correspondence import forward
+
+        edges = (CorrespondenceEdge("A", "B", Fraction(3, 10)), CorrespondenceEdge("A", "C", Fraction(7, 10)))
+        table = CorrespondenceTable(E2011, E2016, SA3, edges)
+        return forward(make_counts({"A": 100}, edition=E2011), table)
+
+    def test_the_very_column_forward_emitted_is_not_totalled_again(self, monkeypatch):
+        import ardkit.qa as qa
+
+        out, outcome = self.converted()
+        totals = []
+        monkeypatch.setattr(qa, "exact_total", lambda values: totals.append(1) or Fraction(-1))
+        record = ConservationRecord(outcome.input_total, outcome.output_total, outcome.output_magnitudes)
+        assert run_rules(out, QAContext(conservation=record)).passed
+        assert totals == []
+        # A stated total is trusted for that column: a wrong one fires the rule.
+        wrong = ConservationRecord(outcome.input_total, Fraction(1), outcome.output_magnitudes)
+        assert [f.rule_id for f in run_rules(out, QAContext(conservation=wrong)).findings] == [RULE_CONSERVATION]
+
+    def test_a_changed_magnitude_column_is_totalled_again_and_fires(self):
+        out, outcome = self.converted()
+        record = ConservationRecord(outcome.input_total, outcome.output_total, outcome.output_magnitudes)
+        magnitudes = out.columns.magnitude
+        changed = out.with_columns(out.columns._replace(magnitude=(magnitudes[0] + 1, *magnitudes[1:])))
+        report = run_rules(changed, QAContext(conservation=record))
+        assert [f.rule_id for f in report.findings] == [RULE_CONSERVATION]
+        assert "total 101 differs from expected 100" in report.findings[0].message
+        # An equal column that is not the very tuple is totalled too, and passes.
+        copied = out.with_columns(out.columns._replace(magnitude=tuple(list(out.columns.magnitude))))
+        assert run_rules(copied, QAContext(conservation=record)).passed
