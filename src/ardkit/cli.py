@@ -18,11 +18,11 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .correspondence import CorrespondencePolicy, load_table, outcomes_from_json
+from .correspondence import CorrespondencePolicy, OutcomeSummary, load_table, outcomes_report
 from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
-from .jsonio import canonical_dumps, decode_utf8, parse_json
+from .jsonio import canonical_dumps, decode_utf8, ledger_path, parse_json
 from .model import (
     BoundaryEdition,
     GeoLevel,
@@ -72,6 +72,22 @@ def _read_dataset(data_path: str, indicator_path: str):
     text = _read_text(data_path)
     with _about(data_path):
         return canonical_sort(read_csv(text, indicator))
+
+
+def _write_report(path: str, report: tuple[dict, str]) -> None:
+    """A report's JSON summary at `path` and its ledger beside it."""
+    summary, ledger = report
+    _write(path, canonical_dumps(summary))
+    _write(ledger_path(path), ledger)
+
+
+def _read_outcomes(path: str):
+    """A correspondence report's steps with their events, read from its ledger; errors name the file at fault."""
+    summary = _read_doc(path, OutcomeSummary.from_json)
+    ledger = ledger_path(path)
+    text = _read_text(ledger)
+    with _about(ledger):
+        return summary.outcomes(text)
 
 
 def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:
@@ -173,7 +189,7 @@ def _cmd_correspond(args) -> int:
     )
     _write_dataset(dataset, args.out_data, args.out_indicator)
     if args.outcomes:
-        _write(args.outcomes, canonical_dumps([o.to_json() for o in outcomes]))
+        _write_report(args.outcomes, outcomes_report(outcomes))
     print(f"converted to edition {int(dataset.edition)} in {len(outcomes)} step(s)")
     return 0
 
@@ -211,7 +227,7 @@ def _cmd_qa(args) -> int:
     if args.filter_high and not args.out_data:
         raise ConfigError("--filter-high needs --out-data")
     dataset = _read_dataset(args.data, args.indicator)
-    outcomes = _read_doc(args.outcomes, outcomes_from_json) if args.outcomes else ()
+    outcomes = _read_outcomes(args.outcomes) if args.outcomes else ()
     privacy_log = _read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
     vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
@@ -226,7 +242,7 @@ def _cmd_qa(args) -> int:
         emitted = round_counts(filtered) if args.round_counts else filtered
         _write_dataset(emitted, args.out_data, args.out_indicator)
         if args.removals:
-            _write(args.removals, canonical_dumps(removal_log.to_json()))
+            _write_report(args.removals, removal_log.report())
     _write(args.report, canonical_dumps(report.to_json()))
     if args.text:
         _write(args.text, report.to_text())

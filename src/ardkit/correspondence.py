@@ -29,12 +29,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 from math import isinf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CorrespondenceError, RouteError
-from .jsonio import decode_utf8
+from .jsonio import decode_utf8, sha256_hex
 from .model import (
+    KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
     Columns,
@@ -45,6 +47,7 @@ from .model import (
     csv_rows,
     describe_key,
     exact_total,
+    ledger_csv,
 )
 
 # Record-level provenance events consumed by the QA uncertainty rule.
@@ -242,6 +245,7 @@ class CorrespondenceOutcome:
     output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
+        """The step's entry in a correspondence report; its events are the ledger's, counted in `event_rows`."""
         return {
             "op": self.op,
             "level": self.level.value,
@@ -253,24 +257,15 @@ class CorrespondenceOutcome:
             "output_total_exact": str(self.output_total),
             "conserving": self.conserving,
             "zero_filled": list(self.zero_filled),
-            "events": [
-                {
-                    "key": list(key),
-                    "events": list(self.events[key]),
-                }
-                for key in sorted(self.events)
-            ],
+            "event_rows": sum(map(len, self.events.values())),
         }
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CorrespondenceOutcome":
-        """Build from one entry of a correspondence report; a wrongly shaped one raises CorrespondenceError."""
+        """Build from one step of a correspondence report, without the events its ledger holds."""
         if not isinstance(doc, Mapping):
             raise CorrespondenceError(f"correspondence outcome {doc!r} is not a JSON object")
         try:
-            events = dict(
-                _event_entry(item, f"correspondence outcome event {n}") for n, item in enumerate(doc["events"], 1)
-            )
             conserving, zero_filled = doc["conserving"], doc.get("zero_filled", [])
             if not isinstance(conserving, bool):
                 raise CorrespondenceError(
@@ -288,7 +283,7 @@ class CorrespondenceOutcome:
                 input_total=Fraction(doc["input_total_exact"]),
                 output_total=Fraction(doc["output_total_exact"]),
                 conserving=conserving,
-                events=events,
+                events={},
                 zero_filled=tuple(zero_filled),
             )
         except KeyError as exc:
@@ -297,28 +292,74 @@ class CorrespondenceOutcome:
             raise CorrespondenceError(f"malformed correspondence outcome: {exc}") from None
 
 
-def _event_entry(item, where: str) -> tuple[RecordKey, tuple[str, ...]]:
-    """One entry of a report's `events` list; a wrongly shaped one raises CorrespondenceError naming `where`."""
-    if not isinstance(item, Mapping):
-        raise CorrespondenceError(f"{where} is not a JSON object")
-    key, events = item.get("key"), item.get("events")
-    if not isinstance(key, list) or len(key) != 4:
-        raise CorrespondenceError(f"{where}: key must be a [region, year, age group, sex] list, not {key!r}")
-    region, year, age, sex = key
-    if not all(isinstance(token, str) and token for token in (region, age, sex)):
-        raise CorrespondenceError(f"{where}: region, age group and sex must be non-empty strings, not {key!r}")
-    if isinstance(year, bool) or not isinstance(year, int):
-        raise CorrespondenceError(f"{where}: year must be an integer, not {year!r}")
-    if not isinstance(events, list) or not all(isinstance(event, str) for event in events):
-        raise CorrespondenceError(f"{where}: events must be a list of strings, not {events!r}")
-    return RecordKey(region, year, age, sex), tuple(events)
+EVENT_LEDGER_COLUMNS = (*KEY_COLUMNS, "STEP", "EVENT")
+_STEP_EVENTS = MEDIUM_EVENTS | HIGH_EVENTS
 
 
-def outcomes_from_json(doc) -> tuple[CorrespondenceOutcome, ...]:
-    """The outcomes of a correspondence report (a JSON list, one entry per step)."""
-    if not isinstance(doc, list):
-        raise CorrespondenceError("correspondence report is not a JSON list of outcomes")
-    return tuple(CorrespondenceOutcome.from_json(item) for item in doc)
+def outcomes_report(outcomes: Sequence[CorrespondenceOutcome]) -> tuple[dict, str]:
+    """A correspondence report's JSON summary and its event ledger.
+
+    The ledger has one line per (key, step, event): canonical key order,
+    then step (counted from 1), then the event's place in the key's tuple.
+    The summary holds each step's `to_json` and the ledger's SHA-256.
+    """
+    rows = sorted((key, step, events) for step, o in enumerate(outcomes, 1) for key, events in o.events.items())
+    keys = [key for key, _, events in rows for _ in events]
+    ledger = ledger_csv(EVENT_LEDGER_COLUMNS, keys, [f"{step},{event}" for _, step, events in rows for event in events])
+    return {"steps": [o.to_json() for o in outcomes], "ledger_digest": sha256_hex(ledger)}, ledger
+
+
+@dataclass(frozen=True)
+class OutcomeSummary:
+    """A correspondence report's JSON summary: its steps, without their events, and what binds their ledger."""
+
+    steps: tuple[CorrespondenceOutcome, ...]
+    event_rows: tuple[object, ...]
+    ledger_digest: object
+
+    @classmethod
+    def from_json(cls, doc) -> "OutcomeSummary":
+        """Read a summary; a wrongly shaped one, or one in the older format (a JSON list of steps), raises."""
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("steps"), list):
+            raise CorrespondenceError("correspondence report is not a JSON object with a list of steps")
+        steps = tuple(map(CorrespondenceOutcome.from_json, doc["steps"]))
+        return cls(steps, tuple(step.get("event_rows") for step in doc["steps"]), doc.get("ledger_digest"))
+
+    def outcomes(self, ledger: str) -> tuple[CorrespondenceOutcome, ...]:
+        """The steps with their events, read from `ledger`: the text `outcomes_report` wrote beside this summary.
+
+        A malformed line, or one written otherwise (out of order, say), raises CorrespondenceError naming it.
+        """
+        rows = csv_rows(ledger, CorrespondenceError)
+        if next(rows, None) != list(EVENT_LEDGER_COLUMNS):
+            raise CorrespondenceError(f"line 1: expected the header {','.join(EVENT_LEDGER_COLUMNS)}")
+        events: list[dict] = [{} for _ in self.steps]
+        steps = {str(n): mine for n, mine in enumerate(events, 1)}
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != len(EVENT_LEDGER_COLUMNS):
+                raise CorrespondenceError(f"line {lineno}: expected 6 fields, got {len(row)}")
+            region, year, age, sex, n, event = row
+            problem = (
+                "REGION, AGE_GROUP and SEX must be non-empty" if not (region and age and sex)
+                else f"invalid CALENDAR_YEAR {year!r}" if not year.removeprefix("-").isdecimal()
+                else f"invalid STEP {n!r}; the report has {len(events)} step(s)" if n not in steps
+                else f"unknown EVENT {event!r}" if event not in _STEP_EVENTS else None
+            )
+            if problem:
+                raise CorrespondenceError(f"line {lineno}: {problem}")
+            key = RecordKey(region, int(year), age, sex)
+            steps[n][key] = steps[n].get(key, ()) + (event,)
+        outcomes = tuple(replace(step, events=mine) for step, mine in zip(self.steps, events))
+        summary, written = outcomes_report(outcomes)
+        for lineno, (line, mine) in enumerate(zip_longest(ledger.split("\n"), written.split("\n")), start=1):
+            if line != mine:
+                raise CorrespondenceError(f"line {lineno}: not as written: out of order, or a field spelt otherwise")
+        counts = tuple(step["event_rows"] for step in summary["steps"])
+        if counts != self.event_rows:
+            raise CorrespondenceError(f"{list(counts)} line(s) per step, but the report counts {list(self.event_rows)}")
+        if summary["ledger_digest"] != self.ledger_digest:
+            raise CorrespondenceError(f"SHA-256 {summary['ledger_digest']} differs from the report's ledger_digest")
+        return outcomes
 
 
 def _data_total(dataset: Dataset) -> Fraction:

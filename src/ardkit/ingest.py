@@ -20,7 +20,8 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import floordiv, itemgetter, mod
+from math import isfinite
+from operator import floordiv, itemgetter, mod, not_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IngestError
@@ -225,6 +226,44 @@ def _parse_magnitude(token: str, kind: CellKind) -> float:
     return value
 
 
+def _value_decision(token: str, missing_tokens: frozenset[str], kind: CellKind) -> tuple | str:
+    """A value token's (kind, magnitude) cell, or the reason its row is rejected."""
+    if token.strip() in missing_tokens or token in missing_tokens:
+        return (CellKind.MISSING, None)
+    try:
+        magnitude = _parse_magnitude(token, kind)
+    except ValueError as exc:
+        return str(exc)
+    return (kind, int(magnitude) if kind is CellKind.COUNT else magnitude)
+
+
+def _value_decisions(tokens: Sequence[str], missing_tokens: frozenset[str], kind: CellKind) -> dict[str, tuple | str]:
+    """`_value_decision` of each of the distinct `tokens`, decided in bulk.
+
+    Missing tokens are set aside by set membership, on the raw and the
+    stripped text; the rest go through one ``map(float, …)`` and C-level
+    checks: finite, non-negative and, for counts, integral.  Only when that
+    raises or a check fails are they decided one by one.
+    """
+    stripped = list(map(str.strip, tokens))
+    missing = list(map(or_, map(missing_tokens.__contains__, tokens), map(missing_tokens.__contains__, stripped)))
+    decided: dict[str, tuple | str] = dict.fromkeys(compress(tokens, missing), (CellKind.MISSING, None))
+    present = list(map(not_, missing))
+    rest = list(compress(tokens, present))
+    try:
+        magnitudes = list(map(float, compress(stripped, present)))
+        bulk = all(map(isfinite, magnitudes)) and min(magnitudes, default=0.0) >= 0
+    except ValueError:
+        bulk = False
+    if bulk and kind is CellKind.COUNT and all(map(float.is_integer, magnitudes)):
+        decided.update(zip(rest, zip(repeat(kind), map(int, magnitudes))))
+    elif bulk and kind is not CellKind.COUNT:
+        decided.update(zip(rest, zip(repeat(kind), magnitudes)))
+    else:
+        decided.update((token, _value_decision(token, missing_tokens, kind)) for token in rest)
+    return decided
+
+
 # Rows are read and decided this many at a time, so a parse holds at most
 # one chunk of raw fields beside the columns of the records parsed so far.
 CHUNK_ROWS = 1024
@@ -335,15 +374,6 @@ def parse_raw(
         except ValueError:
             return f"calendar year not an integer: {token.strip()!r}"
 
-    def parse_value_token(token: str) -> tuple | str:
-        if token.strip() in mapping.missing_tokens or token in mapping.missing_tokens:
-            return (CellKind.MISSING, None)
-        try:
-            magnitude = _parse_magnitude(token, value_kind)
-        except ValueError as exc:
-            return str(exc)
-        return (value_kind, int(magnitude) if value_kind is CellKind.COUNT else magnitude)
-
     # The records so far, in row-major order; `at` holds each one's line * m + value column index.
     region, year, age, sex, cell, at = [], [], [], [], [], []
     rejects: list[Reject] = []
@@ -382,8 +412,7 @@ def parse_raw(
         ]
         for token in set(year_tokens).difference(years):
             years[token] = parse_year_token(token)
-        for token in set(values).difference(cells):
-            cells[token] = parse_value_token(token)
+        cells.update(_value_decisions(list(set(values).difference(cells)), mapping.missing_tokens, value_kind))
         bad_years = {token for token in set(year_tokens) if isinstance(years[token], str)}
         bad_cells = {token for token in set(values) if isinstance(cells[token], str)}
         logical = [codes, ages, sexes, year_tokens, values, ats]

@@ -36,6 +36,11 @@ def compact_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def ledger_path(report: str) -> str:
+    """Where the per-record ledger of a report lives: a report at ``X.json`` has its rows at ``X.ledger.csv``."""
+    return report.removesuffix(".json") + ".ledger.csv"
+
+
 def sha256_hex(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")

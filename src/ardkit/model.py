@@ -576,6 +576,18 @@ def write_csv(dataset: Dataset) -> str:
     return "\n".join(chain((header,), map(",".join, fields))) + "\n"
 
 
+KEY_COLUMNS = ("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX")
+
+
+def ledger_csv(header: Sequence[str], keys: Sequence[tuple], *rest: Sequence[str]) -> str:
+    """A report ledger: `header`, then per key its `KEY_COLUMNS` fields and its field in each of `rest`.
+
+    Tokens are quoted as `csv.writer` quotes them, each distinct one decided once; `rest` needs no quoting.
+    """
+    fields = map(_per_value, zip(*keys), (_csv_token, str, _csv_token, _csv_token))
+    return "\n".join([",".join(header), *map(",".join, zip(*fields, *rest))]) + "\n"
+
+
 def _csv_field(lineno: int, column: str, text: str, convert):
     """Convert one canonical CSV cell; a bad cell names its line and column."""
     try:

@@ -27,6 +27,7 @@ from .correspondence import (
     CorrespondenceTable,
     execute_plan,
     load_table,
+    outcomes_report,
     plan_route,
 )
 from .docs import (
@@ -40,7 +41,7 @@ from .docs import (
 )
 from .errors import ArdkitError, ConfigError, CorrespondenceError, IngestError
 from .ingest import SchemaMapping, SourceDescriptor, parse_raw
-from .jsonio import canonical_dumps, parse_json, sha256_hex, validate_against_schema
+from .jsonio import canonical_dumps, ledger_path, parse_json, sha256_hex, validate_against_schema
 from .model import (
     BoundaryEdition,
     CellKind,
@@ -63,8 +64,6 @@ from .qa import (
     filter_high_uncertainty,
     run_rules,
 )
-
-STAGE_ORDER = ("ingest", "clean", "correspond", "privacy", "qa", "docs")
 
 
 @dataclass(frozen=True)
@@ -430,6 +429,12 @@ def _process_indicator(
             rendered = (key, text, sha256_hex(text))
         return rendered[1:]
 
+    def add_report(name: str, report: tuple[dict, str]) -> None:
+        """A report's JSON summary at `name` and its ledger beside it."""
+        summary, ledger = report
+        artifacts[name] = canonical_dumps(summary)
+        artifacts[ledger_path(name)] = ledger
+
     def record_stage(stage: str, decision: str, output: Dataset) -> None:
         """Log a stage whose input is the previous stage's output.
 
@@ -495,9 +500,7 @@ def _process_indicator(
                 f"in {len(outcomes)} step(s)",
                 dataset,
             )
-    artifacts[f"reports/{ind_id}.correspondence.json"] = canonical_dumps(
-        [outcome.to_json() for outcome in outcomes]
-    )
+    add_report(f"reports/{ind_id}.correspondence.json", outcomes_report(outcomes))
 
     privacy_log: dict | None = None
     if config.stages.privacy_enabled:
@@ -524,7 +527,7 @@ def _process_indicator(
             vocabulary=config.vocabulary,
             coverage=config.coverage,
         )
-        artifacts[f"reports/{ind_id}.removals.json"] = canonical_dumps(removal_log.to_json())
+        add_report(f"reports/{ind_id}.removals.json", removal_log.report())
         record_stage(
             "qa",
             f"report {'PASS' if report.passed else 'FAIL'} with {len(report.findings)} finding(s); "

@@ -1,4 +1,4 @@
-"""Disclosure-control transforms: suppression, pseudonymisation, randomisation.
+"""Disclosure-control transforms: suppression and randomisation.
 
 Suppression replaces every count strictly between zero and the threshold
 (five by default) with a suppressed marker.  True zeros are kept unless
@@ -6,19 +6,15 @@ Suppression replaces every count strictly between zero and the threshold
 outputs display zeros.  The suppression log records how many cells were
 hidden per stratum, never which ones or what they held.
 
-Pseudonyms come from a keyed hash so the same seed always produces the
-same injective token mapping, and the original identifier never appears
-inside its pseudonym.  Randomisation perturbs counts with seeded uniform
-integer noise, clamped at zero; it runs before suppression when both are
-configured.
+Randomisation perturbs counts with seeded uniform integer noise, clamped
+at zero; it runs before suppression when both are configured.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ConfigError, PrivacyError
 from .model import CellKind, Dataset
@@ -89,60 +85,6 @@ def suppress(dataset: Dataset, policy: SuppressionPolicy) -> tuple[Dataset, Supp
     if per_stratum:
         dataset = dataset.with_columns(c._replace(kind=tuple(kinds), magnitude=tuple(magnitudes)))
     return dataset, log
-
-
-@dataclass(frozen=True)
-class PseudonymMap:
-    """Stable injective identifier replacement keyed by a seed."""
-
-    seed: str
-    assignments: tuple[tuple[str, str], ...] = ()
-
-    def mapping(self) -> dict[str, str]:
-        return dict(self.assignments)
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "assignments": [list(pair) for pair in self.assignments]}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "PseudonymMap":
-        return cls(seed=doc["seed"], assignments=tuple((a, b) for a, b in doc["assignments"]))
-
-
-def _derive_pseudonym(seed: str, token: str, attempt: int) -> str:
-    digest = hashlib.blake2b(
-        f"{token}#{attempt}".encode("utf-8"),
-        key=hashlib.sha256(seed.encode("utf-8")).digest()[:32],
-        digest_size=8,
-    ).hexdigest()
-    # A token inside the usual prefix would leak into every candidate.
-    return f"{'id_' if token in 'ps-' else 'ps-'}{digest}"
-
-
-def pseudonymize(column: Sequence[str], pmap: PseudonymMap) -> tuple[tuple[str, ...], PseudonymMap]:
-    """Replace identifier tokens with stable pseudonyms; returns the updated map."""
-    mapping = pmap.mapping()
-    used = set(mapping.values())
-    out: list[str] = []
-    for token in column:
-        pseudonym = mapping.get(token)
-        if pseudonym is None:
-            attempt = 0
-            while True:
-                candidate = _derive_pseudonym(pmap.seed, token, attempt)
-                collision = candidate in used
-                leaks = token in candidate
-                if not collision and not leaks:
-                    pseudonym = candidate
-                    break
-                attempt += 1
-                if attempt > 10_000:
-                    raise PrivacyError(f"could not derive a pseudonym for token {token!r}")
-            mapping[token] = pseudonym
-            used.add(pseudonym)
-        out.append(pseudonym)
-    updated = PseudonymMap(pmap.seed, tuple(sorted(mapping.items())))
-    return tuple(out), updated
 
 
 def check_seed(noise_magnitude: int, seed) -> None:

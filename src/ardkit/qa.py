@@ -24,7 +24,9 @@ from .correspondence import (
     MEDIUM_EVENTS,
 )
 from .errors import ConvergenceError
+from .jsonio import sha256_hex
 from .model import (
+    KEY_COLUMNS,
     CellKind,
     Dataset,
     RecordKey,
@@ -36,6 +38,7 @@ from .model import (
     describe_key,
     exact_total,
     format_magnitude,
+    ledger_csv,
     validate_dataset,
     vocabulary_violations,
 )
@@ -336,11 +339,14 @@ def assign_uncertainty(
 
 @dataclass(frozen=True)
 class RemovalLog:
-    removed_keys: tuple[str, ...]
+    removed_keys: tuple[tuple[str, int, str, str], ...]  # in canonical order
     fully_removed: bool
 
-    def to_json(self) -> dict:
-        return {"removed_keys": list(self.removed_keys), "fully_removed": self.fully_removed}
+    def report(self) -> tuple[dict, str]:
+        """The removals report's JSON summary and its ledger, one `KEY_COLUMNS` line per removed record."""
+        ledger = ledger_csv(KEY_COLUMNS, self.removed_keys)
+        summary = {"fully_removed": self.fully_removed, "records_removed": len(self.removed_keys)}
+        return {**summary, "ledger_digest": sha256_hex(ledger)}, ledger
 
 
 def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
@@ -352,11 +358,10 @@ def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     if UncertaintyLevel.HIGH not in c.uncertainty:
         return dataset, RemovalLog((), fully_removed=False)
     high = [level is UncertaintyLevel.HIGH for level in c.uncertainty]
-    removed = [describe_key(*key) for key, is_high in zip(c.record_keys(), high) if is_high]
+    removed = sorted(compress(c.record_keys(), high))
     kept = [i for i, is_high in enumerate(high) if not is_high]
-    if removed:
-        dataset = dataset.with_columns(c.take(kept))
-    return dataset, RemovalLog(tuple(removed), fully_removed=bool(removed) and not kept)
+    dataset = dataset.with_columns(c.take(kept))
+    return dataset, RemovalLog(tuple(removed), fully_removed=not kept)
 
 
 @dataclass(frozen=True)

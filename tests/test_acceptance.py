@@ -174,7 +174,7 @@ def test_uncertainty_semantics():
 
     filtered, removal_log = filter_high_uncertainty(assigned)
     assert {r.key.region for r in filtered.records} == {"A", "B", "C"}
-    assert list(removal_log.removed_keys) == [keys["D"].describe()]
+    assert list(removal_log.removed_keys) == [keys["D"]]
     assert filtered.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
     report("uncertainty level semantics and high-level removal", started, 5.0)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,15 +19,19 @@ from ardkit.correspondence import (
     CorrespondenceEdge,
     CorrespondenceOutcome,
     CorrespondencePolicy,
+    OutcomeSummary,
     PlanStep,
     backward,
     execute_plan,
     forward,
     load_table,
+    outcomes_report,
     plan_route,
 )
 from ardkit.errors import CorrespondenceError, RouteError
+from ardkit.jsonio import canonical_dumps
 from ardkit.model import BoundaryEdition, CellKind, CellValue, Columns, Dataset, UncertaintyLevel, canonical_sort
+from ardkit.qa import assign_uncertainty
 
 import oracle
 from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
@@ -632,9 +637,9 @@ class TestOutcomeSerialization:
         assert {k.region: evs for k, evs in outcome.events.items()} == {
             "C": (EVENT_ZERO_FILL,), "D": (EVENT_ZERO_FILL,),
         }
-        doc = outcome.to_json()
-        assert [item["key"][0] for item in doc["events"]] == ["C", "D"]
-        assert CorrespondenceOutcome.from_json(doc).events == dict(outcome.events)
+        summary, ledger = outcomes_report([outcome])
+        assert [line.split(",")[0] for line in ledger.splitlines()[1:]] == ["C", "D"]
+        assert OutcomeSummary.from_json(summary).outcomes(ledger)[0].events == dict(outcome.events)
 
 
     @pytest.mark.parametrize(
@@ -656,25 +661,26 @@ class TestOutcomeSerialization:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
-        "entry, message",
+        "line, message",
         [
-            ({"key": ["A", 2016, 5, None], "events": []}, "region, age group and sex must be non-empty strings"),
-            ({"key": ["", 2016, "0-4", "male"], "events": []}, "region, age group and sex must be non-empty strings"),
-            ({"key": ["A", 2016.7, "0-4", "male"], "events": []}, "year must be an integer, not 2016.7"),
-            ({"key": ["A", True, "0-4", "male"], "events": []}, "year must be an integer, not True"),
-            ({"key": ["A", 2016, "0-4"], "events": []}, "key must be a [region, year, age group, sex] list"),
-            ({"key": ["A", 2016, "0-4", "male"], "events": "x"}, "events must be a list of strings, not 'x'"),
-            ({"key": ["A", 2016, "0-4", "male"], "events": [1]}, "events must be a list of strings, not [1]"),
+            ("A,2016,,male,1,missing-zero-fill", "REGION, AGE_GROUP and SEX must be non-empty"),
+            (",2016,0-4,male,1,missing-zero-fill", "REGION, AGE_GROUP and SEX must be non-empty"),
+            ("A,2016.7,0-4,male,1,missing-zero-fill", "invalid CALENDAR_YEAR '2016.7'"),
+            ("A,True,0-4,male,1,missing-zero-fill", "invalid CALENDAR_YEAR 'True'"),
+            ("A,2016,0-4,1,missing-zero-fill", "expected 6 fields, got 5"),
+            ("A,2016,0-4,male,1,x", "unknown EVENT 'x'"),
+            ("A,2016,0-4,male,1,1", "unknown EVENT '1'"),
         ],
         ids=["non-string-token", "empty-region", "fractional-year", "boolean-year", "short-key", "events-string", "events-numbers"],
     )
-    def test_malformed_event_entry_named(self, entry, message):
+    def test_malformed_event_entry_named(self, line, message):
+        # A ledger line of the wrong shape is named by its line number.
         table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])
-        doc = forward(make_counts({"A": 100}, edition=E2011), table)[1].to_json()
-        doc["events"] = [{"key": ["B", 2016, "0-4", "male"], "events": []}, entry]
+        summary, ledger = outcomes_report([forward(make_counts({"A": 100}, edition=E2011), table)[1]])
+        ledger += f"A,2016,0-4,female,1,missing-zero-fill\n{line}\n"
         with pytest.raises(CorrespondenceError) as excinfo:
-            CorrespondenceOutcome.from_json(doc)
-        assert str(excinfo.value).startswith(f"correspondence outcome event 2: {message}")
+            OutcomeSummary.from_json(summary).outcomes(ledger)
+        assert str(excinfo.value) == f"line 3: {message}"
 
 
 class TestRationalRates:
@@ -1008,3 +1014,50 @@ class TestRateArithmeticMatchesExactDivision:
         numerators = rows_dataset([-0.0, 0.0, 0.0], CellKind.COUNT)
         quotient, _ = _quotient(rates, numerators, rows_dataset([-5.0, 5.0, -5.0], CellKind.COUNT), outcome)
         assert [m.hex() for m in quotient.columns.magnitude] == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+
+
+class TestEventLedger:
+    # The second age group needs quoting in a ledger line.
+    STRATA = ((2016, "0-4", "male"), (2016, '5"9', "female"), (2017, "0-4", "male"))
+
+    def dataset(self, rng, codes, edition, make_value, indicator=None):
+        def cell():
+            roll = rng.random()
+            return CellValue.missing() if roll < 0.1 else CellValue.suppressed() if roll < 0.2 else make_value()
+
+        records = tuple(make_record(code, cell(), *stratum) for code in codes for stratum in self.STRATA)
+        return canonical_sort(Dataset(indicator or make_indicator(), records, edition, SA3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["forward", "backward", "rate"]))
+    def test_ledger_gives_assign_uncertainty_the_same_events(self, seed, route):
+        rng = random.Random(seed)
+        count = lambda: CellValue.count(rng.randint(0, 500))  # noqa: E731
+        if route == "rate":  # two forward hops, so the ledger holds two steps
+            sources = [f"S{i:03d}" for i in range(rng.randint(1, 8))]
+            t1, middle = random_hop(rng, sources, "M", E2006, E2011)
+            t2, _ = random_hop(rng, middle, "T", E2011, E2016)
+            rate = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+            rates = self.dataset(rng, sources, E2006, lambda: CellValue.rate(rng.randint(0, 400) / 4), rate)
+            denominator = self.dataset(rng, sources, E2006, count)
+            out, outcomes = execute_plan(
+                rates, plan_route(E2006, E2016, [t1, t2]), {(E2006, E2011): t1, (E2011, E2016): t2}, POLICY,
+                denominator=denominator,
+            )
+        else:
+            table, sources = random_table(rng, max_regions=20)
+            if route == "forward":
+                out, outcome = forward(self.dataset(rng, sources, E2011, count), table)
+            else:
+                targets = sorted({edge.target for edge in table.edges})
+                out, outcome = backward(self.dataset(rng, targets, E2016, count), table, POLICY)
+            outcomes = (outcome,)
+        summary, ledger = outcomes_report(outcomes)
+        read = OutcomeSummary.from_json(json.loads(canonical_dumps(summary))).outcomes(ledger)
+        assert len(read) == len(outcomes)
+        for mine, theirs in zip(read, outcomes):
+            assert mine.events == dict(theirs.events)
+            assert mine.to_json() == theirs.to_json()
+            assert assign_uncertainty(out, mine.events) == assign_uncertainty(out, theirs.events)
+        assert outcomes_report(read) == (summary, ledger)
+

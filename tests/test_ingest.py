@@ -531,3 +531,35 @@ class TestAgainstOracle:
         good = "CODE,LEVEL,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n1, SA3 , 2016,2016,0-4,male,1\n"
         dataset, _ = parse_raw(good, mapping, count_indicator)
         assert (dataset.level, dataset.edition) == (GeoLevel.SA3, BoundaryEdition.ASGS2016)
+
+
+# Every value the bulk path takes on, and tokens that send a batch to the per-token path.
+BULK_TOKENS = ["5", "0", " 7 ", "\t12\n", "3.0", "1e3", "1_000", "-0.0", "-0", "0.0", "", " ", "n.p.", " n.p. "]
+FALLBACK_TOKENS = ["2.5", "-1", "-1e-9", "nan", "inf", "-inf", "oops", "1e400", "1__0", "0x10"]
+
+
+class TestBulkValueDecisions:
+    MISSING = frozenset({"", "n.p."})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(BULK_TOKENS + FALLBACK_TOKENS), st.text(max_size=5)), unique=True, max_size=12
+        ),
+        st.sampled_from([CellKind.COUNT, CellKind.RATE, CellKind.PERCENTAGE]),
+    )
+    def test_bulk_decisions_equal_the_per_token_ones(self, tokens, kind):
+        got = ingest._value_decisions(tokens, self.MISSING, kind)
+        want = {token: ingest._value_decision(token, self.MISSING, kind) for token in tokens}
+        # repr tells 5 from 5.0 and -0.0 from 0.0.
+        assert {token: repr(cell) for token, cell in got.items()} == {token: repr(cell) for token, cell in want.items()}
+
+    @pytest.mark.parametrize("kind", [CellKind.COUNT, CellKind.RATE])
+    def test_valid_tokens_are_decided_without_the_per_token_path(self, kind):
+        with mock.patch.object(ingest, "_value_decision", side_effect=AssertionError("per-token path taken")):
+            got = ingest._value_decisions(BULK_TOKENS, self.MISSING, kind)
+        assert got[" 7 "] == (kind, 7 if kind is CellKind.COUNT else 7.0)
+        assert got["1_000"] == got["1e3"] == (kind, 1000)
+        assert repr(got["-0.0"][1]) == ("0" if kind is CellKind.COUNT else "-0.0")
+        assert got[" n.p. "] == got[" "] == (CellKind.MISSING, None)
+

@@ -17,7 +17,7 @@ import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
 from ardkit.errors import ConfigError
 from ardkit.jsonio import load_schema, sha256_hex
-from ardkit.model import BoundaryEdition, CellKind
+from ardkit.model import BoundaryEdition, CellKind, csv_rows
 from ardkit.pipeline import load_config, load_tables, run
 
 from projectgen import build_demo_project
@@ -93,12 +93,13 @@ class TestRunArtifacts:
 
     def test_backward_suppressed_regions_removed(self, demo_run):
         _, result = demo_run
-        removals = json.loads(
-            (result.out_dir / "reports/demo.school_enrolments.removals.json").read_text()
-        )
-        assert len(removals["removed_keys"]) > 0
+        reports = result.out_dir / "reports"
+        removals = json.loads((reports / "demo.school_enrolments.removals.json").read_text())
+        header, *lines = (reports / "demo.school_enrolments.removals.ledger.csv").read_text().splitlines()
+        assert header == "REGION,CALENDAR_YEAR,AGE_GROUP,SEX"
+        assert removals["records_removed"] == len(lines) > 0
         # The shared-merge block pattern suppresses every tenth 2016 region.
-        assert any(key.startswith("T009") for key in removals["removed_keys"])
+        assert any(line.startswith("T009") for line in lines)
 
     def test_no_small_counts_survive_suppression(self, demo_run):
         _, result = demo_run
@@ -541,8 +542,10 @@ class TestFileComposedStages:
             (work / "lineage.csv", out / f"reports/{ind}.lineage.csv"),
             (work / "cleaning.jsonl", out / f"reports/{ind}.cleaning.jsonl"),
             (work / "outcomes.json", out / f"reports/{ind}.correspondence.json"),
+            (work / "outcomes.ledger.csv", out / f"reports/{ind}.correspondence.ledger.csv"),
             (work / "privacy.json", out / f"reports/{ind}.privacy.json"),
             (work / "removals.json", out / f"reports/{ind}.removals.json"),
+            (work / "removals.ledger.csv", out / f"reports/{ind}.removals.ledger.csv"),
             (work / "qa.json", out / f"reports/{ind}.qa.json"),
             (work / "qa.txt", out / f"reports/{ind}.qa.txt"),
             (work / "50.csv", out / f"datasets/{ind}.csv"),
@@ -789,14 +792,23 @@ class TestRateIndicators:
              "--out-data", f"{rate}.40.csv", "--out-indicator", f"{rate}.40.json", "--log", f"{rate}.privacy.json"],
             ["qa", "--data", f"{rate}.40.csv", "--indicator", f"{rate}.40.json", "--outcomes", f"{rate}.outcomes.json",
              "--privacy-log", f"{rate}.privacy.json", *common, "--filter-high",
-             "--out-data", f"{rate}.50.csv", "--out-indicator", f"{rate}.50.json", "--report", f"{rate}.qa.json"],
+             "--out-data", f"{rate}.50.csv", "--out-indicator", f"{rate}.50.json", "--report", f"{rate}.qa.json",
+             "--removals", f"{rate}.removals.json"],
         ]
         for argv in argvs:
             assert main([str(a) for a in argv]) in (0, 1), argv
-        assert Path(f"{rate}.50.csv").read_bytes() == (out / "datasets" / "demo.rate.csv").read_bytes()
-        assert Path(f"{rate}.outcomes.json").read_bytes() == (
-            out / "reports" / "demo.rate.correspondence.json"
-        ).read_bytes()
+        reports = out / "reports"
+        for composed, artifact in (
+            (f"{rate}.50.csv", out / "datasets" / "demo.rate.csv"),
+            (f"{rate}.outcomes.json", reports / "demo.rate.correspondence.json"),
+            (f"{rate}.outcomes.ledger.csv", reports / "demo.rate.correspondence.ledger.csv"),
+            (f"{rate}.removals.json", reports / "demo.rate.removals.json"),
+            (f"{rate}.removals.ledger.csv", reports / "demo.rate.removals.ledger.csv"),
+        ):
+            assert Path(composed).read_bytes() == artifact.read_bytes(), artifact.name
+        if backward:  # B is rebuilt with its absent sole target Z counted as zero
+            ledger = (reports / "demo.rate.correspondence.ledger.csv").read_text()
+            assert "B,2016,0-4,male,1,missing-zero-fill\n" in ledger
 
 
 class TestOutputContainment:
@@ -1129,10 +1141,10 @@ class TestRunBuildsNoRecordObjects:
         config = dataclasses.replace(load_config(config_path), output_dir=out)
         assert run(config).exit_code in (0, 1)
         reported = [
-            tuple(item["key"])
-            for path in sorted((out / "reports").glob("*.correspondence.json"))
-            for outcome in json.loads(path.read_text())
-            for item in outcome["events"]
+            (region, int(year), age, sex)
+            for path in sorted((out / "reports").glob("*.correspondence.ledger.csv"))
+            for region, year, age, sex, *_ in csv_rows(path.read_text())
+            if year != "CALENDAR_YEAR"
         ]
         with_events = [tuple(key) for outcome in conversions for key in outcome.events] + reported
         return made, keys, with_events
@@ -1317,19 +1329,24 @@ class TestBadCliInputs:
             ("--rules", '{"year_format_coercions": "YY->2000+YY"}', "year_format_coercions must be a list of strings"),
             ("--vocabulary", '{"age_groups": 5}', "age_groups must be a list of strings, not 5"),
             ("--vocabulary", "[1]", "vocabulary document is not a JSON object"),
-            ("--outcomes", '{"a": 1}', "correspondence report is not a JSON list of outcomes"),
-            ("--outcomes", "[1]", "correspondence outcome 1 is not a JSON object"),
-            ("--outcomes", '[{"op": "forward"}]', "correspondence outcome lacks 'events'"),
+            ("--outcomes", '{"a": 1}', "correspondence report is not a JSON object with a list of steps"),
+            ("--outcomes", '{"steps": [1], "ledger_digest": ""}', "correspondence outcome 1 is not a JSON object"),
             (
                 "--outcomes",
-                '[{"events": [], "conserving": "false"}]',
+                '{"steps": [{"op": "forward"}], "ledger_digest": ""}',
+                "correspondence outcome lacks 'conserving'",
+            ),
+            (
+                "--outcomes",
+                '{"steps": [{"conserving": "false"}], "ledger_digest": ""}',
                 "correspondence outcome conserving must be true or false, not 'false'",
             ),
             (
                 "--outcomes",
-                '[{"events": [], "conserving": true, "zero_filled": "abc"}]',
+                '{"steps": [{"conserving": true, "zero_filled": "abc"}], "ledger_digest": ""}',
                 "correspondence outcome zero_filled must be a list of strings, not 'abc'",
             ),
+            ("--outcomes", "[]", "correspondence report is not a JSON object with a list of steps"),
             ("--privacy-log", "[1]", "privacy log is not a JSON object"),
             ("--privacy-log", '{"a": 1}', "privacy log noise_magnitude must be a non-negative integer, not None"),
             (
@@ -1346,7 +1363,7 @@ class TestBadCliInputs:
         ids=[
             "rules-policy-number", "rules-list", "rules-coercions-string", "vocabulary-number",
             "vocabulary-list", "outcomes-object", "outcomes-number", "outcomes-missing-keys",
-            "outcomes-conserving-string", "outcomes-zero-filled-string",
+            "outcomes-conserving-string", "outcomes-zero-filled-string", "outcomes-older-list",
             "privacy-log-list", "privacy-log-no-counts", "privacy-log-string-total", "privacy-log-bool-noise",
         ],
     )
@@ -1361,6 +1378,48 @@ class TestBadCliInputs:
             argv = ["clean", "--out-data", tmp_path / "o.csv", "--log", tmp_path / "log.jsonl"]
         assert self.main(*argv, "--data", data, "--indicator", indicator, option, doc) == 2
         assert f"error: {doc}: {message}" in capsys.readouterr().err
+
+    HEADER = "REGION,CALENDAR_YEAR,AGE_GROUP,SEX,STEP,EVENT\n"
+    TWO_LINES = ("X,2016,0-4,female,1,missing-zero-fill\n", "X,2016,0-4,male,1,subthreshold-discard\n")
+
+    @pytest.mark.parametrize(
+        "text, rows, message",
+        [
+            (None, 0, "No such file or directory"),
+            (HEADER + "".join(TWO_LINES), 2, "SHA-256 "),
+            (HEADER + "X,2016,0-4,male,1\n", 1, "line 2: expected 6 fields, got 5"),
+            (HEADER + "X,2016.0,0-4,male,1,missing-zero-fill\n", 1, "line 2: invalid CALENDAR_YEAR '2016.0'"),
+            (HEADER + "X,2016,0-4,male,1,made-up\n", 1, "line 2: unknown EVENT 'made-up'"),
+            (HEADER + "".join(TWO_LINES[::-1]), 2, "line 2: not as written: out of order, or a field spelt otherwise"),
+            (HEADER + "X,02016,0-4,male,1,missing-zero-fill\n", 1, "line 2: not as written"),
+            (HEADER + "X,2016,0-4,male,2,missing-zero-fill\n", 1, "line 2: invalid STEP '2'; the report has 1 step(s)"),
+            ("KEY,EVENT\nX,missing-zero-fill\n", 1, "line 1: expected the header"),
+            (HEADER + "".join(TWO_LINES), 1, "[2] line(s) per step, but the report counts [1]"),
+        ],
+        ids=["missing", "digest-mismatch", "short-row", "bad-year", "unknown-event", "out-of-order", "padded-year",
+             "bad-step", "bad-header", "row-count"],
+    )
+    def test_corrupted_event_ledger_exit_2(self, tmp_path, capsys, text, rows, message):
+        data, indicator = self.files(tmp_path)
+        report, ledger = tmp_path / "o.json", tmp_path / "o.ledger.csv"
+        assert self.main(
+            "correspond", "--data", data, "--indicator", indicator, "--to-edition", "2016",
+            "--table", f"2011:2016:{tmp_path / 'table.csv'}", "--out-data", tmp_path / "c.csv", "--outcomes", report,
+        ) == 0
+        assert ledger.read_text() == self.HEADER
+        if text is None:
+            ledger.unlink()
+        else:
+            # The summary counts `rows` lines and, unless the digest is the fault, binds the new ledger.
+            ledger.write_text(text)
+            summary = json.loads(report.read_text())
+            summary["steps"][0]["event_rows"] = rows
+            if message != "SHA-256 ":
+                summary["ledger_digest"] = sha256_hex(text)
+            report.write_text(json.dumps(summary))
+        argv = ["qa", "--data", data, "--indicator", indicator, "--outcomes", report, "--report", tmp_path / "r.json"]
+        assert self.main(*argv) == 2
+        assert f"error: {ledger}: {message}" in capsys.readouterr().err
 
     MAPPING = {
         "layout": "long",
@@ -1568,3 +1627,42 @@ class TestCliProcess:
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("RuntimeError: stage broke\ninternal error: RuntimeError: stage broke\n")
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestNoPerRecordListInJson:
+    """Per-record facts go to CSV ledgers: no JSON document a run renders holds a list that grows with its records."""
+
+    LIMIT = 100
+
+    def long_lists(self, doc, where="$"):
+        if isinstance(doc, list):
+            if len(doc) > self.LIMIT:
+                yield f"{where}: {len(doc)} items"
+            for n, item in enumerate(doc):
+                yield from self.long_lists(item, f"{where}[{n}]")
+        elif isinstance(doc, dict):
+            for key, value in doc.items():
+                yield from self.long_lists(value, f"{where}.{key}")
+
+    def test_rate_project_run(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from ardkit import jsonio
+
+        # Clean raw tables: parse rejects and zero-fill lines stay few, and a stratum list has at most 80 entries.
+        config_path = build_demo_project(tmp_path / "proj", messy=False, rate=True)
+        real, rendered = jsonio.canonical_dumps, []
+
+        def spy(doc):
+            rendered.append(doc)
+            return real(doc)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "ardkit" or name.startswith("ardkit.")) and getattr(module, "canonical_dumps", None) is real:
+                monkeypatch.setattr(module, "canonical_dumps", spy)
+        out = tmp_path / "out"
+        assert run(dataclasses.replace(load_config(config_path), output_dir=out)).exit_code in (0, 1)
+        records = sum(json.loads(path.read_text())["records_out"] for path in (out / "reports").glob("*.parse.json"))
+        assert records >= 2000
+        assert len(rendered) >= 3 * 7  # the seven JSON reports, sidecars and metadata of each indicator
+        assert [problem for doc in rendered for problem in self.long_lists(doc)] == []

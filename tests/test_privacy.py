@@ -1,4 +1,4 @@
-"""Suppression, pseudonymisation, and randomisation behavior."""
+"""Suppression and randomisation behavior."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from ardkit.errors import PrivacyError
 from ardkit.model import CellKind, CellValue, UncertaintyLevel, write_csv
 from ardkit.privacy import (
-    PseudonymMap,
     SuppressionPolicy,
-    pseudonymize,
     randomize,
     suppress,
 )
@@ -147,62 +145,6 @@ class TestSuppressDecidesOncePerMagnitude:
         assert (log.strata, log.total) == (strata, total)
         if not total:
             assert out is dataset
-
-
-class TestPseudonymize:
-    def test_stability_and_injectivity(self):
-        column = ["id1", "id1", "id2"]
-        out, pmap = pseudonymize(column, PseudonymMap(seed="k1"))
-        assert out[0] == out[1] != out[2]
-        assert len(set(pmap.mapping().values())) == len(pmap.mapping())
-
-    def test_empty_column(self):
-        out, pmap = pseudonymize([], PseudonymMap(seed="k1"))
-        assert out == ()
-        assert pmap.mapping() == {}
-
-    def test_same_seed_two_runs_identical(self):
-        column = ["alpha", "beta", "gamma"]
-        first, _ = pseudonymize(column, PseudonymMap(seed="k1"))
-        second, _ = pseudonymize(column, PseudonymMap(seed="k1"))
-        assert first == second
-
-    def test_different_seed_differs(self):
-        column = ["alpha"]
-        a, _ = pseudonymize(column, PseudonymMap(seed="k1"))
-        b, _ = pseudonymize(column, PseudonymMap(seed="k2"))
-        assert a != b
-
-    def test_map_grows_incrementally(self):
-        _, pmap = pseudonymize(["a1"], PseudonymMap(seed="k1"))
-        out, updated = pseudonymize(["a1", "b2"], pmap)
-        assert out[0] == pmap.mapping()["a1"]
-        assert set(updated.mapping()) == {"a1", "b2"}
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.text(min_size=1, max_size=12), max_size=40))
-    def test_properties_over_arbitrary_token_multisets(self, column):
-        out, pmap = pseudonymize(column, PseudonymMap(seed="prop"))
-        mapping = pmap.mapping()
-        # Stability: same token, same pseudonym.
-        for token, pseudonym in zip(column, out):
-            assert mapping[token] == pseudonym
-        # Injectivity over the accumulated map.
-        assert len(set(mapping.values())) == len(mapping)
-        # Source identifiers never appear inside their replacement.
-        for token, pseudonym in mapping.items():
-            assert token not in pseudonym
-
-    def test_tokens_inside_the_prefix_get_pseudonyms(self):
-        column = ["-", "p", "s", "ps", "s-", "ps-"]
-        out, _ = pseudonymize(column, PseudonymMap(seed="prop"))
-        assert len(set(out)) == len(column)
-        for token, pseudonym in zip(column, out):
-            assert token not in pseudonym
-
-    def test_map_round_trips_through_json(self):
-        _, pmap = pseudonymize(["x", "y"], PseudonymMap(seed="k1"))
-        assert PseudonymMap.from_json(pmap.to_json()) == pmap
 
 
 class TestRandomize:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ardkit.cli import main
-from ardkit.correspondence import CorrespondencePolicy, PlanStep, backward, execute_plan, forward
+from ardkit.correspondence import CorrespondencePolicy, PlanStep, backward, execute_plan, forward, outcomes_report
 from ardkit.jsonio import canonical_dumps
 from ardkit.model import CellKind, Columns, Dataset, UncertaintyLevel, canonical_sort, write_csv
 from ardkit.privacy import SuppressionPolicy, randomize, suppress
@@ -120,7 +120,9 @@ class TestShuffledFileGivesSameBytes:
         rng.shuffle(lines)
         assert "".join([header, *lines]) != text
         (tmp_path / "ind.json").write_text(canonical_dumps(converted.indicator.to_json()))
-        (tmp_path / "outcomes.json").write_text(canonical_dumps([outcome.to_json()]))
+        summary, ledger = outcomes_report([outcome])
+        (tmp_path / "outcomes.json").write_text(canonical_dumps(summary))
+        (tmp_path / "outcomes.ledger.csv").write_text(ledger)
         inputs = {
             "sorted": self.files(tmp_path, "sorted", text),
             "shuffled": self.files(tmp_path, "shuffled", "".join([header, *lines])),
@@ -141,6 +143,6 @@ class TestShuffledFileGivesSameBytes:
             ])
             assert code in (0, 1)
             outputs[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-        assert len(outputs["sorted"]) == 6
+        assert len(outputs["sorted"]) == 7
         assert outputs["shuffled"] == outputs["sorted"]
         assert json.loads(outputs["sorted"]["qa.json"])["dataset_id"] == converted.indicator.id
