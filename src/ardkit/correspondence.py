@@ -59,7 +59,6 @@ EVENT_UNRESOLVABLE = "unresolvable-redistribution"
 MEDIUM_EVENTS = frozenset({EVENT_SUBTHRESHOLD_DISCARD, EVENT_ZERO_FILL})
 HIGH_EVENTS = frozenset({EVENT_BACKWARD_SUPPRESSED, EVENT_UNRESOLVABLE})
 
-RATIO_SUM_TOLERANCE = Fraction(1, 10**9)
 LOAD_SUM_TOLERANCE = Fraction(1, 10**6)
 
 _SUPPRESSED_CELL = (CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH)
@@ -106,24 +105,6 @@ class CorrespondenceTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
-
-    def validate(self) -> list[str]:
-        """Invariant check; a loaded table always passes, hand-built ones may not."""
-        problems: list[str] = []
-        if self.from_edition is self.to_edition:
-            problems.append("from and to editions are identical")
-        seen: set[tuple[str, str]] = set()
-        sums: dict[str, Fraction] = {}
-        for edge in self.edges:
-            pair = (edge.source, edge.target)
-            if pair in seen:
-                problems.append(f"duplicate edge {pair[0]}->{pair[1]}")
-            seen.add(pair)
-            sums[edge.source] = sums.get(edge.source, Fraction(0)) + edge.ratio
-        for code in sorted(sums):
-            if abs(sums[code] - 1) > RATIO_SUM_TOLERANCE:
-                problems.append(f"ratios for {code} sum to {float(sums[code])}")
-        return problems
 
     def positive_edges_by_source(self) -> dict[str, tuple[CorrespondenceEdge, ...]]:
         grouped: dict[str, list[CorrespondenceEdge]] = {}
@@ -305,7 +286,8 @@ def outcomes_report(outcomes: Sequence[CorrespondenceOutcome]) -> tuple[dict, st
     """
     rows = sorted((key, step, events) for step, o in enumerate(outcomes, 1) for key, events in o.events.items())
     keys = [key for key, _, events in rows for _ in events]
-    ledger = ledger_csv(EVENT_LEDGER_COLUMNS, keys, [f"{step},{event}" for _, step, events in rows for event in events])
+    step_events = [f"{step},{event}" for _, step, events in rows for event in events]
+    ledger = ledger_csv(EVENT_LEDGER_COLUMNS, zip(*keys), step_events)
     return {"steps": [o.to_json() for o in outcomes], "ledger_digest": sha256_hex(ledger)}, ledger
 
 
@@ -691,15 +673,10 @@ class PlanStep:
 def plan_route(
     start: BoundaryEdition,
     goal: BoundaryEdition,
-    tables: Iterable[CorrespondenceTable | tuple[BoundaryEdition, BoundaryEdition]],
+    tables: Iterable[tuple[BoundaryEdition, BoundaryEdition]],
 ) -> tuple[PlanStep, ...]:
-    """Shortest deterministic conversion plan; forward steps preferred on ties."""
-    pairs: set[tuple[BoundaryEdition, BoundaryEdition]] = set()
-    for table in tables:
-        if isinstance(table, CorrespondenceTable):
-            pairs.add((table.from_edition, table.to_edition))
-        else:
-            pairs.add((BoundaryEdition(table[0]), BoundaryEdition(table[1])))
+    """Shortest deterministic plan over the tables' (from, to) edition pairs; forward steps preferred on ties."""
+    pairs = {(BoundaryEdition(a), BoundaryEdition(b)) for a, b in tables}
     if start is goal:
         return ()
     queue: deque[tuple[BoundaryEdition, tuple[PlanStep, ...]]] = deque([(start, ())])

@@ -9,8 +9,9 @@ value kind, the missing-value tokens the custodian uses, and the layout:
 ``long`` (one value column) or ``wide_by_year`` (one column per year).
 Parsing never drops a row silently: every unmappable logical row lands in
 the parse report with a reason, and every emitted record is traceable to
-its input cell through the lineage file, one ``KEY,RAW_ROW,RAW_COLUMN``
-line per record, whose SHA-256 the report carries.
+its input cell through the lineage file, one
+``REGION,CALENDAR_YEAR,AGE_GROUP,SEX,RAW_ROW,RAW_COLUMN`` line per record
+in the parsed dataset's own order, whose SHA-256 the report carries.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from math import isfinite
 from operator import floordiv, itemgetter, mod, not_, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IngestError
 from .jsonio import decode_utf8, sha256_hex, validate_against_schema
 from .model import (
+    CHUNK_ROWS,
+    KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
     Columns,
@@ -37,6 +40,7 @@ from .model import (
     UncertaintyLevel,
     _csv_token,
     csv_rows,
+    ledger_csv,
     parse_geography_column,
 )
 
@@ -178,7 +182,7 @@ class Reject:
         return {"row": self.row, "reason": self.reason}
 
 
-LINEAGE_COLUMNS = ("KEY", "RAW_ROW", "RAW_COLUMN")
+LINEAGE_COLUMNS = (*KEY_COLUMNS, "RAW_ROW", "RAW_COLUMN")
 
 
 @dataclass(frozen=True)
@@ -262,49 +266,6 @@ def _value_decisions(tokens: Sequence[str], missing_tokens: frozenset[str], kind
     else:
         decided.update((token, _value_decision(token, missing_tokens, kind)) for token in rest)
     return decided
-
-
-# Rows are read and decided this many at a time, so a parse holds at most
-# one chunk of raw fields beside the columns of the records parsed so far.
-CHUNK_ROWS = 1024
-
-
-def _render_lineage(
-    key_columns: tuple, at: Sequence[int], value_columns: tuple[str, ...], tokens: Iterable[str]
-) -> str:
-    """The lineage file: one KEY,RAW_ROW,RAW_COLUMN line per record, sorted by those three.
-
-    The records' (region, year, age, sex) `key_columns` are in row-major
-    raw order; ``at[i]`` is record i's raw line times ``len(value_columns)``
-    plus the index of its value column.  Quoting is `csv.writer`'s: a key is
-    quoted when one of its tokens is, which `_csv_token` decides once per
-    distinct token.
-    """
-    region, year, age, sex = key_columns
-    m, n = len(value_columns), len(at)
-    year_texts = {y: str(y) for y in set(year)}
-    keys = list(map("/".join, zip(region, map(year_texts.__getitem__, year), age, sex)))
-    if list(value_columns) == sorted(value_columns):  # raw order is then (raw row, raw column) order
-        order = sorted(range(n), key=keys.__getitem__)
-    else:
-        order = sorted(range(n), key=lambda i: (keys[i], at[i] // m, value_columns[at[i] % m]))
-    quoted = {token for token in tokens if _csv_token(token) != token}
-    flagged: set[int] = set()
-    for column in (region, age, sex) if quoted else ():
-        flagged.update(compress(range(n), map(quoted.__contains__, column)))
-    for i in flagged:
-        keys[i] = _csv_token(keys[i])
-    column_texts = list(map(_csv_token, value_columns))
-    parts = [",".join(LINEAGE_COLUMNS)]
-    for start in range(0, n, CHUNK_ROWS):  # one chunk's lines at a time beside the text
-        placed = list(map(at.__getitem__, order[start:start + CHUNK_ROWS]))
-        lines = zip(
-            map(keys.__getitem__, order[start:start + CHUNK_ROWS]),
-            map(str, map(floordiv, placed, repeat(m))),
-            map(column_texts.__getitem__, map(mod, placed, repeat(m))),
-        )
-        parts.append("\n".join(map(",".join, lines)))
-    return "\n".join(parts) + "\n"
 
 
 def parse_raw(
@@ -470,7 +431,6 @@ def parse_raw(
         raise IngestError(
             "mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions))
         )
-    lineage_csv = _render_lineage((region, year, age, sex), at, value_columns, tokens)
     # One stable sort by key puts the records in canonical order; equal keys keep row-major order.
     keys = list(zip(region, year, age, sex))
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -479,6 +439,14 @@ def parse_raw(
         *(tuple(map(column.__getitem__, order)) for column in (region, year, age, sex)),
         *(tuple(map(itemgetter(i), map(cell.__getitem__, order))) for i in (0, 1)),
         (UncertaintyLevel.LOW,) * len(order),
+    )
+    # Lineage line i traces record i to its raw line and value column.
+    column_texts = list(map(_csv_token, value_columns))
+    lineage_csv = ledger_csv(
+        LINEAGE_COLUMNS,
+        columns[:4],
+        map(str, map(floordiv, map(at.__getitem__, order), repeat(m))),
+        map(column_texts.__getitem__, map(mod, map(at.__getitem__, order), repeat(m))),
     )
     report = ParseReport(
         rows_in=data_rows * m,

@@ -564,28 +564,28 @@ def _value_text(kind: CellKind, magnitude: Magnitude | None) -> str:
 def write_csv(dataset: Dataset) -> str:
     """Canonical delimited-text rendering (UTF-8, comma, LF), quoted as `csv.writer` quotes."""
     c = dataset.columns
-    header = ",".join((geography_column(dataset.level, dataset.edition), *CSV_COLUMNS))
-    fields = zip(
-        _per_value(c.region, _csv_token),
-        _per_value(c.year, str),
-        _per_value(c.age, _csv_token),
-        _per_value(c.sex, _csv_token),
-        _value_texts(c.kind, c.magnitude),
-        map(_LEVEL_TEXT.__getitem__, c.uncertainty),
-    )
-    return "\n".join(chain((header,), map(",".join, fields))) + "\n"
+    header = (geography_column(dataset.level, dataset.edition), *CSV_COLUMNS)
+    return ledger_csv(header, c[:4], _value_texts(c.kind, c.magnitude), map(_LEVEL_TEXT.__getitem__, c.uncertainty))
 
 
 KEY_COLUMNS = ("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX")
 
+# Per-record text is joined this many lines at a time, and raw tables are
+# read this many rows at a time, so neither holds every row's strings at once.
+CHUNK_ROWS = 1024
 
-def ledger_csv(header: Sequence[str], keys: Sequence[tuple], *rest: Sequence[str]) -> str:
-    """A report ledger: `header`, then per key its `KEY_COLUMNS` fields and its field in each of `rest`.
 
-    Tokens are quoted as `csv.writer` quotes them, each distinct one decided once; `rest` needs no quoting.
+def ledger_csv(header: Sequence[str], key_columns: Iterable[Sequence], *rest: Iterable[str]) -> str:
+    """A per-record CSV: `header`, then per row its four key fields and its field in each of `rest`.
+
+    `key_columns` are the rows' region, year, age group and sex columns.
+    Tokens are quoted as `csv.writer` quotes them, each distinct one decided
+    once; `rest` needs no quoting.  Lines are joined `CHUNK_ROWS` at a time.
     """
-    fields = map(_per_value, zip(*keys), (_csv_token, str, _csv_token, _csv_token))
-    return "\n".join([",".join(header), *map(",".join, zip(*fields, *rest))]) + "\n"
+    fields = map(_per_value, key_columns, (_csv_token, str, _csv_token, _csv_token))
+    lines = map(",".join, zip(*fields, *rest))
+    chunks = iter(lambda: "\n".join(islice(lines, CHUNK_ROWS)), "")
+    return "\n".join(chain((",".join(header),), chunks)) + "\n"
 
 
 def _csv_field(lineno: int, column: str, text: str, convert):

@@ -330,7 +330,7 @@ def correspond_stage(
     denominator: Dataset | None = None,
     converted_denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
-    plan = plan_route(dataset.edition, target_edition, tables.values())
+    plan = plan_route(dataset.edition, target_edition, tables)
     dataset, outcomes = execute_plan(
         dataset, plan, tables, policy, denominator=denominator, converted_denominator=converted_denominator
     )

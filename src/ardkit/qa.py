@@ -18,11 +18,7 @@ from itertools import compress
 from typing import Mapping, Sequence
 
 from .cleaning import CleaningLog, CleaningRuleSet, clean
-from .correspondence import (
-    CorrespondenceTable,
-    HIGH_EVENTS,
-    MEDIUM_EVENTS,
-)
+from .correspondence import HIGH_EVENTS, MEDIUM_EVENTS
 from .errors import ConvergenceError
 from .jsonio import sha256_hex
 from .model import (
@@ -62,7 +58,6 @@ RULE_DUPLICATES = "duplicate-keys"
 RULE_NEGATIVE = "negative-count"
 RULE_PERCENTAGE = "percentage-range"
 RULE_COVERAGE = "coverage-gap"
-RULE_RATIO_ECHO = "ratio-sum-echo"
 RULE_RECOVERABLE = "recoverable-suppression"
 RULE_CONSERVATION = "mass-conservation"
 RULE_EMPTIED = "indicator-emptied"
@@ -75,7 +70,6 @@ BUILTIN_RULES: dict[str, QARule] = {
         QARule(RULE_NEGATIVE, Severity.ERROR, "counts and rates are non-negative"),
         QARule(RULE_PERCENTAGE, Severity.ERROR, "percentages lie within 0..100"),
         QARule(RULE_COVERAGE, Severity.WARNING, "no gaps inside the declared temporal coverage"),
-        QARule(RULE_RATIO_ECHO, Severity.ERROR, "the correspondence table used still satisfies its ratio-sum invariant"),
         QARule(RULE_RECOVERABLE, Severity.WARNING, "no suppressed cell is recoverable by subtraction from a published marginal"),
         QARule(RULE_CONSERVATION, Severity.ERROR, "redistribution preserved the total count mass"),
         QARule(RULE_EMPTIED, Severity.WARNING, "uncertainty filtering left at least one record"),
@@ -110,7 +104,6 @@ class QAContext:
 
     vocabulary: Vocabulary | None = None
     coverage: tuple[int, int] | None = None
-    table: CorrespondenceTable | None = None
     conservation: ConservationRecord | None = None
     removed_high: int = 0
 
@@ -129,10 +122,6 @@ class Finding:
             "locator": self.locator,
             "message": self.message,
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "Finding":
-        return cls(doc["rule_id"], Severity(doc["severity"]), doc["locator"], doc["message"])
 
 
 @dataclass(frozen=True)
@@ -160,10 +149,6 @@ class QAReport:
             "findings": [f.to_json() for f in self.findings],
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "QAReport":
-        return cls(doc["dataset_id"], tuple(Finding.from_json(f) for f in doc["findings"]))
-
     def to_text(self) -> str:
         lines = [f"QA report for {self.dataset_id}: {'PASS' if self.passed else 'FAIL'}"]
         for finding in self.findings:
@@ -178,7 +163,6 @@ def run_rules(dataset: Dataset, context: QAContext = QAContext()) -> QAReport:
     findings: list[Finding] = []
     findings.extend(_structural_findings(dataset, context))
     findings.extend(_coverage_findings(dataset, context))
-    findings.extend(_ratio_echo_findings(context))
     findings.extend(_recoverable_findings(dataset, context))
     findings.extend(_conservation_findings(dataset, context))
     findings.extend(_emptied_findings(dataset, context))
@@ -225,15 +209,6 @@ def _coverage_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
                 _finding(RULE_COVERAGE, f"year {year}", f"year {year} outside declared coverage {start}-{end}")
             )
     return findings
-
-
-def _ratio_echo_findings(context: QAContext) -> list[Finding]:
-    if context.table is None:
-        return []
-    return [
-        _finding(RULE_RATIO_ECHO, "correspondence table", problem)
-        for problem in context.table.validate()
-    ]
 
 
 def _recoverable_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
@@ -344,7 +319,7 @@ class RemovalLog:
 
     def report(self) -> tuple[dict, str]:
         """The removals report's JSON summary and its ledger, one `KEY_COLUMNS` line per removed record."""
-        ledger = ledger_csv(KEY_COLUMNS, self.removed_keys)
+        ledger = ledger_csv(KEY_COLUMNS, zip(*self.removed_keys))
         summary = {"fully_removed": self.fully_removed, "records_removed": len(self.removed_keys)}
         return {**summary, "ledger_digest": sha256_hex(ledger)}, ledger
 

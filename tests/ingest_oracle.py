@@ -80,7 +80,7 @@ def parse(data, mapping, indicator):
         if problem is not None:
             rejects += [Reject(lineno, problem)] * len(logical)
             continue
-        for column, value_at, year_at in logical:
+        for place, (column, value_at, year_at) in enumerate(logical):
             year_token = row[year_at] if year_at is not None else column
             try:
                 year = _parse_year(year_token)
@@ -100,7 +100,7 @@ def parse(data, mapping, indicator):
                 if kind is CellKind.COUNT:
                     magnitude = int(magnitude)
             rows.append((code, year, age, sex, kind, magnitude, UncertaintyLevel.LOW))
-            lineage.append((f"{code}/{year}/{age}/{sex}", lineno, column))
+            lineage.append(((code, year, age, sex), lineno, place, column))
     if len(levels) != 1:
         raise IngestError("mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels)))
     if len(editions) != 1:
@@ -108,8 +108,10 @@ def parse(data, mapping, indicator):
     rows.sort(key=lambda r: r[:4])  # stable: equal keys keep row-major order
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("KEY", "RAW_ROW", "RAW_COLUMN"))
-    writer.writerows(sorted(lineage))
+    writer.writerow(("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX", "RAW_ROW", "RAW_COLUMN"))
+    # Sorted by key, raw line and the value column's place in the mapping: two year
+    # columns of one wide line can name one year (2016 in ASCII and in full-width digits).
+    writer.writerows((*key, lineno, column) for key, lineno, _, column in sorted(lineage))
     lineage_csv = out.getvalue()
     report = ParseReport(
         rows_in=data_rows * len(logical),

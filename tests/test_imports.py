@@ -186,7 +186,7 @@ INGEST_ORACLE_MAY_IMPORT = {
     "ardkit.jsonio": {"decode_utf8"},
     "ardkit.model": {"BoundaryEdition", "CellKind", "Columns", "Dataset", "GeoLevel", "UncertaintyLevel", "csv_rows"},
 }
-ENGINE_PARSE_NAMES = {"parse_raw", "_render_lineage", "canonical_sort", "take"}
+ENGINE_PARSE_NAMES = {"parse_raw", "ledger_csv", "canonical_sort", "take"}
 
 
 def engine_parse_references(source: str) -> list[str]:
@@ -215,7 +215,7 @@ def test_ingest_oracle_reference_is_reported():
         "from ardkit.model import canonical_sort\n"
         "import ardkit.ingest as ingest\n"
         "rows = columns.take(order)\n"
-        "text = ingest._render_lineage(c, at, names, tokens)\n"
+        "text = ingest.ledger_csv(header, keys, rows, names)\n"
     )
     assert oracle_dependencies(source, INGEST_ORACLE_MAY_IMPORT) == [
         "line 1: ardkit.ingest.parse_raw",
@@ -226,5 +226,5 @@ def test_ingest_oracle_reference_is_reported():
         "line 1: parse_raw",
         "line 2: canonical_sort",
         "line 4: take",
-        "line 5: _render_lineage",
+        "line 5: ledger_csv",
     ]

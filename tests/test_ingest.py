@@ -24,7 +24,7 @@ from ardkit.ingest import (
     detect_characteristics,
     parse_raw,
 )
-from ardkit.model import BoundaryEdition, CellKind, GeoLevel, describe_key, write_csv
+from ardkit.model import BoundaryEdition, CellKind, GeoLevel, write_csv
 
 import ingest_oracle
 from conftest import E2016, SA3, make_indicator
@@ -57,11 +57,11 @@ LONG_MAPPING = SchemaMapping(
 )
 
 
-def lineage_rows(report) -> list[tuple[str, int, str]]:
-    """The lineage file's data lines as (key, raw row, raw column), header checked."""
+def lineage_rows(report) -> list[tuple[tuple[str, int, str, str], int, str]]:
+    """The lineage file's data lines as ((region, year, age, sex), raw row, raw column), header checked."""
     header, *rows = csv.reader(io.StringIO(report.lineage_csv))
-    assert header == ["KEY", "RAW_ROW", "RAW_COLUMN"]
-    return [(key, int(row), column) for key, row, column in rows]
+    assert header == ["REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX", "RAW_ROW", "RAW_COLUMN"]
+    return [((region, int(year), age, sex), int(row), column) for region, year, age, sex, row, column in rows]
 
 
 class TestRegistry:
@@ -358,12 +358,11 @@ class TestLineage:
             assert set(in_lineage) <= set(columns)
             assert len(in_lineage) + rejected[lineno] == len(columns)
         assert set(rejected) <= set(range(2, rows + 2))
-        # The lineage names exactly the dataset's records.
-        keys = [describe_key(*key) for key in dataset.columns.record_keys()]
-        assert Counter(key for key, _, _ in lineage) == Counter(keys)
+        # Line i of the lineage names record i of the dataset.
+        assert [key for key, _, _ in lineage] == list(dataset.columns.record_keys())
         if wide:
             # RAW_COLUMN is the year column the record's value came from.
-            assert all(key.split("/")[1] == column for key, _, column in lineage)
+            assert all(year == int(column) for (_, year, _, _), _, column in lineage)
 
     def test_sorted_and_digest_is_file_sha256(self, count_indicator):
         raw = (
@@ -378,8 +377,8 @@ class TestLineage:
         lineage = lineage_rows(report)
         assert lineage == sorted(lineage)
         assert [key for key, _, _ in lineage] == [
-            "10102/2016/5-9/female", "10102/2016/5-9/female", "10102/2017/0-4/male",
-            "10103/2016/0-4/male", "9/2016/0-4/male",
+            ("10102", 2016, "5-9", "female"), ("10102", 2016, "5-9", "female"), ("10102", 2017, "0-4", "male"),
+            ("10103", 2016, "0-4", "male"), ("9", 2016, "0-4", "male"),
         ]
         assert report.lineage_digest == hashlib.sha256(report.lineage_csv.encode("utf-8")).hexdigest()
         assert "lineage" not in report.to_json()
@@ -392,8 +391,8 @@ class TestLineage:
         assert [row for _, row, _ in lineage_rows(report)] == list(range(2, 12))
 
     def test_keys_sharing_a_text_sort_by_raw_row(self, count_indicator):
-        # ("A/2016", 2017, "0-4") and ("A", 2016, "2017/0-4") both read A/2016/2017/0-4/male: canonical
-        # order puts the second first, but the lineage sorts equal keys by raw row.
+        # ("A/2016", 2017, "0-4") and ("A", 2016, "2017/0-4") would both read A/2016/2017/0-4/male
+        # joined by "/"; in four columns each record keeps its own key, and equal keys keep raw-row order.
         raw = (
             "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
             "A/2016,2017,0-4,male,1\n"
@@ -402,14 +401,42 @@ class TestLineage:
         )
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
         assert dataset.columns.magnitude == (2, 1, 3)
-        assert [row for _, row, _ in lineage_rows(report)] == [2, 3, 4]
+        assert lineage_rows(report) == [
+            (("A", 2016, "2017/0-4", "male"), 3, "VALUE"),
+            (("A/2016", 2017, "0-4", "male"), 2, "VALUE"),
+            (("A/2016", 2017, "0-4", "male"), 4, "VALUE"),
+        ]
+
+    def test_one_year_in_two_columns_keeps_the_mapping_order(self):
+        # "2016" and full-width "２０１６" both name 2016, so one raw line holds one key twice: the
+        # lineage keeps the mapping's column order, which is the parsed dataset's order too.
+        mapping = SchemaMapping(
+            layout=Layout.WIDE_BY_YEAR,
+            geography_code_column="CODE",
+            age_group_column="AGE",
+            sex_column="SEX",
+            value_kind=CellKind.COUNT,
+            year_columns=("\uff12\uff10\uff11\uff16", "2016"),
+            level=SA3,
+            edition=E2016,
+        )
+        raw = "CODE,AGE,SEX,2016,\uff12\uff10\uff11\uff16\nA,0-4,male,1,2\n"
+        dataset, report = parse_raw(raw, mapping, make_indicator())
+        assert dataset.columns.magnitude == (2, 1)
+        assert lineage_rows(report) == [
+            (("A", 2016, "0-4", "male"), 2, "\uff12\uff10\uff11\uff16"),
+            (("A", 2016, "0-4", "male"), 2, "2016"),
+        ]
+        assert parse_outcome(parse_raw, raw, mapping, make_indicator()) == parse_outcome(
+            ingest_oracle.parse, raw, mapping, make_indicator()
+        )
 
     def test_key_with_comma_and_quote_round_trips(self, count_indicator):
         raw = 'SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"10,1""02",2016,"0,4",male,3\n'
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
         assert dataset.columns.region == ('10,1"02',)
-        assert lineage_rows(report) == [('10,1"02/2016/0,4/male', 2, "VALUE")]
-        assert report.lineage_csv.splitlines()[1] == '"10,1""02/2016/0,4/male",2,VALUE'
+        assert lineage_rows(report) == [(('10,1"02', 2016, "0,4", "male"), 2, "VALUE")]
+        assert report.lineage_csv.splitlines()[1] == '"10,1""02",2016,"0,4",male,2,VALUE'
 
 
 def parse_outcome(parse, raw, mapping, indicator):

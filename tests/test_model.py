@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ardkit.errors import ArdkitError
 from ardkit.model import (
+    CHUNK_ROWS,
     CSV_COLUMNS,
     BoundaryEdition,
     CellKind,
@@ -364,6 +365,20 @@ class TestWriteCsvQuoting:
     )
     def test_read_back(self, dataset):
         assert read_csv(write_csv(dataset), dataset.indicator) == dataset
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
+    def test_lines_joined_a_chunk_at_a_time(self, rows):
+        # Tokens that need quoting and every cell kind fall on both sides of each chunk boundary.
+        tokens = ["a", 'q"x', "a,b", "r\nn", "A/2016"]
+        values = [CellValue.count(7), CellValue.suppressed(), CellValue.missing(UncertaintyLevel.HIGH)]
+        records = [
+            make_record(tokens[i % 5], values[i % 3], year=2000 + i % 7, age=tokens[i % 3], sex=tokens[i % 4])
+            for i in range(rows)
+        ]
+        dataset = make_counts({}).with_records(records)
+        text = write_csv(dataset)
+        assert text == csv_writer_rendering(dataset)
+        assert len(list(csv.reader(io.StringIO(text)))) == rows + 1
 
 
 class TestExactTotal:

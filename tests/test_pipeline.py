@@ -1666,3 +1666,30 @@ class TestNoPerRecordListInJson:
         assert records >= 2000
         assert len(rendered) >= 3 * 7  # the seven JSON reports, sidecars and metadata of each indicator
         assert [problem for doc in rendered for problem in self.long_lists(doc)] == []
+
+
+class TestOneCsvRenderer:
+    """Every per-record CSV a run writes is the text of one `ledger_csv` call."""
+
+    def test_every_csv_of_a_run(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from ardkit import model
+
+        config_path = build_demo_project(tmp_path / "proj", messy=True, rate=True)
+        real, rendered = model.ledger_csv, set()
+
+        def spy(*args):
+            text = real(*args)
+            rendered.add(text)
+            return text
+
+        for name, module in list(sys.modules.items()):
+            if (name == "ardkit" or name.startswith("ardkit.")) and getattr(module, "ledger_csv", None) is real:
+                monkeypatch.setattr(module, "ledger_csv", spy)
+        out = tmp_path / "out"
+        assert run(dataclasses.replace(load_config(config_path), output_dir=out)).exit_code in (0, 1)
+        written = {str(path.relative_to(out)): path.read_bytes().decode("utf-8") for path in out.rglob("*.csv")}
+        kinds = {name.split(".", 2)[-1] for name in written}  # names are <dir>/demo.<indicator>.<kind>
+        assert kinds == {"csv", "lineage.csv", "correspondence.ledger.csv", "removals.ledger.csv"}
+        assert [name for name, text in sorted(written.items()) if text not in rendered] == []
