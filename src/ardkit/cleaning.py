@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import eq
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ArdkitError, CleaningError
 from .jsonio import parse_json
@@ -110,8 +110,7 @@ RULE_DEDUPE_SUM = "dedupe-sum"
 RULE_MISSING_DROP = "missing-drop"
 
 
-@dataclass(frozen=True)
-class CleaningEntry:
+class CleaningEntry(NamedTuple):
     """One replayable change: a field set or a row drop."""
 
     op: str  # "set" | "drop"
@@ -149,8 +148,7 @@ class CleaningEntry:
         return cls(op, row, doc["rule"], doc.get("field"), doc.get("before"), doc.get("after"), doc.get("reason"))
 
 
-@dataclass(frozen=True)
-class CleaningLog:
+class CleaningLog(NamedTuple):
     entries: tuple[CleaningEntry, ...] = ()
 
     def to_jsonl(self) -> str:

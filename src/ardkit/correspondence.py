@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from math import isinf
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CorrespondenceError, RouteError
 from .jsonio import decode_utf8, sha256_hex
@@ -291,8 +291,7 @@ def outcomes_report(outcomes: Sequence[CorrespondenceOutcome]) -> tuple[dict, st
     return {"steps": [o.to_json() for o in outcomes], "ledger_digest": sha256_hex(ledger)}, ledger
 
 
-@dataclass(frozen=True)
-class OutcomeSummary:
+class OutcomeSummary(NamedTuple):
     """A correspondence report's JSON summary: its steps, without their events, and what binds their ledger."""
 
     steps: tuple[CorrespondenceOutcome, ...]
@@ -657,8 +656,7 @@ def _quotient(
     return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One conversion step; the table is named by its own orientation."""
 
     op: str  # "forward" | "backward"

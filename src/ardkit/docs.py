@@ -14,8 +14,7 @@ predecessor, so any mutation of history is detectable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DocsError
 from .jsonio import compact_dumps, parse_json, sha256_hex
@@ -49,8 +48,7 @@ FAIR_LAYOUT: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MetadataDoc:
+class MetadataDoc(NamedTuple):
     """FAIR metadata for one published dataset; `fields` holds every FAIR_LAYOUT field."""
 
     indicator_id: str
@@ -110,7 +108,7 @@ def emit_metadata(
     if missing:
         if publishable:
             raise DocsError(f"metadata not publishable; missing fields: {', '.join(missing)}")
-        doc = replace(doc, draft=True)
+        doc = doc._replace(draft=True)
     return doc
 
 
@@ -256,8 +254,7 @@ GENESIS_DIGEST = "0" * 64
 PROVENANCE_HEADER = {"format": "ardkit-provenance/1", "digest_algorithm": "sha256"}
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     timestamp: str
     actor: str
     stage: str
@@ -309,8 +306,7 @@ class ProvenanceEntry:
 _ENTRY_TEXT_KEYS = ("timestamp", "actor", "stage", "decision_text", "tool_version", "prev_digest", "digest")
 
 
-@dataclass(frozen=True)
-class ProvenanceLog:
+class ProvenanceLog(NamedTuple):
     entries: tuple[ProvenanceEntry, ...] = ()
 
     @property
@@ -359,7 +355,7 @@ def make_entry(
         prev_digest=log.head_digest,
         digest="",
     )
-    return replace(entry, digest=entry.expected_digest())
+    return entry._replace(digest=entry.expected_digest())
 
 
 def append_provenance(log: ProvenanceLog, entry: ProvenanceEntry) -> ProvenanceLog:

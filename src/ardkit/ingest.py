@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from math import isfinite
 from operator import floordiv, itemgetter, mod, not_, or_
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IngestError
 from .jsonio import decode_utf8, sha256_hex, validate_against_schema
@@ -134,9 +134,11 @@ class SchemaMapping:
                 raise IngestError("wide_by_year layout needs at least one year column")
             if self.value_column:
                 raise IngestError("wide_by_year layout must not bind a value column")
-            for name in self.year_columns:
-                if not re.fullmatch(r"\d{4}", name.strip()):
+            for i, name in enumerate(self.year_columns):
+                if not re.fullmatch(r"[0-9]{4}", name.strip()):
                     raise IngestError(f"year column {name!r} is not a four-digit year")
+                if name.strip() in map(str.strip, self.year_columns[:i]):
+                    raise IngestError(f"year column {name!r} repeats year {name.strip()}")
         if (self.level is None) == (self.level_column is None):
             raise IngestError("bind the geography level as exactly one of a constant or a column")
         if (self.edition is None) == (self.edition_column is None):
@@ -173,8 +175,7 @@ class SchemaMapping:
         )
 
 
-@dataclass(frozen=True)
-class Reject:
+class Reject(NamedTuple):
     row: int
     reason: str
 
@@ -458,8 +459,7 @@ def parse_raw(
     return Dataset(indicator, columns, next(iter(editions)), next(iter(levels))), report
 
 
-@dataclass(frozen=True)
-class ColumnGuess:
+class ColumnGuess(NamedTuple):
     role: str
     column: str
     evidence: str
@@ -474,8 +474,7 @@ class ColumnGuess:
         }
 
 
-@dataclass(frozen=True)
-class MappingDraft:
+class MappingDraft(NamedTuple):
     """Best-effort column-role guesses; never usable without confirmation."""
 
     guesses: tuple[ColumnGuess, ...] = ()

@@ -231,8 +231,7 @@ class RecordKey(NamedTuple):
         return describe_key(*self)
 
 
-@dataclass(frozen=True)
-class StandardRecord:
+class StandardRecord(NamedTuple):
     """One standardized row: a key plus its cell value."""
 
     key: RecordKey
@@ -376,8 +375,7 @@ class Dataset:
         return tuple(sorted(set(self.columns.year)))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant breach, located by record index (None = dataset level)."""
 
     rule: str
@@ -480,8 +478,7 @@ def vocabulary_violations(c: Columns, vocabulary: "Vocabulary | None") -> Iterat
                     yield Violation(V_VOCABULARY, i, f"{label} {token!r} not in vocabulary")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     """Controlled filter-token vocabulary declared per project."""
 
     age_groups: frozenset[str] = frozenset()

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import is_not
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import __version__
 from .cleaning import CleaningLog, CleaningRuleSet
@@ -66,24 +66,21 @@ from .qa import (
 )
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
+class IndicatorSpec(NamedTuple):
     indicator: Indicator
     data_path: Path
     mapping_path: Path
     denominator: str | None = None
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     path: Path
     level: GeoLevel
     from_edition: BoundaryEdition
     to_edition: BoundaryEdition
 
 
-@dataclass(frozen=True)
-class StageSettings:
+class StageSettings(NamedTuple):
     clean_enabled: bool = True
     cleaning_rules: CleaningRuleSet = CleaningRuleSet()
     correspond_enabled: bool = True
@@ -345,16 +342,14 @@ def correspond_stage(
 # Run orchestration
 
 
-@dataclass
-class StageRecord:
+class StageRecord(NamedTuple):
     stage: str
     decision: str
     input_digests: tuple[str, ...]
     output_digests: tuple[str, ...]
 
 
-@dataclass
-class IndicatorResult:
+class IndicatorResult(NamedTuple):
     indicator_id: str
     artifacts: dict[str, str]
     stage_records: list[StageRecord]
@@ -362,8 +357,7 @@ class IndicatorResult:
     final_indicator: Indicator
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     exit_code: int
     out_dir: Path
     failed: bool

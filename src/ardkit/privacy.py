@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, PrivacyError
 from .model import CellKind, Dataset
@@ -34,8 +34,7 @@ class SuppressionPolicy:
         return cls(threshold=doc.get("threshold", 5), suppress_zero=bool(doc.get("suppress_zero", False)))
 
 
-@dataclass(frozen=True)
-class SuppressionLog:
+class SuppressionLog(NamedTuple):
     """Per-stratum counts of suppressed cells; values are never recorded."""
 
     strata: tuple[tuple[tuple[int, str, str], int], ...]

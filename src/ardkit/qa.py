@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cleaning import CleaningLog, CleaningRuleSet, clean
 from .correspondence import HIGH_EVENTS, MEDIUM_EVENTS
@@ -46,8 +46,7 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class QARule:
+class QARule(NamedTuple):
     rule_id: str
     severity: Severity
     description: str
@@ -98,8 +97,7 @@ class ConservationRecord:
     output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class QAContext:
+class QAContext(NamedTuple):
     """Everything the rules may consult beyond the dataset itself."""
 
     vocabulary: Vocabulary | None = None
@@ -108,8 +106,7 @@ class QAContext:
     removed_high: int = 0
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     rule_id: str
     severity: Severity
     locator: str
@@ -124,8 +121,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class QAReport:
+class QAReport(NamedTuple):
     dataset_id: str
     findings: tuple[Finding, ...]
 
@@ -312,8 +308,7 @@ def assign_uncertainty(
     return dataset
 
 
-@dataclass(frozen=True)
-class RemovalLog:
+class RemovalLog(NamedTuple):
     removed_keys: tuple[tuple[str, int, str, str], ...]  # in canonical order
     fully_removed: bool
 
@@ -339,8 +334,7 @@ def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     return dataset, RemovalLog(tuple(removed), fully_removed=not kept)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     dataset: Dataset
     log: CleaningLog
     report: QAReport

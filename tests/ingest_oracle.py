@@ -109,8 +109,6 @@ def parse(data, mapping, indicator):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX", "RAW_ROW", "RAW_COLUMN"))
-    # Sorted by key, raw line and the value column's place in the mapping: two year
-    # columns of one wide line can name one year (2016 in ASCII and in full-width digits).
     writer.writerows((*key, lineno, column) for key, lineno, _, column in sorted(lineage))
     lineage_csv = out.getvalue()
     report = ParseReport(

@@ -213,7 +213,7 @@ class TestProvenance:
         log = ProvenanceLog()
         for stage in ("ingest", "clean", "qa"):
             log = append_provenance(log, self.entry(log, stage=stage))
-        tampered = dataclasses.replace(log.entries[1], decision_text="rewritten history")
+        tampered = log.entries[1]._replace(decision_text="rewritten history")
         broken = ProvenanceLog((log.entries[0], tampered, log.entries[2]))
         ok, index = verify_chain(broken)
         assert not ok and index == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -228,3 +229,69 @@ def test_ingest_oracle_reference_is_reported():
         "line 4: take",
         "line 5: ledger_csv",
     ]
+
+
+def record_classes() -> list[type]:
+    """Every dataclass and NamedTuple an `ardkit` module defines, once `ardkit.cli` has imported them all."""
+    import ardkit.cli  # noqa: F401
+
+    found = {
+        cls
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "ardkit"
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and (dataclasses.is_dataclass(cls) or (issubclass(cls, tuple) and hasattr(cls, "_fields")))
+    }
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+# What keeps a record class a dataclass, whose methods are generated at every start, not a NamedTuple.
+VALIDATES = "validates or normalises in __post_init__"
+FIELD_OPTION = "a field is left out of repr or comparison"
+REPLACED = "perfbench/child.py calls dataclasses.replace on it"
+KEPT_DATACLASSES = {
+    "ardkit.cleaning.CleaningRuleSet": VALIDATES,
+    "ardkit.correspondence.CorrespondenceEdge": VALIDATES,
+    "ardkit.correspondence.CorrespondenceOutcome": FIELD_OPTION,
+    "ardkit.correspondence.CorrespondencePolicy": VALIDATES,
+    "ardkit.correspondence.CorrespondenceTable": VALIDATES,
+    "ardkit.ingest.ParseReport": FIELD_OPTION,
+    "ardkit.ingest.SchemaMapping": VALIDATES,
+    "ardkit.ingest.SourceDescriptor": VALIDATES,
+    "ardkit.model.CellValue": VALIDATES,
+    "ardkit.model.Dataset": VALIDATES,
+    "ardkit.model.Indicator": VALIDATES,
+    "ardkit.pipeline.PipelineConfig": REPLACED,
+    "ardkit.privacy.SuppressionPolicy": VALIDATES,
+    "ardkit.qa.ConservationRecord": FIELD_OPTION,
+}
+BENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def dataclass_reason(cls: type) -> str | None:
+    if "__post_init__" in vars(cls):
+        return VALIDATES
+    if not all(f.repr and f.compare for f in dataclasses.fields(cls)):
+        return FIELD_OPTION
+    if cls.__name__ == "PipelineConfig" and "dataclasses.replace(load_config(" in BENCH_CHILD.read_text(encoding="utf-8"):
+        return REPLACED
+    return None
+
+
+def test_only_records_that_need_a_dataclass_are_one():
+    dataclasses_found = [cls for cls in record_classes() if dataclasses.is_dataclass(cls)]
+    assert {f"{cls.__module__}.{cls.__name__}": dataclass_reason(cls) for cls in dataclasses_found} == KEPT_DATACLASSES
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
+def test_record_fields_cannot_be_assigned(cls):
+    # Built without validation, since only the class's own guard is under test; FrozenInstanceError is an AttributeError.
+    if dataclasses.is_dataclass(cls):
+        record, names = object.__new__(cls), [f.name for f in dataclasses.fields(cls)]
+    else:
+        record, names = cls._make([None] * len(cls._fields)), cls._fields
+    assert names
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)

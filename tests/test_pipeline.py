@@ -1202,7 +1202,7 @@ class TestOnePassPerFact:
         config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
         if project == "messy-unsuppressed":
             # Without suppression the forward indicator keeps its conservation check, as on fwd-messy.
-            config = dataclasses.replace(config, stages=dataclasses.replace(config.stages, privacy_enabled=False))
+            config = dataclasses.replace(config, stages=config.stages._replace(privacy_enabled=False))
         result = run(config)
         assert not result.failed
         qa = json.loads((tmp_path / "out" / "reports" / "demo.hospital_visits.qa.json").read_text())
@@ -1533,7 +1533,7 @@ class TestCollectorPause:
         broken = dataclasses.replace(
             config,
             output_dir=tmp_path / "failed",
-            indicators=tuple(dataclasses.replace(s, data_path=tmp_path / "absent.csv") for s in config.indicators),
+            indicators=tuple(s._replace(data_path=tmp_path / "absent.csv") for s in config.indicators),
         )
         with collector(enabled):
             seen = []
