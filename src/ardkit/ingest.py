@@ -211,7 +211,7 @@ class ParseReport:
 
 def _parse_year(token: str) -> int:
     token = token.strip()
-    if not re.fullmatch(r"-?\d+", token):
+    if not re.fullmatch(r"-?[0-9]+", token):
         raise ValueError(token)
     return int(token)
 
@@ -219,6 +219,8 @@ def _parse_year(token: str) -> int:
 def _parse_magnitude(token: str, kind: CellKind) -> float:
     text = token.strip()
     try:
+        if not text.isascii() or "_" in text:  # `float` also takes `1_000` and non-ASCII digits
+            raise ValueError
         value = float(text)
     except ValueError:
         raise ValueError(f"unparseable value {token!r}") from None
@@ -247,17 +249,19 @@ def _value_decisions(tokens: Sequence[str], missing_tokens: frozenset[str], kind
 
     Missing tokens are set aside by set membership, on the raw and the
     stripped text; the rest go through one ``map(float, …)`` and C-level
-    checks: finite, non-negative and, for counts, integral.  Only when that
-    raises or a check fails are they decided one by one.
+    checks: ASCII without `_`, finite, non-negative and, for counts,
+    integral.  Only when that raises or a check fails are they decided one
+    by one.
     """
     stripped = list(map(str.strip, tokens))
     missing = list(map(or_, map(missing_tokens.__contains__, tokens), map(missing_tokens.__contains__, stripped)))
     decided: dict[str, tuple | str] = dict.fromkeys(compress(tokens, missing), (CellKind.MISSING, None))
     present = list(map(not_, missing))
     rest = list(compress(tokens, present))
+    joined = "".join(rest)
     try:
         magnitudes = list(map(float, compress(stripped, present)))
-        bulk = all(map(isfinite, magnitudes)) and min(magnitudes, default=0.0) >= 0
+        bulk = joined.isascii() and "_" not in joined and all(map(isfinite, magnitudes)) and min(magnitudes, default=0.0) >= 0
     except ValueError:
         bulk = False
     if bulk and kind is CellKind.COUNT and all(map(float.is_integer, magnitudes)):
@@ -313,7 +317,7 @@ def parse_raw(
     editions = {mapping.edition} - {None}
     enum_columns = [(name, label, parse, found, {}) for name, label, parse, found in (
         (mapping.level_column, "geography level", GeoLevel, levels),
-        (mapping.edition_column, "boundary edition", lambda token: BoundaryEdition(int(token)), editions),
+        (mapping.edition_column, "boundary edition", lambda token: BoundaryEdition(_parse_year(token)), editions),
     ) if name]  # each bound level or edition column, with the memo of its tokens
     wide = mapping.layout is Layout.WIDE_BY_YEAR
     value_columns = mapping.year_columns if wide else (mapping.value_column,)

@@ -30,9 +30,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, islice
-from operator import is_not
+from operator import is_not, le
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
@@ -374,6 +374,12 @@ class Dataset:
     def years(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.columns.year)))
 
+    @cached_property
+    def _in_canonical_order(self) -> bool:
+        """No row's key sorts below the key before it; `read_csv` records it from a file's lines."""
+        keys = list(self.columns.record_keys())
+        return all(map(le, keys, islice(keys, 1, None)))
+
 
 class Violation(NamedTuple):
     """One invariant breach, located by record index (None = dataset level)."""
@@ -514,12 +520,13 @@ def canonical_sort(dataset: Dataset) -> Dataset:
     single permutation, `forward` and `backward` emit canonical order by
     construction, and operations that rewrite only cells or drop rows keep
     their input's order, so a sorted input stays sorted.  An already sorted
-    dataset is returned as is.
+    dataset is returned as is, and one that `read_csv` read from lines in
+    canonical order is known to be sorted without a key per row.
     """
+    if dataset._in_canonical_order:
+        return dataset
     keys = list(dataset.columns.record_keys())
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    if order == list(range(len(keys))):
-        return dataset
     return dataset.with_columns(dataset.columns.take(order))
 
 
@@ -593,7 +600,16 @@ def _csv_field(lineno: int, column: str, text: str, convert):
         raise ArdkitError(f"line {lineno}: invalid {column} {text!r}") from None
 
 
+def _ascii_int(text: str) -> int:
+    """`int(text)` of ASCII text without `_`; `int` alone also takes `2_016` and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _finite_float(text: str) -> float:
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(text)
@@ -601,6 +617,10 @@ def _finite_float(text: str) -> float:
 
 
 _LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLevel)}
+
+
+def _level(text: str) -> UncertaintyLevel:
+    return UncertaintyLevel(_ascii_int(text))
 
 
 def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
@@ -628,6 +648,14 @@ def _csv_chunks(reader, error_cls: type[ArdkitError]) -> Iterator[list[list[str]
 
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset; rows keep the file's order."""
+    try:
+        return _read_plain(text, indicator)
+    except ValueError:  # not plain lines, or a bad token: `csv` reads the text and raises every error
+        return _read_rows(text, indicator)
+
+
+def _read_rows(text: str, indicator: Indicator) -> Dataset:
+    """`read_csv` through `csv.reader`: quoted fields, and every error named by its line."""
     rows = list(csv_rows(text))
     if not rows:
         raise ArdkitError("dataset file is empty")
@@ -641,7 +669,7 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
     # Years and values repeat down the file, so each distinct text is
     # converted once; the first line holding a bad one is the one named.
     years: dict[str, int] = {}
-    cells = {SUPPRESSED_TOKEN: (CellKind.SUPPRESSED, None), "": (CellKind.MISSING, None)}
+    cells = {text: (kind, None) for text, kind in _MARKERS.items()}
     out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 6:
@@ -649,15 +677,52 @@ def read_csv(text: str, indicator: Indicator) -> Dataset:
         code, year_text, age, sex, value_text, uncertainty_text = row
         uncertainty = _LEVELS_BY_TEXT.get(uncertainty_text)
         if uncertainty is None:
-            uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, lambda t: UncertaintyLevel(int(t)))
+            uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, _level)
         cell = cells.get(value_text)
         if cell is None:
             cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _finite_float))
         year = years.get(year_text)
         if year is None:
-            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, int)
+            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _ascii_int)
         out.append((code, year, age, sex, *cell, uncertainty))
     return Dataset(indicator, Columns.from_rows(out), edition, level)
+
+
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+_MARKERS = {SUPPRESSED_TOKEN: CellKind.SUPPRESSED, "": CellKind.MISSING}
+
+
+def _read_plain(text: str, indicator: Indicator) -> Dataset:
+    """`read_csv` of plain lines (as `csv` reads a text without quote, CR, NUL or overlong line) in one split.
+
+    A bad token raises ValueError.  A dataset whose lines show canonical order
+    records it: with NUL, which sorts below every character of a token, for
+    the comma, lines compare by their key texts, and four-digit years by value.
+    """
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    geography = parse_geography_column(header[0])
+    if body and not body.endswith("\n"):
+        body += "\n"
+    lines = body.replace(",", "\0").split("\n")[:-1]
+    if ('"' in text or "\r" in text or "\0" in text or geography is None or tuple(header[1:]) != CSV_COLUMNS
+            or body.encode().translate(None, _NOT_SEPARATORS) != b",,,,,\n" * len(lines)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        raise ValueError("not six plain fields a line")
+    fields = "\0".join(lines).split("\0") if lines else []
+    codes, year_texts, ages, sexes, value_texts, level_texts = (fields[i::6] for i in range(6))
+    # Each distinct year, value and level text is decoded once.
+    years, magnitudes, levels = map(cache, (_ascii_int, lambda t: None if t in _MARKERS else _finite_float(t), _level))
+    kinds = (indicator.value_kind,) * len(lines)
+    if any(map(value_texts.__contains__, _MARKERS)):
+        kinds = tuple(map(_MARKERS.get, value_texts, kinds))
+    dataset = Dataset(indicator, Columns(
+        tuple(codes), tuple(map(years, year_texts)), tuple(ages), tuple(sexes),
+        kinds, tuple(map(magnitudes, value_texts)), tuple(map(levels, level_texts)),
+    ), geography[1], geography[0])
+    if all(len(t) == 4 and t.isdigit() for t in set(year_texts)) and all(map(le, lines, islice(lines, 1, None))):
+        vars(dataset)["_in_canonical_order"] = True
+    return dataset
 
 
 def round_counts(dataset: Dataset) -> Dataset:

@@ -66,7 +66,7 @@ def parse(data, mapping, indicator):
         if mapping.edition_column:
             token = row[position[mapping.edition_column]].strip()
             try:
-                editions.add(BoundaryEdition(int(token)))
+                editions.add(BoundaryEdition(_parse_year(token)))
             except ValueError:
                 raise IngestError(f"line {lineno}: unknown boundary edition {token!r}") from None
         code = row[position[mapping.geography_code_column]]

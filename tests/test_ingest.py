@@ -441,8 +441,8 @@ KEY_TOKENS = {
     "age": ["0-4"] * 5 + ["5-9", "", " ", "0,4", "2017/0-4"],
     "sex": ["male"] * 4 + ["female", "", 'f"m'],
 }
-YEAR_TOKENS = ["2016"] * 6 + ["2017", " 2016", "16", "-5", "20x", ""]
-VALUE_TOKENS = ["5"] * 6 + ["0", " 7 ", "3.0", "2.5", "1e3", "n.p.", " n.p. ", "", "oops", "-1", "nan", "inf", "-inf"]
+YEAR_TOKENS = ["2016"] * 6 + ["2017", " 2016", "16", "-5", "20x", "", "2_016", "２０１６", "+2016"]
+VALUE_TOKENS = ["5"] * 6 + ["0", " 7 ", "3.0", "2.5", "1e3", "n.p.", " n.p. ", "", "oops", "-1", "nan", "inf", "-inf", "1_000", "١٢"]
 YEAR_COLUMNS = ["2016", "2017", "2018"]
 
 
@@ -480,7 +480,7 @@ def raw_tables(draw):
     pools = {
         **KEY_TOKENS, "NOTE": ["x", ""], "YEAR": YEAR_TOKENS, "VALUE": VALUE_TOKENS,
         "LEVEL": ["SA3", " SA3 "] + ["SA2", "XX"] * ("level" in faulty),
-        "EDITION": ["2016", " 2016"] + ["2011", "16", "x"] * ("edition" in faulty),
+        "EDITION": ["2016", " 2016"] + ["2011", "16", "x", "２０１６"] * ("edition" in faulty),
     }
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
@@ -548,8 +548,8 @@ class TestAgainstOracle:
 
 
 # Every value the bulk path takes on, and tokens that send a batch to the per-token path.
-BULK_TOKENS = ["5", "0", " 7 ", "\t12\n", "3.0", "1e3", "1_000", "-0.0", "-0", "0.0", "", " ", "n.p.", " n.p. "]
-FALLBACK_TOKENS = ["2.5", "-1", "-1e-9", "nan", "inf", "-inf", "oops", "1e400", "1__0", "0x10"]
+BULK_TOKENS = ["5", "0", " 7 ", "\t12\n", "3.0", "1e3", "-0.0", "-0", "0.0", "", " ", "n.p.", " n.p. "]
+FALLBACK_TOKENS = ["2.5", "-1", "-1e-9", "nan", "inf", "-inf", "oops", "1e400", "1__0", "0x10", "1_000", "１２", "١٢"]
 
 
 class TestBulkValueDecisions:
@@ -573,7 +573,33 @@ class TestBulkValueDecisions:
         with mock.patch.object(ingest, "_value_decision", side_effect=AssertionError("per-token path taken")):
             got = ingest._value_decisions(BULK_TOKENS, self.MISSING, kind)
         assert got[" 7 "] == (kind, 7 if kind is CellKind.COUNT else 7.0)
-        assert got["1_000"] == got["1e3"] == (kind, 1000)
+        assert got["1e3"] == (kind, 1000)
         assert repr(got["-0.0"][1]) == ("0" if kind is CellKind.COUNT else "-0.0")
         assert got[" n.p. "] == got[" "] == (CellKind.MISSING, None)
 
+
+
+class TestAsciiDecimal:
+    """Year, value and edition tokens are ASCII decimal: `int` and `float` alone also take `_` and other digits."""
+
+    @pytest.mark.parametrize("year", ["2_016", "２０１６", "١٢"])
+    def test_year_token_rejects_its_row(self, count_indicator, year):
+        raw = f"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,{year},0-4,male,12\n10102,2016,0-4,male,1\n"
+        dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
+        assert report.rejects == (ingest.Reject(2, f"calendar year not an integer: {year!r}"),)
+        assert dataset.columns.year == (2016,)
+
+    @pytest.mark.parametrize("kind", [CellKind.COUNT, CellKind.RATE])
+    @pytest.mark.parametrize("value", ["1_000", "１２", "١٢", " 1_0 "])
+    def test_value_token_rejects_its_row(self, kind, value):
+        mapping = dataclasses.replace(LONG_MAPPING, value_kind=kind)
+        raw = f"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,2016,0-4,male,{value}\n10103,2016,0-4,male,1\n"
+        dataset, report = parse_raw(raw, mapping, make_indicator(value_kind=kind))
+        assert report.rejects == (ingest.Reject(2, f"unparseable value {value!r}"),)
+        assert dataset.columns.region == ("10103",)
+
+    def test_edition_token_is_unknown(self, count_indicator):
+        mapping = dataclasses.replace(LONG_MAPPING, edition=None, edition_column="EDITION")
+        raw = "SA3CODE_16,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,２０１６,2016,0-4,male,1\n"
+        with pytest.raises(IngestError, match="^line 2: unknown boundary edition '２０１６'$"):
+            parse_raw(raw, mapping, count_indicator)
