@@ -13,13 +13,10 @@ from .errors import ArdkitError
 from .model import (
     BoundaryEdition,
     CellKind,
-    CellValue,
     Dataset,
     GeoLevel,
     Indicator,
     NestDomain,
-    RecordKey,
-    StandardRecord,
     UncertaintyLevel,
     Vocabulary,
     canonical_sort,
@@ -32,13 +29,10 @@ __all__ = [
     "ArdkitError",
     "BoundaryEdition",
     "CellKind",
-    "CellValue",
     "Dataset",
     "GeoLevel",
     "Indicator",
     "NestDomain",
-    "RecordKey",
-    "StandardRecord",
     "UncertaintyLevel",
     "Vocabulary",
     "canonical_sort",

@@ -49,7 +49,7 @@ class MissingPolicy(enum.Enum):
     DROP_ROW = "drop_row"
 
 
-_YEAR_PATTERN_RE = re.compile(r"^YY->(\d+)\+YY$")
+_YEAR_PATTERN_RE = re.compile(r"YY->([0-9]+)\+YY")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class CleaningRuleSet:
 
 
 def _parse_year_pattern(pattern: str) -> int:
-    m = _YEAR_PATTERN_RE.match(pattern.replace("→", "->"))
+    m = _YEAR_PATTERN_RE.fullmatch(pattern.replace("→", "->"))
     if m is None:
         raise CleaningError(f"unsupported year coercion pattern {pattern!r}")
     return int(m.group(1))

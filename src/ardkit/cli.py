@@ -28,6 +28,7 @@ from .model import (
     GeoLevel,
     Indicator,
     Vocabulary,
+    _ascii_int,
     canonical_sort,
     read_csv,
     round_counts,
@@ -157,7 +158,7 @@ def _cmd_clean(args) -> int:
 def _parse_table_spec(spec: str):
     try:
         from_text, to_text, path = spec.split(":", 2)
-        return BoundaryEdition(int(from_text)), BoundaryEdition(int(to_text)), path
+        return BoundaryEdition(_ascii_int(from_text)), BoundaryEdition(_ascii_int(to_text)), path
     except (ValueError, KeyError):
         raise ConfigError(f"bad --table spec {spec!r}; expected FROM:TO:PATH") from None
 
@@ -213,7 +214,7 @@ def _cmd_suppress(args) -> int:
 def _parse_coverage(text: str) -> tuple[int, int]:
     try:
         start, end = text.split(":")
-        coverage = int(start), int(end)
+        coverage = _ascii_int(start), _ascii_int(end)
     except ValueError:
         raise ConfigError(f"bad coverage {text!r}; expected START:END") from None
     if coverage[0] > coverage[1]:
@@ -296,6 +297,11 @@ def _cmd_validate_table(args) -> int:
 EDITIONS = [int(edition) for edition in BoundaryEdition]
 
 
+def integer(text: str) -> int:
+    """An integer flag's value: ASCII decimal text, as `_ascii_int` reads it; argparse names this in its message."""
+    return _ascii_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ardkit",
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the configured output directory")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--strict", action="store_true", help="treat warnings as errors")
     p.add_argument("--round-counts", action="store_true", help="round corresponded counts at emission")
     p.set_defaults(fn=_cmd_run)
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules")
     p.add_argument("--vocabulary")
     p.add_argument("--coverage", help="declared coverage as START:END")
-    p.add_argument("--max-iterations", type=int, default=10)
+    p.add_argument("--max-iterations", type=integer, default=10)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-indicator")
     p.add_argument("--log", required=True)
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correspond", help="convert a dataset to another boundary edition")
     p.add_argument("--data", required=True)
     p.add_argument("--indicator", required=True)
-    p.add_argument("--to-edition", type=int, required=True, choices=EDITIONS)
+    p.add_argument("--to-edition", type=integer, required=True, choices=EDITIONS)
     p.add_argument("--table", action="append", required=True, help="FROM:TO:PATH, repeatable")
     p.add_argument("--discard-threshold")
     p.add_argument("--denominator-data")
@@ -350,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suppress", help="apply disclosure control (noise, then small-cell suppression)")
     p.add_argument("--data", required=True)
     p.add_argument("--indicator", required=True)
-    p.add_argument("--threshold", type=int, default=5)
+    p.add_argument("--threshold", type=integer, default=5)
     p.add_argument("--suppress-zero", action="store_true")
-    p.add_argument("--noise-magnitude", type=int, default=0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--noise-magnitude", type=integer, default=0)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-indicator")
     p.add_argument("--log")
@@ -391,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-table", help="validate a correspondence file")
     p.add_argument("--table", required=True)
     p.add_argument("--level", required=True, choices=[l.value for l in GeoLevel])
-    p.add_argument("--from-edition", type=int, required=True, choices=EDITIONS)
-    p.add_argument("--to-edition", type=int, required=True, choices=EDITIONS)
+    p.add_argument("--from-edition", type=integer, required=True, choices=EDITIONS)
+    p.add_argument("--to-edition", type=integer, required=True, choices=EDITIONS)
     p.set_defaults(fn=_cmd_validate_table)
 
     return parser

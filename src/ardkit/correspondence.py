@@ -42,7 +42,6 @@ from .model import (
     Columns,
     Dataset,
     GeoLevel,
-    RecordKey,
     UncertaintyLevel,
     csv_rows,
     describe_key,
@@ -221,7 +220,7 @@ class CorrespondenceOutcome:
     input_total: Fraction
     output_total: Fraction
     conserving: bool
-    events: Mapping[RecordKey, tuple[str, ...]]
+    events: Mapping[tuple[str, int, str, str], tuple[str, ...]]
     zero_filled: tuple[str, ...] = ()
     output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -328,7 +327,7 @@ class OutcomeSummary(NamedTuple):
             )
             if problem:
                 raise CorrespondenceError(f"line {lineno}: {problem}")
-            key = RecordKey(region, int(year), age, sex)
+            key = (region, int(year), age, sex)
             steps[n][key] = steps[n].get(key, ()) + (event,)
         outcomes = tuple(replace(step, events=mine) for step, mine in zip(self.steps, events))
         summary, written = outcomes_report(outcomes)
@@ -408,7 +407,7 @@ def forward(
         for e in edges_by_source[source]:
             feeders.setdefault(e.target, []).append((source, rows_of[source], e.ratio.numerator, e.ratio.denominator))
     out_regions, out_ranks, out_kinds, out_magnitudes, out_levels = [], [], [], [], []
-    events: dict[RecordKey, tuple[str, ...]] = {}
+    events: dict[tuple, tuple[str, ...]] = {}
     fills: list[tuple] = []
     for target in sorted(feeders):
         sources = feeders[target]
@@ -434,10 +433,10 @@ def forward(
                     total += ratio_n * n / (ratio_d * d)
             if kind is suppressed:
                 total, level = None, UncertaintyLevel.HIGH
-                events[RecordKey(target, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
+                events[(target, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
             elif filled:
                 level = max(level, UncertaintyLevel.MEDIUM)
-                events[RecordKey(target, *strata_of[k])] = (EVENT_ZERO_FILL,)
+                events[(target, *strata_of[k])] = (EVENT_ZERO_FILL,)
             out_kinds.append(kind)
             out_magnitudes.append(total)
             out_levels.append(level)
@@ -491,7 +490,7 @@ def backward(
     out_regions: list[str] = []
     out_ranks: list[int] = []
     cells: list[tuple] = []
-    events: dict[RecordKey, tuple[str, ...]] = {}
+    events: dict[tuple, tuple[str, ...]] = {}
     fills_by_rank: dict[int, list[str]] = {}
     for source in sorted(edges_by_source):
         source_edges = edges_by_source[source]
@@ -501,7 +500,7 @@ def backward(
         shared = [e.ratio for e in source_edges if len(feeders[e.target]) > 1]
         if any(map(policy.suppresses, shared)):
             cells += [_SUPPRESSED_CELL] * len(ranks)
-            events.update((RecordKey(source, *strata_of[k]), (EVENT_BACKWARD_SUPPRESSED,)) for k in ranks)
+            events.update(((source, *strata_of[k]), (EVENT_BACKWARD_SUPPRESSED,)) for k in ranks)
             continue
         sole = [(e.target, rows_of.get(e.target, {})) for e in source_edges if len(feeders[e.target]) == 1]
         discarded = (EVENT_SUBTHRESHOLD_DISCARD,) if shared else ()
@@ -518,7 +517,7 @@ def backward(
                     level = levels[i]
                 if kinds[i] is suppressed:
                     cells.append(_SUPPRESSED_CELL)
-                    events[RecordKey(source, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
+                    events[(source, *strata_of[k])] = (EVENT_UNRESOLVABLE,)
                     break
                 if kinds[i] is missing:
                     fills.append(f"missing value for sole target {target}")
@@ -532,7 +531,7 @@ def backward(
                     )
                 if fills or discarded:
                     level = max(level, UncertaintyLevel.MEDIUM)
-                    events[RecordKey(source, *strata_of[k])] = discarded + ((EVENT_ZERO_FILL,) if fills else ())
+                    events[(source, *strata_of[k])] = discarded + ((EVENT_ZERO_FILL,) if fills else ())
                 cells.append((count, total, level))
     out_strata = _transpose(list(map(strata_of.__getitem__, out_ranks)), 3)
     columns = Columns(tuple(out_regions), *out_strata, *_transpose(cells, 3))
@@ -624,7 +623,7 @@ def _quotient(
     suppressed, missing = CellKind.SUPPRESSED, CellKind.MISSING
     doubles = _doubles(c.magnitude, d.magnitude)
     cells: list[tuple] = []
-    events: dict[RecordKey, tuple[str, ...]] = {}
+    events: dict[tuple, tuple[str, ...]] = {}
     zero_filled = list(num_outcome.zero_filled)
     for key, kind, magnitude, level, denom_kind, denom_magnitude, denom_level in zip(c.record_keys(), *c[4:], *d[4:]):
         if denom_level > level:
@@ -650,7 +649,7 @@ def _quotient(
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
             cells.append((value_kind, n * denom_q / (q * denom_n), level))
         if evs:
-            events[RecordKey(*key)] = evs
+            events[key] = evs
     columns = Columns(*c[:4], *_transpose(cells, 3))
     result = Dataset(dataset.indicator, columns, num_out.edition, num_out.level)
     return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))

@@ -16,8 +16,8 @@ are deliberately *not* enforced by the constructors: dirty datasets must be
 representable so that :func:`validate_dataset` can report their problems as
 data and the cleaning stage can repair them.  Only the structural rules
 that serialization depends on are checked, once where rows enter a dataset
-from outside (parsing, reading, replaying a log); a CellValue checks its
-own cell.
+from outside (parsing, reading, replaying a log); :func:`check_cell` checks
+a single cell.
 """
 
 from __future__ import annotations
@@ -129,57 +129,16 @@ def _is_magnitude(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_data_kind(kind: CellKind) -> bool:
-    # Identity tests: `in DATA_KINDS` would hash the member through the
-    # pure-Python `Enum.__hash__` on every cell.
-    return kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE
-
-
 def check_cell(kind: CellKind, magnitude: object, uncertainty: object) -> None:
     """Raise unless a data kind carries a finite magnitude and a marker kind none."""
-    if _is_data_kind(kind):
+    # Identity tests: `in DATA_KINDS` would hash the member through the pure-Python `Enum.__hash__`.
+    if kind is CellKind.COUNT or kind is CellKind.RATE or kind is CellKind.PERCENTAGE:
         if not _is_magnitude(magnitude):
             raise ArdkitError(f"{kind.value} cell needs a finite numeric magnitude, got {magnitude!r}")
     elif magnitude is not None:
         raise ArdkitError(f"{kind.value} cell must not carry a magnitude")
     if not isinstance(uncertainty, UncertaintyLevel):
         raise ArdkitError(f"bad uncertainty level {uncertainty!r}")
-
-
-@dataclass(frozen=True)
-class CellValue:
-    """A single observed value: a magnitude-bearing kind or a marker kind."""
-
-    kind: CellKind
-    magnitude: Magnitude | None
-    uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
-
-    def __post_init__(self) -> None:
-        check_cell(self.kind, self.magnitude, self.uncertainty)
-
-    @classmethod
-    def count(cls, magnitude: Magnitude, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
-        return cls(CellKind.COUNT, magnitude, uncertainty)
-
-    @classmethod
-    def rate(cls, magnitude: Magnitude, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
-        return cls(CellKind.RATE, magnitude, uncertainty)
-
-    @classmethod
-    def percentage(cls, magnitude: Magnitude, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
-        return cls(CellKind.PERCENTAGE, magnitude, uncertainty)
-
-    @classmethod
-    def suppressed(cls, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
-        return cls(CellKind.SUPPRESSED, None, uncertainty)
-
-    @classmethod
-    def missing(cls, uncertainty: UncertaintyLevel = UncertaintyLevel.LOW) -> "CellValue":
-        return cls(CellKind.MISSING, None, uncertainty)
-
-    @property
-    def is_data(self) -> bool:
-        return _is_data_kind(self.kind)
 
 
 def exact_total(magnitudes: Iterable[Magnitude]) -> Fraction:
@@ -215,27 +174,8 @@ def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> s
     return f"{region}/{calendar_year}/{age_group}/{sex}"
 
 
-class RecordKey(NamedTuple):
-    """Identity of one observation: where, when, and which population slice.
-
-    It is the (region, year, age group, sex) tuple of `Columns.record_keys`
-    with names, so it equals, and hashes as, that plain tuple.
-    """
-
-    region: str
-    calendar_year: int
-    age_group: str
-    sex: str
-
-    def describe(self) -> str:
-        return describe_key(*self)
-
-
-class StandardRecord(NamedTuple):
-    """One standardized row: a key plus its cell value."""
-
-    key: RecordKey
-    value: CellValue
+# The config schema's indicator id pattern: an id names output files, so it holds no path separator.
+_INDICATOR_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -277,6 +217,8 @@ class Indicator:
         missing = [key for key in ("id", "name", "nest_domain", "value_kind", "source_id") if key not in doc]
         if missing:
             raise ArdkitError(f"indicator document lacks {', '.join(map(repr, missing))}")
+        if not isinstance(doc["id"], str) or not _INDICATOR_ID_RE.fullmatch(doc["id"]):
+            raise ArdkitError(f"indicator id {doc['id']!r} may hold only letters, digits, '.', '_' and '-'")
         enums = {}
         enum_keys = (("nest_domain", NestDomain), ("value_kind", CellKind), ("max_uncertainty", UncertaintyLevel))
         for key, enum_cls in enum_keys:
@@ -319,7 +261,7 @@ class Columns(NamedTuple):
         return Columns(*(tuple(map(column.__getitem__, rows)) for column in self))
 
     def record_keys(self) -> Iterator[tuple[str, int, str, str]]:
-        """Each row's (region, year, age group, sex): its RecordKey as a plain tuple."""
+        """Each row's key: its (region, year, age group, sex) tuple."""
         return zip(self.region, self.year, self.age, self.sex)
 
 
@@ -330,12 +272,9 @@ EMPTY_COLUMNS = Columns((), (), (), (), (), (), ())
 class Dataset:
     """An indicator's records at one (edition, level), held as columns.
 
-    ``Dataset(indicator, records, edition, level)`` with StandardRecords in
-    the second place is the compatibility form: the records (each cell
-    checked when it was built) are transposed into columns.  The indicator's
-    ``max_uncertainty`` is set here to the worst level among the rows, so
-    every dataset states it correctly.  Two datasets are equal when their
-    indicator, columns, edition and level are.
+    The indicator's ``max_uncertainty`` is set here to the worst level among
+    the rows, so every dataset states it correctly.  Two datasets are equal
+    when their indicator, columns, edition and level are.
     """
 
     indicator: Indicator
@@ -344,29 +283,18 @@ class Dataset:
     level: GeoLevel
 
     def __post_init__(self) -> None:
-        if not isinstance(self.columns, Columns):
-            records = tuple(self.columns)
-            rows = [(*r.key, r.value.kind, r.value.magnitude, r.value.uncertainty) for r in records]
-            object.__setattr__(self, "columns", Columns.from_rows(rows))
-            self.__dict__["records"] = records  # the given records serve as the view
         worst = max(self.columns.uncertainty, default=UncertaintyLevel.LOW)
         if worst != self.indicator.max_uncertainty:
             object.__setattr__(self, "indicator", replace(self.indicator, max_uncertainty=worst))
 
-    @cached_property
-    def records(self) -> tuple[StandardRecord, ...]:
-        """The rows as StandardRecord objects, built on first use.
+    @property
+    def records(self) -> tuple[tuple, ...]:
+        """The (region, year, age, sex, kind, magnitude, uncertainty) rows; `Columns.from_rows` inverts it.
 
-        A convenience view for callers outside the stages: it costs three
-        objects per row, so the stages read `columns` instead.
+        Built anew on each read.  The stages read `columns`; this view stays
+        only for the benchmark tracer, which counts a result's rows with it.
         """
-        return tuple(
-            StandardRecord(RecordKey(region, year, age, sex), CellValue(kind, magnitude, uncertainty))
-            for region, year, age, sex, kind, magnitude, uncertainty in zip(*self.columns)
-        )
-
-    def with_records(self, records: Iterable[StandardRecord]) -> "Dataset":
-        return replace(self, columns=tuple(records))
+        return tuple(zip(*self.columns))
 
     def with_columns(self, columns: Columns) -> "Dataset":
         return replace(self, columns=columns)

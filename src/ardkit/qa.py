@@ -25,7 +25,6 @@ from .model import (
     KEY_COLUMNS,
     CellKind,
     Dataset,
-    RecordKey,
     UncertaintyLevel,
     Vocabulary,
     V_DUPLICATE_KEY,
@@ -280,16 +279,16 @@ def _emptied_findings(dataset: Dataset, context: QAContext) -> list[Finding]:
 
 def assign_uncertainty(
     dataset: Dataset,
-    provenance: Mapping[RecordKey, Sequence[str]],
+    provenance: Mapping[tuple[str, int, str, str], Sequence[str]],
 ) -> Dataset:
     """Set each record's level from the events that touched it.
 
     High for unreconstructable values, medium for discarded sub-threshold
     contributions or gap-filled missing inputs, low otherwise.  A level a
-    record already carries is never lowered.  `provenance` is keyed by
-    RecordKey or the plain key tuple, which are equal; a record whose key is
-    absent had no events.  Rows keep their order.  When no level
-    rises, the result holds the input's own `columns` object.
+    record already carries is never lowered.  `provenance` is keyed by the
+    (region, year, age group, sex) tuple; a record whose key is absent had
+    no events.  Rows keep their order.  When no level rises, the result
+    holds the input's own `columns` object.
     """
     by_key = {key: set(events) for key, events in provenance.items() if events}
     c = dataset.columns

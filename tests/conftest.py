@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,14 +11,14 @@ from ardkit.correspondence import CorrespondenceEdge, CorrespondenceTable
 from ardkit.model import (
     BoundaryEdition,
     CellKind,
-    CellValue,
+    Columns,
     Dataset,
     GeoLevel,
     Indicator,
     NestDomain,
-    RecordKey,
-    StandardRecord,
+    UncertaintyLevel,
     canonical_sort,
+    check_cell,
 )
 
 E2011 = BoundaryEdition.ASGS2011
@@ -43,19 +44,42 @@ def make_indicator(
     )
 
 
-def make_record(code, value, year=2016, age="0-4", sex="male"):
-    return StandardRecord(RecordKey(code, year, age, sex), value)
+def cell(kind, magnitude=None, uncertainty=UncertaintyLevel.LOW):
+    """A checked (kind, magnitude, uncertainty) cell."""
+    check_cell(kind, magnitude, uncertainty)
+    return kind, magnitude, uncertainty
+
+
+count = partial(cell, CellKind.COUNT)
+rate = partial(cell, CellKind.RATE)
+percentage = partial(cell, CellKind.PERCENTAGE)
+
+
+def suppressed(uncertainty=UncertaintyLevel.LOW):
+    return cell(CellKind.SUPPRESSED, None, uncertainty)
+
+
+def missing(uncertainty=UncertaintyLevel.LOW):
+    return cell(CellKind.MISSING, None, uncertainty)
+
+
+def make_row(code, value, year=2016, age="0-4", sex="male"):
+    """A (region, year, age, sex, kind, magnitude, uncertainty) row holding the cell `value`."""
+    return (code, year, age, sex, *value)
+
+
+def make_dataset(rows, *, indicator=None, edition=E2016, level=SA3):
+    """A dataset holding `rows` in their order."""
+    return Dataset(indicator or make_indicator(), Columns.from_rows(list(rows)), edition, level)
 
 
 def make_counts(cells, *, edition=E2016, level=SA3, indicator=None, year=2016, age="0-4", sex="male"):
-    """Build a count dataset from {code: magnitude-or-CellValue}."""
-    indicator = indicator or make_indicator()
-    records = []
-    for code, value in cells.items():
-        if not isinstance(value, CellValue):
-            value = CellValue.count(value)
-        records.append(make_record(code, value, year=year, age=age, sex=sex))
-    return canonical_sort(Dataset(indicator, tuple(records), edition, level))
+    """Build a count dataset from {code: magnitude-or-cell}."""
+    rows = [
+        make_row(code, value if isinstance(value, tuple) else count(value), year=year, age=age, sex=sex)
+        for code, value in cells.items()
+    ]
+    return canonical_sort(make_dataset(rows, indicator=indicator, edition=edition, level=level))
 
 
 def make_table(edges, *, level=SA3, from_edition=E2011, to_edition=E2016):

@@ -53,7 +53,12 @@ def report(name: str, started: float, budget: float) -> None:
 
 
 def magnitudes(dataset):
-    return {r.key.region: r.value.magnitude for r in dataset.records}
+    return dict(zip(dataset.columns.region, dataset.columns.magnitude))
+
+
+def cells_by_code(dataset):
+    """{region: (kind, magnitude, uncertainty)}."""
+    return dict(zip(dataset.columns.region, zip(*dataset.columns[4:])))
 
 
 def test_worked_correspondence_cases():
@@ -89,9 +94,9 @@ def test_worked_correspondence_cases():
     )
     later = make_counts({"C": 95, "D": 60, "E": 50}, edition=E2016)
     rebuilt, _ = backward(later, low_share, POLICY)
-    by_code = {r.key.region: r.value for r in rebuilt.records}
-    assert by_code["A"].magnitude == 95.0
-    assert by_code["A"].uncertainty is UncertaintyLevel.MEDIUM
+    _, magnitude, level = cells_by_code(rebuilt)["A"]
+    assert magnitude == 95.0
+    assert level is UncertaintyLevel.MEDIUM
 
     # Shared ratio 0.5: suppressed.
     high_share = make_table(
@@ -99,9 +104,9 @@ def test_worked_correspondence_cases():
     )
     later = make_counts({"C": 50, "D": 100, "E": 50}, edition=E2016)
     rebuilt, _ = backward(later, high_share, POLICY)
-    by_code = {r.key.region: r.value for r in rebuilt.records}
-    assert by_code["A"].kind is CellKind.SUPPRESSED
-    assert by_code["A"].uncertainty is UncertaintyLevel.HIGH
+    kind, _, level = cells_by_code(rebuilt)["A"]
+    assert kind is CellKind.SUPPRESSED
+    assert level is UncertaintyLevel.HIGH
     report("worked correspondence cases", started, 1.0)
 
 
@@ -111,10 +116,10 @@ def test_mass_conservation_200_random_tables():
     for _ in range(200):
         table, sources = random_table(rng, max_regions=50)
         data = random_counts(rng, sources)
-        total_in = sum(r.value.magnitude for r in data.records)
+        total_in = sum(data.columns.magnitude)
 
         out, outcome = forward(data, table)
-        total_out = sum(r.value.magnitude for r in out.records)
+        total_out = sum(out.columns.magnitude)
         assert abs(total_out - total_in) <= 1e-9 * max(1.0, abs(total_in))
 
         exact = oracle.forward(oracle.cells(data), table)
@@ -135,9 +140,9 @@ def test_round_trip_100_split_only_tables():
         # Double precision rebuilds the same cells to within rounding.
         later, _ = forward(data, table)
         doubled, _ = backward(later, table, POLICY)
-        assert [r.key for r in doubled.records] == [r.key for r in data.records]
-        for got, want in zip(doubled.records, data.records):
-            assert abs(got.value.magnitude - want.value.magnitude) <= 1e-9 * max(1.0, want.value.magnitude)
+        assert doubled.columns[:4] == data.columns[:4]
+        for got, want in zip(doubled.columns.magnitude, data.columns.magnitude):
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
     report("round trip on 100 split-only tables", started, 10.0)
 
 
@@ -161,7 +166,7 @@ def test_suppression_safety_and_idempotence():
 def test_uncertainty_semantics():
     started = time.monotonic()
     dataset = make_counts({"A": 10, "B": 11, "C": 12, "D": 13})
-    keys = {r.key.region: r.key for r in dataset.records}
+    keys = {key[0]: key for key in dataset.columns.record_keys()}
     provenance = {
         keys["A"]: (),
         keys["B"]: (EVENT_SUBTHRESHOLD_DISCARD,),
@@ -169,11 +174,11 @@ def test_uncertainty_semantics():
         keys["D"]: (EVENT_BACKWARD_SUPPRESSED,),
     }
     assigned = assign_uncertainty(dataset, provenance)
-    levels = {r.key.region: int(r.value.uncertainty) for r in assigned.records}
+    levels = {region: int(level) for region, level in zip(assigned.columns.region, assigned.columns.uncertainty)}
     assert levels == {"A": 0, "B": 1, "C": 1, "D": 2}
 
     filtered, removal_log = filter_high_uncertainty(assigned)
-    assert {r.key.region for r in filtered.records} == {"A", "B", "C"}
+    assert set(filtered.columns.region) == {"A", "B", "C"}
     assert list(removal_log.removed_keys) == [keys["D"]]
     assert filtered.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
     report("uncertainty level semantics and high-level removal", started, 5.0)

@@ -19,9 +19,9 @@ from ardkit.cleaning import (
     replay,
 )
 from ardkit.errors import CleaningError
-from ardkit.model import CellKind, CellValue
+from ardkit.model import CellKind
 
-from conftest import make_counts, make_record
+from conftest import count, make_counts, make_dataset, make_row, missing, suppressed
 
 
 DEFAULT = CleaningRuleSet()
@@ -31,7 +31,7 @@ class TestFieldRepairs:
     def test_whitespace_normalization_strips_code(self):
         dataset = make_counts({" 10102 ": 4})
         cleaned, log = clean(dataset, DEFAULT)
-        assert cleaned.records[0].key.region == "10102"
+        assert cleaned.columns.region[0] == "10102"
         entry = log.entries[0]
         assert entry.field == "geography.code"
         assert entry.before == " 10102 " and entry.after == "10102"
@@ -40,7 +40,7 @@ class TestFieldRepairs:
         dataset = make_counts({"a1": 4})
         rules = CleaningRuleSet(code_case_fold=True)
         cleaned, log = clean(dataset, rules)
-        assert cleaned.records[0].key.region == "A1"
+        assert cleaned.columns.region[0] == "A1"
         assert any(e.rule == "code-case-fold" for e in log.entries)
 
     def test_two_digit_year_coercion(self):
@@ -48,13 +48,17 @@ class TestFieldRepairs:
         fixture = {16: 2016, 5: 2005, 99: 2099, 2016: 2016}
         rules = CleaningRuleSet(year_format_coercions=("YY->2000+YY",))
         for raw_year, expected in fixture.items():
-            dataset = make_counts({}).with_records([make_record("A", CellValue.count(1), year=raw_year)])
+            dataset = make_dataset([make_row("A", count(1), year=raw_year)])
             cleaned, _ = clean(dataset, rules)
-            assert cleaned.records[0].key.calendar_year == expected
+            assert cleaned.columns.year[0] == expected
 
     def test_unsupported_pattern_rejected(self):
         with pytest.raises(CleaningError, match="pattern"):
             CleaningRuleSet(year_format_coercions=("add-some",))
+        # The base is ASCII digits, and nothing follows the pattern, not even a line end.
+        for pattern in ("YY->２０００+YY", "YY->2000+YY\n"):
+            with pytest.raises(CleaningError, match="pattern"):
+                CleaningRuleSet(year_format_coercions=(pattern,))
         # Only one pattern can apply to a year, so a second one is refused, not ignored.
         with pytest.raises(CleaningError, match="at most one year coercion pattern"):
             CleaningRuleSet.from_json({"year_format_coercions": ["YY->2000+YY", "YY->1900+YY"]})
@@ -66,10 +70,7 @@ class TestFieldRepairs:
 
 class TestDedupe:
     def duplicated(self):
-        record = make_record("A", CellValue.count(3))
-        other = make_record("A", CellValue.count(5))
-        single = make_record("B", CellValue.count(7))
-        return make_counts({}).with_records([record, other, single])
+        return make_dataset([make_row("A", count(3)), make_row("A", count(5)), make_row("B", count(7))])
 
     def test_error_policy_is_fatal_and_lists_keys(self):
         with pytest.raises(CleaningError, match="A/2016/0-4/male"):
@@ -78,7 +79,7 @@ class TestDedupe:
     def test_keep_first(self):
         rules = CleaningRuleSet(dedupe_policy=DedupePolicy.KEEP_FIRST)
         cleaned, log = clean(self.duplicated(), rules)
-        values = {r.key.region: r.value.magnitude for r in cleaned.records}
+        values = dict(zip(cleaned.columns.region, cleaned.columns.magnitude))
         assert values == {"A": 3, "B": 7}
         drops = [e for e in log.entries if e.op == "drop"]
         assert len(drops) == 1 and drops[0].reason == "replicated entry removed"
@@ -87,53 +88,45 @@ class TestDedupe:
         rules = CleaningRuleSet(dedupe_policy=DedupePolicy.SUM)
         source = self.duplicated()
         cleaned, _ = clean(source, rules)
-        values = {r.key.region: r.value.magnitude for r in cleaned.records}
+        values = dict(zip(cleaned.columns.region, cleaned.columns.magnitude))
         assert values == {"A": 8, "B": 7}
-        total_in = sum(r.value.magnitude for r in source.records if r.value.is_data)
-        total_out = sum(r.value.magnitude for r in cleaned.records if r.value.is_data)
+        total_in = sum(m for m in source.columns.magnitude if m is not None)
+        total_out = sum(m for m in cleaned.columns.magnitude if m is not None)
         assert total_in == total_out
 
     def test_sum_with_missing_duplicate_excludes_missing_mass(self):
-        records = [
-            make_record("A", CellValue.count(3)),
-            make_record("A", CellValue.missing()),
-        ]
-        dataset = make_counts({}).with_records(records)
+        dataset = make_dataset([make_row("A", count(3)), make_row("A", missing())])
         cleaned, _ = clean(dataset, CleaningRuleSet(dedupe_policy=DedupePolicy.SUM))
-        assert cleaned.records[0].value.magnitude == 3
+        assert cleaned.columns.magnitude[0] == 3
 
     def test_sum_with_suppressed_duplicate_taints(self):
-        records = [
-            make_record("A", CellValue.count(3)),
-            make_record("A", CellValue.suppressed()),
-        ]
-        dataset = make_counts({}).with_records(records)
+        dataset = make_dataset([make_row("A", count(3)), make_row("A", suppressed())])
         cleaned, _ = clean(dataset, CleaningRuleSet(dedupe_policy=DedupePolicy.SUM))
-        assert cleaned.records[0].value.kind is CellKind.SUPPRESSED
+        assert cleaned.columns.kind[0] is CellKind.SUPPRESSED
 
 
 class TestMissingPolicy:
     def test_drop_row(self):
-        dataset = make_counts({"A": CellValue.missing(), "B": CellValue.count(1)})
+        dataset = make_counts({"A": missing(), "B": count(1)})
         rules = CleaningRuleSet(missing_policy=MissingPolicy.DROP_ROW)
         cleaned, log = clean(dataset, rules)
-        assert [r.key.region for r in cleaned.records] == ["B"]
+        assert cleaned.columns.region == ("B",)
         assert any(e.rule == "missing-drop" for e in log.entries)
 
     def test_keep_as_missing_default(self):
-        dataset = make_counts({"A": CellValue.missing()})
+        dataset = make_counts({"A": missing()})
         cleaned, _ = clean(dataset, DEFAULT)
-        assert cleaned.records[0].value.kind is CellKind.MISSING
+        assert cleaned.columns.kind[0] is CellKind.MISSING
 
 
-DIRTY_RECORDS = st.lists(
+DIRTY_ROWS = st.lists(
     st.builds(
-        make_record,
+        make_row,
         st.sampled_from(["R1", "r1", " R1", "R1 ", "R  1", "r 1", "R2"]),
         st.one_of(
-            st.integers(0, 50).map(CellValue.count),
-            st.just(CellValue.missing()),
-            st.just(CellValue.suppressed()),
+            st.integers(0, 50).map(count),
+            st.just(missing()),
+            st.just(suppressed()),
         ),
         year=st.sampled_from([2016, 16, 2017, 17, 99, 0]),
         age=st.sampled_from(["0-4", " 0-4", "5-9"]),
@@ -154,13 +147,12 @@ RULE_SETS = st.builds(
 
 class TestContracts:
     def messy(self):
-        records = [
-            make_record(" 10102", CellValue.count(2)),
-            make_record("10102", CellValue.count(3)),
-            make_record("10103 ", CellValue.missing()),
-            make_record("10104", CellValue.count(9), year=16),
-        ]
-        return make_counts({}).with_records(records)
+        return make_dataset([
+            make_row(" 10102", count(2)),
+            make_row("10102", count(3)),
+            make_row("10103 ", missing()),
+            make_row("10104", count(9), year=16),
+        ])
 
     RULES = CleaningRuleSet(
         dedupe_policy=DedupePolicy.SUM,
@@ -267,7 +259,7 @@ class TestContracts:
 
     def test_unfixable_violation_is_fatal(self):
         # A negative count is not a declared mechanical repair.
-        dataset = make_counts({}).with_records([make_record("A", CellValue.count(-1))])
+        dataset = make_dataset([make_row("A", count(-1))])
         with pytest.raises(CleaningError, match="negative"):
             clean(dataset, DEFAULT)
 
@@ -275,14 +267,14 @@ class TestContracts:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_clean_deterministic_and_idempotent_on_random_data(self, seed):
         rng = random.Random(seed)
-        records = []
+        rows = []
         for i in range(rng.randint(0, 25)):
             code = rng.choice([f"R{i}", f" R{i}", f"R{i % 3}"])
             value = rng.choice(
-                [CellValue.count(rng.randint(0, 50)), CellValue.missing()]
+                [count(rng.randint(0, 50)), missing()]
             )
-            records.append(make_record(code, value, year=rng.choice([2016, 17])))
-        dataset = make_counts({}).with_records(records)
+            rows.append(make_row(code, value, year=rng.choice([2016, 17])))
+        dataset = make_dataset(rows)
         rules = CleaningRuleSet(
             dedupe_policy=DedupePolicy.SUM,
             year_format_coercions=("YY->2000+YY",),
@@ -294,10 +286,10 @@ class TestContracts:
         assert again == first and empty_log.entries == ()
 
     @settings(max_examples=200, deadline=None)
-    @given(DIRTY_RECORDS, RULE_SETS)
-    def test_replaying_the_log_reproduces_the_cleaned_dataset(self, records, rules):
+    @given(DIRTY_ROWS, RULE_SETS)
+    def test_replaying_the_log_reproduces_the_cleaned_dataset(self, rows, rules):
         # The paper's "fully replayable" change log, on random dirty data and rule sets.
-        raw = make_counts({}).with_records(records)
+        raw = make_dataset(rows)
         try:
             cleaned, log = clean(raw, rules)
         except CleaningError:
@@ -306,11 +298,11 @@ class TestContracts:
         assert replay(raw, CleaningLog.from_jsonl(log.to_jsonl())) == cleaned
 
     @settings(max_examples=200, deadline=None)
-    @given(DIRTY_RECORDS, RULE_SETS)
-    def test_clean_is_a_fixed_point_after_one_pass(self, records, rules):
+    @given(DIRTY_ROWS, RULE_SETS)
+    def test_clean_is_a_fixed_point_after_one_pass(self, rows, rules):
         # One pass of the clean/QA loop already reaches its fixed point.
         try:
-            once, _ = clean(make_counts({}).with_records(records), rules)
+            once, _ = clean(make_dataset(rows), rules)
         except CleaningError:
             assume(False)
         twice, second_log = clean(once, rules)

@@ -6,6 +6,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,11 +31,26 @@ from ardkit.correspondence import (
 )
 from ardkit.errors import CorrespondenceError, RouteError
 from ardkit.jsonio import canonical_dumps
-from ardkit.model import BoundaryEdition, CellKind, CellValue, Columns, Dataset, UncertaintyLevel, canonical_sort
+from ardkit.model import BoundaryEdition, CellKind, Columns, Dataset, UncertaintyLevel, canonical_sort, check_cell
 from ardkit.qa import assign_uncertainty
 
 import oracle
-from conftest import E2011, E2016, E2021, SA3, make_counts, make_indicator, make_record, make_table
+from conftest import (
+    E2011,
+    E2016,
+    E2021,
+    SA3,
+    count,
+    make_counts,
+    make_dataset,
+    make_indicator,
+    make_row,
+    make_table,
+    missing,
+    percentage,
+    rate,
+    suppressed,
+)
 from tabgen import random_counts, random_table
 
 E2006 = BoundaryEdition.ASGS2006
@@ -54,21 +70,28 @@ def dense_oracle(values: dict[str, float], table) -> dict[str, float]:
 
 
 def magnitudes(dataset) -> dict[str, object]:
-    return {r.key.region: r.value.magnitude for r in dataset.records}
+    return dict(zip(dataset.columns.region, dataset.columns.magnitude))
 
 
-def cells(dataset) -> dict[str, object]:
-    return {r.key.region: r.value for r in dataset.records}
+class Cell(NamedTuple):
+    kind: CellKind
+    magnitude: object
+    uncertainty: UncertaintyLevel
+
+
+def cells(dataset) -> dict[str, Cell]:
+    """{region: its cell}, for datasets of one stratum."""
+    return dict(zip(dataset.columns.region, map(Cell, *dataset.columns[4:])))
 
 
 def make_strata(cells_by_year, *, edition=E2016, indicator=None):
-    """A dataset over several strata from {year: {code: magnitude-or-CellValue}}."""
-    records = [
-        record
+    """A dataset over several strata from {year: {code: magnitude-or-cell}}."""
+    rows = [
+        make_row(code, value if isinstance(value, tuple) else count(value), year=year)
         for year, cells in cells_by_year.items()
-        for record in make_counts(cells, edition=edition, indicator=indicator, year=year).records
+        for code, value in cells.items()
     ]
-    return canonical_sort(Dataset(indicator or make_indicator(), tuple(records), edition, SA3))
+    return canonical_sort(make_dataset(rows, indicator=indicator, edition=edition))
 
 
 def assert_matches_oracle(dataset, outcome, want: oracle.Converted):
@@ -83,7 +106,7 @@ def assert_matches_oracle(dataset, outcome, want: oracle.Converted):
         else:
             assert float(got_magnitude) == pytest.approx(float(magnitude), rel=1e-9, abs=1e-9), key
     assert all(type(m) is float for m in dataset.columns.magnitude if m is not None)
-    assert {(k.region, k.calendar_year, k.age_group, k.sex): evs for k, evs in outcome.events.items()} == want.events
+    assert dict(outcome.events) == want.events
     assert sorted(outcome.zero_filled) == sorted(want.zero_filled)
 
 
@@ -173,7 +196,7 @@ class TestForward:
         assert out.level is data.level
 
     def test_suppressed_input_taints_targets(self):
-        data = make_counts({"A": CellValue.suppressed(), "B": 10}, edition=E2011)
+        data = make_counts({"A": suppressed(), "B": 10}, edition=E2011)
         table = make_table([("A", "C", "0.5"), ("A", "D", "0.5"), ("B", "D", "1")])
         out, outcome = forward(data, table)
         by_code = cells(out)
@@ -183,7 +206,7 @@ class TestForward:
         assert not outcome.conserving
 
     def test_missing_input_zero_fills_with_medium(self):
-        data = make_counts({"A": CellValue.missing(), "B": 10}, edition=E2011)
+        data = make_counts({"A": missing(), "B": 10}, edition=E2011)
         table = make_table([("A", "C", "0.5"), ("A", "D", "0.5"), ("B", "D", "1")])
         out, outcome = forward(data, table)
         by_code = cells(out)
@@ -192,7 +215,7 @@ class TestForward:
         assert by_code["C"].magnitude == 0.0
         assert outcome.conserving
         assert outcome.zero_filled
-        key = next(k for k in outcome.events if k.region == "D")
+        key = next(k for k in outcome.events if k[0] == "D")
         assert outcome.events[key] == (EVENT_ZERO_FILL,)
 
     def test_region_missing_from_table_is_fatal(self):
@@ -209,7 +232,7 @@ class TestForward:
 
     def test_rate_without_denominator_is_fatal(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        data = make_counts({"A": CellValue.rate(5.0)}, edition=E2011, indicator=indicator)
+        data = make_counts({"A": rate(5.0)}, edition=E2011, indicator=indicator)
         table = make_table([("A", "B", "1")])
         with pytest.raises(CorrespondenceError, match="counts only"):
             forward(data, table)
@@ -219,7 +242,7 @@ class TestForward:
         # into C must give the pooled rate (10*100 + 20*300) / 400 = 17.5.
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
         rates = make_counts(
-            {"A": CellValue.rate(10.0), "B": CellValue.rate(20.0)},
+            {"A": rate(10.0), "B": rate(20.0)},
             edition=E2011, indicator=indicator,
         )
         denom = make_counts({"A": 100, "B": 300}, edition=E2011)
@@ -233,7 +256,7 @@ class TestForward:
 
     def test_denominator_lacking_a_record_names_the_first(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        rates = make_counts({code: CellValue.rate(1.0) for code in "ABC"}, edition=E2011, indicator=indicator)
+        rates = make_counts({code: rate(1.0) for code in "ABC"}, edition=E2011, indicator=indicator)
         denom = make_counts({"A": 100}, edition=E2011)
         table = make_table([("A", "X", "1"), ("B", "X", "1"), ("C", "X", "1")])
         with pytest.raises(CorrespondenceError, match=r"^denominator dataset lacks a record for B/2016/0-4/male$"):
@@ -243,7 +266,7 @@ class TestForward:
 
     def test_uncertainty_propagates_as_maximum(self):
         data = make_counts(
-            {"A": CellValue.count(4, UncertaintyLevel.MEDIUM), "B": CellValue.count(6)},
+            {"A": count(4, UncertaintyLevel.MEDIUM), "B": count(6)},
             edition=E2011,
         )
         table = make_table([("A", "C", "1"), ("B", "C", "1")])
@@ -293,7 +316,7 @@ class TestBackward:
         assert magnitudes(later) == {"B": 30.0, "C": 70.0}
         rebuilt, outcome = backward(later, table, POLICY)
         assert rebuilt == original
-        assert outcome.events.get(original.records[0].key, ()) == ()
+        assert outcome.events.get(("A", 2016, "0-4", "male"), ()) == ()
 
     def test_subthreshold_shared_ratio_discards_with_medium(self):
         table = make_table(
@@ -305,7 +328,7 @@ class TestBackward:
         # A keeps only its sole target C; the 5% share into D is discarded.
         assert by_code["A"].magnitude == 95.0
         assert by_code["A"].uncertainty is UncertaintyLevel.MEDIUM
-        key = next(k for k in outcome.events if k.region == "A")
+        key = next(k for k in outcome.events if k[0] == "A")
         assert outcome.events[key] == (EVENT_SUBTHRESHOLD_DISCARD,)
         # B sent 50% into the shared target, far above the threshold.
         assert by_code["B"].kind is CellKind.SUPPRESSED
@@ -318,7 +341,7 @@ class TestBackward:
         later = make_counts({"C": 5, "D": 10, "E": 5}, edition=E2016)
         rebuilt, outcome = backward(later, table, POLICY)
         assert cells(rebuilt)["A"].kind is CellKind.SUPPRESSED
-        key = next(k for k in outcome.events if k.region == "A")
+        key = next(k for k in outcome.events if k[0] == "A")
         assert outcome.events[key] == (EVENT_BACKWARD_SUPPRESSED,)
 
     def test_threshold_boundary_defaults_to_suppression(self):
@@ -340,7 +363,7 @@ class TestBackward:
 
     def test_suppressed_sole_target_makes_region_unresolvable(self):
         table = make_table([("A", "B", "0.3"), ("A", "C", "0.7")])
-        later = make_counts({"B": CellValue.suppressed(), "C": 70}, edition=E2016)
+        later = make_counts({"B": suppressed(), "C": 70}, edition=E2016)
         rebuilt, _ = backward(later, table, POLICY)
         assert cells(rebuilt)["A"].kind is CellKind.SUPPRESSED
         assert cells(rebuilt)["A"].uncertainty is UncertaintyLevel.HIGH
@@ -348,8 +371,8 @@ class TestBackward:
     def test_zero_fill_log_is_stratum_then_source_then_sole_target_order(self):
         table = make_table([("P", "P1", "0.5"), ("P", "P2", "0.5"), ("Q", "Q1", "0.5"), ("Q", "Q2", "0.5")])
         later = make_strata({
-            2016: {"P1": 1, "P2": 2, "Q1": CellValue.missing()},
-            2017: {"P2": CellValue.missing(), "Q1": CellValue.missing(), "Q2": 5},
+            2016: {"P1": 1, "P2": 2, "Q1": missing()},
+            2017: {"P2": missing(), "Q1": missing(), "Q2": 5},
         })
         rebuilt, outcome = backward(later, table, POLICY)
         # Q's 2016 lines come before P's 2017 lines, although the sources are walked P first.
@@ -360,7 +383,7 @@ class TestBackward:
             "P/2017/0-4/male: missing value for sole target P2, counted as zero",
             "Q/2017/0-4/male: missing value for sole target Q1, counted as zero",
         )
-        assert [(r.key.region, r.key.calendar_year) for r in rebuilt.records] == [
+        assert list(zip(rebuilt.columns.region, rebuilt.columns.year)) == [
             ("P", 2016), ("P", 2017), ("Q", 2016), ("Q", 2017),
         ]
         assert_matches_oracle(rebuilt, outcome, oracle.backward(oracle.cells(later), table))
@@ -372,15 +395,16 @@ class TestBackward:
             data = random_counts(rng, sources)
             later, _ = forward(data, table)
             rebuilt, outcome = backward(later, table, POLICY)
-            for record in rebuilt.records:
-                events = outcome.events.get(record.key, ())
-                if record.value.kind is CellKind.SUPPRESSED:
+            c = rebuilt.columns
+            for key, kind, uncertainty in zip(c.record_keys(), c.kind, c.uncertainty):
+                events = outcome.events.get(key, ())
+                if kind is CellKind.SUPPRESSED:
                     assert events == (EVENT_BACKWARD_SUPPRESSED,)
                 elif events:
                     assert set(events) <= {EVENT_SUBTHRESHOLD_DISCARD}
-                    assert record.value.uncertainty is UncertaintyLevel.MEDIUM
+                    assert uncertainty is UncertaintyLevel.MEDIUM
                 else:
-                    assert record.value.uncertainty is UncertaintyLevel.LOW
+                    assert uncertainty is UncertaintyLevel.LOW
 
     def test_monotone_suppression_as_threshold_drops(self):
         rng = random.Random(11)
@@ -391,14 +415,10 @@ class TestBackward:
             low = CorrespondencePolicy(discard_threshold=Fraction(1, 100))
             high = CorrespondencePolicy(discard_threshold=Fraction(1, 10))
             suppressed_low = {
-                r.key.region
-                for r in backward(later, table, low)[0].records
-                if r.value.kind is CellKind.SUPPRESSED
+                code for code, cell in cells(backward(later, table, low)[0]).items() if cell.kind is CellKind.SUPPRESSED
             }
             suppressed_high = {
-                r.key.region
-                for r in backward(later, table, high)[0].records
-                if r.value.kind is CellKind.SUPPRESSED
+                code for code, cell in cells(backward(later, table, high)[0]).items() if cell.kind is CellKind.SUPPRESSED
             }
             assert suppressed_high <= suppressed_low
 
@@ -467,7 +487,7 @@ class TestPlanRoute:
         # B's rate on the way through 2011: (10*100 + 20*300) / 400 = 17.5.
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
         rates = make_counts(
-            {"A": CellValue.rate(10.0), "B": CellValue.rate(20.0)},
+            {"A": rate(10.0), "B": rate(20.0)},
             edition=E2006, indicator=indicator,
         )
         denom = make_counts({"A": 100, "B": 300, "E": 1000}, edition=E2006)
@@ -489,7 +509,7 @@ class TestPlanRoute:
 
     def test_rate_outcomes_keep_one_entry_per_step(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        rates = make_counts({"A": CellValue.rate(5.0)}, edition=E2006, indicator=indicator)
+        rates = make_counts({"A": rate(5.0)}, edition=E2006, indicator=indicator)
         denom = make_counts({"A": 0}, edition=E2006)
         t1 = make_table([("A", "B", "1")], from_edition=E2006, to_edition=E2011)
         t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
@@ -514,7 +534,7 @@ class TestRateReusesConvertedDenominator:
 
     def rates_and_denominator(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        rates = make_counts({"P1": CellValue.rate(2.0), "Q1": CellValue.rate(3.0)}, indicator=indicator)
+        rates = make_counts({"P1": rate(2.0), "Q1": rate(3.0)}, indicator=indicator)
         return rates, make_counts({"P1": 0, "Q1": 50})
 
     def test_zero_denominator_lines_follow_the_numerators(self):
@@ -575,7 +595,7 @@ class TestMultiHopRates:
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
         rated = rng.sample(sources, rng.randint(1, len(sources)))
         rates = make_counts(
-            {code: CellValue.rate(rng.randint(0, 400) / 4) for code in rated},
+            {code: rate(rng.randint(0, 400) / 4) for code in rated},
             edition=E2006, indicator=indicator,
         )
         denom = make_counts({code: rng.randint(1, 1000) for code in sources}, edition=E2006)
@@ -601,14 +621,14 @@ class TestMultiHopRates:
 
         def cell(value):
             roll = rng.random()
-            return CellValue.missing() if roll < 0.05 else CellValue.suppressed() if roll < 0.1 else value
+            return missing() if roll < 0.05 else suppressed() if roll < 0.1 else value
 
         indicator = make_indicator(id="demo.percentage", value_kind=CellKind.PERCENTAGE)
         shares = make_counts(
-            {code: cell(CellValue.percentage(rng.randint(0, 400) / 4)) for code in targets},
+            {code: cell(percentage(rng.randint(0, 400) / 4)) for code in targets},
             edition=E2016, indicator=indicator,
         )
-        denom = make_counts({code: cell(CellValue.count(rng.choice([0, rng.randint(1, 1000)]))) for code in targets})
+        denom = make_counts({code: cell(count(rng.choice([0, rng.randint(1, 1000)]))) for code in targets})
         tables = {(E2011, E2016): table}
         out, (outcome,) = execute_plan(
             shares, plan_route(E2016, E2011, tables), tables, POLICY, denominator=denom,
@@ -631,11 +651,11 @@ class TestOutcomeSerialization:
         assert back.events == dict(outcome.events)
 
     def test_only_keys_with_events_are_kept(self):
-        data = make_counts({"A": CellValue.missing(), "B": 10, "E": 4}, edition=E2011)
+        data = make_counts({"A": missing(), "B": 10, "E": 4}, edition=E2011)
         table = make_table([("A", "C", "0.5"), ("A", "D", "0.5"), ("B", "D", "1"), ("E", "F", "1")])
         out, outcome = forward(data, table)
-        assert [r.key.region for r in out.records] == ["C", "D", "F"]
-        assert {k.region: evs for k, evs in outcome.events.items()} == {
+        assert out.columns.region == ("C", "D", "F")
+        assert {key[0]: evs for key, evs in outcome.events.items()} == {
             "C": (EVENT_ZERO_FILL,), "D": (EVENT_ZERO_FILL,),
         }
         summary, ledger = outcomes_report([outcome])
@@ -688,7 +708,7 @@ class TestRationalRates:
     def test_identity_rate_conversion_is_exact(self):
         # The oracle's numerator count 0.1 x 3 stays exact, so dividing by 3 gives 0.1 back.
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        rates = make_counts({"A": CellValue.rate(0.1)}, edition=E2011, indicator=indicator)
+        rates = make_counts({"A": rate(0.1)}, edition=E2011, indicator=indicator)
         denom = make_counts({"A": 3}, edition=E2011)
         table = make_table([("A", "A", "1")])
         exact = oracle.rate_route(
@@ -736,16 +756,16 @@ class TestDoubleArithmeticBits:
         st.floats(min_value=0, max_value=1e6, allow_nan=False),
         st.floats(min_value=1e-3, max_value=1e9, allow_nan=False) | st.integers(1, 10**9),
     )
-    def test_rate_route_matches_fraction_formulas(self, ratio, rate, population):
+    def test_rate_route_matches_fraction_formulas(self, ratio, value, population):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        rates = make_counts({"A": CellValue.rate(rate)}, edition=E2011, indicator=indicator)
+        rates = make_counts({"A": rate(value)}, edition=E2011, indicator=indicator)
         denom = make_counts({"A": population}, edition=E2011)
         table = make_table([("A", "B", ratio), ("A", "C", 1 - ratio)])
         tables = {(E2011, E2016): table}
         out, _ = execute_plan(
             rates, plan_route(E2011, E2016, tables), tables, POLICY, denominator=denom,
         )
-        numerator = old_double_product(Fraction(rate), population)
+        numerator = old_double_product(Fraction(value), population)
         for code, share in (("B", ratio), ("C", 1 - ratio)):
             expected = old_double_quotient(
                 old_double_product(share, numerator), old_double_product(share, population)
@@ -759,15 +779,16 @@ STRATA = ((2016, "0-4", "female"), (2016, "0-4", "male"), (2017, "5-9", "male"))
 
 def scattered(rng, dataset, holes=0.05):
     """`dataset` with about `holes` of its rows dropped, missing or suppressed, and mixed uncertainty."""
-    records = []
+    rows = []
     for region, year, age, sex, kind, magnitude, _ in zip(*dataset.columns):
         if kind is CellKind.COUNT and rng.random() < holes:
             kind, magnitude = rng.choice([None, CellKind.MISSING, CellKind.SUPPRESSED]), None
             if kind is None:
                 continue
-        value = CellValue(kind, magnitude, rng.choice(LEVELS))
-        records.append(make_record(region, value, year=year, age=age, sex=sex))
-    return canonical_sort(dataset.with_records(records))
+        level = rng.choice(LEVELS)
+        check_cell(kind, magnitude, level)
+        rows.append((region, year, age, sex, kind, magnitude, level))
+    return canonical_sort(dataset.with_columns(Columns.from_rows(rows)))
 
 
 class TestOracleAgreesAtScale:
@@ -776,12 +797,12 @@ class TestOracleAgreesAtScale:
     def test_double_matches_oracle(self, seed):
         rng = random.Random(seed)
         table, sources = random_table(rng, max_regions=2000)
-        records = [
-            make_record(code, CellValue.count(rng.choice([rng.randint(0, 10_000), rng.random() * 1e4])),
-                        year=year, age=age, sex=sex)
+        rows = [
+            make_row(code, count(rng.choice([rng.randint(0, 10_000), rng.random() * 1e4])),
+                     year=year, age=age, sex=sex)
             for code in sources for year, age, sex in rng.sample(STRATA, rng.randint(2, len(STRATA)))
         ]
-        data = scattered(rng, make_counts({}, edition=E2011).with_records(records))
+        data = scattered(rng, make_dataset(rows, edition=E2011))
         later, outcome = forward(data, table)
         assert_matches_oracle(later, outcome, oracle.forward(oracle.cells(data), table))
         assert outcome.conserving is not any(kind is CellKind.SUPPRESSED for kind in later.columns.kind)
@@ -810,17 +831,16 @@ class TestDoublePathBuildsNoFractionPerRecord:
         table = make_table(edges)
         rng = random.Random(3)
         strata = [(year, age, sex) for year in (2014, 2015, 2016) for age in ("0-4", "5-9") for sex in ("f", "m")]
-        records = [
-            make_record(code, CellValue.count(rng.randint(0, 500)), year=year, age=age, sex=sex)
+        data = make_dataset((
+            make_row(code, count(rng.randint(0, 500)), year=year, age=age, sex=sex)
             for code in codes for year, age, sex in strata
-        ]
-        data = make_counts({}, edition=E2011).with_records(records)
+        ), edition=E2011)
         monkeypatch.setattr("ardkit.correspondence.Fraction", CountingFraction)
         later, _ = forward(data, table)
         after_forward = CountingFraction.made
         rebuilt, _ = backward(later, table, POLICY)
         after_backward = CountingFraction.made - after_forward
-        assert len(data.records) == 2400 and len(table.edges) == 267
+        assert len(data.columns.region) == 2400 and len(table.edges) == 267
         assert after_forward <= len(table.edges)
         assert after_backward <= len(table.edges)
         assert magnitudes(rebuilt) == magnitudes(data)
@@ -1026,23 +1046,23 @@ class TestEventLedger:
     def dataset(self, rng, codes, edition, make_value, indicator=None):
         def cell():
             roll = rng.random()
-            return CellValue.missing() if roll < 0.1 else CellValue.suppressed() if roll < 0.2 else make_value()
+            return missing() if roll < 0.1 else suppressed() if roll < 0.2 else make_value()
 
-        records = tuple(make_record(code, cell(), *stratum) for code in codes for stratum in self.STRATA)
-        return canonical_sort(Dataset(indicator or make_indicator(), records, edition, SA3))
+        rows = [make_row(code, cell(), *stratum) for code in codes for stratum in self.STRATA]
+        return canonical_sort(make_dataset(rows, indicator=indicator, edition=edition))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["forward", "backward", "rate"]))
     def test_ledger_gives_assign_uncertainty_the_same_events(self, seed, route):
         rng = random.Random(seed)
-        count = lambda: CellValue.count(rng.randint(0, 500))  # noqa: E731
+        random_count = lambda: count(rng.randint(0, 500))  # noqa: E731
         if route == "rate":  # two forward hops, so the ledger holds two steps
             sources = [f"S{i:03d}" for i in range(rng.randint(1, 8))]
             t1, middle = random_hop(rng, sources, "M", E2006, E2011)
             t2, _ = random_hop(rng, middle, "T", E2011, E2016)
-            rate = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-            rates = self.dataset(rng, sources, E2006, lambda: CellValue.rate(rng.randint(0, 400) / 4), rate)
-            denominator = self.dataset(rng, sources, E2006, count)
+            rate_indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+            rates = self.dataset(rng, sources, E2006, lambda: rate(rng.randint(0, 400) / 4), rate_indicator)
+            denominator = self.dataset(rng, sources, E2006, random_count)
             tables = {(E2006, E2011): t1, (E2011, E2016): t2}
             out, outcomes = execute_plan(
                 rates, plan_route(E2006, E2016, tables), tables, POLICY,
@@ -1051,10 +1071,10 @@ class TestEventLedger:
         else:
             table, sources = random_table(rng, max_regions=20)
             if route == "forward":
-                out, outcome = forward(self.dataset(rng, sources, E2011, count), table)
+                out, outcome = forward(self.dataset(rng, sources, E2011, random_count), table)
             else:
                 targets = sorted({edge.target for edge in table.edges})
-                out, outcome = backward(self.dataset(rng, targets, E2016, count), table, POLICY)
+                out, outcome = backward(self.dataset(rng, targets, E2016, random_count), table, POLICY)
             outcomes = (outcome,)
         summary, ledger = outcomes_report(outcomes)
         read = OutcomeSummary.from_json(json.loads(canonical_dumps(summary))).outcomes(ledger)

@@ -23,9 +23,9 @@ from ardkit.docs import (
 )
 from ardkit.errors import DocsError
 from ardkit.jsonio import canonical_dumps, load_schema
-from ardkit.model import CellValue, UncertaintyLevel
+from ardkit.model import UncertaintyLevel
 
-from conftest import make_counts, make_indicator, make_record
+from conftest import count, make_counts, make_dataset, make_indicator, make_row
 
 FULL_CONFIG = {
     "metadata": {
@@ -51,11 +51,7 @@ FULL_CONFIG = {
 
 class TestMetadata:
     def dataset(self):
-        records = [
-            make_record("A", CellValue.count(1), year=2006),
-            make_record("A", CellValue.count(2), year=2022),
-        ]
-        return make_counts({}).with_records(records)
+        return make_dataset([make_row("A", count(1), year=2006), make_row("A", count(2), year=2022)])
 
     def test_auto_coverage_fields(self):
         doc = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG)
@@ -65,7 +61,7 @@ class TestMetadata:
 
     def test_auto_fields_match_independent_recomputation(self):
         dataset = self.dataset()
-        years = sorted({r.key.calendar_year for r in dataset.records})
+        years = sorted(set(dataset.columns.year))
         expected = f"{years[0]}–{years[-1]}"
         assert coverage_summary(dataset)[1] == expected
 

@@ -45,6 +45,14 @@ def test_unused_import_is_reported():
     ]
 
 
+def test_every_export_resolves_and_the_record_classes_are_gone():
+    import ardkit.model
+
+    assert [name for name in ardkit.__all__ if not hasattr(ardkit, name)] == []
+    gone = ("CellValue", "RecordKey", "StandardRecord")
+    assert [f"{m.__name__}.{name}" for m in (ardkit, ardkit.model) for name in gone if hasattr(m, name)] == []
+
+
 def records_reads(source: str) -> list[str]:
     """Lines that read an attribute named `records`."""
     tree = ast.parse(source)
@@ -61,7 +69,7 @@ NOT_MODEL = sorted(p for p in Path(ardkit.__file__).parent.rglob("*.py") if p.na
 
 @pytest.mark.parametrize("path", NOT_MODEL, ids=[p.stem for p in NOT_MODEL])
 def test_stages_do_not_read_the_records_view(path):
-    # `Dataset.records` builds one object triple per row; the stages read `columns`.
+    # `Dataset.records` builds a tuple per row on every read; the stages read `columns`.
     assert records_reads(path.read_text(encoding="utf-8")) == []
 
 
@@ -259,7 +267,6 @@ KEPT_DATACLASSES = {
     "ardkit.ingest.ParseReport": FIELD_OPTION,
     "ardkit.ingest.SchemaMapping": VALIDATES,
     "ardkit.ingest.SourceDescriptor": VALIDATES,
-    "ardkit.model.CellValue": VALIDATES,
     "ardkit.model.Dataset": VALIDATES,
     "ardkit.model.Indicator": VALIDATES,
     "ardkit.pipeline.PipelineConfig": REPLACED,

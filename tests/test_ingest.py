@@ -93,7 +93,7 @@ class TestParseLong:
             "10103,2016,0-4,male,7\n"
         )
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
-        assert len(dataset.records) == 3
+        assert len(dataset.columns.region) == 3
         assert report.rows_in == 3
         assert report.records_out == 3
         assert report.rejects == ()
@@ -103,7 +103,7 @@ class TestParseLong:
     def test_declared_missing_token(self, count_indicator):
         raw = "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,2016,0-4,male,n.p.\n"
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
-        assert dataset.records[0].value.kind is CellKind.MISSING
+        assert dataset.columns.kind[0] is CellKind.MISSING
         assert report.rejects == ()
 
     def test_malformed_rows_reported_never_dropped_silently(self, count_indicator):
@@ -141,7 +141,7 @@ class TestParseLong:
     def test_repeated_unbound_column_is_allowed(self, count_indicator):
         raw = "SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,NOTE,NOTE\n10102,2016,0-4,male,10,a,b\n"
         dataset, report = parse_raw(raw, LONG_MAPPING, count_indicator)
-        assert [r.value.magnitude for r in dataset.records] == [10]
+        assert dataset.columns.magnitude == (10,)
         assert report.rejects == ()
 
     def test_undecodable_bytes_fatal_with_offset(self, count_indicator):
@@ -183,7 +183,7 @@ class TestParseLong:
         first, _ = parse_raw(raw, LONG_MAPPING, count_indicator)
         second, _ = parse_raw(raw, LONG_MAPPING, count_indicator)
         assert write_csv(first) == write_csv(second)
-        codes = [r.key.region for r in first.records]
+        codes = list(first.columns.region)
         assert codes == sorted(codes)
 
 
@@ -213,10 +213,7 @@ class TestParseWide:
             ("10103", 2016): 7,
             ("10103", 2017): 8,
         }
-        got = {
-            (r.key.region, r.key.calendar_year): r.value.magnitude
-            for r in dataset.records
-        }
+        got = dict(zip(zip(dataset.columns.region, dataset.columns.year), dataset.columns.magnitude))
         assert got == expected
         assert report.rows_in == 4
         assert report.records_out == 4
@@ -224,14 +221,14 @@ class TestParseWide:
     def test_row_level_problem_rejects_all_logical_rows(self, count_indicator):
         raw = "SA3CODE_16,AGE_GROUP,SEX,2016,2017\n,0-4,male,5,6\n"
         dataset, report = parse_raw(raw, self.MAPPING, count_indicator)
-        assert len(dataset.records) == 0
+        assert len(dataset.columns.region) == 0
         assert report.rows_in == 2
         assert len(report.rejects) == 2
 
     def test_cell_level_problem_rejects_one_logical_row(self, count_indicator):
         raw = "SA3CODE_16,AGE_GROUP,SEX,2016,2017\n10102,0-4,male,bad,6\n"
         dataset, report = parse_raw(raw, self.MAPPING, count_indicator)
-        assert len(dataset.records) == 1
+        assert len(dataset.columns.region) == 1
         assert len(report.rejects) == 1
 
 
@@ -249,7 +246,7 @@ def test_row_conservation_property(seed):
     dataset, report = parse_raw("\n".join(lines) + "\n", LONG_MAPPING, make_indicator())
     assert report.rows_in == rows
     assert report.records_out + len(report.rejects) == report.rows_in
-    assert report.records_out == len(dataset.records) == len(lineage_rows(report))
+    assert report.records_out == len(dataset.columns.region) == len(lineage_rows(report))
 
 
 class TestDetect:

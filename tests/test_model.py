@@ -17,12 +17,10 @@ from ardkit.model import (
     CSV_COLUMNS,
     BoundaryEdition,
     CellKind,
-    CellValue,
     Columns,
     Dataset,
     EMPTY_COLUMNS,
     GeoLevel,
-    RecordKey,
     UncertaintyLevel,
     V_KIND,
     V_NEGATIVE,
@@ -30,7 +28,9 @@ from ardkit.model import (
     Violation,
     Vocabulary,
     canonical_sort,
+    check_cell,
     csv_rows,
+    describe_key,
     exact_total,
     _token_problem,
     format_magnitude,
@@ -42,7 +42,18 @@ from ardkit.model import (
     write_csv,
 )
 
-from conftest import E2016, SA3, make_counts, make_indicator, make_record
+from conftest import (
+    E2016,
+    SA3,
+    count,
+    make_counts,
+    make_dataset,
+    make_indicator,
+    make_row,
+    missing,
+    percentage,
+    suppressed,
+)
 
 
 class TestEnums:
@@ -66,15 +77,6 @@ class TestEnums:
         assert parse_geography_column("SA3CODE_99") is None
 
 
-class TestRecordKey:
-    def test_equals_and_hashes_as_the_plain_tuple(self):
-        key, plain = RecordKey("A", 2016, "0-4", "male"), ("A", 2016, "0-4", "male")
-        assert key == plain and hash(key) == hash(plain)
-        assert {plain: "found"}[key] == {key: "found"}[plain] == "found"
-        assert (key.region, key.calendar_year, key.age_group, key.sex) == plain
-        assert key.describe() == "A/2016/0-4/male"
-
-
 class TestDatasetIndicator:
     def test_stale_indicator_states_the_rows_worst_level(self):
         stale = make_indicator(max_uncertainty=UncertaintyLevel.HIGH)
@@ -88,23 +90,25 @@ class TestDatasetIndicator:
 
 
 class TestCellValue:
+    """A cell is a (kind, magnitude, uncertainty) triple that `check_cell` accepts."""
+
     def test_marker_kinds_carry_no_magnitude(self):
         with pytest.raises(ArdkitError):
-            CellValue(CellKind.SUPPRESSED, 3.0)
+            check_cell(CellKind.SUPPRESSED, 3.0, UncertaintyLevel.LOW)
         with pytest.raises(ArdkitError):
-            CellValue(CellKind.COUNT, None)
+            check_cell(CellKind.COUNT, None, UncertaintyLevel.LOW)
 
     def test_nan_rejected(self):
         with pytest.raises(ArdkitError):
-            CellValue.count(float("nan"))
+            check_cell(CellKind.COUNT, float("nan"), UncertaintyLevel.LOW)
 
     def test_fractional_counts_permitted(self):
-        assert CellValue.count(2.5).magnitude == 2.5
+        assert count(2.5) == (CellKind.COUNT, 2.5, UncertaintyLevel.LOW)
 
     def test_fraction_magnitude_rejected(self):
         # Magnitudes are ints or doubles; exact rationals stay in the test oracle.
         with pytest.raises(ArdkitError, match="finite numeric magnitude"):
-            CellValue.count(Fraction(1, 2))
+            check_cell(CellKind.COUNT, Fraction(1, 2), UncertaintyLevel.LOW)
 
     def test_format_magnitude(self):
         assert format_magnitude(30.0) == "30"
@@ -120,23 +124,21 @@ class TestValidateDataset:
         assert validate_dataset(dataset) == []
 
     def test_duplicate_key_reported_at_both_rows(self):
-        record = make_record("A", CellValue.count(1))
-        dataset = make_counts({}).with_records([record, record])
+        row = make_row("A", count(1))
+        dataset = make_dataset([row, row])
         violations = validate_dataset(dataset)
         assert [v.rule for v in violations] == ["duplicate-key", "duplicate-key"]
         assert {v.row for v in violations} == {0, 1}
 
     def test_percentage_out_of_range(self):
         indicator = make_indicator(id="demo.pct", value_kind=CellKind.PERCENTAGE)
-        dataset = make_counts({}, indicator=indicator).with_records(
-            [make_record("A", CellValue.percentage(120.0))]
-        )
+        dataset = make_dataset([make_row("A", percentage(120.0))], indicator=indicator)
         violations = validate_dataset(dataset)
         assert [v.rule for v in violations] == ["percentage-range"]
         assert "120" in violations[0].message
 
     def test_negative_count(self):
-        dataset = make_counts({}).with_records([make_record("A", CellValue.count(-3))])
+        dataset = make_dataset([make_row("A", count(-3))])
         assert [v.rule for v in validate_dataset(dataset)] == ["negative-count"]
 
     def test_unstripped_token(self):
@@ -150,10 +152,7 @@ class TestValidateDataset:
         assert [v.rule for v in violations] == ["vocabulary"]
 
     def test_sorting_never_masks_violations(self):
-        record = make_record("B", CellValue.count(-1))
-        dataset = make_counts({"A": 1}).with_records(
-            [*make_counts({"A": 1}).records, record]
-        )
+        dataset = make_dataset([make_row("A", count(1)), make_row("B", count(-1))])
         before = {(v.rule, v.message) for v in validate_dataset(dataset)}
         after = {(v.rule, v.message) for v in validate_dataset(canonical_sort(dataset))}
         assert before == after
@@ -211,24 +210,24 @@ class TestValidateCellsPerColumn:
 class TestCanonicalSort:
     def test_sorts_and_is_idempotent(self):
         dataset = make_counts({"B": 2, "A": 1, "C": 3})
-        reversed_ds = dataset.with_records(tuple(reversed(dataset.records)))
+        reversed_ds = dataset.with_columns(Columns(*(column[::-1] for column in dataset.columns)))
         sorted_once = canonical_sort(reversed_ds)
-        assert [r.key.region for r in sorted_once.records] == ["A", "B", "C"]
+        assert sorted_once.columns.region == ("A", "B", "C")
         assert canonical_sort(sorted_once) == sorted_once
 
     def test_shuffled_copies_serialize_identically(self):
         dataset = make_counts({f"R{i}": i for i in range(20)})
         rng = random.Random(3)
-        records = list(dataset.records)
-        rng.shuffle(records)
-        shuffled = dataset.with_records(records)
+        order = list(range(20))
+        rng.shuffle(order)
+        shuffled = dataset.with_columns(dataset.columns.take(order))
         assert write_csv(canonical_sort(shuffled)) == write_csv(canonical_sort(dataset))
 
 
 class TestCsvRoundTrip:
     def test_header_and_markers(self):
         dataset = make_counts(
-            {"A": CellValue.count(5), "B": CellValue.suppressed(), "C": CellValue.missing()}
+            {"A": count(5), "B": suppressed(), "C": missing()}
         )
         text = write_csv(dataset)
         lines = text.splitlines()
@@ -256,24 +255,22 @@ class TestCsvRoundTrip:
         )
     )
     def test_cell_values_round_trip_losslessly(self, rows):
-        records = []
-        for i, (code, magnitude, level) in enumerate(rows):
+        built = []
+        for code, magnitude, level in rows:
             if magnitude is None:
-                value = CellValue.missing(level)
+                value = missing(level)
             elif magnitude == "S":
-                value = CellValue.suppressed(level)
+                value = suppressed(level)
             else:
-                value = CellValue.count(magnitude, level)
-            records.append(make_record(f"R{code:03d}", value))
-        dataset = canonical_sort(make_counts({}).with_records(records))
-        back = read_csv(write_csv(dataset), dataset.indicator)
-        assert len(back.records) == len(dataset.records)
-        for got, want in zip(back.records, dataset.records):
-            assert got.key == want.key
-            assert got.value.kind is want.value.kind
-            assert got.value.uncertainty is want.value.uncertainty
-            if want.value.is_data:
-                assert float(got.value.magnitude) == float(want.value.magnitude)
+                value = count(magnitude, level)
+            built.append(make_row(f"R{code:03d}", value))
+        dataset = canonical_sort(make_dataset(built))
+        got, want = read_csv(write_csv(dataset), dataset.indicator).columns, dataset.columns
+        assert got[:4] == want[:4]
+        assert got.kind == want.kind
+        assert got.uncertainty == want.uncertainty
+        as_float = [None if m is None else float(m) for m in want.magnitude]
+        assert [None if m is None else float(m) for m in got.magnitude] == as_float
 
 
     def test_oversized_field_is_an_error_naming_its_line(self):
@@ -306,16 +303,14 @@ def csv_writer_rendering(dataset):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([geography_column(dataset.level, dataset.edition), *CSV_COLUMNS])
-    for record in dataset.records:
-        value = record.value
-        if value.kind is CellKind.SUPPRESSED:
+    for region, year, age, sex, kind, magnitude, uncertainty in zip(*dataset.columns):
+        if kind is CellKind.SUPPRESSED:
             rendered = "S"
-        elif value.kind is CellKind.MISSING:
+        elif kind is CellKind.MISSING:
             rendered = ""
         else:
-            rendered = format_magnitude(value.magnitude)
-        key = record.key
-        writer.writerow([key.region, key.calendar_year, key.age_group, key.sex, rendered, int(value.uncertainty)])
+            rendered = format_magnitude(magnitude)
+        writer.writerow([region, year, age, sex, rendered, int(uncertainty)])
     return out.getvalue()
 
 
@@ -328,15 +323,15 @@ LEVELS = st.sampled_from(list(UncertaintyLevel))
 
 def cells(magnitudes):
     return st.one_of(
-        st.tuples(magnitudes, LEVELS).map(lambda t: CellValue.count(*t)),
-        LEVELS.map(CellValue.suppressed),
-        LEVELS.map(CellValue.missing),
+        st.tuples(magnitudes, LEVELS).map(lambda t: count(*t)),
+        LEVELS.map(suppressed),
+        LEVELS.map(missing),
     )
 
 
 def datasets(tokens, magnitudes):
-    record = st.builds(make_record, tokens, cells(magnitudes), year=st.integers(-3000, 3000), age=tokens, sex=tokens)
-    return st.lists(record, max_size=25).map(lambda records: make_counts({}).with_records(records))
+    row = st.builds(make_row, tokens, cells(magnitudes), year=st.integers(-3000, 3000), age=tokens, sex=tokens)
+    return st.lists(row, max_size=25).map(make_dataset)
 
 
 class TestWriteCsvQuoting:
@@ -370,15 +365,29 @@ class TestWriteCsvQuoting:
     def test_lines_joined_a_chunk_at_a_time(self, rows):
         # Tokens that need quoting and every cell kind fall on both sides of each chunk boundary.
         tokens = ["a", 'q"x', "a,b", "r\nn", "A/2016"]
-        values = [CellValue.count(7), CellValue.suppressed(), CellValue.missing(UncertaintyLevel.HIGH)]
-        records = [
-            make_record(tokens[i % 5], values[i % 3], year=2000 + i % 7, age=tokens[i % 3], sex=tokens[i % 4])
+        values = [count(7), suppressed(), missing(UncertaintyLevel.HIGH)]
+        dataset = make_dataset(
+            make_row(tokens[i % 5], values[i % 3], year=2000 + i % 7, age=tokens[i % 3], sex=tokens[i % 4])
             for i in range(rows)
-        ]
-        dataset = make_counts({}).with_records(records)
+        )
         text = write_csv(dataset)
         assert text == csv_writer_rendering(dataset)
         assert len(list(csv.reader(io.StringIO(text)))) == rows + 1
+
+
+class TestRows:
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(ANY_TOKEN, st.integers(min_value=-(10**20), max_value=10**20)))
+    def test_from_rows_inverts_the_records_view(self, dataset):
+        assert Columns.from_rows(dataset.records) == dataset.columns
+
+    def test_records_are_plain_rows(self):
+        dataset = make_dataset([make_row("A", count(5)), make_row("B", suppressed(UncertaintyLevel.HIGH), year=2011)])
+        assert dataset.records == (
+            ("A", 2016, "0-4", "male", CellKind.COUNT, 5, UncertaintyLevel.LOW),
+            ("B", 2011, "0-4", "male", CellKind.SUPPRESSED, None, UncertaintyLevel.HIGH),
+        )
+        assert [describe_key(*key) for key in dataset.columns.record_keys()] == ["A/2016/0-4/male", "B/2011/0-4/male"]
 
 
 class TestExactTotal:
@@ -414,18 +423,18 @@ class TestRoundCounts:
     def test_totals_preserved_per_stratum(self):
         dataset = make_counts({"A": 10.4, "B": 20.4, "C": 30.2})
         rounded = round_counts(dataset)
-        values = [r.value.magnitude for r in rounded.records]
+        values = rounded.columns.magnitude
         assert all(isinstance(v, int) for v in values)
         assert sum(values) == 61  # round(61.0)
 
     def test_largest_remainders_win(self):
         dataset = make_counts({"A": 1.7, "B": 1.7, "C": 1.6})
         rounded = round_counts(dataset)
-        by_code = {r.key.region: r.value.magnitude for r in rounded.records}
+        by_code = dict(zip(rounded.columns.region, rounded.columns.magnitude))
         assert sum(by_code.values()) == 5
         assert by_code["C"] == 1  # smallest remainder floors
 
     def test_integers_unchanged(self):
         dataset = make_counts({"A": 5, "B": 0})
         rounded = round_counts(dataset)
-        assert {r.key.region: r.value.magnitude for r in rounded.records} == {"A": 5, "B": 0}
+        assert dict(zip(rounded.columns.region, rounded.columns.magnitude)) == {"A": 5, "B": 0}

@@ -17,7 +17,7 @@ import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
 from ardkit.errors import ConfigError
 from ardkit.jsonio import load_schema, sha256_hex
-from ardkit.model import BoundaryEdition, CellKind, csv_rows
+from ardkit.model import _INDICATOR_ID_RE, BoundaryEdition, CellKind
 from ardkit.pipeline import load_config, load_tables, run
 
 from projectgen import build_demo_project
@@ -1089,44 +1089,21 @@ class TestFinalRender:
 
 
 class TestRunBuildsNoRecordObjects:
-    """`run` works on columns: no per-record objects are built on its path.
+    """`run` works on columns: it never reads the `Dataset.records` row view.
 
-    Counting subclasses replace the three record classes wherever an ardkit
-    module binds them.  A RecordKey may be built only for a key that has a
-    correspondence event; every other row stays a column entry.
+    A correspondence event is keyed by the plain (region, year, age group,
+    sex) tuple, not by an object built for it.
     """
 
     def run_counting(self, config_path, out, monkeypatch):
         import dataclasses
 
         import ardkit.correspondence
-        from ardkit.model import CellValue, RecordKey, StandardRecord
+        from ardkit.model import Dataset
 
-        made = {"StandardRecord": 0, "CellValue": 0}
-        keys = []
-
-        class CountingStandardRecord(StandardRecord):
-            def __init__(self, *args, **kwargs):
-                made["StandardRecord"] += 1
-                super().__init__(*args, **kwargs)
-
-        class CountingCellValue(CellValue):
-            def __init__(self, *args, **kwargs):
-                made["CellValue"] += 1
-                super().__init__(*args, **kwargs)
-
-        class CountingRecordKey(RecordKey):
-            def __new__(cls, *args, **kwargs):
-                key = super().__new__(cls, *args, **kwargs)
-                keys.append(tuple(key))
-                return key
-
-        counting = {StandardRecord: CountingStandardRecord, CellValue: CountingCellValue, RecordKey: CountingRecordKey}
-        for name, module in list(sys.modules.items()):
-            if name == "ardkit" or name.startswith("ardkit."):
-                for attr, value in list(vars(module).items()):
-                    if isinstance(value, type) and value in counting:
-                        monkeypatch.setattr(module, attr, counting[value])
+        reads = []
+        view = Dataset.records.fget
+        monkeypatch.setattr(Dataset, "records", property(lambda dataset: reads.append(1) or view(dataset)))
 
         conversions = []
         for op in ("forward", "backward"):
@@ -1140,22 +1117,14 @@ class TestRunBuildsNoRecordObjects:
             monkeypatch.setattr(ardkit.correspondence, op, recording)
         config = dataclasses.replace(load_config(config_path), output_dir=out)
         assert run(config).exit_code in (0, 1)
-        reported = [
-            (region, int(year), age, sex)
-            for path in sorted((out / "reports").glob("*.correspondence.ledger.csv"))
-            for region, year, age, sex, *_ in csv_rows(path.read_text())
-            if year != "CALENDAR_YEAR"
-        ]
-        with_events = [tuple(key) for outcome in conversions for key in outcome.events] + reported
-        return made, keys, with_events
+        return reads, [key for outcome in conversions for key in outcome.events]
 
     @pytest.mark.parametrize("rate", [False, True], ids=["demo", "rate-and-backward"])
     def test_no_record_objects(self, tmp_path, monkeypatch, rate):
         config_path = build_demo_project(tmp_path / "proj", rate=rate)
-        made, keys, with_events = self.run_counting(config_path, tmp_path / "out", monkeypatch)
-        assert made == {"StandardRecord": 0, "CellValue": 0}
-        assert keys and set(keys) <= set(with_events)
-        assert len(keys) <= len(with_events)
+        reads, keys = self.run_counting(config_path, tmp_path / "out", monkeypatch)
+        assert reads == []
+        assert keys and {type(key) for key in keys} == {tuple}
 
 
 class TestOnePassPerFact:
@@ -1293,6 +1262,55 @@ class TestBadCliInputs:
         argv = [tmp_path / arg if arg.endswith((".csv", ".json")) else arg for arg in argv]
         assert self.main(*argv, "--data", data, "--indicator", indicator) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "ind.json", "table.csv"]
+
+    def test_sidecar_id_cannot_escape_the_output_directory(self, demo_project, tmp_path, capsys):
+        # The id names the metadata files, so a path in it would write outside --out.
+        data, indicator = self.files(tmp_path, id="../../escaped")
+        out = tmp_path / "out" / "docs"
+        assert self.main("emit-docs", "--config", demo_project, "--data", data, "--indicator", indicator, "--out", out) == 2
+        message = "indicator id '../../escaped' may hold only letters, digits, '.', '_' and '-'"
+        assert f"error: {indicator}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*escaped*")) == []
+        # One rule for a sidecar and a config: the config schema's id pattern.
+        indicator_item = load_schema("config.schema.json")["properties"]["indicators"]["items"]
+        assert indicator_item["properties"]["id"]["pattern"] == f"^{_INDICATOR_ID_RE.pattern}$"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["clean", "--coverage", "２０１１:2016", "--out-data", "o.csv", "--log", "l.jsonl"],
+             "error: bad coverage '２０１１:2016'; expected START:END"),
+            (["qa", "--coverage", "2011:２０１６", "--report", "r.json"],
+             "error: bad coverage '2011:２０１６'; expected START:END"),
+            (["correspond", "--to-edition", "2016", "--table", "２０１１:2016:table.csv", "--out-data", "o.csv"],
+             "error: bad --table spec '２０１１:2016:table.csv'; expected FROM:TO:PATH"),
+            (["correspond", "--to-edition", "２０１６", "--table", "2011:2016:table.csv", "--out-data", "o.csv"],
+             "argument --to-edition: invalid integer value: '２０１６'"),
+            (["clean", "--max-iterations", "１０", "--out-data", "o.csv", "--log", "l.jsonl"],
+             "argument --max-iterations: invalid integer value: '１０'"),
+            (["suppress", "--threshold", "５", "--out-data", "o.csv"], "argument --threshold: invalid integer value: '５'"),
+            (["suppress", "--noise-magnitude", "2", "--seed", "７", "--out-data", "o.csv"],
+             "argument --seed: invalid integer value: '７'"),
+            (["suppress", "--noise-magnitude", "2_0", "--seed", "7", "--out-data", "o.csv"],
+             "argument --noise-magnitude: invalid integer value: '2_0'"),
+            (["validate-table", "--table", "table.csv", "--level", "SA3", "--from-edition", "２０１１",
+              "--to-edition", "2016"], "argument --from-edition: invalid integer value: '２０１１'"),
+        ],
+        ids=["clean-coverage", "qa-coverage", "table-spec", "to-edition", "max-iterations", "threshold", "seed",
+             "noise-magnitude", "validate-table"],
+    )
+    def test_integer_is_ascii_decimal_exit_2(self, tmp_path, capsys, argv, message):
+        data, indicator = self.files(tmp_path)
+        argv = [tmp_path / arg if arg.endswith((".csv", ".json", ".jsonl")) and ":" not in arg else arg for arg in argv]
+        if argv[0] != "validate-table":
+            argv += ["--data", data, "--indicator", indicator]
+        try:
+            code = self.main(*argv)
+        except SystemExit as exc:  # argparse refuses the flag
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "ind.json", "table.csv"]
 
     def test_emit_docs_states_the_data_level_over_a_stale_sidecar(self, demo_project, tmp_path):

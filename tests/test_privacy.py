@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ardkit.errors import PrivacyError
-from ardkit.model import CellKind, CellValue, UncertaintyLevel, write_csv
+from ardkit.model import CellKind, UncertaintyLevel, write_csv
 from ardkit.privacy import (
     SuppressionPolicy,
     randomize,
     suppress,
 )
 
-from conftest import make_counts, make_indicator, make_record
+from conftest import count, make_counts, make_dataset, make_indicator, make_row, missing, rate, suppressed
 
 POLICY = SuppressionPolicy()
 
@@ -23,28 +23,28 @@ class TestSuppress:
     def test_small_count_suppressed(self):
         dataset = make_counts({"A": 3})
         out, log = suppress(dataset, POLICY)
-        assert out.records[0].value.kind is CellKind.SUPPRESSED
+        assert out.columns.kind[0] is CellKind.SUPPRESSED
         assert log.total == 1
 
     def test_threshold_value_kept(self):
         dataset = make_counts({"A": 5})
         out, _ = suppress(dataset, POLICY)
-        assert out.records[0].value.magnitude == 5
+        assert out.columns.magnitude[0] == 5
 
     def test_zero_kept_by_default(self):
         dataset = make_counts({"A": 0})
         out, log = suppress(dataset, POLICY)
-        assert out.records[0].value.magnitude == 0
+        assert out.columns.magnitude[0] == 0
         assert log.total == 0
 
     def test_zero_suppressed_when_configured(self):
         dataset = make_counts({"A": 0})
         out, _ = suppress(dataset, SuppressionPolicy(suppress_zero=True))
-        assert out.records[0].value.kind is CellKind.SUPPRESSED
+        assert out.columns.kind[0] is CellKind.SUPPRESSED
 
     def test_nothing_hidden_keeps_the_input_columns(self):
         # A stale indicator level is still refreshed.
-        dataset = make_counts({"A": 0, "B": 5, "C": CellValue.count(9, UncertaintyLevel.MEDIUM)})
+        dataset = make_counts({"A": 0, "B": 5, "C": count(9, UncertaintyLevel.MEDIUM)})
         out, log = suppress(dataset, POLICY)
         assert log.total == 0
         assert out.columns is dataset.columns
@@ -69,7 +69,7 @@ class TestSuppress:
 
     def test_non_count_kind_is_fatal(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
-        dataset = make_counts({"A": CellValue.rate(2.0)}, indicator=indicator)
+        dataset = make_counts({"A": rate(2.0)}, indicator=indicator)
         with pytest.raises(PrivacyError, match="count"):
             suppress(dataset, POLICY)
 
@@ -90,9 +90,9 @@ class TestSuppress:
         dataset = make_counts(cells)
         policy = SuppressionPolicy(threshold=threshold)
         once, _ = suppress(dataset, policy)
-        for record in once.records:
-            if record.value.kind is CellKind.COUNT:
-                assert not (0 < record.value.magnitude < threshold)
+        for kind, magnitude in zip(once.columns.kind, once.columns.magnitude):
+            if kind is CellKind.COUNT:
+                assert not (0 < magnitude < threshold)
         twice, second_log = suppress(once, policy)
         assert twice == once
         assert second_log.total == 0
@@ -120,8 +120,8 @@ def old_suppress(dataset, policy):
 
 
 SUPPRESSION_CELLS = st.sampled_from(
-    [CellValue.count(m) for m in (0, 0.0, -0.0, 1, 1.0, 4, 4.999, 5, 5.0, 5.5, 7, 2.5)]
-    + [CellValue.rate(3.0), CellValue.missing(), CellValue.suppressed()]
+    [count(m) for m in (0, 0.0, -0.0, 1, 1.0, 4, 4.999, 5, 5.0, 5.5, 7, 2.5)]
+    + [rate(3.0), missing(), suppressed()]
 )
 
 
@@ -133,10 +133,7 @@ class TestSuppressDecidesOncePerMagnitude:
         st.booleans(),
     )
     def test_equals_the_row_by_row_decision(self, cells, threshold, suppress_zero):
-        records = [
-            make_record(f"R{i:02d}", value, year=int(year)) for i, (year, value) in enumerate(cells)
-        ]
-        dataset = make_counts({}).with_records(records)
+        dataset = make_dataset(make_row(f"R{i:02d}", value, year=int(year)) for i, (year, value) in enumerate(cells))
         policy = SuppressionPolicy(threshold=threshold, suppress_zero=suppress_zero)
         out, log = suppress(dataset, policy)
         kinds, magnitudes, strata, total = old_suppress(dataset, policy)
@@ -160,20 +157,20 @@ class TestRandomize:
         dataset = make_counts({"A": 1})
         for seed in range(40):
             out = randomize(dataset, 3, seed=seed)
-            assert out.records[0].value.magnitude >= 0
+            assert out.columns.magnitude[0] >= 0
 
     def test_negative_noise_magnitude_fatal(self):
         with pytest.raises(PrivacyError):
             randomize(make_counts({"A": 1}), -1, seed=0)
 
     def test_markers_untouched(self):
-        dataset = make_counts({"A": CellValue.suppressed(), "B": CellValue.missing()})
+        dataset = make_counts({"A": suppressed(), "B": missing()})
         out = randomize(dataset, 5, seed=3)
-        kinds = {r.key.region: r.value.kind for r in out.records}
+        kinds = dict(zip(out.columns.region, out.columns.kind))
         assert kinds == {"A": CellKind.SUPPRESSED, "B": CellKind.MISSING}
 
     def test_noise_bounded_by_magnitude(self):
         dataset = make_counts({"A": 100})
         for seed in range(30):
             out = randomize(dataset, 2, seed=seed)
-            assert 98 <= out.records[0].value.magnitude <= 102
+            assert 98 <= out.columns.magnitude[0] <= 102

@@ -20,7 +20,6 @@ from ardkit.errors import ConvergenceError
 from ardkit.jsonio import canonical_dumps
 from ardkit.model import (
     CellKind,
-    CellValue,
     UncertaintyLevel,
     Vocabulary,
 )
@@ -43,51 +42,65 @@ from ardkit.qa import (
     run_rules,
 )
 
-from conftest import E2011, E2016, SA3, make_counts, make_indicator, make_record
+from conftest import (
+    E2011,
+    E2016,
+    SA3,
+    count,
+    make_counts,
+    make_dataset,
+    make_indicator,
+    make_row,
+    percentage,
+    suppressed,
+)
+
+
+def key_of(dataset, i):
+    """Row i's (region, year, age group, sex) key."""
+    return list(dataset.columns.record_keys())[i]
 
 
 def fault_fixtures():
     """One seeded-fault dataset/context pair per built-in rule."""
     fixtures = {}
 
-    dataset = make_counts({"A": 10}).with_records(
-        [make_record("A", CellValue.count(10), sex="unknown")]
-    )
+    dataset = make_dataset([make_row("A", count(10), sex="unknown")])
     fixtures[RULE_SCHEMA] = (
         dataset,
         QAContext(vocabulary=Vocabulary(sexes=frozenset({"male", "female"}))),
     )
 
-    record = make_record("A", CellValue.count(1))
-    fixtures[RULE_DUPLICATES] = (make_counts({}).with_records([record, record]), QAContext())
+    row = make_row("A", count(1))
+    fixtures[RULE_DUPLICATES] = (make_dataset([row, row]), QAContext())
 
     fixtures[RULE_NEGATIVE] = (
-        make_counts({}).with_records([make_record("A", CellValue.count(-2))]),
+        make_dataset([make_row("A", count(-2))]),
         QAContext(),
     )
 
     pct = make_indicator(id="demo.pct", value_kind=CellKind.PERCENTAGE)
     fixtures[RULE_PERCENTAGE] = (
-        make_counts({}, indicator=pct).with_records([make_record("A", CellValue.percentage(120.0))]),
+        make_dataset([make_row("A", percentage(120.0))], indicator=pct),
         QAContext(),
     )
 
-    records = [
-        make_record("A", CellValue.count(5), year=2016),
-        make_record("A", CellValue.count(6), year=2018),
+    rows = [
+        make_row("A", count(5), year=2016),
+        make_row("A", count(6), year=2018),
     ]
     fixtures[RULE_COVERAGE] = (
-        make_counts({}).with_records(records),
+        make_dataset(rows),
         QAContext(coverage=(2016, 2018)),
     )
 
     members = {
-        "total": CellValue.count(20),
-        "male": CellValue.count(17),
-        "female": CellValue.suppressed(),
+        "total": count(20),
+        "male": count(17),
+        "female": suppressed(),
     }
-    records = [make_record("A", value, sex=sex) for sex, value in members.items()]
-    fixtures[RULE_RECOVERABLE] = (make_counts({}).with_records(records), QAContext())
+    rows = [make_row("A", value, sex=sex) for sex, value in members.items()]
+    fixtures[RULE_RECOVERABLE] = (make_dataset(rows), QAContext())
 
     fixtures[RULE_CONSERVATION] = (
         make_counts({"A": 90}),
@@ -123,11 +136,11 @@ class TestRunRules:
         assert not other_errors, f"unexpected extra findings: {other_errors}"
 
     def test_interior_year_gap_message(self):
-        records = [
-            make_record("A", CellValue.count(5), year=2016),
-            make_record("A", CellValue.count(6), year=2018),
+        rows = [
+            make_row("A", count(5), year=2016),
+            make_row("A", count(6), year=2018),
         ]
-        report = run_rules(make_counts({}).with_records(records), QAContext(coverage=(2016, 2018)))
+        report = run_rules(make_dataset(rows), QAContext(coverage=(2016, 2018)))
         assert [f.message for f in report.findings] == ["temporal coverage gap: 2017"]
         assert report.findings[0].severity is Severity.WARNING
         assert report.exit_code() == 1
@@ -139,10 +152,10 @@ class TestRunRules:
 
     def test_read_only_and_deterministic(self):
         dataset, context = fault_fixtures()[RULE_RECOVERABLE]
-        before = dataset.records
+        before = dataset.columns
         first = run_rules(dataset, context)
         second = run_rules(dataset, context)
-        assert dataset.records == before
+        assert dataset.columns == before
         assert first == second
 
     def test_report_json_round_trip(self):
@@ -159,77 +172,77 @@ class TestRunRules:
 
     def test_recoverable_not_flagged_with_two_suppressed(self):
         members = {
-            "total": CellValue.count(20),
-            "male": CellValue.suppressed(),
-            "female": CellValue.suppressed(),
+            "total": count(20),
+            "male": suppressed(),
+            "female": suppressed(),
         }
-        records = [make_record("A", value, sex=sex) for sex, value in members.items()]
-        report = run_rules(make_counts({}).with_records(records), QAContext())
+        rows = [make_row("A", value, sex=sex) for sex, value in members.items()]
+        report = run_rules(make_dataset(rows), QAContext())
         assert report.findings == ()
 
 
 class TestAssignUncertainty:
     def test_untouched_record_stays_low(self):
         dataset = make_counts({"A": 5})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: ()})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.LOW
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): ()})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.LOW
 
     def test_subthreshold_discard_gives_medium(self):
         dataset = make_counts({"A": 5})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_SUBTHRESHOLD_DISCARD,)})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.MEDIUM
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): (EVENT_SUBTHRESHOLD_DISCARD,)})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.MEDIUM
 
     def test_zero_fill_gives_medium(self):
         dataset = make_counts({"A": 5})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_ZERO_FILL,)})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.MEDIUM
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): (EVENT_ZERO_FILL,)})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.MEDIUM
 
     def test_backward_suppression_gives_high(self):
-        dataset = make_counts({"A": CellValue.suppressed()})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_BACKWARD_SUPPRESSED,)})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.HIGH
+        dataset = make_counts({"A": suppressed()})
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): (EVENT_BACKWARD_SUPPRESSED,)})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.HIGH
 
     def test_unresolvable_gives_high(self):
         dataset = make_counts({"A": 5})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_UNRESOLVABLE,)})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.HIGH
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): (EVENT_UNRESOLVABLE,)})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.HIGH
 
     def test_existing_level_never_lowered(self):
-        dataset = make_counts({"A": CellValue.count(5, UncertaintyLevel.MEDIUM)})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: ()})
-        assert out.records[0].value.uncertainty is UncertaintyLevel.MEDIUM
+        dataset = make_counts({"A": count(5, UncertaintyLevel.MEDIUM)})
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): ()})
+        assert out.columns.uncertainty[0] is UncertaintyLevel.MEDIUM
 
     def test_missing_provenance_key_keeps_level(self):
         # An absent key had no events, like a key with an empty entry.
-        dataset = make_counts({"A": 5, "B": CellValue.count(6, UncertaintyLevel.MEDIUM)})
+        dataset = make_counts({"A": 5, "B": count(6, UncertaintyLevel.MEDIUM)})
         out = assign_uncertainty(dataset, {})
-        assert out.records == dataset.records
-        assert [r.value.uncertainty for r in out.records] == [UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM]
+        assert out.columns == dataset.columns
+        assert out.columns.uncertainty == (UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM)
 
     def test_indicator_max_uncertainty_updated(self):
         dataset = make_counts({"A": 5})
-        out = assign_uncertainty(dataset, {dataset.records[0].key: (EVENT_SUBTHRESHOLD_DISCARD,)})
+        out = assign_uncertainty(dataset, {key_of(dataset, 0): (EVENT_SUBTHRESHOLD_DISCARD,)})
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
 
     def test_no_level_raised_keeps_the_input_columns(self):
         # Events that raise nothing: none, an unknown one, or a level the record already has.
-        dataset = make_counts({"A": 5, "B": CellValue.count(6, UncertaintyLevel.MEDIUM), "C": 7})
-        a, b, c = (r.key for r in dataset.records)
+        dataset = make_counts({"A": 5, "B": count(6, UncertaintyLevel.MEDIUM), "C": 7})
+        a, b, c = dataset.columns.record_keys()
         out = assign_uncertainty(dataset, {a: (), b: (EVENT_ZERO_FILL,), c: ("other-event",)})
         assert out.columns is dataset.columns
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM  # refreshed all the same
 
     def test_plain_tuple_keys_work_like_record_keys(self):
+        # A key written out by hand finds its row as the key read from the columns does.
         dataset = make_counts({"A": 5, "B": 6})
-        key = dataset.records[1].key
-        by_record_key = assign_uncertainty(dataset, {key: (EVENT_UNRESOLVABLE,)})
-        by_tuple = assign_uncertainty(dataset, {tuple(key): (EVENT_UNRESOLVABLE,)})
+        by_record_key = assign_uncertainty(dataset, {key_of(dataset, 1): (EVENT_UNRESOLVABLE,)})
+        by_tuple = assign_uncertainty(dataset, {("B", 2016, "0-4", "male"): (EVENT_UNRESOLVABLE,)})
         assert by_tuple == by_record_key
         assert by_tuple.columns.uncertainty == (UncertaintyLevel.LOW, UncertaintyLevel.HIGH)
 
     def test_raised_level_builds_new_columns(self):
         dataset = make_counts({"A": 5, "B": 6})
-        out = assign_uncertainty(dataset, {dataset.records[1].key: (EVENT_UNRESOLVABLE,)})
+        out = assign_uncertainty(dataset, {key_of(dataset, 1): (EVENT_UNRESOLVABLE,)})
         assert out.columns is not dataset.columns
         assert dataset.columns.uncertainty == (UncertaintyLevel.LOW, UncertaintyLevel.LOW)
 
@@ -243,37 +256,37 @@ class TestFilterHighUncertainty:
         assert not log.fully_removed
 
     def test_nothing_removed_keeps_the_input_columns(self):
-        dataset = make_counts({"A": 1, "B": CellValue.count(2, UncertaintyLevel.MEDIUM)})
+        dataset = make_counts({"A": 1, "B": count(2, UncertaintyLevel.MEDIUM)})
         out, _ = filter_high_uncertainty(dataset)
         assert out.columns is dataset.columns
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM  # refreshed all the same
 
     def test_removal_builds_new_columns(self):
-        dataset = make_counts({"A": 1, "B": CellValue.count(2, UncertaintyLevel.HIGH)})
+        dataset = make_counts({"A": 1, "B": count(2, UncertaintyLevel.HIGH)})
         out, _ = filter_high_uncertainty(dataset)
         assert out.columns is not dataset.columns
         assert len(dataset.columns.region) == 2
 
     def test_removes_exactly_the_high_records(self):
-        cells = {f"R{i}": CellValue.count(i, UncertaintyLevel.HIGH if i < 2 else UncertaintyLevel.LOW) for i in range(10)}
+        cells = {f"R{i}": count(i, UncertaintyLevel.HIGH if i < 2 else UncertaintyLevel.LOW) for i in range(10)}
         dataset = make_counts(cells)
         out, log = filter_high_uncertainty(dataset)
-        assert len(out.records) == 8
+        assert len(out.columns.region) == 8
         assert len(log.removed_keys) == 2
         assert out.indicator.max_uncertainty is UncertaintyLevel.LOW
 
     def test_medium_retained_and_max_updated(self):
         dataset = make_counts(
-            {"A": CellValue.count(1, UncertaintyLevel.MEDIUM), "B": CellValue.count(2, UncertaintyLevel.HIGH)}
+            {"A": count(1, UncertaintyLevel.MEDIUM), "B": count(2, UncertaintyLevel.HIGH)}
         )
         out, _ = filter_high_uncertainty(dataset)
-        assert [r.key.region for r in out.records] == ["A"]
+        assert out.columns.region == ("A",)
         assert out.indicator.max_uncertainty is UncertaintyLevel.MEDIUM
 
     def test_fully_removed_flag(self):
-        dataset = make_counts({"A": CellValue.count(1, UncertaintyLevel.HIGH)})
+        dataset = make_counts({"A": count(1, UncertaintyLevel.HIGH)})
         out, log = filter_high_uncertainty(dataset)
-        assert out.records == ()
+        assert out.columns.region == ()
         assert log.fully_removed
         report = run_rules(out, QAContext(removed_high=len(log.removed_keys)))
         assert [f.rule_id for f in report.findings] == [RULE_EMPTIED]
@@ -281,16 +294,12 @@ class TestFilterHighUncertainty:
 
 class TestCleanQaCycle:
     def test_converges_on_messy_data(self):
-        records = [
-            make_record(" A", CellValue.count(2)),
-            make_record("A", CellValue.count(3)),
-        ]
-        dataset = make_counts({}).with_records(records)
+        dataset = make_dataset([make_row(" A", count(2)), make_row("A", count(3))])
         rules = CleaningRuleSet(dedupe_policy=DedupePolicy.SUM)
         result = clean_qa_cycle(dataset, rules)
         assert result.report.passed
         assert result.iterations <= 2
-        assert result.dataset.records[0].value.magnitude == 5
+        assert result.dataset.columns.magnitude[0] == 5
 
     def test_stable_failure_returns_without_looping(self):
         dataset = make_counts({"A": 5}, age="bad-age")
@@ -322,11 +331,10 @@ class TestCleanQaCycleChecksTheVocabulary:
     @pytest.mark.parametrize("messy", [False, True], ids=["tidy", "messy"])
     @pytest.mark.parametrize("age", ["0-4", "bad-age"])
     def test_iterations_and_outcome_as_when_every_rule_ran(self, messy, age):
-        records = [
-            make_record(" A" if messy else "A", CellValue.count(2), age=age),
-            make_record("B", CellValue.count(3), year=2019, age=age),
-        ]
-        dataset = make_counts({}).with_records(records)
+        dataset = make_dataset([
+            make_row(" A" if messy else "A", count(2), age=age),
+            make_row("B", count(3), year=2019, age=age),
+        ])
         context = QAContext(vocabulary=self.VOCABULARY, coverage=(2016, 2019))
         result = clean_qa_cycle(dataset, CleaningRuleSet(), context)
         cleaned, iterations, passed = old_clean_qa_cycle(dataset, CleaningRuleSet(), context)

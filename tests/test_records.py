@@ -6,11 +6,11 @@ import pickle
 
 from ardkit.cleaning import RULE_DEDUPE_KEEP_FIRST, RULE_WHITESPACE, CleaningEntry, CleaningLog
 from ardkit.correspondence import forward
-from ardkit.model import CellValue, UncertaintyLevel
+from ardkit.model import UncertaintyLevel
 from ardkit.pipeline import StageRecord
 from ardkit.qa import QAContext, filter_high_uncertainty, run_rules
 
-from conftest import E2011, make_counts, make_record, make_table
+from conftest import E2011, count, make_counts, make_dataset, make_row, make_table, missing
 
 
 def round_trip(record):
@@ -26,8 +26,8 @@ def test_stage_record():
 
 
 def test_qa_report_with_its_findings():
-    records = [make_record("A", CellValue.count(5), year=2016), make_record("A", CellValue.count(-2), year=2018)]
-    report = run_rules(make_counts({}).with_records(records), QAContext(coverage=(2016, 2018)))
+    rows = [make_row("A", count(5), year=2016), make_row("A", count(-2), year=2018)]
+    report = run_rules(make_dataset(rows), QAContext(coverage=(2016, 2018)))
     assert len(report.findings) == 2  # a coverage gap and a negative count
     copy = round_trip(report)
     assert [type(f) for f in copy.findings] == [type(f) for f in report.findings]
@@ -36,7 +36,7 @@ def test_qa_report_with_its_findings():
 
 def test_correspondence_outcome():
     # A missing input cell zero-fills its targets, so the outcome carries events and a zero-fill log.
-    data = make_counts({"A": CellValue.missing(), "B": 10}, edition=E2011)
+    data = make_counts({"A": missing(), "B": 10}, edition=E2011)
     _, outcome = forward(data, make_table([("A", "C", "0.5"), ("A", "D", "0.5"), ("B", "D", "1")]))
     assert outcome.events and outcome.zero_filled and outcome.output_magnitudes
     copy = round_trip(outcome)
@@ -53,7 +53,7 @@ def test_cleaning_log():
 
 
 def test_removal_log():
-    dataset = make_counts({"A": 1, "B": CellValue.count(2, UncertaintyLevel.HIGH)})
+    dataset = make_counts({"A": 1, "B": count(2, UncertaintyLevel.HIGH)})
     _, log = filter_high_uncertainty(dataset)
     assert log.removed_keys
     round_trip(log)
