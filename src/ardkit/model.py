@@ -31,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, islice
-from operator import is_not, le
+from itertools import chain, compress, islice, repeat
+from operator import is_, is_not, le
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
@@ -191,8 +191,8 @@ class Indicator:
     max_uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
 
     def __post_init__(self) -> None:
-        if not self.id or not isinstance(self.id, str):
-            raise ArdkitError("indicator id must be a non-empty string")
+        if not isinstance(self.id, str) or not _INDICATOR_ID_RE.fullmatch(self.id):
+            raise ArdkitError(f"indicator id {self.id!r} may hold only letters, digits, '.', '_' and '-'")
         if self.value_kind not in DATA_KINDS:
             raise ArdkitError(f"indicator value kind must be count/rate/percentage, got {self.value_kind}")
         if not isinstance(self.nest_domain, NestDomain):
@@ -217,8 +217,6 @@ class Indicator:
         missing = [key for key in ("id", "name", "nest_domain", "value_kind", "source_id") if key not in doc]
         if missing:
             raise ArdkitError(f"indicator document lacks {', '.join(map(repr, missing))}")
-        if not isinstance(doc["id"], str) or not _INDICATOR_ID_RE.fullmatch(doc["id"]):
-            raise ArdkitError(f"indicator id {doc['id']!r} may hold only letters, digits, '.', '_' and '-'")
         enums = {}
         enum_keys = (("nest_domain", NestDomain), ("value_kind", CellKind), ("max_uncertainty", UncertaintyLevel))
         for key, enum_cls in enum_keys:
@@ -329,6 +327,8 @@ V_TOKEN = "bad-token"
 V_VOCABULARY = "vocabulary"
 
 _FORBIDDEN_TOKEN_CHARS = (",", "\n", "\r")
+# `csv.writer` leaves a token holding none of these bare; `\r` is listed though 3.11 quotes it only where it ends lines.
+_QUOTED_CHARS = (",", '"', "\r", "\n")
 
 
 def _token_problem(token: str) -> str | None:
@@ -342,9 +342,15 @@ def _token_problem(token: str) -> str | None:
     return None
 
 
-def _per_value(column: tuple, fn) -> Iterator:
-    """fn(value) for each row's value, calling fn once per distinct value."""
-    results = {value: fn(value) for value in set(column)}
+def _per_value(column: Sequence, fn) -> Iterable:
+    """fn(value) for each row's value, calling fn once per distinct value.
+
+    A `_csv_token` column none of whose tokens needs quoting is returned as it is.
+    """
+    distinct = set(column)
+    if fn is _csv_token and not any(map("".join(distinct).__contains__, _QUOTED_CHARS)):
+        return column
+    results = dict(zip(distinct, map(fn, distinct)))
     return map(results.__getitem__, column)
 
 
@@ -473,31 +479,39 @@ def _csv_token(token: str) -> str:
 _EXACT_INTEGERS = 2**53
 
 
-def _value_texts(kinds: tuple[CellKind, ...], magnitudes: tuple[Magnitude | None, ...]) -> list[str]:
-    """The VALUE column's text, each distinct magnitude formatted once.
+def _value_texts(kinds: tuple[CellKind, ...], magnitudes: tuple[Magnitude | None, ...], texts: dict) -> list[str]:
+    """The VALUE column's text, each distinct magnitude missing from `texts` formatted once.
 
-    Equal magnitudes of different types (5 and 5.0) share one text; they
-    format alike below 2**53, the only range the memo covers.
+    `texts` maps magnitudes to their text and is updated in place to hold
+    this column's.  Equal magnitudes of different types (5 and 5.0, 0 and
+    -0.0) share one text; they format alike below 2**53, the only range the
+    table covers.  Markers and larger magnitudes are filled in row by row.
     """
-    texts = {
-        m: format_magnitude(m)
-        for m in set(magnitudes)
-        if m is not None and -_EXACT_INTEGERS < m < _EXACT_INTEGERS
-    }
-    return [texts.get(m) or _value_text(kind, m) for kind, m in zip(kinds, magnitudes)]
+    distinct = set(magnitudes).difference((None,))
+    for stale in texts.keys() - distinct:
+        del texts[stale]
+    new = [m for m in distinct.difference(texts) if -_EXACT_INTEGERS < m < _EXACT_INTEGERS]
+    texts.update(zip(new, map(format_magnitude, new)))
+    values = list(map(texts.get, magnitudes))
+    for i in compress(range(len(values)), map(is_, values, repeat(None))):
+        m = magnitudes[i]
+        values[i] = format_magnitude(m) if m is not None else SUPPRESSED_TOKEN if kinds[i] is CellKind.SUPPRESSED else ""
+    return values
 
 
-def _value_text(kind: CellKind, magnitude: Magnitude | None) -> str:
-    if magnitude is None:
-        return SUPPRESSED_TOKEN if kind is CellKind.SUPPRESSED else ""
-    return format_magnitude(magnitude)
+def write_csv(dataset: Dataset, *, texts: dict | None = None) -> str:
+    """Canonical delimited-text rendering (UTF-8, comma, LF), quoted as `csv.writer` quotes.
 
-
-def write_csv(dataset: Dataset) -> str:
-    """Canonical delimited-text rendering (UTF-8, comma, LF), quoted as `csv.writer` quotes."""
+    `texts`, a magnitude -> VALUE text table, seeds the rendering: a
+    magnitude found in it keeps its text instead of being formatted again.
+    On return it holds the texts of exactly this dataset's magnitudes below
+    2**53, to seed the next rendering.  Its entries are `format_magnitude`'s
+    texts, so a seed never changes a byte; pass an empty dict to start one.
+    """
     c = dataset.columns
     header = (geography_column(dataset.level, dataset.edition), *CSV_COLUMNS)
-    return ledger_csv(header, c[:4], _value_texts(c.kind, c.magnitude), map(_LEVEL_TEXT.__getitem__, c.uncertainty))
+    values = _value_texts(c.kind, c.magnitude, {} if texts is None else texts)
+    return ledger_csv(header, c[:4], values, map(_LEVEL_TEXT.__getitem__, c.uncertainty))
 
 
 KEY_COLUMNS = ("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX")
@@ -529,8 +543,8 @@ def _csv_field(lineno: int, column: str, text: str, convert):
 
 
 def _ascii_int(text: str) -> int:
-    """`int(text)` of ASCII text without `_`; `int` alone also takes `2_016` and non-ASCII digits."""
-    if not text.isascii() or "_" in text:
+    """`int(text)` of the text `str(int)` writes; `int` alone also takes `2_016`, `+7`, ` 7` and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(text)
     return int(text)
 
@@ -639,14 +653,19 @@ def _read_plain(text: str, indicator: Indicator) -> Dataset:
         raise ValueError("not six plain fields a line")
     fields = "\0".join(lines).split("\0") if lines else []
     codes, year_texts, ages, sexes, value_texts, level_texts = (fields[i::6] for i in range(6))
-    # Each distinct year, value and level text is decoded once.
-    years, magnitudes, levels = map(cache, (_ascii_int, lambda t: None if t in _MARKERS else _finite_float(t), _level))
+    # Each distinct year, value and level text is decoded once, the values all at once.
+    years, levels = map(cache, (_ascii_int, _level))
+    numbers = list(set(value_texts).difference(_MARKERS))
+    joined = "".join(numbers)
+    if not joined.isascii() or "_" in joined or not all(map(math.isfinite, floats := list(map(float, numbers)))):
+        raise ValueError("a value `_finite_float` refuses")
+    magnitudes = dict(zip(numbers, floats))
     kinds = (indicator.value_kind,) * len(lines)
     if any(map(value_texts.__contains__, _MARKERS)):
         kinds = tuple(map(_MARKERS.get, value_texts, kinds))
     dataset = Dataset(indicator, Columns(
         tuple(codes), tuple(map(years, year_texts)), tuple(ages), tuple(sexes),
-        kinds, tuple(map(magnitudes, value_texts)), tuple(map(levels, level_texts)),
+        kinds, tuple(map(magnitudes.get, value_texts)), tuple(map(levels, level_texts)),
     ), geography[1], geography[0])
     if all(len(t) == 4 and t.isdigit() for t in set(year_texts)) and all(map(le, lines, islice(lines, 1, None))):
         vars(dataset)["_in_canonical_order"] = True

@@ -413,13 +413,14 @@ def _process_indicator(
         raise IngestError(f"{spec.mapping_path}: {exc}") from None
     digest = sha256_hex(raw)
     rendered: tuple = ((None, None, None), "", "")  # the last (columns, level, edition), CSV text, digest
+    texts: dict = {}  # the last rendering's VALUE texts, which seed the next
 
     def render(output: Dataset) -> tuple[str, str]:
         """CSV text and digest, reused while `write_csv`'s inputs are the objects last rendered."""
         nonlocal rendered
         key = (output.columns, output.level, output.edition)
         if any(map(is_not, key, rendered[0])):
-            text = write_csv(output)
+            text = write_csv(output, texts=texts)
             rendered = (key, text, sha256_hex(text))
         return rendered[1:]
 
@@ -534,6 +535,7 @@ def _process_indicator(
     if config.round_counts:
         dataset = round_counts(dataset)
     csv_text, csv_digest = render(dataset)
+    texts.clear()  # no render follows, so the table would only hold memory
     artifacts[f"datasets/{ind_id}.csv"] = csv_text
     artifacts[f"datasets/{ind_id}.indicator.json"] = canonical_dumps(dataset.indicator.to_json())
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ardkit.errors import ArdkitError
 from ardkit.model import (
+    _ascii_int,
     CHUNK_ROWS,
     CSV_COLUMNS,
     BoundaryEdition,
@@ -20,6 +22,7 @@ from ardkit.model import (
     Columns,
     Dataset,
     EMPTY_COLUMNS,
+    Indicator,
     GeoLevel,
     UncertaintyLevel,
     V_KIND,
@@ -87,6 +90,30 @@ class TestDatasetIndicator:
         assert dataset.indicator == make_indicator(max_uncertainty=UncertaintyLevel.MEDIUM)
         assert dataset.with_columns(EMPTY_COLUMNS).indicator.max_uncertainty is UncertaintyLevel.LOW
         assert read_csv(write_csv(dataset), stale).indicator.max_uncertainty is UncertaintyLevel.MEDIUM
+
+
+class TestIndicatorId:
+    @pytest.mark.parametrize("bad", ["", "demo.count\n", "demo/count", " demo", 7])
+    def test_one_rule_for_every_indicator(self, bad):
+        # `$` of a schema pattern matches before a final newline; the constructor's full match does not.
+        message = f"indicator id {bad!r} may hold only letters, digits, '.', '_' and '-'"
+        with pytest.raises(ArdkitError) as caught:
+            make_indicator(id=bad)
+        assert str(caught.value) == message
+        with pytest.raises(ArdkitError) as caught:
+            Indicator.from_json({**make_indicator().to_json(), "id": bad})
+        assert str(caught.value) == message
+
+
+class TestAsciiInt:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-7", -7), ("0", 0), ("-0", 0), ("02016", 2016)])
+    def test_decimal_digits_with_an_optional_minus(self, text, value):
+        assert _ascii_int(text) == value
+
+    @pytest.mark.parametrize("text", [" 7\n", " 7", "7 ", "7\n", "+7", "--7", "- 7", "", "-", "7_0", "٧", "７", "7.0"])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(ValueError):
+            _ascii_int(text)
 
 
 class TestCellValue:
@@ -373,6 +400,52 @@ class TestWriteCsvQuoting:
         text = write_csv(dataset)
         assert text == csv_writer_rendering(dataset)
         assert len(list(csv.reader(io.StringIO(text)))) == rows + 1
+
+
+# Magnitudes whose texts a seed could confuse: equal values of different types
+# (5 and 5.0, 0 and -0.0; from 2**53 on, an int and a float format apart), and
+# a float whose shortest text is long.
+SEED_POOL = (5, 5.0, 0, -0.0, 2**53 - 1, 2**53, 2.0**53, -(2**53), 10**16, 1e16, 0.1 + 0.2, 0.3, 17, 2.5)
+QUOTED_TOKENS = ['q"x', "a,b", "r\nn", "c\rr"]
+PLAIN_KEY_TOKENS = ["a", "A B", "0-4", "male", "", " "]
+
+
+@st.composite
+def dataset_pairs(draw):
+    """Two datasets over one token pool: only tokens `csv.writer` leaves bare, or some it quotes."""
+    pool = PLAIN_KEY_TOKENS + (QUOTED_TOKENS if draw(st.booleans()) else [])
+    tokens = st.sampled_from(pool)
+    value = st.one_of(st.sampled_from(SEED_POOL).map(count), st.just(suppressed()), st.just(missing()))
+    row = st.builds(make_row, tokens, value, year=st.sampled_from([2011, 2016]), age=tokens, sex=tokens)
+    return tuple(draw(st.lists(row, max_size=20).map(make_dataset)) for _ in range(2))
+
+
+class TestSeededRender:
+    @settings(max_examples=300, deadline=None)
+    @given(dataset_pairs())
+    def test_seeded_render_equals_unseeded_render_and_csv_writer(self, pair):
+        first, second = pair
+        texts = {}
+        assert write_csv(first, texts=texts) == csv_writer_rendering(first)
+        seeded = write_csv(second, texts=texts)
+        assert seeded == write_csv(second) == csv_writer_rendering(second)
+        # The table now holds the second dataset's magnitudes below 2**53, and only those.
+        assert set(texts) == {m for m in second.columns.magnitude if m is not None and abs(m) < 2**53}
+
+    def test_render_hashes_no_cell_kind_per_row(self, monkeypatch):
+        # `Enum.__hash__` is pure Python, so a per-row lookup keyed by `CellKind` would cost a call per row.
+        values = [count(3), suppressed(), count(2.5), missing(), count(2**60)]
+        datasets = [make_dataset(make_row(f"R{i:05d}", values[i % 5]) for i in range(rows)) for rows in (2_000, 20_000)]
+        calls = []
+        real_hash = enum.Enum.__hash__
+        monkeypatch.setattr(enum.Enum, "__hash__", lambda member: calls.append(member) or real_hash(member))
+        assert hash(CellKind.COUNT) == real_hash(CellKind.COUNT) and calls == [CellKind.COUNT]
+        counted = []
+        for dataset in datasets:
+            calls.clear()
+            write_csv(dataset)
+            counted.append(len(calls))
+        assert counted[0] == counted[1] <= 8
 
 
 class TestRows:

@@ -221,6 +221,17 @@ class TestConfigValidation:
         assert "a seed is given but randomisation is disabled" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_indicator_id_with_a_final_newline_exit_2(self, demo_project, tmp_path, capsys):
+        # The schema's `^...$` pattern lets the newline through; the indicator's own rule does not.
+        doc = json.loads(Path(demo_project).read_text())
+        doc["indicators"][0]["id"] += "\n"
+        bad = Path(demo_project).with_name("newline-id.json")  # beside it, so relative paths resolve alike
+        bad.write_text(json.dumps(doc))
+        assert self.cli("run", "--config", bad, "--out", tmp_path / "out") == 2
+        message = "indicator id 'demo.hospital_visits\\n' may hold only letters, digits, '.', '_' and '-'"
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_seed_supplies_the_noise_seed(self, tmp_path):
         config_path = build_demo_project(tmp_path / "proj")
         doc = json.loads(config_path.read_text())
@@ -1059,8 +1070,8 @@ class TestFinalRender:
         rendered = []
         real_write_csv = ardkit.pipeline.write_csv
 
-        def counting_write_csv(dataset):
-            rendered.append(real_write_csv(dataset))
+        def counting_write_csv(dataset, **seed):
+            rendered.append(real_write_csv(dataset, **seed))
             return rendered[-1]
 
         monkeypatch.setattr(ardkit.pipeline, "write_csv", counting_write_csv)
@@ -1080,6 +1091,39 @@ class TestFinalRender:
         assert len(digests) < len(logged)  # the demo has a stage that changes nothing
         assert len(rendered) == len(digests)
         assert {sha256_hex(text) for text in rendered} == digests
+
+    def test_each_render_formats_only_the_magnitudes_the_last_one_lacked(self, tmp_path, monkeypatch):
+        # A render is seeded with the previous render's table, so along an indicator's stage chain
+        # `format_magnitude` runs once per magnitude that the render before did not hold.
+        import dataclasses
+        from collections import Counter, defaultdict
+
+        import ardkit.model
+
+        renders, formats, current = defaultdict(list), Counter(), [None]
+        real_format, real_write_csv = ardkit.model.format_magnitude, ardkit.pipeline.write_csv
+
+        def counting_format(magnitude):
+            formats[current[0]] += 1
+            return real_format(magnitude)
+
+        def spying_write_csv(dataset, **seed):
+            current[0] = dataset.indicator.id
+            renders[current[0]].append({m for m in dataset.columns.magnitude if m is not None})
+            try:
+                return real_write_csv(dataset, **seed)
+            finally:
+                current[0] = None
+
+        monkeypatch.setattr(ardkit.model, "format_magnitude", counting_format)
+        monkeypatch.setattr(ardkit.pipeline, "write_csv", spying_write_csv)
+        config_path = build_demo_project(tmp_path / "proj", rate=True)
+        assert run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")).exit_code in (0, 1)
+        assert len(renders) == 3 and None not in formats
+        for indicator, magnitudes in renders.items():
+            assert all(abs(m) < 2**53 for render in magnitudes for m in render)
+            expected = sum(len(render - before) for before, render in zip([set()] + magnitudes, magnitudes))
+            assert formats[indicator] == expected < sum(map(len, magnitudes)), indicator
 
     def test_rounded_counts_are_rendered_again(self, demo_project, tmp_path, monkeypatch):
         rendered, logged = self.run_counting_renders(
@@ -1294,11 +1338,14 @@ class TestBadCliInputs:
              "argument --seed: invalid integer value: '７'"),
             (["suppress", "--noise-magnitude", "2_0", "--seed", "7", "--out-data", "o.csv"],
              "argument --noise-magnitude: invalid integer value: '2_0'"),
+            (["suppress", "--noise-magnitude", "2", "--seed", " 7", "--out-data", "o.csv"],
+             "argument --seed: invalid integer value: ' 7'"),
+            (["suppress", "--threshold", "+5", "--out-data", "o.csv"], "argument --threshold: invalid integer value: '+5'"),
             (["validate-table", "--table", "table.csv", "--level", "SA3", "--from-edition", "２０１１",
               "--to-edition", "2016"], "argument --from-edition: invalid integer value: '２０１１'"),
         ],
         ids=["clean-coverage", "qa-coverage", "table-spec", "to-edition", "max-iterations", "threshold", "seed",
-             "noise-magnitude", "validate-table"],
+             "noise-magnitude", "seed-space", "threshold-plus", "validate-table"],
     )
     def test_integer_is_ascii_decimal_exit_2(self, tmp_path, capsys, argv, message):
         data, indicator = self.files(tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -173,14 +174,27 @@ class TestNumericTokens:
             # Within a line the level is checked first, then the value, then the year.
             ("A,20x6,0-4,male,abc,x", "line 3: invalid UNCERTAINTY 'x'"),
             ("A,20x6,0-4,male,abc,0", "line 3: invalid VALUE 'abc'"),
+            # An integer is the text `str(int)` writes: no space or plus sign.
+            ("A, 2016,0-4,male,5,0", "line 3: invalid CALENDAR_YEAR ' 2016'"),
+            ("A,2016 ,0-4,male,5,0", "line 3: invalid CALENDAR_YEAR '2016 '"),
+            ("A,+2017,0-4,male,5,0", "line 3: invalid CALENDAR_YEAR '+2017'"),
+            ("A,2016,0-4,male,5,+0", "line 3: invalid UNCERTAINTY '+0'"),
+            ("A,2016,0-4,male,5, 1", "line 3: invalid UNCERTAINTY ' 1'"),
         ],
         ids=["year-underscore", "year-fullwidth", "value-underscore", "value-arabic-indic",
-             "level-arabic-indic", "level-underscore", "level-first", "value-before-year"],
+             "level-arabic-indic", "level-underscore", "level-first", "value-before-year",
+             "year-leading-space", "year-trailing-space", "year-plus", "level-plus", "level-space"],
     )
     def test_non_ascii_decimal_is_refused(self, line, message):
         text = HEADER + f"A,2016,0-4,male,5,0\n{line}\nB,20x6,0-4,male,5,0\n"
-        with pytest.raises(ArdkitError, match=f"^{message}$"):
+        with pytest.raises(ArdkitError, match=f"^{re.escape(message)}$"):
             read_csv(text, make_indicator())
+
+    @pytest.mark.parametrize("value", ["1_000", "١٢", "１２", "inf", "-inf", "nan", "1e999", "abc"])
+    def test_bad_value_on_its_own_is_named(self, value):
+        # No other line is bad, so the one-split reader must refuse the value itself.
+        with pytest.raises(ArdkitError, match=f"^line 3: invalid VALUE '{value}'$"):
+            read_csv(HEADER + f"A,2016,0-4,male,5,0\nA,2017,0-4,male,{value},0\n", make_indicator())
 
     def test_first_bad_line_is_named_whichever_field_it_holds(self):
         lines = ["A,2016,0-4,male,5,x", "A,20x6,0-4,male,5,0"]
