@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import eq
@@ -27,6 +26,7 @@ from .errors import ArdkitError, CleaningError
 from .jsonio import parse_json
 from .model import (
     CellKind,
+    Checked,
     Columns,
     Dataset,
     UncertaintyLevel,
@@ -52,15 +52,22 @@ class MissingPolicy(enum.Enum):
 _YEAR_PATTERN_RE = re.compile(r"YY->([0-9]+)\+YY")
 
 
-@dataclass(frozen=True)
-class CleaningRuleSet:
+class _RuleSetFields(NamedTuple):
     dedupe_policy: DedupePolicy = DedupePolicy.ERROR
     whitespace_normalization: bool = True
     code_case_fold: bool = False
     year_format_coercions: tuple[str, ...] = ()
     missing_policy: MissingPolicy = MissingPolicy.KEEP_AS_MISSING
 
-    def __post_init__(self) -> None:
+
+class CleaningRuleSet(Checked, _RuleSetFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for key in ("whitespace_normalization", "code_case_fold"):
+            if not isinstance(getattr(self, key), bool):
+                raise CleaningError(f"{key} must be true or false, not {getattr(self, key)!r}")
         if len(self.year_format_coercions) > 1:
             raise CleaningError(
                 f"at most one year coercion pattern is supported, got {len(self.year_format_coercions)}"
@@ -71,6 +78,7 @@ class CleaningRuleSet:
                 raise CleaningError(
                     f"year coercion base {base} below 100 would not be idempotent"
                 )
+        return self
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CleaningRuleSet":
@@ -88,8 +96,8 @@ class CleaningRuleSet:
             except ValueError:
                 raise CleaningError(f"invalid {key} {value!r}") from None
         return cls(
-            whitespace_normalization=bool(doc.get("whitespace_normalization", True)),
-            code_case_fold=bool(doc.get("code_case_fold", False)),
+            whitespace_normalization=doc.get("whitespace_normalization", True),
+            code_case_fold=doc.get("code_case_fold", False),
             year_format_coercions=string_list(doc, "year_format_coercions", (), CleaningError),
             **policies,
         )

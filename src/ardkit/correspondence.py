@@ -27,7 +27,6 @@ the exact result is rounded once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from math import isinf
@@ -39,6 +38,7 @@ from .model import (
     KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
+    Checked,
     Columns,
     Dataset,
     GeoLevel,
@@ -78,32 +78,36 @@ def _as_ratio(value: object) -> Fraction:
     raise CorrespondenceError(f"cannot interpret ratio {value!r}")
 
 
-@dataclass(frozen=True)
-class CorrespondenceEdge:
-    """One weighted edge: `ratio` of `source`'s count flows to `target`."""
-
+class _EdgeFields(NamedTuple):
     source: str
     target: str
     ratio: Fraction
 
-    def __post_init__(self) -> None:
-        ratio = _as_ratio(self.ratio)
+
+class CorrespondenceEdge(Checked, _EdgeFields):
+    """One weighted edge: `ratio` of `source`'s count flows to `target`."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str, ratio) -> "CorrespondenceEdge":
+        ratio = _as_ratio(ratio)
         if not 0 <= ratio <= 1:
-            raise CorrespondenceError(
-                f"ratio {float(ratio)} for {self.source}->{self.target} outside [0, 1]"
-            )
-        object.__setattr__(self, "ratio", ratio)
+            raise CorrespondenceError(f"ratio {float(ratio)} for {source}->{target} outside [0, 1]")
+        return super().__new__(cls, source, target, ratio)
 
 
-@dataclass(frozen=True)
-class CorrespondenceTable:
+class _TableFields(NamedTuple):
     from_edition: BoundaryEdition
     to_edition: BoundaryEdition
     level: GeoLevel
     edges: tuple[CorrespondenceEdge, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
+
+class CorrespondenceTable(Checked, _TableFields):
+    __slots__ = ()
+
+    def __new__(cls, from_edition, to_edition, level, edges) -> "CorrespondenceTable":
+        return super().__new__(cls, from_edition, to_edition, level, tuple(edges))
 
     def positive_edges_by_source(self) -> dict[str, tuple[CorrespondenceEdge, ...]]:
         grouped: dict[str, list[CorrespondenceEdge]] = {}
@@ -185,15 +189,18 @@ def load_table(
     return CorrespondenceTable(from_edition, to_edition, level, edges)
 
 
-@dataclass(frozen=True)
-class CorrespondencePolicy:
-    discard_threshold: Fraction = Fraction(1, 10)
+class _DiscardPolicyFields(NamedTuple):
+    discard_threshold: Fraction
 
-    def __post_init__(self) -> None:
-        threshold = _as_ratio(self.discard_threshold)
+
+class CorrespondencePolicy(Checked, _DiscardPolicyFields):
+    __slots__ = ()
+
+    def __new__(cls, discard_threshold=Fraction(1, 10)) -> "CorrespondencePolicy":
+        threshold = _as_ratio(discard_threshold)
         if not 0 < threshold < 1:
             raise CorrespondenceError(f"discard threshold {float(threshold)} outside (0, 1)")
-        object.__setattr__(self, "discard_threshold", threshold)
+        return super().__new__(cls, threshold)
 
     def suppresses(self, ratio: Fraction) -> bool:
         """True when a shared-target ratio is too large to discard.
@@ -204,8 +211,7 @@ class CorrespondencePolicy:
         return ratio >= self.discard_threshold
 
 
-@dataclass(frozen=True)
-class CorrespondenceOutcome:
+class CorrespondenceOutcome(NamedTuple):
     """What one conversion did: totals, provenance events, gap log.
 
     `events` holds only output keys that had at least one event; a key
@@ -222,7 +228,7 @@ class CorrespondenceOutcome:
     conserving: bool
     events: Mapping[tuple[str, int, str, str], tuple[str, ...]]
     zero_filled: tuple[str, ...] = ()
-    output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
+    output_magnitudes: tuple | None = None
 
     def to_json(self) -> dict:
         """The step's entry in a correspondence report; its events are the ledger's, counted in `event_rows`."""
@@ -329,7 +335,7 @@ class OutcomeSummary(NamedTuple):
                 raise CorrespondenceError(f"line {lineno}: {problem}")
             key = (region, int(year), age, sex)
             steps[n][key] = steps[n].get(key, ()) + (event,)
-        outcomes = tuple(replace(step, events=mine) for step, mine in zip(self.steps, events))
+        outcomes = tuple(step._replace(events=mine) for step, mine in zip(self.steps, events))
         summary, written = outcomes_report(outcomes)
         for lineno, (line, mine) in enumerate(zip_longest(ledger.split("\n"), written.split("\n")), start=1):
             if line != mine:
@@ -589,7 +595,7 @@ def _derive_count_pair(dataset: Dataset, denominator: Dataset) -> tuple[Dataset,
             n, q = magnitude.as_integer_ratio()
             denom_n, denom_q = denom_magnitude.as_integer_ratio()
             numerator_cells.append((count, n * denom_n / (q * denom_q), worst))
-    num_indicator = replace(dataset.indicator, id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
+    num_indicator = dataset.indicator._replace(id=f"{dataset.indicator.id}.numerator", value_kind=CellKind.COUNT)
     numerator_ds = Dataset(
         num_indicator, Columns(*c[:4], *_transpose(numerator_cells, 3)), dataset.edition, dataset.level
     )
@@ -652,7 +658,7 @@ def _quotient(
             events[key] = evs
     columns = Columns(*c[:4], *_transpose(cells, 3))
     result = Dataset(dataset.indicator, columns, num_out.edition, num_out.level)
-    return result, replace(num_outcome, events=events, zero_filled=tuple(zero_filled))
+    return result, num_outcome._replace(events=events, zero_filled=tuple(zero_filled))
 
 
 class PlanStep(NamedTuple):
@@ -749,6 +755,6 @@ def execute_plan(
         den_out = converted_denominator
     else:
         den_out, _ = convert(denominator_ds, totals=False)
-    outcomes = [replace(o, conserving=False) for o in outcomes]
+    outcomes = [o._replace(conserving=False) for o in outcomes]
     result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1])
     return result, tuple(outcomes)

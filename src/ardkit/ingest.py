@@ -19,7 +19,6 @@ from __future__ import annotations
 import datetime
 import enum
 import re
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from math import isfinite
 from operator import floordiv, itemgetter, mod, not_, or_
@@ -32,6 +31,7 @@ from .model import (
     KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
+    Checked,
     Columns,
     DATA_KINDS,
     Dataset,
@@ -51,10 +51,7 @@ class AccessMode(enum.Enum):
     CUSTOM_DOWNLOAD = "custom_download"
 
 
-@dataclass(frozen=True)
-class SourceDescriptor:
-    """Where a dataset came from and how it was collected."""
-
+class _SourceFields(NamedTuple):
     source_id: str
     name: str
     custodian: str
@@ -63,7 +60,14 @@ class SourceDescriptor:
     collection_end: datetime.date
     url_or_locator: str
 
-    def __post_init__(self) -> None:
+
+class SourceDescriptor(Checked, _SourceFields):
+    """Where a dataset came from and how it was collected."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.source_id:
             raise IngestError("source_id must be non-empty")
         if self.collection_start > self.collection_end:
@@ -71,6 +75,7 @@ class SourceDescriptor:
                 f"source {self.source_id}: inverted collection window "
                 f"({self.collection_start} after {self.collection_end})"
             )
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -102,10 +107,7 @@ class Layout(enum.Enum):
     WIDE_BY_YEAR = "wide_by_year"
 
 
-@dataclass(frozen=True)
-class SchemaMapping:
-    """Declarative binding of raw columns to standardized roles."""
-
+class _MappingFields(NamedTuple):
     layout: Layout
     geography_code_column: str
     age_group_column: str
@@ -121,7 +123,14 @@ class SchemaMapping:
     missing_tokens: frozenset[str] = frozenset({""})
     delimiter: str = ","
 
-    def __post_init__(self) -> None:
+
+class SchemaMapping(Checked, _MappingFields):
+    """Declarative binding of raw columns to standardized roles."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.value_kind not in DATA_KINDS:
             raise IngestError("mapping value_kind must be count, rate, or percentage")
         if self.layout is Layout.LONG:
@@ -143,6 +152,7 @@ class SchemaMapping:
             raise IngestError("bind the geography level as exactly one of a constant or a column")
         if (self.edition is None) == (self.edition_column is None):
             raise IngestError("bind the boundary edition as exactly one of a constant or a column")
+        return self
 
     def bound_columns(self) -> tuple[str, ...]:
         columns = [self.geography_code_column, self.age_group_column, self.sex_column]
@@ -186,8 +196,7 @@ class Reject(NamedTuple):
 LINEAGE_COLUMNS = (*KEY_COLUMNS, "RAW_ROW", "RAW_COLUMN")
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(NamedTuple):
     """Row accounting for one parse: records_out + rejects == logical rows in.
 
     `lineage_csv` is the rendered lineage file; `lineage_digest` is the
@@ -197,8 +206,12 @@ class ParseReport:
     rows_in: int
     records_out: int
     rejects: tuple[Reject, ...]
-    lineage_csv: str = field(repr=False)
+    lineage_csv: str
     lineage_digest: str
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self) if n != "lineage_csv")
+        return f"ParseReport({shown})"
 
     def to_json(self) -> dict:
         return {

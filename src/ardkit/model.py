@@ -28,7 +28,6 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, compress, islice, repeat
@@ -178,10 +177,19 @@ def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> s
 _INDICATOR_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
-@dataclass(frozen=True)
-class Indicator:
-    """Descriptive identity of one measured quantity."""
+class Checked:
+    """First base of a NamedTuple subclass whose `__new__` checks or normalises the fields.
 
+    NamedTuple's `_make`, which `_replace` calls, skips that `__new__`; this `_make` builds through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _IndicatorFields(NamedTuple):
     id: str
     name: str
     nest_domain: NestDomain
@@ -190,13 +198,21 @@ class Indicator:
     correspondence_applied: bool = False
     max_uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
 
-    def __post_init__(self) -> None:
+
+class Indicator(Checked, _IndicatorFields):
+    """Descriptive identity of one measured quantity."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.id, str) or not _INDICATOR_ID_RE.fullmatch(self.id):
             raise ArdkitError(f"indicator id {self.id!r} may hold only letters, digits, '.', '_' and '-'")
         if self.value_kind not in DATA_KINDS:
             raise ArdkitError(f"indicator value kind must be count/rate/percentage, got {self.value_kind}")
         if not isinstance(self.nest_domain, NestDomain):
             raise ArdkitError(f"unknown wellbeing domain {self.nest_domain!r}")
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -266,24 +282,27 @@ class Columns(NamedTuple):
 EMPTY_COLUMNS = Columns((), (), (), (), (), (), ())
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An indicator's records at one (edition, level), held as columns.
-
-    The indicator's ``max_uncertainty`` is set here to the worst level among
-    the rows, so every dataset states it correctly.  Two datasets are equal
-    when their indicator, columns, edition and level are.
-    """
-
+class _DatasetFields(NamedTuple):
     indicator: Indicator
     columns: Columns
     edition: BoundaryEdition
     level: GeoLevel
 
-    def __post_init__(self) -> None:
-        worst = max(self.columns.uncertainty, default=UncertaintyLevel.LOW)
-        if worst != self.indicator.max_uncertainty:
-            object.__setattr__(self, "indicator", replace(self.indicator, max_uncertainty=worst))
+
+class Dataset(Checked, _DatasetFields):
+    """An indicator's records at one (edition, level), held as columns.
+
+    The indicator's ``max_uncertainty`` is set here to the worst level among
+    the rows, so every dataset states it correctly.  Two datasets are equal
+    when their indicator, columns, edition and level are.  A dataset keeps
+    an instance dict, where `_in_canonical_order` is cached.
+    """
+
+    def __new__(cls, indicator: Indicator, columns: Columns, edition: BoundaryEdition, level: GeoLevel):
+        worst = max(columns.uncertainty, default=UncertaintyLevel.LOW)
+        if worst != indicator.max_uncertainty:
+            indicator = indicator._replace(max_uncertainty=worst)
+        return super().__new__(cls, indicator, columns, edition, level)
 
     @property
     def records(self) -> tuple[tuple, ...]:
@@ -295,7 +314,7 @@ class Dataset:
         return tuple(zip(*self.columns))
 
     def with_columns(self, columns: Columns) -> "Dataset":
-        return replace(self, columns=columns)
+        return self._replace(columns=columns)
 
     def years(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.columns.year)))
@@ -327,7 +346,7 @@ V_TOKEN = "bad-token"
 V_VOCABULARY = "vocabulary"
 
 _FORBIDDEN_TOKEN_CHARS = (",", "\n", "\r")
-# `csv.writer` leaves a token holding none of these bare; `\r` is listed though 3.11 quotes it only where it ends lines.
+# `_csv_token` quotes a token holding any of these, `\r` included, as `csv.writer` does from Python 3.12.
 _QUOTED_CHARS = (",", '"', "\r", "\n")
 
 
@@ -470,10 +489,10 @@ _LEVEL_TEXT = tuple(str(int(level)) for level in UncertaintyLevel)
 
 
 def _csv_token(token: str) -> str:
-    """A token as `csv.writer` renders it inside a row."""
+    """A token as `csv.writer` renders it inside a row, quoted if it holds a carriage return, as `read_csv` needs."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((token, ""))
-    return out.getvalue()[:-2]  # drop the empty second field and the line end
+    csv.writer(out, lineterminator="\r\n").writerow((token, ""))
+    return out.getvalue()[:-3]  # drop the empty second field and the line end
 
 
 _EXACT_INTEGERS = 2**53

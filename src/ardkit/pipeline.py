@@ -14,7 +14,7 @@ import datetime
 import gc
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import is_not
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -50,6 +50,7 @@ from .model import (
     Indicator,
     NestDomain,
     Vocabulary,
+    _ascii_int,
     round_counts,
     write_csv,
 )
@@ -332,9 +333,7 @@ def correspond_stage(
         dataset, plan, tables, policy, denominator=denominator, converted_denominator=converted_denominator
     )
     if plan:
-        dataset = replace(
-            dataset, indicator=replace(dataset.indicator, correspondence_applied=True)
-        )
+        dataset = dataset._replace(indicator=dataset.indicator._replace(correspondence_applied=True))
     return dataset, outcomes
 
 
@@ -563,11 +562,11 @@ def _process_indicator(
 def _run_timestamp(config: PipelineConfig) -> str:
     if config.run_timestamp:
         return config.run_timestamp
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
-        moment = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-    else:
-        moment = datetime.datetime.now(datetime.timezone.utc)
+    epoch, utc = os.environ.get("SOURCE_DATE_EPOCH"), datetime.timezone.utc
+    try:
+        moment = datetime.datetime.fromtimestamp(_ascii_int(epoch), utc) if epoch else datetime.datetime.now(utc)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(f"SOURCE_DATE_EPOCH {epoch!r} is not a whole number of seconds in range") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -13,21 +13,25 @@ at zero; it runs before suppression when both are configured.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, PrivacyError
-from .model import CellKind, Dataset
+from .model import CellKind, Checked, Dataset
 
 
-@dataclass(frozen=True)
-class SuppressionPolicy:
+class _SuppressionPolicyFields(NamedTuple):
     threshold: int = 5
     suppress_zero: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.threshold, int) or self.threshold < 1:
+
+class SuppressionPolicy(Checked, _SuppressionPolicyFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.threshold, int) or isinstance(self.threshold, bool) or self.threshold < 1:
             raise PrivacyError(f"suppression threshold must be a positive integer, got {self.threshold!r}")
+        return self
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SuppressionPolicy":

@@ -12,7 +12,6 @@ datasets; levels 0 and 1 stay.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Mapping, NamedTuple, Sequence
@@ -86,14 +85,13 @@ _VIOLATION_RULE_MAP = {
 CONSERVATION_TOLERANCE = Fraction(1, 10**9)
 
 
-@dataclass(frozen=True)
-class ConservationRecord:
+class ConservationRecord(NamedTuple):
     """Expected post-conversion count total, carried by correspondence provenance."""
 
     expected_total: Fraction
     # The exact total of `output_magnitudes`, the magnitude column the last conversion emitted.
     output_total: Fraction | None = None
-    output_magnitudes: tuple | None = field(default=None, repr=False, compare=False)
+    output_magnitudes: tuple | None = None
 
 
 class QAContext(NamedTuple):

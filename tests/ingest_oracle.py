@@ -106,11 +106,15 @@ def parse(data, mapping, indicator):
     if len(editions) != 1:
         raise IngestError("mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions)))
     rows.sort(key=lambda r: r[:4])  # stable: equal keys keep row-major order
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX", "RAW_ROW", "RAW_COLUMN"))
-    writer.writerows((*key, lineno, column) for key, lineno, _, column in sorted(lineage))
-    lineage_csv = out.getvalue()
+    # Each line by a `\r\n` writer, which quotes a field holding `\r` (as every writer does from Python 3.12),
+    # then ended with `\n`.
+    header = ("REGION", "CALENDAR_YEAR", "AGE_GROUP", "SEX", "RAW_ROW", "RAW_COLUMN")
+    lines = []
+    for row in [header, *((*key, lineno, column) for key, lineno, _, column in sorted(lineage))]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    lineage_csv = "".join(lines)
     report = ParseReport(
         rows_in=data_rows * len(logical),
         records_out=len(rows),

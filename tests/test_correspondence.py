@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -916,7 +915,7 @@ class TestForwardTargetMajor:
         linked = {(e.source, e.target) for e in table.edges}
         # Zero-ratio edges link nothing, and an unknown target fed only at ratio 0 gets no row.
         zero = [(s, t) for s in sources for t in [*targets, "T999"] if (s, t) not in linked and rng.random() < 0.2]
-        table = replace(table, edges=(*table.edges, *(CorrespondenceEdge(s, t, Fraction(0)) for s, t in zero)))
+        table = table._replace(edges=(*table.edges, *(CorrespondenceEdge(s, t, Fraction(0)) for s, t in zero)))
         columns, kept = spread_input(rng, sources)
         data = Dataset(make_indicator(), columns, E2011, SA3)
         out, outcome = forward(data, table)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -113,11 +112,7 @@ class TestMetadata:
 class TestDictionary:
     def indicators(self):
         return [
-            dataclasses.replace(
-                make_indicator(),
-                correspondence_applied=True,
-                max_uncertainty=UncertaintyLevel.MEDIUM,
-            )
+            make_indicator()._replace(correspondence_applied=True, max_uncertainty=UncertaintyLevel.MEDIUM)
         ]
 
     def test_published_omits_researcher_block_entirely(self):

@@ -255,32 +255,13 @@ def record_classes() -> list[type]:
 
 
 # What keeps a record class a dataclass, whose methods are generated at every start, not a NamedTuple.
-VALIDATES = "validates or normalises in __post_init__"
-FIELD_OPTION = "a field is left out of repr or comparison"
+# A record that checks its fields is a NamedTuple subclass whose `__new__` checks them (README "Record types").
 REPLACED = "perfbench/child.py calls dataclasses.replace on it"
-KEPT_DATACLASSES = {
-    "ardkit.cleaning.CleaningRuleSet": VALIDATES,
-    "ardkit.correspondence.CorrespondenceEdge": VALIDATES,
-    "ardkit.correspondence.CorrespondenceOutcome": FIELD_OPTION,
-    "ardkit.correspondence.CorrespondencePolicy": VALIDATES,
-    "ardkit.correspondence.CorrespondenceTable": VALIDATES,
-    "ardkit.ingest.ParseReport": FIELD_OPTION,
-    "ardkit.ingest.SchemaMapping": VALIDATES,
-    "ardkit.ingest.SourceDescriptor": VALIDATES,
-    "ardkit.model.Dataset": VALIDATES,
-    "ardkit.model.Indicator": VALIDATES,
-    "ardkit.pipeline.PipelineConfig": REPLACED,
-    "ardkit.privacy.SuppressionPolicy": VALIDATES,
-    "ardkit.qa.ConservationRecord": FIELD_OPTION,
-}
+KEPT_DATACLASSES = {"ardkit.pipeline.PipelineConfig": REPLACED}
 BENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 def dataclass_reason(cls: type) -> str | None:
-    if "__post_init__" in vars(cls):
-        return VALIDATES
-    if not all(f.repr and f.compare for f in dataclasses.fields(cls)):
-        return FIELD_OPTION
     if cls.__name__ == "PipelineConfig" and "dataclasses.replace(load_config(" in BENCH_CHILD.read_text(encoding="utf-8"):
         return REPLACED
     return None
@@ -293,11 +274,12 @@ def test_only_records_that_need_a_dataclass_are_one():
 
 @pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
 def test_record_fields_cannot_be_assigned(cls):
-    # Built without validation, since only the class's own guard is under test; FrozenInstanceError is an AttributeError.
+    # Built without validation (a checked record's `_make` checks), since only the class's own guard is under test;
+    # FrozenInstanceError is an AttributeError.
     if dataclasses.is_dataclass(cls):
         record, names = object.__new__(cls), [f.name for f in dataclasses.fields(cls)]
     else:
-        record, names = cls._make([None] * len(cls._fields)), cls._fields
+        record, names = tuple.__new__(cls, [None] * len(cls._fields)), cls._fields
     assert names
     for name in names:
         with pytest.raises(AttributeError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
 import hashlib
 import io
@@ -316,7 +315,7 @@ class TestMappingJson:
             (("2016", "2017", " 2016"), "' 2016' repeats year 2016"),
         ):
             with pytest.raises(IngestError, match=f"^year column {message}$"):
-                dataclasses.replace(WIDE_MAPPING, year_columns=year_columns)
+                WIDE_MAPPING._replace(year_columns=year_columns)
 
 
 WIDE_MAPPING = SchemaMapping(
@@ -434,7 +433,7 @@ def parse_outcome(parse, raw, mapping, indicator):
 
 # Common tokens are repeated so that keys repeat, within a chunk and across chunk boundaries.
 KEY_TOKENS = {
-    "code": ["10102"] * 6 + ["10103"] * 3 + [" 10104 ", "", "  ", "a,b", 'q"x', "r\r\nn", "A", "A/2016"],
+    "code": ["10102"] * 6 + ["10103"] * 3 + [" 10104 ", "", "  ", "a,b", 'q"x', "r\r\nn", "c\rr", "A", "A/2016"],
     "age": ["0-4"] * 5 + ["5-9", "", " ", "0,4", "2017/0-4"],
     "sex": ["male"] * 4 + ["female", "", 'f"m'],
 }
@@ -589,14 +588,14 @@ class TestAsciiDecimal:
     @pytest.mark.parametrize("kind", [CellKind.COUNT, CellKind.RATE])
     @pytest.mark.parametrize("value", ["1_000", "１２", "١٢", " 1_0 "])
     def test_value_token_rejects_its_row(self, kind, value):
-        mapping = dataclasses.replace(LONG_MAPPING, value_kind=kind)
+        mapping = LONG_MAPPING._replace(value_kind=kind)
         raw = f"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,2016,0-4,male,{value}\n10103,2016,0-4,male,1\n"
         dataset, report = parse_raw(raw, mapping, make_indicator(value_kind=kind))
         assert report.rejects == (ingest.Reject(2, f"unparseable value {value!r}"),)
         assert dataset.columns.region == ("10103",)
 
     def test_edition_token_is_unknown(self, count_indicator):
-        mapping = dataclasses.replace(LONG_MAPPING, edition=None, edition_column="EDITION")
+        mapping = LONG_MAPPING._replace(edition=None, edition_column="EDITION")
         raw = "SA3CODE_16,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,２０１６,2016,0-4,male,1\n"
         with pytest.raises(IngestError, match="^line 2: unknown boundary edition '２０１６'$"):
             parse_raw(raw, mapping, count_indicator)

@@ -326,10 +326,12 @@ class TestCsvRows:
 
 
 def csv_writer_rendering(dataset):
-    """The reference rendering: one `csv.writer` row per record."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([geography_column(dataset.level, dataset.edition), *CSV_COLUMNS])
+    r"""The reference rendering: one `csv.writer` row per record.
+
+    A `\r\n` writer quotes a field holding `\r`, as every writer does from
+    Python 3.12; each row's `\r\n` then becomes `\n`.
+    """
+    rows = [[geography_column(dataset.level, dataset.edition), *CSV_COLUMNS]]
     for region, year, age, sex, kind, magnitude, uncertainty in zip(*dataset.columns):
         if kind is CellKind.SUPPRESSED:
             rendered = "S"
@@ -337,8 +339,13 @@ def csv_writer_rendering(dataset):
             rendered = ""
         else:
             rendered = format_magnitude(magnitude)
-        writer.writerow([region, year, age, sex, rendered, int(uncertainty)])
-    return out.getvalue()
+        rows.append([region, year, age, sex, rendered, int(uncertainty)])
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 ANY_TOKEN = st.one_of(st.text(max_size=5), st.text(alphabet=',"\r\n a', max_size=5))
@@ -378,7 +385,8 @@ class TestWriteCsvQuoting:
     @settings(max_examples=300, deadline=None)
     @given(
         datasets(
-            VALID_TOKEN,
+            # A token holding `\r` is invalid data, but `write_csv` quotes it so that it reads back all the same.
+            st.one_of(VALID_TOKEN, st.text(alphabet='a\r"', min_size=1, max_size=5)),
             st.one_of(
                 st.integers(min_value=-(2**53), max_value=2**53),
                 st.floats(allow_nan=False, allow_infinity=False),

@@ -924,6 +924,29 @@ class TestCliBasics:
         assert doc["unconfirmed"] is True
         assert doc["level_guess"] == "SA3"
 
+    def run_at_epoch(self, tmp_path, monkeypatch, epoch):
+        # Without `project.run_timestamp`, the run's timestamp comes from SOURCE_DATE_EPOCH.
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        del doc["project"]["run_timestamp"]
+        config_path.write_text(json.dumps(doc))
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        return self.cli("run", "--config", config_path, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", " 5", "99999999999999"])
+    def test_malformed_source_date_epoch_exit_2(self, tmp_path, monkeypatch, epoch):
+        proc = self.run_at_epoch(tmp_path, monkeypatch, epoch)
+        assert proc.returncode == 2
+        assert f"error: SOURCE_DATE_EPOCH {epoch!r} is not a whole number of seconds in range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("epoch, timestamp", [("0", "1970-01-01T00:00:00Z"), ("-5", "1969-12-31T23:59:55Z")])
+    def test_source_date_epoch_sets_the_timestamp(self, tmp_path, monkeypatch, epoch, timestamp):
+        assert self.run_at_epoch(tmp_path, monkeypatch, epoch).returncode == 0
+        log = ProvenanceLog.from_jsonl((tmp_path / "out" / "provenance.jsonl").read_text())
+        assert {entry.timestamp for entry in log.entries} == {timestamp}
+
     def test_config_mode_key_exit_2(self, tmp_path):
         # Removed `stages.correspond` keys fail schema validation.
         config_path = build_demo_project(tmp_path / "proj")
@@ -1266,6 +1289,45 @@ class TestBadCliInputs:
         assert f"error: {indicator}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "rules, code, message",
+        [
+            (
+                {"whitespace_normalization": False}, 2,
+                "error: cleaning left 1 validation violation(s); first: row 0: geography code 'c\\rr': "
+                "token contains a delimiter character",
+            ),
+            ({}, 0, "cleaned in 1 iteration(s); 1 change(s)"),
+        ],
+        ids=["kept-exit-2", "normalised-exit-0"],
+    )
+    def test_ingested_carriage_return_in_a_code_reads_back(self, tmp_path, capsys, rules, code, message):
+        # `ingest` quotes a code holding `\r`, so `clean` reads the file and judges the code itself.
+        _, indicator = self.files(tmp_path)
+        mapping = {
+            "layout": "long",
+            "columns": {
+                "geography_code": "SA3CODE_16", "calendar_year": "CALENDAR_YEAR", "age_group": "AGE_GROUP",
+                "sex": "SEX", "value": "VALUE",
+            },
+            "value_kind": "count",
+            "geography": {"level": "SA3", "edition": 2016},
+        }
+        (tmp_path / "mapping.json").write_text(json.dumps(mapping))
+        (tmp_path / "raw.csv").write_bytes(b'SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"c\rr",2016,0-4,male,5\n')
+        (tmp_path / "rules.json").write_text(json.dumps(rules))
+        assert self.main(
+            "ingest", "--raw", tmp_path / "raw.csv", "--mapping", tmp_path / "mapping.json", "--indicator", indicator,
+            "--out-data", tmp_path / "10.csv", "--out-indicator", tmp_path / "10.json", "--report", tmp_path / "p.json",
+        ) == 0
+        assert b'"c\rr",2016' in (tmp_path / "10.csv").read_bytes()
+        capsys.readouterr()
+        assert self.main(
+            "clean", "--data", tmp_path / "10.csv", "--indicator", tmp_path / "10.json", "--rules", tmp_path / "rules.json",
+            "--out-data", tmp_path / "20.csv", "--log", tmp_path / "log.jsonl",
+        ) == code
+        assert message in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["validate-table", "--level", "SA3", "--from-edition", "2013", "--to-edition", "2016"],
@@ -1392,6 +1454,12 @@ class TestBadCliInputs:
             ("--rules", '{"dedupe_policy": 5}', "invalid dedupe_policy 5"),
             ("--rules", "[1]", "cleaning rules document is not a JSON object"),
             ("--rules", '{"year_format_coercions": "YY->2000+YY"}', "year_format_coercions must be a list of strings"),
+            (
+                "--rules",
+                '{"code_case_fold": "false", "dedupe_policy": "sum"}',
+                "code_case_fold must be true or false, not 'false'",
+            ),
+            ("--rules", '{"whitespace_normalization": 0}', "whitespace_normalization must be true or false, not 0"),
             ("--vocabulary", '{"age_groups": 5}', "age_groups must be a list of strings, not 5"),
             ("--vocabulary", "[1]", "vocabulary document is not a JSON object"),
             ("--outcomes", '{"a": 1}', "correspondence report is not a JSON object with a list of steps"),
@@ -1426,7 +1494,8 @@ class TestBadCliInputs:
             ),
         ],
         ids=[
-            "rules-policy-number", "rules-list", "rules-coercions-string", "vocabulary-number",
+            "rules-policy-number", "rules-list", "rules-coercions-string", "rules-flag-string", "rules-flag-number",
+            "vocabulary-number",
             "vocabulary-list", "outcomes-object", "outcomes-number", "outcomes-missing-keys",
             "outcomes-conserving-string", "outcomes-zero-filled-string", "outcomes-older-list",
             "privacy-log-list", "privacy-log-no-counts", "privacy-log-string-total", "privacy-log-bool-noise",
