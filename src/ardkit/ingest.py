@@ -5,8 +5,9 @@ writes the configured descriptors, sorted by id, to ``registry.json``.
 
 A schema mapping binds raw column names to the standardized roles
 (geography code, calendar year, age group, sex, value) and declares the
-value kind, the missing-value tokens the custodian uses, and the layout:
-``long`` (one value column) or ``wide_by_year`` (one column per year).
+table's one geography level and boundary edition, the value kind, the
+missing-value tokens the custodian uses, and the layout: ``long`` (one
+value column) or ``wide_by_year`` (one column per year).
 Parsing never drops a row silently: every unmappable logical row lands in
 the parse report with a reason, and every emitted record is traceable to
 its input cell through the lineage file, one
@@ -38,6 +39,7 @@ from .model import (
     GeoLevel,
     Indicator,
     UncertaintyLevel,
+    _ascii_int,
     _csv_token,
     csv_rows,
     ledger_csv,
@@ -91,14 +93,19 @@ class SourceDescriptor(Checked, _SourceFields):
     @classmethod
     def from_json(cls, doc: Mapping) -> "SourceDescriptor":
         validate_against_schema(doc, "source.schema.json", IngestError)
+        dates = {}
+        for key in ("collection_start", "collection_end"):
+            try:
+                dates[key] = datetime.date.fromisoformat(doc[key])
+            except ValueError:
+                raise IngestError(f"source {doc['source_id']}: {key} {doc[key]!r} is not a calendar date") from None
         return cls(
             source_id=doc["source_id"],
             name=doc["name"],
             custodian=doc["custodian"],
             access_mode=AccessMode(doc["access_mode"]),
-            collection_start=datetime.date.fromisoformat(doc["collection_start"]),
-            collection_end=datetime.date.fromisoformat(doc["collection_end"]),
             url_or_locator=doc["url_or_locator"],
+            **dates,
         )
 
 
@@ -118,8 +125,6 @@ class _MappingFields(NamedTuple):
     year_columns: tuple[str, ...] = ()
     level: GeoLevel | None = None
     edition: BoundaryEdition | None = None
-    level_column: str | None = None
-    edition_column: str | None = None
     missing_tokens: frozenset[str] = frozenset({""})
     delimiter: str = ","
 
@@ -148,15 +153,13 @@ class SchemaMapping(Checked, _MappingFields):
                     raise IngestError(f"year column {name!r} is not a four-digit year")
                 if name.strip() in map(str.strip, self.year_columns[:i]):
                     raise IngestError(f"year column {name!r} repeats year {name.strip()}")
-        if (self.level is None) == (self.level_column is None):
-            raise IngestError("bind the geography level as exactly one of a constant or a column")
-        if (self.edition is None) == (self.edition_column is None):
-            raise IngestError("bind the boundary edition as exactly one of a constant or a column")
+        if self.level is None or self.edition is None:
+            raise IngestError("a mapping declares both its geography level and its boundary edition")
         return self
 
     def bound_columns(self) -> tuple[str, ...]:
         columns = [self.geography_code_column, self.age_group_column, self.sex_column]
-        for name in (self.calendar_year_column, self.value_column, self.level_column, self.edition_column):
+        for name in (self.calendar_year_column, self.value_column):
             if name:
                 columns.append(name)
         columns.extend(self.year_columns)
@@ -166,7 +169,7 @@ class SchemaMapping(Checked, _MappingFields):
     def from_json(cls, doc: Mapping) -> "SchemaMapping":
         validate_against_schema(doc, "mapping.schema.json", IngestError)
         columns = doc["columns"]
-        geography = doc.get("geography", {})
+        geography = doc["geography"]
         return cls(
             layout=Layout(doc["layout"]),
             geography_code_column=columns["geography_code"],
@@ -176,10 +179,8 @@ class SchemaMapping(Checked, _MappingFields):
             calendar_year_column=columns.get("calendar_year"),
             value_column=columns.get("value"),
             year_columns=tuple(doc.get("year_columns", ())),
-            level=GeoLevel(geography["level"]) if "level" in geography else None,
-            edition=BoundaryEdition(geography["edition"]) if "edition" in geography else None,
-            level_column=columns.get("geography_level"),
-            edition_column=columns.get("boundary_edition"),
+            level=GeoLevel(geography["level"]),
+            edition=BoundaryEdition(geography["edition"]),
             missing_tokens=frozenset(doc.get("missing_tokens", [""])),
             delimiter=doc.get("delimiter", ","),
         )
@@ -220,13 +221,6 @@ class ParseReport(NamedTuple):
             "rejects": [r.to_json() for r in self.rejects],
             "lineage_digest": self.lineage_digest,
         }
-
-
-def _parse_year(token: str) -> int:
-    token = token.strip()
-    if not re.fullmatch(r"-?[0-9]+", token):
-        raise ValueError(token)
-    return int(token)
 
 
 def _parse_magnitude(token: str, kind: CellKind) -> float:
@@ -297,10 +291,10 @@ def parse_raw(
     line 1).  In the wide layout each (row, year column) pair is one
     logical row, in row-major order.
 
-    The rows are read `CHUNK_ROWS` at a time and decided a column at a
-    time: each distinct key, year, value, level and edition token is
-    decided once, and only the rows a decision flags (short rows, blank
-    lines, rejects, an unknown level or edition) are visited one by one.
+    The level and edition are the mapping's.  The rows are read
+    `CHUNK_ROWS` at a time and decided a column at a time: each distinct
+    key, year and value token is decided once, and only the rows a decision
+    flags (short rows, blank lines, rejects) are visited one by one.
     So a parse holds one chunk of raw fields beside the records' columns,
     never the raw table as lists of strings.  One sort permutation puts
     the records in canonical order.
@@ -325,18 +319,11 @@ def parse_raw(
         raise IngestError(f"bound columns appear more than once in header: {', '.join(repeated)}")
     position = {name: header.index(name) for name in header}
 
-    # The level and edition are resolved for the whole file; mixed files are rejected.
-    levels = {mapping.level} - {None}
-    editions = {mapping.edition} - {None}
-    enum_columns = [(name, label, parse, found, {}) for name, label, parse, found in (
-        (mapping.level_column, "geography level", GeoLevel, levels),
-        (mapping.edition_column, "boundary edition", lambda token: BoundaryEdition(_parse_year(token)), editions),
-    ) if name]  # each bound level or edition column, with the memo of its tokens
     wide = mapping.layout is Layout.WIDE_BY_YEAR
     value_columns = mapping.year_columns if wide else (mapping.value_column,)
     m, width, value_kind = len(value_columns), len(header), mapping.value_kind
     bound = [mapping.geography_code_column, mapping.age_group_column, mapping.sex_column, *value_columns]
-    bound += [mapping.calendar_year_column] * (not wide) + [name for name, *_ in enum_columns]
+    bound += [mapping.calendar_year_column] * (not wide)
     getter = itemgetter(*map(position.__getitem__, bound))
 
     # Tokens repeat across rows, so each distinct one is decided once: a key
@@ -347,34 +334,15 @@ def parse_raw(
     years: dict[str, int | str] = {}
     cells: dict[str, tuple | str] = {}
 
-    def parse_year_token(token: str) -> int | str:
-        try:
-            return _parse_year(token)
-        except ValueError:
-            return f"calendar year not an integer: {token.strip()!r}"
-
     # The records so far, in row-major order; `at` holds each one's line * m + value column index.
     region, year, age, sex, cell, at = [], [], [], [], [], []
     rejects: list[Reject] = []
 
     def decide(chunk: list[list[str]], lines: Sequence[int]) -> None:
-        """Append one chunk's records and rejects; an unknown level or edition raises."""
+        """Append one chunk's records and rejects."""
         if min(map(len, chunk)) < width:
             chunk = [row + [""] * (width - len(row)) for row in chunk]
         codes, ages, sexes, *rest = getter(list(zip(*chunk)))  # every row holds at least `width` fields
-        named = rest[m + (not wide):]
-        for (_, _, parse, found, memo), column in zip(enum_columns, named):
-            for token in set(column).difference(memo):
-                try:
-                    memo[token] = parse(token.strip())
-                except ValueError:
-                    memo[token] = None
-            found.update(map(memo.__getitem__, set(column)))
-        if None in levels or None in editions:
-            for lineno, *row in zip(lines, *named):
-                for (_, label, _, _, memo), token in zip(enum_columns, row):
-                    if memo[token] is None:
-                        raise IngestError(f"line {lineno}: unknown {label} {token.strip()!r}")
         distinct = set(codes).union(ages, sexes)
         for token in distinct.difference(tokens):
             tokens[token] = token
@@ -390,7 +358,10 @@ def parse_raw(
             line * m + j for line in lines for j in range(m)
         ]
         for token in set(year_tokens).difference(years):
-            years[token] = parse_year_token(token)
+            try:
+                years[token] = _ascii_int(token.strip())
+            except ValueError:
+                years[token] = f"calendar year not an integer: {token.strip()!r}"
         cells.update(_value_decisions(list(set(values).difference(cells)), mapping.missing_tokens, value_kind))
         bad_years = {token for token in set(year_tokens) if isinstance(years[token], str)}
         bad_cells = {token for token in set(values) if isinstance(cells[token], str)}
@@ -422,12 +393,7 @@ def parse_raw(
 
     data_rows, first_line = 0, 2
     while True:
-        chunk: list[list[str]] = []
-        failure: IngestError | None = None
-        try:
-            chunk.extend(islice(reader, CHUNK_ROWS))
-        except IngestError as exc:
-            failure = exc  # raised once the rows before the bad line are decided
+        chunk = list(islice(reader, CHUNK_ROWS))
         read = len(chunk)
         lines: Sequence[int] = range(first_line, first_line + read)
         first_line += read
@@ -436,19 +402,9 @@ def parse_raw(
         if chunk:
             data_rows += len(chunk)
             decide(chunk, lines)
-        if failure is not None:
-            raise failure
         if read < CHUNK_ROWS:
             break
     del chunk, lines  # the last chunk's raw fields are not kept beside the records
-    if len(levels) != 1:
-        raise IngestError(
-            "mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels))
-        )
-    if len(editions) != 1:
-        raise IngestError(
-            "mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions))
-        )
     # One stable sort by key puts the records in canonical order; equal keys keep row-major order.
     keys = list(zip(region, year, age, sex))
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -473,7 +429,7 @@ def parse_raw(
         lineage_csv=lineage_csv,
         lineage_digest=sha256_hex(lineage_csv),
     )
-    return Dataset(indicator, columns, next(iter(editions)), next(iter(levels))), report
+    return Dataset(indicator, columns, mapping.edition, mapping.level), report
 
 
 class ColumnGuess(NamedTuple):

@@ -212,6 +212,8 @@ class Indicator(Checked, _IndicatorFields):
             raise ArdkitError(f"indicator value kind must be count/rate/percentage, got {self.value_kind}")
         if not isinstance(self.nest_domain, NestDomain):
             raise ArdkitError(f"unknown wellbeing domain {self.nest_domain!r}")
+        if not isinstance(self.correspondence_applied, bool):
+            raise ArdkitError(f"correspondence_applied must be true or false, not {self.correspondence_applied!r}")
         return self
 
     def to_json(self) -> dict:
@@ -245,7 +247,7 @@ class Indicator(Checked, _IndicatorFields):
             id=doc["id"],
             name=doc["name"],
             source_id=doc["source_id"],
-            correspondence_applied=bool(doc.get("correspondence_applied", False)),
+            correspondence_applied=doc.get("correspondence_applied", False),
             **enums,
         )
 

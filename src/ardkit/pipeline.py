@@ -567,7 +567,7 @@ def _run_timestamp(config: PipelineConfig) -> str:
         moment = datetime.datetime.fromtimestamp(_ascii_int(epoch), utc) if epoch else datetime.datetime.now(utc)
     except (ValueError, OverflowError, OSError):
         raise ConfigError(f"SOURCE_DATE_EPOCH {epoch!r} is not a whole number of seconds in range") from None
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return moment.isoformat(timespec="seconds").replace("+00:00", "Z")  # `strftime("%Y")` writes year 1 as "1"
 
 
 def _write_artifacts(out_dir: Path, artifacts: Mapping[str, str]) -> None:

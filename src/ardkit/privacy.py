@@ -31,11 +31,13 @@ class SuppressionPolicy(Checked, _SuppressionPolicyFields):
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.threshold, int) or isinstance(self.threshold, bool) or self.threshold < 1:
             raise PrivacyError(f"suppression threshold must be a positive integer, got {self.threshold!r}")
+        if not isinstance(self.suppress_zero, bool):
+            raise PrivacyError(f"suppress_zero must be true or false, not {self.suppress_zero!r}")
         return self
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SuppressionPolicy":
-        return cls(threshold=doc.get("threshold", 5), suppress_zero=bool(doc.get("suppress_zero", False)))
+        return cls(threshold=doc.get("threshold", 5), suppress_zero=doc.get("suppress_zero", False))
 
 
 class SuppressionLog(NamedTuple):

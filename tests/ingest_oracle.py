@@ -3,7 +3,7 @@
 This is the oracle the ingest tests compare `parse_raw` against.  It walks
 the rows one at a time, builds one tuple per record, sorts the records
 itself and renders the lineage through `csv.writer`.  It shares with the
-engine only the per-token helpers (`_parse_year`, `_parse_magnitude`,
+engine only the per-token helpers (`_ascii_int`, `_parse_magnitude`,
 `csv_rows`, `decode_utf8`) and the types it returns, so a fault in the
 engine's chunking, column memos, reject flags, sort permutation or lineage
 render does not reappear here.  `test_imports` checks that it stays that way.
@@ -16,9 +16,9 @@ import hashlib
 import io
 
 from ardkit.errors import IngestError
-from ardkit.ingest import Layout, ParseReport, Reject, _parse_magnitude, _parse_year
+from ardkit.ingest import Layout, ParseReport, Reject, _parse_magnitude
 from ardkit.jsonio import decode_utf8
-from ardkit.model import BoundaryEdition, CellKind, Columns, Dataset, GeoLevel, UncertaintyLevel, csv_rows
+from ardkit.model import CellKind, Columns, Dataset, UncertaintyLevel, _ascii_int, csv_rows
 
 
 def parse(data, mapping, indicator):
@@ -41,8 +41,6 @@ def parse(data, mapping, indicator):
         raise IngestError(f"bound columns appear more than once in header: {', '.join(repeated)}")
     position = {name: header.index(name) for name in header}
 
-    levels = set() if mapping.level is None else {mapping.level}
-    editions = set() if mapping.edition is None else {mapping.edition}
     if mapping.layout is Layout.LONG:
         logical = [(mapping.value_column, position[mapping.value_column], position[mapping.calendar_year_column])]
     else:
@@ -57,18 +55,6 @@ def parse(data, mapping, indicator):
             continue
         data_rows += 1
         row = row + [""] * (width - len(row))
-        if mapping.level_column:
-            token = row[position[mapping.level_column]].strip()
-            try:
-                levels.add(GeoLevel(token))
-            except ValueError:
-                raise IngestError(f"line {lineno}: unknown geography level {token!r}") from None
-        if mapping.edition_column:
-            token = row[position[mapping.edition_column]].strip()
-            try:
-                editions.add(BoundaryEdition(_parse_year(token)))
-            except ValueError:
-                raise IngestError(f"line {lineno}: unknown boundary edition {token!r}") from None
         code = row[position[mapping.geography_code_column]]
         age = row[position[mapping.age_group_column]]
         sex = row[position[mapping.sex_column]]
@@ -83,7 +69,7 @@ def parse(data, mapping, indicator):
         for place, (column, value_at, year_at) in enumerate(logical):
             year_token = row[year_at] if year_at is not None else column
             try:
-                year = _parse_year(year_token)
+                year = _ascii_int(year_token.strip())
             except ValueError:
                 rejects.append(Reject(lineno, f"calendar year not an integer: {year_token.strip()!r}"))
                 continue
@@ -101,10 +87,6 @@ def parse(data, mapping, indicator):
                     magnitude = int(magnitude)
             rows.append((code, year, age, sex, kind, magnitude, UncertaintyLevel.LOW))
             lineage.append(((code, year, age, sex), lineno, place, column))
-    if len(levels) != 1:
-        raise IngestError("mixed geography levels in one file: " + ", ".join(sorted(l.value for l in levels)))
-    if len(editions) != 1:
-        raise IngestError("mixed boundary editions in one file: " + ", ".join(str(int(e)) for e in sorted(editions)))
     rows.sort(key=lambda r: r[:4])  # stable: equal keys keep row-major order
     # Each line by a `\r\n` writer, which quotes a field holding `\r` (as every writer does from Python 3.12),
     # then ended with `\n`.
@@ -123,4 +105,4 @@ def parse(data, mapping, indicator):
         lineage_digest=hashlib.sha256(lineage_csv.encode("utf-8")).hexdigest(),
     )
     columns = Columns(*map(tuple, zip(*rows))) if rows else Columns((), (), (), (), (), (), ())
-    return Dataset(indicator, columns, next(iter(editions)), next(iter(levels))), report
+    return Dataset(indicator, columns, mapping.edition, mapping.level), report

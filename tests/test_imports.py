@@ -191,9 +191,9 @@ INGEST_ORACLE = Path(__file__).with_name("ingest_oracle.py")
 INGEST_ORACLE_MAY_IMPORT = {
     # The per-token helpers and the result types; the parse itself is under test.
     "ardkit.errors": {"IngestError"},
-    "ardkit.ingest": {"Layout", "ParseReport", "Reject", "_parse_magnitude", "_parse_year"},
+    "ardkit.ingest": {"Layout", "ParseReport", "Reject", "_parse_magnitude"},
     "ardkit.jsonio": {"decode_utf8"},
-    "ardkit.model": {"BoundaryEdition", "CellKind", "Columns", "Dataset", "GeoLevel", "UncertaintyLevel", "csv_rows"},
+    "ardkit.model": {"CellKind", "Columns", "Dataset", "UncertaintyLevel", "_ascii_int", "csv_rows"},
 }
 ENGINE_PARSE_NAMES = {"parse_raw", "ledger_csv", "canonical_sort", "take"}
 
@@ -220,7 +220,7 @@ def test_ingest_oracle_is_independent_of_the_engine():
 
 def test_ingest_oracle_reference_is_reported():
     source = (
-        "from ardkit.ingest import parse_raw, _parse_year\n"
+        "from ardkit.ingest import parse_raw, _parse_magnitude\n"
         "from ardkit.model import canonical_sort\n"
         "import ardkit.ingest as ingest\n"
         "rows = columns.take(order)\n"

@@ -24,7 +24,7 @@ from ardkit.ingest import (
     detect_characteristics,
     parse_raw,
 )
-from ardkit.model import BoundaryEdition, CellKind, GeoLevel, write_csv
+from ardkit.model import CellKind, write_csv
 
 import ingest_oracle
 from conftest import E2016, SA3, make_indicator
@@ -152,26 +152,6 @@ class TestParseLong:
         raw = f"SA3CODE_16,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,2016,0-4,{'m' * 200_000},1\n"
         with pytest.raises(IngestError, match=r"^line 2: field larger than field limit \(131072\)$"):
             parse_raw(raw, LONG_MAPPING, count_indicator)
-
-    def test_mixed_levels_rejected(self, count_indicator):
-        mapping = SchemaMapping(
-            layout=Layout.LONG,
-            geography_code_column="CODE",
-            age_group_column="AGE_GROUP",
-            sex_column="SEX",
-            calendar_year_column="CALENDAR_YEAR",
-            value_column="VALUE",
-            value_kind=CellKind.COUNT,
-            level_column="LEVEL",
-            edition=E2016,
-        )
-        raw = (
-            "CODE,LEVEL,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
-            "10102,SA3,2016,0-4,male,1\n"
-            "101021007,SA2,2016,0-4,male,1\n"
-        )
-        with pytest.raises(IngestError, match="mixed geography levels"):
-            parse_raw(raw, mapping, count_indicator)
 
     def test_deterministic_serialization(self, count_indicator):
         raw = (
@@ -305,6 +285,24 @@ class TestMappingJson:
         columns = {k: v for k, v in LONG_MAPPING_DOC["columns"].items() if k != "value"}
         doc = {**LONG_MAPPING_DOC, "columns": columns}
         with pytest.raises(IngestError, match="value"):
+            SchemaMapping.from_json(doc)
+
+    @pytest.mark.parametrize("field", ["level", "edition"])
+    def test_level_and_edition_are_required_constants(self, field):
+        with pytest.raises(IngestError, match="^a mapping declares both its geography level and its boundary edition$"):
+            LONG_MAPPING._replace(**{field: None})
+        geography = {key: value for key, value in LONG_MAPPING_DOC["geography"].items() if key != field}
+        with pytest.raises(IngestError, match=f"'{field}' is a required property \\(at geography\\)$"):
+            SchemaMapping.from_json({**LONG_MAPPING_DOC, "geography": geography})
+        doc = {key: value for key, value in LONG_MAPPING_DOC.items() if key != "geography"}
+        with pytest.raises(IngestError, match="'geography' is a required property"):
+            SchemaMapping.from_json(doc)
+
+    @pytest.mark.parametrize("column", ["geography_level", "boundary_edition"])
+    def test_no_level_or_edition_column(self, column):
+        # A table has one level and one edition, so the mapping states them; a column could only restate them.
+        doc = {**LONG_MAPPING_DOC, "columns": {**LONG_MAPPING_DOC["columns"], column: "X"}}
+        with pytest.raises(IngestError, match=f"\\('{column}' was unexpected\\) \\(at columns\\)$"):
             SchemaMapping.from_json(doc)
 
     def test_one_year_in_two_columns_is_refused(self):
@@ -447,13 +445,10 @@ def raw_tables(draw):
     """(raw text, mapping, indicator, chunk size): a random table, its mapping, and a chunk size to parse it with."""
     wide = draw(st.booleans())
     kind = draw(st.sampled_from([CellKind.COUNT, CellKind.RATE]))
-    level_column = draw(st.booleans())
-    edition_column = draw(st.booleans())
     delimiter = draw(st.sampled_from([",", ";"]))
     year_columns = tuple(draw(st.lists(st.sampled_from(YEAR_COLUMNS), min_size=1, max_size=3, unique=True))) if wide else ()
     header = ["CODE", "AGE", "SEX", "NOTE"]
     header += sorted(year_columns) if wide else ["YEAR", "VALUE"]
-    header += ["LEVEL"] * level_column + ["EDITION"] * edition_column
     header = draw(st.permutations(header))
     mapping = SchemaMapping(
         layout=Layout.WIDE_BY_YEAR if wide else Layout.LONG,
@@ -464,25 +459,19 @@ def raw_tables(draw):
         calendar_year_column=None if wide else "YEAR",
         value_column=None if wide else "VALUE",
         year_columns=year_columns,
-        level=None if level_column else SA3,
-        edition=None if edition_column else E2016,
-        level_column="LEVEL" if level_column else None,
-        edition_column="EDITION" if edition_column else None,
+        level=SA3,
+        edition=E2016,
         missing_tokens=frozenset({"", "n.p."}),
         delimiter=delimiter,
     )
-    # Most tables hold only known levels and editions and no unreadable line, so that most parses succeed.
-    faulty = draw(st.sampled_from([()] * 8 + [("level",), ("edition",), ("unreadable",), ("level", "unreadable")]))
-    pools = {
-        **KEY_TOKENS, "NOTE": ["x", ""], "YEAR": YEAR_TOKENS, "VALUE": VALUE_TOKENS,
-        "LEVEL": ["SA3", " SA3 "] + ["SA2", "XX"] * ("level" in faulty),
-        "EDITION": ["2016", " 2016"] + ["2011", "16", "x", "２０１６"] * ("edition" in faulty),
-    }
+    # Most tables hold no unreadable line, so that most parses succeed.
+    unreadable = draw(st.sampled_from([False] * 5 + [True]))
+    pools = {**KEY_TOKENS, "NOTE": ["x", ""], "YEAR": YEAR_TOKENS, "VALUE": VALUE_TOKENS}
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 30))):
-        shape = draw(st.sampled_from(["full"] * 10 + ["blank", "short"] + ["unreadable"] * ("unreadable" in faulty)))
+        shape = draw(st.sampled_from(["full"] * 10 + ["blank", "short"] + ["unreadable"] * unreadable))
         if shape == "unreadable":  # a bare carriage return: the reader fails on this line
             out.write("x\ry\n")
             continue
@@ -521,27 +510,6 @@ class TestAgainstOracle:
         assert got == parse_outcome(ingest_oracle.parse, raw, mapping, make_indicator())
         assert got[-1].rejects and len(got[-1].lineage_csv.splitlines()) > ingest.CHUNK_ROWS
 
-    def test_first_unknown_level_is_named_before_a_later_unreadable_line(self, count_indicator):
-        mapping = SchemaMapping(
-            layout=Layout.LONG,
-            geography_code_column="CODE",
-            age_group_column="AGE_GROUP",
-            sex_column="SEX",
-            calendar_year_column="CALENDAR_YEAR",
-            value_column="VALUE",
-            value_kind=CellKind.COUNT,
-            level_column="LEVEL",
-            edition_column="EDITION",
-        )
-        raw = "CODE,LEVEL,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n"
-        raw += "1,SA3,2016,2016,0-4,male,1\n1,SA3,16,2016,0-4,male,1\n1,XX,16,2016,0-4,male,1\nx\ry\n"
-        for parse in (parse_raw, ingest_oracle.parse):
-            with pytest.raises(IngestError, match=r"^line 3: unknown boundary edition '16'$"):
-                parse(raw, mapping, count_indicator)
-        good = "CODE,LEVEL,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n1, SA3 , 2016,2016,0-4,male,1\n"
-        dataset, _ = parse_raw(good, mapping, count_indicator)
-        assert (dataset.level, dataset.edition) == (GeoLevel.SA3, BoundaryEdition.ASGS2016)
-
 
 # Every value the bulk path takes on, and tokens that send a batch to the per-token path.
 BULK_TOKENS = ["5", "0", " 7 ", "\t12\n", "3.0", "1e3", "-0.0", "-0", "0.0", "", " ", "n.p.", " n.p. "]
@@ -576,7 +544,7 @@ class TestBulkValueDecisions:
 
 
 class TestAsciiDecimal:
-    """Year, value and edition tokens are ASCII decimal: `int` and `float` alone also take `_` and other digits."""
+    """Year and value tokens are ASCII decimal: `int` and `float` alone also take `_` and other digits."""
 
     @pytest.mark.parametrize("year", ["2_016", "２０１６", "١٢"])
     def test_year_token_rejects_its_row(self, count_indicator, year):
@@ -593,9 +561,3 @@ class TestAsciiDecimal:
         dataset, report = parse_raw(raw, mapping, make_indicator(value_kind=kind))
         assert report.rejects == (ingest.Reject(2, f"unparseable value {value!r}"),)
         assert dataset.columns.region == ("10103",)
-
-    def test_edition_token_is_unknown(self, count_indicator):
-        mapping = LONG_MAPPING._replace(edition=None, edition_column="EDITION")
-        raw = "SA3CODE_16,EDITION,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE\n10102,２０１６,2016,0-4,male,1\n"
-        with pytest.raises(IngestError, match="^line 2: unknown boundary edition '２０１６'$"):
-            parse_raw(raw, mapping, count_indicator)

@@ -941,7 +941,10 @@ class TestCliBasics:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("epoch, timestamp", [("0", "1970-01-01T00:00:00Z"), ("-5", "1969-12-31T23:59:55Z")])
+    @pytest.mark.parametrize(
+        "epoch, timestamp",
+        [("0", "1970-01-01T00:00:00Z"), ("-5", "1969-12-31T23:59:55Z"), ("-62135596800", "0001-01-01T00:00:00Z")],
+    )
     def test_source_date_epoch_sets_the_timestamp(self, tmp_path, monkeypatch, epoch, timestamp):
         assert self.run_at_epoch(tmp_path, monkeypatch, epoch).returncode == 0
         log = ProvenanceLog.from_jsonl((tmp_path / "out" / "provenance.jsonl").read_text())
@@ -1639,6 +1642,73 @@ class TestBadCliInputs:
         line = 3 if command == "qa" else 2
         assert self.main(*argv) == 2
         assert f"error: {big}: line {line}: field larger than field limit (131072)" in capsys.readouterr().err
+
+    # A table has one level and one edition, which its mapping states as constants.
+    LEVEL_EDITION_CHANGES = {
+        "level-column": (
+            ("columns", "geography_level", "LEVEL"),
+            "Additional properties are not allowed ('geography_level' was unexpected) (at columns)",
+        ),
+        "edition-column": (
+            ("columns", "boundary_edition", "EDITION"),
+            "Additional properties are not allowed ('boundary_edition' was unexpected) (at columns)",
+        ),
+        "no-edition": (("geography", "edition", None), "'edition' is a required property (at geography)"),
+    }
+
+    @staticmethod
+    def change_mapping(path, part, key, value):
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[part][key]
+        else:
+            doc[part][key] = value
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("change, message", LEVEL_EDITION_CHANGES.values(), ids=LEVEL_EDITION_CHANGES)
+    def test_ingest_mapping_without_constant_level_and_edition_exit_2(self, tmp_path, capsys, change, message):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,LEVEL,EDITION\nA,2016,0-4,male,9,SA3,2011\n")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(self.MAPPING))
+        self.change_mapping(mapping, *change)
+        assert self.main(*self.ingest_argv(tmp_path, raw, mapping)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {mapping}: mapping.schema.json: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("change, message", LEVEL_EDITION_CHANGES.values(), ids=LEVEL_EDITION_CHANGES)
+    def test_run_mapping_without_constant_level_and_edition_exit_2(self, tmp_path, capsys, change, message):
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        mapping = tmp_path / "proj" / "mapping_long_2011.json"
+        self.change_mapping(mapping, *change)
+        assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
+        out, err = capsys.readouterr()
+        assert out == f"run finished with exit code 2: {mapping}: mapping.schema.json: {message}\n"
+        assert err == f"FAILED marker written under {tmp_path / 'out'}\n"
+        assert (tmp_path / "out" / "FAILED").read_text() == f"{mapping}: mapping.schema.json: {message}\n"
+
+    @pytest.mark.parametrize("key", ["collection_start", "collection_end"])
+    @pytest.mark.parametrize("text", ["2020-13-01", "2021-02-30"])
+    def test_run_impossible_source_date_exit_2(self, tmp_path, capsys, key, text):
+        # `YYYY-MM-DD` passes the schema's pattern; the date itself is checked when the config loads.
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        doc["sources"][0][key] = text
+        config_path.write_text(json.dumps(doc))
+        source_id = doc["sources"][0]["source_id"]
+        assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: source {source_id}: {key} '{text}' is not a calendar date\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_clean_non_boolean_flag_in_indicator_sidecar_exit_2(self, tmp_path, capsys):
+        # `bool("false")` is True, so a quoted flag would read as set.
+        data, indicator = self.files(tmp_path, correspondence_applied="false")
+        outputs = ["--out-data", tmp_path / "o.csv", "--log", tmp_path / "log.jsonl"]
+        assert self.main("clean", "--data", data, "--indicator", indicator, *outputs) == 2
+        message = "correspondence_applied must be true or false, not 'false'"
+        assert capsys.readouterr().err == f"error: {indicator}: {message}\n"
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "log.jsonl").exists()
 
 
 @contextmanager

@@ -114,6 +114,14 @@ REFUSED = {
     "SchemaMapping": (long_mapping, "year_columns", ("2016",), IngestError, "year_columns only apply to the wide"),
     "CleaningRuleSet": (CleaningRuleSet, "code_case_fold", "false", CleaningError, "code_case_fold must be true or false"),
     "SuppressionPolicy": (SuppressionPolicy, "threshold", True, PrivacyError, "must be a positive integer, got True"),
+    # A flag is a bool: `bool("false")` is True.
+    "Indicator-flag": (
+        make_indicator, "correspondence_applied", "false", ArdkitError,
+        "^correspondence_applied must be true or false, not 'false'$",
+    ),
+    "SuppressionPolicy-flag": (
+        SuppressionPolicy, "suppress_zero", "false", PrivacyError, "^suppress_zero must be true or false, not 'false'$"
+    ),
 }
 
 
@@ -175,8 +183,20 @@ WIDE_DOC = {
         (SchemaMapping.from_json, {**WIDE_DOC, "year_columns": ["2016", "2016"]}, IngestError, "repeats year 2016"),
         (CleaningRuleSet.from_json, {"whitespace_normalization": 1}, CleaningError, "whitespace_normalization must be"),
         (SuppressionPolicy.from_json, {"threshold": True}, PrivacyError, "positive integer, got True"),
+        (
+            Indicator.from_json, {**make_indicator().to_json(), "correspondence_applied": "false"},
+            ArdkitError, "correspondence_applied must be true or false, not 'false'",
+        ),
+        (SuppressionPolicy.from_json, {"suppress_zero": "false"}, PrivacyError, "suppress_zero must be true or false"),
+        (
+            SourceDescriptor.from_json, {**source().to_json(), "collection_start": "2020-13-01"},
+            IngestError, "source src.demo: collection_start '2020-13-01' is not a calendar date",
+        ),
     ],
-    ids=["Indicator", "SourceDescriptor", "SchemaMapping", "CleaningRuleSet", "SuppressionPolicy"],
+    ids=[
+        "Indicator", "SourceDescriptor", "SchemaMapping", "CleaningRuleSet", "SuppressionPolicy",
+        "Indicator-flag", "SuppressionPolicy-flag", "SourceDescriptor-date",
+    ],
 )
 def test_from_json_builds_through_the_checks(from_json, doc, error, message):
     with pytest.raises(error, match=message):
