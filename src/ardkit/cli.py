@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .correspondence import CorrespondencePolicy, OutcomeSummary, load_table, outcomes_report
 from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
-from .jsonio import canonical_dumps, decode_utf8, ledger_path, parse_json
+from .jsonio import about, canonical_dumps, decode_utf8, ledger_path, read_doc, read_user_file
 from .model import (
     BoundaryEdition,
     GeoLevel,
@@ -34,7 +33,17 @@ from .model import (
     round_counts,
     write_csv,
 )
-from .pipeline import check_privacy_log, collector_paused, load_config, privacy_stage, qa_stage, run
+from .pipeline import (
+    TableSpec,
+    check_privacy_log,
+    collector_paused,
+    correspond_stage,
+    load_config,
+    load_tables,
+    privacy_stage,
+    qa_stage,
+    run,
+)
 from .privacy import SuppressionPolicy, check_seed
 from .qa import clean_qa_cycle, QAContext
 from .cleaning import CleaningRuleSet
@@ -46,33 +55,10 @@ def _write(path: str, text: str) -> None:
     target.write_text(text, encoding="utf-8", newline="")
 
 
-def _read_text(path: str) -> str:
-    """A user file as UTF-8 text; invalid bytes raise an error naming the file."""
-    return decode_utf8(Path(path).read_bytes(), ArdkitError, path)
-
-
-@contextmanager
-def _about(path: str):
-    """Prefix an ArdkitError raised in the block with the user file it is about."""
-    try:
-        yield
-    except ArdkitError as exc:
-        raise ArdkitError(f"{path}: {exc}") from None
-
-
-def _read_doc(path: str, build):
-    """A user JSON file passed through `build`; a wrongly shaped one raises an error naming the file."""
-    doc = parse_json(_read_text(path), ArdkitError, path)
-    with _about(path):
-        return build(doc)
-
-
 def _read_dataset(data_path: str, indicator_path: str):
     """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs."""
-    indicator = _read_doc(indicator_path, Indicator.from_json)
-    text = _read_text(data_path)
-    with _about(data_path):
-        return canonical_sort(read_csv(text, indicator))
+    indicator = read_doc(indicator_path, Indicator.from_json)
+    return canonical_sort(read_doc(data_path, functools.partial(read_csv, indicator=indicator), parse=decode_utf8))
 
 
 def _write_report(path: str, report: tuple[dict, str]) -> None:
@@ -84,11 +70,8 @@ def _write_report(path: str, report: tuple[dict, str]) -> None:
 
 def _read_outcomes(path: str):
     """A correspondence report's steps with their events, read from its ledger; errors name the file at fault."""
-    summary = _read_doc(path, OutcomeSummary.from_json)
-    ledger = ledger_path(path)
-    text = _read_text(ledger)
-    with _about(ledger):
-        return summary.outcomes(text)
+    summary = read_doc(path, OutcomeSummary.from_json)
+    return read_doc(ledger_path(path), summary.outcomes, parse=decode_utf8)
 
 
 def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:
@@ -113,22 +96,23 @@ def _cmd_run(args) -> int:
     result = run(config, strict=args.strict)
     print(f"run finished with exit code {result.exit_code}: {result.message}")
     if result.failed:
+        print(f"error: {result.message}", file=sys.stderr)
         print(f"FAILED marker written under {result.out_dir}", file=sys.stderr)
     return result.exit_code
 
 
 def _cmd_ingest(args) -> int:
-    raw = Path(args.raw).read_bytes()
+    raw = read_user_file(args.raw, ArdkitError)
     if args.detect:
-        with _about(args.raw):
+        with about(args.raw):
             draft = detect_characteristics(raw)
         print(canonical_dumps(draft.to_json()), end="")
         return 0
     if not (args.mapping and args.indicator and args.out_data and args.report):
         raise ConfigError("ingest needs --mapping, --indicator, --out-data, and --report (or --detect)")
-    mapping = _read_doc(args.mapping, SchemaMapping.from_json)
-    indicator = _read_doc(args.indicator, Indicator.from_json)
-    with _about(args.raw):
+    mapping = read_doc(args.mapping, SchemaMapping.from_json)
+    indicator = read_doc(args.indicator, Indicator.from_json)
+    with about(args.raw):
         dataset, report = parse_raw(raw, mapping, indicator)
     _write_dataset(dataset, args.out_data, args.out_indicator)
     _write(args.report, canonical_dumps(report.to_json()))
@@ -140,8 +124,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_clean(args) -> int:
     dataset = _read_dataset(args.data, args.indicator)
-    rules = _read_doc(args.rules, CleaningRuleSet.from_json) if args.rules else CleaningRuleSet()
-    vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
+    rules = read_doc(args.rules, CleaningRuleSet.from_json) if args.rules else CleaningRuleSet()
+    vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
     cycle = clean_qa_cycle(
         dataset,
@@ -155,26 +139,17 @@ def _cmd_clean(args) -> int:
     return 0
 
 
-def _parse_table_spec(spec: str):
+def _table_spec(spec: str, level: GeoLevel) -> TableSpec:
     try:
         from_text, to_text, path = spec.split(":", 2)
-        return BoundaryEdition(_ascii_int(from_text)), BoundaryEdition(_ascii_int(to_text)), path
+        return TableSpec(Path(path), level, BoundaryEdition(_ascii_int(from_text)), BoundaryEdition(_ascii_int(to_text)))
     except (ValueError, KeyError):
         raise ConfigError(f"bad --table spec {spec!r}; expected FROM:TO:PATH") from None
 
 
 def _cmd_correspond(args) -> int:
-    from .pipeline import correspond_stage
-
     dataset = _read_dataset(args.data, args.indicator)
-    tables = {}
-    for spec in args.table:
-        from_edition, to_edition, path = _parse_table_spec(spec)
-        text = _read_text(path)
-        with _about(path):
-            tables[(from_edition, to_edition)] = load_table(
-                text, level=dataset.level, from_edition=from_edition, to_edition=to_edition
-            )
+    tables = load_tables(tuple(_table_spec(spec, dataset.level) for spec in args.table))
     policy = CorrespondencePolicy() if args.discard_threshold is None else CorrespondencePolicy(args.discard_threshold)
     denominator = None
     if args.denominator_data:
@@ -229,8 +204,8 @@ def _cmd_qa(args) -> int:
         raise ConfigError("--filter-high needs --out-data")
     dataset = _read_dataset(args.data, args.indicator)
     outcomes = _read_outcomes(args.outcomes) if args.outcomes else ()
-    privacy_log = _read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
-    vocabulary = _read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
+    privacy_log = read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
+    vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
     filtered, removal_log, report = qa_stage(
         dataset,
@@ -282,14 +257,13 @@ def _cmd_scaffold_dmp(args) -> int:
 
 
 def _cmd_validate_table(args) -> int:
-    text = _read_text(args.table)
-    with _about(args.table):
-        load_table(
-            text,
-            level=GeoLevel(args.level),
-            from_edition=BoundaryEdition(args.from_edition),
-            to_edition=BoundaryEdition(args.to_edition),
-        )
+    build = functools.partial(
+        load_table,
+        level=GeoLevel(args.level),
+        from_edition=BoundaryEdition(args.from_edition),
+        to_edition=BoundaryEdition(args.to_edition),
+    )
+    read_doc(args.table, build, parse=decode_utf8)
     print("correspondence table is valid")
     return 0
 
@@ -419,7 +393,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # A file that exists but cannot be read (a directory, no permission) is a user error too.
+        # An output that cannot be written (a directory, no permission) is a user error too.
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2

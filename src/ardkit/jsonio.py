@@ -2,8 +2,9 @@
 
 All machine-readable artifacts are serialized through these helpers so
 reruns produce byte-identical files: keys sorted, two-space indent, LF
-line endings, UTF-8.  User files are decoded through `decode_utf8` and
-`parse_json`, which turn bad bytes or bad JSON into an `ArdkitError`.
+line endings, UTF-8.  User files are read through `read_user_file` and
+decoded through `decode_utf8` and `parse_json`, which turn a file that
+cannot be read, bad bytes or bad JSON into an `ArdkitError` naming it.
 
 Documents are checked against the shipped schemas by a small JSON Schema
 2020-12 validator that covers exactly the keywords those schemas use
@@ -20,6 +21,7 @@ import json
 import numbers
 import re
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from importlib import resources
 from typing import Callable, Iterator, Type
 
@@ -63,6 +65,31 @@ def parse_json(data: bytes | str, error_cls: Type[ArdkitError], where: str):
         return json.loads(decode_utf8(data, error_cls, where))
     except json.JSONDecodeError as exc:
         raise error_cls(f"{where}: line {exc.lineno}: not valid JSON ({exc.msg})") from None
+
+
+def read_user_file(path, error_cls: Type[ArdkitError]) -> bytes:
+    """A user file's bytes; one that cannot be read (absent, a directory, no permission, NUL in its name) raises error_cls naming it."""
+    try:
+        with open(path, "rb") as file:
+            return file.read()
+    except (OSError, ValueError) as exc:  # ValueError: a name that holds NUL
+        raise error_cls(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+@contextmanager
+def about(path):
+    """Prefix an ArdkitError raised in the block with the user file it is about, keeping its class."""
+    try:
+        yield
+    except ArdkitError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_doc(path, build, error_cls: Type[ArdkitError] = ArdkitError, parse=parse_json):
+    """A user file read, parsed (as JSON unless `parse` is `decode_utf8`) and built; any failure names the file."""
+    doc = parse(read_user_file(path, error_cls), error_cls, str(path))
+    with about(path):
+        return build(doc)
 
 
 def load_schema(name: str) -> dict:

@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, compress, islice, repeat
-from operator import is_, is_not, le
+from operator import eq, gt, is_, is_not, le
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArdkitError
@@ -570,11 +570,12 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def _finite_float(text: str) -> float:
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
+def _value(text: str) -> Magnitude:
+    """The finite magnitude `write_csv` writes as `text`; any other text (` 5`, `+5`, `5.50`, `1e3`, `-0`) raises ValueError."""
     value = float(text)
-    if not math.isfinite(value):
+    if abs(value) >= _EXACT_INTEGERS and re.fullmatch("-?[0-9]+", text):
+        value = int(text)  # from 2**53 on, `write_csv` writes an int as `str` and a float as its repr
+    if not _is_magnitude(value) or format_magnitude(value) != text:
         raise ValueError(text)
     return value
 
@@ -643,7 +644,7 @@ def _read_rows(text: str, indicator: Indicator) -> Dataset:
             uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, _level)
         cell = cells.get(value_text)
         if cell is None:
-            cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _finite_float))
+            cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _value))
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _ascii_int)
@@ -677,10 +678,14 @@ def _read_plain(text: str, indicator: Indicator) -> Dataset:
     # Each distinct year, value and level text is decoded once, the values all at once.
     years, levels = map(cache, (_ascii_int, _level))
     numbers = list(set(value_texts).difference(_MARKERS))
-    joined = "".join(numbers)
-    if not joined.isascii() or "_" in joined or not all(map(math.isfinite, floats := list(map(float, numbers)))):
-        raise ValueError("a value `_finite_float` refuses")
-    magnitudes = dict(zip(numbers, floats))
+    floats = list(map(float, numbers))
+    if all(map(gt, repeat(2.0**53), map(abs, floats))):
+        # `_value` below 2**53: a text is its float's repr less a final ".0", and zero is "0".
+        if "-0" in numbers or not all(map(eq, numbers, map(str.removesuffix, map(repr, floats), repeat(".0")))):
+            raise ValueError("a value `_value` refuses")
+        magnitudes = dict(zip(numbers, floats))
+    else:
+        magnitudes = dict(zip(numbers, map(_value, numbers)))
     kinds = (indicator.value_kind,) * len(lines)
     if any(map(value_texts.__contains__, _MARKERS)):
         kinds = tuple(map(_MARKERS.get, value_texts, kinds))

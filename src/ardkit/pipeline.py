@@ -15,6 +15,7 @@ import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from operator import is_not
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -39,16 +40,25 @@ from .docs import (
     make_entry,
     scaffold_dmp,
 )
-from .errors import ArdkitError, ConfigError, CorrespondenceError, IngestError
+from .errors import ArdkitError, ConfigError, CorrespondenceError
 from .ingest import SchemaMapping, SourceDescriptor, parse_raw
-from .jsonio import canonical_dumps, ledger_path, parse_json, sha256_hex, validate_against_schema
+from .jsonio import (
+    about,
+    canonical_dumps,
+    decode_utf8,
+    ledger_path,
+    parse_json,
+    read_doc,
+    read_user_file,
+    sha256_hex,
+    validate_against_schema,
+)
 from .model import (
     BoundaryEdition,
     CellKind,
     Dataset,
     GeoLevel,
     Indicator,
-    NestDomain,
     Vocabulary,
     _ascii_int,
     round_counts,
@@ -125,20 +135,16 @@ class PipelineConfig:
 def load_config(path: str | os.PathLike) -> PipelineConfig:
     """Parse and validate a pipeline configuration file."""
     config_path = Path(path)
-    doc = parse_json(_read_file(config_path, "config"), ConfigError, str(config_path))
+    doc = parse_json(read_user_file(config_path, ConfigError), ConfigError, str(config_path))
     validate_against_schema(doc, "config.schema.json", ConfigError)
     base = config_path.parent
     project = doc["project"]
 
     vocabulary_doc = project.get("vocabulary", {})
-    where = "project.vocabulary"
     if isinstance(vocabulary_doc, str):
-        where = base / vocabulary_doc
-        vocabulary_doc = parse_json(_read_file(where, "vocabulary"), ConfigError, str(where))
-    try:
+        vocabulary = read_doc(base / vocabulary_doc, Vocabulary.from_json, ConfigError)
+    else:  # inline, and shaped as the schema checked
         vocabulary = Vocabulary.from_json(vocabulary_doc)
-    except ArdkitError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
     sources = tuple(SourceDescriptor.from_json(item) for item in doc.get("sources", ()))
     source_ids = {s.source_id for s in sources}
@@ -153,21 +159,9 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         seen_ids.add(item["id"])
         if item["source_id"] not in source_ids:
             raise ConfigError(f"indicator {item['id']!r} references unknown source {item['source_id']!r}")
-        indicator = Indicator(
-            id=item["id"],
-            name=item["name"],
-            nest_domain=NestDomain(item["nest_domain"]),
-            value_kind=CellKind(item["value_kind"]),
-            source_id=item["source_id"],
-        )
-        specs.append(
-            IndicatorSpec(
-                indicator=indicator,
-                data_path=base / item["data"],
-                mapping_path=base / item["mapping"],
-                denominator=item.get("denominator"),
-            )
-        )
+        # The schema has checked every key `from_json` reads.
+        indicator = Indicator.from_json(item)
+        specs.append(IndicatorSpec(indicator, base / item["data"], base / item["mapping"], item.get("denominator")))
     by_id = {spec.indicator.id: spec for spec in specs}
     for spec in specs:
         if spec.denominator is None:
@@ -365,28 +359,13 @@ class RunResult(NamedTuple):
     message: str
 
 
-def _read_file(path: Path, kind: str) -> bytes:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise ConfigError(f"{kind} file not found: {path}") from None
-
-
 def load_tables(
     specs: tuple[TableSpec, ...]
 ) -> dict[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable]:
     tables = {}
     for spec in specs:
-        try:
-            table = load_table(
-                _read_file(spec.path, "correspondence table"),
-                level=spec.level,
-                from_edition=spec.from_edition,
-                to_edition=spec.to_edition,
-            )
-        except CorrespondenceError as exc:
-            raise CorrespondenceError(f"{spec.path}: {exc}") from None
-        tables[(spec.from_edition, spec.to_edition)] = table
+        build = partial(load_table, level=spec.level, from_edition=spec.from_edition, to_edition=spec.to_edition)
+        tables[spec.from_edition, spec.to_edition] = read_doc(spec.path, build, ConfigError, decode_utf8)
     return tables
 
 
@@ -404,12 +383,8 @@ def _process_indicator(
     artifacts: dict[str, str] = {}
     records: list[StageRecord] = []
 
-    raw = _read_file(spec.data_path, "raw data")
-    mapping_doc = parse_json(_read_file(spec.mapping_path, "schema mapping"), ConfigError, str(spec.mapping_path))
-    try:
-        mapping = SchemaMapping.from_json(mapping_doc)
-    except IngestError as exc:
-        raise IngestError(f"{spec.mapping_path}: {exc}") from None
+    raw = read_user_file(spec.data_path, ConfigError)
+    mapping = read_doc(spec.mapping_path, SchemaMapping.from_json, ConfigError)
     digest = sha256_hex(raw)
     rendered: tuple = ((None, None, None), "", "")  # the last (columns, level, edition), CSV text, digest
     texts: dict = {}  # the last rendering's VALUE texts, which seed the next
@@ -439,10 +414,8 @@ def _process_indicator(
         before, digest = digest, render(output)[1]
         records.append(StageRecord(stage, decision, (before,), (digest,)))
 
-    try:
+    with about(spec.data_path):
         dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
-    except IngestError as exc:
-        raise IngestError(f"{spec.data_path}: {exc}") from None
     if dataset.level is not config.target_level:
         raise ConfigError(
             f"indicator {ind_id!r} is at level {dataset.level.value}, "

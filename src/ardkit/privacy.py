@@ -37,6 +37,8 @@ class SuppressionPolicy(Checked, _SuppressionPolicyFields):
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SuppressionPolicy":
+        if not isinstance(doc, Mapping):
+            raise PrivacyError(f"privacy settings {doc!r} are not a JSON object")
         return cls(threshold=doc.get("threshold", 5), suppress_zero=doc.get("suppress_zero", False))
 
 

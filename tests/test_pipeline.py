@@ -15,7 +15,7 @@ import pytest
 
 import ardkit
 from ardkit.docs import ProvenanceLog, verify_chain
-from ardkit.errors import ConfigError
+from ardkit.errors import ArdkitError, ConfigError
 from ardkit.jsonio import load_schema, sha256_hex
 from ardkit.model import _INDICATOR_ID_RE, BoundaryEdition, CellKind
 from ardkit.pipeline import load_config, load_tables, run
@@ -380,6 +380,59 @@ class TestFailureHandling:
         expected = f"{mapping}: mapping.schema.json: 'layout' is a required property (at document root)"
         assert result.message == expected
         assert (tmp_path / "out" / "FAILED").read_text() == expected + "\n"
+
+    # The project's inputs `run` reads after the config, by the names `build_demo_project` gives them.
+    INPUTS = {"data": "hospital_visits_2011.csv", "mapping": "mapping_long_2011.json", "table": "table_2011_2016.csv"}
+
+    @pytest.mark.parametrize("state, reason", [("directory", "Is a directory"), ("missing", "No such file or directory")])
+    @pytest.mark.parametrize("name", INPUTS.values(), ids=INPUTS)
+    def test_unreadable_input_fails_the_run_naming_it(self, tmp_path, capsys, name, state, reason):
+        import dataclasses
+        from ardkit.cli import main
+
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        target = tmp_path / "proj" / name
+        target.unlink()
+        if state == "directory":
+            target.mkdir()
+        failure = f"{target}: {reason}"
+        result = run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "lib"))
+        assert (result.exit_code, result.failed, result.message) == (2, True, failure)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"run finished with exit code 2: {failure}\n"
+        assert err == f"error: {failure}\nFAILED marker written under {tmp_path / 'cli'}\n"
+        for side in ("lib", "cli"):
+            assert (tmp_path / side / "FAILED").read_text() == failure + "\n"
+
+    @pytest.mark.parametrize("key", ["data", "mapping"])
+    def test_path_holding_nul_fails_the_run_naming_it(self, tmp_path, key):
+        import dataclasses
+
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        doc["indicators"][0][key] = "a\0b"
+        config_path.write_text(json.dumps(doc))
+        result = run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out"))
+        assert (result.exit_code, result.failed, result.message) == (2, True, f"{tmp_path / 'proj' / 'a'}\0b: embedded null byte")
+
+    @pytest.mark.parametrize(
+        "content, error, reason",
+        [(None, ConfigError, "Is a directory"), ('{"sexes": "male"}', ArdkitError, "sexes must be a list of strings, not 'male'")],
+        ids=["directory", "wrongly-shaped"],
+    )
+    def test_vocabulary_file_named_when_it_cannot_be_read(self, tmp_path, content, error, reason):
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        doc["project"]["vocabulary"] = "vocabulary.json"
+        config_path.write_text(json.dumps(doc))
+        vocabulary = tmp_path / "proj" / "vocabulary.json"
+        if content is None:
+            vocabulary.mkdir()
+        else:
+            vocabulary.write_text(content)
+        with pytest.raises(error, match=f"^{re.escape(f'{vocabulary}: {reason}')}$"):
+            load_config(config_path)
 
     @pytest.mark.parametrize("stage", ["_process_indicator", "emit_dictionary"])
     def test_unexpected_exception_leaves_failed_tree_and_exits_2(
@@ -873,7 +926,7 @@ class TestCliBasics:
     @pytest.mark.parametrize(
         "name, data, message",
         [
-            ("table_2011_2016.csv", b"\xff\xfeFROM_CODE", "table_2011_2016.csv: correspondence table: not valid UTF-8 at byte offset 0"),
+            ("table_2011_2016.csv", b"\xff\xfeFROM_CODE", "table_2011_2016.csv: not valid UTF-8 at byte offset 0"),
             ("mapping_long_2011.json", b'{"layout":\n', "mapping_long_2011.json: line 2: not valid JSON"),
         ],
         ids=["table-not-utf8", "mapping-not-json"],
@@ -1612,6 +1665,22 @@ class TestBadCliInputs:
         assert self.main(*self.ingest_argv(tmp_path, raw, mapping)) == 2
         assert capsys.readouterr().err == f"error: {raw}: No such file or directory\n"
 
+    @pytest.mark.parametrize(
+        "state, reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory"), ("not-utf8", "not valid UTF-8 at byte offset 9")],
+    )
+    def test_correspond_unreadable_table_exit_2(self, tmp_path, capsys, state, reason):
+        data, indicator = self.files(tmp_path)
+        table = tmp_path / "bad_table.csv"
+        if state == "directory":
+            table.mkdir()
+        elif state == "not-utf8":
+            table.write_bytes(b"FROM_CODE\xff,TO_CODE,RATIO\nA,X,1\n")
+        argv = ["correspond", "--data", data, "--indicator", indicator, "--to-edition", "2016"]
+        assert self.main(*argv, "--table", f"2011:2016:{table}", "--out-data", tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == f"error: {table}: {reason}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("command", ["qa", "ingest", "validate-table"])
     def test_oversized_csv_field_exit_2_naming_the_file(self, tmp_path, capsys, command):
         data, indicator = self.files(tmp_path)
@@ -1685,7 +1754,7 @@ class TestBadCliInputs:
         assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
         out, err = capsys.readouterr()
         assert out == f"run finished with exit code 2: {mapping}: mapping.schema.json: {message}\n"
-        assert err == f"FAILED marker written under {tmp_path / 'out'}\n"
+        assert err == f"error: {mapping}: mapping.schema.json: {message}\nFAILED marker written under {tmp_path / 'out'}\n"
         assert (tmp_path / "out" / "FAILED").read_text() == f"{mapping}: mapping.schema.json: {message}\n"
 
     @pytest.mark.parametrize("key", ["collection_start", "collection_end"])

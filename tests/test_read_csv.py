@@ -73,7 +73,7 @@ MAGNITUDES = st.one_of(
     st.none(), st.just("S"), st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False)
 )
 
-# Tokens for a line written by hand: each field's bad tokens, and odd ones that both paths accept.
+# Tokens for a line written by hand: each field's bad tokens, and odd ones (years only) that both paths accept.
 FIELD_TOKENS = {
     1: ["20x6", "2_016", "２０１６", "١٢", "2016.0", "", " 2016", "+2016", "02016", "16"],
     4: ["abc", "1_000", "１２", "inf", "nan", "1e999", " 5", "-0", "1e3", "5.50", "S", ""],
@@ -196,6 +196,33 @@ class TestNumericTokens:
         with pytest.raises(ArdkitError, match=f"^line 3: invalid VALUE '{value}'$"):
             read_csv(HEADER + f"A,2016,0-4,male,5,0\nA,2017,0-4,male,{value},0\n", make_indicator())
 
+    # `write_csv` writes 5 as "5", 5.5 as "5.5", 1000.0 as "1000", -0.0 as "0" and 0.3 as "0.3".
+    @pytest.mark.parametrize("value", [" 5", "5 ", "+5", "05", "5.0", "5.50", "1e3", "-0", "-0.0", "0.30000000000000001"])
+    @pytest.mark.parametrize("region", ["A", '"A"'], ids=["one-split", "csv"])
+    def test_value_write_csv_would_not_write_back_is_named(self, value, region):
+        text = HEADER + f"{region},2016,0-4,male,5,0\nA,2017,0-4,male,{value},0\n"
+        assert one_split(text, make_indicator()) is None
+        with pytest.raises(ArdkitError, match=f"^line 3: invalid VALUE '{re.escape(value)}'$"):
+            read_csv(text, make_indicator())
+
+    @pytest.mark.parametrize(
+        "value, magnitude",
+        [
+            ("9007199254740993", 2**53 + 1),  # no float holds it: an int magnitude's text
+            ("-9007199254740992", -(2**53)),
+            ("100000000000000000000", 10**20),
+            ("9007199254740994.0", 2.0**53 + 2),  # a float's repr from 2**53 on
+            ("1e+16", 1e16),
+            ("9007199254740991", 2.0**53 - 1),
+        ],
+    )
+    @pytest.mark.parametrize("region", ["A", '"A"'], ids=["one-split", "csv"])
+    def test_texts_from_2_53_on_read_back(self, value, magnitude, region):
+        text = HEADER + f"{region},2016,0-4,male,{value},0\n"
+        (read,) = read_csv(text, make_indicator()).columns.magnitude
+        assert (read, type(read)) == (magnitude, type(magnitude))
+        assert write_csv(read_csv(text, make_indicator())) == text.replace('"', "")
+
     def test_first_bad_line_is_named_whichever_field_it_holds(self):
         lines = ["A,2016,0-4,male,5,x", "A,20x6,0-4,male,5,0"]
         for first, message in ((lines, "line 2: invalid UNCERTAINTY 'x'"), (lines[::-1], "line 2: invalid CALENDAR_YEAR '20x6'")):
@@ -263,3 +290,28 @@ class TestOrderFromLines:
     def test_unconfirmed_rows_in_order_come_back_as_they_are(self, rows):
         dataset = read_csv(lines_of(*rows), make_indicator())
         assert canonical_sort(dataset) is dataset
+
+
+# VALUE texts: what `write_csv` writes for ints and floats, near misses of it, and arbitrary numeric-looking text.
+VALUE_TEXTS = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(model.format_magnitude),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map("{}.0".format),
+    st.text(alphabet="0123456789.-+eE_ ", max_size=8),
+    st.sampled_from(FIELD_TOKENS[4]),
+)
+
+
+class TestValueMeansOneText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(VALUE_TEXTS, min_size=1, max_size=6), st.sampled_from(["A", '"q""x"']))
+    def test_an_accepted_text_is_written_back(self, values, region):
+        # A quoted region sends the text down the `csv` path; a plain one takes the one split.
+        text = HEADER + "".join(f"{region},{2000 + i},0-4,male,{value},0\n" for i, value in enumerate(values))
+        try:
+            dataset = read_csv(text, make_indicator())
+        except ArdkitError as exc:
+            assert re.fullmatch(r"line \d+: invalid VALUE '.*'", str(exc), re.DOTALL)
+            return
+        assert write_csv(dataset) == text
