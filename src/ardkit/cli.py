@@ -17,7 +17,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .correspondence import CorrespondencePolicy, OutcomeSummary, load_table, outcomes_report
+from .correspondence import CorrespondencePolicy, OutcomeSummary, convert, load_table, outcomes_report
 from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
@@ -37,7 +37,7 @@ from .pipeline import (
     TableSpec,
     check_privacy_log,
     collector_paused,
-    correspond_stage,
+    coverage_span,
     load_config,
     load_tables,
     privacy_stage,
@@ -156,13 +156,7 @@ def _cmd_correspond(args) -> int:
         if not args.denominator_indicator:
             raise ConfigError("--denominator-data needs --denominator-indicator")
         denominator = _read_dataset(args.denominator_data, args.denominator_indicator)
-    dataset, outcomes = correspond_stage(
-        dataset,
-        target_edition=BoundaryEdition(args.to_edition),
-        tables=tables,
-        policy=policy,
-        denominator=denominator,
-    )
+    dataset, outcomes = convert(dataset, BoundaryEdition(args.to_edition), tables, policy, denominator=denominator)
     _write_dataset(dataset, args.out_data, args.out_indicator)
     if args.outcomes:
         _write_report(args.outcomes, outcomes_report(outcomes))
@@ -189,12 +183,10 @@ def _cmd_suppress(args) -> int:
 def _parse_coverage(text: str) -> tuple[int, int]:
     try:
         start, end = text.split(":")
-        coverage = _ascii_int(start), _ascii_int(end)
+        start, end = _ascii_int(start), _ascii_int(end)
     except ValueError:
         raise ConfigError(f"bad coverage {text!r}; expected START:END") from None
-    if coverage[0] > coverage[1]:
-        raise ConfigError("temporal coverage start is after its end")
-    return coverage
+    return coverage_span(start, end)
 
 
 def _cmd_qa(args) -> int:

@@ -9,10 +9,11 @@ of the targets only it feeds, provided every ratio it sent into a shared
 target is small enough to discard (below the 10% threshold by default);
 otherwise the region cannot be reconstructed and is emitted suppressed.
 
-`forward` and `backward` convert counts only.  Rates and percentages go
-through `execute_plan` with a denominator count dataset: they are split
-into numerator and denominator counts once, converted as counts along the
-whole route, and divided at the end.
+`forward` and `backward` convert counts only.  `convert` is the one entry
+point: it finds the shortest route over a set of tables and runs it.
+Rates and percentages go through it with a denominator count dataset: they
+are split into numerator and denominator counts once, converted as counts
+along the whole route, and divided at the end.
 
 Ratios are stored as exact rationals parsed from the decimal text, so
 per-source sums are exact.  A ratio and a magnitude are both integer
@@ -661,82 +662,61 @@ def _quotient(
     return result, num_outcome._replace(events=events, zero_filled=tuple(zero_filled))
 
 
-class PlanStep(NamedTuple):
-    """One conversion step; the table is named by its own orientation."""
+def _route(start, goal, tables: Mapping) -> list[tuple[str, object]]:
+    """The shortest route from edition `start` to `goal` as (op, table) steps, forward steps preferred on ties.
 
-    op: str  # "forward" | "backward"
-    table_from: BoundaryEdition
-    table_to: BoundaryEdition
-
-    def describe(self) -> str:
-        arrow = f"{int(self.table_from)}->{int(self.table_to)}"
-        return f"{self.op} using table {arrow}"
-
-
-def plan_route(
-    start: BoundaryEdition,
-    goal: BoundaryEdition,
-    tables: Iterable[tuple[BoundaryEdition, BoundaryEdition]],
-) -> tuple[PlanStep, ...]:
-    """Shortest deterministic plan over the tables' (from, to) edition pairs; forward steps preferred on ties."""
-    pairs = {(BoundaryEdition(a), BoundaryEdition(b)) for a, b in tables}
-    if start is goal:
-        return ()
-    queue: deque[tuple[BoundaryEdition, tuple[PlanStep, ...]]] = deque([(start, ())])
+    `tables` is keyed by its tables' (from, to) editions; editions compare
+    by value, so plain ints key it as well as `BoundaryEdition`s.
+    """
+    pairs = sorted(tables, key=lambda p: (int(p[0]), int(p[1])))
+    queue: deque[tuple[object, list]] = deque([(start, [])])
     visited = {start}
     while queue:
         edition, path = queue.popleft()
-        moves: list[tuple[BoundaryEdition, PlanStep]] = []
-        for a, b in sorted(pairs, key=lambda p: (int(p[0]), int(p[1]))):
-            if a is edition:
-                moves.append((b, PlanStep("forward", a, b)))
-        for a, b in sorted(pairs, key=lambda p: (int(p[0]), int(p[1]))):
-            if b is edition:
-                moves.append((a, PlanStep("backward", a, b)))
-        for nxt, step in moves:
-            if nxt in visited:
-                continue
-            new_path = (*path, step)
-            if nxt is goal:
-                return new_path
-            visited.add(nxt)
-            queue.append((nxt, new_path))
+        if edition == goal:
+            return path
+        moves = [(b, "forward", (a, b)) for a, b in pairs if a == edition]
+        moves += [(a, "backward", (a, b)) for a, b in pairs if b == edition]
+        for nxt, op, pair in moves:
+            if nxt not in visited:
+                visited.add(nxt)
+                queue.append((nxt, [*path, (op, tables[pair])]))
     raise RouteError(
         f"no correspondence route from {int(start)} to {int(goal)}: "
         f"no table {int(start)}->{int(goal)} or {int(goal)}->{int(start)} is available"
     )
 
 
-def execute_plan(
+def convert(
     dataset: Dataset,
-    plan: Sequence[PlanStep],
+    target_edition: BoundaryEdition,
     tables: Mapping[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable],
     policy: CorrespondencePolicy,
     *,
     denominator: Dataset | None = None,
     converted_denominator: Dataset | None = None,
 ) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
-    """Apply a route plan step by step.
+    """Convert `dataset` to `target_edition` along the shortest route over `tables`, one outcome per step.
+
+    A dataset already at `target_edition` is returned itself, with no
+    outcomes; any other result is marked `correspondence_applied`.
 
     A rate or percentage is never ratio-weighted directly: that is wrong
     whenever a target region pools populations of different sizes.  It is
     split once, against `denominator`, into numerator and denominator
-    counts; both go through the whole plan as counts and are divided once
+    counts; both go through the whole route as counts and are divided once
     at the end.  Its outcomes carry no totals and the numerator's events,
     the last one the quotient's events and zero-fill log.
 
     `converted_denominator`, if given, is `denominator` already converted
-    along `plan`.  It stands in for converting the denominator counts again
-    when the dataset's keys are the denominator's, in the same order.
+    to `target_edition`.  It stands in for converting the denominator counts
+    again when the dataset's keys are the denominator's, in the same order.
     """
-    steps = []
-    for step in plan:
-        table = tables.get((step.table_from, step.table_to))
-        if table is None:
-            raise CorrespondenceError(f"missing correspondence table {step.describe()}")
-        steps.append((step.op, table))
+    steps = _route(dataset.edition, target_edition, tables)
+    if not steps:
+        return dataset, ()
 
-    def convert(counts: Dataset, totals: bool = True) -> tuple[Dataset, list[CorrespondenceOutcome]]:
+    def run(counts: Dataset, totals: bool = True) -> tuple[Dataset, list[CorrespondenceOutcome]]:
         outcomes = []
         for op, table in steps:
             if op == "forward":
@@ -746,15 +726,15 @@ def execute_plan(
             outcomes.append(outcome)
         return counts, outcomes
 
-    if not steps or denominator is None or dataset.indicator.value_kind is CellKind.COUNT:
-        result, outcomes = convert(dataset)
-        return result, tuple(outcomes)
-    numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
-    num_out, outcomes = convert(numerator_ds, totals=False)
-    if converted_denominator is not None and denominator_ds is denominator:
-        den_out = converted_denominator
+    if denominator is None or dataset.indicator.value_kind is CellKind.COUNT:
+        result, outcomes = run(dataset)
     else:
-        den_out, _ = convert(denominator_ds, totals=False)
-    outcomes = [o._replace(conserving=False) for o in outcomes]
-    result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1])
-    return result, tuple(outcomes)
+        numerator_ds, denominator_ds = _derive_count_pair(dataset, denominator)
+        num_out, outcomes = run(numerator_ds, totals=False)
+        if converted_denominator is not None and denominator_ds is denominator:
+            den_out = converted_denominator
+        else:
+            den_out, _ = run(denominator_ds, totals=False)
+        outcomes = [o._replace(conserving=False) for o in outcomes]
+        result, outcomes[-1] = _quotient(dataset, num_out, den_out, outcomes[-1])
+    return result._replace(indicator=result.indicator._replace(correspondence_applied=True)), tuple(outcomes)

@@ -580,11 +580,22 @@ def _value(text: str) -> Magnitude:
     return value
 
 
+def _year(text: str) -> int:
+    """The year `write_csv` writes as `text`; any other text (`02016`, `-0`, `+7`, ` 7`) raises ValueError."""
+    year = int(text)
+    if str(year) != text:
+        raise ValueError(text)
+    return year
+
+
 _LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLevel)}
 
 
 def _level(text: str) -> UncertaintyLevel:
-    return UncertaintyLevel(_ascii_int(text))
+    """The level `write_csv` writes as `text`: `0`, `1` or `2`; any other text (`00`, `-0`) raises ValueError."""
+    if text not in _LEVELS_BY_TEXT:
+        raise ValueError(text)
+    return _LEVELS_BY_TEXT[text]
 
 
 def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
@@ -647,7 +658,7 @@ def _read_rows(text: str, indicator: Indicator) -> Dataset:
             cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _value))
         year = years.get(year_text)
         if year is None:
-            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _ascii_int)
+            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _year)
         out.append((code, year, age, sex, *cell, uncertainty))
     return Dataset(indicator, Columns.from_rows(out), edition, level)
 
@@ -676,7 +687,7 @@ def _read_plain(text: str, indicator: Indicator) -> Dataset:
     fields = "\0".join(lines).split("\0") if lines else []
     codes, year_texts, ages, sexes, value_texts, level_texts = (fields[i::6] for i in range(6))
     # Each distinct year, value and level text is decoded once, the values all at once.
-    years, levels = map(cache, (_ascii_int, _level))
+    years, levels = map(cache, (_year, _level))
     numbers = list(set(value_texts).difference(_MARKERS))
     floats = list(map(float, numbers))
     if all(map(gt, repeat(2.0**53), map(abs, floats))):

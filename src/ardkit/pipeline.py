@@ -26,10 +26,9 @@ from .correspondence import (
     CorrespondenceOutcome,
     CorrespondencePolicy,
     CorrespondenceTable,
-    execute_plan,
+    convert,
     load_table,
     outcomes_report,
-    plan_route,
 )
 from .docs import (
     Audience,
@@ -47,7 +46,6 @@ from .jsonio import (
     canonical_dumps,
     decode_utf8,
     ledger_path,
-    parse_json,
     read_doc,
     read_user_file,
     sha256_hex,
@@ -133,11 +131,13 @@ class PipelineConfig:
 
 
 def load_config(path: str | os.PathLike) -> PipelineConfig:
-    """Parse and validate a pipeline configuration file."""
+    """Parse and validate a pipeline configuration file; every refusal names it first."""
     config_path = Path(path)
-    doc = parse_json(read_user_file(config_path, ConfigError), ConfigError, str(config_path))
+    return read_doc(config_path, partial(_config_from, base=config_path.parent), ConfigError)
+
+
+def _config_from(doc, base: Path) -> PipelineConfig:
     validate_against_schema(doc, "config.schema.json", ConfigError)
-    base = config_path.parent
     project = doc["project"]
 
     vocabulary_doc = project.get("vocabulary", {})
@@ -213,15 +213,11 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
     )
 
     coverage_doc = project["temporal_coverage"]
-    coverage = (coverage_doc["start"], coverage_doc["end"])
-    if coverage[0] > coverage[1]:
-        raise ConfigError("temporal coverage start is after its end")
-
     return PipelineConfig(
         name=project["name"],
         actor=project.get("actor", "ardkit"),
         run_timestamp=project.get("run_timestamp"),
-        coverage=coverage,
+        coverage=coverage_span(coverage_doc["start"], coverage_doc["end"]),
         target_edition=BoundaryEdition(project["target_edition"]),
         target_level=GeoLevel(project["target_level"]),
         vocabulary=vocabulary,
@@ -236,6 +232,13 @@ def load_config(path: str | os.PathLike) -> PipelineConfig:
         seed=doc.get("seed"),
         round_counts=doc.get("round_counts", False),
     )
+
+
+def coverage_span(start: int, end: int) -> tuple[int, int]:
+    """A declared temporal coverage (start, end): its start may not be after its end."""
+    if start > end:
+        raise ConfigError("temporal coverage start is after its end")
+    return start, end
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +314,6 @@ def qa_stage(
         removed_high=len(removal_log.removed_keys),
     )
     return dataset, removal_log, run_rules(dataset, context)
-
-
-def correspond_stage(
-    dataset: Dataset,
-    *,
-    target_edition: BoundaryEdition,
-    tables: Mapping[tuple[BoundaryEdition, BoundaryEdition], CorrespondenceTable],
-    policy: CorrespondencePolicy,
-    denominator: Dataset | None = None,
-    converted_denominator: Dataset | None = None,
-) -> tuple[Dataset, tuple[CorrespondenceOutcome, ...]]:
-    plan = plan_route(dataset.edition, target_edition, tables)
-    dataset, outcomes = execute_plan(
-        dataset, plan, tables, policy, denominator=denominator, converted_denominator=converted_denominator
-    )
-    if plan:
-        dataset = dataset._replace(indicator=dataset.indicator._replace(correspondence_applied=True))
-    return dataset, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +420,7 @@ def _process_indicator(
         cycle = clean_qa_cycle(
             dataset,
             config.stages.cleaning_rules,
-            QAContext(vocabulary=config.vocabulary, coverage=config.coverage),
+            QAContext(vocabulary=config.vocabulary),
             cap=config.stages.max_iterations,
         )
         dataset, cleaning_log = cycle.dataset, cycle.log
@@ -451,13 +436,9 @@ def _process_indicator(
     converted = None
     if config.stages.correspond_enabled:
         denominator_cleaned, denominator_converted = denominator or (None, None)
-        dataset, outcomes = correspond_stage(
-            dataset,
-            target_edition=config.target_edition,
-            tables=tables,
-            policy=config.stages.policy,
-            denominator=denominator_cleaned,
-            converted_denominator=denominator_converted,
+        dataset, outcomes = convert(
+            dataset, config.target_edition, tables, config.stages.policy,
+            denominator=denominator_cleaned, converted_denominator=denominator_converted,
         )
         converted = dataset
         if outcomes:

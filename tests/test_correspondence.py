@@ -20,13 +20,12 @@ from ardkit.correspondence import (
     CorrespondenceOutcome,
     CorrespondencePolicy,
     OutcomeSummary,
-    PlanStep,
+    _route,
     backward,
-    execute_plan,
+    convert,
     forward,
     load_table,
     outcomes_report,
-    plan_route,
 )
 from ardkit.errors import CorrespondenceError, RouteError
 from ardkit.jsonio import canonical_dumps
@@ -246,10 +245,7 @@ class TestForward:
         )
         denom = make_counts({"A": 100, "B": 300}, edition=E2011)
         table = make_table([("A", "C", "1"), ("B", "C", "1")])
-        out, _ = execute_plan(
-            rates, (PlanStep("forward", E2011, E2016),), {(E2011, E2016): table}, POLICY,
-            denominator=denom,
-        )
+        out, _ = convert(rates, E2016, {(E2011, E2016): table}, POLICY, denominator=denom)
         assert magnitudes(out) == {"C": 17.5}
         assert cells(out)["C"].kind is CellKind.RATE
 
@@ -259,9 +255,7 @@ class TestForward:
         denom = make_counts({"A": 100}, edition=E2011)
         table = make_table([("A", "X", "1"), ("B", "X", "1"), ("C", "X", "1")])
         with pytest.raises(CorrespondenceError, match=r"^denominator dataset lacks a record for B/2016/0-4/male$"):
-            execute_plan(
-                rates, (PlanStep("forward", E2011, E2016),), {(E2011, E2016): table}, POLICY, denominator=denom,
-            )
+            convert(rates, E2016, {(E2011, E2016): table}, POLICY, denominator=denom)
 
     def test_uncertainty_propagates_as_maximum(self):
         data = make_counts(
@@ -445,38 +439,60 @@ class TestRoundTrip:
 
 
 class TestPlanRoute:
+    """The route search, over mappings whose values stand for tables."""
+
     def test_identity_plan_is_empty(self):
-        assert plan_route(E2016, E2016, [(E2011, E2016)]) == ()
+        assert _route(E2016, E2016, {(E2011, E2016): "t"}) == []
 
     def test_direct_forward(self):
-        plan = plan_route(E2011, E2016, [(E2011, E2016)])
-        assert plan == (PlanStep("forward", E2011, E2016),)
+        assert _route(E2011, E2016, {(E2011, E2016): "t"}) == [("forward", "t")]
 
     def test_backward_via_reversed_table(self):
-        plan = plan_route(E2021, E2016, [(E2016, E2021)])
-        assert plan == (PlanStep("backward", E2016, E2021),)
+        assert _route(E2021, E2016, {(E2016, E2021): "t"}) == [("backward", "t")]
 
     def test_prefers_direct_table_when_present(self):
-        plan = plan_route(E2021, E2016, [(E2016, E2021), (E2021, E2016)])
-        assert plan == (PlanStep("forward", E2021, E2016),)
+        tables = {(E2016, E2021): "t", (E2021, E2016): "u"}
+        assert _route(E2021, E2016, tables) == [("forward", "u")]
 
     def test_multi_hop_composes_in_edition_order(self):
-        plan = plan_route(E2006, E2016, [(E2006, E2011), (E2011, E2016)])
-        assert plan == (
-            PlanStep("forward", E2006, E2011),
-            PlanStep("forward", E2011, E2016),
-        )
+        tables = {(E2011, E2016): "b", (E2006, E2011): "a"}
+        assert _route(E2006, E2016, tables) == [("forward", "a"), ("forward", "b")]
 
     def test_no_path_is_fatal(self):
         with pytest.raises(RouteError, match="2021"):
-            plan_route(E2021, E2016, [(E2006, E2011)])
+            _route(E2021, E2016, {(E2006, E2011): "t"})
 
-    def test_execute_plan_two_hops(self):
+    def test_empty_route_returns_the_input_itself(self):
+        data = make_counts({"A": 42}, edition=E2011)
+        out, outcomes = convert(data, E2011, {(E2011, E2016): make_table([("A", "B", "1")])}, POLICY)
+        assert out is data
+        assert outcomes == ()
+        assert not out.indicator.correspondence_applied
+
+    def test_one_step_route_marks_the_indicator(self):
+        data = make_counts({"A": 42}, edition=E2011)
+        out, (outcome,) = convert(data, E2016, {(E2011, E2016): make_table([("A", "B", "1")])}, POLICY)
+        assert out.indicator.correspondence_applied
+        assert not data.indicator.correspondence_applied
+        assert (outcome.op, outcome.from_edition, outcome.to_edition) == ("forward", E2011, E2016)
+
+    @pytest.mark.parametrize("start, goal", [(E2006, E2016), (E2016, E2006)])
+    def test_int_keyed_tables_convert_as_edition_keyed_ones(self, start, goal):
+        t1 = make_table([("A", "B", "1")], from_edition=E2006, to_edition=E2011)
+        t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
+        data = make_counts({"A" if start is E2006 else "C": 42}, edition=start)
+        by_edition = {(E2006, E2011): t1, (E2011, E2016): t2}
+        by_int = {(2006, 2011): t1, (2011, 2016): t2}
+        want = convert(data, goal, by_edition, POLICY)
+        assert len(want[1]) == 2
+        assert convert(data, int(goal), by_int, POLICY) == want
+
+    def test_convert_two_hops(self):
         t1 = make_table([("A", "B", "1")], from_edition=E2006, to_edition=E2011)
         t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
         data = make_counts({"A": 42}, edition=E2006)
         tables = {(E2006, E2011): t1, (E2011, E2016): t2}
-        out, outcomes = execute_plan(data, plan_route(E2006, E2016, tables), tables, POLICY)
+        out, outcomes = convert(data, E2016, tables, POLICY)
         assert magnitudes(out) == {"C": 42.0}
         assert out.edition is E2016
         assert len(outcomes) == 2
@@ -494,15 +510,8 @@ class TestPlanRoute:
         t2 = make_table([("A", "C", "1"), ("B", "C", "1")], from_edition=E2011, to_edition=E2016)
         composed = make_table([("A", "C", "1"), ("B", "C", "1"), ("E", "C", "1")], from_edition=E2006, to_edition=E2016)
         tables = {(E2006, E2011): t1, (E2011, E2016): t2}
-        two_hop = execute_plan(
-            rates, plan_route(E2006, E2016, tables), tables, POLICY,
-            denominator=denom,
-        )[0]
-        composed_tables = {(E2006, E2016): composed}
-        one_hop = execute_plan(
-            rates, plan_route(E2006, E2016, composed_tables), composed_tables, POLICY,
-            denominator=denom,
-        )[0]
+        two_hop = convert(rates, E2016, tables, POLICY, denominator=denom)[0]
+        one_hop = convert(rates, E2016, {(E2006, E2016): composed}, POLICY, denominator=denom)[0]
         assert magnitudes(one_hop) == {"C": 17.5}
         assert two_hop == one_hop
 
@@ -513,10 +522,7 @@ class TestPlanRoute:
         t1 = make_table([("A", "B", "1")], from_edition=E2006, to_edition=E2011)
         t2 = make_table([("B", "C", "1")], from_edition=E2011, to_edition=E2016)
         tables = {(E2006, E2011): t1, (E2011, E2016): t2}
-        out, outcomes = execute_plan(
-            rates, plan_route(E2006, E2016, tables), tables, POLICY,
-            denominator=denom,
-        )
+        out, outcomes = convert(rates, E2016, tables, POLICY, denominator=denom)
         assert [(o.op, int(o.from_edition), int(o.to_edition)) for o in outcomes] == [
             ("forward", 2006, 2011), ("forward", 2011, 2016),
         ]
@@ -529,7 +535,6 @@ class TestPlanRoute:
 
 class TestRateReusesConvertedDenominator:
     TABLE = make_table([("P", "P1", "1"), ("Q", "Q1", "0.5"), ("Q", "Q2", "0.5")])
-    STEPS = (PlanStep("backward", E2011, E2016),)
 
     def rates_and_denominator(self):
         indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
@@ -539,7 +544,7 @@ class TestRateReusesConvertedDenominator:
     def test_zero_denominator_lines_follow_the_numerators(self):
         rates, denom = self.rates_and_denominator()
         tables = {(E2011, E2016): self.TABLE}
-        out, (outcome,) = execute_plan(rates, self.STEPS, tables, POLICY, denominator=denom)
+        out, (outcome,) = convert(rates, E2011, tables, POLICY, denominator=denom)
         # Q's numerator zero-fill comes first although P sorts before Q.
         want = [
             "Q/2016/0-4/male: no data for sole target Q2, counted as zero",
@@ -553,16 +558,14 @@ class TestRateReusesConvertedDenominator:
         assert_matches_oracle(out, outcome, expected)
         # The same denominator already converted gives the same result without converting it again.
         converted, _ = backward(denom, self.TABLE, POLICY)
-        reused = execute_plan(rates, self.STEPS, tables, POLICY, denominator=denom, converted_denominator=converted)
+        reused = convert(rates, E2011, tables, POLICY, denominator=denom, converted_denominator=converted)
         assert reused == (out, (outcome,))
 
     def test_converted_denominator_on_other_records_is_refused(self):
         rates, denom = self.rates_and_denominator()
         other, _ = backward(make_counts({"P1": 7}), self.TABLE, POLICY)
         with pytest.raises(CorrespondenceError, match="numerator and denominator counts have different records"):
-            execute_plan(
-                rates, self.STEPS, {(E2011, E2016): self.TABLE}, POLICY, denominator=denom, converted_denominator=other
-            )
+            convert(rates, E2011, {(E2011, E2016): self.TABLE}, POLICY, denominator=denom, converted_denominator=other)
 
 
 def random_hop(rng, sources, prefix, from_edition, to_edition):
@@ -605,10 +608,7 @@ class TestMultiHopRates:
         one_hop = oracle.rate_route(rates_cells, denom_cells, [("forward", one)], value_kind=CellKind.RATE)
         assert two_hop == one_hop
         tables = {(E2006, E2011): t1, (E2011, E2016): t2}
-        out, outcomes = execute_plan(
-            rates, plan_route(E2006, E2016, tables), tables, POLICY,
-            denominator=denom,
-        )
+        out, outcomes = convert(rates, E2016, tables, POLICY, denominator=denom)
         assert_matches_oracle(out, outcomes[-1], two_hop)
 
     @settings(max_examples=40, deadline=None)
@@ -629,9 +629,7 @@ class TestMultiHopRates:
         )
         denom = make_counts({code: cell(count(rng.choice([0, rng.randint(1, 1000)]))) for code in targets})
         tables = {(E2011, E2016): table}
-        out, (outcome,) = execute_plan(
-            shares, plan_route(E2016, E2011, tables), tables, POLICY, denominator=denom,
-        )
+        out, (outcome,) = convert(shares, E2011, tables, POLICY, denominator=denom)
         want = oracle.rate_route(
             oracle.cells(shares), oracle.cells(denom), [("backward", table)], value_kind=CellKind.PERCENTAGE
         )
@@ -718,9 +716,7 @@ class TestRationalRates:
         assert type(magnitude) is Fraction
         assert magnitude == Fraction(0.1)
         tables = {(E2011, E2016): table}
-        out, (outcome,) = execute_plan(
-            rates, plan_route(E2011, E2016, tables), tables, POLICY, denominator=denom,
-        )
+        out, (outcome,) = convert(rates, E2016, tables, POLICY, denominator=denom)
         assert_matches_oracle(out, outcome, exact)
 
 
@@ -761,9 +757,7 @@ class TestDoubleArithmeticBits:
         denom = make_counts({"A": population}, edition=E2011)
         table = make_table([("A", "B", ratio), ("A", "C", 1 - ratio)])
         tables = {(E2011, E2016): table}
-        out, _ = execute_plan(
-            rates, plan_route(E2011, E2016, tables), tables, POLICY, denominator=denom,
-        )
+        out, _ = convert(rates, E2016, tables, POLICY, denominator=denom)
         numerator = old_double_product(Fraction(value), population)
         for code, share in (("B", ratio), ("C", 1 - ratio)):
             expected = old_double_quotient(
@@ -1063,10 +1057,7 @@ class TestEventLedger:
             rates = self.dataset(rng, sources, E2006, lambda: rate(rng.randint(0, 400) / 4), rate_indicator)
             denominator = self.dataset(rng, sources, E2006, random_count)
             tables = {(E2006, E2011): t1, (E2011, E2016): t2}
-            out, outcomes = execute_plan(
-                rates, plan_route(E2006, E2016, tables), tables, POLICY,
-                denominator=denominator,
-            )
+            out, outcomes = convert(rates, E2016, tables, POLICY, denominator=denominator)
         else:
             table, sources = random_table(rng, max_regions=20)
             if route == "forward":

@@ -229,7 +229,7 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         assert self.cli("run", "--config", bad, "--out", tmp_path / "out") == 2
         message = "indicator id 'demo.hospital_visits\\n' may hold only letters, digits, '.', '_' and '-'"
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_cli_seed_supplies_the_noise_seed(self, tmp_path):
@@ -431,7 +431,7 @@ class TestFailureHandling:
             vocabulary.mkdir()
         else:
             vocabulary.write_text(content)
-        with pytest.raises(error, match=f"^{re.escape(f'{vocabulary}: {reason}')}$"):
+        with pytest.raises(error, match=f"^{re.escape(f'{config_path}: {vocabulary}: {reason}')}$"):
             load_config(config_path)
 
     @pytest.mark.parametrize("stage", ["_process_indicator", "emit_dictionary"])
@@ -799,13 +799,13 @@ class TestRateIndicators:
 
         calls = []
 
-        def recording_correspond_stage(dataset, **kwargs):
-            result = real_correspond_stage(dataset, **kwargs)
+        def recording_convert(dataset, *args, **kwargs):
+            result = real_convert(dataset, *args, **kwargs)
             calls.append((dataset, kwargs, result))
             return result
 
-        real_correspond_stage = pipeline.correspond_stage
-        monkeypatch.setattr(pipeline, "correspond_stage", recording_correspond_stage)
+        real_convert = pipeline.convert
+        monkeypatch.setattr(pipeline, "convert", recording_convert)
         converted = self.convert_counts(monkeypatch)
         config_path = self.build_rate_project(tmp_path / "proj", backward=backward, rate_rows=1)
         config = dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out")
@@ -1492,7 +1492,7 @@ class TestBadCliInputs:
         doc["stages"]["correspond"]["discard_threshold"] = "abc"
         config_path.write_text(json.dumps(doc))
         assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
-        assert "error: stages.correspond.discard_threshold: cannot interpret ratio 'abc'" in capsys.readouterr().err
+        assert f"error: {config_path}: stages.correspond.discard_threshold: cannot interpret ratio 'abc'" in capsys.readouterr().err
 
     def test_non_numeric_threshold_flag_exit_2(self, tmp_path, capsys):
         data, indicator = self.files(tmp_path)
@@ -1767,7 +1767,17 @@ class TestBadCliInputs:
         config_path.write_text(json.dumps(doc))
         source_id = doc["sources"][0]["source_id"]
         assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"error: source {source_id}: {key} '{text}' is not a calendar date\n"
+        assert capsys.readouterr().err == f"error: {config_path}: source {source_id}: {key} '{text}' is not a calendar date\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_reversed_coverage_names_the_config(self, tmp_path, capsys):
+        # The same check as the `--coverage` flag's, with the config's name in front.
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        doc["project"]["temporal_coverage"] = {"start": 2020, "end": 2010}
+        config_path.write_text(json.dumps(doc))
+        assert self.main("run", "--config", config_path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {config_path}: temporal coverage start is after its end\n"
         assert not (tmp_path / "out").exists()
 
     def test_clean_non_boolean_flag_in_indicator_sidecar_exit_2(self, tmp_path, capsys):

@@ -34,6 +34,7 @@ from ardkit.model import (
 from conftest import E2016, SA3, make_indicator
 
 HEADER = ",".join((geography_column(SA3, E2016), *CSV_COLUMNS)) + "\n"
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "config.json"
 
 
 def outcome(read, text, indicator):
@@ -73,11 +74,11 @@ MAGNITUDES = st.one_of(
     st.none(), st.just("S"), st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False)
 )
 
-# Tokens for a line written by hand: each field's bad tokens, and odd ones (years only) that both paths accept.
+# Tokens for a line written by hand: each field's bad tokens, and a two-digit year that both paths accept.
 FIELD_TOKENS = {
-    1: ["20x6", "2_016", "２０１６", "١٢", "2016.0", "", " 2016", "+2016", "02016", "16"],
+    1: ["20x6", "2_016", "２０１６", "١٢", "2016.0", "", " 2016", "+2016", "02016", "-0", "16"],
     4: ["abc", "1_000", "１２", "inf", "nan", "1e999", " 5", "-0", "1e3", "5.50", "S", ""],
-    5: ["x", "7", "٠", "1_0", "", "-1", " 1", "01", "+2", "-0"],
+    5: ["x", "7", "٠", "1_0", "", "-1", " 1", "01", "00", "+2", "-0"],
 }
 
 
@@ -223,6 +224,39 @@ class TestNumericTokens:
         assert (read, type(read)) == (magnitude, type(magnitude))
         assert write_csv(read_csv(text, make_indicator())) == text.replace('"', "")
 
+    # An integer field is the text `write_csv` writes: no leading zero and no minus zero.
+    INTEGER_TEXTS = [
+        ("A,02016,0-4,male,5,0", "line 3: invalid CALENDAR_YEAR '02016'"),
+        ("B,-0,0-4,male,5,0", "line 3: invalid CALENDAR_YEAR '-0'"),
+        ("A,2017,0-4,male,5,00", "line 3: invalid UNCERTAINTY '00'"),
+        ("A,2017,0-4,male,5,01", "line 3: invalid UNCERTAINTY '01'"),
+        ("A,2017,0-4,male,5,-0", "line 3: invalid UNCERTAINTY '-0'"),
+    ]
+
+    @pytest.mark.parametrize("line, message", INTEGER_TEXTS)
+    @pytest.mark.parametrize("region", ["A", '"A"'], ids=["one-split", "csv"])
+    def test_integer_write_csv_would_not_write_back_is_named(self, line, message, region):
+        text = HEADER + f"{region},2016,0-4,male,5,0\n{line}\n"
+        assert one_split(text, make_indicator()) is None
+        with pytest.raises(ArdkitError, match=f"^{message}$"):
+            read_csv(text, make_indicator())
+
+    @pytest.mark.parametrize("line, message", INTEGER_TEXTS[:3])
+    def test_every_subcommand_that_reads_a_dataset_names_file_and_line(self, tmp_path, capsys, line, message):
+        data, indicator, out = tmp_path / "bad.csv", tmp_path / "ind.json", str(tmp_path / "out")
+        data.write_text(HEADER + f"A,2016,0-4,male,5,0\n{line}\n", encoding="utf-8")
+        indicator.write_text(json.dumps(make_indicator().to_json()), encoding="utf-8")
+        given = ["--data", str(data), "--indicator", str(indicator)]
+        for argv in (
+            ["clean", *given, "--out-data", out, "--log", out],
+            ["correspond", *given, "--to-edition", "2021", "--table", f"2016:2021:{out}", "--out-data", out],
+            ["suppress", *given, "--out-data", out],
+            ["qa", *given, "--report", out],
+            ["emit-docs", "--config", str(DEMO_CONFIG), *given, "--out", out],
+        ):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
     def test_first_bad_line_is_named_whichever_field_it_holds(self):
         lines = ["A,2016,0-4,male,5,x", "A,20x6,0-4,male,5,0"]
         for first, message in ((lines, "line 2: invalid UNCERTAINTY 'x'"), (lines[::-1], "line 2: invalid CALENDAR_YEAR '20x6'")):
@@ -302,6 +336,16 @@ VALUE_TEXTS = st.one_of(
     st.sampled_from(FIELD_TOKENS[4]),
 )
 
+# CALENDAR_YEAR and UNCERTAINTY texts: what `write_csv` writes, near misses of it, and arbitrary integer-looking text.
+YEAR_TEXTS = st.one_of(
+    st.integers(-10**5, 10**5).map(str), st.text(alphabet="0123456789-+_ ", max_size=6), st.sampled_from(FIELD_TOKENS[1])
+)
+LEVEL_TEXTS = st.one_of(
+    st.sampled_from([str(int(level)) for level in UncertaintyLevel]),
+    st.text(alphabet="0123-+ ", max_size=3),
+    st.sampled_from(FIELD_TOKENS[5]),
+)
+
 
 class TestValueMeansOneText:
     @settings(max_examples=300, deadline=None)
@@ -313,5 +357,16 @@ class TestValueMeansOneText:
             dataset = read_csv(text, make_indicator())
         except ArdkitError as exc:
             assert re.fullmatch(r"line \d+: invalid VALUE '.*'", str(exc), re.DOTALL)
+            return
+        assert write_csv(dataset) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(YEAR_TEXTS, LEVEL_TEXTS), min_size=1, max_size=6), st.sampled_from(["A", '"q""x"']))
+    def test_an_accepted_year_or_level_is_written_back(self, fields, region):
+        text = HEADER + "".join(f"{region},{year},{i}-4,male,5,{level}\n" for i, (year, level) in enumerate(fields))
+        try:
+            dataset = read_csv(text, make_indicator())
+        except ArdkitError as exc:
+            assert re.fullmatch(r"line \d+: invalid (CALENDAR_YEAR|UNCERTAINTY) '.*'", str(exc))
             return
         assert write_csv(dataset) == text

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ardkit.cli import main
-from ardkit.correspondence import CorrespondencePolicy, PlanStep, backward, execute_plan, forward, outcomes_report
+from ardkit.correspondence import CorrespondencePolicy, backward, convert, forward, outcomes_report
 from ardkit.jsonio import canonical_dumps
 from ardkit.model import CellKind, Columns, Dataset, UncertaintyLevel, canonical_sort, write_csv
 from ardkit.privacy import SuppressionPolicy, randomize, suppress
@@ -77,9 +77,7 @@ class TestOperationsReturnCanonicalOrder:
         rate_rows = [(*row[:4], CellKind.RATE if row[4] is CellKind.COUNT else row[4], *row[5:]) for row in rows]
         rates = dataset(rate_rows, E2011, RATE)
         denominator = dataset(sorted(rows, key=lambda row: row[3]), E2011)
-        quotient, _ = execute_plan(
-            rates, (PlanStep("forward", E2011, E2016),), {(E2011, E2016): table}, policy, denominator=denominator
-        )
+        quotient, _ = convert(rates, E2016, {(E2011, E2016): table}, policy, denominator=denominator)
         assert is_canonical(quotient)
 
         suppressed, _ = suppress(converted, SuppressionPolicy(threshold=5))
