@@ -56,9 +56,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _read_dataset(data_path: str, indicator_path: str):
-    """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs."""
-    indicator = read_doc(indicator_path, Indicator.from_json)
-    return canonical_sort(read_doc(data_path, functools.partial(read_csv, indicator=indicator), parse=decode_utf8))
+    """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs, with its VALUE texts."""
+    indicator, texts = read_doc(indicator_path, Indicator.from_json), {}
+    read = functools.partial(read_csv, indicator=indicator, texts=texts)
+    return canonical_sort(read_doc(data_path, read, parse=decode_utf8)), texts
 
 
 def _write_report(path: str, report: tuple[dict, str]) -> None:
@@ -74,8 +75,9 @@ def _read_outcomes(path: str):
     return read_doc(ledger_path(path), summary.outcomes, parse=decode_utf8)
 
 
-def _write_dataset(dataset, data_path: str, indicator_path: str | None) -> None:
-    _write(data_path, write_csv(dataset))
+def _write_dataset(dataset, data_path: str, indicator_path: str | None, texts: dict | None = None) -> None:
+    """`texts`, the VALUE texts `_read_dataset` gave with the dataset this one comes from, seeds `write_csv`."""
+    _write(data_path, write_csv(dataset, texts=texts))
     if indicator_path:
         _write(indicator_path, canonical_dumps(dataset.indicator.to_json()))
 
@@ -123,7 +125,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    dataset = _read_dataset(args.data, args.indicator)
+    dataset, texts = _read_dataset(args.data, args.indicator)
     rules = read_doc(args.rules, CleaningRuleSet.from_json) if args.rules else CleaningRuleSet()
     vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
@@ -133,7 +135,7 @@ def _cmd_clean(args) -> int:
         QAContext(vocabulary=vocabulary, coverage=coverage),
         cap=args.max_iterations,
     )
-    _write_dataset(cycle.dataset, args.out_data, args.out_indicator)
+    _write_dataset(cycle.dataset, args.out_data, args.out_indicator, texts)
     _write(args.log, cycle.log.to_jsonl())
     print(f"cleaned in {cycle.iterations} iteration(s); {len(cycle.log.entries)} change(s)")
     return 0
@@ -148,16 +150,14 @@ def _table_spec(spec: str, level: GeoLevel) -> TableSpec:
 
 
 def _cmd_correspond(args) -> int:
-    dataset = _read_dataset(args.data, args.indicator)
+    dataset, texts = _read_dataset(args.data, args.indicator)
     tables = load_tables(tuple(_table_spec(spec, dataset.level) for spec in args.table))
     policy = CorrespondencePolicy() if args.discard_threshold is None else CorrespondencePolicy(args.discard_threshold)
-    denominator = None
-    if args.denominator_data:
-        if not args.denominator_indicator:
-            raise ConfigError("--denominator-data needs --denominator-indicator")
-        denominator = _read_dataset(args.denominator_data, args.denominator_indicator)
+    if bool(args.denominator_data) != bool(args.denominator_indicator):
+        raise ConfigError("--denominator-data and --denominator-indicator must be given together")
+    denominator = _read_dataset(args.denominator_data, args.denominator_indicator)[0] if args.denominator_data else None
     dataset, outcomes = convert(dataset, BoundaryEdition(args.to_edition), tables, policy, denominator=denominator)
-    _write_dataset(dataset, args.out_data, args.out_indicator)
+    _write_dataset(dataset, args.out_data, args.out_indicator, texts)
     if args.outcomes:
         _write_report(args.outcomes, outcomes_report(outcomes))
     print(f"converted to edition {int(dataset.edition)} in {len(outcomes)} step(s)")
@@ -165,7 +165,7 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_suppress(args) -> int:
-    dataset = _read_dataset(args.data, args.indicator)
+    dataset, texts = _read_dataset(args.data, args.indicator)
     check_seed(args.noise_magnitude, args.seed)
     dataset, log = privacy_stage(
         dataset,
@@ -173,7 +173,7 @@ def _cmd_suppress(args) -> int:
         noise_magnitude=args.noise_magnitude,
         seed=args.seed,
     )
-    _write_dataset(dataset, args.out_data, args.out_indicator)
+    _write_dataset(dataset, args.out_data, args.out_indicator, texts)
     if args.log:
         _write(args.log, canonical_dumps(log))
     print(f"suppressed {log['suppression']['total_suppressed']} cell(s)")
@@ -194,7 +194,7 @@ def _cmd_qa(args) -> int:
         raise ConfigError("--round-counts needs --filter-high")
     if args.filter_high and not args.out_data:
         raise ConfigError("--filter-high needs --out-data")
-    dataset = _read_dataset(args.data, args.indicator)
+    dataset, texts = _read_dataset(args.data, args.indicator)
     outcomes = _read_outcomes(args.outcomes) if args.outcomes else ()
     privacy_log = read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
     vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
@@ -208,7 +208,7 @@ def _cmd_qa(args) -> int:
     )
     if args.filter_high:
         emitted = round_counts(filtered) if args.round_counts else filtered
-        _write_dataset(emitted, args.out_data, args.out_indicator)
+        _write_dataset(emitted, args.out_data, args.out_indicator, texts)
         if args.removals:
             _write_report(args.removals, removal_log.report())
     _write(args.report, canonical_dumps(report.to_json()))
@@ -228,7 +228,7 @@ def _cmd_emit_docs(args) -> int:
     out = Path(args.out)
     indicators = []
     for data_path, indicator_path in zip(data_paths, indicator_paths):
-        dataset = _read_dataset(data_path, indicator_path)
+        dataset, _ = _read_dataset(data_path, indicator_path)
         indicators.append(dataset.indicator)
         metadata = emit_metadata(dataset.indicator, dataset, docs_config, publishable=args.publishable)
         _write(str(out / "metadata" / f"{dataset.indicator.id}.metadata.json"), canonical_dumps(metadata.to_json()))

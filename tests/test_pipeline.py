@@ -1976,3 +1976,122 @@ class TestOneCsvRenderer:
         kinds = {name.split(".", 2)[-1] for name in written}  # names are <dir>/demo.<indicator>.<kind>
         assert kinds == {"csv", "lineage.csv", "correspondence.ledger.csv", "removals.ledger.csv"}
         assert [name for name, text in sorted(written.items()) if text not in rendered] == []
+
+
+def unsuppressed_forward_project(root: Path) -> Path:
+    """The demo's forward count indicator alone, each count raised by 20; returns the config path.
+
+    No cell falls under the suppression threshold of 5, even after a 0.3
+    split, and noise is off, so privacy on keeps the mass-conservation check.
+    """
+    config_path = build_demo_project(root, n_2011=45, n_2016=10)
+    raw = root / "hospital_visits_2011.csv"
+    header, *lines = raw.read_text(encoding="utf-8").splitlines()
+    raised = [line.rpartition(",") for line in lines]
+    raised = [f"{key},{int(value) + 20}" if value.isdigit() else f"{key},{value}" for key, _, value in raised]
+    raw.write_text("\n".join([header, *raised]) + "\n", encoding="utf-8")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["indicators"] = [item for item in config["indicators"] if item["id"] == "demo.hospital_visits"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return config_path
+
+
+class TestConservationWithPrivacyOn:
+    """`run` with privacy on reaches the mass-conservation rule when nothing is suppressed or noised."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        import dataclasses
+
+        return dataclasses.replace(load_config(unsuppressed_forward_project(tmp_path / "p")), output_dir=tmp_path / "out")
+
+    def spy_contexts(self, monkeypatch) -> list:
+        import ardkit.pipeline as pipeline
+
+        contexts, real = [], pipeline.run_rules
+        monkeypatch.setattr(pipeline, "run_rules", lambda dataset, context: contexts.append(context) or real(dataset, context))
+        return contexts
+
+    def reports(self, config, name):
+        return json.loads((config.output_dir / "reports" / f"demo.hospital_visits.{name}.json").read_text(encoding="utf-8"))
+
+    def test_the_conservation_record_is_attached_and_passes(self, config, monkeypatch):
+        contexts = self.spy_contexts(monkeypatch)
+        assert config.stages.privacy_enabled
+        result = run(config)
+        assert result.exit_code == 0, result.message
+        (context,) = contexts
+        assert context.conservation is not None
+        privacy = self.reports(config, "privacy")
+        assert (privacy["noise_magnitude"], privacy["suppression"]["total_suppressed"]) == (0, 0)
+        assert self.reports(config, "qa") == {"dataset_id": "demo.hospital_visits", "findings": [], "pass": True}
+
+    def test_a_shifted_expected_total_fails_the_run(self, config, monkeypatch):
+        import ardkit.pipeline as pipeline
+        from ardkit.qa import RULE_CONSERVATION
+
+        real = pipeline.conservation_from
+
+        def shifted(*args):
+            record = real(*args)
+            return record._replace(expected_total=record.expected_total + 1000)
+
+        monkeypatch.setattr(pipeline, "conservation_from", shifted)
+        result = run(config)
+        assert result.exit_code == 2
+        qa = self.reports(config, "qa")
+        assert not qa["pass"]
+        assert [(f["rule_id"], f["severity"]) for f in qa["findings"]] == [(RULE_CONSERVATION, "error")]
+
+
+class TestStageWritesBack:
+    """A stage subcommand that leaves its dataset unchanged writes back the bytes it read, unrendered."""
+
+    def test_only_changed_datasets_are_rendered(self, tmp_path, monkeypatch):
+        from ardkit import model
+        from ardkit.cli import main
+
+        config_path = unsuppressed_forward_project(tmp_path / "p")
+        root, work = config_path.parent, tmp_path / "w"
+        work.mkdir()
+        (work / "rules.json").write_text(json.dumps({"dedupe_policy": "sum"}))
+        (work / "indicator.json").write_text(json.dumps(
+            {k: v for k, v in json.loads(config_path.read_text())["indicators"][0].items() if k not in ("data", "mapping")}
+        ))
+        renders, real = [], model._value_texts
+        monkeypatch.setattr(model, "_value_texts", lambda *args: renders.append(1) or real(*args))
+        plan = [
+            ["ingest", "--raw", root / "hospital_visits_2011.csv", "--mapping", root / "mapping_long_2011.json",
+             "--indicator", work / "indicator.json", "--report", work / "parse.json"],
+            ["clean", "--rules", work / "rules.json", "--log", work / "cleaning.jsonl"],
+            ["correspond", "--to-edition", "2016", "--table", f"2011:2016:{root / 'table_2011_2016.csv'}",
+             "--outcomes", work / "outcomes.json"],
+            ["suppress", "--threshold", "5", "--log", work / "privacy.json"],
+            ["qa", "--outcomes", work / "outcomes.json", "--privacy-log", work / "privacy.json", "--filter-high",
+             "--report", work / "qa.json"],
+        ]
+        for step, argv in enumerate(plan):
+            given = ["--data", work / f"{step}.csv", "--indicator", work / f"{step}.json"] if step else []
+            out = ["--out-data", work / f"{step + 1}.csv", "--out-indicator", work / f"{step + 1}.json"]
+            assert main([str(a) for a in [*argv, *given, *out]]) == 0, argv[0]
+        assert len(renders) == 3  # ingest, clean and correspond change their dataset; suppress and qa do not
+        assert (work / "3.csv").read_bytes() == (work / "4.csv").read_bytes() == (work / "5.csv").read_bytes()
+        assert (work / "2.csv").read_bytes() != (work / "3.csv").read_bytes()
+
+
+class TestCorrespondDenominatorFlags:
+    @pytest.mark.parametrize("given", ["--denominator-data", "--denominator-indicator"])
+    def test_either_flag_alone_is_refused(self, tmp_path, capsys, given):
+        from ardkit.cli import main
+
+        data, indicator = tmp_path / "d.csv", tmp_path / "d.json"
+        data.write_text("SA3CODE_11,CALENDAR_YEAR,AGE_GROUP,SEX,VALUE,UNCERTAINTY\nA,2016,0-4,male,5,0\n")
+        indicator.write_text(json.dumps({"id": "x", "name": "x", "nest_domain": "healthy", "value_kind": "rate",
+                                         "source_id": "s"}))
+        table = tmp_path / "t.csv"
+        table.write_text("FROM_CODE,TO_CODE,RATIO\nA,B,1\n")
+        argv = ["correspond", "--data", data, "--indicator", indicator, "--to-edition", "2016",
+                "--table", f"2011:2016:{table}", "--out-data", tmp_path / "o.csv", given, data if given.endswith("data") else indicator]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == "error: --denominator-data and --denominator-indicator must be given together\n"
+        assert not (tmp_path / "o.csv").exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
@@ -61,7 +62,7 @@ def read_dataset_file(text, indicator):
         data.write_text(text, encoding="utf-8", newline="")
         doc.write_text(json.dumps(indicator.to_json()), encoding="utf-8")
         try:
-            return cli._read_dataset(str(data), str(doc))
+            return cli._read_dataset(str(data), str(doc))[0]
         except ArdkitError as exc:
             return str(exc).removeprefix(f"{data}: ")
 
@@ -370,3 +371,177 @@ class TestValueMeansOneText:
             assert re.fullmatch(r"line \d+: invalid (CALENDAR_YEAR|UNCERTAINTY) '.*'", str(exc))
             return
         assert write_csv(dataset) == text
+
+
+def data_lines(text):
+    """The fields of each line after the header; a last line without LF counts too."""
+    _, *lines = text.split("\n")
+    if lines[-1:] == [""]:
+        lines.pop()
+    return [line.split(",") for line in lines]
+
+
+class TestRecordedText:
+    """A read records its text exactly when `write_csv` writes that text back, and `write_csv` then returns it."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(dataset_texts())
+    def test_recorded_exactly_when_plain_in_canonical_order_and_lf_terminated(self, example):
+        text, indicator = example
+        try:
+            dataset = read_csv(text, indicator)
+        except ArdkitError:
+            return
+        rows = data_lines(text)
+        plain = not any(c in text for c in '"\r\0') and all(
+            len(row) == 6 and len(",".join(row)) <= csv.field_size_limit() for row in rows
+        )
+        # Canonical order: four-digit years, rows sorted by key, and lines of one key by their other fields.
+        in_order = plain and all(re.fullmatch("[0-9]{4}", row[1]) for row in rows) and rows == sorted(
+            rows, key=lambda row: (row[0], int(row[1]), *row[2:])
+        )
+        recorded = vars(dataset).get("_csv_text")
+        assert (recorded is not None) == (in_order and text.endswith("\n"))
+        if recorded is not None:
+            assert recorded == text
+            assert write_csv(Dataset(*dataset)) == text
+
+    def test_write_returns_the_recorded_text_and_leaves_texts_as_passed(self):
+        text = HEADER + "A,2016,0-4,male,5,0\nA,2017,0-4,male,2.5,1\nB,2016,0-4,male,S,0\n"
+        texts = {}
+        dataset = read_csv(text, make_indicator(), texts=texts)
+        assert texts == {5.0: "5", 2.5: "2.5"}
+        passed = {7: "7"}
+        with mock.patch.object(model, "_value_texts", side_effect=AssertionError("rendered")):
+            assert write_csv(dataset, texts=passed) is text
+        assert passed == {7: "7"}
+        # A fresh copy is rendered, and the table then holds exactly its texts, as the read gave them.
+        assert write_csv(Dataset(*dataset), texts=passed) == text
+        assert passed == texts
+
+    def test_a_changed_dataset_carries_no_text(self):
+        text = HEADER + "A,2016,0-4,male,5,0\nB,2016,0-4,male,6,0\n"
+        dataset = read_csv(text, make_indicator())
+        assert canonical_sort(dataset) is dataset and write_csv(dataset) is text
+        changed = dataset.with_columns(dataset.columns._replace(magnitude=(5, 7)))
+        assert write_csv(changed) == text.replace(",6,", ",7,")
+        assert write_csv(dataset._replace(level=GeoLevel.SA2)) == text.replace("SA3CODE", "SA2CODE")
+        # Lines of one key out of order: the dataset sorts as it is, and its text is not recorded.
+        text = HEADER + "A,2016,0-4,male,6,0\nA,2016,0-4,male,5,0\n"
+        dataset = read_csv(text, make_indicator())
+        assert canonical_sort(dataset) is dataset and "_csv_text" not in vars(dataset)
+        resorted = canonical_sort(read_csv(HEADER + "B,2016,0-4,male,6,0\nA,2016,0-4,male,5,0\n", make_indicator()))
+        assert write_csv(resorted) == HEADER + "A,2016,0-4,male,5,0\nB,2016,0-4,male,6,0\n"
+
+    @pytest.mark.parametrize("region", ["A", '"A"'], ids=["one-split", "csv"])
+    def test_a_read_gives_its_value_texts_below_2_53(self, region):
+        text = HEADER + "".join(
+            f"{region},{year},0-4,male,{value},0\n"
+            for year, value in zip(range(2016, 2022), ["5", "0.1", "9007199254740993", "1e+16", "", "S"])
+        )
+        texts = {}
+        read_csv(text, make_indicator(), texts=texts)
+        assert texts == {5.0: "5", 0.1: "0.1"}
+
+
+def csv_field(value: str) -> str:
+    """A field as `csv.writer` writes it: quoted when it holds a comma, quote, CR or LF."""
+    return '"' + value.replace('"', '""') + '"' if any(c in value for c in ',"\r\n') else value
+
+
+# A line end: LF after any number of CRs, or CRs alone at the end of the text.
+LINE_END_RE = re.compile(r"\r*(?:\n|\Z)")
+# One field: quoted (a doubled quote inside) or bare; a bare field may hold a quote after its first character.
+FIELD_RE = re.compile(r'"((?:[^"]|"")*)"|((?:[^",\r\n][^,\r\n]*)?)')
+
+
+def without_rewrites(text):
+    """`text` with the accepted rewrites undone, or None when it holds any other departure from the written form.
+
+    The rewrites: a field quoted though it needs no quotes, a quote inside a
+    bare key token, CRs before a line's LF or at the end of the text, and no
+    final line end.
+    """
+    pos, rows, row = 0, [], []
+    while True:
+        m = FIELD_RE.match(text, pos)
+        row.append(m[2] if m[1] is None else m[1].replace('""', '"'))
+        pos = m.end()
+        if text.startswith(",", pos):
+            pos += 1
+            continue
+        rows.append(row)
+        row = []
+        end = LINE_END_RE.match(text, pos)
+        if end is None:
+            return None
+        pos = end.end()
+        if pos == len(text):
+            break
+    return "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
+
+
+@st.composite
+def written_and_rewritten(draw):
+    """(text, rewritten, indicator): a random dataset as `write_csv` writes it, rows shuffled, then each rewrite at random."""
+    kind = draw(st.sampled_from([CellKind.COUNT, CellKind.RATE, CellKind.PERCENTAGE]))
+    tokens = st.sampled_from(draw(st.lists(TOKENS, min_size=1, max_size=6)))
+    years = st.sampled_from(draw(st.lists(YEARS, min_size=1, max_size=3)))
+    row = st.tuples(tokens, years, tokens, tokens, MAGNITUDES, st.sampled_from(list(UncertaintyLevel)))
+    rows = sorted(draw(st.lists(row, max_size=12)), key=lambda row: row[:4])
+    rows = draw(st.permutations(rows)) if draw(st.booleans()) else rows
+    cells = [(CellKind.MISSING, None) if m is None else (CellKind.SUPPRESSED, None) if m == "S" else (kind, m)
+             for m in (row[4] for row in rows)]
+    columns = Columns(*zip(*(row[:4] + cell + row[5:] for row, cell in zip(rows, cells)))) if rows else EMPTY_COLUMNS
+    indicator = make_indicator(value_kind=kind)
+    level, edition = draw(st.sampled_from(list(GeoLevel))), draw(st.sampled_from(list(BoundaryEdition)))
+    text = write_csv(Dataset(indicator, columns, edition, level))
+    lines = list(csv.reader(io.StringIO(text)))
+    assert "".join(",".join(map(csv_field, line)) + "\n" for line in lines) == text
+    quote = st.booleans() if draw(st.booleans()) else st.just(False)
+    rewritten = ""
+    for at, line in enumerate(lines, start=1):
+        fields = []
+        for i, field in enumerate(line):
+            if draw(quote):  # quoted, needed or not
+                fields.append('"' + field.replace('"', '""') + '"')
+            elif at > 1 and i < 4 and re.fullmatch('[^",\r\n][^,\r\n]*"[^,\r\n]*', field) and draw(st.booleans()):
+                fields.append(field)  # a key token's quote left bare
+            else:
+                fields.append(csv_field(field))
+        line_ends = ["\n", "\r\n", "\r\r\n"] + (["", "\r", "\r\r"] if at == len(lines) else [])
+        rewritten += ",".join(fields) + draw(st.sampled_from(line_ends))
+    return text, rewritten, indicator
+
+
+class TestDatasetFileMeansOneText:
+    """`write_csv(read_csv(t))` is `t`, but for the rewrites docs/formats.md states."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_and_rewritten())
+    def test_the_stated_rewrites_are_undone(self, example):
+        text, rewritten, indicator = example
+        assert without_rewrites(rewritten) == text
+        assert write_csv(read_csv(rewritten, indicator)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_and_rewritten(), st.data())
+    def test_an_accepted_file_departs_from_its_written_form_only_by_a_stated_rewrite(self, example, data):
+        text, rewritten, indicator = example
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(rewritten)))
+            end = data.draw(st.integers(at, min(len(rewritten), at + 3)))
+            rewritten = rewritten[:at] + data.draw(st.sampled_from(['"', '""', "\r", "\n", "\r\n", ",", " ", ""])) + rewritten[end:]
+        try:
+            dataset = read_csv(rewritten, indicator)
+        except ArdkitError:
+            return
+        assert without_rewrites(rewritten) == write_csv(dataset)
+
+    @pytest.mark.parametrize("line, message", [
+        ('"A"B,2016,0-4,male,5,0', "line 2: ',' expected after '\"'"),
+        ('"A,2016,0-4,male,5,0', "line 2: unexpected end of data"),
+    ])
+    def test_a_quote_csv_would_read_past_is_refused(self, line, message):
+        with pytest.raises(ArdkitError, match=f"^{re.escape(message)}$"):
+            read_csv(HEADER + line + "\n", make_indicator())

@@ -125,9 +125,16 @@ def replay_on_the_raw_dataset(root: Path, text: str) -> None:
     cleaning.replay(dataset, cleaning.CleaningLog.from_jsonl(text))
 
 
+def read_csv_and_its_recorded_text(root: Path, text: str) -> None:
+    """`read_csv`; a text it records is the one it read, and a fresh copy of the dataset renders to it."""
+    dataset = model.read_csv(text, indicator(root))
+    recorded = vars(dataset).get("_csv_text")
+    assert recorded is None or recorded == text == model.write_csv(model.Dataset(*dataset))
+
+
 # Reader name -> (its seed files under the demo copy, the call that reads one input).
 TEXT_READERS = {
-    "read_csv": ("out/datasets/*.csv", lambda root, text: model.read_csv(text, indicator(root))),
+    "read_csv": ("out/datasets/*.csv", read_csv_and_its_recorded_text),
     "load_table": (
         "tables/*.csv",
         lambda root, data: correspondence.load_table(
