@@ -56,10 +56,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _read_dataset(data_path: str, indicator_path: str):
-    """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs, with its VALUE texts."""
-    indicator, texts = read_doc(indicator_path, Indicator.from_json), {}
-    read = functools.partial(read_csv, indicator=indicator, texts=texts)
-    return canonical_sort(read_doc(data_path, read, parse=decode_utf8)), texts
+    """A dataset file in canonical order, so a hand-edited, unsorted file gives the same outputs.
+
+    With it comes the file's text when `read_csv` marked it as the text
+    `write_csv` writes of the dataset, else None.
+    """
+    indicator = read_doc(indicator_path, Indicator.from_json)
+    dataset, text = read_doc(data_path, lambda text: (read_csv(text, indicator), text), parse=decode_utf8)
+    return canonical_sort(dataset), text if vars(dataset).get("_as_written") else None
 
 
 def _write_report(path: str, report: tuple[dict, str]) -> None:
@@ -75,9 +79,10 @@ def _read_outcomes(path: str):
     return read_doc(ledger_path(path), summary.outcomes, parse=decode_utf8)
 
 
-def _write_dataset(dataset, data_path: str, indicator_path: str | None, texts: dict | None = None) -> None:
-    """`texts`, the VALUE texts `_read_dataset` gave with the dataset this one comes from, seeds `write_csv`."""
-    _write(data_path, write_csv(dataset, texts=texts))
+def _write_dataset(dataset, data_path: str, indicator_path: str | None, read=(None, None)) -> None:
+    """`read`, the pair `_read_dataset` gave: its text is written unrendered when `dataset` is its dataset."""
+    text = read[1] if dataset is read[0] else None
+    _write(data_path, write_csv(dataset) if text is None else text)
     if indicator_path:
         _write(indicator_path, canonical_dumps(dataset.indicator.to_json()))
 
@@ -125,7 +130,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    dataset, texts = _read_dataset(args.data, args.indicator)
+    read = _read_dataset(args.data, args.indicator)
+    dataset = read[0]
     rules = read_doc(args.rules, CleaningRuleSet.from_json) if args.rules else CleaningRuleSet()
     vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
     coverage = _parse_coverage(args.coverage) if args.coverage else None
@@ -135,7 +141,7 @@ def _cmd_clean(args) -> int:
         QAContext(vocabulary=vocabulary, coverage=coverage),
         cap=args.max_iterations,
     )
-    _write_dataset(cycle.dataset, args.out_data, args.out_indicator, texts)
+    _write_dataset(cycle.dataset, args.out_data, args.out_indicator, read)
     _write(args.log, cycle.log.to_jsonl())
     print(f"cleaned in {cycle.iterations} iteration(s); {len(cycle.log.entries)} change(s)")
     return 0
@@ -150,14 +156,16 @@ def _table_spec(spec: str, level: GeoLevel) -> TableSpec:
 
 
 def _cmd_correspond(args) -> int:
-    dataset, texts = _read_dataset(args.data, args.indicator)
+    # Its read is not written back: a conversion builds a new dataset, and the
+    # text would stay held through the stage path's largest memory peak.
+    dataset = _read_dataset(args.data, args.indicator)[0]
     tables = load_tables(tuple(_table_spec(spec, dataset.level) for spec in args.table))
     policy = CorrespondencePolicy() if args.discard_threshold is None else CorrespondencePolicy(args.discard_threshold)
     if bool(args.denominator_data) != bool(args.denominator_indicator):
         raise ConfigError("--denominator-data and --denominator-indicator must be given together")
     denominator = _read_dataset(args.denominator_data, args.denominator_indicator)[0] if args.denominator_data else None
     dataset, outcomes = convert(dataset, BoundaryEdition(args.to_edition), tables, policy, denominator=denominator)
-    _write_dataset(dataset, args.out_data, args.out_indicator, texts)
+    _write_dataset(dataset, args.out_data, args.out_indicator)
     if args.outcomes:
         _write_report(args.outcomes, outcomes_report(outcomes))
     print(f"converted to edition {int(dataset.edition)} in {len(outcomes)} step(s)")
@@ -165,7 +173,8 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_suppress(args) -> int:
-    dataset, texts = _read_dataset(args.data, args.indicator)
+    read = _read_dataset(args.data, args.indicator)
+    dataset = read[0]
     check_seed(args.noise_magnitude, args.seed)
     dataset, log = privacy_stage(
         dataset,
@@ -173,7 +182,7 @@ def _cmd_suppress(args) -> int:
         noise_magnitude=args.noise_magnitude,
         seed=args.seed,
     )
-    _write_dataset(dataset, args.out_data, args.out_indicator, texts)
+    _write_dataset(dataset, args.out_data, args.out_indicator, read)
     if args.log:
         _write(args.log, canonical_dumps(log))
     print(f"suppressed {log['suppression']['total_suppressed']} cell(s)")
@@ -194,7 +203,8 @@ def _cmd_qa(args) -> int:
         raise ConfigError("--round-counts needs --filter-high")
     if args.filter_high and not args.out_data:
         raise ConfigError("--filter-high needs --out-data")
-    dataset, texts = _read_dataset(args.data, args.indicator)
+    read = _read_dataset(args.data, args.indicator)
+    dataset = read[0]
     outcomes = _read_outcomes(args.outcomes) if args.outcomes else ()
     privacy_log = read_doc(args.privacy_log, check_privacy_log) if args.privacy_log else None
     vocabulary = read_doc(args.vocabulary, Vocabulary.from_json) if args.vocabulary else None
@@ -208,7 +218,7 @@ def _cmd_qa(args) -> int:
     )
     if args.filter_high:
         emitted = round_counts(filtered) if args.round_counts else filtered
-        _write_dataset(emitted, args.out_data, args.out_indicator, texts)
+        _write_dataset(emitted, args.out_data, args.out_indicator, read)
         if args.removals:
             _write_report(args.removals, removal_log.report())
     _write(args.report, canonical_dumps(report.to_json()))
@@ -228,7 +238,7 @@ def _cmd_emit_docs(args) -> int:
     out = Path(args.out)
     indicators = []
     for data_path, indicator_path in zip(data_paths, indicator_paths):
-        dataset, _ = _read_dataset(data_path, indicator_path)
+        dataset = _read_dataset(data_path, indicator_path)[0]
         indicators.append(dataset.indicator)
         metadata = emit_metadata(dataset.indicator, dataset, docs_config, publishable=args.publishable)
         _write(str(out / "metadata" / f"{dataset.indicator.id}.metadata.json"), canonical_dumps(metadata.to_json()))

@@ -267,16 +267,23 @@ class CorrespondenceOutcome(NamedTuple):
                 level=GeoLevel(doc["level"]),
                 from_edition=BoundaryEdition(doc["from_edition"]),
                 to_edition=BoundaryEdition(doc["to_edition"]),
-                input_total=Fraction(doc["input_total_exact"]),
-                output_total=Fraction(doc["output_total_exact"]),
+                input_total=_total(doc["input_total_exact"]),
+                output_total=_total(doc["output_total_exact"]),
                 conserving=conserving,
                 events={},
                 zero_filled=tuple(zero_filled),
             )
         except KeyError as exc:
             raise CorrespondenceError(f"correspondence outcome lacks {exc}") from None
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise CorrespondenceError(f"malformed correspondence outcome: {exc}") from None
+
+
+def _total(text) -> Fraction:
+    """A step's exact total; one beyond a float's range, which `to_json` could not write, raises OverflowError."""
+    total = Fraction(text)
+    float(total)
+    return total
 
 
 EVENT_LEDGER_COLUMNS = (*KEY_COLUMNS, "STEP", "EVENT")

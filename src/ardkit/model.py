@@ -298,7 +298,7 @@ class Dataset(Checked, _DatasetFields):
     the rows, so every dataset states it correctly.  Two datasets are equal
     when their indicator, columns, edition and level are.  A dataset keeps
     an instance dict, where `_in_canonical_order` is cached and `read_csv`
-    records `_csv_text`; `_replace` builds a new dataset without either.
+    marks `_as_written`; `_replace` builds a new dataset without either.
     """
 
     def __new__(cls, indicator: Indicator, columns: Columns, edition: BoundaryEdition, level: GeoLevel):
@@ -529,14 +529,7 @@ def write_csv(dataset: Dataset, *, texts: dict | None = None) -> str:
     On return it holds the texts of exactly this dataset's magnitudes below
     2**53, to seed the next rendering.  Its entries are `format_magnitude`'s
     texts, so a seed never changes a byte; pass an empty dict to start one.
-
-    A dataset that `read_csv` read from the text this would write is
-    returned as that text, and `texts` is left as it was passed (as that
-    read gave it, it holds exactly this dataset's texts).
     """
-    recorded = vars(dataset).get("_csv_text")
-    if recorded is not None:
-        return recorded
     c = dataset.columns
     header = (geography_column(dataset.level, dataset.edition), *CSV_COLUMNS)
     values = _value_texts(c.kind, c.magnitude, {} if texts is None else texts)
@@ -606,16 +599,16 @@ def _level(text: str) -> UncertaintyLevel:
     return _LEVELS_BY_TEXT[text]
 
 
-def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",", strict: bool = False) -> Iterator[list[str]]:
+def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
     """The rows of delimited text; a line `csv` cannot read raises error_cls naming it.
 
     The rows before that line come first.  A field longer than
     `csv.field_size_limit()` is such a line: the limit is kept, so one
-    oversized cell cannot make a reader hold it.  Rows are read in chunks,
-    so that iterating them runs no Python code per row.  `strict` also
-    refuses text after a closing quote (`"A"B`) and a quote open at the end.
+    oversized cell cannot make a reader hold it.  So is text after a closing
+    quote (`"A"B`) and a quote still open at the end.  Rows are read in
+    chunks, so that iterating them runs no Python code per row.
     """
-    return chain.from_iterable(_csv_chunks(csv.reader(io.StringIO(text), delimiter=delimiter, strict=strict), error_cls))
+    return chain.from_iterable(_csv_chunks(csv.reader(io.StringIO(text), delimiter=delimiter, strict=True), error_cls))
 
 
 def _csv_chunks(reader, error_cls: type[ArdkitError]) -> Iterator[list[list[str]]]:
@@ -630,23 +623,22 @@ def _csv_chunks(reader, error_cls: type[ArdkitError]) -> Iterator[list[list[str]
         yield chunk
 
 
-def read_csv(text: str, indicator: Indicator, *, texts: dict | None = None) -> Dataset:
+def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset; rows keep the file's order.
 
-    `texts`, a table as `write_csv` takes it, is given the file's text of each
-    distinct magnitude below 2**53.  A file of plain lines in canonical order
-    that ends with LF is the text `write_csv` writes, and the dataset records
-    it: `write_csv` returns it as it is.
+    A file of plain lines in canonical order that ends with LF is the text
+    `write_csv` writes of the dataset, which is marked `_as_written` in its
+    instance dict: a caller that keeps the text can write it back unrendered.
     """
     try:
-        return _read_plain(text, indicator, texts)
+        return _read_plain(text, indicator)
     except ValueError:  # not plain lines, or a bad token: `csv` reads the text and raises every error
-        return _read_rows(text, indicator, texts)
+        return _read_rows(text, indicator)
 
 
-def _read_rows(text: str, indicator: Indicator, texts: dict | None = None) -> Dataset:
+def _read_rows(text: str, indicator: Indicator) -> Dataset:
     """`read_csv` through `csv.reader`: quoted fields, and every error named by its line."""
-    rows = list(csv_rows(text, strict=True))
+    rows = list(csv_rows(text))
     if not rows:
         raise ArdkitError("dataset file is empty")
     header = rows[0]
@@ -675,8 +667,6 @@ def _read_rows(text: str, indicator: Indicator, texts: dict | None = None) -> Da
         if year is None:
             year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _year)
         out.append((code, year, age, sex, *cell, uncertainty))
-    if texts is not None:
-        texts.update((m, t) for t, (_, m) in cells.items() if m is not None and -_EXACT_INTEGERS < m < _EXACT_INTEGERS)
     return Dataset(indicator, Columns.from_rows(out), edition, level)
 
 
@@ -684,14 +674,14 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 _MARKERS = {SUPPRESSED_TOKEN: CellKind.SUPPRESSED, "": CellKind.MISSING}
 
 
-def _read_plain(text: str, indicator: Indicator, texts: dict | None = None) -> Dataset:
+def _read_plain(text: str, indicator: Indicator) -> Dataset:
     """`read_csv` of plain lines (as `csv` reads a text without quote, CR, NUL or overlong line) in one split.
 
     A bad token raises ValueError.  A dataset whose lines show canonical order
     records it: with NUL, which sorts below every character of a token, for
     the comma, lines compare by their key texts, and four-digit years by value.
     No field of such a file needs quoting and a number has one text, so if
-    its last line ends with LF, the file is `write_csv`'s text: recorded too.
+    its last line ends with LF, the file is `write_csv`'s text: marked too.
     """
     head, _, body = text.partition("\n")
     header = head.split(",")
@@ -724,12 +714,8 @@ def _read_plain(text: str, indicator: Indicator, texts: dict | None = None) -> D
         tuple(codes), tuple(map(years.__getitem__, year_texts)), tuple(ages), tuple(sexes),
         kinds, tuple(map(magnitudes.get, value_texts)), tuple(map(levels.__getitem__, level_texts)),
     ), geography[1], geography[0])
-    if texts is not None:
-        texts.update((m, t) for t, m in magnitudes.items() if -_EXACT_INTEGERS < m < _EXACT_INTEGERS)
     if all(len(t) == 4 and t.isdigit() for t in years) and all(map(le, lines, islice(lines, 1, None))):
-        vars(dataset)["_in_canonical_order"] = True
-        if text.endswith("\n"):
-            vars(dataset)["_csv_text"] = text
+        vars(dataset).update(_in_canonical_order=True, _as_written=text.endswith("\n"))
     return dataset
 
 

@@ -155,6 +155,10 @@ class TestLoadTable:
                 level=SA3, from_edition=E2011, to_edition=E2016,
             )
 
+    def test_text_after_a_closing_quote_is_fatal(self):
+        with pytest.raises(CorrespondenceError, match="^line 2: ',' expected after '\"'$"):
+            load_table('FROM_CODE,TO_CODE,RATIO\n"A"B,C,1\n', level=SA3, from_edition=E2011, to_edition=E2016)
+
     def test_small_deviation_renormalized(self):
         table = load_table(
             "FROM_CODE,TO_CODE,RATIO\nA,B,0.3333333\nA,C,0.6666666\n",
@@ -699,6 +703,12 @@ class TestOutcomeSerialization:
         with pytest.raises(CorrespondenceError) as excinfo:
             OutcomeSummary.from_json(summary).outcomes(ledger)
         assert str(excinfo.value) == f"line 3: {message}"
+
+    def test_a_total_beyond_a_float_is_malformed(self):
+        summary, _ = outcomes_report([forward(make_counts({"A": 100}, edition=E2011), make_table([("A", "B", "1")]))[1]])
+        summary["steps"][0]["input_total_exact"] = "1e400"
+        with pytest.raises(CorrespondenceError, match="^malformed correspondence outcome: .*too large for a float$"):
+            OutcomeSummary.from_json(summary)
 
 
 class TestRationalRates:

@@ -6,6 +6,7 @@ import csv
 import enum
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,15 @@ class TestCsvRows:
     def test_rows_are_csv_reader_rows(self):
         text = 'a,"b\nc"\n\n"q""x",\r\nlast'
         assert list(csv_rows(text)) == list(csv.reader(io.StringIO(text))) == [["a", "b\nc"], [], ['q"x', ""], ["last"]]
+
+    @pytest.mark.parametrize("line, message", [
+        ('"A"B,x', "line 2: ',' expected after '\"'"),
+        ('"A,x', "line 2: unexpected end of data"),
+    ])
+    def test_a_quote_csv_would_read_past_is_refused(self, line, message):
+        # Leniently `csv` reads `"A"B` as `AB` and an open quote to the end of the text.
+        with pytest.raises(ArdkitError, match=f"^{re.escape(message)}$"):
+            list(csv_rows(f"h,x\n{line}\n"))
 
 
 def csv_writer_rendering(dataset):

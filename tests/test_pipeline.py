@@ -2077,6 +2077,10 @@ class TestStageWritesBack:
         assert len(renders) == 3  # ingest, clean and correspond change their dataset; suppress and qa do not
         assert (work / "3.csv").read_bytes() == (work / "4.csv").read_bytes() == (work / "5.csv").read_bytes()
         assert (work / "2.csv").read_bytes() != (work / "3.csv").read_bytes()
+        # Cleaning the cleaned file again changes nothing, so it too is written back.
+        assert main([str(a) for a in [*plan[1], "--data", work / "2.csv", "--indicator", work / "2.json",
+                                      "--out-data", work / "6.csv"]]) == 0
+        assert len(renders) == 3 and (work / "6.csv").read_bytes() == (work / "2.csv").read_bytes()
 
 
 class TestCorrespondDenominatorFlags:

@@ -381,12 +381,12 @@ def data_lines(text):
     return [line.split(",") for line in lines]
 
 
-class TestRecordedText:
-    """A read records its text exactly when `write_csv` writes that text back, and `write_csv` then returns it."""
+class TestReadAsWritten:
+    """A read marks its dataset exactly when `write_csv` writes the text it read, and the stage write keeps that text."""
 
     @settings(max_examples=250, deadline=None)
     @given(dataset_texts())
-    def test_recorded_exactly_when_plain_in_canonical_order_and_lf_terminated(self, example):
+    def test_marked_exactly_when_plain_in_canonical_order_and_lf_terminated(self, example):
         text, indicator = example
         try:
             dataset = read_csv(text, indicator)
@@ -400,48 +400,43 @@ class TestRecordedText:
         in_order = plain and all(re.fullmatch("[0-9]{4}", row[1]) for row in rows) and rows == sorted(
             rows, key=lambda row: (row[0], int(row[1]), *row[2:])
         )
-        recorded = vars(dataset).get("_csv_text")
-        assert (recorded is not None) == (in_order and text.endswith("\n"))
-        if recorded is not None:
-            assert recorded == text
+        marked = vars(dataset).get("_as_written", False)
+        assert marked == (in_order and text.endswith("\n"))
+        if marked:
             assert write_csv(Dataset(*dataset)) == text
 
-    def test_write_returns_the_recorded_text_and_leaves_texts_as_passed(self):
+    def test_the_read_text_is_written_back_unrendered(self, tmp_path):
         text = HEADER + "A,2016,0-4,male,5,0\nA,2017,0-4,male,2.5,1\nB,2016,0-4,male,S,0\n"
-        texts = {}
-        dataset = read_csv(text, make_indicator(), texts=texts)
-        assert texts == {5.0: "5", 2.5: "2.5"}
-        passed = {7: "7"}
+        data, doc, out = tmp_path / "d.csv", tmp_path / "d.json", tmp_path / "o.csv"
+        data.write_text(text, encoding="utf-8", newline="")
+        doc.write_text(json.dumps(make_indicator().to_json()), encoding="utf-8")
+        read = cli._read_dataset(str(data), str(doc))
+        assert read[1] == text
         with mock.patch.object(model, "_value_texts", side_effect=AssertionError("rendered")):
-            assert write_csv(dataset, texts=passed) is text
-        assert passed == {7: "7"}
-        # A fresh copy is rendered, and the table then holds exactly its texts, as the read gave them.
-        assert write_csv(Dataset(*dataset), texts=passed) == text
-        assert passed == texts
+            cli._write_dataset(read[0], str(out), None, read)
+        assert out.read_text(encoding="utf-8") == text
+        # Any other dataset is rendered.
+        cli._write_dataset(read[0]._replace(level=GeoLevel.SA2), str(out), None, read)
+        assert out.read_text(encoding="utf-8") == text.replace("SA3CODE", "SA2CODE")
+        # A file the read does not mark comes without its text.
+        data.write_text(text.replace("A,2016", '"A",2016'), encoding="utf-8", newline="")
+        assert cli._read_dataset(str(data), str(doc))[1] is None
 
-    def test_a_changed_dataset_carries_no_text(self):
+    def test_a_changed_dataset_is_not_marked(self):
         text = HEADER + "A,2016,0-4,male,5,0\nB,2016,0-4,male,6,0\n"
         dataset = read_csv(text, make_indicator())
-        assert canonical_sort(dataset) is dataset and write_csv(dataset) is text
+        assert canonical_sort(dataset) is dataset and vars(dataset)["_as_written"]
         changed = dataset.with_columns(dataset.columns._replace(magnitude=(5, 7)))
-        assert write_csv(changed) == text.replace(",6,", ",7,")
-        assert write_csv(dataset._replace(level=GeoLevel.SA2)) == text.replace("SA3CODE", "SA2CODE")
-        # Lines of one key out of order: the dataset sorts as it is, and its text is not recorded.
+        assert "_as_written" not in vars(changed) and write_csv(changed) == text.replace(",6,", ",7,")
+        moved = dataset._replace(level=GeoLevel.SA2)
+        assert "_as_written" not in vars(moved) and write_csv(moved) == text.replace("SA3CODE", "SA2CODE")
+        # Lines of one key out of order: the dataset sorts as it is, and it is not marked.
         text = HEADER + "A,2016,0-4,male,6,0\nA,2016,0-4,male,5,0\n"
         dataset = read_csv(text, make_indicator())
-        assert canonical_sort(dataset) is dataset and "_csv_text" not in vars(dataset)
+        assert canonical_sort(dataset) is dataset and "_as_written" not in vars(dataset)
         resorted = canonical_sort(read_csv(HEADER + "B,2016,0-4,male,6,0\nA,2016,0-4,male,5,0\n", make_indicator()))
+        assert "_as_written" not in vars(resorted)
         assert write_csv(resorted) == HEADER + "A,2016,0-4,male,5,0\nB,2016,0-4,male,6,0\n"
-
-    @pytest.mark.parametrize("region", ["A", '"A"'], ids=["one-split", "csv"])
-    def test_a_read_gives_its_value_texts_below_2_53(self, region):
-        text = HEADER + "".join(
-            f"{region},{year},0-4,male,{value},0\n"
-            for year, value in zip(range(2016, 2022), ["5", "0.1", "9007199254740993", "1e+16", "", "S"])
-        )
-        texts = {}
-        read_csv(text, make_indicator(), texts=texts)
-        assert texts == {5.0: "5", 0.1: "0.1"}
 
 
 def csv_field(value: str) -> str:

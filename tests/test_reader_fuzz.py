@@ -125,16 +125,15 @@ def replay_on_the_raw_dataset(root: Path, text: str) -> None:
     cleaning.replay(dataset, cleaning.CleaningLog.from_jsonl(text))
 
 
-def read_csv_and_its_recorded_text(root: Path, text: str) -> None:
-    """`read_csv`; a text it records is the one it read, and a fresh copy of the dataset renders to it."""
+def read_csv_as_written(root: Path, text: str) -> None:
+    """`read_csv`; a dataset it marks as written renders, as a fresh copy, to the text it read."""
     dataset = model.read_csv(text, indicator(root))
-    recorded = vars(dataset).get("_csv_text")
-    assert recorded is None or recorded == text == model.write_csv(model.Dataset(*dataset))
+    assert not vars(dataset).get("_as_written") or model.write_csv(model.Dataset(*dataset)) == text
 
 
 # Reader name -> (its seed files under the demo copy, the call that reads one input).
 TEXT_READERS = {
-    "read_csv": ("out/datasets/*.csv", read_csv_and_its_recorded_text),
+    "read_csv": ("out/datasets/*.csv", read_csv_as_written),
     "load_table": (
         "tables/*.csv",
         lambda root, data: correspondence.load_table(
