@@ -108,7 +108,15 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
+def _given(args, *flags: str) -> list[str]:
+    """Those of `flags` that the command line sets."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
+
+
 def _cmd_ingest(args) -> int:
+    ignored = _given(args, "--mapping", "--indicator", "--out-data", "--out-indicator", "--report", "--lineage")
+    if args.detect and ignored:
+        raise ConfigError(f"--detect only prints a mapping draft; it takes no {', '.join(ignored)}")
     raw = read_user_file(args.raw, ArdkitError)
     if args.detect:
         with about(args.raw):
@@ -199,8 +207,9 @@ def _parse_coverage(text: str) -> tuple[int, int]:
 
 
 def _cmd_qa(args) -> int:
-    if args.round_counts and not args.filter_high:
-        raise ConfigError("--round-counts needs --filter-high")
+    ignored = _given(args, "--round-counts", "--out-data", "--out-indicator", "--removals")
+    if ignored and not args.filter_high:
+        raise ConfigError(f"{', '.join(ignored)} {'needs' if len(ignored) == 1 else 'need'} --filter-high")
     if args.filter_high and not args.out_data:
         raise ConfigError("--filter-high needs --out-data")
     read = _read_dataset(args.data, args.indicator)
@@ -235,6 +244,10 @@ def _cmd_emit_docs(args) -> int:
     indicator_paths = args.indicator or []
     if len(data_paths) != len(indicator_paths):
         raise ConfigError("--data and --indicator must be given in matching pairs")
+    ids = [read_doc(path, Indicator.from_json).id for path in indicator_paths]  # refused before anything is written
+    repeated = next((i for n, i in enumerate(ids) if i in ids[:n]), None)
+    if repeated:
+        raise ConfigError(f"duplicate indicator id {repeated!r}")
     out = Path(args.out)
     indicators = []
     for data_path, indicator_path in zip(data_paths, indicator_paths):

@@ -556,14 +556,6 @@ def ledger_csv(header: Sequence[str], key_columns: Iterable[Sequence], *rest: It
     return "\n".join(chain((",".join(header),), chunks)) + "\n"
 
 
-def _csv_field(lineno: int, column: str, text: str, convert):
-    """Convert one canonical CSV cell; a bad cell names its line and column."""
-    try:
-        return convert(text)
-    except ValueError:
-        raise ArdkitError(f"line {lineno}: invalid {column} {text!r}") from None
-
-
 def _ascii_int(text: str) -> int:
     """`int(text)` of the text `str(int)` writes; `int` alone also takes `2_016`, `+7`, ` 7` and non-ASCII digits."""
     if not re.fullmatch("-?[0-9]+", text):
@@ -579,24 +571,6 @@ def _value(text: str) -> Magnitude:
     if not _is_magnitude(value) or format_magnitude(value) != text:
         raise ValueError(text)
     return value
-
-
-def _year(text: str) -> int:
-    """The year `write_csv` writes as `text`; any other text (`02016`, `-0`, `+7`, ` 7`) raises ValueError."""
-    year = int(text)
-    if str(year) != text:
-        raise ValueError(text)
-    return year
-
-
-_LEVELS_BY_TEXT = {text: level for text, level in zip(_LEVEL_TEXT, UncertaintyLevel)}
-
-
-def _level(text: str) -> UncertaintyLevel:
-    """The level `write_csv` writes as `text`: `0`, `1` or `2`; any other text (`00`, `-0`) raises ValueError."""
-    if text not in _LEVELS_BY_TEXT:
-        raise ValueError(text)
-    return _LEVELS_BY_TEXT[text]
 
 
 def csv_rows(text: str, error_cls: type[ArdkitError] = ArdkitError, delimiter: str = ",") -> Iterator[list[str]]:
@@ -626,97 +600,113 @@ def _csv_chunks(reader, error_cls: type[ArdkitError]) -> Iterator[list[list[str]
 def read_csv(text: str, indicator: Indicator) -> Dataset:
     """Parse a canonical dataset file back into a Dataset; rows keep the file's order.
 
-    A file of plain lines in canonical order that ends with LF is the text
-    `write_csv` writes of the dataset, which is marked `_as_written` in its
-    instance dict: a caller that keeps the text can write it back unrendered.
+    Plain lines are split in one pass, any other text by `csv_rows`; `_decode` decodes either.
+    Plain lines in canonical order that end with LF are the text `write_csv` writes of the dataset,
+    which is marked `_as_written` in its instance dict, so a caller can write the text back unrendered.
     """
-    try:
-        return _read_plain(text, indicator)
-    except ValueError:  # not plain lines, or a bad token: `csv` reads the text and raises every error
-        return _read_rows(text, indicator)
-
-
-def _read_rows(text: str, indicator: Indicator) -> Dataset:
-    """`read_csv` through `csv.reader`: quoted fields, and every error named by its line."""
-    rows = list(csv_rows(text))
-    if not rows:
-        raise ArdkitError("dataset file is empty")
-    header = rows[0]
-    if len(header) != 6 or tuple(header[1:]) != CSV_COLUMNS:
-        raise ArdkitError(f"unexpected dataset header {header!r}")
-    parsed = parse_geography_column(header[0])
-    if parsed is None:
-        raise ArdkitError(f"unrecognized geography column {header[0]!r}")
-    level, edition = parsed
-    # Years and values repeat down the file, so each distinct text is
-    # converted once; the first line holding a bad one is the one named.
-    years: dict[str, int] = {}
-    cells = {text: (kind, None) for text, kind in _MARKERS.items()}
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 6:
-            raise ArdkitError(f"line {lineno}: expected 6 fields, got {len(row)}")
-        code, year_text, age, sex, value_text, uncertainty_text = row
-        uncertainty = _LEVELS_BY_TEXT.get(uncertainty_text)
-        if uncertainty is None:
-            uncertainty = _csv_field(lineno, "UNCERTAINTY", uncertainty_text, _level)
-        cell = cells.get(value_text)
-        if cell is None:
-            cell = cells[value_text] = (indicator.value_kind, _csv_field(lineno, "VALUE", value_text, _value))
-        year = years.get(year_text)
-        if year is None:
-            year = years[year_text] = _csv_field(lineno, "CALENDAR_YEAR", year_text, _year)
-        out.append((code, year, age, sex, *cell, uncertainty))
-    return Dataset(indicator, Columns.from_rows(out), edition, level)
+    plain = _plain_lines(text)
+    if plain is None:  # `csv` reads every line before any field is decoded, so its errors come first
+        rows = list(csv_rows(text))
+        if not rows:
+            raise ArdkitError("dataset file is empty")
+        ragged = next((i for i, row in enumerate(rows) if i and len(row) != 6), len(rows))
+        dataset = _decode(rows[0], list(chain.from_iterable(rows[1:ragged])), indicator)
+        if ragged < len(rows):  # named after any fault in the rows before it
+            raise ArdkitError(f"line {ragged + 1}: expected 6 fields, got {len(rows[ragged])}")
+        return dataset
+    head, lines = plain
+    dataset = _decode(head.split(","), "\0".join(lines).split("\0") if lines else [], indicator)
+    # With NUL, which sorts below every character of a token, for the comma,
+    # lines compare by their key texts, and four-digit years by value.  No
+    # field of such a file needs quoting and a number has one text, so if
+    # its last line ends with LF, the file is `write_csv`'s text.
+    if all(map(le, lines, islice(lines, 1, None))) and all(999 < year < 10_000 for year in dataset.years()):
+        vars(dataset).update(_in_canonical_order=True, _as_written=text.endswith("\n"))
+    return dataset
 
 
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
-_MARKERS = {SUPPRESSED_TOKEN: CellKind.SUPPRESSED, "": CellKind.MISSING}
 
 
-def _read_plain(text: str, indicator: Indicator) -> Dataset:
-    """`read_csv` of plain lines (as `csv` reads a text without quote, CR, NUL or overlong line) in one split.
+def _plain_lines(text: str) -> tuple[str, list[str]] | None:
+    """The header line and the data lines, NUL for each comma, of plain lines; None for any other text.
 
-    A bad token raises ValueError.  A dataset whose lines show canonical order
-    records it: with NUL, which sorts below every character of a token, for
-    the comma, lines compare by their key texts, and four-digit years by value.
-    No field of such a file needs quoting and a number has one text, so if
-    its last line ends with LF, the file is `write_csv`'s text: marked too.
+    `csv` reads plain lines as split at each comma: a text without a quote, CR or NUL whose header line
+    is not empty and whose lines are no longer than `csv.field_size_limit()`.  Each data line holds six fields.
     """
     head, _, body = text.partition("\n")
-    header = head.split(",")
-    geography = parse_geography_column(header[0])
     if body and not body.endswith("\n"):
         body += "\n"
     lines = body.replace(",", "\0").split("\n")[:-1]
-    if ('"' in text or "\r" in text or "\0" in text or geography is None or tuple(header[1:]) != CSV_COLUMNS
+    if ('"' in text or "\r" in text or "\0" in text or not head
             or body.encode().translate(None, _NOT_SEPARATORS) != b",,,,,\n" * len(lines)
-            or max(map(len, lines), default=0) > csv.field_size_limit()):
-        raise ValueError("not six plain fields a line")
-    fields = "\0".join(lines).split("\0") if lines else []
+            or max(len(head), max(map(len, lines), default=0)) > csv.field_size_limit()):
+        return None
+    return head, lines
+
+
+_MARKERS = {SUPPRESSED_TOKEN: CellKind.SUPPRESSED, "": CellKind.MISSING}
+_LEVELS_BY_TEXT = dict(zip(_LEVEL_TEXT, UncertaintyLevel))
+
+
+def _decode(header: list[str], fields: list[str], indicator: Indicator) -> Dataset:
+    """The dataset of a header and its rows' fields, six a row: `read_csv`'s one decoder.
+
+    Each distinct CALENDAR_YEAR, VALUE and UNCERTAINTY text is decoded
+    once.  Only when one is refused are the rows searched: the first row
+    holding one is named, and within it a level before a value before a year.
+    """
+    if len(header) != 6 or tuple(header[1:]) != CSV_COLUMNS:
+        raise ArdkitError(f"unexpected dataset header {header!r}")
+    geography = parse_geography_column(header[0])
+    if geography is None:
+        raise ArdkitError(f"unrecognized geography column {header[0]!r}")
     codes, year_texts, ages, sexes, value_texts, level_texts = (fields[i::6] for i in range(6))
-    # Each distinct year, value and level text is decoded once, the values all at once.
-    years = {t: _year(t) for t in set(year_texts)}
-    levels = {t: _level(t) for t in set(level_texts)}
-    numbers = list(set(value_texts).difference(_MARKERS))
-    floats = list(map(float, numbers))
-    if all(map(gt, repeat(2.0**53), map(abs, floats))):
-        # `_value` below 2**53: a text is its float's repr less a final ".0", and zero is "0".
-        if "-0" in numbers or not all(map(eq, numbers, map(str.removesuffix, map(repr, floats), repeat(".0")))):
-            raise ValueError("a value `_value` refuses")
-        magnitudes = dict(zip(numbers, floats))
-    else:
-        magnitudes = dict(zip(numbers, map(_value, numbers)))
-    kinds = (indicator.value_kind,) * len(lines)
-    if any(map(value_texts.__contains__, _MARKERS)):
+    distinct = (set(level_texts), set(value_texts), set(year_texts))
+    levels = {text: _LEVELS_BY_TEXT[text] for text in distinct[0].intersection(_LEVELS_BY_TEXT)}
+    magnitudes = _magnitudes(distinct[1])
+    # A year is the text `str(int)` writes: not `02016`, `-0`, `+7` or ` 7`, which `int` also reads.
+    years = {text: year for text, year in _accepted(int, distinct[2]).items() if str(year) == text}
+    tables = (levels, magnitudes, years)
+    if list(map(len, tables)) != list(map(len, distinct)):  # a text is refused
+        for lineno, texts in enumerate(zip(level_texts, value_texts, year_texts), start=2):
+            for column, text, table in zip(("UNCERTAINTY", "VALUE", "CALENDAR_YEAR"), texts, tables):
+                if text not in table:
+                    raise ArdkitError(f"line {lineno}: invalid {column} {text!r}")
+    kinds = (indicator.value_kind,) * len(codes)
+    if not distinct[1].isdisjoint(_MARKERS):
         kinds = tuple(map(_MARKERS.get, value_texts, kinds))
-    dataset = Dataset(indicator, Columns(
+    return Dataset(indicator, Columns(
         tuple(codes), tuple(map(years.__getitem__, year_texts)), tuple(ages), tuple(sexes),
-        kinds, tuple(map(magnitudes.get, value_texts)), tuple(map(levels.__getitem__, level_texts)),
+        kinds, tuple(map(magnitudes.__getitem__, value_texts)), tuple(map(levels.__getitem__, level_texts)),
     ), geography[1], geography[0])
-    if all(len(t) == 4 and t.isdigit() for t in years) and all(map(le, lines, islice(lines, 1, None))):
-        vars(dataset).update(_in_canonical_order=True, _as_written=text.endswith("\n"))
-    return dataset
+
+
+def _accepted(decode, texts: Iterable[str]) -> dict:
+    """{text: decode(text)} for each text that `decode` does not refuse with ValueError."""
+    table = {}
+    for text in texts:
+        try:
+            table[text] = decode(text)
+        except ValueError:
+            pass
+    return table
+
+
+def _magnitudes(texts: set[str]) -> dict:
+    """Each VALUE text `write_csv` writes with its magnitude, None for a marker's; all at once below 2**53."""
+    numbers = list(texts.difference(_MARKERS))
+    try:
+        floats = list(map(float, numbers))
+        # `_value` below 2**53: a text is its float's repr less a final ".0", and zero is "0".
+        at_once = all(map(gt, repeat(2.0**53), map(abs, floats))) and "-0" not in texts and all(
+            map(eq, numbers, map(str.removesuffix, map(repr, floats), repeat(".0")))
+        )
+    except ValueError:  # a text no float reads
+        at_once = False
+    table = dict(zip(numbers, floats)) if at_once else _accepted(_value, numbers)
+    table.update(dict.fromkeys(texts.intersection(_MARKERS)))
+    return table
 
 
 def round_counts(dataset: Dataset) -> Dataset:
@@ -738,15 +728,9 @@ def round_counts(dataset: Dataset) -> Dataset:
     for stratum in sorted(by_stratum):
         indices = by_stratum[stratum]
         magnitudes = [Fraction(c.magnitude[i]) for i in indices]
-        floors = [int(m) for m in magnitudes]
-        total = sum(magnitudes)
-        target = int(total) + (1 if total - int(total) >= Fraction(1, 2) else 0)
-        leftover = target - sum(floors)
-        remainders = sorted(
-            range(len(indices)),
-            key=lambda j: (-(magnitudes[j] - floors[j]), j),
-        )
-        bumped = set(remainders[:leftover])
-        for j, i in enumerate(indices):
-            new_magnitudes[i] = floors[j] + (1 if j in bumped else 0)
+        floors = [math.floor(m) for m in magnitudes]
+        leftover = math.floor(sum(magnitudes) + Fraction(1, 2)) - sum(floors)  # the total rounded half up
+        by_part = sorted(range(len(indices)), key=lambda j: (floors[j] - magnitudes[j], j))  # largest part first
+        for rank, j in enumerate(by_part):
+            new_magnitudes[indices[j]] = floors[j] + (rank < leftover)
     return dataset.with_columns(c._replace(magnitude=tuple(new_magnitudes)))

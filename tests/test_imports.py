@@ -187,6 +187,77 @@ def test_oracle_dependency_is_reported():
     ]
 
 
+REFERENCES_MAY_IMPORT = {
+    # The dataset reader may build its result and read the header; the field rules it restates itself.
+    "reference_reader.py": {
+        "ardkit.errors": {"ArdkitError"},
+        "ardkit.model": {"CSV_COLUMNS", "CellKind", "Columns", "Dataset", "UncertaintyLevel", "parse_geography_column"},
+    },
+    "reference_run.py": {"ardkit.model": {"CellKind", "UncertaintyLevel"}},
+}
+
+
+def private_ardkit_uses(source: str) -> list[str]:
+    """Private names of `ardkit` that a source imports, or reaches as an attribute of an `ardkit` module."""
+    modules = {"ardkit", *(f"ardkit.{path.stem}" for path in MODULES)}
+    bound: dict[str, str] = {}  # a local name -> the `ardkit` module it names
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "ardkit":
+                    bound[alias.asname or "ardkit"] = alias.name if alias.asname else "ardkit"
+                    if "._" in alias.name:
+                        found.append((node.lineno, alias.name))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ardkit":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, name))
+                elif name in modules:
+                    bound[alias.asname or alias.name] = name
+
+    def module_of(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        parent = module_of(node.value) if isinstance(node, ast.Attribute) else None
+        return f"{parent}.{node.attr}" if parent and f"{parent}.{node.attr}" in modules else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and module_of(node.value):
+            found.append((node.lineno, f"{module_of(node.value)}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES_MAY_IMPORT))
+def test_references_reach_no_private_name_of_ardkit(name):
+    # A reference that called `model._value` or `qa`'s own helpers would compare the engine with itself.
+    source = Path(__file__).with_name(name).read_text(encoding="utf-8")
+    assert private_ardkit_uses(source) == []
+    assert oracle_dependencies(source, REFERENCES_MAY_IMPORT[name]) == []
+
+
+def test_private_ardkit_use_is_reported():
+    source = (
+        "import ardkit.model\n"
+        "import ardkit.model as m\n"
+        "from ardkit import model, cli as c\n"
+        "from ardkit.model import _value, Columns, read_csv\n"
+        "ardkit.model._year('2016')\n"
+        "m._LEVELS_BY_TEXT\n"
+        "model._value('5'), c._given\n"
+        "Columns._make(()), read_csv.__doc__, other._private\n"
+    )
+    assert private_ardkit_uses(source) == [
+        "line 4: ardkit.model._value",
+        "line 5: ardkit.model._year",
+        "line 6: ardkit.model._LEVELS_BY_TEXT",
+        "line 7: ardkit.cli._given",
+        "line 7: ardkit.model._value",
+    ]
+
+
 INGEST_ORACLE = Path(__file__).with_name("ingest_oracle.py")
 INGEST_ORACLE_MAY_IMPORT = {
     # The per-token helpers and the result types; the parse itself is under test.

@@ -1426,6 +1426,51 @@ class TestBadCliInputs:
         assert f"error: {message}" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "ind.json", "table.csv"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--out-data"], "--out-data needs --filter-high"),
+            (["--out-indicator"], "--out-indicator needs --filter-high"),
+            (["--removals"], "--removals needs --filter-high"),
+            (["--out-data", "--out-indicator", "--removals"], "--out-data, --out-indicator, --removals need --filter-high"),
+            (["--round-counts", "--removals"], "--round-counts, --removals need --filter-high"),
+        ],
+        ids=["out-data", "out-indicator", "removals", "all-three", "round-counts-and-removals"],
+    )
+    def test_qa_output_without_filter_high_exit_2(self, tmp_path, capsys, flags, message):
+        data, indicator = self.files(tmp_path)
+        given = [item for flag in flags for item in ([flag] if flag == "--round-counts" else [flag, tmp_path / "o"])]
+        assert self.main("qa", "--data", data, "--indicator", indicator, "--report", tmp_path / "r.json", *given) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "ind.json", "table.csv"]
+
+    @pytest.mark.parametrize("flag", ["--mapping", "--indicator", "--out-data", "--out-indicator", "--report", "--lineage"])
+    def test_detect_with_a_flag_it_ignores_exit_2(self, tmp_path, capsys, flag):
+        data, _ = self.files(tmp_path)
+        assert self.main("ingest", "--raw", data, "--detect", flag, tmp_path / "o") == 2
+        assert capsys.readouterr() == ("", f"error: --detect only prints a mapping draft; it takes no {flag}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_detect_names_every_flag_it_ignores(self, tmp_path, capsys):
+        data, indicator = self.files(tmp_path)
+        assert self.main("ingest", "--raw", data, "--detect", "--indicator", indicator, "--lineage", tmp_path / "l.csv") == 2
+        assert capsys.readouterr().err == "error: --detect only prints a mapping draft; it takes no --indicator, --lineage\n"
+
+    def test_emit_docs_refuses_an_indicator_given_twice(self, demo_project, tmp_path, capsys):
+        data, indicator = self.files(tmp_path)
+        out = tmp_path / "docs"
+        pair = ["--data", data, "--indicator", indicator]
+        assert self.main("emit-docs", "--config", demo_project, *pair, *pair, "--out", out) == 2
+        assert capsys.readouterr().err == "error: duplicate indicator id 'demo.x'\n"
+        assert not out.exists()
+        # Another sidecar with the same id is the same indicator.
+        other = tmp_path / "other.json"
+        other.write_text(indicator.read_text())
+        assert self.main("emit-docs", "--config", demo_project, *pair, "--data", data, "--indicator", other, "--out", out) == 2
+        assert "duplicate indicator id 'demo.x'" in capsys.readouterr().err
+        assert self.main("emit-docs", "--config", demo_project, *pair, "--out", out) == 0
+        assert "emitted documentation for 1 indicator(s)" in capsys.readouterr().out
+
     def test_sidecar_id_cannot_escape_the_output_directory(self, demo_project, tmp_path, capsys):
         # The id names the metadata files, so a path in it would write outside --out.
         data, indicator = self.files(tmp_path, id="../../escaped")

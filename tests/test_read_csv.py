@@ -1,4 +1,4 @@
-"""The dataset file reader: its one-split path against its `csv.reader` path, and row order from the lines."""
+"""The dataset file reader against a row-by-row reference, its two ways of splitting a file, and row order from the lines."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from ardkit.model import (
 )
 
 from conftest import E2016, SA3, make_indicator
+from reference_reader import read_rows
 
 HEADER = ",".join((geography_column(SA3, E2016), *CSV_COLUMNS)) + "\n"
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "config.json"
@@ -47,12 +48,17 @@ def outcome(read, text, indicator):
     return dataset, repr(dataset.columns)
 
 
+class CsvPathTaken(Exception):
+    pass
+
+
 def one_split(text, indicator):
-    """The one-split reading of `text`, or None where `read_csv` falls back to `csv`."""
-    try:
-        return model._read_plain(text, indicator)
-    except ValueError:
-        return None
+    """`read_csv`'s dataset of `text` when it splits the text in one pass, or None where `csv` reads it or it is refused."""
+    with mock.patch.object(model, "csv_rows", side_effect=CsvPathTaken):
+        try:
+            return read_csv(text, indicator)
+        except (ArdkitError, CsvPathTaken):
+            return None
 
 
 def read_dataset_file(text, indicator):
@@ -134,14 +140,14 @@ class TestOneSplitEqualsCsvReader:
     @given(dataset_texts())
     def test_same_dataset_order_or_error(self, example):
         text, indicator = example
-        want = outcome(model._read_rows, text, indicator)
+        want = outcome(read_rows, text, indicator)
         assert outcome(read_csv, text, indicator) == want
         plain = one_split(text, indicator)
         body = text.split("\n")[1:]
         if body[-1:] == [""]:
             body.pop()
         if not isinstance(want, str) and not any(c in text for c in '"\r\0'):
-            # Every text the csv path reads whose lines are six plain fields takes the one split.
+            # Every text the reference reads whose lines are six plain fields takes the one split.
             assert (plain is not None) == all(line.count(",") == 5 and len(line) <= csv.field_size_limit() for line in body)
         if isinstance(want, str):
             assert plain is None
@@ -154,13 +160,48 @@ class TestOneSplitEqualsCsvReader:
 
     def test_plain_text_takes_the_one_split(self):
         text = HEADER + "A,2016,0-4,male,5,0\nA,2016,0-4,male,S,1\nB,2017,5-9,female,,2\n"
-        with mock.patch.object(model, "_read_rows", side_effect=AssertionError("csv path taken")):
+        with mock.patch.object(model, "csv_rows", side_effect=AssertionError("csv path taken")):
             dataset = read_csv(text, make_indicator())
         assert dataset.columns == Columns(
             ("A", "A", "B"), (2016, 2016, 2017), ("0-4", "0-4", "5-9"), ("male", "male", "female"),
             (CellKind.COUNT, CellKind.SUPPRESSED, CellKind.MISSING), (5.0, None, None),
             (UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM, UncertaintyLevel.HIGH),
         )
+
+    def test_both_splits_pass_through_the_one_decoder(self):
+        plain = HEADER + "A,2016,0-4,male,5,0\nB,2017,5-9,female,S,1\n"
+        quoted = plain.replace("B,2017", '"B",2017')  # a field quoted though it needs no quotes
+        with mock.patch.object(model, "_decode", wraps=model._decode) as decode, \
+                mock.patch.object(model, "csv_rows", wraps=model.csv_rows) as split:
+            read = [read_csv(text, make_indicator()) for text in (plain, quoted)]
+        assert [call.args[0] for call in decode.call_args_list] == [HEADER.strip().split(",")] * 2
+        assert [call.args[0] for call in split.call_args_list] == [quoted]
+        assert read[0].columns == read[1].columns
+        assert vars(read[0])["_as_written"] and "_as_written" not in vars(read[1])
+
+
+class TestMessageOrder:
+    """A `csv` error first, then an empty file, then the header, then the first row at fault, whatever its fault."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HEADER + "A,2016,0-4,male,x,0\n" + '"A', "line 3: unexpected end of data"),
+            ("X\n0,0\n" + '"A"B,2016,0-4,male,5,0\n', "line 3: ',' expected after '\"'"),
+            ("", "dataset file is empty"),
+            ("X,CALENDAR_YEAR\nA,20x6,0-4,male,x,x\n0\n", "unexpected dataset header ['X', 'CALENDAR_YEAR']"),
+            (HEADER.replace("SA3CODE", "XXCODE") + "A,20x6,0-4,male,x,x\n0\n", "unrecognized geography column 'XXCODE_16'"),
+            (HEADER + "A,2016,0-4,male,x,0\n0,0\n", "line 2: invalid VALUE 'x'"),
+            (HEADER + "A,2016,0-4,male,5,0\n0,0\nA,2016,0-4,male,x,0\n", "line 3: expected 6 fields, got 2"),
+            (HEADER + '"A",2016,0-4,male,5,0\nA,20x6,0-4,male,5,0\nA,2016,0-4,male,x,x\n', "line 3: invalid CALENDAR_YEAR '20x6'"),
+        ],
+        ids=["csv-after-bad-value", "csv-after-bad-header", "empty", "header", "geography", "value-before-ragged",
+             "ragged-before-value", "earlier-row-first-csv"],
+    )
+    def test_first_fault_is_named(self, text, message):
+        with pytest.raises(ArdkitError, match=f"^{re.escape(message)}$"):
+            read_csv(text, make_indicator())
+        assert outcome(read_rows, text, make_indicator()) == message
 
 
 class TestNumericTokens:
