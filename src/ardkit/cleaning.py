@@ -20,15 +20,15 @@ import re
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import eq
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import ArdkitError, CleaningError
 from .jsonio import parse_json
 from .model import (
     CellKind,
-    Checked,
     Columns,
     Dataset,
+    Record,
     UncertaintyLevel,
     canonical_sort,
     check_cell,
@@ -52,16 +52,12 @@ class MissingPolicy(enum.Enum):
 _YEAR_PATTERN_RE = re.compile(r"YY->([0-9]+)\+YY")
 
 
-class _RuleSetFields(NamedTuple):
+class CleaningRuleSet(Record):
     dedupe_policy: DedupePolicy = DedupePolicy.ERROR
     whitespace_normalization: bool = True
     code_case_fold: bool = False
     year_format_coercions: tuple[str, ...] = ()
     missing_policy: MissingPolicy = MissingPolicy.KEEP_AS_MISSING
-
-
-class CleaningRuleSet(Checked, _RuleSetFields):
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -118,7 +114,7 @@ RULE_DEDUPE_SUM = "dedupe-sum"
 RULE_MISSING_DROP = "missing-drop"
 
 
-class CleaningEntry(NamedTuple):
+class CleaningEntry(Record):
     """One replayable change: a field set or a row drop."""
 
     op: str  # "set" | "drop"
@@ -156,7 +152,7 @@ class CleaningEntry(NamedTuple):
         return cls(op, row, doc["rule"], doc.get("field"), doc.get("before"), doc.get("after"), doc.get("reason"))
 
 
-class CleaningLog(NamedTuple):
+class CleaningLog(Record):
     entries: tuple[CleaningEntry, ...] = ()
 
     def to_jsonl(self) -> str:

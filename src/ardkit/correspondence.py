@@ -31,7 +31,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import zip_longest
 from math import isinf
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CorrespondenceError, RouteError
 from .jsonio import decode_utf8, sha256_hex
@@ -39,10 +39,10 @@ from .model import (
     KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
-    Checked,
     Columns,
     Dataset,
     GeoLevel,
+    Record,
     UncertaintyLevel,
     csv_rows,
     describe_key,
@@ -79,16 +79,12 @@ def _as_ratio(value: object) -> Fraction:
     raise CorrespondenceError(f"cannot interpret ratio {value!r}")
 
 
-class _EdgeFields(NamedTuple):
+class CorrespondenceEdge(Record):
+    """One weighted edge: `ratio` of `source`'s count flows to `target`."""
+
     source: str
     target: str
     ratio: Fraction
-
-
-class CorrespondenceEdge(Checked, _EdgeFields):
-    """One weighted edge: `ratio` of `source`'s count flows to `target`."""
-
-    __slots__ = ()
 
     def __new__(cls, source: str, target: str, ratio) -> "CorrespondenceEdge":
         ratio = _as_ratio(ratio)
@@ -97,15 +93,11 @@ class CorrespondenceEdge(Checked, _EdgeFields):
         return super().__new__(cls, source, target, ratio)
 
 
-class _TableFields(NamedTuple):
+class CorrespondenceTable(Record):
     from_edition: BoundaryEdition
     to_edition: BoundaryEdition
     level: GeoLevel
     edges: tuple[CorrespondenceEdge, ...]
-
-
-class CorrespondenceTable(Checked, _TableFields):
-    __slots__ = ()
 
     def __new__(cls, from_edition, to_edition, level, edges) -> "CorrespondenceTable":
         return super().__new__(cls, from_edition, to_edition, level, tuple(edges))
@@ -190,12 +182,8 @@ def load_table(
     return CorrespondenceTable(from_edition, to_edition, level, edges)
 
 
-class _DiscardPolicyFields(NamedTuple):
+class CorrespondencePolicy(Record):
     discard_threshold: Fraction
-
-
-class CorrespondencePolicy(Checked, _DiscardPolicyFields):
-    __slots__ = ()
 
     def __new__(cls, discard_threshold=Fraction(1, 10)) -> "CorrespondencePolicy":
         threshold = _as_ratio(discard_threshold)
@@ -212,7 +200,7 @@ class CorrespondencePolicy(Checked, _DiscardPolicyFields):
         return ratio >= self.discard_threshold
 
 
-class CorrespondenceOutcome(NamedTuple):
+class CorrespondenceOutcome(Record):
     """What one conversion did: totals, provenance events, gap log.
 
     `events` holds only output keys that had at least one event; a key
@@ -304,7 +292,7 @@ def outcomes_report(outcomes: Sequence[CorrespondenceOutcome]) -> tuple[dict, st
     return {"steps": [o.to_json() for o in outcomes], "ledger_digest": sha256_hex(ledger)}, ledger
 
 
-class OutcomeSummary(NamedTuple):
+class OutcomeSummary(Record):
     """A correspondence report's JSON summary: its steps, without their events, and what binds their ledger."""
 
     steps: tuple[CorrespondenceOutcome, ...]

@@ -14,11 +14,11 @@ predecessor, so any mutation of history is detectable.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DocsError
 from .jsonio import compact_dumps, parse_json, sha256_hex
-from .model import Dataset, Indicator
+from .model import Dataset, Indicator, Record
 
 EN_DASH = "–"
 
@@ -48,7 +48,7 @@ FAIR_LAYOUT: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
 )
 
 
-class MetadataDoc(NamedTuple):
+class MetadataDoc(Record):
     """FAIR metadata for one published dataset; `fields` holds every FAIR_LAYOUT field."""
 
     indicator_id: str
@@ -254,7 +254,7 @@ GENESIS_DIGEST = "0" * 64
 PROVENANCE_HEADER = {"format": "ardkit-provenance/1", "digest_algorithm": "sha256"}
 
 
-class ProvenanceEntry(NamedTuple):
+class ProvenanceEntry(Record):
     timestamp: str
     actor: str
     stage: str
@@ -306,7 +306,7 @@ class ProvenanceEntry(NamedTuple):
 _ENTRY_TEXT_KEYS = ("timestamp", "actor", "stage", "decision_text", "tool_version", "prev_digest", "digest")
 
 
-class ProvenanceLog(NamedTuple):
+class ProvenanceLog(Record):
     entries: tuple[ProvenanceEntry, ...] = ()
 
     @property

@@ -23,7 +23,7 @@ import re
 from itertools import chain, compress, islice, repeat
 from math import isfinite
 from operator import floordiv, itemgetter, mod, not_, or_
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IngestError
 from .jsonio import decode_utf8, sha256_hex, validate_against_schema
@@ -32,12 +32,12 @@ from .model import (
     KEY_COLUMNS,
     BoundaryEdition,
     CellKind,
-    Checked,
     Columns,
     DATA_KINDS,
     Dataset,
     GeoLevel,
     Indicator,
+    Record,
     UncertaintyLevel,
     _ascii_int,
     _csv_token,
@@ -53,7 +53,9 @@ class AccessMode(enum.Enum):
     CUSTOM_DOWNLOAD = "custom_download"
 
 
-class _SourceFields(NamedTuple):
+class SourceDescriptor(Record):
+    """Where a dataset came from and how it was collected."""
+
     source_id: str
     name: str
     custodian: str
@@ -61,12 +63,6 @@ class _SourceFields(NamedTuple):
     collection_start: datetime.date
     collection_end: datetime.date
     url_or_locator: str
-
-
-class SourceDescriptor(Checked, _SourceFields):
-    """Where a dataset came from and how it was collected."""
-
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -114,7 +110,9 @@ class Layout(enum.Enum):
     WIDE_BY_YEAR = "wide_by_year"
 
 
-class _MappingFields(NamedTuple):
+class SchemaMapping(Record):
+    """Declarative binding of raw columns to standardized roles."""
+
     layout: Layout
     geography_code_column: str
     age_group_column: str
@@ -127,12 +125,6 @@ class _MappingFields(NamedTuple):
     edition: BoundaryEdition | None = None
     missing_tokens: frozenset[str] = frozenset({""})
     delimiter: str = ","
-
-
-class SchemaMapping(Checked, _MappingFields):
-    """Declarative binding of raw columns to standardized roles."""
-
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -186,7 +178,7 @@ class SchemaMapping(Checked, _MappingFields):
         )
 
 
-class Reject(NamedTuple):
+class Reject(Record):
     row: int
     reason: str
 
@@ -197,7 +189,7 @@ class Reject(NamedTuple):
 LINEAGE_COLUMNS = (*KEY_COLUMNS, "RAW_ROW", "RAW_COLUMN")
 
 
-class ParseReport(NamedTuple):
+class ParseReport(Record):
     """Row accounting for one parse: records_out + rejects == logical rows in.
 
     `lineage_csv` is the rendered lineage file; `lineage_digest` is the
@@ -432,7 +424,7 @@ def parse_raw(
     return Dataset(indicator, columns, mapping.edition, mapping.level), report
 
 
-class ColumnGuess(NamedTuple):
+class ColumnGuess(Record):
     role: str
     column: str
     evidence: str
@@ -447,7 +439,7 @@ class ColumnGuess(NamedTuple):
         }
 
 
-class MappingDraft(NamedTuple):
+class MappingDraft(Record):
     """Best-effort column-role guesses; never usable without confirmation."""
 
     guesses: tuple[ColumnGuess, ...] = ()

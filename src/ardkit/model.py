@@ -27,12 +27,12 @@ import enum
 import io
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import eq, gt, is_, is_not, le
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArdkitError
 
@@ -177,19 +177,42 @@ def describe_key(region: str, calendar_year: int, age_group: str, sex: str) -> s
 _INDICATOR_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
-class Checked:
-    """First base of a NamedTuple subclass whose `__new__` checks or normalises the fields.
+class _RecordType(type):
+    """Builds each `Record` on a `collections.namedtuple` of the fields its body annotates, with the body's values
+    as defaults; the annotations are never evaluated."""
 
-    NamedTuple's `_make`, which `_replace` calls, skips that `__new__`; this `_make` builds through it."""
+    def __new__(mcls, name, bases, namespace, *, instance_dict=False):
+        if not bases:  # `Record` itself
+            return super().__new__(mcls, name, bases, namespace)
+        if bases != (Record,):
+            raise TypeError(f"record {name} must subclass Record alone")
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaulted = tuple(field for field in fields if field in namespace)
+        if fields[len(fields) - len(defaulted):] != defaulted:
+            raise TypeError(f"record {name}: a field without a default follows one with a default")
+        tuple_base = namedtuple(name, fields, defaults=map(namespace.pop, defaulted), module=namespace["__module__"])
+        if not instance_dict:
+            namespace["__slots__"] = ()
+        if "__new__" in namespace:  # the namedtuple's `_make`, which `_replace` calls, would skip it
+            namespace["_make"] = classmethod(lambda cls, iterable: cls(*iterable))
+        return super().__new__(mcls, name, (tuple_base, Record), namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Base of an immutable record, a subclass of its fields' namedtuple; it equals the plain tuple of its fields.
+
+    A `__new__` in the class body checks or normalises the fields and calls
+    the namedtuple's through `super()`; `_make`, `_replace` and unpickling
+    build through it.  Only a class declared with `instance_dict=True` has
+    an instance dict.
+    """
 
     __slots__ = ()
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
+class Indicator(Record):
+    """Descriptive identity of one measured quantity."""
 
-class _IndicatorFields(NamedTuple):
     id: str
     name: str
     nest_domain: NestDomain
@@ -197,12 +220,6 @@ class _IndicatorFields(NamedTuple):
     source_id: str
     correspondence_applied: bool = False
     max_uncertainty: UncertaintyLevel = UncertaintyLevel.LOW
-
-
-class Indicator(Checked, _IndicatorFields):
-    """Descriptive identity of one measured quantity."""
-
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -252,7 +269,7 @@ class Indicator(Checked, _IndicatorFields):
         )
 
 
-class Columns(NamedTuple):
+class Columns(Record):
     """A dataset's records as parallel tuples; row i is the i-th item of each.
 
     Markers (suppressed, missing) carry a magnitude of None and every data
@@ -284,14 +301,7 @@ class Columns(NamedTuple):
 EMPTY_COLUMNS = Columns((), (), (), (), (), (), ())
 
 
-class _DatasetFields(NamedTuple):
-    indicator: Indicator
-    columns: Columns
-    edition: BoundaryEdition
-    level: GeoLevel
-
-
-class Dataset(Checked, _DatasetFields):
+class Dataset(Record, instance_dict=True):
     """An indicator's records at one (edition, level), held as columns.
 
     The indicator's ``max_uncertainty`` is set here to the worst level among
@@ -300,6 +310,11 @@ class Dataset(Checked, _DatasetFields):
     an instance dict, where `_in_canonical_order` is cached and `read_csv`
     marks `_as_written`; `_replace` builds a new dataset without either.
     """
+
+    indicator: Indicator
+    columns: Columns
+    edition: BoundaryEdition
+    level: GeoLevel
 
     def __new__(cls, indicator: Indicator, columns: Columns, edition: BoundaryEdition, level: GeoLevel):
         worst = max(columns.uncertainty, default=UncertaintyLevel.LOW)
@@ -329,7 +344,7 @@ class Dataset(Checked, _DatasetFields):
         return all(map(le, keys, islice(keys, 1, None)))
 
 
-class Violation(NamedTuple):
+class Violation(Record):
     """One invariant breach, located by record index (None = dataset level)."""
 
     rule: str
@@ -440,7 +455,7 @@ def vocabulary_violations(c: Columns, vocabulary: "Vocabulary | None") -> Iterat
                     yield Violation(V_VOCABULARY, i, f"{label} {token!r} not in vocabulary")
 
 
-class Vocabulary(NamedTuple):
+class Vocabulary(Record):
     """Controlled filter-token vocabulary declared per project."""
 
     age_groups: frozenset[str] = frozenset()

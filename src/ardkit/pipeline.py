@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import is_not
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from . import __version__
 from .cleaning import CleaningLog, CleaningRuleSet
@@ -57,6 +57,7 @@ from .model import (
     Dataset,
     GeoLevel,
     Indicator,
+    Record,
     Vocabulary,
     _ascii_int,
     round_counts,
@@ -75,21 +76,21 @@ from .qa import (
 )
 
 
-class IndicatorSpec(NamedTuple):
+class IndicatorSpec(Record):
     indicator: Indicator
     data_path: Path
     mapping_path: Path
     denominator: str | None = None
 
 
-class TableSpec(NamedTuple):
+class TableSpec(Record):
     path: Path
     level: GeoLevel
     from_edition: BoundaryEdition
     to_edition: BoundaryEdition
 
 
-class StageSettings(NamedTuple):
+class StageSettings(Record):
     clean_enabled: bool = True
     cleaning_rules: CleaningRuleSet = CleaningRuleSet()
     correspond_enabled: bool = True
@@ -320,14 +321,14 @@ def qa_stage(
 # Run orchestration
 
 
-class StageRecord(NamedTuple):
+class StageRecord(Record):
     stage: str
     decision: str
     input_digests: tuple[str, ...]
     output_digests: tuple[str, ...]
 
 
-class IndicatorResult(NamedTuple):
+class IndicatorResult(Record):
     indicator_id: str
     artifacts: dict[str, str]
     stage_records: list[StageRecord]
@@ -335,7 +336,7 @@ class IndicatorResult(NamedTuple):
     final_indicator: Indicator
 
 
-class RunResult(NamedTuple):
+class RunResult(Record):
     exit_code: int
     out_dir: Path
     failed: bool

@@ -13,19 +13,15 @@ at zero; it runs before suppression when both are configured.
 from __future__ import annotations
 
 import random
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import ConfigError, PrivacyError
-from .model import CellKind, Checked, Dataset
+from .model import CellKind, Dataset, Record
 
 
-class _SuppressionPolicyFields(NamedTuple):
+class SuppressionPolicy(Record):
     threshold: int = 5
     suppress_zero: bool = False
-
-
-class SuppressionPolicy(Checked, _SuppressionPolicyFields):
-    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -42,7 +38,7 @@ class SuppressionPolicy(Checked, _SuppressionPolicyFields):
         return cls(threshold=doc.get("threshold", 5), suppress_zero=doc.get("suppress_zero", False))
 
 
-class SuppressionLog(NamedTuple):
+class SuppressionLog(Record):
     """Per-stratum counts of suppressed cells; values are never recorded."""
 
     strata: tuple[tuple[tuple[int, str, str], int], ...]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import compress
-from typing import Mapping, NamedTuple, Sequence
+from itertools import compress, repeat
+from operator import is_
+from typing import Mapping, Sequence
 
 from .cleaning import CleaningLog, CleaningRuleSet, clean
 from .correspondence import HIGH_EVENTS, MEDIUM_EVENTS
@@ -24,6 +25,7 @@ from .model import (
     KEY_COLUMNS,
     CellKind,
     Dataset,
+    Record,
     UncertaintyLevel,
     Vocabulary,
     V_DUPLICATE_KEY,
@@ -44,7 +46,7 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-class QARule(NamedTuple):
+class QARule(Record):
     rule_id: str
     severity: Severity
     description: str
@@ -85,7 +87,7 @@ _VIOLATION_RULE_MAP = {
 CONSERVATION_TOLERANCE = Fraction(1, 10**9)
 
 
-class ConservationRecord(NamedTuple):
+class ConservationRecord(Record):
     """Expected post-conversion count total, carried by correspondence provenance."""
 
     expected_total: Fraction
@@ -94,7 +96,7 @@ class ConservationRecord(NamedTuple):
     output_magnitudes: tuple | None = None
 
 
-class QAContext(NamedTuple):
+class QAContext(Record):
     """Everything the rules may consult beyond the dataset itself."""
 
     vocabulary: Vocabulary | None = None
@@ -103,7 +105,7 @@ class QAContext(NamedTuple):
     removed_high: int = 0
 
 
-class Finding(NamedTuple):
+class Finding(Record):
     rule_id: str
     severity: Severity
     locator: str
@@ -118,7 +120,7 @@ class Finding(NamedTuple):
         }
 
 
-class QAReport(NamedTuple):
+class QAReport(Record):
     dataset_id: str
     findings: tuple[Finding, ...]
 
@@ -249,7 +251,7 @@ def _conservation_findings(dataset: Dataset, context: QAContext) -> list[Finding
         # The conversion's own output, whose magnitudes are present exactly on its count rows.
         total = record.output_total
     else:
-        total = exact_total(m for kind, m in zip(c.kind, c.magnitude) if kind is CellKind.COUNT)
+        total = exact_total(compress(c.magnitude, map(is_, c.kind, repeat(CellKind.COUNT))))
     expected = record.expected_total
     if abs(total - expected) <= CONSERVATION_TOLERANCE * max(abs(expected), Fraction(1)):
         return []
@@ -305,7 +307,7 @@ def assign_uncertainty(
     return dataset
 
 
-class RemovalLog(NamedTuple):
+class RemovalLog(Record):
     removed_keys: tuple[tuple[str, int, str, str], ...]  # in canonical order
     fully_removed: bool
 
@@ -331,7 +333,7 @@ def filter_high_uncertainty(dataset: Dataset) -> tuple[Dataset, RemovalLog]:
     return dataset, RemovalLog(tuple(removed), fully_removed=not kept)
 
 
-class CycleResult(NamedTuple):
+class CycleResult(Record):
     dataset: Dataset
     log: CleaningLog
     report: QAReport

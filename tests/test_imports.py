@@ -130,6 +130,52 @@ def test_start_up_does_not_load_jsonschema(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def typing_named_tuple_imports(source: str) -> list[str]:
+    """Lines that import `NamedTuple` from `typing`, or reach it as `typing.NamedTuple`."""
+    tree = ast.parse(source)
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "typing" and any(a.name == "NamedTuple" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "NamedTuple"
+            and isinstance(node.value, ast.Name) and node.value.id == "typing")
+    )
+    return [f"line {line}: typing.NamedTuple" for line in lines]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_builds_a_typing_named_tuple(path):
+    # `typing.NamedTuple` turns every annotation into a `ForwardRef` at import; a record subclasses `model.Record`.
+    assert typing_named_tuple_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_typing_named_tuple_import_is_reported():
+    source = "from typing import Mapping, NamedTuple\nimport typing\nclass A(typing.NamedTuple):\n    x: int\n"
+    assert typing_named_tuple_imports(source) == ["line 1: typing.NamedTuple", "line 3: typing.NamedTuple"]
+
+
+def test_start_up_evaluates_no_annotation():
+    # Counted in a fresh process: an `eval`-mode `compile` or a `ForwardRef` at import means an annotation was read.
+    src = str(Path(ardkit.__file__).resolve().parents[1])
+    code = (
+        "import builtins, typing\n"
+        "modes, refs = [], []\n"
+        "compile_, forward_ref_init = builtins.compile, typing.ForwardRef.__init__\n"
+        "def counting_compile(source, filename, mode, *args, **kwargs):\n"
+        "    modes.append(mode)\n"
+        "    return compile_(source, filename, mode, *args, **kwargs)\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    refs.append(self)\n"
+        "    forward_ref_init(self, *args, **kwargs)\n"
+        "builtins.compile, typing.ForwardRef.__init__ = counting_compile, counting_init\n"
+        "import ardkit.cli\n"
+        "print(modes.count('eval'), len(refs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "0"]
+
+
 ORACLE = Path(__file__).with_name("oracle.py")
 ORACLE_MAY_IMPORT = {
     # Reading a table is not under test; everything the engine decides is.
@@ -311,7 +357,7 @@ def test_ingest_oracle_reference_is_reported():
 
 
 def record_classes() -> list[type]:
-    """Every dataclass and NamedTuple an `ardkit` module defines, once `ardkit.cli` has imported them all."""
+    """Every dataclass and `model.Record` an `ardkit` module defines, once `ardkit.cli` has imported them all."""
     import ardkit.cli  # noqa: F401
 
     found = {
@@ -325,8 +371,8 @@ def record_classes() -> list[type]:
     return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
 
 
-# What keeps a record class a dataclass, whose methods are generated at every start, not a NamedTuple.
-# A record that checks its fields is a NamedTuple subclass whose `__new__` checks them (README "Record types").
+# What keeps a record class a dataclass, whose methods are generated at every start, not a `model.Record`.
+# A record that checks its fields defines `__new__` in its `Record` class body (README "Record types").
 REPLACED = "perfbench/child.py calls dataclasses.replace on it"
 KEPT_DATACLASSES = {"ardkit.pipeline.PipelineConfig": REPLACED}
 BENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"

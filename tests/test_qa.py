@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ardkit.cleaning import CleaningRuleSet, DedupePolicy, clean
 from ardkit.correspondence import (
@@ -22,6 +24,7 @@ from ardkit.model import (
     CellKind,
     UncertaintyLevel,
     Vocabulary,
+    format_magnitude,
 )
 from ardkit.qa import (
     BUILTIN_RULES,
@@ -51,6 +54,7 @@ from conftest import (
     make_dataset,
     make_indicator,
     make_row,
+    missing,
     percentage,
     suppressed,
 )
@@ -386,3 +390,26 @@ class TestConservationReusesTheConversionTotal:
         # An equal column that is not the very tuple is totalled too, and passes.
         copied = out.with_columns(out.columns._replace(magnitude=tuple(list(out.columns.magnitude))))
         assert run_rules(copied, QAContext(conservation=record)).passed
+
+
+class TestConservationTotalsAReadBackColumn:
+    # A count column as a stage boundary reads it back: ints, floats, -0.0 and ints above 2**53, between markers.
+    CELLS = st.one_of(
+        st.builds(count, st.one_of(
+            st.integers(0, 2**64), st.floats(0, 1e18), st.just(-0.0), st.sampled_from([2**53 + 1, 2**60 + 3]),
+        )),
+        st.sampled_from([missing(), suppressed()]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CELLS, min_size=1, max_size=40))
+    def test_the_total_is_the_sum_of_fractions(self, cells):
+        dataset = make_dataset(make_row(f"R{i:02d}", cell) for i, cell in enumerate(cells))
+        total = sum(map(Fraction, (m for kind, m, _ in cells if kind is CellKind.COUNT)), Fraction(0))
+        assert run_rules(dataset, QAContext(conservation=ConservationRecord(expected_total=total))).passed
+        wrong = 2 * total + 1
+        findings = run_rules(dataset, QAContext(conservation=ConservationRecord(expected_total=wrong))).findings
+        assert [f.message for f in findings if f.rule_id == RULE_CONSERVATION] == [
+            f"mass conservation violated: total {format_magnitude(float(total))} differs "
+            f"from expected {format_magnitude(float(wrong))}"
+        ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from datetime import date
 from fractions import Fraction
@@ -12,17 +13,18 @@ from ardkit.cleaning import RULE_DEDUPE_KEEP_FIRST, RULE_WHITESPACE, CleaningEnt
 from ardkit.correspondence import CorrespondenceEdge, CorrespondencePolicy, forward
 from ardkit.errors import ArdkitError, CleaningError, CorrespondenceError, IngestError, PrivacyError
 from ardkit.ingest import AccessMode, Layout, ParseReport, Reject, SchemaMapping, SourceDescriptor
-from ardkit.model import CellKind, Indicator, UncertaintyLevel
+from ardkit.model import CellKind, Dataset, Indicator, Record, UncertaintyLevel, read_csv, write_csv
 from ardkit.pipeline import StageRecord
 from ardkit.privacy import SuppressionPolicy
 from ardkit.qa import ConservationRecord, QAContext, filter_high_uncertainty, run_rules
 
 from conftest import E2011, E2016, SA3, count, make_counts, make_dataset, make_indicator, make_row, make_table, missing
+from test_imports import record_classes
 
 
 def round_trip(record):
     copy = pickle.loads(pickle.dumps(record))
-    # A NamedTuple also equals a plain tuple of its fields, so the type is checked too.
+    # A record also equals a plain tuple of its fields, so the type is checked too.
     assert type(copy) is type(record)
     assert copy == record
     return copy
@@ -201,3 +203,71 @@ WIDE_DOC = {
 def test_from_json_builds_through_the_checks(from_json, doc, error, message):
     with pytest.raises(error, match=message):
         from_json(doc)
+
+
+RECORDS = [cls for cls in record_classes() if not dataclasses.is_dataclass(cls)]
+# For each record whose `__new__` checks or normalises its fields: a good record, a field, a value it refuses.
+REFUSED_BY_RECORD = {
+    **{name: refused[:4] for name, refused in REFUSED.items() if "-" not in name},
+    "CorrespondenceTable": (lambda: make_table([("A", "B", "1")]), "edges", None, TypeError),
+    "Dataset": (lambda: make_counts({"A": 1}), "columns", None, AttributeError),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_with_a_new_checks_its_replace_and_its_unpickling(cls):
+    if "__new__" not in vars(cls):
+        assert cls.__name__ not in REFUSED_BY_RECORD
+        return
+    make, name, bad, error = REFUSED_BY_RECORD[cls.__name__]
+    good = make()
+    assert type(round_trip(good)) is cls
+    ways = builds(good, **{name: bad})
+    for way in ("_replace", "unpickle"):
+        with pytest.raises(error):
+            ways[way]()
+            pytest.fail(f"{way} built an unchecked record")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_only_a_dataset_keeps_an_instance_dict(cls):
+    assert issubclass(cls, Record)
+    record = tuple.__new__(cls, [None] * len(cls._fields))
+    assert hasattr(record, "__dict__") is (cls is Dataset)
+
+
+def test_read_csv_marks_the_dataset_it_reads():
+    dataset = make_counts({"A": 1, "B": 2})
+    read = read_csv(write_csv(dataset), dataset.indicator)
+    assert read == dataset and vars(read) == {"_in_canonical_order": True, "_as_written": True}
+
+
+def test_a_record_takes_its_fields_and_defaults_from_its_class_body():
+    class Point(Record):
+        """A point."""
+
+        x: NotDefinedAnywhere  # noqa: F821 - the annotations are never evaluated
+        y: int = 0
+
+        def norm(self) -> int:
+            return abs(self.x) + abs(self.y)
+
+    point = Point(3, y=-4)
+    assert (point, point.norm(), Point(1)) == ((3, -4), 7, (1, 0))
+    assert Point._fields == ("x", "y") and Point._field_defaults == {"y": 0}
+    assert Point.__doc__ == "A point." and Point._make((5, 6))._replace(y=1) == (5, 1)
+    with pytest.raises(AttributeError):
+        point.x = 0
+
+
+def test_a_record_refuses_a_field_without_a_default_after_one_with_a_default():
+    with pytest.raises(TypeError, match="a field without a default follows one with a default"):
+        class Bad(Record):
+            x: int = 0
+            y: int
+
+
+def test_a_record_subclasses_record_alone():
+    with pytest.raises(TypeError, match="must subclass Record alone"):
+        class Sub(Indicator):
+            extra: int
