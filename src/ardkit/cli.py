@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .correspondence import CorrespondencePolicy, OutcomeSummary, convert, load_table, outcomes_report
-from .docs import Audience, emit_dictionary, emit_metadata, scaffold_dmp
+from .docs import DMP_PATH, Audience, dictionary_path, emit_dictionary, emit_metadata, metadata_paths, scaffold_dmp
 from .errors import ArdkitError, ConfigError
 from .ingest import SchemaMapping, detect_characteristics, parse_raw
 from .jsonio import about, canonical_dumps, decode_utf8, ledger_path, read_doc, read_user_file
@@ -239,7 +239,6 @@ def _cmd_qa(args) -> int:
 
 def _cmd_emit_docs(args) -> int:
     config = load_config(args.config)
-    docs_config = config.docs_config()
     data_paths = args.data or []
     indicator_paths = args.indicator or []
     if len(data_paths) != len(indicator_paths):
@@ -253,20 +252,20 @@ def _cmd_emit_docs(args) -> int:
     for data_path, indicator_path in zip(data_paths, indicator_paths):
         dataset = _read_dataset(data_path, indicator_path)[0]
         indicators.append(dataset.indicator)
-        metadata = emit_metadata(dataset.indicator, dataset, docs_config, publishable=args.publishable)
-        _write(str(out / "metadata" / f"{dataset.indicator.id}.metadata.json"), canonical_dumps(metadata.to_json()))
-        _write(str(out / "metadata" / f"{dataset.indicator.id}.metadata.md"), metadata.to_markdown())
-    indicators.sort(key=lambda i: i.id)
-    _write(str(out / "dictionary.published.md"), emit_dictionary(indicators, docs_config, Audience.PUBLISHED))
-    _write(str(out / "dictionary.researcher.md"), emit_dictionary(indicators, docs_config, Audience.RESEARCHER))
-    _write(str(out / "dmp.md"), scaffold_dmp(docs_config))
+        metadata = emit_metadata(dataset, config.docs, publishable=args.publishable)
+        metadata_json, metadata_md = metadata_paths(dataset.indicator.id)
+        _write(str(out / metadata_json), canonical_dumps(metadata.to_json()))
+        _write(str(out / metadata_md), metadata.to_markdown())
+    for audience in Audience:
+        _write(str(out / dictionary_path(audience)), emit_dictionary(indicators, config.docs, audience))
+    _write(str(out / DMP_PATH), scaffold_dmp(config.docs))
     print(f"emitted documentation for {len(indicators)} indicator(s) under {out}")
     return 0
 
 
 def _cmd_scaffold_dmp(args) -> int:
     config = load_config(args.config)
-    _write(args.out, scaffold_dmp(config.docs_config()))
+    _write(args.out, scaffold_dmp(config.docs))
     print(f"wrote DMP scaffold to {args.out}")
     return 0
 

@@ -87,14 +87,9 @@ def coverage_summary(dataset: Dataset) -> tuple[str, str]:
     return geographical, f"{years[0]}{EN_DASH}{years[-1]}"
 
 
-def emit_metadata(
-    indicator: Indicator,
-    dataset: Dataset,
-    project_config: Mapping,
-    *,
-    publishable: bool = False,
-) -> MetadataDoc:
-    """Build the metadata document; publishable mode refuses missing fields."""
+def emit_metadata(dataset: Dataset, project_config: Mapping, *, publishable: bool = False) -> MetadataDoc:
+    """Build the dataset's metadata document; publishable mode refuses missing fields."""
+    indicator = dataset.indicator
     config = project_config.get("metadata", {})
     defaults = {
         "title": indicator.name,
@@ -115,6 +110,19 @@ def emit_metadata(
 class Audience(enum.Enum):
     PUBLISHED = "published"
     RESEARCHER = "researcher"
+
+
+# The docs tree's file names, stated once: `run` and `emit-docs` both write them.
+DMP_PATH = "dmp.md"
+
+
+def metadata_paths(indicator_id: str) -> tuple[str, str]:
+    """An indicator's metadata document and its Markdown rendering."""
+    return f"metadata/{indicator_id}.metadata.json", f"metadata/{indicator_id}.metadata.md"
+
+
+def dictionary_path(audience: Audience) -> str:
+    return f"dictionary.{audience.value}.md"
 
 
 UNCERTAINTY_LEGEND = (

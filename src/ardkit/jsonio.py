@@ -217,14 +217,9 @@ def _items(items, schema, compile_sub) -> Check:
     sub = compile_sub(items)
 
     def check(instance, path):
-        if not _is_array(instance) or not instance:
-            return
-        if items is False:
-            rest = instance if len(instance) != 1 else instance[0]
-            yield path, f"Expected at most 0 items but found {len(instance)} extra: {rest!r}"
-            return
-        for index, item in enumerate(instance):
-            yield from sub(item, (*path, index))
+        if _is_array(instance):
+            for index, item in enumerate(instance):
+                yield from sub(item, (*path, index))
     return check
 
 
@@ -294,19 +289,17 @@ SUPPORTED_KEYWORDS = _ANNOTATIONS | {"$ref"} | _KEYWORDS.keys()
 
 
 def compile_schema(schema) -> Check:
-    """Compile a schema once; a keyword outside SUPPORTED_KEYWORDS raises ValueError.
+    """Compile a schema once; a keyword outside SUPPORTED_KEYWORDS, or a boolean subschema, raises ValueError.
+
+    `additionalProperties: false` is the one boolean read, as that keyword's value.
 
     `$ref` may only point into the root's `$defs` (`#/$defs/<name>`).
     """
     definitions: dict[str, Check] = {}
 
     def compile_sub(sub) -> Check:
-        if sub is True:
-            return lambda instance, path: iter(())
-        if sub is False:
-            return lambda instance, path: iter([(path, f"False schema does not allow {instance!r}")])
         if not isinstance(sub, dict):
-            raise ValueError(f"a schema must be an object or a boolean, not {sub!r}")
+            raise ValueError(f"unsupported schema {sub!r}; a schema must be an object")
         checks = []
         for keyword, value in sub.items():
             if keyword == "$ref":
@@ -329,9 +322,8 @@ def compile_schema(schema) -> Check:
         return lambda instance, path: definitions[name](instance, path)
 
     root = compile_sub(schema)
-    if isinstance(schema, dict):
-        for name, sub in schema.get("$defs", {}).items():
-            definitions[name] = compile_sub(sub)
+    for name, sub in schema.get("$defs", {}).items():
+        definitions[name] = compile_sub(sub)
     return root
 
 

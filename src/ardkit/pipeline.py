@@ -16,7 +16,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from operator import is_not
 from pathlib import Path
 from typing import Mapping
 
@@ -31,12 +30,15 @@ from .correspondence import (
     outcomes_report,
 )
 from .docs import (
+    DMP_PATH,
     Audience,
     ProvenanceLog,
     append_provenance,
+    dictionary_path,
     emit_dictionary,
     emit_metadata,
     make_entry,
+    metadata_paths,
     scaffold_dmp,
 )
 from .errors import ArdkitError, ConfigError, CorrespondenceError
@@ -111,9 +113,7 @@ class PipelineConfig:
     target_edition: BoundaryEdition
     target_level: GeoLevel
     vocabulary: Vocabulary
-    metadata_config: dict
-    dictionary_config: dict
-    dmp_answers: dict
+    docs: Mapping  # the project's name, metadata, dictionary and dmp_answers, as `docs` reads them
     sources: tuple[SourceDescriptor, ...]
     indicators: tuple[IndicatorSpec, ...]
     tables: tuple[TableSpec, ...]
@@ -121,14 +121,6 @@ class PipelineConfig:
     output_dir: Path
     seed: int | None
     round_counts: bool
-
-    def docs_config(self) -> dict:
-        return {
-            "name": self.name,
-            "metadata": self.metadata_config,
-            "dictionary": self.dictionary_config,
-            "dmp_answers": self.dmp_answers,
-        }
 
 
 def load_config(path: str | os.PathLike) -> PipelineConfig:
@@ -222,9 +214,7 @@ def _config_from(doc, base: Path) -> PipelineConfig:
         target_edition=BoundaryEdition(project["target_edition"]),
         target_level=GeoLevel(project["target_level"]),
         vocabulary=vocabulary,
-        metadata_config=dict(project.get("metadata", {})),
-        dictionary_config=dict(project.get("dictionary", {})),
-        dmp_answers=dict(project.get("dmp_answers", {})),
+        docs={key: project[key] for key in ("name", "metadata", "dictionary", "dmp_answers") if key in project},
         sources=sources,
         indicators=tuple(specs),
         tables=tables,
@@ -329,8 +319,6 @@ class StageRecord(Record):
 
 
 class IndicatorResult(Record):
-    indicator_id: str
-    artifacts: dict[str, str]
     stage_records: list[StageRecord]
     report: QAReport
     final_indicator: Indicator
@@ -356,32 +344,35 @@ def load_tables(
 
 
 def _process_indicator(
-    config: PipelineConfig, spec: IndicatorSpec, tables, denominator: tuple[Dataset, Dataset | None] | None
+    config: PipelineConfig,
+    spec: IndicatorSpec,
+    tables,
+    denominator: tuple[Dataset, Dataset | None] | None,
+    artifacts: dict[str, str],
 ) -> tuple[IndicatorResult, tuple[Dataset, Dataset | None]]:
-    """Run every stage for one indicator; also returns its cleaned and its converted dataset.
+    """Run every stage for one indicator, writing its artifacts into `artifacts`.
 
-    The converted dataset is the correspond stage's output, or None when
-    that stage is off.  `denominator` is that pair for the indicator `spec`
-    names as its denominator, if any: a rate is split against the cleaned
-    counts, and a rate with the same keys reuses their conversion.
+    Also returns its cleaned and its converted dataset: the converted one
+    is the correspond stage's output, or None when that stage is off.
+    `denominator` is that pair for the indicator `spec` names as its
+    denominator, if any: a rate is split against the cleaned counts, and a
+    rate with the same keys reuses their conversion.
     """
     ind_id = spec.indicator.id
-    artifacts: dict[str, str] = {}
     records: list[StageRecord] = []
 
     raw = read_user_file(spec.data_path, ConfigError)
     mapping = read_doc(spec.mapping_path, SchemaMapping.from_json, ConfigError)
     digest = sha256_hex(raw)
-    rendered: tuple = ((None, None, None), "", "")  # the last (columns, level, edition), CSV text, digest
+    rendered: tuple = (None, "", "")  # the dataset last rendered, its CSV text and digest
     texts: dict = {}  # the last rendering's VALUE texts, which seed the next
 
     def render(output: Dataset) -> tuple[str, str]:
-        """CSV text and digest, reused while `write_csv`'s inputs are the objects last rendered."""
+        """CSV text and digest, reused while a stage hands back the dataset last rendered."""
         nonlocal rendered
-        key = (output.columns, output.level, output.edition)
-        if any(map(is_not, key, rendered[0])):
+        if output is not rendered[0]:
             text = write_csv(output, texts=texts)
-            rendered = (key, text, sha256_hex(text))
+            rendered = (output, text, sha256_hex(text))
         return rendered[1:]
 
     def add_report(name: str, report: tuple[dict, str]) -> None:
@@ -391,14 +382,14 @@ def _process_indicator(
         artifacts[ledger_path(name)] = ledger
 
     def record_stage(stage: str, decision: str, output: Dataset) -> None:
-        """Log a stage whose input is the previous stage's output.
+        """Log a stage whose input is the previous stage's output, as `stage:<indicator id>`.
 
-        A stage that changed nothing hands back its input's columns and so
-        reuses their rendering: its output digest equals its input digest.
+        A stage that changed nothing hands back its input dataset and so
+        reuses its rendering: its output digest equals its input digest.
         """
         nonlocal digest
         before, digest = digest, render(output)[1]
-        records.append(StageRecord(stage, decision, (before,), (digest,)))
+        records.append(StageRecord(f"{stage}:{ind_id}", decision, (before,), (digest,)))
 
     with about(spec.data_path):
         dataset, parse_report = parse_raw(raw, mapping, spec.indicator)
@@ -493,25 +484,20 @@ def _process_indicator(
     artifacts[f"datasets/{ind_id}.csv"] = csv_text
     artifacts[f"datasets/{ind_id}.indicator.json"] = canonical_dumps(dataset.indicator.to_json())
 
-    metadata = emit_metadata(dataset.indicator, dataset, config.docs_config())
-    artifacts[f"metadata/{ind_id}.metadata.json"] = canonical_dumps(metadata.to_json())
-    artifacts[f"metadata/{ind_id}.metadata.md"] = metadata.to_markdown()
+    metadata = emit_metadata(dataset, config.docs)
+    metadata_json, metadata_md = metadata_paths(ind_id)
+    artifacts[metadata_json] = canonical_dumps(metadata.to_json())
+    artifacts[metadata_md] = metadata.to_markdown()
     records.append(
         StageRecord(
-            "docs",
+            f"docs:{ind_id}",
             f"emitted dataset, metadata{' (draft)' if metadata.draft else ''}, and reports",
             (csv_digest,),
-            (sha256_hex(artifacts[f"metadata/{ind_id}.metadata.json"]),),
+            (sha256_hex(artifacts[metadata_json]),),
         )
     )
 
-    return IndicatorResult(
-        indicator_id=ind_id,
-        artifacts=artifacts,
-        stage_records=records,
-        report=report,
-        final_indicator=dataset.indicator,
-    ), (cleaned, converted)
+    return IndicatorResult(records, report, dataset.indicator), (cleaned, converted)
 
 
 def _run_timestamp(config: PipelineConfig) -> str:
@@ -578,65 +564,46 @@ def run(config: PipelineConfig, *, strict: bool = False) -> RunResult:
         needed = {spec.denominator for spec in config.indicators}
         denominators: dict[str, tuple[Dataset, Dataset | None]] = {}
         for spec in sorted(config.indicators, key=lambda s: (s.denominator is not None, s.indicator.id)):
-            result, datasets = _process_indicator(config, spec, tables, denominators.get(spec.denominator))
-            results[result.indicator_id] = result
-            artifacts.update(result.artifacts)
-            if result.indicator_id in needed:
-                denominators[result.indicator_id] = datasets
-
-        final_indicators = [results[i].final_indicator for i in sorted(results)]
-        docs_config = config.docs_config()
-        artifacts["dictionary.published.md"] = emit_dictionary(
-            final_indicators, docs_config, Audience.PUBLISHED
-        )
-        artifacts["dictionary.researcher.md"] = emit_dictionary(
-            final_indicators, docs_config, Audience.RESEARCHER
-        )
-        artifacts["dmp.md"] = scaffold_dmp(docs_config)
-
-        log = ProvenanceLog()
-
-        def add(stage: str, decision: str, inputs=(), outputs=()):
-            nonlocal log
-            log = append_provenance(
-                log,
-                make_entry(
-                    log,
-                    timestamp=timestamp,
-                    actor=config.actor,
-                    stage=stage,
-                    decision_text=decision,
-                    input_digests=inputs,
-                    output_digests=outputs,
-                    tool_version=__version__,
-                ),
+            ind_id = spec.indicator.id
+            results[ind_id], datasets = _process_indicator(
+                config, spec, tables, denominators.get(spec.denominator), artifacts
             )
+            if ind_id in needed:
+                denominators[ind_id] = datasets
 
-        add(
-            "registry",
-            f"registered {len(sources)} source(s)",
-            outputs=(sha256_hex(artifacts["registry.json"]),),
-        )
-        for ind_id in sorted(results):
-            for record in results[ind_id].stage_records:
-                add(
-                    f"{record.stage}:{ind_id}",
-                    record.decision,
-                    inputs=record.input_digests,
-                    outputs=record.output_digests,
-                )
-        add(
-            "docs",
-            "emitted dictionary views and the data management plan scaffold",
-            outputs=(
-                sha256_hex(artifacts["dictionary.published.md"]),
-                sha256_hex(artifacts["dmp.md"]),
+        final_indicators = [result.final_indicator for result in results.values()]
+        for audience in Audience:
+            artifacts[dictionary_path(audience)] = emit_dictionary(final_indicators, config.docs, audience)
+        artifacts[DMP_PATH] = scaffold_dmp(config.docs)
+
+        stage_records = [
+            StageRecord(
+                "registry", f"registered {len(sources)} source(s)", (), (sha256_hex(artifacts["registry.json"]),)
             ),
-        )
+            *(record for ind_id in sorted(results) for record in results[ind_id].stage_records),
+            StageRecord(
+                "docs",
+                "emitted dictionary views and the data management plan scaffold",
+                (),
+                (sha256_hex(artifacts[dictionary_path(Audience.PUBLISHED)]), sha256_hex(artifacts[DMP_PATH])),
+            ),
+        ]
+        log = ProvenanceLog()
+        for record in stage_records:
+            log = append_provenance(log, make_entry(
+                log,
+                timestamp=timestamp,
+                actor=config.actor,
+                stage=record.stage,
+                decision_text=record.decision,
+                input_digests=record.input_digests,
+                output_digests=record.output_digests,
+                tool_version=__version__,
+            ))
         artifacts["provenance.jsonl"] = log.to_jsonl()
 
-        errors = sum(0 if results[i].report.passed else 1 for i in sorted(results))
-        warnings = sum(results[i].report.warnings for i in sorted(results))
+        errors = sum(not result.report.passed for result in results.values())
+        warnings = sum(result.report.warnings for result in results.values())
         if errors:
             exit_code = 2
         elif warnings:

@@ -146,16 +146,20 @@ def backward(data: dict, table, threshold: Fraction = DEFAULT_THRESHOLD) -> Conv
 
 
 def rate_route(
-    rates: dict, denominators: dict, steps, *, value_kind: CellKind, threshold: Fraction = DEFAULT_THRESHOLD
+    rates: dict,
+    denominators: dict,
+    steps,
+    *,
+    value_kind: CellKind,
+    threshold: Fraction = DEFAULT_THRESHOLD,
+    converted_denominator: dict | None = None,
 ) -> Converted:
     """Convert a rate or percentage along `steps`, a sequence of ("forward" | "backward", table).
 
     The rate is split once into numerator counts (rate * denominator) and
     the denominator's counts at the rate's keys; both are converted along
-    every step, and the quotient is taken once at the end.  A suppressed
-    side gives a suppressed, high cell; a zero denominator gives a missing,
-    medium cell with a zero-fill event.  The events and log are the
-    numerator's after the last step, plus the quotient's.
+    every step, and the quotient is taken once at the end.  A
+    `converted_denominator` stands in for the converted denominator counts.
     """
     numerator, denominator = {}, {}
     for key, (kind, value, level) in rates.items():
@@ -176,14 +180,28 @@ def rate_route(
     for op, table in steps:
         converted = convert(op, converted.cells, table)
         denominator = convert(op, denominator, table).cells
-    out, events, zero_filled = {}, {}, list(converted.zero_filled)
-    for key, (kind, value, level) in converted.cells.items():
+    return quotient(converted, denominator if converted_denominator is None else converted_denominator, value_kind)
+
+
+def quotient(numerator: Converted, denominator: dict, value_kind: CellKind) -> Converted:
+    """Divide converted numerator counts by converted denominator counts, key by key.
+
+    A suppressed side gives a suppressed, high cell.  A missing side gives
+    a missing cell of at least medium uncertainty, and so does a zero
+    denominator, with a zero-fill event.  Any other cell takes the worse
+    uncertainty of its two sides.  The events and log are the numerator's,
+    plus the quotient's.
+    """
+    out, events, zero_filled = {}, {}, list(numerator.zero_filled)
+    for key, (kind, value, level) in numerator.cells.items():
         den_kind, den_value, den_level = denominator[key]
         level = max(level, den_level)
-        evs = converted.events.get(key, ())
+        evs = numerator.events.get(key, ())
         if SUPPRESSED in (kind, den_kind):
             out[key] = (SUPPRESSED, None, HIGH)
             evs = evs or (UNRESOLVABLE,)
+        elif MISSING in (kind, den_kind):
+            out[key] = (MISSING, None, max(level, MEDIUM))
         elif den_value == 0:
             out[key] = (MISSING, None, max(level, MEDIUM))
             evs = evs if ZERO_FILL in evs else (*evs, ZERO_FILL)

@@ -21,7 +21,7 @@ from ardkit.cleaning import (
 from ardkit.errors import CleaningError
 from ardkit.model import CellKind
 
-from conftest import count, make_counts, make_dataset, make_row, missing, suppressed
+from conftest import count, make_counts, make_dataset, make_indicator, make_row, missing, rate, suppressed
 
 
 DEFAULT = CleaningRuleSet()
@@ -103,6 +103,13 @@ class TestDedupe:
         dataset = make_dataset([make_row("A", count(3)), make_row("A", suppressed())])
         cleaned, _ = clean(dataset, CleaningRuleSet(dedupe_policy=DedupePolicy.SUM))
         assert cleaned.columns.kind[0] is CellKind.SUPPRESSED
+
+    def test_sum_of_duplicated_rates_is_refused(self):
+        # Two rates of one key have no total: summing them would state a rate no population has.
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        dataset = make_dataset([make_row("A", rate(1.5)), make_row("A", rate(2.5))], indicator=indicator)
+        with pytest.raises(CleaningError, match="^dedupe_policy=sum only applies to count cells$"):
+            clean(dataset, CleaningRuleSet(dedupe_policy=DedupePolicy.SUM))
 
 
 class TestMissingPolicy:

@@ -572,6 +572,58 @@ class TestRateReusesConvertedDenominator:
             convert(rates, E2011, {(E2011, E2016): self.TABLE}, POLICY, denominator=denom, converted_denominator=other)
 
 
+class TestQuotientCells:
+    """The rate quotient's cells for a missing side and for a denominator less certain than its numerator."""
+
+    RATES = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+    LOW, MEDIUM, HIGH = UncertaintyLevel.LOW, UncertaintyLevel.MEDIUM, UncertaintyLevel.HIGH
+
+    def test_against_the_oracle_quotient(self):
+        from ardkit.correspondence import _quotient
+
+        rates = make_counts({code: rate(1.0) for code in "ABCDE"}, indicator=self.RATES)
+        numerators = make_counts(
+            {"A": count(6), "B": missing(), "C": count(4), "D": missing(self.MEDIUM), "E": count(9, self.HIGH)}
+        )
+        denominators = make_counts(
+            {"A": count(3, self.MEDIUM), "B": count(5), "C": missing(), "D": missing(self.HIGH), "E": count(3)}
+        )
+        key_b = next(key for key in numerators.columns.record_keys() if key[0] == "B")
+        outcome = CorrespondenceOutcome(
+            "forward", SA3, E2011, E2016, Fraction(0), Fraction(0), False, {key_b: (EVENT_ZERO_FILL,)}
+        )
+        result, quotient_outcome = _quotient(rates, numerators, denominators, outcome)
+        want = oracle.quotient(
+            oracle.Converted(oracle.cells(numerators), {key_b: (EVENT_ZERO_FILL,)}, []),
+            oracle.cells(denominators),
+            CellKind.RATE,
+        )
+        assert_matches_oracle(result, quotient_outcome, want)
+        assert cells(result) == {
+            "A": (CellKind.RATE, 2.0, self.MEDIUM),
+            "B": (CellKind.MISSING, None, self.MEDIUM),
+            "C": (CellKind.MISSING, None, self.MEDIUM),
+            "D": (CellKind.MISSING, None, self.HIGH),
+            "E": (CellKind.RATE, 3.0, self.HIGH),
+        }
+
+    def test_a_given_converted_denominator(self):
+        # `convert` divides by the converted denominator it is handed, as it holds it.
+        table = make_table([("A", "P", "1"), ("B", "Q", "1")])
+        rates = make_counts({"A": rate(2.0), "B": rate(3.0)}, edition=E2011, indicator=self.RATES)
+        denom = make_counts({"A": 10, "B": 20}, edition=E2011)
+        converted = make_counts({"P": count(10, self.MEDIUM), "Q": missing()})
+        out, (outcome,) = convert(
+            rates, E2016, {(E2011, E2016): table}, POLICY, denominator=denom, converted_denominator=converted
+        )
+        want = oracle.rate_route(
+            oracle.cells(rates), oracle.cells(denom), [("forward", table)],
+            value_kind=CellKind.RATE, converted_denominator=oracle.cells(converted),
+        )
+        assert_matches_oracle(out, outcome, want)
+        assert cells(out) == {"P": (CellKind.RATE, 2.0, self.MEDIUM), "Q": (CellKind.MISSING, None, self.MEDIUM)}
+
+
 def random_hop(rng, sources, prefix, from_edition, to_edition):
     """A random many-to-many table from `sources` onto fresh `prefix` codes."""
     targets = [f"{prefix}{i:03d}" for i in range(rng.randint(1, 8))]

@@ -53,7 +53,7 @@ class TestMetadata:
         return make_dataset([make_row("A", count(1), year=2006), make_row("A", count(2), year=2022)])
 
     def test_auto_coverage_fields(self):
-        doc = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG)
+        doc = emit_metadata(self.dataset(), FULL_CONFIG)
         assert doc.fields["temporal_coverage"] == "2006–2022"
         assert doc.fields["geographical_coverage"] == "SA3 (ASGS2016), Australia"
         assert not doc.draft
@@ -67,7 +67,7 @@ class TestMetadata:
     def test_missing_licence_makes_draft(self):
         config = {"metadata": dict(FULL_CONFIG["metadata"])}
         del config["metadata"]["licence"]
-        doc = emit_metadata(make_indicator(), self.dataset(), config)
+        doc = emit_metadata(self.dataset(), config)
         assert doc.draft
         assert doc.fields["licence"] == ""
 
@@ -75,15 +75,15 @@ class TestMetadata:
         config = {"metadata": dict(FULL_CONFIG["metadata"])}
         del config["metadata"]["licence"]
         with pytest.raises(DocsError, match="licence"):
-            emit_metadata(make_indicator(), self.dataset(), config, publishable=True)
+            emit_metadata(self.dataset(), config, publishable=True)
 
     def test_deterministic_machine_rendering(self):
-        first = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG)
-        second = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG)
+        first = emit_metadata(self.dataset(), FULL_CONFIG)
+        second = emit_metadata(self.dataset(), FULL_CONFIG)
         assert canonical_dumps(first.to_json()) == canonical_dumps(second.to_json())
 
     def test_json_contains_all_element_groups(self):
-        doc = emit_metadata(make_indicator(), self.dataset(), FULL_CONFIG).to_json()
+        doc = emit_metadata(self.dataset(), FULL_CONFIG).to_json()
         assert set(doc["findable"]) == {"title", "identifier", "metadata_reference"}
         assert set(doc["accessible"]) == {"legal_ethical_requirements", "access_rights"}
         assert set(doc["interoperable"]) == {"standard_vocabulary_note"}
@@ -95,9 +95,16 @@ class TestMetadata:
             "socio_economic_objectives",
         }
 
+    def test_empty_dataset_has_no_temporal_coverage(self):
+        # Every record removed: the geography is still the dataset's, the years are none, so it is a draft.
+        dataset = make_counts({})
+        assert coverage_summary(dataset) == ("SA3 (ASGS2016), Australia", "")
+        doc = emit_metadata(dataset, FULL_CONFIG)
+        assert doc.draft and doc.missing_fields() == ("temporal_coverage",)
+
     def test_single_year_coverage(self):
         dataset = make_counts({"A": 1})
-        doc = emit_metadata(make_indicator(), dataset, FULL_CONFIG)
+        doc = emit_metadata(dataset, FULL_CONFIG)
         assert doc.fields["temporal_coverage"] == "2016"
 
     def test_schema_states_the_layout_table(self):

@@ -100,6 +100,36 @@ def test_max_uncertainty_argument_is_reported():
     ]
 
 
+# The docs tree's file names and the per-indicator report suffixes of a run's tree.
+ARTIFACT_NAMES = (
+    ".parse.json", ".lineage.csv", ".cleaning.jsonl", ".correspondence.json", ".privacy.json", ".removals.json",
+    ".qa.json", ".qa.txt", ".indicator.json", ".metadata.json", ".metadata.md", "dictionary.", "dmp.md",
+)
+
+
+def spelling_modules(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules with a string literal, f-string parts included, that holds `name`."""
+    return sorted(
+        module
+        for module, source in sources.items()
+        if any(isinstance(node, ast.Constant) and name in str(node.value) for node in ast.walk(ast.parse(source)))
+    )
+
+
+@pytest.mark.parametrize("name", ARTIFACT_NAMES)
+def test_each_artifact_name_is_spelt_in_one_module(name):
+    # `run` and `emit-docs` take a name from the one module that states it, so their trees cannot drift apart.
+    package = Path(ardkit.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.rglob("*.py"))}
+    assert len(spelling_modules(name, sources)) == 1, spelling_modules(name, sources)
+
+
+def test_spelling_modules_are_reported():
+    sources = {"a": 'x = f"{i}.qa.json"\n', "b": "# .qa.json in a comment\ny = '.qa.txt'\n", "c": "z = 1\n"}
+    assert spelling_modules(".qa.json", sources) == ["a"]
+    assert spelling_modules(".qa.txt", sources) == ["b"]
+
+
 def test_no_module_imports_jsonschema():
     # jsonschema is the test oracle of `jsonio`'s validator, not a runtime dependency.
     importers = [

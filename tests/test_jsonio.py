@@ -55,8 +55,13 @@ class TestKeywordSubset:
             {"items": {"$defs": {"a": {}}}},
             {"type": "text"},
             {"enum": [[1]]},
+            {"items": False},
+            {"properties": {"a": True}},
         ],
-        ids=["uniqueItems", "nested-const", "nested-not", "foreign-ref", "nested-defs", "unknown-type", "enum-of-arrays"],
+        ids=[
+            "uniqueItems", "nested-const", "nested-not", "foreign-ref", "nested-defs", "unknown-type", "enum-of-arrays",
+            "items-false", "boolean-property",
+        ],
     )
     def test_unsupported_schema_is_refused_when_compiled(self, schema):
         with pytest.raises(ValueError, match="unsupported|unknown"):

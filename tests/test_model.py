@@ -56,6 +56,7 @@ from conftest import (
     make_row,
     missing,
     percentage,
+    rate,
     suppressed,
 )
 
@@ -529,3 +530,9 @@ class TestRoundCounts:
         dataset = make_counts({"A": 5, "B": 0})
         rounded = round_counts(dataset)
         assert dict(zip(rounded.columns.region, rounded.columns.magnitude)) == {"A": 5, "B": 0}
+
+    def test_a_rate_is_handed_back_unrounded(self):
+        # A rate has no whole units to hand out; `run --round-counts` leaves it as corresponded.
+        indicator = make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        dataset = make_counts({"A": rate(1.25), "B": rate(2.5)}, indicator=indicator)
+        assert round_counts(dataset) is dataset

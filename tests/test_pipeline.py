@@ -364,8 +364,11 @@ class TestFailureHandling:
         marker = tmp_path / "out" / "FAILED"
         assert marker.is_file()
         assert "2021" in marker.read_text()
-        # Artifacts completed before the failure are retained.
+        # Artifacts completed before the failure are retained, the failing indicator's reports so far too.
         assert (tmp_path / "out" / "registry.json").is_file()
+        reports = tmp_path / "out" / "reports"
+        assert (reports / "demo.school_enrolments.parse.json").is_file()
+        assert not (reports / "demo.school_enrolments.correspondence.json").exists()
 
     def test_wrongly_shaped_mapping_named_in_failed_marker(self, demo_project, tmp_path):
         import dataclasses
@@ -2144,3 +2147,108 @@ class TestCorrespondDenominatorFlags:
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == "error: --denominator-data and --denominator-indicator must be given together\n"
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestReachableRefusals:
+    """Inputs a user can give that are refused, each named with its message."""
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("repeated-id", "duplicate indicator id 'demo.hospital_visits'"),
+            ("unknown-source", "indicator 'demo.hospital_visits' references unknown source 'src.nope'"),
+            ("rate-over-rate", "denominator 'demo.enrolment_rate' must be a count indicator"),
+        ],
+    )
+    def test_config_is_refused(self, tmp_path, fault, message):
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10, rate=True)
+        doc = json.loads(config_path.read_text())
+        indicators = doc["indicators"]
+        if fault == "repeated-id":
+            indicators.append(dict(indicators[1], id=indicators[0]["id"]))
+        elif fault == "unknown-source":
+            indicators[0]["source_id"] = "src.nope"
+        else:
+            indicators.append(dict(indicators[2], id="demo.rate_of_rates", denominator="demo.enrolment_rate"))
+        config_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{config_path}: {message}')}$"):
+            load_config(config_path)
+
+    def test_table_at_another_level_than_the_data_fails_the_run(self, tmp_path):
+        import dataclasses
+
+        config_path = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10)
+        doc = json.loads(config_path.read_text())
+        doc["correspondence_tables"][0]["level"] = "SA2"
+        config_path.write_text(json.dumps(doc))
+        result = run(dataclasses.replace(load_config(config_path), output_dir=tmp_path / "out"))
+        message = "dataset level SA3 does not match table level SA2"
+        assert (result.exit_code, result.failed, result.message) == (2, True, message)
+        assert (tmp_path / "out" / "FAILED").read_text() == message + "\n"
+
+    def write_dataset(self, path: Path, dataset) -> tuple[Path, Path]:
+        from ardkit.model import write_csv
+
+        data, indicator = path.with_suffix(".csv"), path.with_suffix(".json")
+        data.write_text(write_csv(dataset), encoding="utf-8")
+        indicator.write_text(json.dumps(dataset.indicator.to_json()), encoding="utf-8")
+        return data, indicator
+
+    def test_ingest_refuses_a_mapping_of_another_value_kind(self, tmp_path, capsys):
+        from ardkit.cli import main
+
+        root = build_demo_project(tmp_path / "proj", n_2011=10, n_2016=10).parent
+        indicator = tmp_path / "rate.json"
+        indicator.write_text(json.dumps(
+            {"id": "demo.visit_rate", "name": "Visit rate", "nest_domain": "healthy", "value_kind": "rate",
+             "source_id": "src.health"}
+        ))
+        raw = root / "hospital_visits_2011.csv"
+        argv = ["ingest", "--raw", raw, "--mapping", root / "mapping_long_2011.json", "--indicator", indicator,
+                "--out-data", tmp_path / "o.csv", "--report", tmp_path / "parse.json"]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {raw}: mapping declares count values but indicator demo.visit_rate expects rate\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("rate", "denominator dataset must hold counts"),
+            ("edition", "denominator dataset must share the dataset's edition and level"),
+        ],
+    )
+    def test_correspond_refuses_a_denominator(self, tmp_path, capsys, fault, message):
+        from ardkit.cli import main
+
+        from conftest import E2011, make_counts, make_indicator, rate
+
+        rates = make_counts(
+            {"A": rate(2.0)}, edition=E2011, indicator=make_indicator(id="demo.rate", value_kind=CellKind.RATE)
+        )
+        if fault == "rate":
+            denominator = make_counts({"A": rate(3.0)}, edition=E2011, indicator=make_indicator(
+                id="demo.other_rate", value_kind=CellKind.RATE
+            ))
+        else:
+            denominator = make_counts({"A": 10}, edition=BoundaryEdition.ASGS2016)
+        data, indicator = self.write_dataset(tmp_path / "rates", rates)
+        denominator_data, denominator_indicator = self.write_dataset(tmp_path / "denominator", denominator)
+        table = tmp_path / "t.csv"
+        table.write_text("FROM_CODE,TO_CODE,RATIO\nA,B,1\n")
+        argv = ["correspond", "--data", data, "--indicator", indicator, "--to-edition", "2016",
+                "--table", f"2011:2016:{table}", "--out-data", tmp_path / "o.csv",
+                "--denominator-data", denominator_data, "--denominator-indicator", denominator_indicator]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_validate_table_refuses_an_empty_code(self, tmp_path, capsys):
+        from ardkit.cli import main
+
+        table = tmp_path / "t.csv"
+        table.write_text("FROM_CODE,TO_CODE,RATIO\nA,B,1\n ,C,1\n")
+        argv = ["validate-table", "--table", str(table), "--level", "SA3", "--from-edition", "2011", "--to-edition", "2016"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {table}: line 3: empty region code\n"

@@ -174,6 +174,22 @@ class TestRunRules:
             ],
         }
 
+    def test_year_outside_declared_coverage(self):
+        rows = [make_row("A", count(n), year=year) for n, year in enumerate((2015, 2016, 2017))]
+        report = run_rules(make_dataset(rows), QAContext(coverage=(2016, 2016)))
+        assert [(f.rule_id, f.locator, f.message) for f in report.findings] == [
+            (RULE_COVERAGE, "year 2015", "year 2015 outside declared coverage 2016-2016"),
+            (RULE_COVERAGE, "year 2017", "year 2017 outside declared coverage 2016-2016"),
+        ]
+        assert report.passed and report.exit_code() == 1
+
+    @pytest.mark.parametrize("marginal", [suppressed(), missing()], ids=["suppressed", "missing"])
+    def test_recoverable_not_flagged_without_a_published_marginal(self, marginal):
+        # With no marginal value to subtract from, the one suppressed sibling cannot be recovered.
+        members = {"total": marginal, "male": count(17), "female": suppressed()}
+        rows = [make_row("A", value, sex=sex) for sex, value in members.items()]
+        assert run_rules(make_dataset(rows), QAContext()).findings == ()
+
     def test_recoverable_not_flagged_with_two_suppressed(self):
         members = {
             "total": count(20),
